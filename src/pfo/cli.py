@@ -37,7 +37,10 @@ from .leakage import (
 )
 from .memory import AdversaryModel, PfoError
 from .ir import lower_program
-from .optimize import apply_all_passes, opt_if_convert
+from .optimize import (
+    apply_all_passes, build_staged, opt_if_convert, opt_page_realign,
+    opt_readonly_elim,
+)
 from .reports import emit, markdown_table, to_json
 from .suites import attacks_suite, contracts_suite, defenses_suite
 from .transform import transform_program
@@ -117,22 +120,31 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# passes `transform` applies one by one; the others only run under `all`
+TRANSFORM_OPTS = ("O1", "O2", "O5")
+
+
 def cmd_transform(args) -> int:
     program = _read_program(args.program)
     opts = _parse_opts(args.opt)
     if opts == ["all"]:
         build = apply_all_passes(program, args.page_size)
-        rewritten = build.program
-        plan = build.plan
     else:
-        rewritten = program
+        unapplied = [o for o in opts if o not in TRANSFORM_OPTS]
+        if unapplied:
+            raise CliFailure(
+                f"transform applies only {', '.join(TRANSFORM_OPTS)} or all; "
+                f"not applied: {', '.join(unapplied)}", EXIT_USAGE,
+            )
         if "O5" in opts:
-            rewritten, _ = opt_if_convert(rewritten)
-        exe = transform_program(
-            rewritten, args.page_size, mode=args.mux,
-            readonly_elim="O1" in opts,
-        )
-        plan = exe.plan
+            program, _ = opt_if_convert(program)
+        build = build_staged(program, args.page_size, mux=args.mux)
+        if "O1" in opts:
+            build = opt_readonly_elim(build)
+        if "O2" in opts:
+            build = opt_page_realign(build)
+    rewritten = build.program
+    plan = build.plan
     out_path = Path(args.output)
     out_path.write_text(pretty(rewritten))
     plan_doc = plan.to_json_dict()

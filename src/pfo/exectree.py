@@ -20,22 +20,31 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .ir import (
+    BinI,
     BranchI,
     Const,
     Instr,
     IterMark,
+    LoadI,
+    MovI,
     NopI,
     Operand,
     PadI,
     PAD_OBJECT,
+    Reg,
     RegAlloc,
+    SelI,
+    StoreI,
     TaggedIf,
     TaggedStmt,
+    UnI,
     data_refs,
     expand_region,
     DEFAULT_NODE_BUDGET,
 )
-from .lang import Assign, Index, Program, Var, WORD_SIZE
+from .lang import (
+    Assign, Binary, Index, Num, Program, SizeOf, Ternary, Unary, Var, WORD_SIZE,
+)
 from .memory import PfoError
 
 PAD_ORIGIN = "__pad"
@@ -110,9 +119,6 @@ class _TreeLowerer:
         self.alloc = alloc
 
     def operand(self, e, instrs: list[Instr], origin: str) -> Operand:
-        from .ir import BinI, LoadI, SelI, UnI
-        from .lang import Binary, Num, SizeOf, Ternary, Unary
-
         if isinstance(e, Num):
             return Const(e.value)
         if isinstance(e, SizeOf):
@@ -148,16 +154,12 @@ class _TreeLowerer:
         raise PfoError(f"unexpected expression in expanded region: {e!r}")
 
     def _reg(self, name: str):
-        from .ir import Reg
         return Reg(self.alloc.slot(name))
 
     def _reg_of(self, slot: int):
-        from .ir import Reg
         return Reg(slot)
 
     def assign(self, stmt: Assign, instrs: list[Instr], origin: str) -> None:
-        from .ir import MovI, StoreI
-
         value = self.operand(stmt.value, instrs, origin)
         if isinstance(stmt.target, Var):
             instrs.append(MovI(self.alloc.slot(stmt.target.name), value, origin))

@@ -14,6 +14,9 @@ Every micro-op costs one logical step and emits one code fetch plus its
 data operand events; staging copies cost one step per word moved.  The
 interpreter is compiled to closures per (program, layout) because event
 pages are layout-dependent; runs are then cheap and allocation-light.
+The canonical initial array image is computed once per `ObjectTable`;
+each run starts from a fresh copy of it, and its `SimulationResult.store`
+holds those same arrays as the run left them, not further copies.
 """
 
 from __future__ import annotations
@@ -75,6 +78,13 @@ class SimTrap(PfoError):
 
 @dataclass
 class SimulationResult:
+    """What one run observed and computed.
+
+    `store` maps each program array (staging shadows and the pad object
+    excluded) to the run's own array as the run left it; no later run
+    shares it, so it is not copied.
+    """
+
     outputs: dict[str, int]
     profile: list[int]
     steps: int
@@ -192,7 +202,8 @@ class _EarlyReturn(Exception):
 
 # --- arithmetic ----------------------------------------------------------
 
-def _make_arith(width: int):
+def _make_canon(width: int) -> Callable[[int], int]:
+    """Wrap an integer to `width`-bit two's complement."""
     mask = (1 << width) - 1
     sign_bit = 1 << (width - 1)
     wrap = 1 << width
@@ -200,6 +211,12 @@ def _make_arith(width: int):
     def canon(v: int) -> int:
         v &= mask
         return v - wrap if v >= sign_bit else v
+
+    return canon
+
+
+def _make_arith(width: int):
+    canon = _make_canon(width)
 
     def div(a: int, b: int, sink: Sink) -> int:
         if b == 0:
@@ -246,7 +263,8 @@ def _make_arith(width: int):
 # --- object resolution --------------------------------------------------
 
 class ObjectTable:
-    """Array storage indices plus per-object page resolvers for a layout."""
+    """Array storage indices, the canonical initial array image (computed
+    once per table), and per-object page resolvers for a layout."""
 
     def __init__(self, program: Program, layout: MemoryLayout,
                  extra_objects: dict[str, int] | None = None):
@@ -257,28 +275,29 @@ class ObjectTable:
             self.names.append(PAD_OBJECT)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lengths: list[int] = []
-        self.inits: list[tuple[int, ...]] = []
+        self._image: list[list[int]] = []
+        canon = _make_canon(program.int_width)
         for n in self.names:
             d = program.decl(n)
             if d is not None and d.is_array:
-                self.lengths.append(d.array_len)
-                self.inits.append(d.init)
+                length, init = d.array_len, d.init
             elif extra_objects and n in extra_objects:
-                self.lengths.append(extra_objects[n])
-                self.inits.append(())
+                length, init = extra_objects[n], ()
             else:
-                self.lengths.append(1)
-                self.inits.append(())
+                length, init = 1, ()
+            arr = list(init)
+            # canonical values form an interval, so in-range ends mean no
+            # value needs wrapping
+            if arr and any(canon(v) != v for v in (min(arr), max(arr))):
+                arr = list(map(canon, arr))
+            arr.extend([0] * (length - len(arr)))
+            self.lengths.append(length)
+            self._image.append(arr)
         self.layout = layout
 
-    def fresh_arrays(self, canon) -> list[list[int]]:
-        out = []
-        for length, init in zip(self.lengths, self.inits):
-            arr = [0] * length
-            for i, v in enumerate(init):
-                arr[i] = canon(v)
-            out.append(arr)
-        return out
+    def fresh_arrays(self) -> list[list[int]]:
+        """One run's arrays: a copy of the canonical initial image."""
+        return [arr[:] for arr in self._image]
 
     def page_resolver(self, name: str) -> Callable[[int], int]:
         """word index -> page, honoring split extents."""
@@ -473,6 +492,10 @@ class AstExecutable:
             for d in program.decls if not d.is_array
         }
         self.reg_count = self.lowered.alloc.count
+        self._stored = [
+            (name, self.objects.index[name])
+            for name in self.objects.names if name != PAD_OBJECT
+        ]
 
     def _code_pages(self, name: str) -> list[int]:
         fn = self.lowered.functions[name]
@@ -611,7 +634,7 @@ class AstExecutable:
             collect=collect_trace,
         )
         regs = [0] * self.reg_count
-        st = State(regs, self.objects.fresh_arrays(self.canon), sink)
+        st = State(regs, self.objects.fresh_arrays(), sink)
         _bind_inputs(self.program, self._decl_slots, st, self.canon, secret, public)
         trap = None
         try:
@@ -621,11 +644,7 @@ class AstExecutable:
         outputs = {
             d.name: st.regs[self._decl_slots[d.name]] for d in self.program.outputs
         }
-        store = {
-            name: list(st.arrays[self.objects.index[name]])
-            for name in self.objects.names
-            if name != PAD_OBJECT
-        }
+        store = {name: st.arrays[i] for name, i in self._stored}
         return SimulationResult(
             outputs=outputs,
             profile=sink.faults,
@@ -731,6 +750,11 @@ class TreeExecutable:
             for d in program.decls if not d.is_array
         }
         self.reg_count = tree.alloc.count
+        self._stored = [
+            (name, self.objects.index[name])
+            for name in self.objects.names
+            if name != PAD_OBJECT and not name.startswith("__sa")
+        ]
 
     def run(self, secret: dict[str, int] | None = None,
             public: dict[str, int] | None = None,
@@ -743,7 +767,7 @@ class TreeExecutable:
             collect=collect_trace,
         )
         regs = [0] * self.reg_count
-        st = State(regs, self.objects.fresh_arrays(self.canon), sink)
+        st = State(regs, self.objects.fresh_arrays(), sink)
         _bind_inputs(self.program, self._decl_slots, st, self.canon, secret, public)
         trap = None
         try:
@@ -767,11 +791,7 @@ class TreeExecutable:
         outputs = {
             d.name: st.regs[self._decl_slots[d.name]] for d in self.program.outputs
         }
-        store = {
-            name: list(st.arrays[self.objects.index[name]])
-            for name in self.objects.names
-            if name != PAD_OBJECT and not name.startswith("__sa")
-        }
+        store = {name: st.arrays[i] for name, i in self._stored}
         return SimulationResult(
             outputs=outputs,
             profile=sink.faults,

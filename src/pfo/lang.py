@@ -261,6 +261,11 @@ class VarDecl:
         return self.array_len is not None
 
     @property
+    def domain_width(self) -> int:
+        """Bits an input ranges over: its declared width, else the default."""
+        return DEFAULT_INT_WIDTH if self.width is None else self.width
+
+    @property
     def byte_length(self) -> int:
         if self.array_len is None:
             raise PfoError(f"{self.name} is not an array")
@@ -358,6 +363,12 @@ def fold_const(expr: Expr) -> Optional[int]:
     return None
 
 
+def _trunc_div(a: int, b: int) -> int:
+    """Integer quotient truncated toward zero, as the interpreter divides."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
 def _const_binop(op: str, a: int, b: int) -> Optional[int]:
     try:
         if op == "+":
@@ -367,9 +378,9 @@ def _const_binop(op: str, a: int, b: int) -> Optional[int]:
         if op == "*":
             return a * b
         if op == "/":
-            return int(a / b) if b else None
+            return _trunc_div(a, b) if b else None
         if op == "%":
-            return a - int(a / b) * b if b else None
+            return a - _trunc_div(a, b) * b if b else None
         if op == "<<":
             return a << b
         if op == ">>":

@@ -47,7 +47,7 @@ class SecretDomain:
         secrets = [d for d in program.decls if d.kind == DeclKind.SECRET]
         return SecretDomain(
             tuple(d.name for d in secrets),
-            tuple(d.width or 64 for d in secrets),
+            tuple(d.domain_width for d in secrets),
         )
 
     @property

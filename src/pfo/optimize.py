@@ -731,13 +731,13 @@ def _probe_uniform(build: DefenseBuild, n: int, seed: int) -> bool:
 
     def sample():
         return {
-            d.name: rng.randrange(1 << (d.width or 32)) for d in secrets
+            d.name: rng.randrange(1 << d.domain_width) for d in secrets
         }
 
     base = None
     trials = [
         {d.name: 0 for d in secrets},
-        {d.name: (1 << (d.width or 32)) - 1 for d in secrets},
+        {d.name: (1 << d.domain_width) - 1 for d in secrets},
     ] + [sample() for _ in range(n)]
     for secret in trials:
         profile = tuple(exe.run(secret=secret).profile)

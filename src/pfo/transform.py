@@ -447,6 +447,9 @@ class MultiplexedExecutable:
             b.id: source_layout.code_extents(f"BB{b.id}")[0].page
             for b in tree.blocks
         }
+        # per-block multiplexing charge, fixed here with the compiled code
+        # (not on `Block`: balancing appends pads to a block's instrs)
+        mux_charge = {b.id: b.data_accesses for b in tree.blocks}
 
         def run_steps(st: State, steps, back: bool, cp: int):
             for c in steps:
@@ -467,13 +470,13 @@ class MultiplexedExecutable:
             group = self._level_plans[block.level]
             prev = st.aux.get("group")
             if group is prev:
-                st.sink.mux_accesses += block.data_accesses
+                st.sink.mux_accesses += mux_charge[block.id]
                 return
             if prev is not None:
                 run_steps(st, prev.copy_back, back=True, cp=cp)
             st.aux["group"] = group
             run_steps(st, group.fetch, back=False, cp=cp)
-            st.sink.mux_accesses += block.data_accesses
+            st.sink.mux_accesses += mux_charge[block.id]
 
         def on_block_end(st: State, block: Block):
             # uniform per-block selector update: one step, one staging write

@@ -92,6 +92,30 @@ class TestTransformVerify:
         assert plan["mode"] in ("basic", "compacted")
         assert plan["pipeline"]["opts"] == ["O1", "O2"]
 
+    def test_transform_applies_o2(self, tmp_path, capsys):
+        plans = {}
+        for opt in ("O1", "O1,O2"):
+            out = tmp_path / f"{opt.replace(',', '_')}.pfo"
+            code, _, _ = run_cli(
+                ["transform", str(CORPUS / "aes.pfo"), "-o", str(out), "--opt", opt],
+                capsys,
+            )
+            assert code == 0
+            plans[opt] = json.loads(Path(f"{out}.plan.json").read_text())
+            del plans[opt]["pipeline"]
+        assert plans["O1"] != plans["O1,O2"]
+
+    @pytest.mark.parametrize("opt", ["O3A", "O3B", "O4", "O1,O4"])
+    def test_transform_rejects_passes_it_does_not_apply(self, tmp_path, opt, capsys):
+        out = tmp_path / "out.pfo"
+        code, _, err = run_cli(
+            ["transform", str(CORPUS / "aes.pfo"), "-o", str(out), "--opt", opt],
+            capsys,
+        )
+        assert code == 2
+        assert opt.split(",")[-1] in err
+        assert not out.exists()
+
     def test_verify_vanilla_toy_fails_with_counterexample(self, tmp_path, capsys):
         toy = tmp_path / "toy.pfo"
         toy.write_text("""

@@ -162,3 +162,45 @@ class TestTreeExecution:
     def test_simulate_convenience(self):
         result = simulate(parse(SPLIT_LOOKUP), secret={"s": 1})
         assert result.outputs == {"y": 11}
+
+
+# writes the initialized table it reads, so a run that started from another
+# run's arrays would read the other run's write
+WRITE_BACK = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+int t[4] = {1, 2, 3, 4};
+fn main() {
+  #pragma begin_pf_sensitive
+  y = t[s];
+  t[s] = 99;
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("make", [
+    AstExecutable,
+    lambda program: TreeExecutable(balance(build_execution_tree(program))),
+], ids=["ast", "tree"])
+def test_runs_of_one_executable_are_independent(make):
+    exe = make(parse(WRITE_BACK))
+    first = exe.run(secret={"s": 2})
+    assert first.outputs == {"y": 3}
+    assert first.store["t"] == [1, 2, 99, 4]
+    second = exe.run(secret={"s": 1})
+    assert second.outputs == {"y": 2}  # from the initializer, not run 1
+    assert second.store["t"] == [1, 99, 3, 4]
+    assert first.store["t"] == [1, 2, 99, 4]
+
+
+def test_initializers_wrap_to_program_width():
+    program = parse("""
+    output int y;
+    int t[4] = {(1 << 64) + 5, 1 << 63, -1};
+    fn main() { y = t[0]; }
+    """)
+    result = AstExecutable(program).run()
+    assert result.outputs == {"y": 5}
+    assert result.store["t"] == [5, -(1 << 63), -1, 0]

@@ -234,3 +234,37 @@ class TestPretty:
         """
         program = parse(src)
         assert parse(pretty(program)) == program
+
+
+class TestConstantFolding:
+    """Folded `/` and `%` truncate toward zero, as the interpreter divides."""
+
+    @staticmethod
+    def folded(expr: str) -> int:
+        return parse(f"int t[1] = {{{expr}}};\nfn main() {{ x = t[0]; }}").decl("t").init[0]
+
+    def test_large_quotient_is_exact(self):
+        assert self.folded("((1 << 62) + 1) / 3") == 1537228672809129301
+
+    def test_quotient_beyond_float_range(self):
+        assert self.folded("(1 << 1100) / 3") == (1 << 1100) // 3
+
+    def test_negative_operands_truncate_toward_zero(self):
+        assert self.folded("-7 / 2") == -3
+        assert self.folded("-7 % 2") == -1
+        assert self.folded("7 / -2") == -3
+        assert self.folded("7 % -2") == 1
+
+    def test_folding_agrees_with_interpreter(self):
+        from pfo.interp import AstExecutable
+
+        program = parse("""
+        public int a;
+        public int b;
+        output int q;
+        output int r;
+        int f[2] = {-7 / 2, -7 % 2};
+        fn main() { q = a / b; r = a % b; }
+        """)
+        result = AstExecutable(program).run(public={"a": -7, "b": 2})
+        assert program.decl("f").init == (result.outputs["q"], result.outputs["r"])

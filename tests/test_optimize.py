@@ -343,3 +343,28 @@ fn main() {
 """
         program, report = opt_if_convert(parse(src))
         assert report.converted == 0
+
+
+def test_unwidthed_secret_probed_at_64_bit_extreme():
+    from types import SimpleNamespace
+
+    from pfo.leakage import SecretDomain
+    from pfo.optimize import _probe_uniform
+
+    program = parse("""
+    secret int s;
+    output int y;
+    fn main() { y = s; }
+    """)
+    probed = []
+
+    class Recorder:
+        def run(self, secret):
+            probed.append(secret["s"])
+            return SimpleNamespace(profile=[])
+
+    build = SimpleNamespace(program=program, executable=Recorder)
+    assert _probe_uniform(build, 8, seed=0)
+    assert SecretDomain.of(program).widths == (64,)
+    assert probed[:2] == [0, (1 << 64) - 1]
+    assert all(0 <= v < 1 << 64 for v in probed)

@@ -255,3 +255,60 @@ def test_obliviousness_property_random_pairs():
         if base is None:
             base = profile
         assert profile == base
+
+
+def test_runs_of_one_multiplexed_executable_are_independent():
+    from test_interp import WRITE_BACK
+
+    exe = transform_program(parse(WRITE_BACK))
+    first = exe.run(secret={"s": 2})
+    second = exe.run(secret={"s": 1})
+    assert (first.outputs, second.outputs) == ({"y": 3}, {"y": 2})
+    assert first.store == {"t": [1, 2, 99, 4]}
+    assert second.store == {"t": [1, 99, 3, 4]}
+
+
+# unequal arms, so balancing pads the short one
+UNEVEN_ARMS = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+int t[4] = {1, 2, 3, 4};
+fn main() {
+  #pragma begin_pf_sensitive
+  if (s == 1) {
+    y = t[0] + t[1];
+  } else {
+    y = 5;
+  }
+  t[2] = y;
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_mux_accesses_count_visited_blocks_staging_and_selector(s):
+    from pfo.ir import data_refs
+
+    exe = transform_program(parse(UNEVEN_ARMS))
+    result = exe.run(secret={"s": s})
+    # the only branch is `s == 1`; children are (then, else) or one successor
+    visited = [exe.tree.root]
+    while visited[-1].children:
+        children = visited[-1].children
+        visited.append(children[0] if s == 1 or len(children) == 1 else children[1])
+    block_refs = sum(len(data_refs(i)) for b in visited for i in b.instrs)
+    # one level plan per visited level (no merged levels): every fetch,
+    # copy-back and final copy-back runs exactly once
+    assert [lp.covered() for lp in exe.plan.levels] == [
+        (lv,) for lv in range(1, len(visited) + 1)
+    ]
+    staging_words = sum(
+        c.words
+        for steps in [exe.plan.final_copy_back]
+        + [lp.fetch + lp.copy_back for lp in exe.plan.levels]
+        for c in steps
+    )
+    assert result.outputs == {"y": 3 if s == 1 else 5}
+    assert result.mux_accesses == block_refs + staging_words + len(visited)
