@@ -57,7 +57,7 @@ class CliFailure(Exception):
         self.code = code
 
 
-def _read_program(path: str, page_size=None):
+def _read_program(path: str):
     source = Path(path).read_text()
     return parse(source, path)
 
@@ -173,7 +173,7 @@ def _runner_for(args, program):
         exe = transform_program(program, args.page_size)
         publics = _parse_bindings(args.public)
         return exe, lambda s: exe.run(secret=s, public=publics).profile
-    exe = AstExecutable(program, page_size=args.page_size or 4096)
+    exe = AstExecutable(program, page_size=args.page_size)
     publics = _parse_bindings(args.public)
     return exe, lambda s: exe.run(secret=s, public=publics).profile
 
@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
     if args.transformed:
         exe = transform_program(program, args.page_size)
     else:
-        exe = AstExecutable(program, page_size=args.page_size or 4096)
+        exe = AstExecutable(program, page_size=args.page_size)
     result = exe.run(secret=secrets, public=publics, model=_model(args),
                      collect_trace=args.trace)
     emit(to_json(result.to_json_dict()), args.out)
@@ -240,7 +240,7 @@ def cmd_attack(args) -> int:
     program = _read_program(args.program)
     secrets = _parse_bindings(args.secret)
     publics = _parse_bindings(args.public)
-    exe = AstExecutable(program, page_size=args.page_size or 4096)
+    exe = AstExecutable(program, page_size=args.page_size)
     result = exe.run(secret=secrets, public=publics)
     profile = result.profile
     if args.oracle == "eddsa":
@@ -290,7 +290,7 @@ def _parse_strategy(spec: str) -> OsStrategy:
 
 def cmd_contract(args) -> int:
     program = _read_program(args.program)
-    exe = AstExecutable(program, page_size=args.page_size or 4096)
+    exe = AstExecutable(program, page_size=args.page_size)
     domain = SecretDomain.of(program)
     probes = list(domain.sample(3, args.seed)) or [{}]
     contract = derive_contract(exe, probes)

@@ -20,31 +20,22 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .ir import (
-    BinI,
+    DEFAULT_NODE_BUDGET,
     BranchI,
-    Const,
+    ExpansionBudgetError,
     Instr,
     IterMark,
-    LoadI,
-    MovI,
     NopI,
     Operand,
     PadI,
-    PAD_OBJECT,
-    Reg,
     RegAlloc,
-    SelI,
-    StoreI,
     TaggedIf,
     TaggedStmt,
-    UnI,
+    _FnLowerer,
     data_refs,
     expand_region,
-    DEFAULT_NODE_BUDGET,
 )
-from .lang import (
-    Assign, Binary, Index, Num, Program, SizeOf, Ternary, Unary, Var, WORD_SIZE,
-)
+from .lang import Program, WORD_SIZE
 from .memory import PfoError
 
 PAD_ORIGIN = "__pad"
@@ -111,98 +102,50 @@ class ExecutionTree:
         return sum(1 for b in self.blocks if b.is_leaf)
 
 
-class _TreeLowerer:
-    """Lowers expanded (renamed, call-free) statements into block instrs."""
-
-    def __init__(self, program: Program, alloc: RegAlloc):
-        self.program = program
-        self.alloc = alloc
-
-    def operand(self, e, instrs: list[Instr], origin: str) -> Operand:
-        if isinstance(e, Num):
-            return Const(e.value)
-        if isinstance(e, SizeOf):
-            decl = self.program.decl(e.name)
-            if decl is None or not decl.is_array:
-                raise PfoError(f"sizeof({e.name}): not an array")
-            return Const(decl.byte_length)
-        if isinstance(e, Var):
-            return self._reg(e.name)
-        if isinstance(e, Index):
-            idx = self.operand(e.index, instrs, origin)
-            dst = self.alloc.temp()
-            instrs.append(LoadI(dst, e.name, idx, origin))
-            return self._reg_of(dst)
-        if isinstance(e, Unary):
-            a = self.operand(e.operand, instrs, origin)
-            dst = self.alloc.temp()
-            instrs.append(UnI(dst, e.op, a, origin))
-            return self._reg_of(dst)
-        if isinstance(e, Binary):
-            a = self.operand(e.left, instrs, origin)
-            b = self.operand(e.right, instrs, origin)
-            dst = self.alloc.temp()
-            instrs.append(BinI(dst, e.op, a, b, origin))
-            return self._reg_of(dst)
-        if isinstance(e, Ternary):
-            c = self.operand(e.cond, instrs, origin)
-            a = self.operand(e.if_true, instrs, origin)
-            b = self.operand(e.if_false, instrs, origin)
-            dst = self.alloc.temp()
-            instrs.append(SelI(dst, c, a, b, origin))
-            return self._reg_of(dst)
-        raise PfoError(f"unexpected expression in expanded region: {e!r}")
-
-    def _reg(self, name: str):
-        return Reg(self.alloc.slot(name))
-
-    def _reg_of(self, slot: int):
-        return Reg(slot)
-
-    def assign(self, stmt: Assign, instrs: list[Instr], origin: str) -> None:
-        value = self.operand(stmt.value, instrs, origin)
-        if isinstance(stmt.target, Var):
-            instrs.append(MovI(self.alloc.slot(stmt.target.name), value, origin))
-        else:
-            idx = self.operand(stmt.target.index, instrs, origin)
-            instrs.append(StoreI(stmt.target.name, idx, value, origin))
-
-
 def build_execution_tree(program: Program, budget: int = DEFAULT_NODE_BUDGET) -> ExecutionTree:
-    """Inline, unroll, and split the sensitive region into an execution tree."""
+    """Inline, unroll, and split the sensitive region into an execution tree.
+
+    Every item lowered into a block is charged against `budget`, as every
+    expanded statement is: copying continuations under both arms of each
+    conditional can outgrow the expansion itself.
+    """
     items = expand_region(program, budget)
     alloc = RegAlloc()
-    lowerer = _TreeLowerer(program, alloc)
+    lowerer = _FnLowerer(program, alloc, "", program.entry.name)
     counter = iter(range(1, 1 << 62))
+    spent = 0
 
     def grow(items: tuple, level: int) -> Block:
         # iterative along chains (IterMark) so deep unrolled loops do not
         # recurse; only branch arms recurse, bounded by branch nesting
+        nonlocal spent
         first = Block(next(counter), level, [], origin="")
         block = first
-        i = 0
-        while i < len(items):
-            item = items[i]
-            rest_index = i + 1
-            if isinstance(item, TaggedStmt):
+        lowerer.instrs = block.instrs
+        for i, item in enumerate(items):
+            if isinstance(item, IterMark):
                 if not block.instrs:
-                    block.origin = item.origin
-                lowerer.assign(item.stmt, block.instrs, item.origin)
-                i += 1
-            elif isinstance(item, IterMark):
-                if not block.instrs:
-                    i += 1
                     continue  # nothing to split yet; merge boundary away
                 child = Block(next(counter), block.level + 1, [], origin="")
                 block.children = [child]
                 block = child
-                i += 1
+                lowerer.instrs = block.instrs
+                continue
+            spent += 1
+            if spent > budget:
+                raise ExpansionBudgetError(
+                    f"execution tree exceeds {budget} lowered statements "
+                    "(conditionals copy the code after them into both arms)"
+                )
+            if not block.instrs:
+                block.origin = item.origin
+            lowerer.origin = item.origin
+            if isinstance(item, TaggedStmt):
+                lowerer.assign(item.stmt)
             elif isinstance(item, TaggedIf):
-                if not block.instrs:
-                    block.origin = item.origin
-                cond = lowerer.operand(item.cond, block.instrs, item.origin)
-                block.instrs.append(BranchI(cond, item.origin))
-                rest = items[rest_index:]
+                cond = lowerer.operand(item.cond)
+                lowerer.emit(BranchI(cond, item.origin))
+                rest = items[i + 1:]
                 then_child = grow(tuple(item.then_items) + rest, block.level + 1)
                 else_child = grow(tuple(item.else_items) + rest, block.level + 1)
                 block.branch = cond

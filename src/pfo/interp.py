@@ -473,12 +473,11 @@ class AstExecutable:
     """Layout-specialized compilation of a whole program."""
 
     def __init__(self, program: Program, layout: Optional[MemoryLayout] = None,
-                 page_size: int = 4096):
+                 page_size: Optional[int] = None):
         self.program = program
         self.lowered = lower_program(program)
         if layout is None:
-            ps = program.page_size_hint or page_size
-            layout = build_ast_layout(self.lowered, ps)
+            layout = build_ast_layout(self.lowered, program.resolve_page_size(page_size))
         self.layout = layout
         self.objects = ObjectTable(program, layout)
         self.width = program.int_width
@@ -702,7 +701,7 @@ class TreeExecutable:
     """
 
     def __init__(self, tree: ExecutionTree, layout: Optional[MemoryLayout] = None,
-                 page_size: int = 4096,
+                 page_size: Optional[int] = None,
                  objects: Optional[ObjectTable] = None,
                  compiler: Optional[_OpCompiler] = None,
                  code_page_for: Optional[Callable[[Block, int], int]] = None,
@@ -713,8 +712,7 @@ class TreeExecutable:
         program = tree.program
         self.program = program
         if layout is None:
-            ps = program.page_size_hint or page_size
-            layout = build_tree_layout(tree, ps)
+            layout = build_tree_layout(tree, program.resolve_page_size(page_size))
         self.layout = layout
         self.objects = objects or ObjectTable(program, layout)
         self.width = program.int_width
@@ -809,7 +807,7 @@ def simulate(program: Program, layout: Optional[MemoryLayout] = None,
              secret: dict[str, int] | None = None,
              public: dict[str, int] | None = None,
              model: Optional[AdversaryModel] = None,
-             page_size: int = 4096,
+             page_size: Optional[int] = None,
              collect_trace: bool = False) -> SimulationResult:
     """One-shot reference simulation of a program under a layout."""
     exe = AstExecutable(program, layout, page_size)

@@ -44,6 +44,8 @@ from .lang import (
     Var,
     While,
     WORD_SIZE,
+    children,
+    walk_all,
 )
 from .memory import PfoError
 
@@ -204,22 +206,27 @@ class RegAlloc:
 # --- expression and statement lowering ---------------------------------
 
 class _FnLowerer:
-    """Lowers one function body into micro-ops plus an exec skeleton."""
+    """Lowers expressions and assignments into micro-ops appended to `instrs`.
 
-    def __init__(self, program: Program, alloc: RegAlloc, fn: Function):
+    `scope` prefixes every name that is not a declared global scalar: `fn/`
+    in a function body, empty in an expanded region, whose names the
+    expander has already renamed apart.  Tree building points `instrs` and
+    `origin` at each block and item in turn.
+    """
+
+    def __init__(self, program: Program, alloc: RegAlloc, scope: str, origin: str):
         self.program = program
         self.alloc = alloc
-        self.fn = fn
+        self.scope = scope
+        self.arrays = {d.name: d for d in program.decls if d.is_array}
+        self.scalars = {d.name for d in program.decls if not d.is_array}
         self.instrs: list[Instr] = []
-        self.origin = fn.name
+        self.origin = origin
 
     def local(self, name: str) -> int:
         # globals (declared scalars) share bare names; everything else is
-        # function-scoped
-        decl = self.program.decl(name)
-        if decl is not None and not decl.is_array:
-            return self.alloc.slot(name)
-        return self.alloc.slot(f"{self.fn.name}/{name}")
+        # scoped
+        return self.alloc.slot(name if name in self.scalars else self.scope + name)
 
     def emit(self, instr: Instr) -> int:
         self.instrs.append(instr)
@@ -228,41 +235,31 @@ class _FnLowerer:
     def operand(self, e: Expr) -> Operand:
         if isinstance(e, Num):
             return Const(e.value)
-        if isinstance(e, SizeOf):
-            decl = self.program.decl(e.name)
-            if decl is None or not decl.is_array:
-                raise LoweringError(f"sizeof({e.name}): not an array")
-            return Const(decl.byte_length)
         if isinstance(e, Var):
-            if self.program.decl(e.name) is not None and self.program.decl(e.name).is_array:
+            if e.name in self.arrays:
                 raise LoweringError(f"array {e.name!r} used without an index")
             return Reg(self.local(e.name))
         if isinstance(e, Index):
-            decl = self.program.decl(e.name)
-            if decl is None or not decl.is_array:
+            if e.name not in self.arrays:
                 raise LoweringError(f"{e.name!r} is not an array")
             idx = self.operand(e.index)
             dst = self.alloc.temp()
-            self.emit(LoadI(dst, e.name, idx, self.origin))
+            self.instrs.append(LoadI(dst, e.name, idx, self.origin))
             return Reg(dst)
-        if isinstance(e, Unary):
-            a = self.operand(e.operand)
+        if isinstance(e, (Binary, Unary, Ternary)):
+            ops = [self.operand(c) for c in children(e)]
             dst = self.alloc.temp()
-            self.emit(UnI(dst, e.op, a, self.origin))
+            if isinstance(e, Binary):
+                self.instrs.append(BinI(dst, e.op, *ops, self.origin))
+            elif isinstance(e, Unary):
+                self.instrs.append(UnI(dst, e.op, *ops, self.origin))
+            else:
+                self.instrs.append(SelI(dst, *ops, self.origin))
             return Reg(dst)
-        if isinstance(e, Binary):
-            a = self.operand(e.left)
-            b = self.operand(e.right)
-            dst = self.alloc.temp()
-            self.emit(BinI(dst, e.op, a, b, self.origin))
-            return Reg(dst)
-        if isinstance(e, Ternary):
-            c = self.operand(e.cond)
-            a = self.operand(e.if_true)
-            b = self.operand(e.if_false)
-            dst = self.alloc.temp()
-            self.emit(SelI(dst, c, a, b, self.origin))
-            return Reg(dst)
+        if isinstance(e, SizeOf):
+            if e.name not in self.arrays:
+                raise LoweringError(f"sizeof({e.name}): not an array")
+            return Const(self.arrays[e.name].byte_length)
         if isinstance(e, CallExpr):
             return self.call(e.name, e.args)
         raise LoweringError(f"cannot lower expression {e!r}")
@@ -280,17 +277,16 @@ class _FnLowerer:
 
     def assign(self, stmt: Assign) -> None:
         value = self.operand(stmt.value)
+        name = stmt.target.name
         if isinstance(stmt.target, Var):
-            decl = self.program.decl(stmt.target.name)
-            if decl is not None and decl.is_array:
-                raise LoweringError(f"cannot assign whole array {stmt.target.name!r}")
-            self.emit(MovI(self.local(stmt.target.name), value, self.origin))
+            if name in self.arrays:
+                raise LoweringError(f"cannot assign whole array {name!r}")
+            self.instrs.append(MovI(self.local(name), value, self.origin))
         else:
-            decl = self.program.decl(stmt.target.name)
-            if decl is None or not decl.is_array:
-                raise LoweringError(f"{stmt.target.name!r} is not an array")
+            if name not in self.arrays:
+                raise LoweringError(f"{name!r} is not an array")
             idx = self.operand(stmt.target.index)
-            self.emit(StoreI(stmt.target.name, idx, value, self.origin))
+            self.instrs.append(StoreI(name, idx, value, self.origin))
 
 
 # --- interpreter-mode lowering ------------------------------------------
@@ -349,7 +345,7 @@ class LoweredFunction:
 
 
 def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFunction:
-    low = _FnLowerer(program, alloc, fn)
+    low = _FnLowerer(program, alloc, f"{fn.name}/", fn.name)
     ret_slot = alloc.slot(f"{fn.name}/__ret")
 
     def lower_stmts(stmts) -> SeqNode:
@@ -496,6 +492,7 @@ class _Expander:
         self.site = itertools.count()
         self.origin_stack = [program.entry.name]
         self.loop_stack: list = []
+        self.single_exit: set[str] = set()  # callees checked for early returns
 
     @property
     def origin(self) -> str:
@@ -629,15 +626,13 @@ class _Expander:
             self.spend()
 
         body = list(callee.body)
-        if any(_contains_return(s) for s in body[:-1]) or (
-            body and isinstance(body[-1], If) and _contains_return(body[-1])
-        ):
-            raise LoweringError(
-                f"{name}(): early returns are unsupported inside the sensitive region"
-            )
-        tail = None
-        if body and isinstance(body[-1], Return):
-            tail = body.pop()
+        tail = body.pop() if body and isinstance(body[-1], Return) else None
+        if name not in self.single_exit:
+            if any(isinstance(n, Return) for n in walk_all(body)):
+                raise LoweringError(
+                    f"{name}(): early returns are unsupported inside the sensitive region"
+                )
+            self.single_exit.add(name)
 
         self.origin_stack.append(name)
         try:
@@ -650,16 +645,6 @@ class _Expander:
         finally:
             self.origin_stack.pop()
         return out, ret_expr
-
-
-def _contains_return(s: Stmt) -> bool:
-    if isinstance(s, Return):
-        return True
-    if isinstance(s, If):
-        return any(_contains_return(x) for x in s.then_body + s.else_body)
-    if isinstance(s, (For, While)):
-        return any(_contains_return(x) for x in s.body)
-    return False
 
 
 DEFAULT_NODE_BUDGET = 1 << 20

@@ -6,6 +6,11 @@ then closes transitively over calls reachable from region code and over
 dataflow: an assignment reading a high variable makes its target high,
 and, conservatively, any function writing a high variable becomes high
 itself.  The result is a fixpoint, so labeling twice changes nothing.
+
+Every fact comes from one scan over `lang.walk`, which reaches every
+position of a statement: conditions, loop headers, assignment targets'
+indices and call arguments.  So a call in a `for` step is a call like any
+other, and reads anywhere in a header count as mentions.
 """
 
 from __future__ import annotations
@@ -14,48 +19,12 @@ from dataclasses import dataclass, field
 
 from .ir import extract_region
 from .lang import (
-    Assign,
-    Binary,
-    CallExpr,
-    CallStmt,
-    Expr,
-    For,
-    Function,
-    If,
-    Index,
-    Num,
-    Program,
-    RegionMarker,
-    Return,
-    SizeOf,
-    Stmt,
-    Ternary,
-    Unary,
-    Var,
-    While,
+    Assign, CallExpr, CallStmt, For, If, Index, Program, Stmt, Var, While,
+    children, walk_all,
 )
 
 HIGH = "high"
 LOW = "low"
-
-
-def _expr_reads(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Index):
-        out.add(e.name)
-        _expr_reads(e.index, out)
-    elif isinstance(e, Unary):
-        _expr_reads(e.operand, out)
-    elif isinstance(e, Binary):
-        _expr_reads(e.left, out)
-        _expr_reads(e.right, out)
-    elif isinstance(e, Ternary):
-        for sub in (e.cond, e.if_true, e.if_false):
-            _expr_reads(sub, out)
-    elif isinstance(e, CallExpr):
-        for a in e.args:
-            _expr_reads(a, out)
 
 
 @dataclass(frozen=True)
@@ -96,7 +65,7 @@ class LabelingResult:
         for fname in sorted(self.high_functions):
             fn = self.program.function(fname)
             blocks += static_block_count(fn.body)
-            loops += _loop_count(fn.body)
+            loops += sum(isinstance(n, (For, While)) for n in walk_all(fn.body))
         return {
             "functions": len(self.high_functions),
             "execution_blocks": blocks,
@@ -123,182 +92,83 @@ def static_block_count(stmts: tuple[Stmt, ...]) -> int:
     return blocks
 
 
-def _loop_count(stmts: tuple[Stmt, ...]) -> int:
-    n = 0
-    for s in stmts:
-        if isinstance(s, (For, While)):
-            n += 1 + _loop_count(s.body)
-        elif isinstance(s, If):
-            n += _loop_count(s.then_body) + _loop_count(s.else_body)
-    return n
-
-
-def _scoped(program: Program, fn: str, name: str) -> str:
+def _scoped(declared: set[str], fn: str, name: str) -> str:
     # globals keep bare names; function locals are scoped
-    return name if program.decl(name) is not None else f"{fn}/{name}"
+    return name if name in declared else f"{fn}/{name}"
 
 
-def _collect(program: Program):
+def _scan(stmts):
+    """Names, calls and dataflow anywhere in `stmts`, headers included.
+
+    Names are every variable and array read or written, plus loop
+    variables.  Each call is `(callee, names each argument reads)`.  Each
+    flow is `(target, names under the assignment)`, which include the
+    target itself (harmless: a flow only adds its target), or
+    `(loop variable, no names)`.
+    """
+    names: set[str] = set()
+    calls = []
+    flows = []
+    # each pending node carries the sets its names also go into: the flow
+    # of its assignment and every call argument it sits in
+    stack = [(s, ()) for s in stmts]
+    while stack:
+        n, sinks = stack.pop()
+        kind = type(n)
+        kids = children(n)
+        if kind is Var or kind is Index:
+            names.add(n.name)
+            for reads in sinks:
+                reads.add(n.name)
+        elif kind is Assign:
+            reads = set()
+            flows.append((n.target.name, reads))
+            sinks = (reads,)
+        elif kind is CallExpr or kind is CallStmt:
+            arg_reads = []
+            for arg in kids:
+                arg_reads.append(set())
+                stack.append((arg, sinks + (arg_reads[-1],)))
+            calls.append((n.name, arg_reads))
+            continue
+        elif kind is For:
+            names.add(n.var)
+            flows.append((n.var, ()))
+        for k in kids:
+            stack.append((k, sinks))
+    return names, calls, flows
+
+
+def _collect(program: Program, declared: set[str]):
     """Flow edges, call sites, and per-function mention sets."""
     flows: list[_Flow] = []
-    calls: list[_CallSite] = []
-    mentions: dict[str, set[str]] = {f.name: set() for f in program.functions}
-    returns: dict[str, set[str]] = {f.name: set() for f in program.functions}
-
-    def walk(fn: str, stmts, into_mentions: set[str]):
-        for s in stmts:
-            if isinstance(s, RegionMarker):
-                continue
-            if isinstance(s, Assign):
-                reads: set[str] = set()
-                _expr_reads(s.value, reads)
-                target = s.target.name
-                if isinstance(s.target, Index):
-                    _expr_reads(s.target.index, reads)
-                scoped_reads = frozenset(_scoped(program, fn, r) for r in reads)
-                flows.append(_Flow(fn, _scoped(program, fn, target), scoped_reads))
-                into_mentions.add(_scoped(program, fn, target))
-                into_mentions.update(scoped_reads)
-                _collect_calls(fn, s.value)
-            elif isinstance(s, CallStmt):
-                for a in s.args:
-                    reads = set()
-                    _expr_reads(a, reads)
-                    into_mentions.update(_scoped(program, fn, r) for r in reads)
-                _register_call(fn, s.name, s.args)
-                for a in s.args:
-                    _collect_calls(fn, a)
-            elif isinstance(s, Return):
-                if s.value is not None:
-                    reads = set()
-                    _expr_reads(s.value, reads)
-                    returns[fn].update(_scoped(program, fn, r) for r in reads)
-                    into_mentions.update(_scoped(program, fn, r) for r in reads)
-                    _collect_calls(fn, s.value)
-            elif isinstance(s, If):
-                reads = set()
-                _expr_reads(s.cond, reads)
-                into_mentions.update(_scoped(program, fn, r) for r in reads)
-                _collect_calls(fn, s.cond)
-                walk(fn, s.then_body, into_mentions)
-                walk(fn, s.else_body, into_mentions)
-            elif isinstance(s, (For, While)):
-                if isinstance(s, For):
-                    for e in (s.init, s.cond, s.step):
-                        reads = set()
-                        _expr_reads(e, reads)
-                        into_mentions.update(_scoped(program, fn, r) for r in reads)
-                    into_mentions.add(_scoped(program, fn, s.var))
-                    flows.append(_Flow(fn, _scoped(program, fn, s.var), frozenset()))
-                else:
-                    reads = set()
-                    _expr_reads(s.cond, reads)
-                    into_mentions.update(_scoped(program, fn, r) for r in reads)
-                walk(fn, s.body, into_mentions)
-
-    def _register_call(caller: str, callee: str, args):
-        arg_reads = []
-        for a in args:
-            reads: set[str] = set()
-            _expr_reads(a, reads)
-            arg_reads.append(frozenset(_scoped(program, caller, r) for r in reads))
-        calls.append(_CallSite(caller, callee, tuple(arg_reads)))
-
-    def _collect_calls(fn: str, e: Expr):
-        if isinstance(e, CallExpr):
-            _register_call(fn, e.name, e.args)
-            for a in e.args:
-                _collect_calls(fn, a)
-        elif isinstance(e, (Unary,)):
-            _collect_calls(fn, e.operand)
-        elif isinstance(e, Binary):
-            _collect_calls(fn, e.left)
-            _collect_calls(fn, e.right)
-        elif isinstance(e, Ternary):
-            for sub in (e.cond, e.if_true, e.if_false):
-                _collect_calls(fn, sub)
-        elif isinstance(e, Index):
-            _collect_calls(fn, e.index)
-
+    sites: list[_CallSite] = []
+    mentions: dict[str, set[str]] = {}
     for f in program.functions:
-        walk(f.name, f.body, mentions[f.name])
-    return flows, calls, mentions, returns
+        names, calls, assigns = _scan(f.body)
 
+        def scoped(reads, fn=f.name):
+            return frozenset(_scoped(declared, fn, r) for r in reads)
 
-def _region_info(program: Program):
-    """Names mentioned and functions called lexically inside the region."""
-    region = extract_region(program)
-    mentioned: set[str] = set()
-    called: set[str] = set()
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, RegionMarker):
-                continue
-            if isinstance(s, Assign):
-                reads: set[str] = set()
-                _expr_reads(s.value, reads)
-                if isinstance(s.target, Index):
-                    _expr_reads(s.target.index, reads)
-                reads.add(s.target.name)
-                mentioned.update(reads)
-                _calls(s.value)
-            elif isinstance(s, CallStmt):
-                called.add(s.name)
-                for a in s.args:
-                    reads = set()
-                    _expr_reads(a, reads)
-                    mentioned.update(reads)
-                    _calls(a)
-            elif isinstance(s, Return) and s.value is not None:
-                reads = set()
-                _expr_reads(s.value, reads)
-                mentioned.update(reads)
-                _calls(s.value)
-            elif isinstance(s, If):
-                reads = set()
-                _expr_reads(s.cond, reads)
-                mentioned.update(reads)
-                _calls(s.cond)
-                walk(s.then_body)
-                walk(s.else_body)
-            elif isinstance(s, (For, While)):
-                if isinstance(s, For):
-                    mentioned.add(s.var)
-                    for e in (s.init, s.cond, s.step):
-                        reads = set()
-                        _expr_reads(e, reads)
-                        mentioned.update(reads)
-                else:
-                    reads = set()
-                    _expr_reads(s.cond, reads)
-                    mentioned.update(reads)
-                walk(s.body)
-
-    def _calls(e: Expr):
-        if isinstance(e, CallExpr):
-            called.add(e.name)
-            for a in e.args:
-                _calls(a)
-        elif isinstance(e, Unary):
-            _calls(e.operand)
-        elif isinstance(e, Binary):
-            _calls(e.left)
-            _calls(e.right)
-        elif isinstance(e, Ternary):
-            for sub in (e.cond, e.if_true, e.if_false):
-                _calls(sub)
-        elif isinstance(e, Index):
-            _calls(e.index)
-
-    walk(region.body)
-    return region, mentioned, called
+        mentions[f.name] = set(scoped(names))
+        flows.extend(
+            _Flow(f.name, _scoped(declared, f.name, target), scoped(reads))
+            for target, reads in assigns
+        )
+        sites.extend(
+            _CallSite(f.name, callee, tuple(scoped(r) for r in arg_reads))
+            for callee, arg_reads in calls
+        )
+    return flows, sites, mentions
 
 
 def label_sensitivity(program: Program) -> LabelingResult:
     """Compute the high/low label of every variable and function."""
-    flows, calls, mentions, returns = _collect(program)
-    region, region_mentioned, region_called = _region_info(program)
+    declared = {d.name for d in program.decls}
+    flows, calls, mentions = _collect(program, declared)
+    region = extract_region(program)
+    region_mentioned, region_calls, _ = _scan(region.body)
+    region_called = {callee for callee, _ in region_calls}
 
     warnings: list[str] = []
     if region.explicit and not program.secrets:
@@ -311,7 +181,7 @@ def label_sensitivity(program: Program) -> LabelingResult:
     for d in program.secrets:
         high_vars.add(d.name)
     for name in region_mentioned:
-        high_vars.add(_scoped(program, entry, name))
+        high_vars.add(_scoped(declared, entry, name))
     if region.explicit or program.secrets:
         high_fns.add(entry)
 
@@ -358,7 +228,7 @@ def label_sensitivity(program: Program) -> LabelingResult:
         for site in calls:
             callee_params = program.function(site.callee).params
             for param, reads in zip(callee_params, site.arg_reads):
-                scoped_param = _scoped(program, site.callee, param)
+                scoped_param = _scoped(declared, site.callee, param)
                 if reads & high_vars and scoped_param not in high_vars:
                     high_vars.add(scoped_param)
                     changed = True

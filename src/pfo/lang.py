@@ -17,13 +17,14 @@ program, default 64, wrapping on overflow); arrays have static lengths and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 from .memory import PfoError
 
 WORD_SIZE = 4  # bytes per array element / IR instruction
 DEFAULT_INT_WIDTH = 64
+DEFAULT_PAGE_SIZE = 4096
 MAX_DERIVED_TRIPS = 1 << 20
 
 
@@ -240,6 +241,62 @@ class RegionMarker(Stmt):
     pos: Pos = _pos_field()
 
 
+# --- traversal -----------------------------------------------------------
+
+_CHILDREN = {
+    Num: lambda n: (),
+    Var: lambda n: (),
+    SizeOf: lambda n: (),
+    Index: lambda n: (n.index,),
+    Unary: lambda n: (n.operand,),
+    Binary: lambda n: (n.left, n.right),
+    Ternary: lambda n: (n.cond, n.if_true, n.if_false),
+    CallExpr: lambda n: n.args,
+    Assign: lambda n: (n.target, n.value),
+    If: lambda n: (n.cond,) + n.then_body + n.else_body,
+    For: lambda n: (n.init, n.cond, n.step) + n.body,
+    While: lambda n: n.body + (n.cond,) if n.do_first else (n.cond,) + n.body,
+    CallStmt: lambda n: n.args,
+    Return: lambda n: () if n.value is None else (n.value,),
+    RegionMarker: lambda n: (),
+}
+
+
+def children(node) -> tuple:
+    """The direct sub-expressions and sub-statements of a node, in source order."""
+    return _CHILDREN[type(node)](node)
+
+
+def walk_all(nodes):
+    """Pre-order traversal of a sequence of nodes and everything below them."""
+    stack = list(nodes)
+    stack.reverse()
+    while stack:
+        n = stack.pop()
+        yield n
+        kids = _CHILDREN[type(n)](n)
+        if kids:
+            stack.extend(reversed(kids))
+
+
+def walk(node):
+    """Pre-order traversal of `node` and every node below it."""
+    return walk_all((node,))
+
+
+def map_ast(node, fn):
+    """Rebuild `node` bottom-up: every child is mapped first, then `fn`
+    receives the node over its mapped children and returns its replacement."""
+    changes = {}
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, (Expr, Stmt)):
+            changes[f.name] = map_ast(value, fn)
+        elif isinstance(value, tuple) and value and isinstance(value[0], (Expr, Stmt)):
+            changes[f.name] = tuple(map_ast(v, fn) for v in value)
+    return fn(replace(node, **changes) if changes else node)
+
+
 class DeclKind:
     SECRET = "secret"
     PUBLIC = "public"
@@ -307,6 +364,11 @@ class Program:
             if f.name == name:
                 return f
         raise PfoError(f"no function named {name!r}")
+
+    def resolve_page_size(self, requested: Optional[int] = None) -> int:
+        """Page size to build with: the requested one, else the source's
+        `#pragma page_size`, else 4096."""
+        return requested or self.page_size_hint or DEFAULT_PAGE_SIZE
 
     @property
     def entry(self) -> Function:
@@ -842,39 +904,10 @@ def _validate_program(program: Program, filename: str) -> None:
         raise ParseError("`main` takes no parameters (inputs are declared)", 1, 1, filename)
 
     # recursion is outside the grammar: reject call-graph cycles
-    calls: dict[str, set[str]] = {f.name: set() for f in program.functions}
-
-    def collect(expr_or_stmt, into: set[str]):
-        if isinstance(expr_or_stmt, (CallExpr, CallStmt)):
-            into.add(expr_or_stmt.name)
-            for a in expr_or_stmt.args:
-                collect(a, into)
-        elif isinstance(expr_or_stmt, Assign):
-            collect(expr_or_stmt.target, into)
-            collect(expr_or_stmt.value, into)
-        elif isinstance(expr_or_stmt, If):
-            collect(expr_or_stmt.cond, into)
-            for s in expr_or_stmt.then_body + expr_or_stmt.else_body:
-                collect(s, into)
-        elif isinstance(expr_or_stmt, For):
-            for e in (expr_or_stmt.init, expr_or_stmt.cond, expr_or_stmt.step):
-                collect(e, into)
-            for s in expr_or_stmt.body:
-                collect(s, into)
-        elif isinstance(expr_or_stmt, While):
-            collect(expr_or_stmt.cond, into)
-            for s in expr_or_stmt.body:
-                collect(s, into)
-        elif isinstance(expr_or_stmt, Return) and expr_or_stmt.value is not None:
-            collect(expr_or_stmt.value, into)
-        elif isinstance(expr_or_stmt, (Binary, Unary, Ternary, Index)):
-            for child in expr_or_stmt.__dict__.values():
-                if isinstance(child, Expr):
-                    collect(child, into)
-
-    for f in program.functions:
-        for s in f.body:
-            collect(s, calls[f.name])
+    calls = {
+        f.name: {n.name for n in walk_all(f.body) if isinstance(n, (CallExpr, CallStmt))}
+        for f in program.functions
+    }
 
     state: dict[str, int] = {}
 

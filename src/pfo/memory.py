@@ -271,37 +271,6 @@ def observe_profile(trace: Iterable[AccessEvent], model: AdversaryModel) -> list
     return faults
 
 
-class PigeonholeObserver:
-    """Incremental pigeonhole observer for interpreter hot paths.
-
-    Feeding it one instruction at a time (code page + data operand pages)
-    produces the same fault list as :func:`observe_profile` on the full
-    trace, without materializing events.
-    """
-
-    __slots__ = ("faults", "_resident", "_limit")
-
-    def __init__(self, resident_limit: int = MAX_PAGES_PER_INSTRUCTION):
-        self.faults: list[int] = []
-        self._resident: frozenset[int] = frozenset()
-        self._limit = resident_limit
-
-    def instruction(self, code_page: int, data_pages: tuple[int, ...]) -> None:
-        needed = [code_page]
-        for p in data_pages:
-            if p not in needed:
-                needed.append(p)
-        if len(needed) > self._limit:
-            raise PageModelError(
-                f"instruction needs {len(needed)} pages (limit {self._limit}): {needed}"
-            )
-        resident = self._resident
-        for p in needed:
-            if p not in resident:
-                self.faults.append(p)
-        self._resident = frozenset(needed)
-
-
 # --- serialization -------------------------------------------------------
 
 def profile_to_json(profile: list[int]) -> str:

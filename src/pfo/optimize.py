@@ -17,6 +17,11 @@ Each pass preserves program outputs and the single-profile-class property
 * O5 if-conversion: secret-conditioned branches become data selection
   through a two-slot table, removing control dependence on the secret.
 
+Calls and writes are found with `lang.walk`, and O3B redirects calls with
+`lang.map_ast`, so loop headers, assignment targets' indices and call
+arguments are never skipped: a call in a callee's `for` step counts for
+O5's purity check, O3B's redirection and O4's page grouping alike.
+
 A `DefenseBuild` bundles whatever the pipeline has produced so far (AST
 rewrites, tree, plan, layouts) and hands out a runnable executable.
 """
@@ -46,13 +51,14 @@ from .lang import (
     Placement,
     Program,
     RegionMarker,
-    Return,
     Stmt,
-    Ternary,
     Unary,
     Var,
     VarDecl,
     While,
+    map_ast,
+    walk,
+    walk_all,
 )
 from .layouts import build_ast_layout, build_tree_layout
 from .memory import MemoryLayout, PfoError, split_extents
@@ -106,7 +112,7 @@ class DefenseBuild:
 
 def build_staged(program: Program, page_size: Optional[int] = None,
                  mux: str = "auto") -> DefenseBuild:
-    ps = page_size or program.page_size_hint or 4096
+    ps = program.resolve_page_size(page_size)
     tree = balance(build_execution_tree(program))
     layout = build_tree_layout(tree, ps)
     plan = plan_layout(tree, layout, mode=mux)
@@ -115,7 +121,7 @@ def build_staged(program: Program, page_size: Optional[int] = None,
 
 def build_inplace(program: Program, page_size: Optional[int] = None,
                   layout: Optional[MemoryLayout] = None) -> DefenseBuild:
-    ps = page_size or program.page_size_hint or 4096
+    ps = program.resolve_page_size(page_size)
     if layout is None:
         layout = build_ast_layout(lower_program(program), ps)
     return DefenseBuild(program, ps, "inplace", (), None, layout, None)
@@ -129,72 +135,25 @@ class IfConversionReport:
     declined: list[str] = field(default_factory=list)
 
 
-def _is_pure_function(program: Program, name: str, seen=None) -> bool:
-    """No array writes, no global scalar writes, no impure callees."""
-    seen = seen or set()
-    if name in seen:
-        return True
-    seen.add(name)
-    fn = program.function(name)
+def _is_pure(program: Program, nodes) -> bool:
+    """No array write, global scalar write or call statement anywhere in
+    `nodes` or in the body of any function they call, headers included."""
     globals_ = {d.name for d in program.decls}
-
-    def pure_stmts(stmts) -> bool:
-        for s in stmts:
-            if isinstance(s, Assign):
-                if isinstance(s.target, Index):
-                    return False
-                if s.target.name in globals_:
-                    return False
-                if not pure_expr(s.value):
-                    return False
-            elif isinstance(s, Return):
-                if s.value is not None and not pure_expr(s.value):
-                    return False
-            elif isinstance(s, If):
-                if not pure_expr(s.cond):
-                    return False
-                if not pure_stmts(s.then_body) or not pure_stmts(s.else_body):
-                    return False
-            elif isinstance(s, (For, While)):
-                if not pure_stmts(s.body):
-                    return False
-            elif isinstance(s, CallStmt):
+    checked: set[str] = set()
+    pending = list(nodes)
+    while pending:
+        for n in walk(pending.pop()):
+            if isinstance(n, (CallStmt, RegionMarker)):
                 return False
-            else:
+            if isinstance(n, Assign) and (
+                isinstance(n.target, Index) or n.target.name in globals_
+            ):
                 return False
-        return True
-
-    def pure_expr(e) -> bool:
-        if isinstance(e, CallExpr):
-            return _is_pure_function(program, e.name, seen) and all(
-                pure_expr(a) for a in e.args
-            )
-        if isinstance(e, Binary):
-            return pure_expr(e.left) and pure_expr(e.right)
-        if isinstance(e, Unary):
-            return pure_expr(e.operand)
-        if isinstance(e, Ternary):
-            return all(pure_expr(x) for x in (e.cond, e.if_true, e.if_false))
-        if isinstance(e, Index):
-            return pure_expr(e.index)
-        return True
-
-    return pure_stmts(fn.body)
-
-
-def _pure_expr_for_o5(program: Program, e) -> bool:
-    if isinstance(e, CallExpr):
-        return _is_pure_function(program, e.name) and all(
-            _pure_expr_for_o5(program, a) for a in e.args
-        )
-    if isinstance(e, Binary):
-        return _pure_expr_for_o5(program, e.left) and _pure_expr_for_o5(program, e.right)
-    if isinstance(e, Unary):
-        return _pure_expr_for_o5(program, e.operand)
-    if isinstance(e, Ternary):
-        return all(_pure_expr_for_o5(program, x) for x in (e.cond, e.if_true, e.if_false))
-    if isinstance(e, Index):
-        return _pure_expr_for_o5(program, e.index)
+            if isinstance(n, For) and n.var in globals_:
+                return False
+            if isinstance(n, CallExpr) and n.name not in checked:
+                checked.add(n.name)
+                pending.extend(program.function(n.name).body)
     return True
 
 
@@ -243,7 +202,7 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
                     ok = False
                 if ok:
                     exprs = list(then_w.values()) + list(else_w.values()) + [s.cond]
-                    if not all(_pure_expr_for_o5(program, e) for e in exprs):
+                    if not _is_pure(program, exprs):
                         report.declined.append("impure arm or condition")
                         ok = False
                 if ok and not then_w:
@@ -447,54 +406,16 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     call never crosses a page; single-caller callees are just co-located
     (the degenerate case).
     """
-    ps = page_size or program.page_size_hint or 4096
+    ps = program.resolve_page_size(page_size)
     report = CloneReport()
     callers: dict[str, list[str]] = {}
 
-    def collect_calls(fn: Function):
-        def walk_expr(e):
-            if isinstance(e, CallExpr):
-                callers.setdefault(e.name, [])
-                if fn.name not in callers[e.name]:
-                    callers[e.name].append(fn.name)
-                for a in e.args:
-                    walk_expr(a)
-            elif isinstance(e, Binary):
-                walk_expr(e.left)
-                walk_expr(e.right)
-            elif isinstance(e, Unary):
-                walk_expr(e.operand)
-            elif isinstance(e, Ternary):
-                for x in (e.cond, e.if_true, e.if_false):
-                    walk_expr(x)
-            elif isinstance(e, Index):
-                walk_expr(e.index)
-
-        def walk(stmts):
-            for s in stmts:
-                if isinstance(s, Assign):
-                    walk_expr(s.value)
-                    if isinstance(s.target, Index):
-                        walk_expr(s.target.index)
-                elif isinstance(s, CallStmt):
-                    callers.setdefault(s.name, [])
-                    if fn.name not in callers[s.name]:
-                        callers[s.name].append(fn.name)
-                    for a in s.args:
-                        walk_expr(a)
-                elif isinstance(s, Return) and s.value is not None:
-                    walk_expr(s.value)
-                elif isinstance(s, If):
-                    walk_expr(s.cond)
-                    walk(s.then_body)
-                    walk(s.else_body)
-                elif isinstance(s, (For, While)):
-                    walk(s.body)
-
-        walk(fn.body)
-
     for fn in program.functions:
-        collect_calls(fn)
+        for n in walk_all(fn.body):
+            if isinstance(n, (CallExpr, CallStmt)):
+                callers.setdefault(n.name, [])
+                if fn.name not in callers[n.name]:
+                    callers[n.name].append(fn.name)
 
     shared = {name: cs for name, cs in callers.items() if len(cs) > 1}
     if not shared:
@@ -540,45 +461,12 @@ def opt_clone(program: Program, page_size: Optional[int] = None
 
 
 def _redirect_calls(fn: Function, old: str, new: str) -> Function:
-    def walk_expr(e):
-        if isinstance(e, CallExpr):
-            return CallExpr(new if e.name == old else e.name,
-                            tuple(walk_expr(a) for a in e.args))
-        if isinstance(e, Binary):
-            return Binary(e.op, walk_expr(e.left), walk_expr(e.right))
-        if isinstance(e, Unary):
-            return Unary(e.op, walk_expr(e.operand))
-        if isinstance(e, Ternary):
-            return Ternary(walk_expr(e.cond), walk_expr(e.if_true), walk_expr(e.if_false))
-        if isinstance(e, Index):
-            return Index(e.name, walk_expr(e.index))
-        return e
+    def redirect(node):
+        if isinstance(node, (CallExpr, CallStmt)) and node.name == old:
+            return replace(node, name=new)
+        return node
 
-    def walk(stmts):
-        out = []
-        for s in stmts:
-            if isinstance(s, Assign):
-                target = s.target
-                if isinstance(target, Index):
-                    target = Index(target.name, walk_expr(target.index))
-                out.append(Assign(target, walk_expr(s.value)))
-            elif isinstance(s, CallStmt):
-                out.append(CallStmt(new if s.name == old else s.name,
-                                    tuple(walk_expr(a) for a in s.args)))
-            elif isinstance(s, Return):
-                out.append(Return(None if s.value is None else walk_expr(s.value)))
-            elif isinstance(s, If):
-                out.append(If(walk_expr(s.cond), walk(s.then_body), walk(s.else_body)))
-            elif isinstance(s, For):
-                out.append(replace(s, init=walk_expr(s.init), cond=walk_expr(s.cond),
-                                   step=walk_expr(s.step), body=walk(s.body)))
-            elif isinstance(s, While):
-                out.append(replace(s, cond=walk_expr(s.cond), body=walk(s.body)))
-            else:
-                out.append(s)
-        return tuple(out)
-
-    return Function(fn.name, fn.params, walk(fn.body))
+    return map_ast(fn, redirect)
 
 
 # --- O4: multiplexing elimination -------------------------------------------
@@ -601,7 +489,7 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None,
     greedily and the candidate layout is probed with random secrets under
     the pigeonhole observer.  On failure the plan is left unchanged.
     """
-    ps = page_size or program.page_size_hint or 4096
+    ps = program.resolve_page_size(page_size)
     lowered = lower_program(program)
     lengths = lowered.code_lengths()
 
@@ -617,47 +505,14 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None,
     def union(a, b):
         parent[find(a)] = find(b)
 
-    def calls_in(stmts, acc):
-        for s in stmts:
-            if isinstance(s, Assign):
-                _expr_calls(s.value, acc)
-                if isinstance(s.target, Index):
-                    _expr_calls(s.target.index, acc)
-            elif isinstance(s, CallStmt):
-                acc.add(s.name)
-                for a in s.args:
-                    _expr_calls(a, acc)
-            elif isinstance(s, Return) and s.value is not None:
-                _expr_calls(s.value, acc)
-            elif isinstance(s, If):
-                then_calls: set = set()
-                else_calls: set = set()
-                calls_in(s.then_body, then_calls)
-                calls_in(s.else_body, else_calls)
-                for pair in itertools.combinations(sorted(then_calls | else_calls), 2):
-                    union(*pair)
-                acc.update(then_calls | else_calls)
-            elif isinstance(s, (For, While)):
-                calls_in(s.body, acc)
-
-    def _expr_calls(e, acc):
-        if isinstance(e, CallExpr):
-            acc.add(e.name)
-            for a in e.args:
-                _expr_calls(a, acc)
-        elif isinstance(e, Binary):
-            _expr_calls(e.left, acc)
-            _expr_calls(e.right, acc)
-        elif isinstance(e, Unary):
-            _expr_calls(e.operand, acc)
-        elif isinstance(e, Ternary):
-            for x in (e.cond, e.if_true, e.if_false):
-                _expr_calls(x, acc)
-        elif isinstance(e, Index):
-            _expr_calls(e.index, acc)
-
+    # every function called under either arm of a conditional shares a page
     for fn in program.functions:
-        calls_in(fn.body, set())
+        for n in walk_all(fn.body):
+            if isinstance(n, If):
+                arms = sorted({c.name for c in walk_all(n.then_body + n.else_body)
+                               if isinstance(c, (CallExpr, CallStmt))})
+                for a, b in zip(arms, arms[1:]):
+                    union(a, b)
 
     groups: dict[str, list[str]] = {}
     for fn in program.functions:
@@ -778,7 +633,7 @@ def apply_all_passes(program: Program, page_size: Optional[int] = None,
     O5 and O3B rewrite the AST (and placements) before the tree exists, so
     they run first; the remaining passes compose over the staged build.
     """
-    ps = page_size or program.page_size_hint or 4096
+    ps = program.resolve_page_size(page_size)
     program, _ = opt_if_convert(program)
     program, _ = opt_clone(program, ps)
     build = build_staged(program, ps)

@@ -191,8 +191,9 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     page_size = source_layout.page_size
     levels = tree.levels
 
-    block_sizes = {b.id: max(b.code_size, WORD_SIZE) for b in tree.blocks}
+    block_sizes = {}
     for b in tree.blocks:
+        block_sizes[b.id] = max(b.code_size, WORD_SIZE)
         if block_sizes[b.id] > page_size:
             raise PlanError(
                 f"block BB{b.id} is {block_sizes[b.id]} bytes, larger than one "
@@ -443,13 +444,13 @@ class MultiplexedExecutable:
             self._dst_index[obj] = objects.index[f"__sa/{obj}"]
         self._slot_word = {obj: plan.staging.slots[obj].word_off for obj in staged}
         sa_code_page = plan.staging.sa_code
-        natural_page = {
-            b.id: source_layout.code_extents(f"BB{b.id}")[0].page
-            for b in tree.blocks
-        }
         # per-block multiplexing charge, fixed here with the compiled code
         # (not on `Block`: balancing appends pads to a block's instrs)
-        mux_charge = {b.id: b.data_accesses for b in tree.blocks}
+        natural_page = {}
+        mux_charge = {}
+        for b in tree.blocks:
+            natural_page[b.id] = source_layout.code_extents(f"BB{b.id}")[0].page
+            mux_charge[b.id] = b.data_accesses
 
         def run_steps(st: State, steps, back: bool, cp: int):
             for c in steps:
@@ -517,7 +518,6 @@ def transform_program(program: Program, page_size: Optional[int] = None,
     from .exectree import balance, build_execution_tree
 
     tree = balance(build_execution_tree(program))
-    ps = page_size or program.page_size_hint or 4096
-    layout = build_tree_layout(tree, ps)
+    layout = build_tree_layout(tree, program.resolve_page_size(page_size))
     plan = plan_layout(tree, layout, mode=mode, readonly_elim=readonly_elim)
     return MultiplexedExecutable(tree, layout, plan)

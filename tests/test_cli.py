@@ -77,6 +77,36 @@ class TestBasicCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode", [[], ["--transformed"]], ids=["vanilla", "transformed"])
+    def test_page_size_flag_overrides_pragma(self, mode, tmp_path, capsys):
+        # `unused` pushes the table past the first 64-byte code page
+        source = """#pragma page_size {ps}
+secret int<4> k;
+output int y;
+int t[16];
+fn unused(a) {{
+  b = a + 1; b = b + 2; b = b + 3; b = b + 4; b = b + 5;
+  b = b + 6; b = b + 7; b = b + 8; b = b + 9; b = b + 10;
+  return b;
+}}
+fn main() {{
+  #pragma begin_pf_sensitive
+  y = t[k];
+  #pragma end_pf_sensitive
+}}
+"""
+        profiles = {}
+        for ps, flag in ((4096, []), (4096, ["--page-size", "64"]), (64, [])):
+            path = tmp_path / f"p{ps}.pfo"
+            path.write_text(source.format(ps=ps))
+            code, out, _ = run_cli(
+                ["simulate", "--program", str(path), "--secret", "k=3"] + flag + mode,
+                capsys,
+            )
+            assert code == 0
+            profiles[ps, bool(flag)] = json.loads(out)["profile"]
+        assert profiles[4096, True] == profiles[64, False] != profiles[4096, False]
+
 
 class TestTransformVerify:
     def test_transform_writes_plan(self, tmp_path, capsys):

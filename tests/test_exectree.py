@@ -8,7 +8,7 @@ from pfo.exectree import (
     tree_to_dot,
     tree_to_json,
 )
-from pfo.ir import ExpansionBudgetError, PadI
+from pfo.ir import ExpansionBudgetError, LoweringError, PadI, expand_region
 from pfo.lang import parse
 
 from test_lang import FOO_SOURCE
@@ -80,6 +80,38 @@ class TestBuild:
         """
         with pytest.raises(ExpansionBudgetError, match="line"):
             build_execution_tree(parse(src), budget=100)
+
+    def test_tree_budget_counts_copied_continuations(self):
+        # each secret branch copies the rest of the loop under both arms:
+        # the expansion stays at 3 statements per trip, the tree doubles
+        program = parse("""
+        secret int<8> k;
+        output int y;
+        fn main() {
+          #pragma begin_pf_sensitive
+          for (i = 0; i < 8; i = i + 1) {
+            if ((k >> i) & 1) { y = y + 1; }
+          }
+          #pragma end_pf_sensitive
+        }
+        """)
+        expand_region(program, budget=100)
+        with pytest.raises(ExpansionBudgetError, match="execution tree exceeds 100"):
+            build_execution_tree(program, budget=100)
+
+    def test_array_used_as_scalar_rejected(self):
+        program = parse("""
+        secret int<2> k;
+        output int y;
+        int t[4];
+        fn main() {
+          #pragma begin_pf_sensitive
+          y = t + k;
+          #pragma end_pf_sensitive
+        }
+        """)
+        with pytest.raises(LoweringError, match="'t'"):
+            build_execution_tree(program)
 
 
 class TestCheckBalanced:

@@ -106,3 +106,24 @@ class TestLabeling:
         """
         result = label_sensitivity(parse(source))
         assert result.warnings
+
+    def test_call_in_loop_step_is_region_call(self):
+        result = label_sensitivity(parse("""
+        secret int<8> k;
+        output int y;
+
+        fn h(a) {
+          return a & 1;
+        }
+
+        fn main() {
+          #pragma begin_pf_sensitive
+          y = 0;
+          for (i = 0; i < 2; i = i + h(k)) bound 2 {
+            y = y + i;
+          }
+          #pragma end_pf_sensitive
+        }
+        """))
+        assert result.functions["h"] == HIGH
+        assert result.variables["h/a"] == HIGH

@@ -1,20 +1,29 @@
+import dataclasses
+import typing
+
 import pytest
 
+from pfo import lang
 from pfo.lang import (
     Assign,
     Binary,
     CallStmt,
     DeclKind,
+    Expr,
     For,
     If,
     Index,
     Num,
     ParseError,
     RegionMarker,
+    Stmt,
     Var,
     While,
+    children,
+    map_ast,
     parse,
     pretty,
+    walk_all,
 )
 
 FOO_SOURCE = """
@@ -268,3 +277,61 @@ class TestConstantFolding:
         """)
         result = AstExecutable(program).run(public={"a": -7, "b": 2})
         assert program.decl("f").init == (result.outputs["q"], result.outputs["r"])
+
+
+def _sentinel(hint, label):
+    """A fresh node for a field typed `hint`, or None if it holds no node."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        inner = _sentinel(args[0], label)
+        return None if inner is None else (inner,)
+    if origin is typing.Union:
+        return next((s for s in (_sentinel(a, label) for a in args) if s is not None), None)
+    if isinstance(hint, type) and issubclass(hint, Expr):
+        return Var(label)
+    if isinstance(hint, type) and issubclass(hint, Stmt):
+        return CallStmt(label, ())
+    return None
+
+
+class TestTraversal:
+    KINDS = [
+        k for k in vars(lang).values()
+        if isinstance(k, type) and dataclasses.is_dataclass(k)
+        and issubclass(k, (Expr, Stmt)) and k not in (Expr, Stmt)
+    ]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    def test_children_reach_every_node_field(self, kind):
+        # every field that holds an expression or statements must be a
+        # child, so no analysis built on `walk` can miss a new one
+        hints = typing.get_type_hints(kind)
+        values, expected = {}, []
+        for f in dataclasses.fields(kind):
+            if f.name == "pos":
+                continue
+            node = _sentinel(hints[f.name], f"{kind.__name__}.{f.name}")
+            if node is None:
+                values[f.name] = {int: 1, str: "x", bool: False}[hints[f.name]]
+            else:
+                values[f.name] = node
+                expected.extend(node if isinstance(node, tuple) else (node,))
+        got = children(kind(**values))
+        assert sorted(map(id, got)) == sorted(map(id, expected))
+
+    def test_walk_visits_loop_headers_and_target_indices(self):
+        program = parse("""
+        int t[4];
+        fn f(a) { return a; }
+        fn main() {
+          for (i = f(0); i < 2; i = i + f(1)) bound 2 { t[f(2)] = 1; }
+          while (f(3) < 1) bound 1 { t[0] = 2; }
+        }
+        """)
+        calls = [n for n in walk_all(program.entry.body) if isinstance(n, lang.CallExpr)]
+        assert [c.args[0].value for c in calls] == [0, 1, 2, 3]
+
+    def test_map_rebuilds_bottom_up(self):
+        program = parse("fn main() { x = (1 + 2) * 3; }")
+        doubled = map_ast(program.entry, lambda n: Num(n.value * 2) if isinstance(n, Num) else n)
+        assert pretty(lang.Program((), (doubled,))).strip().endswith("x = ((2 + 4) * 6);\n}")

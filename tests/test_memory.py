@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from pfo.interp import Sink
 from pfo.memory import (
     AccessEvent,
     AdversaryModel,
@@ -8,7 +9,6 @@ from pfo.memory import (
     LayoutError,
     MemoryLayout,
     PageModelError,
-    PigeonholeObserver,
     observe_profile,
     page_of,
     profile_from_json,
@@ -95,10 +95,11 @@ class TestObserveProfileProperties:
 
     @given(st.lists(instr_strategy, min_size=1, max_size=30))
     def test_incremental_observer_matches(self, instrs):
-        obs = PigeonholeObserver()
+        # the interpreter's incremental rule against the trace replay
+        sink = Sink(pigeonhole=True, limit=3, collect=False)
         for code, data in instrs:
-            obs.instruction(code, tuple(data))
-        assert obs.faults == observe_profile(trace_of(instrs), AdversaryModel.pigeonhole())
+            sink.instr(code, tuple(data), (DR,) * len(data))
+        assert sink.faults == observe_profile(trace_of(instrs), AdversaryModel.pigeonhole())
 
 
 def word_table_layout(page_size, placements):

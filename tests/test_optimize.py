@@ -345,6 +345,48 @@ fn main() {
         assert report.converted == 0
 
 
+    def test_callee_with_impure_loop_step_declined(self):
+        # f's loop step calls g, which writes t[0]: converting the branch
+        # would call f, and so g, on both sides
+        src = """
+secret int<1> k;
+output int y;
+output int z;
+int t[2];
+
+fn g() {
+  t[0] = t[0] + 1;
+  return 1;
+}
+
+fn f() {
+  s = 0;
+  for (i = 0; i < 2; i = i + g()) bound 2 {
+    s = s + 1;
+  }
+  return s;
+}
+
+fn main() {
+  #pragma begin_pf_sensitive
+  y = 0;
+  if (k == 1) {
+    y = f();
+  }
+  z = t[0];
+  #pragma end_pf_sensitive
+}
+"""
+        program, report = opt_if_convert(parse(src))
+        assert report.converted == 0
+        assert report.declined == ["impure arm or condition"]
+        converted = AstExecutable(program)
+        vanilla = AstExecutable(parse(src))
+        for k in (0, 1):
+            assert converted.run(secret={"k": k}).outputs == \
+                   vanilla.run(secret={"k": k}).outputs
+
+
 def test_unwidthed_secret_probed_at_64_bit_extreme():
     from types import SimpleNamespace
 
