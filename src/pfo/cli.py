@@ -10,7 +10,6 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from .exectree import balance, build_execution_tree, check_balanced, tree_to_dot
 from .interp import AstExecutable
 from .labeling import label_sensitivity
 from .lang import ParseError, parse, pretty
-from .layouts import build_ast_layout
 from .leakage import (
     SecretDomain,
     attack_eddsa,
@@ -36,7 +34,6 @@ from .leakage import (
     verify_pfo,
 )
 from .memory import AdversaryModel, PfoError
-from .ir import lower_program
 from .optimize import (
     apply_all_passes, build_staged, opt_if_convert, opt_page_realign,
     opt_readonly_elim,

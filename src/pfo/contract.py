@@ -24,9 +24,8 @@ at entry, never at access time, so no double fault can arise.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .ir import CallI, data_refs, lower_program

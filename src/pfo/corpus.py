@@ -16,10 +16,9 @@ canonical desk-scale sources under `corpus/*.pfo`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 # Split ratios from the study, as first-page entry counts of 256-entry
 # tables: [a:b] means a% of the table sits on the first page.

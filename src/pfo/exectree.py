@@ -15,9 +15,8 @@ bodies merge into the enclosing block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .ir import (
     DEFAULT_NODE_BUDGET,

@@ -13,7 +13,21 @@ Two execution modes share one micro-op compiler:
 Every micro-op costs one logical step and emits one code fetch plus its
 data operand events; staging copies cost one step per word moved.  The
 interpreter is compiled to closures per (program, layout) because event
-pages are layout-dependent; runs are then cheap and allocation-light.
+pages are layout-dependent; runs are then cheap and allocation-light:
+
+* footprints: each micro-op's page events (code page, data pages and
+  their kinds, the distinct pages it needs and their set) are fixed at
+  compile time in an interned `Footprint`.  A split-extent array access
+  picks one of its per-extent footprints by word index; every other
+  access, staging slots included, has one.  `Sink.instr(fp)` is the
+  pigeonhole rule; while the resident set is `fp.need_set` it only counts
+  the step (`memory.observe_profile` is the trace-replay reference).
+* constant slots: every constant operand reads a register slot above the
+  program's own, filled once per run from the register template, so an
+  operand is always `regs[slot]`.
+* tail returns: a `return` that ends a function body hands its value
+  back directly; only nested ones unwind through `_EarlyReturn`.
+
 The canonical initial array image is computed once per `ObjectTable`;
 each run starts from a fresh copy of it, and its `SimulationResult.store`
 holds those same arrays as the run left them, not further copies.
@@ -34,12 +48,13 @@ from .ir import (
     IfNode,
     Instr,
     LoadI,
-    LoweredProgram,
     MovI,
     NopI,
+    Operand,
     PadI,
     PAD_OBJECT,
     Reg,
+    RegAlloc,
     RetI,
     RetNode,
     RunNode,
@@ -120,6 +135,48 @@ class SimulationResult:
         return doc
 
 
+class Footprint:
+    """The page events of one micro-op, fixed when it is compiled.
+
+    `code` is the page fetched, `pages`/`kinds` the data operand pages and
+    their event kinds in operand order, `need` the distinct pages the
+    instruction needs in canonical order (code page first), and `need_set`
+    the same pages as a set.  A `FootprintTable` interns footprints and
+    their sets, so consecutive instructions with the same pages share one
+    `need_set` object; nothing depends on that but speed.
+    """
+
+    __slots__ = ("code", "pages", "kinds", "need", "need_set")
+
+    def __init__(self, code: int, pages: tuple = (), kinds: tuple = ()):
+        self.code = code
+        self.pages = pages
+        self.kinds = kinds
+        need = (code,)
+        for p in pages:
+            if p not in need:
+                need += (p,)
+        self.need = need
+        self.need_set = frozenset(need)
+
+
+class FootprintTable:
+    """Interns footprints, and the page sets of equal footprints' needs."""
+
+    def __init__(self):
+        self._footprints: dict[tuple, Footprint] = {}
+        self._need_sets: dict[frozenset, frozenset] = {}
+
+    def __call__(self, code: int, pages: tuple = (), kinds: tuple = ()) -> Footprint:
+        key = (code, pages, kinds)
+        got = self._footprints.get(key)
+        if got is None:
+            got = Footprint(code, pages, kinds)
+            got.need_set = self._need_sets.setdefault(got.need_set, got.need_set)
+            self._footprints[key] = got
+        return got
+
+
 class Sink:
     """Event sink: step accounting, optional trace, optional pigeonhole."""
 
@@ -140,33 +197,35 @@ class Sink:
         self.events: Optional[list[AccessEvent]] = [] if collect else None
         self.ev_step = 0
 
-    def instr(self, code_page: int, dpages: tuple, kinds: tuple) -> None:
+    def instr(self, fp: Footprint) -> None:
+        """One instruction step: the pigeonhole rule.
+
+        The OS keeps exactly the pages the previous instruction needed, so
+        every needed page not resident faults.  While the resident set is
+        this footprint's own set, every needed page is resident.
+        """
         self.steps += 1
         events = self.events
         if events is not None:
-            events.append(AccessEvent(EventKind.CODE_FETCH, code_page, self.ev_step))
+            events.append(AccessEvent(EventKind.CODE_FETCH, fp.code, self.ev_step))
             self.ev_step += 1
-            for p, k in zip(dpages, kinds):
+            for p, k in zip(fp.pages, fp.kinds):
                 events.append(AccessEvent(k, p, self.ev_step))
                 self.ev_step += 1
-        if self.pigeonhole:
-            needed = [code_page]
-            for p in dpages:
-                if p not in needed:
-                    needed.append(p)
-            if len(needed) > self.limit:
+        if self.pigeonhole and self.resident is not fp.need_set:
+            need = fp.need
+            if len(need) > self.limit:
                 raise PageModelError(
-                    f"instruction needs {len(needed)} pages (limit {self.limit})"
+                    f"instruction needs {len(need)} pages (limit {self.limit})"
                 )
             resident = self.resident
             faults = self.faults
-            for p in needed:
+            for p in need:
                 if p not in resident:
                     faults.append(p)
-            self.resident = frozenset(needed)
+            self.resident = fp.need_set
 
-    def copy(self, code_page: int, src_page: int, dst_page: int, words: int,
-             is_code: bool) -> None:
+    def copy(self, fp: Footprint, words: int, is_code: bool) -> None:
         """One staging copy of `words` words: stepped per word, one event group."""
         self.steps += words
         self.mux_accesses += words
@@ -174,28 +233,28 @@ class Sink:
             self.code_copy_ops += 1
         else:
             self.copy_ops += 1
-        self.instr(code_page, (src_page, dst_page), _KIND_RW)
+        self.instr(fp)
         self.steps -= 1  # instr() charged 1; total cost stays `words`
 
 
 _KIND_R = (EventKind.DATA_READ,)
 _KIND_W = (EventKind.DATA_WRITE,)
 _KIND_RW = (EventKind.DATA_READ, EventKind.DATA_WRITE)
-_EMPTY = ()
 
 
 class State:
-    __slots__ = ("regs", "arrays", "sink", "branch", "aux")
+    __slots__ = ("regs", "arrays", "sink", "branch")
 
     def __init__(self, regs, arrays, sink):
         self.regs = regs
         self.arrays = arrays
         self.sink = sink
         self.branch = 0
-        self.aux: dict = {}
 
 
 class _EarlyReturn(Exception):
+    """A `return` nested in a function body (a tail return just returns)."""
+
     def __init__(self, value):
         self.value = value
 
@@ -264,7 +323,7 @@ def _make_arith(width: int):
 
 class ObjectTable:
     """Array storage indices, the canonical initial array image (computed
-    once per table), and per-object page resolvers for a layout."""
+    once per table), and each object's pages under a layout."""
 
     def __init__(self, program: Program, layout: MemoryLayout,
                  extra_objects: dict[str, int] | None = None):
@@ -276,6 +335,7 @@ class ObjectTable:
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lengths: list[int] = []
         self._image: list[list[int]] = []
+        self._extent_pages: dict[str, tuple] = {}
         canon = _make_canon(program.int_width)
         for n in self.names:
             d = program.decl(n)
@@ -299,172 +359,226 @@ class ObjectTable:
         """One run's arrays: a copy of the canonical initial image."""
         return [arr[:] for arr in self._image]
 
-    def page_resolver(self, name: str) -> Callable[[int], int]:
-        """word index -> page, honoring split extents."""
-        extents = self.layout.data_extents(name)
-        if len(extents) == 1:
-            page = extents[0].page
-            return lambda i: page
-        spans = []
-        word_base = 0
-        for e in extents:
-            words = e.length // WORD_SIZE
-            spans.append((word_base, word_base + words, e.page))
-            word_base += words
-        def resolve(i: int) -> int:
-            for lo, hi, page in spans:
-                if lo <= i < hi:
-                    return page
-            return spans[-1][2]
-        return resolve
-
-
-def _accessor(op, canon):
-    if isinstance(op, Const):
-        v = canon(op.value)
-        return lambda st: v
-    slot = op.slot
-    return lambda st: st.regs[slot]
+    def extent_pages(self, name: str) -> tuple[tuple[int, ...], Optional[list[int]]]:
+        """An object's page per extent, and for a split object the extent
+        index of every word (words past the extents take the last one);
+        `None` when the object sits on one extent."""
+        got = self._extent_pages.get(name)
+        if got is None:
+            extents = self.layout.data_extents(name)
+            pages = tuple(e.page for e in extents)
+            ext_of = None
+            if len(extents) > 1:
+                ext_of = []
+                for k, e in enumerate(extents):
+                    ext_of.extend([k] * (e.length // WORD_SIZE))
+                length = self.lengths[self.index[name]]
+                ext_of.extend([len(extents) - 1] * (length - len(ext_of)))
+            got = self._extent_pages[name] = (pages, ext_of)
+        return got
 
 
 class _OpCompiler:
-    """Compiles micro-ops to closures for a fixed layout/page map."""
+    """Compiles micro-ops to closures for a fixed layout/page map.
+
+    Every page event is fixed here: each micro-op gets an interned
+    `Footprint` (a split-extent array access picks one per extent).  The
+    register file is `alloc`'s slots, declared scalars included, then one
+    slot per distinct constant operand; `regs0` is its initial image, with
+    the constants in place, that each run copies.  `pages` pins
+    objects to one page and `indices` redirects them to other arrays (the
+    staging slots of a multiplexed executable); with `strict_pages`, an
+    access to any other page is an internal error when it executes.
+    """
 
     def __init__(self, program: Program, objects: ObjectTable, width: int,
-                 location_override: Optional[dict[str, Callable[[int], int]]] = None,
+                 alloc: RegAlloc,
+                 pages: Optional[dict[str, int]] = None,
+                 indices: Optional[dict[str, int]] = None,
                  strict_pages: Optional[frozenset[int]] = None):
         self.program = program
         self.objects = objects
         self.canon, self.binops, self.unops = _make_arith(width)
-        self._resolvers: dict[str, Callable[[int], int]] = {}
-        self.location_override = location_override or {}
+        self.decl_slots = {
+            d.name: alloc.slot(d.name) for d in program.decls if not d.is_array
+        }
+        self.reg_base = alloc.count
+        self.pages = pages or {}
+        self.indices = indices or {}
         self.strict_pages = strict_pages
-        self.index_override: dict[str, int] = {}
+        self._const_slots: dict[int, int] = {}
+        self.footprint = FootprintTable()
+        self._code_footprints: dict[int, Footprint] = {}
+        self._data_footprints: dict[tuple, tuple] = {}
+
+    def regs0(self) -> list[int]:
+        """A run's initial register file: zeros, then the constants."""
+        regs = [0] * (self.reg_base + len(self._const_slots))
+        for value, slot in self._const_slots.items():
+            regs[slot] = value
+        return regs
+
+    def slot(self, op: Operand) -> int:
+        """The register slot an operand reads (constants get their own)."""
+        if isinstance(op, Reg):
+            return op.slot
+        value = self.canon(op.value)
+        got = self._const_slots.get(value)
+        if got is None:
+            got = self._const_slots[value] = self.reg_base + len(self._const_slots)
+        return got
 
     def _obj_index(self, obj: str) -> int:
-        return self.index_override.get(obj, self.objects.index[obj])
+        return self.indices.get(obj, self.objects.index[obj])
 
-    def resolver(self, obj: str) -> Callable[[int], int]:
-        got = self._resolvers.get(obj)
+    def _data_footprint(self, obj: str, cp: int, kinds: tuple):
+        """(footprint, None) for a static access; else (None, lookup), where
+        `lookup(i)` gives word i's footprint or raises for a page outside
+        `strict_pages`."""
+        key = (obj, cp, kinds)
+        got = self._data_footprints.get(key)
         if got is None:
-            if obj in self.location_override:
-                got = self.location_override[obj]
-            else:
-                got = self.objects.page_resolver(obj)
-            if self.strict_pages is not None:
-                inner = got
-                allowed = self.strict_pages
-                def checked(i: int) -> int:
-                    page = inner(i)
-                    if page not in allowed:
-                        raise PfoError(
-                            f"execute-phase access escaped staging pages (page {page})"
-                        )
-                    return page
-                got = checked
-            self._resolvers[obj] = got
+            got = self._data_footprints[key] = self._new_data_footprint(obj, cp, kinds)
         return got
+
+    def _new_data_footprint(self, obj: str, cp: int, kinds: tuple):
+        if obj in self.pages:
+            pages, ext_of = (self.pages[obj],), None
+        else:
+            pages, ext_of = self.objects.extent_pages(obj)
+        allowed = self.strict_pages
+        fps = tuple(
+            None if allowed is not None and p not in allowed
+            else self.footprint(cp, (p,), kinds)
+            for p in pages
+        )
+        if ext_of is None and fps[0] is not None:
+            return fps[0], None
+
+        def lookup(i: int) -> Footprint:
+            k = 0 if ext_of is None else ext_of[i]
+            fp = fps[k]
+            if fp is None:
+                raise PfoError(
+                    f"execute-phase access escaped staging pages (page {pages[k]})"
+                )
+            return fp
+        return None, lookup
 
     def compile(self, instr: Instr, code_page: int,
                 call_target: Optional[Callable] = None) -> Callable[[State], None]:
-        canon = self.canon
-        cp = code_page
+        slot = self.slot
+        fp = self._code_footprints.get(code_page)
+        if fp is None:
+            fp = self._code_footprints[code_page] = self.footprint(code_page)
         if isinstance(instr, BinI):
             fn = self.binops[instr.op]
-            a = _accessor(instr.a, canon)
-            b = _accessor(instr.b, canon)
-            dst = instr.dst
-            def run(st: State, fn=fn, a=a, b=b):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
-                st.regs[dst] = fn(a(st), b(st), st.sink)
+            a, b, dst = slot(instr.a), slot(instr.b), instr.dst
+            def run(st: State, fp=fp, fn=fn, a=a, b=b, dst=dst):
+                st.sink.instr(fp)
+                regs = st.regs
+                regs[dst] = fn(regs[a], regs[b], st.sink)
             return run
         if isinstance(instr, MovI):
-            a = _accessor(instr.a, canon)
-            dst = instr.dst
-            def run(st: State, a=a):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
-                st.regs[dst] = a(st)
+            a, dst = slot(instr.a), instr.dst
+            def run(st: State, fp=fp, a=a, dst=dst):
+                st.sink.instr(fp)
+                regs = st.regs
+                regs[dst] = regs[a]
             return run
-        if isinstance(instr, LoadI):
-            a = _accessor(instr.index, canon)
-            oi = self._obj_index(instr.obj)
-            n = self.objects.lengths[oi]
-            pg = self.resolver(instr.obj)
-            dst = instr.dst
-            obj = instr.obj
-            def run(st: State, a=a, pg=pg):
-                i = a(st)
-                if i < 0 or i >= n:
-                    raise SimTrap(TrapInfo("index-oob", st.sink.steps, f"{obj}[{i}]"))
-                st.sink.instr(cp, (pg(i),), _KIND_R)
-                st.regs[dst] = st.arrays[oi][i]
-            return run
-        if isinstance(instr, StoreI):
-            a = _accessor(instr.index, canon)
-            src = _accessor(instr.src, canon)
-            oi = self._obj_index(instr.obj)
-            n = self.objects.lengths[oi]
-            pg = self.resolver(instr.obj)
-            obj = instr.obj
-            def run(st: State, a=a, src=src, pg=pg):
-                i = a(st)
-                if i < 0 or i >= n:
-                    raise SimTrap(TrapInfo("index-oob", st.sink.steps, f"{obj}[{i}]"))
-                st.sink.instr(cp, (pg(i),), _KIND_W)
-                st.arrays[oi][i] = src(st)
-            return run
+        if isinstance(instr, (LoadI, StoreI)):
+            return self._compile_access(instr, code_page)
         if isinstance(instr, UnI):
             fn = self.unops[instr.op]
-            a = _accessor(instr.a, canon)
-            dst = instr.dst
-            def run(st: State, fn=fn, a=a):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
-                st.regs[dst] = fn(a(st))
+            a, dst = slot(instr.a), instr.dst
+            def run(st: State, fp=fp, fn=fn, a=a, dst=dst):
+                st.sink.instr(fp)
+                regs = st.regs
+                regs[dst] = fn(regs[a])
             return run
         if isinstance(instr, SelI):
-            c = _accessor(instr.cond, canon)
-            a = _accessor(instr.a, canon)
-            b = _accessor(instr.b, canon)
-            dst = instr.dst
-            def run(st: State, c=c, a=a, b=b):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
-                st.regs[dst] = a(st) if c(st) else b(st)
+            c, a, b, dst = slot(instr.cond), slot(instr.a), slot(instr.b), instr.dst
+            def run(st: State, fp=fp, c=c, a=a, b=b, dst=dst):
+                st.sink.instr(fp)
+                regs = st.regs
+                regs[dst] = regs[a] if regs[c] else regs[b]
             return run
         if isinstance(instr, BranchI):
-            c = _accessor(instr.cond, canon)
-            def run(st: State, c=c):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
-                st.branch = 1 if c(st) else 0
+            c = slot(instr.cond)
+            def run(st: State, fp=fp, c=c):
+                st.sink.instr(fp)
+                st.branch = 1 if st.regs[c] else 0
             return run
         if isinstance(instr, PadI):
             oi = self._obj_index(PAD_OBJECT)
-            pg = self.resolver(PAD_OBJECT)
-            def run(st: State, pg=pg):
-                st.sink.instr(cp, (pg(0),), _KIND_W)
+            pad_fp, lookup = self._data_footprint(PAD_OBJECT, code_page, _KIND_W)
+            def run(st: State, fp=pad_fp, lookup=lookup, oi=oi):
+                st.sink.instr(fp if lookup is None else lookup(0))
                 st.arrays[oi][0] = 0
             return run
         if isinstance(instr, NopI):
-            def run(st: State):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
+            def run(st: State, fp=fp):
+                st.sink.instr(fp)
             return run
         if isinstance(instr, RetI):
-            value = None if instr.value is None else _accessor(instr.value, canon)
-            def run(st: State, value=value):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
-                raise _EarlyReturn(0 if value is None else value(st))
+            ret = self.compile_return(instr, code_page)
+            def run(st: State, ret=ret):
+                raise _EarlyReturn(ret(st))
             return run
         if isinstance(instr, CallI):
-            args = tuple(_accessor(a, canon) for a in instr.args)
-            target = call_target
+            args = tuple(slot(a) for a in instr.args)
             dst = instr.dst
-            def run(st: State, args=args, target=target):
-                st.sink.instr(cp, _EMPTY, _EMPTY)
-                values = [a(st) for a in args]
-                result = target(st, values)
+            def run(st: State, fp=fp, args=args, dst=dst, call_target=call_target):
+                st.sink.instr(fp)
+                regs = st.regs
+                result = call_target(st, [regs[a] for a in args])
                 if dst is not None:
-                    st.regs[dst] = 0 if result is None else result
+                    regs[dst] = 0 if result is None else result
             return run
         raise PfoError(f"cannot compile {instr!r}")
+
+    def compile_return(self, instr: RetI, code_page: int) -> Callable[[State], int]:
+        """A `return` as a closure that steps and gives the returned value."""
+        fp = self.footprint(code_page)
+        v = self.slot(Const(0) if instr.value is None else instr.value)
+        def ret(st: State, fp=fp, v=v) -> int:
+            st.sink.instr(fp)
+            return st.regs[v]
+        return ret
+
+    def _compile_access(self, instr, code_page: int) -> Callable[[State], None]:
+        obj = instr.obj
+        oi = self._obj_index(obj)
+        n = self.objects.lengths[oi]
+        a = self.slot(instr.index)
+
+        def oob(st: State, i: int) -> SimTrap:
+            return SimTrap(TrapInfo("index-oob", st.sink.steps, f"{obj}[{i}]"))
+
+        # a static access has one footprint; a split table looks its one up
+        if isinstance(instr, LoadI):
+            fp, lookup = self._data_footprint(obj, code_page, _KIND_R)
+            dst = instr.dst
+            def run(st: State, fp=fp, lookup=lookup, a=a, n=n, oi=oi, dst=dst,
+                    oob=oob):
+                regs = st.regs
+                i = regs[a]
+                if i < 0 or i >= n:
+                    raise oob(st, i)
+                st.sink.instr(fp if lookup is None else lookup(i))
+                regs[dst] = st.arrays[oi][i]
+            return run
+        fp, lookup = self._data_footprint(obj, code_page, _KIND_W)
+        src = self.slot(instr.src)
+        def run(st: State, fp=fp, lookup=lookup, a=a, n=n, oi=oi, src=src,
+                oob=oob):
+            regs = st.regs
+            i = regs[a]
+            if i < 0 or i >= n:
+                raise oob(st, i)
+            st.sink.instr(fp if lookup is None else lookup(i))
+            st.arrays[oi][i] = regs[src]
+        return run
 
 
 # --- whole-function executable ----------------------------------------------
@@ -481,16 +595,14 @@ class AstExecutable:
         self.layout = layout
         self.objects = ObjectTable(program, layout)
         self.width = program.int_width
-        self._compiler = _OpCompiler(program, self.objects, self.width)
+        self._compiler = _OpCompiler(program, self.objects, self.width,
+                                     self.lowered.alloc)
         self.canon = self._compiler.canon
         self._fn_runners: dict[str, Callable] = {}
         for name in self.lowered.functions:
             self._compile_function(name)
-        self._decl_slots = {
-            d.name: self.lowered.alloc.slot(d.name)
-            for d in program.decls if not d.is_array
-        }
-        self.reg_count = self.lowered.alloc.count
+        self._decl_slots = self._compiler.decl_slots
+        self._regs0 = self._compiler.regs0()
         self._stored = [
             (name, self.objects.index[name])
             for name in self.objects.names if name != PAD_OBJECT
@@ -500,83 +612,76 @@ class AstExecutable:
         fn = self.lowered.functions[name]
         extents = self.layout.code_extents(name) if fn.instrs else ()
         pages: list[int] = []
-        byte = 0
         for ext in extents:
-            count = ext.length // WORD_SIZE
-            pages.extend([ext.page] * count)
-            byte += ext.length
+            pages.extend([ext.page] * (ext.length // WORD_SIZE))
         return pages
 
     def _compile_function(self, name: str):
-        if name in self._fn_runners:
-            return self._fn_runners[name]
         fn = self.lowered.functions[name]
         pages = self._code_pages(name)
-        closures: list[Optional[Callable]] = [None] * len(fn.instrs)
+        compiler = self._compiler
+        runners = self._fn_runners
 
         def call_target_for(instr: CallI):
             callee = instr.fn
             def target(st: State, values):
-                return self._invoke(callee, st, values)
+                return runners[callee](st, values)
             return target
 
-        for idx, instr in enumerate(fn.instrs):
-            target = call_target_for(instr) if isinstance(instr, CallI) else None
-            closures[idx] = self._compiler.compile(instr, pages[idx], target)
+        closures = [
+            compiler.compile(instr, pages[idx],
+                             call_target_for(instr) if isinstance(instr, CallI) else None)
+            for idx, instr in enumerate(fn.instrs)
+        ]
 
-        def compile_run(node: RunNode) -> Callable:
-            batch = tuple(closures[node.lo:node.hi])
+        def sequence(steps: list) -> Callable:
+            if len(steps) <= 1:
+                return steps[0] if steps else _no_op
+            steps = tuple(steps)
             def run(st: State):
-                for f in batch:
+                for f in steps:
                     f(st)
             return run
 
         def compile_seq(seq: SeqNode) -> Callable:
-            items = []
+            # runs are spliced in, so a sequence is one flat list of steps
+            steps: list = []
             for item in seq.items:
                 if isinstance(item, RunNode):
-                    items.append((compile_run(item), False))
+                    steps.extend(closures[item.lo:item.hi])
                 elif isinstance(item, RetNode):
-                    pre = compile_run(item.run)
-                    ret_closure = closures[item.ret_index]
-                    def run_ret(st: State, pre=pre, rc=ret_closure):
-                        pre(st)
-                        rc(st)
-                    items.append((run_ret, False))
+                    steps.extend(closures[item.run.lo:item.run.hi])
+                    steps.append(closures[item.ret_index])
                 elif isinstance(item, IfNode):
-                    cond_run = compile_run(item.cond_run)
+                    steps.extend(closures[item.cond_run.lo:item.cond_run.hi])
                     branch = closures[item.branch_index]
                     then_run = compile_seq(item.then_node)
                     else_run = compile_seq(item.else_node)
-                    def run_if(st: State, cond_run=cond_run, branch=branch,
-                               then_run=then_run, else_run=else_run):
-                        cond_run(st)
+                    def run_if(st: State, branch=branch, then_run=then_run,
+                               else_run=else_run):
                         branch(st)
                         if st.branch:
                             then_run(st)
                         else:
                             else_run(st)
-                    items.append((run_if, False))
+                    steps.append(run_if)
                 elif isinstance(item, ForNode):
-                    init_run = compile_run(item.init_run)
+                    steps.extend(closures[item.init_run.lo:item.init_run.hi])
                     body = compile_seq(item.body)
-                    step_run = compile_run(item.step_run)
-                    trips = item.trips
-                    def run_for(st: State, init_run=init_run, body=body,
-                                step_run=step_run, trips=trips):
-                        init_run(st)
+                    step_run = sequence(closures[item.step_run.lo:item.step_run.hi])
+                    def run_for(st: State, body=body, step_run=step_run,
+                                trips=item.trips):
                         for _ in range(trips):
                             body(st)
                             step_run(st)
-                    items.append((run_for, False))
+                    steps.append(run_for)
                 elif isinstance(item, WhileNode):
-                    cond_run = compile_run(item.cond_run)
-                    branch = closures[item.branch_index]
+                    cond_run = sequence(
+                        closures[item.cond_run.lo:item.cond_run.hi]
+                        + [closures[item.branch_index]])
                     body = compile_seq(item.body)
-                    bound = item.bound
-                    do_first = item.do_first
-                    def run_while(st: State, cond_run=cond_run, branch=branch,
-                                  body=body, bound=bound, do_first=do_first):
+                    def run_while(st: State, cond_run=cond_run, body=body,
+                                  bound=item.bound, do_first=item.do_first):
                         n = 0
                         if do_first:
                             if bound == 0:
@@ -585,7 +690,6 @@ class AstExecutable:
                             n = 1
                         while True:
                             cond_run(st)
-                            branch(st)
                             if not st.branch:
                                 return
                             if n >= bound:
@@ -595,66 +699,80 @@ class AstExecutable:
                                 )
                             body(st)
                             n += 1
-                    items.append((run_while, False))
+                    steps.append(run_while)
                 else:
                     raise PfoError(f"cannot compile node {item!r}")
-            runners = tuple(f for f, _ in items)
-            def run(st: State):
-                for f in runners:
-                    f(st)
-            return run
+            return sequence(steps)
 
-        body_runner = compile_seq(fn.body)
+        # a `return` that ends the body hands its value back directly; only
+        # nested ones unwind through `_EarlyReturn`
+        items = fn.body.items
+        tail = None
+        if items and isinstance(items[-1], RetNode):
+            last = items[-1]
+            items = items[:-1] + [last.run]
+            tail = compiler.compile_return(fn.instrs[last.ret_index],
+                                           pages[last.ret_index])
+        body_runner = compile_seq(SeqNode(items))
         params = fn.params
 
         def runner(st: State, values):
+            regs = st.regs
             for slot, v in zip(params, values):
-                st.regs[slot] = v
+                regs[slot] = v
             try:
                 body_runner(st)
             except _EarlyReturn as ret:
                 return ret.value
-            return None
+            return None if tail is None else tail(st)
 
-        self._fn_runners[name] = runner
-        return runner
-
-    def _invoke(self, name: str, st: State, values):
-        return self._fn_runners[name](st, values)
+        runners[name] = runner
 
     def run(self, secret: dict[str, int] | None = None,
             public: dict[str, int] | None = None,
             model: Optional[AdversaryModel] = None,
             collect_trace: bool = False) -> SimulationResult:
-        model = model or AdversaryModel.pigeonhole()
-        sink = Sink(
-            pigeonhole=model.variant is AdversaryVariant.PIGEONHOLE,
-            limit=model.resident_limit,
-            collect=collect_trace,
-        )
-        regs = [0] * self.reg_count
-        st = State(regs, self.objects.fresh_arrays(), sink)
-        _bind_inputs(self.program, self._decl_slots, st, self.canon, secret, public)
+        st = _start(self, model, collect_trace, secret, public)
         trap = None
         try:
             self._fn_runners["main"](st, [])
         except SimTrap as t:
             trap = t.info
-        outputs = {
-            d.name: st.regs[self._decl_slots[d.name]] for d in self.program.outputs
-        }
-        store = {name: st.arrays[i] for name, i in self._stored}
-        return SimulationResult(
-            outputs=outputs,
-            profile=sink.faults,
-            steps=sink.steps,
-            copy_ops=sink.copy_ops,
-            code_copy_ops=sink.code_copy_ops,
-            mux_accesses=sink.mux_accesses,
-            trap=trap,
-            trace=sink.events,
-            store=store,
-        )
+        return _result(self, st, trap)
+
+
+def _no_op(st: State) -> None:
+    pass
+
+
+def _start(exe, model: Optional[AdversaryModel], collect_trace: bool,
+           secret: dict[str, int] | None, public: dict[str, int] | None) -> State:
+    """A run's state: a fresh sink, the register template and array image,
+    and the bound inputs."""
+    model = model or AdversaryModel.pigeonhole()
+    sink = Sink(
+        pigeonhole=model.variant is AdversaryVariant.PIGEONHOLE,
+        limit=model.resident_limit,
+        collect=collect_trace,
+    )
+    st = State(exe._regs0[:], exe.objects.fresh_arrays(), sink)
+    _bind_inputs(exe.program, exe._decl_slots, st, exe.canon, secret, public)
+    return st
+
+
+def _result(exe, st: State, trap: Optional[TrapInfo]) -> SimulationResult:
+    sink = st.sink
+    return SimulationResult(
+        outputs={d.name: st.regs[exe._decl_slots[d.name]] for d in exe.program.outputs},
+        profile=sink.faults,
+        steps=sink.steps,
+        copy_ops=sink.copy_ops,
+        code_copy_ops=sink.code_copy_ops,
+        mux_accesses=sink.mux_accesses,
+        trap=trap,
+        trace=sink.events,
+        store={name: st.arrays[i] for name, i in exe._stored},
+    )
 
 
 def _bind_inputs(program: Program, decl_slots, st: State, canon,
@@ -695,9 +813,10 @@ class TreeExecutable:
     """Root-to-leaf walker over a (possibly balanced) execution tree.
 
     Optional hooks let the transform wrap levels with staging phases:
-    `on_level(st, level_index, block)` runs before a block executes and
-    `on_exit(st)` after the leaf; block instructions may be relocated and
-    redirected by supplying `compiler_factory`.
+    `on_level(st, block)` runs before a block executes, `on_block_end(st,
+    block)` after it, and `on_exit(st, leaf)` after the leaf; block
+    instructions may be relocated and redirected by supplying `compiler`
+    and `code_page_for`.
     """
 
     def __init__(self, tree: ExecutionTree, layout: Optional[MemoryLayout] = None,
@@ -716,7 +835,8 @@ class TreeExecutable:
         self.layout = layout
         self.objects = objects or ObjectTable(program, layout)
         self.width = program.int_width
-        self.compiler = compiler or _OpCompiler(program, self.objects, self.width)
+        self.compiler = compiler or _OpCompiler(program, self.objects, self.width,
+                                                tree.alloc)
         self.canon = self.compiler.canon
         self.on_level = on_level
         self.on_block_end = on_block_end
@@ -743,11 +863,8 @@ class TreeExecutable:
                     f(st)
             self._block_runners[block.id] = run_block
 
-        self._decl_slots = {
-            d.name: tree.alloc.slot(d.name)
-            for d in program.decls if not d.is_array
-        }
-        self.reg_count = tree.alloc.count
+        self._decl_slots = self.compiler.decl_slots
+        self._regs0 = self.compiler.regs0()
         self._stored = [
             (name, self.objects.index[name])
             for name in self.objects.names
@@ -758,15 +875,7 @@ class TreeExecutable:
             public: dict[str, int] | None = None,
             model: Optional[AdversaryModel] = None,
             collect_trace: bool = False) -> SimulationResult:
-        model = model or AdversaryModel.pigeonhole()
-        sink = Sink(
-            pigeonhole=model.variant is AdversaryVariant.PIGEONHOLE,
-            limit=model.resident_limit,
-            collect=collect_trace,
-        )
-        regs = [0] * self.reg_count
-        st = State(regs, self.objects.fresh_arrays(), sink)
-        _bind_inputs(self.program, self._decl_slots, st, self.canon, secret, public)
+        st = _start(self, model, collect_trace, secret, public)
         trap = None
         try:
             block = self.tree.root
@@ -783,24 +892,10 @@ class TreeExecutable:
                 else:
                     block = block.children[0]
             if self.on_exit is not None:
-                self.on_exit(st)
+                self.on_exit(st, block)
         except SimTrap as t:
             trap = t.info
-        outputs = {
-            d.name: st.regs[self._decl_slots[d.name]] for d in self.program.outputs
-        }
-        store = {name: st.arrays[i] for name, i in self._stored}
-        return SimulationResult(
-            outputs=outputs,
-            profile=sink.faults,
-            steps=sink.steps,
-            copy_ops=sink.copy_ops,
-            code_copy_ops=sink.code_copy_ops,
-            mux_accesses=sink.mux_accesses,
-            trap=trap,
-            trace=sink.events,
-            store=store,
-        )
+        return _result(self, st, trap)
 
 
 def simulate(program: Program, layout: Optional[MemoryLayout] = None,

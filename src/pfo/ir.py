@@ -20,7 +20,7 @@ builder (calls inlined, loops unrolled; see `expand_region`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .lang import (

@@ -903,11 +903,24 @@ def _validate_program(program: Program, filename: str) -> None:
     if program.function("main").params:
         raise ParseError("`main` takes no parameters (inputs are declared)", 1, 1, filename)
 
+    arity = {f.name: len(f.params) for f in program.functions}
+    calls: dict[str, set[str]] = {}
+    for f in program.functions:
+        calls[f.name] = set()
+        for n in walk_all(f.body):
+            if not isinstance(n, (CallExpr, CallStmt)):
+                continue
+            if n.name not in arity:
+                raise ParseError(f"call to undefined function {n.name!r}",
+                                 n.pos.line, n.pos.col, filename)
+            if len(n.args) != arity[n.name]:
+                raise ParseError(
+                    f"{n.name}() expects {arity[n.name]} arguments, got {len(n.args)}",
+                    n.pos.line, n.pos.col, filename,
+                )
+            calls[f.name].add(n.name)
+
     # recursion is outside the grammar: reject call-graph cycles
-    calls = {
-        f.name: {n.name for n in walk_all(f.body) if isinstance(n, (CallExpr, CallStmt))}
-        for f in program.functions
-    }
 
     state: dict[str, int] = {}
 
@@ -920,9 +933,8 @@ def _validate_program(program: Program, filename: str) -> None:
         if state.get(fn) == 2:
             return
         state[fn] = 1
-        for callee in sorted(calls.get(fn, ())):
-            if callee in calls:
-                visit(callee, chain + [fn])
+        for callee in sorted(calls[fn]):
+            visit(callee, chain + [fn])
         state[fn] = 2
 
     for f in program.functions:

@@ -9,13 +9,10 @@ determines the geometry an adversary observes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .exectree import ExecutionTree, PAD_ORIGIN
+from .exectree import ExecutionTree
 from .ir import LoweredProgram, PAD_OBJECT
-from .lang import Placement, Program, WORD_SIZE
-from .memory import Extent, LayoutError, MemoryLayout, split_extents
+from .lang import Program, WORD_SIZE
+from .memory import Extent, MemoryLayout, split_extents
 
 
 def _pages_spanned(extents: tuple[Extent, ...]) -> int:

@@ -65,7 +65,6 @@ from .memory import MemoryLayout, PfoError, split_extents
 from .transform import (
     LevelPlan,
     MultiplexedExecutable,
-    PlanError,
     TransformPlan,
     plan_layout,
 )

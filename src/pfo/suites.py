@@ -19,7 +19,6 @@ from .contract import (
     derive_contract,
 )
 from .corpus import (
-    SPLITS,
     TABLE_ENTRIES,
     eddsa_source,
     make_table_cases,
@@ -36,7 +35,7 @@ from .leakage import (
     quantify_leakage,
     verify_pfo,
 )
-from .optimize import DefenseBuild, opt_if_convert, opt_mux_elim, opt_page_realign, opt_readonly_elim
+from .optimize import DefenseBuild, opt_if_convert, opt_mux_elim, opt_page_realign
 from .transform import transform_program
 
 

@@ -20,12 +20,12 @@ same for every input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .exectree import Block, ExecutionTree, check_balanced
-from .ir import BranchI, Const, PAD_OBJECT, data_refs
-from .interp import _KIND_W, ObjectTable, State, TreeExecutable, _OpCompiler
+from .ir import PAD_OBJECT, data_refs
+from .interp import _KIND_RW, _KIND_W, ObjectTable, State, TreeExecutable, _OpCompiler
 from .lang import Program, WORD_SIZE
 from .layouts import build_tree_layout, next_free_page
 from .memory import Extent, MemoryLayout, PfoError, Staging
@@ -416,81 +416,91 @@ class MultiplexedExecutable:
         )
         objects = ObjectTable(program, layout, extra_objects=shadow_lengths)
 
-        resolver_override = {}
-        index_override = {}
-        for obj in staged + [PAD_OBJECT]:
-            slot = plan.staging.slots[obj]
-            resolver_override[obj] = (lambda page: (lambda i: page))(slot.page)
-            index_override[obj] = objects.index[f"__sa/{obj}"]
-
-        sel_slot = plan.staging.slots[SELECTOR]
+        # execute-phase accesses go to the staging slots: one page each
         compiler = _OpCompiler(
-            program, objects, program.int_width,
-            location_override=resolver_override,
+            program, objects, program.int_width, tree.alloc,
+            pages={obj: plan.staging.slots[obj].page for obj in staged + [PAD_OBJECT]},
+            indices={obj: objects.index[f"__sa/{obj}"] for obj in staged + [PAD_OBJECT]},
             strict_pages=plan.staging.pages(),
         )
-        compiler.index_override = index_override
         sel_index = objects.index[f"__sa/{SELECTOR}"]
-        sel_page = sel_slot.page
+        sel_page = plan.staging.slots[SELECTOR].page
+        sa_code_page = plan.staging.sa_code
 
-        self._level_plans = {}
+        level_plans = {}
         for lp in plan.levels:
             for covered in lp.covered():
-                self._level_plans[covered] = lp
-        self._src_index = {}
-        self._dst_index = {}
-        for obj in staged:
-            self._src_index[obj] = objects.index[obj]
-            self._dst_index[obj] = objects.index[f"__sa/{obj}"]
-        self._slot_word = {obj: plan.staging.slots[obj].word_off for obj in staged}
-        sa_code_page = plan.staging.sa_code
-        # per-block multiplexing charge, fixed here with the compiled code
-        # (not on `Block`: balancing appends pads to a block's instrs)
-        natural_page = {}
-        mux_charge = {}
-        for b in tree.blocks:
-            natural_page[b.id] = source_layout.code_extents(f"BB{b.id}")[0].page
-            mux_charge[b.id] = b.data_accesses
+                level_plans[covered] = lp
 
-        def run_steps(st: State, steps, back: bool, cp: int):
-            for c in steps:
-                st.sink.copy(cp, c.src_page, c.dst_page, c.words,
-                             c.kind == "code")
-                if c.kind == "code":
-                    continue
-                src_i = self._src_index[c.unit] if not back else self._dst_index[c.unit]
-                dst_i = self._dst_index[c.unit] if not back else self._src_index[c.unit]
-                src = st.arrays[src_i]
-                dst = st.arrays[dst_i]
-                dst[c.dst_word:c.dst_word + c.words] = \
-                    src[c.src_word:c.src_word + c.words]
+        copies: dict[tuple, tuple] = {}
+
+        def copy_ops(steps: tuple[CopyStep, ...], back: bool, cp: int) -> tuple:
+            """(footprint, words, is_code, src array, dst array, src word,
+            dst word) per scheduled copy, shared by every block that runs
+            the same steps from the same code page."""
+            key = (id(steps), back, cp)
+            got = copies.get(key)
+            if got is None:
+                ops = []
+                for c in steps:
+                    fp = compiler.footprint(cp, (c.src_page, c.dst_page), _KIND_RW)
+                    if c.kind == "code":
+                        ops.append((fp, c.words, True, 0, 0, 0, 0))
+                        continue
+                    src_i = objects.index[c.unit]
+                    dst_i = objects.index[f"__sa/{c.unit}"]
+                    if back:
+                        src_i, dst_i = dst_i, src_i
+                    ops.append((fp, c.words, False, src_i, dst_i, c.src_word, c.dst_word))
+                got = copies[key] = tuple(ops)
+            return got
+
+        # Per block, fixed here with the compiled code: the copies before it
+        # runs, the selector update after it, its multiplexing charge (not
+        # on `Block`: balancing appends pads to a block's instrs), and after
+        # a leaf the last copy-back.  A block's parent sits one level up, so
+        # the group that ran before a block's is its parent level's: copy
+        # that one back, then fetch, unless one group covers both levels.
+        enter = {}
+        exit_ops = {}
+        for b in tree.blocks:
+            cp = sa_code_page if code_staged else \
+                source_layout.code_extents(f"BB{b.id}")[0].page
+            group = level_plans[b.level]
+            prev = level_plans.get(b.level - 1)
+            ops = ()
+            if group is not prev:
+                if prev is not None:
+                    ops = copy_ops(prev.copy_back, True, cp)
+                ops = ops + copy_ops(group.fetch, False, cp)
+            sel_fp = compiler.footprint(cp, (sel_page,), _KIND_W)
+            enter[b.id] = (ops, b.data_accesses, sel_fp)
+            if b.is_leaf:
+                exit_ops[b.id] = copy_ops(group.copy_back, True, cp) \
+                    + copy_ops(plan.final_copy_back, True, cp)
+
+        def run_copies(st: State, ops: tuple):
+            sink = st.sink
+            arrays = st.arrays
+            for fp, words, is_code, src_i, dst_i, src_word, dst_word in ops:
+                sink.copy(fp, words, is_code)
+                if not is_code:
+                    arrays[dst_i][dst_word:dst_word + words] = \
+                        arrays[src_i][src_word:src_word + words]
 
         def on_level(st: State, block: Block):
-            cp = sa_code_page if code_staged else natural_page[block.id]
-            st.aux["cp"] = cp
-            group = self._level_plans[block.level]
-            prev = st.aux.get("group")
-            if group is prev:
-                st.sink.mux_accesses += mux_charge[block.id]
-                return
-            if prev is not None:
-                run_steps(st, prev.copy_back, back=True, cp=cp)
-            st.aux["group"] = group
-            run_steps(st, group.fetch, back=False, cp=cp)
-            st.sink.mux_accesses += mux_charge[block.id]
+            ops, charge, _ = enter[block.id]
+            run_copies(st, ops)
+            st.sink.mux_accesses += charge
 
         def on_block_end(st: State, block: Block):
             # uniform per-block selector update: one step, one staging write
-            st.sink.instr(st.aux["cp"], (sel_page,), _KIND_W)
+            st.sink.instr(enter[block.id][2])
             st.sink.mux_accesses += 1
             st.arrays[sel_index][0] = st.branch
 
-        def on_exit(st: State):
-            cp = st.aux.get("cp", sa_code_page)
-            prev = st.aux.get("group")
-            if prev is not None:
-                run_steps(st, prev.copy_back, back=True, cp=cp)
-            run_steps(st, plan.final_copy_back, back=True, cp=cp)
+        def on_exit(st: State, leaf: Block):
+            run_copies(st, exit_ops[leaf.id])
 
         if code_staged:
             code_page_for = lambda block, idx: sa_code_page

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from pfo.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -279,3 +281,43 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["functions"]
+
+    def test_python_dash_m_pfo(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "pfo", "parse", str(CORPUS / "foo.pfo")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
+
+
+class TestCallChecks:
+    @pytest.mark.parametrize("call, message, col", [
+        ("nosuch(k)", "call to undefined function 'nosuch'", 7),
+        ("f(k, k)", "f() expects 1 arguments, got 2", 7),
+    ])
+    def test_bad_call_is_a_parse_error(self, tmp_path, capsys, call, message, col):
+        bad = tmp_path / "bad.pfo"
+        bad.write_text(
+            "secret int<8> k;\n"
+            "output int y;\n"
+            "fn f(a) { return a; }\n"
+            "fn main() {\n"
+            "  y = 1;\n"
+            f"  y = {call};\n"
+            "}\n"
+        )
+        code, _, err = run_cli(["parse", str(bad), "--json"], capsys)
+        assert code == 2
+        assert f"bad.pfo:6:{col}: {message}" in err
+
+    def test_bad_call_statement_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pfo"
+        bad.write_text("fn main() {\n  nosuch();\n}\n")
+        code, _, err = run_cli(["parse", str(bad)], capsys)
+        assert code == 2
+        assert "bad.pfo:2:3: call to undefined function 'nosuch'" in err

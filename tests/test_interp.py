@@ -1,12 +1,19 @@
+from pathlib import Path
+
 import pytest
 
+from pfo.corpus import make_table_cases
 from pfo.exectree import balance, build_execution_tree
-from pfo.interp import AstExecutable, TreeExecutable, simulate
+from pfo.interp import AstExecutable, Sink, State, TreeExecutable, _OpCompiler, simulate
+from pfo.ir import LoadI, Reg
 from pfo.lang import parse
 from pfo.layouts import build_ast_layout
-from pfo.memory import AdversaryModel, EventKind, observe_profile
+from pfo.memory import AdversaryModel, EventKind, PfoError, observe_profile
+from pfo.optimize import build_staged, opt_if_convert, opt_page_realign, opt_readonly_elim
 
 from test_lang import FOO_SOURCE
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 SPLIT_LOOKUP = """
 #pragma page_size 16
@@ -21,6 +28,22 @@ fn main() {
   #pragma end_pf_sensitive
 }
 """
+
+
+def _secrets(program, value):
+    return {d.name: value % (1 << (d.width or 64)) for d in program.secrets}
+
+
+def _trace_cases():
+    """(name, executable, secret) for every corpus program and two staged builds."""
+    for path in sorted(CORPUS.glob("*.pfo")):
+        program = parse(path.read_text())
+        yield path.stem, AstExecutable(program), _secrets(program, 0b1011)
+    yield "split-lookup", AstExecutable(parse(SPLIT_LOOKUP)), {"s": 5}
+    yield "staged-foo", build_staged(parse(FOO_SOURCE)), {"x": 8, "y": 9}
+    aes = parse(make_table_cases()["aes"].source(key_bytes=2))
+    yield ("staged-aes-o1-o2",
+           opt_page_realign(opt_readonly_elim(build_staged(aes))), {"k": 0x1234})
 
 
 class TestVanillaSimulation:
@@ -44,11 +67,16 @@ class TestVanillaSimulation:
         assert result.outputs == {"y": 12}
 
     def test_trace_matches_observe_profile(self):
-        program = parse(SPLIT_LOOKUP)
-        exe = AstExecutable(program)
-        result = exe.run(secret={"s": 5}, collect_trace=True)
-        replayed = observe_profile(result.trace, AdversaryModel.pigeonhole())
-        assert replayed == result.profile
+        # the profile a run computes step by step equals the replay of the
+        # trace the same run emits
+        for name, exe, secret in _trace_cases():
+            plain = exe.run(secret=secret)
+            traced = exe.run(secret=secret, collect_trace=True)
+            assert plain.trap is None, name
+            assert plain.profile == traced.profile, name
+            replayed = observe_profile(traced.trace, AdversaryModel.pigeonhole())
+            assert plain.profile == replayed, name
+            assert (plain.steps, plain.outputs) == (traced.steps, traced.outputs), name
 
     def test_profile_deterministic(self):
         program = parse(SPLIT_LOOKUP)
@@ -204,3 +232,140 @@ def test_initializers_wrap_to_program_width():
     result = AstExecutable(program).run()
     assert result.outputs == {"y": 5}
     assert result.store["t"] == [5, -(1 << 63), -1, 0]
+
+
+# `inc` returns at the end of its body, then `look` traps on its table read
+# (index-oob) or on its division (div-zero)
+TRAP_AFTER_TAIL_RETURN = """
+#pragma page_size 64
+public int i;
+public int d;
+output int y;
+int t[4] = {10, 20, 30, 40};
+fn inc(v) { return v + 1; }
+fn look(j, e) { return t[j] / e; }
+fn main() {
+  #pragma begin_pf_sensitive
+  a = inc(i);
+  y = look(a, d);
+  #pragma end_pf_sensitive
+}
+"""
+
+
+# (steps, profile) per mode: in whole-function mode main's code is on
+# page 2, inc's on 0, look's on 1 and t on 3; tree mode inlines the calls
+TRAP_EXPECTED = {
+    ("ast", "index-oob"): (5, [2, 0, 2]),
+    ("ast", "div-zero"): (7, [2, 0, 2, 1, 3]),
+    ("ast", None): (9, [2, 0, 2, 1, 3, 2]),
+    ("tree", "index-oob"): (5, [0]),
+    ("tree", "div-zero"): (7, [0, 1]),
+    ("tree", None): (8, [0, 1]),
+}
+
+
+@pytest.mark.parametrize("mode", ["ast", "tree"])
+@pytest.mark.parametrize("public, kind", [
+    ({"i": 3, "d": 1}, "index-oob"),
+    ({"i": 1, "d": 0}, "div-zero"),
+    ({"i": 1, "d": 3}, None),
+])
+def test_trap_in_callee_after_tail_return(mode, public, kind):
+    program = parse(TRAP_AFTER_TAIL_RETURN)
+    if mode == "ast":
+        exe = AstExecutable(program)
+    else:
+        exe = TreeExecutable(balance(build_execution_tree(program)))
+    result = exe.run(public=public, collect_trace=True)
+    assert (result.steps, result.profile) == TRAP_EXPECTED[mode, kind]
+    fetched = sum(1 for ev in result.trace if ev.kind is EventKind.CODE_FETCH)
+    # an index-oob trap stops before its load steps, a div-zero trap after
+    # its division: either way the trap step is the last step taken
+    assert result.steps == fetched
+    assert result.profile == observe_profile(result.trace, AdversaryModel.pigeonhole())
+    assert result.profile == exe.run(public=public).profile
+    if kind is None:
+        assert result.trap is None
+        assert result.outputs == {"y": 10}
+    else:
+        assert result.trap.kind == kind
+        assert result.trap.step == result.steps
+
+
+EARLY_RETURN = """
+secret int<2> k;
+output int y;
+output int z;
+fn f(v) {
+  w = v + 2;
+  if (v == 1) {
+    return 10;
+  }
+  for (i = 0; i < 3; i = i + 1) {
+    if (w == 5) {
+      return 20 + i;
+    }
+    w = w + 1;
+  }
+  return w;
+}
+fn main() {
+  y = f(k);
+  #pragma begin_pf_sensitive
+  if (k == 2) {
+    z = y + 1;
+  } else {
+    z = y - 1;
+  }
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_nested_early_return_agrees_across_modes(k):
+    # f returns from inside an `if` and from inside a loop; tree mode runs
+    # only the region, so it gets f's value as a public input
+    program = parse(EARLY_RETURN)
+    run = AstExecutable(program).run(secret={"k": k})
+    # every return steps once, wherever it sits
+    assert (run.steps, run.profile) == ({0: 30, 1: 11, 2: 21, 3: 15}[k], [1, 0, 1])
+    vanilla = run.outputs
+    converted, report = opt_if_convert(program)
+    assert report.converted == 1
+    o5 = AstExecutable(converted).run(secret={"k": k}).outputs
+    region = parse(EARLY_RETURN.replace("output int y;", "public int y;")
+                   .replace("  y = f(k);\n", ""))
+    tree = TreeExecutable(balance(build_execution_tree(region)))
+    expected_y = {0: 5, 1: 10, 2: 21, 3: 20}[k]
+    assert vanilla == o5 == {"y": expected_y, "z": expected_y + (1 if k == 2 else -1)}
+    assert tree.run(secret={"k": k}, public={"y": expected_y}).outputs["z"] == vanilla["z"]
+
+
+@pytest.mark.parametrize("pages, strict, ok, escaped", [
+    ({}, {2}, 6, 1),       # split table: the page-1 half escapes
+    ({"t": 5}, {5}, 1, None),  # pinned to an allowed page
+    ({"t": 5}, {1, 2}, None, 1),  # pinned to a page outside the set
+])
+def test_access_outside_strict_pages_is_an_error(pages, strict, ok, escaped):
+    program = parse(SPLIT_LOOKUP)
+    exe = AstExecutable(program)
+    compiler = _OpCompiler(program, exe.objects, program.int_width, exe.lowered.alloc,
+                           pages=pages, strict_pages=frozenset(strict))
+    index_slot = compiler.decl_slots["s"]
+    load = compiler.compile(LoadI(0, "t", Reg(index_slot), "main"), 0)
+
+    def run(i):
+        regs = compiler.regs0()
+        regs[index_slot] = i
+        st = State(regs, exe.objects.fresh_arrays(), Sink(True, 3, False))
+        load(st)
+        return st
+
+    if ok is not None:
+        st = run(ok)
+        assert st.regs[0] == 10 + ok and st.sink.steps == 1
+    if escaped is not None:
+        with pytest.raises(PfoError, match="escaped staging pages"):
+            run(escaped)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pfo.interp import Sink
+from pfo.interp import Footprint, FootprintTable, Sink
 from pfo.memory import (
     AccessEvent,
     AdversaryModel,
@@ -95,11 +95,15 @@ class TestObserveProfileProperties:
 
     @given(st.lists(instr_strategy, min_size=1, max_size=30))
     def test_incremental_observer_matches(self, instrs):
-        # the interpreter's incremental rule against the trace replay
-        sink = Sink(pigeonhole=True, limit=3, collect=False)
-        for code, data in instrs:
-            sink.instr(code, tuple(data), (DR,) * len(data))
-        assert sink.faults == observe_profile(trace_of(instrs), AdversaryModel.pigeonhole())
+        # the interpreter's incremental rule against the trace replay, fed
+        # interned footprints (shared page sets take the fast path) and
+        # footprints built one per step (never shared)
+        expected = observe_profile(trace_of(instrs), AdversaryModel.pigeonhole())
+        for footprint in (FootprintTable(), Footprint):
+            sink = Sink(pigeonhole=True, limit=3, collect=False)
+            for code, data in instrs:
+                sink.instr(footprint(code, tuple(data), (DR,) * len(data)))
+            assert sink.faults == expected
 
 
 def word_table_layout(page_size, placements):
