@@ -4,7 +4,9 @@ Subcommands: parse, analyze, transform, simulate, verify, leak, attack,
 contract, corpus.  Exit codes: 0 ok, 1 assertion failure, 2 usage error,
 3 internal error.  All sampled work is driven by --seed, and reports are
 emitted with stable ordering, so identical invocations produce identical
-bytes.
+bytes.  `transform` and every `--transformed` run build their defense
+through `optimize.build_defense`, the single entry point that composes
+passes.
 """
 
 from __future__ import annotations
@@ -34,13 +36,9 @@ from .leakage import (
     verify_pfo,
 )
 from .memory import AdversaryModel, PfoError
-from .optimize import (
-    apply_all_passes, build_staged, opt_if_convert, opt_page_realign,
-    opt_readonly_elim,
-)
+from .optimize import ALL_PASSES, build_defense
 from .reports import emit, markdown_table, to_json
 from .suites import attacks_suite, contracts_suite, defenses_suite
-from .transform import transform_program
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -117,35 +115,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# passes `transform` applies one by one; the others only run under `all`
-TRANSFORM_OPTS = ("O1", "O2", "O5")
-
-
 def cmd_transform(args) -> int:
     program = _read_program(args.program)
     opts = _parse_opts(args.opt)
-    if opts == ["all"]:
-        build = apply_all_passes(program, args.page_size)
-    else:
-        unapplied = [o for o in opts if o not in TRANSFORM_OPTS]
-        if unapplied:
-            raise CliFailure(
-                f"transform applies only {', '.join(TRANSFORM_OPTS)} or all; "
-                f"not applied: {', '.join(unapplied)}", EXIT_USAGE,
-            )
-        if "O5" in opts:
-            program, _ = opt_if_convert(program)
-        build = build_staged(program, args.page_size, mux=args.mux)
-        if "O1" in opts:
-            build = opt_readonly_elim(build)
-        if "O2" in opts:
-            build = opt_page_realign(build)
-    rewritten = build.program
-    plan = build.plan
+    build = build_defense(
+        program, ALL_PASSES if opts == ["all"] else opts,
+        args.page_size, args.mux, args.seed,
+    )
     out_path = Path(args.output)
-    out_path.write_text(pretty(rewritten))
-    plan_doc = plan.to_json_dict()
-    plan_doc["pipeline"] = {"mux": plan.mode, "opts": opts}
+    out_path.write_text(pretty(build.program))
+    plan_doc = build.plan.to_json_dict()
+    plan_doc["pipeline"] = {"mux": build.plan.mode, "opts": opts}
     plan_path = out_path.with_suffix(out_path.suffix + ".plan.json")
     plan_path.write_text(to_json(plan_doc))
     print(f"wrote {out_path} and {plan_path}", file=sys.stderr)
@@ -157,32 +137,37 @@ def _parse_opts(spec):
         return []
     if spec == "all":
         return ["all"]
-    valid = {"O1", "O2", "O3A", "O3B", "O4", "O5"}
     opts = [o.strip() for o in spec.split(",") if o.strip()]
-    bad = [o for o in opts if o not in valid]
+    bad = [o for o in opts if o not in ALL_PASSES]
     if bad:
         raise CliFailure(f"unknown optimization(s): {', '.join(bad)}", EXIT_USAGE)
     return opts
 
 
-def _runner_for(args, program):
+def _executable(args, program):
+    """The program as written, or under `--transformed` its multiplexed build."""
     if args.transformed:
-        exe = transform_program(program, args.page_size)
-        publics = _parse_bindings(args.public)
-        return exe, lambda s: exe.run(secret=s, public=publics).profile
-    exe = AstExecutable(program, page_size=args.page_size)
-    publics = _parse_bindings(args.public)
-    return exe, lambda s: exe.run(secret=s, public=publics).profile
+        return build_defense(program, page_size=args.page_size).executable()
+    return AstExecutable(program, page_size=args.page_size)
+
+
+def _inputs(args, program):
+    """The secrets to check: `--sample` of them, else the whole domain."""
+    domain = SecretDomain.of(program)
+    if args.sample:
+        return domain.sample(args.sample, args.seed)
+    if domain.size > args.exhaustive_limit:
+        raise CliFailure(
+            f"domain of {domain.size} secrets needs --sample", EXIT_USAGE
+        )
+    return domain.exhaustive(args.exhaustive_limit)
 
 
 def cmd_simulate(args) -> int:
     program = _read_program(args.program)
     secrets = _parse_bindings(args.secret)
     publics = _parse_bindings(args.public)
-    if args.transformed:
-        exe = transform_program(program, args.page_size)
-    else:
-        exe = AstExecutable(program, page_size=args.page_size)
+    exe = _executable(args, program)
     result = exe.run(secret=secrets, public=publics, model=_model(args),
                      collect_trace=args.trace)
     emit(to_json(result.to_json_dict()), args.out)
@@ -191,17 +176,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     program = _read_program(args.program)
-    exe, runner = _runner_for(args, program)
-    domain = SecretDomain.of(program)
-    if args.sample:
-        inputs = domain.sample(args.sample, args.seed)
-    else:
-        if domain.size > args.exhaustive_limit:
-            raise CliFailure(
-                f"domain of {domain.size} secrets needs --sample", EXIT_USAGE
-            )
-        inputs = domain.exhaustive(args.exhaustive_limit)
-    result = verify_pfo(runner, inputs)
+    exe = _executable(args, program)
+    publics = _parse_bindings(args.public)
+    result = verify_pfo(lambda s: exe.run(secret=s, public=publics).profile,
+                        _inputs(args, program))
     doc = {
         "oblivious": result.oblivious,
         "classes": result.classes,
@@ -218,17 +196,10 @@ def cmd_verify(args) -> int:
 
 def cmd_leak(args) -> int:
     program = _read_program(args.program)
-    exe, runner = _runner_for(args, program)
-    domain = SecretDomain.of(program)
-    if args.sample:
-        inputs = domain.sample(args.sample, args.seed)
-    else:
-        if domain.size > args.exhaustive_limit:
-            raise CliFailure(
-                f"domain of {domain.size} secrets needs --sample", EXIT_USAGE
-            )
-        inputs = domain.exhaustive(args.exhaustive_limit)
-    report = quantify_leakage(runner, inputs)
+    exe = _executable(args, program)
+    publics = _parse_bindings(args.public)
+    report = quantify_leakage(lambda s: exe.run(secret=s, public=publics).profile,
+                              _inputs(args, program))
     emit(to_json(report.to_json_dict()), args.out)
     return EXIT_OK
 
@@ -325,6 +296,11 @@ def cmd_corpus(args) -> int:
     if args.suite not in _SUITES:
         raise CliFailure(
             f"unknown suite {args.suite!r} (choose from {sorted(_SUITES)})",
+            EXIT_USAGE,
+        )
+    if args.opt and (args.opt != "all" or args.suite != "defenses"):
+        raise CliFailure(
+            "corpus takes only --opt all, and only for the defenses suite",
             EXIT_USAGE,
         )
     if args.suite == "attacks":

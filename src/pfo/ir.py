@@ -655,8 +655,16 @@ def expand_region(program: Program, budget: int = DEFAULT_NODE_BUDGET) -> list:
 
     Returns origin-tagged items (TaggedStmt / TaggedIf / IterMark); the
     identity renaming applies to the entry function's own statements.
+    A statement of `main` outside the region is an error: the tree would
+    never run it.
     """
     region = extract_region(program)
+    outside = region.prefix + region.suffix
+    if outside:
+        raise LoweringError(
+            f"line {outside[0].pos.line}: tree mode runs only the sensitive "
+            "region; move this statement of `main` inside it"
+        )
     expander = _Expander(program, budget)
 
     entry_scope: dict[str, str] = {}

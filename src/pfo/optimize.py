@@ -22,8 +22,11 @@ Calls and writes are found with `lang.walk`, and O3B redirects calls with
 arguments are never skipped: a call in a callee's `for` step counts for
 O5's purity check, O3B's redirection and O4's page grouping alike.
 
-A `DefenseBuild` bundles whatever the pipeline has produced so far (AST
-rewrites, tree, plan, layouts) and hands out a runnable executable.
+`build_defense` is the single entry point that composes passes: the CLI,
+the suites and the tests all build a defense through it.  A
+`DefenseBuild` bundles whatever the pipeline has produced so far (AST
+rewrites, tree, plan, layouts) and hands out a runnable executable; each
+pass that changes a staged build re-plans it through `_replan`.
 """
 
 from __future__ import annotations
@@ -246,13 +249,7 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
 # --- O1: read-only copy elision ------------------------------------------
 
 def opt_readonly_elim(build: DefenseBuild) -> DefenseBuild:
-    if build.mode != "staged":
-        return replace(build, applied=build.applied + ("O1",), _exe=None)
-    plan = plan_layout(
-        build.tree, build.source_layout, mode=build.plan.mode,
-        readonly_elim=True, stage_code=build.code_staged,
-    )
-    return replace(build, plan=plan, applied=build.applied + ("O1",), _exe=None)
+    return _replan(build, applied=build.applied + ("O1",))
 
 
 # --- O2: page realignment ------------------------------------------------
@@ -290,37 +287,22 @@ def opt_page_realign(build: DefenseBuild) -> DefenseBuild:
     new_layout = MemoryLayout(
         page_size=page_size, code_map=dict(layout.code_map), data_map=data_map,
     )
-    new_build = replace(
+    return _replan(
         build, source_layout=new_layout,
         applied=build.applied + ("O2",),
         notes=build.notes + (f"realigned: {', '.join(moved) if moved else 'none'}",),
-        _exe=None,
     )
-    if build.mode == "staged":
-        new_build.plan = plan_layout(
-            build.tree, new_layout, mode=build.plan.mode,
-            readonly_elim="O1" in build.applied, stage_code=build.code_staged,
-        )
-    return new_build
 
 
 def _written_arrays(build: DefenseBuild) -> frozenset[str]:
     if build.tree is not None:
-        writes = set()
-        for b in build.tree.blocks:
-            for instr in b.instrs:
-                for obj, _i, is_write in data_refs(instr):
-                    if is_write:
-                        writes.add(obj)
-        return frozenset(writes)
-    lowered = lower_program(build.program)
-    writes = set()
-    for fn in lowered.functions.values():
-        for instr in fn.instrs:
-            for obj, _i, is_write in data_refs(instr):
-                if is_write:
-                    writes.add(obj)
-    return frozenset(writes)
+        instrs = (i for b in build.tree.blocks for i in b.instrs)
+    else:
+        functions = lower_program(build.program).functions.values()
+        instrs = (i for fn in functions for i in fn.instrs)
+    return frozenset(
+        obj for instr in instrs for obj, _i, is_write in data_refs(instr) if is_write
+    )
 
 
 # --- O3A: level merging ---------------------------------------------------
@@ -329,29 +311,27 @@ def opt_level_merge(build: DefenseBuild) -> DefenseBuild:
     """Merge runs of consecutive levels whose code fits one page.
 
     Merged levels share a single fetch, so transitions inside the group
-    stop issuing multiplexing copies.
+    stop issuing multiplexing copies.  The merge is part of every later
+    re-plan (see `_replan`), so O1, O2 and O4 keep it.
     """
-    if build.mode != "staged" or not build.code_staged:
-        return replace(build, applied=build.applied + ("O3A",), _exe=None)
-    plan = build.plan
-    page_size = plan.page_size
+    return _replan(build, applied=build.applied + ("O3A",))
 
+
+def _merge_levels(plan: TransformPlan) -> TransformPlan:
+    """The O3A merge of `plan`: one level plan per run of consecutive levels
+    whose staged code fits one page, each data copy scheduled once."""
     def code_words(lp: LevelPlan) -> int:
         return sum(c.words for c in lp.fetch if c.kind == "code")
 
     groups: list[list[LevelPlan]] = []
-    current: list[LevelPlan] = []
-    current_bytes = 0
+    room = 0
     for lp in plan.levels:
         nbytes = code_words(lp) * 4
-        if current and current_bytes + nbytes > page_size:
-            groups.append(current)
-            current = []
-            current_bytes = 0
-        current.append(lp)
-        current_bytes += nbytes
-    if current:
-        groups.append(current)
+        if not groups or nbytes > room:
+            groups.append([])
+            room = plan.page_size
+        groups[-1].append(lp)
+        room -= nbytes
 
     merged: list[LevelPlan] = []
     for group in groups:
@@ -364,7 +344,7 @@ def opt_level_merge(build: DefenseBuild) -> DefenseBuild:
         for lp in group:
             for c in lp.fetch:
                 if c.kind == "code":
-                    fetch.append(replace(c, dst_offset=offset))
+                    fetch.append(replace(c, dst_offset=offset + c.dst_offset))
                 else:
                     key = (c.unit, c.src_word)
                     if key in seen_data:
@@ -384,10 +364,7 @@ def opt_level_merge(build: DefenseBuild) -> DefenseBuild:
         covered = tuple(c for lp in group for c in lp.covered())
         merged.append(LevelPlan(group[0].level, tuple(fetch), tuple(back), covered))
 
-    new_plan = replace(plan, levels=tuple(merged))
-    return replace(
-        build, plan=new_plan, applied=build.applied + ("O3A",), _exe=None,
-    )
+    return replace(plan, levels=tuple(merged))
 
 
 # --- O3B: level merging via cloning --------------------------------------
@@ -547,8 +524,7 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None,
             tuple(p for p in program.placements if p.kind != "code") + tuple(placements),
             program.page_size_hint,
         )
-        layout = build_ast_layout(lower_program(candidate), ps)
-        build = DefenseBuild(candidate, ps, "inplace", ("O4",), None, layout, None)
+        build = replace(build_inplace(candidate, ps), applied=("O4",))
         if _probe_uniform(build, probe_secrets, seed):
             report = MuxElimReport(
                 True, tuple(tuple(g) for g in placement_groups), states
@@ -608,37 +584,60 @@ def opt_mux_elim_staged(build: DefenseBuild, probe_secrets: int = 32,
     layout already determinizes the profile (probed empirically)."""
     if build.mode != "staged" or not build.code_staged:
         return replace(build, applied=build.applied + ("O4",), _exe=None)
-    candidate_plan = plan_layout(
-        build.tree, build.source_layout, mode=build.plan.mode,
-        readonly_elim="O1" in build.applied, stage_code=False,
-    )
-    candidate = replace(
-        build, plan=candidate_plan, code_staged=False,
-        applied=build.applied + ("O4",), _exe=None,
-    )
+    candidate = _replan(build, code_staged=False, applied=build.applied + ("O4",))
     if _probe_uniform(candidate, probe_secrets, seed):
         return candidate
     return replace(build, notes=build.notes + ("O4 declined: grouping leaks",),
                    _exe=None)
 
 
-ALL_PASSES = ("O5", "O3A", "O3B", "O4", "O1", "O2")
+def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
+    """`build` with `changes`, its plan redone from every decision so far.
+
+    The multiplexing mode, O1's elision, whether code is staged (O4) and
+    O3A's level merge all come from the build, so no pass undoes another.
+    In-place builds have no plan and only take the changes.
+    """
+    build = replace(build, _exe=None, **changes)
+    if build.mode == "staged":
+        plan = plan_layout(
+            build.tree, build.source_layout, mode=build.plan.mode,
+            readonly_elim="O1" in build.applied, stage_code=build.code_staged,
+        )
+        if "O3A" in build.applied and build.code_staged:
+            plan = _merge_levels(plan)
+        build.plan = plan
+    return build
 
 
-def apply_all_passes(program: Program, page_size: Optional[int] = None,
-                     seed: int = 0) -> DefenseBuild:
-    """The fixed `--opt all` chain: O5, O3A, O3B, O4, O1, O2.
+# the order `build_defense` runs the passes in, whatever order they are named
+ALL_PASSES = ("O5", "O3B", "O3A", "O4", "O1", "O2")
+
+
+def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
+                  mux: str = "auto", seed: int = 0) -> DefenseBuild:
+    """The defense pipeline: multiplexing plus the named passes.
 
     O5 and O3B rewrite the AST (and placements) before the tree exists, so
-    they run first; the remaining passes compose over the staged build.
+    they run first; the staged build then takes O3A, O4 (probed with
+    `seed`), O1 and O2, in that order.
     """
+    unknown = [p for p in passes if p not in ALL_PASSES]
+    if unknown:
+        raise OptError(f"unknown optimization(s): {', '.join(unknown)}")
     ps = program.resolve_page_size(page_size)
-    program, _ = opt_if_convert(program)
-    program, _ = opt_clone(program, ps)
-    build = build_staged(program, ps)
-    build.applied = ("O5", "O3B")
-    build = opt_level_merge(build)
-    build = opt_mux_elim_staged(build, seed=seed)
-    build = opt_readonly_elim(build)
-    build = opt_page_realign(build)
+    if "O5" in passes:
+        program, _ = opt_if_convert(program)
+    if "O3B" in passes:
+        program, _ = opt_clone(program, ps)
+    build = build_staged(program, ps, mux)
+    build.applied = tuple(p for p in ("O5", "O3B") if p in passes)
+    if "O3A" in passes:
+        build = opt_level_merge(build)
+    if "O4" in passes:
+        build = opt_mux_elim_staged(build, seed=seed)
+    if "O1" in passes:
+        build = opt_readonly_elim(build)
+    if "O2" in passes:
+        build = opt_page_realign(build)
     return build

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .contract import (
@@ -35,8 +35,14 @@ from .leakage import (
     quantify_leakage,
     verify_pfo,
 )
-from .optimize import DefenseBuild, opt_if_convert, opt_mux_elim, opt_page_realign
-from .transform import transform_program
+from .optimize import (
+    ALL_PASSES,
+    DefenseBuild,
+    build_defense,
+    build_inplace,
+    opt_if_convert,
+    opt_mux_elim,
+)
 
 
 @dataclass
@@ -51,11 +57,11 @@ class SuiteResult:
 
 # --- attacks ---------------------------------------------------------------
 
-def _table_attack_row(name: str, seed: int) -> dict:
+def _table_attack_row(name: str) -> dict:
     case = make_table_cases()[name]
     byte_exe = AstExecutable(parse(case.source(key_bytes=1)))
     report = quantify_leakage(
-        lambda s: byte_exe.run(secret=s, public={"p": 0}).profile,
+        lambda s: byte_exe.run(secret=s).profile,
         SecretDomain.of(byte_exe.program).exhaustive(),
     )
     lookups = len(case.lookups)
@@ -86,7 +92,7 @@ def attacks_suite(seed: int = 0, eddsa_samples: int = 50,
     rng = random.Random(seed)
 
     for name in sorted(make_table_cases()):
-        result.rows.append(_table_attack_row(name, seed))
+        result.rows.append(_table_attack_row(name))
 
     # scalar multiplication: full recovery from one trace per scalar
     exe = AstExecutable(parse(eddsa_source(512)))
@@ -148,58 +154,32 @@ def attacks_suite(seed: int = 0, eddsa_samples: int = 50,
 
 # --- defenses ---------------------------------------------------------------
 
-def defended_build(name: str, width: Optional[int] = None) -> DefenseBuild:
-    """Per-case defense with its recorded optimization combination."""
+def case_source(name: str, width: Optional[int] = None) -> str:
+    """A suite case's source with a `width`-bit secret (None: its default)."""
     cases = make_table_cases()
     if name in cases:
-        case = cases[name]
-        key_bytes = (width // 8) if width else None
-        program = parse(case.source(key_bytes=key_bytes))
-        exe = transform_program(program, readonly_elim=True)
-        build = DefenseBuild(
-            program, exe.plan.page_size, "staged", ("O1",),
-            exe.tree, exe.source_layout, exe.plan,
-        )
-        return opt_page_realign(build)
+        return cases[name].source(key_bits=width)
     if name == "eddsa":
-        program, report = opt_if_convert(parse(eddsa_source(width or 512)))
-        if report.converted != 1:
-            raise RuntimeError("if-conversion did not fire on the scalar loop")
-        from .optimize import build_inplace
-        build = build_inplace(program)
-        build.applied = ("O5",)
-        return build
+        return eddsa_source(width or 512)
     if name == "powm":
-        build, report = opt_mux_elim(parse(powm_balanced_source(width or 64)))
-        if build is None:
-            raise RuntimeError(f"grouping failed: {report.reason}")
-        return build
-    if name == "foo":
-        from .corpus import FOO_SOURCE
-        exe = transform_program(parse(FOO_SOURCE))
-        return DefenseBuild(
-            exe.tree.program, exe.plan.page_size, "staged", (),
-            exe.tree, exe.source_layout, exe.plan,
-        )
+        return powm_balanced_source(width or 64)
     raise KeyError(name)
 
 
-def vanilla_runner(name: str, width: Optional[int] = None):
-    cases = make_table_cases()
-    if name in cases:
-        key_bytes = (width // 8) if width else None
-        exe = AstExecutable(parse(cases[name].source(key_bytes=key_bytes)))
-        return exe, lambda s: exe.run(secret=s, public={"p": 0}).profile
+def defended_build(name: str, width: Optional[int] = None) -> DefenseBuild:
+    """Per-case defense with its recorded optimization combination."""
+    program = parse(case_source(name, width))
     if name == "eddsa":
-        exe = AstExecutable(parse(eddsa_source(width or 512)))
-    elif name == "powm":
-        exe = AstExecutable(parse(powm_balanced_source(width or 64)))
-    elif name == "foo":
-        from .corpus import FOO_SOURCE
-        exe = AstExecutable(parse(FOO_SOURCE))
-    else:
-        raise KeyError(name)
-    return exe, lambda s: exe.run(secret=s).profile
+        program, report = opt_if_convert(program)
+        if report.converted != 1:
+            raise RuntimeError("if-conversion did not fire on the scalar loop")
+        return replace(build_inplace(program), applied=("O5",))
+    if name == "powm":
+        build, report = opt_mux_elim(program)
+        if build is None:
+            raise RuntimeError(f"grouping failed: {report.reason}")
+        return build
+    return build_defense(program, ("O1", "O2"))
 
 
 DEFENSE_CASES = (
@@ -214,13 +194,6 @@ FULL_WIDTHS = {name: 64 for name in DEFENSE_CASES}
 FULL_WIDTHS["eddsa"] = 512
 
 
-def _defense_runner(build: DefenseBuild, name: str):
-    cases = make_table_cases()
-    if name in cases:
-        return lambda s: build.run(secret=s, public={"p": 0}).profile
-    return lambda s: build.run(secret=s).profile
-
-
 def defenses_suite(seed: int = 0, exhaustive_limit: int = 1 << 16,
                    sample_pairs: int = 100, full_exhaustive: bool = False,
                    opt_all: bool = False) -> SuiteResult:
@@ -228,50 +201,48 @@ def defenses_suite(seed: int = 0, exhaustive_limit: int = 1 << 16,
 
     `sample_pairs` counts full-width secret pairs checked against the
     first profile (profile equality is transitive, so `n` matching runs
-    cover all pairs among them).
+    cover all pairs among them).  `opt_all` defends every case with all
+    passes instead of its recorded combination.
     """
+    def defend(name: str, width: int) -> DefenseBuild:
+        if opt_all:
+            return build_defense(parse(case_source(name, width)), ALL_PASSES)
+        return defended_build(name, width)
+
     result = SuiteResult("defenses")
     for name in DEFENSE_CASES:
         row = {"case": name}
         width = EXHAUSTIVE_WIDTHS[name]
-        if opt_all:
-            small = opt_all_build(name, width)
-        else:
-            small = defended_build(name, width)
-        small_run = _defense_runner(small, name)
+        small = defend(name, width)
         domain = SecretDomain.of(small.program)
         if full_exhaustive and domain.size <= exhaustive_limit:
-            verdict = verify_pfo(small_run, domain.exhaustive(exhaustive_limit))
+            inputs = domain.exhaustive(exhaustive_limit)
         else:
-            probe = min(domain.size, 256)
-            verdict = verify_pfo(small_run, domain.sample(probe, seed))
+            inputs = domain.sample(min(domain.size, 256), seed)
+        verdict = verify_pfo(lambda s: small.run(secret=s).profile, inputs)
         row["exhaustive_width"] = width
         row["exhaustive_oblivious"] = verdict.oblivious
         row["exhaustive_inputs"] = verdict.inputs_checked
 
         full_width = FULL_WIDTHS[name]
-        if opt_all:
-            full = opt_all_build(name, full_width)
-        else:
-            full = defended_build(name, full_width)
-        full_run = _defense_runner(full, name)
+        full = defend(name, full_width)
         full_domain = SecretDomain.of(full.program)
         full_verdict = verify_pfo(
-            full_run, full_domain.sample(sample_pairs + 1, seed + 1)
+            lambda s: full.run(secret=s).profile,
+            full_domain.sample(sample_pairs + 1, seed + 1),
         )
         row["full_width"] = full_width
         row["full_oblivious"] = full_verdict.oblivious
         row["full_pairs"] = max(full_verdict.inputs_checked - 1, 0)
 
-        _, vanilla_run = vanilla_runner(name, full_width)
+        vanilla = AstExecutable(parse(case_source(name, full_width)))
         rng = random.Random(seed + 2)
         names = full_domain.names
         probe_secret = {
             n: rng.randrange(1 << w) for n, w in zip(names, full_domain.widths)
         }
-        row["pf_vanilla"] = len(vanilla_run(probe_secret))
-        defended = full.run(secret=probe_secret, public={"p": 0}) \
-            if name in make_table_cases() else full.run(secret=probe_secret)
+        row["pf_vanilla"] = len(vanilla.run(secret=probe_secret).profile)
+        defended = full.run(secret=probe_secret)
         row["pf_transformed"] = defended.faults
         row["copy_ops"] = defended.copy_ops
         row["opts"] = "all" if opt_all else "+".join(full.applied) or "mux"
@@ -281,23 +252,6 @@ def defenses_suite(seed: int = 0, exhaustive_limit: int = 1 << 16,
     return result
 
 
-def opt_all_build(name: str, width: Optional[int] = None) -> DefenseBuild:
-    """The fixed-order everything pipeline: O5, O3A, O3B, O4, O1, O2."""
-    from .optimize import (
-        apply_all_passes,
-    )
-    cases = make_table_cases()
-    if name in cases:
-        source = cases[name].source(key_bytes=(width // 8) if width else None)
-    elif name == "eddsa":
-        source = eddsa_source(width or 512)
-    elif name == "powm":
-        source = powm_balanced_source(width or 64)
-    else:
-        raise KeyError(name)
-    return apply_all_passes(parse(source))
-
-
 # --- contracts ---------------------------------------------------------------
 
 CONTRACT_WIDTHS = {"aes": 12, "powm": 12}
@@ -305,23 +259,12 @@ CONTRACT_WIDTHS = {"aes": 12, "powm": 12}
 
 def contract_case(name: str, width: int):
     """Balanced executable plus probe secrets for a contract sweep."""
-    cases = make_table_cases()
-    if name in cases:
-        exe = AstExecutable(parse(cases[name].source(key_bits=width)))
-        probes = [{"k": 0}, {"k": (1 << width) - 1}]
-        secret_name = "k"
-    elif name == "powm":
-        exe = AstExecutable(parse(powm_balanced_source(width)))
-        probes = [{"d": 0}, {"d": (1 << width) - 1}]
-        secret_name = "d"
-    elif name == "eddsa":
-        program, _ = opt_if_convert(parse(eddsa_source(width)))
-        exe = AstExecutable(program)
-        probes = [{"k": 0}, {"k": (1 << width) - 1}]
-        secret_name = "k"
-    else:
-        raise KeyError(name)
-    return exe, probes, secret_name
+    program = parse(case_source(name, width))
+    if name == "eddsa":
+        program, _ = opt_if_convert(program)
+    secret_name = "d" if name == "powm" else "k"
+    probes = [{secret_name: 0}, {secret_name: (1 << width) - 1}]
+    return AstExecutable(program), probes, secret_name
 
 
 def contracts_suite(seed: int = 0, secrets_per_case: int = 64,
@@ -342,11 +285,9 @@ def contracts_suite(seed: int = 0, secrets_per_case: int = 64,
         steps = range(0, contract.total_steps + 1, stride)
         fake = check_contract_indistinguishability(
             exe, contract, secrets, FAKE_EXECUTE, steps=steps,
-            public={"p": 0} if name in make_table_cases() else None,
         )
         naive = check_contract_indistinguishability(
             exe, contract, secrets, NAIVE_TERMINATE, steps=steps,
-            public={"p": 0} if name in make_table_cases() else None,
         )
         row = {
             "case": name,

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .exectree import Block, ExecutionTree, check_balanced
 from .ir import PAD_OBJECT, data_refs
 from .interp import _KIND_RW, _KIND_W, ObjectTable, State, TreeExecutable, _OpCompiler
-from .lang import Program, WORD_SIZE
-from .layouts import build_tree_layout, next_free_page
+from .lang import WORD_SIZE
+from .layouts import next_free_page
 from .memory import Extent, MemoryLayout, PfoError, Staging
 
 SELECTOR = "__sa_sel"
@@ -520,14 +519,3 @@ class MultiplexedExecutable:
     def run(self, secret=None, public=None, model=None, collect_trace=False):
         return self._exe.run(secret, public, model, collect_trace)
 
-
-def transform_program(program: Program, page_size: Optional[int] = None,
-                      mode: str = "auto",
-                      readonly_elim: bool = False) -> MultiplexedExecutable:
-    """parse-to-runnable pipeline: tree, balance, layout, plan, multiplex."""
-    from .exectree import balance, build_execution_tree
-
-    tree = balance(build_execution_tree(program))
-    layout = build_tree_layout(tree, program.resolve_page_size(page_size))
-    plan = plan_layout(tree, layout, mode=mode, readonly_elim=readonly_elim)
-    return MultiplexedExecutable(tree, layout, plan)

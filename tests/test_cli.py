@@ -12,6 +12,21 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+# `shared` is called from both arms' callees: O3B clones it per caller
+SHARED_CALLEE = """
+secret int<1> s;
+output int y;
+fn shared(v) { return v + 10; }
+fn left(v) { return shared(v) + 1; }
+fn right(v) { return shared(v) + 2; }
+fn main() {
+  #pragma begin_pf_sensitive
+  if (s == 1) { y = left(5); } else { y = right(5); }
+  #pragma end_pf_sensitive
+}
+"""
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -137,16 +152,72 @@ class TestTransformVerify:
             del plans[opt]["pipeline"]
         assert plans["O1"] != plans["O1,O2"]
 
-    @pytest.mark.parametrize("opt", ["O3A", "O3B", "O4", "O1,O4"])
-    def test_transform_rejects_passes_it_does_not_apply(self, tmp_path, opt, capsys):
-        out = tmp_path / "out.pfo"
-        code, _, err = run_cli(
-            ["transform", str(CORPUS / "aes.pfo"), "-o", str(out), "--opt", opt],
+    @pytest.mark.parametrize("opt", ["O3A", "O3B", "O4"])
+    def test_transform_applies_each_pass(self, tmp_path, opt, capsys):
+        shared = tmp_path / "shared.pfo"
+        shared.write_text(SHARED_CALLEE)
+        path = {"O3A": CORPUS / "foo.pfo", "O3B": shared, "O4": CORPUS / "aes.pfo"}[opt]
+        written = {}
+        for flags in ([], ["--opt", opt]):
+            out = tmp_path / f"out{len(flags)}.pfo"
+            code, _, _ = run_cli(["transform", str(path), "-o", str(out)] + flags, capsys)
+            assert code == 0
+            plan = json.loads(Path(f"{out}.plan.json").read_text())
+            written[bool(flags)] = out.read_text(), plan
+        (plain_src, plain), (opt_src, opted) = written[False], written[True]
+        if opt == "O3A":
+            assert len(opted["levels"]) < len(plain["levels"])
+        elif opt == "O3B":
+            assert "__for_" not in plain_src
+            assert "shared__for_left" in opt_src and "shared__for_right" in opt_src
+        else:
+            def code_fetches(plan):
+                return [c for lv in plan["levels"] for c in lv["fetch"]
+                        if c["kind"] == "code"]
+            assert code_fetches(plain) and not code_fetches(opted)
+
+    def test_transform_seed_reaches_o4_probe(self, tmp_path, capsys, monkeypatch):
+        from pfo import optimize
+
+        seeds = []
+        probe = optimize._probe_uniform
+
+        def recording_probe(build, n, seed):
+            seeds.append(seed)
+            return probe(build, n, seed)
+
+        monkeypatch.setattr(optimize, "_probe_uniform", recording_probe)
+        code, _, _ = run_cli(
+            ["transform", str(CORPUS / "aes.pfo"), "-o", str(tmp_path / "o.pfo"),
+             "--opt", "O4", "--seed", "5"],
             capsys,
         )
-        assert code == 2
-        assert opt.split(",")[-1] in err
-        assert not out.exists()
+        assert code == 0
+        assert seeds == [5]
+
+    def test_tree_mode_rejects_code_outside_region(self, tmp_path, capsys):
+        path = tmp_path / "outside.pfo"
+        path.write_text(
+            "secret int<2> k;\n"
+            "output int y;\n"
+            "output int z;\n"
+            "fn main() {\n"
+            "  y = k + 5;\n"
+            "  #pragma begin_pf_sensitive\n"
+            "  if (k == 2) { z = y + 1; } else { z = y - 1; }\n"
+            "  #pragma end_pf_sensitive\n"
+            "  y = y * 2;\n"
+            "}\n"
+        )
+        simulate = ["simulate", "--program", str(path), "--secret", "k=2"]
+        code, out, _ = run_cli(simulate, capsys)
+        assert code == 0
+        assert json.loads(out)["outputs"] == {"y": 14, "z": 8}
+        for argv in (simulate, ["verify", "--program", str(path)]):
+            code, out, err = run_cli(argv + ["--transformed"], capsys)
+            assert code == 1
+            assert out == ""
+            assert "line 5: tree mode runs only the sensitive region" in err
 
     def test_verify_vanilla_toy_fails_with_counterexample(self, tmp_path, capsys):
         toy = tmp_path / "toy.pfo"
@@ -257,6 +328,17 @@ class TestCorpusSuites:
         assert doc["ok"] is True
         aes = next(r for r in doc["rows"] if r["case"] == "aes")
         assert aes["copy_ops"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["defenses", "--opt", "O4"],
+        ["attacks", "--opt", "all"],
+        ["contracts", "--opt", "all"],
+    ])
+    def test_opt_other_than_all_for_defenses_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(["corpus"] + argv + ["--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--opt all" in err
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(["corpus", "nope"], capsys)

@@ -20,8 +20,7 @@ from pfo.interp import AstExecutable
 from pfo.lang import parse
 from pfo.leakage import SecretDomain, verify_pfo
 from pfo.memory import page_of
-from pfo.optimize import build_inplace, opt_if_convert, opt_mux_elim
-from pfo.transform import transform_program
+from pfo.optimize import build_defense, build_inplace, opt_if_convert, opt_mux_elim
 
 RNG = random.Random(20240810)
 
@@ -66,7 +65,7 @@ class TestTableCases:
     @pytest.mark.parametrize("name", sorted(make_table_cases()))
     def test_transformed_oblivious_sampled(self, name):
         case = make_table_cases()[name]
-        exe = transform_program(parse(case.source()))
+        exe = build_defense(parse(case.source())).executable()
         profiles = set()
         for _ in range(25):
             k = RNG.randrange(1 << case.key_bits)

@@ -47,7 +47,6 @@ class TestBuild:
         tree = build_execution_tree(parse("""
         output int y;
         fn main() {
-          y = 0;
           #pragma begin_pf_sensitive
           for (i = 0; i < 4; i = i + 1) {
             for (j = 0; j < 2; j = j + 1) {

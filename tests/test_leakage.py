@@ -24,7 +24,7 @@ from pfo.leakage import (
     quantify_leakage,
     verify_pfo,
 )
-from pfo.transform import transform_program
+from pfo.optimize import build_defense
 
 SPLIT_LOOKUP = """
 #pragma page_size 16
@@ -84,7 +84,7 @@ class TestVerifyPfo:
     def test_transformed_two_byte_lookup_oblivious_exhaustive(self):
         # staged transform over all 2^16 two-byte keys: one class
         case = make_table_cases()["aes"]
-        exe = transform_program(parse(case.source(key_bytes=2)))
+        exe = build_defense(parse(case.source(key_bytes=2))).executable()
         result = verify_pfo(
             lambda secret: exe.run(secret=secret, public={"p": 0}).profile,
             SecretDomain.of(exe.tree.program).exhaustive(),
@@ -119,7 +119,7 @@ class TestQuantifyLeakage:
         assert int(bits) == 25
 
     def test_oblivious_program_zero_bits(self):
-        exe = transform_program(parse(SPLIT_LOOKUP.replace("16", "64", 1)))
+        exe = build_defense(parse(SPLIT_LOOKUP.replace("16", "64", 1))).executable()
         report = quantify_leakage(
             lambda secret: exe.run(secret=secret).profile,
             SecretDomain.of(exe.tree.program).exhaustive(),
@@ -155,7 +155,7 @@ class TestDistinguishability:
         assert distinguishability_advantage(run, {"s": 0}, {"s": 4}) == 1
 
     def test_advantage_zero_after_transform(self):
-        exe = transform_program(parse(SPLIT_LOOKUP.replace("16", "64", 1)))
+        exe = build_defense(parse(SPLIT_LOOKUP.replace("16", "64", 1))).executable()
         run = lambda secret: exe.run(secret=secret).profile
         assert distinguishability_advantage(run, {"s": 0}, {"s": 4}) == 0
 

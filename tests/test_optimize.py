@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from pfo.interp import AstExecutable
 from pfo.lang import parse, pretty
+from pfo.leakage import SecretDomain, verify_pfo
 from pfo.optimize import (
+    OptError,
+    build_defense,
     build_inplace,
     build_staged,
     opt_clone,
@@ -158,11 +163,49 @@ class TestLevelMerge:
         merged = opt_level_merge(build_staged(parse(src)))
         assert len(merged.plan.levels) > 1
 
+    def test_merged_code_copies_do_not_overlap(self):
+        # basic multiplexing puts a level's blocks side by side in SA_code;
+        # the merged fetch stacks foo's four levels after one another
+        build = build_defense(FOO, ("O3A",))
+        assert build.plan.mode == "basic" and len(build.plan.levels) == 1
+        spans = sorted((c.dst_offset, c.dst_offset + 4 * c.words)
+                       for c in build.plan.levels[0].fetch if c.kind == "code")
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
     def test_merge_reduces_code_copies(self):
         plain = build_staged(parse(CHAIN_SOURCE))
         merged = opt_level_merge(build_staged(parse(CHAIN_SOURCE)))
         assert merged.run(secret={"s": 3}).code_copy_ops <= \
                plain.run(secret={"s": 3}).code_copy_ops
+
+
+FOO = parse((Path(__file__).resolve().parent.parent / "corpus" / "foo.pfo").read_text())
+
+
+def exhaustive_verdict(build):
+    domain = SecretDomain.of(build.program)
+    return verify_pfo(lambda s: build.run(secret=s).profile, domain.exhaustive())
+
+
+def test_level_merge_survives_later_passes():
+    # O1 re-plans after O3A; the merge must be part of that plan
+    build = build_defense(FOO, ("O3A", "O1"))
+    assert [lp.covered() for lp in build.plan.levels] == [(1, 2, 3, 4)]
+    verdict = exhaustive_verdict(build)
+    assert verdict.oblivious and verdict.inputs_checked == 1 << 16
+
+
+def test_unknown_pass_rejected():
+    with pytest.raises(OptError, match="O9"):
+        build_defense(FOO, ("O1", "O9"))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "balance equalises data accesses per level, not where they fall among "
+    "code-only instructions: foo after O5 (and --opt all) has 2 profile classes"
+))
+def test_if_converted_foo_oblivious():
+    assert exhaustive_verdict(build_defense(FOO, ("O5",))).oblivious
 
 
 SHARED_CALLEE = """
