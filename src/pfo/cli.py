@@ -256,7 +256,22 @@ def _parse_strategy(spec: str) -> OsStrategy:
     raise CliFailure(f"unknown strategy {spec!r}", EXIT_USAGE)
 
 
+def _check_contract_flags(args) -> None:
+    """Reject flags that the chosen contract mode would ignore."""
+    if args.sweep:
+        for flag, given in (("--strategy", args.strategy is not None),
+                            ("--secret", bool(args.secret))):
+            if given:
+                raise CliFailure(f"{flag} cannot be used with --sweep", EXIT_USAGE)
+        if args.sample is not None and args.sample < 1:
+            raise CliFailure(f"--sample must be at least 1, got {args.sample}",
+                             EXIT_USAGE)
+    elif args.sample is not None:
+        raise CliFailure("--sample needs --sweep", EXIT_USAGE)
+
+
 def cmd_contract(args) -> int:
+    _check_contract_flags(args)
     program = _read_program(args.program)
     exe = AstExecutable(program, page_size=args.page_size)
     domain = SecretDomain.of(program)
@@ -272,12 +287,13 @@ def cmd_contract(args) -> int:
     }
     ok = True
     if args.sweep:
-        secrets = list(domain.sample(args.sample or 64, args.seed))
+        secrets = list(domain.sample(64 if args.sample is None else args.sample,
+                                     args.seed))
         report = check_contract_indistinguishability(exe, contract, secrets, policy)
         doc["sweep"] = report.to_json_dict()
         ok = report.indistinguishable if policy == FAKE_EXECUTE else True
     else:
-        strategy = _parse_strategy(args.strategy)
+        strategy = _parse_strategy("honest" if args.strategy is None else args.strategy)
         secrets = _parse_bindings(args.secret)
         _, observable = run_contractual(exe, contract, secrets, strategy, policy)
         doc["observable"] = {
@@ -394,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", parents=[common])
     p.add_argument("--program", required=True)
     p.add_argument("--policy", choices=["fake", "naive"], default="fake")
-    p.add_argument("--strategy", default="honest")
+    p.add_argument("--strategy", default=None)
     p.add_argument("--secret", action="append", default=[])
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--sample", type=int, default=None)

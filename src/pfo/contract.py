@@ -20,17 +20,26 @@ enclave handler, invisible to the OS.  Two handler policies are modeled:
 Stealing the reserved page aborts at the next context entry, regardless
 of whether the enclave would have touched it; the handler page is checked
 at entry, never at access time, so no double fault can arise.
+
+Every observable is therefore fixed by one integer, the termination step,
+and one rule gives it (`termination_steps`): for a page and a list of
+steal steps, the step at which each steal ends the run.  The access
+schedule behind it is read off a traced run's per-step footprints, and
+the indistinguishability sweep compares, page by page, one column of
+termination steps per secret instead of building a strategy and an
+observable per (page, step, secret).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
-from .ir import CallI, data_refs, lower_program
-from .lang import Program
-from .memory import AdversaryModel, PfoError, _instruction_groups
+from .ir import CallI, LoweredProgram, data_refs, lower_program
+from .memory import AdversaryModel, PfoError
 
 
 class ContractError(PfoError):
@@ -92,37 +101,31 @@ class AccessSchedule:
     total_steps: int
     page_steps: dict[int, tuple[int, ...]]
 
-    def first_access_at_or_after(self, page: int, step: int) -> Optional[int]:
-        steps = self.page_steps.get(page)
-        if not steps:
-            return None
-        i = bisect_left(steps, step)
-        return steps[i] if i < len(steps) else None
-
 
 def access_schedule(exe, secret=None, public=None) -> AccessSchedule:
+    """The steps at which a run needs each page, from its traced footprints.
+
+    A footprint's `need` lists its distinct pages, code page first, so
+    each page gets each step once and pages appear in first-touch order.
+    """
     result = exe.run(secret=secret, public=public,
                      model=AdversaryModel.infinite_memory(), collect_trace=True)
     if result.trap is not None:
         raise ContractError(f"contracted run trapped: {result.trap}")
-    pages: dict[int, list[int]] = {}
-    step = -1
-    for step, group in enumerate(_instruction_groups(result.trace)):
-        for ev in group:
-            bucket = pages.setdefault(ev.page, [])
-            if not bucket or bucket[-1] != step:
-                bucket.append(step)
-    total = step + 1
-    return AccessSchedule(total, {p: tuple(s) for p, s in pages.items()})
+    footprints = result.footprints
+    pages: defaultdict[int, list[int]] = defaultdict(list)
+    for step, fp in enumerate(footprints):
+        for page in fp.need:
+            pages[page].append(step)
+    return AccessSchedule(len(footprints), {p: tuple(s) for p, s in pages.items()})
 
 
-def _reachable_functions(program: Program) -> set[str]:
-    lowered = lower_program(program)
+def _reachable_functions(lowered: LoweredProgram, entry: str) -> set[str]:
     edges: dict[str, set[str]] = {}
     for name, fn in lowered.functions.items():
         edges[name] = {i.fn for i in fn.instrs if isinstance(i, CallI)}
     seen: set[str] = set()
-    frontier = [program.entry.name]
+    frontier = [entry]
     while frontier:
         fn = frontier.pop()
         if fn in seen:
@@ -144,7 +147,7 @@ def derive_contract(exe, probe_secrets: Iterable[dict],
     program = exe.program
     layout = exe.layout
     lowered = lower_program(program)
-    reachable = _reachable_functions(program)
+    reachable = _reachable_functions(lowered, program.entry.name)
 
     code_pages: set[int] = set()
     for name in reachable:
@@ -180,6 +183,36 @@ def derive_contract(exe, probe_secrets: Iterable[dict],
     )
 
 
+def termination_steps(schedule: AccessSchedule, contract: Contract, page: int,
+                      steps: Sequence[int], policy: str) -> list[int]:
+    """The steal rule: the step at which the run ends when the OS steals
+    `page` at each of `steps`.
+
+    Stealing the reserved page ends the run at the steal (an abort on
+    entry).  Any other page never faults to the OS: under fake execution
+    the run always ends at the full schedule length; under naive
+    termination it ends at the page's next access, or at the full length
+    if the page is not touched again.
+    """
+    total = contract.total_steps
+    if policy != NAIVE_TERMINATE and policy != FAKE_EXECUTE:
+        raise ContractError(f"unknown policy {policy!r}")
+    if steps and not (0 <= min(steps) and max(steps) <= total):
+        bad = next(s for s in steps if not 0 <= s <= total)
+        raise ContractError(f"steal step {bad} outside [0, {total}]")
+    if page == contract.reserved_page:
+        return list(steps)
+    accesses = schedule.page_steps.get(page)
+    if policy == FAKE_EXECUTE or not accesses:
+        # the fake-execution handler spins out the remaining time from its
+        # dedicated counter, then exits at the full schedule length
+        return [total] * len(steps)
+    # every access is before `total`, so the first entry at or after a
+    # steal step is the next access, else `total`
+    ends = accesses + (total,)
+    return list(map(ends.__getitem__, map(bisect_left, repeat(ends), steps)))
+
+
 def observable_for(schedule: AccessSchedule, contract: Contract,
                    strategy: OsStrategy, policy: str) -> EnclaveObservable:
     """Enclave-visible outcome of one run under a steal strategy.
@@ -191,23 +224,10 @@ def observable_for(schedule: AccessSchedule, contract: Contract,
         return EnclaveObservable((), contract.total_steps, "normal")
     if strategy.variant != "steal":
         raise ContractError(f"unknown strategy {strategy.variant!r}")
-    if not (0 <= strategy.step <= contract.total_steps):
-        raise ContractError(
-            f"steal step {strategy.step} outside [0, {contract.total_steps}]"
-        )
-    if strategy.page == contract.reserved_page:
-        # checked at context entry, regardless of accesses; never a fault
-        return EnclaveObservable((), strategy.step, "abort-on-entry")
-    fault_step = schedule.first_access_at_or_after(strategy.page, strategy.step)
-    if fault_step is None:
-        return EnclaveObservable((), contract.total_steps, "normal")
-    if policy == NAIVE_TERMINATE:
-        return EnclaveObservable((), fault_step, "normal")
-    if policy == FAKE_EXECUTE:
-        # the handler spins out the remaining time from its dedicated
-        # counter, then exits at the full schedule length
-        return EnclaveObservable((), contract.total_steps, "normal")
-    raise ContractError(f"unknown policy {policy!r}")
+    (end,) = termination_steps(schedule, contract, strategy.page,
+                               (strategy.step,), policy)
+    kind = "abort-on-entry" if strategy.page == contract.reserved_page else "normal"
+    return EnclaveObservable((), end, kind)
 
 
 def run_contractual(exe, contract: Contract, secret, strategy: OsStrategy,
@@ -271,7 +291,12 @@ def check_contract_indistinguishability(
     Under fake execution all non-abort observables must form one class;
     abort observables (reserved-page theft) must at least be independent
     of the secret.  Under naive termination the report names the first
-    distinguishing steal point.
+    distinguishing steal point, in page, then step, then secret order.
+
+    A non-abort observable is its termination step, so each page is one
+    column of `termination_steps` per secret: the classes are the distinct
+    steps in the columns plus the honest run's, and a steal distinguishes
+    where a column departs from the first secret's.
     """
     secret_list = list(secrets)
     schedules = [access_schedule(exe, s, public) for s in secret_list]
@@ -282,40 +307,47 @@ def check_contract_indistinguishability(
     page_list = sorted(pages if pages is not None else contract.bucket)
     step_list = list(steps if steps is not None else range(contract.total_steps + 1))
 
-    non_abort: set[EnclaveObservable] = set()
-    aborts_consistent = True
-    distinguishing = None
-    strategies = 1  # honest
-    for sched in schedules:
-        non_abort.add(observable_for(sched, contract, OsStrategy.honest(), policy))
+    strategies = 1 + len(page_list) * len(step_list)  # honest, then steals
+    if not schedules:
+        # no observables at all, so none of the aborts agree either
+        aborts = not (step_list and contract.reserved_page in page_list)
+        return SweepReport(policy, 0, strategies, 0, aborts, aborts)
 
+    classes = {contract.total_steps}  # the honest run's
+    distinguishing = None
     for page in page_list:
-        for step in step_list:
-            strategies += 1
-            strategy = OsStrategy.steal(page, step)
-            per_secret = [
-                observable_for(sched, contract, strategy, policy)
-                for sched in schedules
-            ]
-            if page == contract.reserved_page:
-                if len(set(per_secret)) != 1:
-                    aborts_consistent = False
+        first, *rest = [
+            termination_steps(sched, contract, page, step_list, policy)
+            for sched in schedules
+        ]
+        if page == contract.reserved_page:
+            # an abort at the steal step whatever the secret, so the aborts
+            # always agree
+            continue
+        classes.update(first)
+        diverge = None  # (step index, secret index)
+        for i, column in enumerate(rest, 1):
+            if column == first:
                 continue
-            for i, obs in enumerate(per_secret):
-                if distinguishing is None and obs != per_secret[0]:
-                    distinguishing = (
-                        page, step,
-                        tuple(sorted(secret_list[0].items())),
-                        tuple(sorted(secret_list[i].items())),
-                    )
-                non_abort.add(obs)
+            classes.update(column)
+            if distinguishing is None:
+                j = next(j for j, (a, b) in enumerate(zip(first, column)) if a != b)
+                if diverge is None or j < diverge[0]:
+                    diverge = (j, i)
+        if diverge is not None:
+            j, i = diverge
+            distinguishing = (
+                page, step_list[j],
+                tuple(sorted(secret_list[0].items())),
+                tuple(sorted(secret_list[i].items())),
+            )
 
     return SweepReport(
         policy=policy,
         secrets_checked=len(secret_list),
         strategies_checked=strategies,
-        observable_classes=len(non_abort),
-        aborts_consistent=aborts_consistent,
-        indistinguishable=len(non_abort) <= 1 and aborts_consistent,
+        observable_classes=len(classes),
+        aborts_consistent=True,
+        indistinguishable=len(classes) <= 1,
         distinguishing=distinguishing,
     )

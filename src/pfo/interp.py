@@ -31,6 +31,14 @@ pages are layout-dependent; runs are then cheap and allocation-light:
 The canonical initial array image is computed once per `ObjectTable`;
 each run starts from a fresh copy of it, and its `SimulationResult.store`
 holds those same arrays as the run left them, not further copies.
+
+A traced run stores its trace as the footprint of each step, in step
+order (`SimulationResult.footprints`), not as events: `Sink.instr`
+appends the interned `Footprint` and nothing else.  `SimulationResult.trace`
+expands that list once, on first read, into the `AccessEvent` stream:
+the code fetch, then each data operand, stamped with a counter that
+rises by one per event.  Consumers that need only pages per step (the
+contract layer's access schedule) read the footprints directly.
 """
 
 from __future__ import annotations
@@ -107,12 +115,22 @@ class SimulationResult:
     code_copy_ops: int
     mux_accesses: int
     trap: Optional[TrapInfo] = None
-    trace: Optional[list[AccessEvent]] = None
+    footprints: Optional[list[Footprint]] = field(default=None, repr=False)
     store: dict[str, list[int]] = field(default_factory=dict)
+    _trace: Optional[list[AccessEvent]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def faults(self) -> int:
         return len(self.profile)
+
+    @property
+    def trace(self) -> Optional[list[AccessEvent]]:
+        """The traced run's page events (`None` if untraced), expanded from
+        its footprints on first read."""
+        if self._trace is None and self.footprints is not None:
+            self._trace = _expand_trace(self.footprints)
+        return self._trace
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -159,6 +177,19 @@ class Footprint:
         self.need = need
         self.need_set = frozenset(need)
 
+    # footprints compare by value, not by which table interned them, so two
+    # traced results are equal exactly when their events are
+    def _key(self) -> tuple:
+        return (self.code, self.pages, self.kinds)
+
+    def __eq__(self, other):
+        if not isinstance(other, Footprint):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 class FootprintTable:
     """Interns footprints, and the page sets of equal footprints' needs."""
@@ -177,12 +208,27 @@ class FootprintTable:
         return got
 
 
+def _expand_trace(footprints: list[Footprint]) -> list[AccessEvent]:
+    """Each step's code fetch and data operand events, numbered in order."""
+    events: list[AccessEvent] = []
+    append = events.append
+    fetch = EventKind.CODE_FETCH
+    n = 0
+    for fp in footprints:
+        append(AccessEvent(fetch, fp.code, n))
+        n += 1
+        for p, k in zip(fp.pages, fp.kinds):
+            append(AccessEvent(k, p, n))
+            n += 1
+    return events
+
+
 class Sink:
     """Event sink: step accounting, optional trace, optional pigeonhole."""
 
     __slots__ = (
         "pigeonhole", "limit", "resident", "faults", "steps",
-        "copy_ops", "code_copy_ops", "mux_accesses", "events", "ev_step",
+        "copy_ops", "code_copy_ops", "mux_accesses", "footprints",
     )
 
     def __init__(self, pigeonhole: bool, limit: int, collect: bool):
@@ -194,24 +240,18 @@ class Sink:
         self.copy_ops = 0
         self.code_copy_ops = 0
         self.mux_accesses = 0
-        self.events: Optional[list[AccessEvent]] = [] if collect else None
-        self.ev_step = 0
+        self.footprints: Optional[list[Footprint]] = [] if collect else None
 
     def instr(self, fp: Footprint) -> None:
-        """One instruction step: the pigeonhole rule.
+        """One instruction step: the trace, then the pigeonhole rule.
 
         The OS keeps exactly the pages the previous instruction needed, so
         every needed page not resident faults.  While the resident set is
         this footprint's own set, every needed page is resident.
         """
         self.steps += 1
-        events = self.events
-        if events is not None:
-            events.append(AccessEvent(EventKind.CODE_FETCH, fp.code, self.ev_step))
-            self.ev_step += 1
-            for p, k in zip(fp.pages, fp.kinds):
-                events.append(AccessEvent(k, p, self.ev_step))
-                self.ev_step += 1
+        if self.footprints is not None:
+            self.footprints.append(fp)
         if self.pigeonhole and self.resident is not fp.need_set:
             need = fp.need
             if len(need) > self.limit:
@@ -770,7 +810,7 @@ def _result(exe, st: State, trap: Optional[TrapInfo]) -> SimulationResult:
         code_copy_ops=sink.code_copy_ops,
         mux_accesses=sink.mux_accesses,
         trap=trap,
-        trace=sink.events,
+        footprints=sink.footprints,
         store={name: st.arrays[i] for name, i in exe._stored},
     )
 

@@ -309,6 +309,20 @@ class TestAttackAndContract:
         assert code == 0
         assert json.loads(out)["observable"]["termination_step"] == term
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--sweep", "--strategy", "steal:2@10"], "--strategy"),
+        (["--sweep", "--secret", "d=5"], "--secret"),
+        (["--sweep", "--sample", "0"], "--sample"),
+        (["--sample", "8"], "--sample"),
+    ])
+    def test_contract_rejects_ignored_flags(self, extra, flag, capsys):
+        code, out, err = run_cli(
+            ["contract", "--program", str(CORPUS / "powm.pfo")] + extra, capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
 
 class TestCorpusSuites:
     def test_attacks_suite_markdown(self, capsys):

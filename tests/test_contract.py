@@ -1,24 +1,32 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from pfo.contract import (
     FAKE_EXECUTE,
     NAIVE_TERMINATE,
+    AccessSchedule,
     Contract,
     ContractError,
     OsStrategy,
+    SweepReport,
     access_schedule,
     check_contract_indistinguishability,
     derive_contract,
+    observable_for,
     run_contractual,
     steal_many,
 )
 from pfo.corpus import make_table_cases, powm_balanced_source
-from pfo.interp import AstExecutable
+from pfo.interp import AstExecutable, Footprint, SimulationResult
 from pfo.lang import parse
+from pfo.leakage import SecretDomain
+from pfo.memory import AdversaryModel, EventKind, _instruction_groups
+from pfo.suites import CONTRACT_WIDTHS, contract_case
 
 RNG = random.Random(7)
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def aes_exe(key_bits=16):
@@ -180,3 +188,173 @@ class TestIndistinguishabilitySweep:
             exe, contract, [{}], FAKE_EXECUTE
         )
         assert report.indistinguishable
+
+
+def brute_force_sweep(exe, contract, secrets, policy, steps=None, public=None):
+    """The sweep as its definition states it: one `observable_for` per
+    (page, step, secret), in page, then step, then secret order."""
+    schedules = [access_schedule(exe, s, public) for s in secrets]
+    if steps is None:
+        steps = range(contract.total_steps + 1)
+    pages = sorted(contract.bucket)
+    non_abort = {observable_for(sched, contract, OsStrategy.honest(), policy)
+                 for sched in schedules}
+    aborts_consistent = True
+    distinguishing = None
+    strategies = 1
+    for page in pages:
+        for step in steps:
+            strategies += 1
+            per_secret = [
+                observable_for(sched, contract, OsStrategy.steal(page, step), policy)
+                for sched in schedules
+            ]
+            if page == contract.reserved_page:
+                aborts_consistent &= len(set(per_secret)) == 1
+                continue
+            for i, obs in enumerate(per_secret):
+                if distinguishing is None and obs != per_secret[0]:
+                    distinguishing = (page, step,
+                                      tuple(sorted(secrets[0].items())),
+                                      tuple(sorted(secrets[i].items())))
+                non_abort.add(obs)
+    return SweepReport(
+        policy=policy,
+        secrets_checked=len(secrets),
+        strategies_checked=strategies,
+        observable_classes=len(non_abort),
+        aborts_consistent=aborts_consistent,
+        indistinguishable=len(non_abort) <= 1 and aborts_consistent,
+        distinguishing=distinguishing,
+    )
+
+
+class ScriptedExe:
+    """An executable whose traced runs replay fixed footprint lists, one
+    per value of the secret `s`."""
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    def run(self, secret=None, public=None, model=None, collect_trace=False):
+        footprints = list(self.runs[secret["s"]])
+        return SimulationResult({}, [], len(footprints), 0, 0, 0,
+                                footprints=footprints if collect_trace else None)
+
+
+def scripted_runs():
+    """Four steps on code page 0; data page 1 read at different steps.
+
+    Against secret 0 (reads at 1 and 3), secret 1 (reads at 1 and 2)
+    first diverges at steal step 2 and secret 2 (reads at 0 and 3) at
+    step 0: a later secret diverging at an earlier step."""
+    code = Footprint(0)
+    read = Footprint(0, (1,), (EventKind.DATA_READ,))
+    return {
+        0: [code, read, code, read],
+        1: [code, read, read, code],
+        2: [read, code, code, read],
+    }
+
+
+class TestIntegerSweep:
+    @pytest.mark.parametrize("policy", [FAKE_EXECUTE, NAIVE_TERMINATE])
+    @pytest.mark.parametrize("name", ["aes", "powm", "eddsa"])
+    def test_matches_brute_force_over_full_step_range(self, name, policy):
+        width = CONTRACT_WIDTHS.get(name, 12)
+        exe, probes, secret_name = contract_case(name, width)
+        contract = derive_contract(exe, probes)
+        rng = random.Random(11)
+        secrets = probes + [{secret_name: rng.randrange(1 << width)}
+                            for _ in range(6)]
+        report = check_contract_indistinguishability(exe, contract, secrets, policy)
+        assert report == brute_force_sweep(exe, contract, secrets, policy)
+        assert report.strategies_checked == (
+            1 + len(contract.bucket) * (contract.total_steps + 1))
+        if policy == NAIVE_TERMINATE and name != "eddsa":
+            assert report.distinguishing is not None
+
+    @pytest.mark.parametrize("policy", [FAKE_EXECUTE, NAIVE_TERMINATE])
+    def test_distinguishing_is_step_major_across_secrets(self, policy):
+        exe = ScriptedExe(scripted_runs())
+        contract = Contract(frozenset({0}), frozenset({1}), 2, 4)
+        secrets = [{"s": 0}, {"s": 1}, {"s": 2}]
+        report = check_contract_indistinguishability(exe, contract, secrets, policy)
+        assert report == brute_force_sweep(exe, contract, secrets, policy)
+        if policy == NAIVE_TERMINATE:
+            assert report.distinguishing == (1, 0, (("s", 0),), (("s", 2),))
+            assert report.observable_classes == 5  # ends 0..4
+        else:
+            assert report.distinguishing is None
+
+    def test_schedule_from_scripted_footprints(self):
+        exe = ScriptedExe(scripted_runs())
+        assert access_schedule(exe, {"s": 1}) == AccessSchedule(
+            4, {0: (0, 1, 2, 3), 1: (1, 2)})
+
+    def test_out_of_range_steal_step_raises(self):
+        exe = aes_exe(key_bits=8)
+        contract = derive_contract(exe, [{"k": 0}, {"k": 255}])
+        schedule = access_schedule(exe, {"k": 3})
+        page = min(contract.data_pages)
+        for step in (-1, contract.total_steps + 1):
+            with pytest.raises(ContractError, match="outside"):
+                observable_for(schedule, contract, OsStrategy.steal(page, step),
+                               NAIVE_TERMINATE)
+            with pytest.raises(ContractError, match="outside"):
+                check_contract_indistinguishability(
+                    exe, contract, [{"k": 3}], FAKE_EXECUTE, steps=[0, step])
+
+    def test_unknown_policy_raises(self):
+        exe = aes_exe(key_bits=8)
+        contract = derive_contract(exe, [{"k": 0}, {"k": 255}])
+        schedule = access_schedule(exe, {"k": 3})
+        page = min(contract.data_pages)
+        with pytest.raises(ContractError, match="unknown policy"):
+            observable_for(schedule, contract, OsStrategy.steal(page, 0), "bogus")
+        with pytest.raises(ContractError, match="unknown policy"):
+            check_contract_indistinguishability(exe, contract, [{"k": 3}], "bogus")
+
+
+def reference_schedule(trace) -> AccessSchedule:
+    """The schedule regrouped from expanded events, one group per step."""
+    pages: dict[int, list[int]] = {}
+    step = -1
+    for step, group in enumerate(_instruction_groups(trace)):
+        for ev in group:
+            steps = pages.setdefault(ev.page, [])
+            if not steps or steps[-1] != step:
+                steps.append(step)
+    return AccessSchedule(step + 1, {p: tuple(s) for p, s in pages.items()})
+
+
+class TestAccessSchedule:
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.pfo")), ids=lambda p: p.stem)
+    def test_matches_regrouped_trace(self, path):
+        program = parse(path.read_text())
+        exe = AstExecutable(program)
+        for secret in SecretDomain.of(program).sample(2, 0):
+            traced = exe.run(secret=secret, model=AdversaryModel.infinite_memory(),
+                             collect_trace=True)
+            schedule = access_schedule(exe, secret)
+            reference = reference_schedule(traced.trace)
+            assert schedule == reference
+            assert list(schedule.page_steps) == list(reference.page_steps)
+
+    def test_trapping_run_rejected(self):
+        exe = AstExecutable(parse("""
+        #pragma page_size 16
+        public int i;
+        output int y;
+        int t[4];
+        fn main() {
+          t[0] = 7;
+          y = t[i];
+        }
+        """))
+        traced = exe.run(public={"i": 9}, model=AdversaryModel.infinite_memory(),
+                         collect_trace=True)
+        assert traced.trap is not None
+        assert reference_schedule(traced.trace).total_steps == len(traced.footprints)
+        with pytest.raises(ContractError, match="trapped"):
+            access_schedule(exe, public={"i": 9})

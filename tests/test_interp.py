@@ -265,6 +265,39 @@ TRAP_EXPECTED = {
 }
 
 
+def _check_expanded_trace(traced, plain):
+    """A traced run's events are numbered 0..n-1, one code fetch per
+    recorded footprint, and replay to the untraced run's profile."""
+    trace = traced.trace
+    assert trace is traced.trace  # expanded once, then cached
+    assert [ev.step for ev in trace] == list(range(len(trace)))
+    fetches = sum(1 for ev in trace if ev.kind is EventKind.CODE_FETCH)
+    assert fetches == len(traced.footprints)
+    assert observe_profile(trace, AdversaryModel.pigeonhole()) == plain.profile
+
+
+def test_expanded_trace_numbers_events_and_replays():
+    for name, exe, secret in _trace_cases():
+        plain = exe.run(secret=secret)
+        _check_expanded_trace(exe.run(secret=secret, collect_trace=True), plain)
+    exe = AstExecutable(parse(TRAP_AFTER_TAIL_RETURN))
+    for public in ({"i": 3, "d": 1}, {"i": 1, "d": 0}):
+        traced = exe.run(public=public, collect_trace=True)
+        assert traced.trap is not None
+        _check_expanded_trace(traced, exe.run(public=public))
+
+
+def test_traced_results_compare_by_events_not_footprint_identity():
+    program = parse(SPLIT_LOOKUP)
+    first = AstExecutable(program).run(secret={"s": 5}, collect_trace=True)
+    second = AstExecutable(program).run(secret={"s": 5}, collect_trace=True)
+    assert first.footprints[0] is not second.footprints[0]
+    first.trace  # expanding one side's trace does not change equality
+    assert first == second
+    assert first != AstExecutable(program).run(secret={"s": 5})
+    assert first != AstExecutable(program).run(secret={"s": 1}, collect_trace=True)
+
+
 @pytest.mark.parametrize("mode", ["ast", "tree"])
 @pytest.mark.parametrize("public, kind", [
     ({"i": 3, "d": 1}, "index-oob"),
