@@ -16,7 +16,6 @@ from .memory import (
     MemoryLayout,
     PageModelError,
     PfoError,
-    Staging,
     observe_profile,
     page_of,
 )

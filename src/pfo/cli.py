@@ -2,11 +2,12 @@
 
 Subcommands: parse, analyze, transform, simulate, verify, leak, attack,
 contract, corpus.  Exit codes: 0 ok, 1 assertion failure, 2 usage error,
-3 internal error.  All sampled work is driven by --seed, and reports are
-emitted with stable ordering, so identical invocations produce identical
-bytes.  `transform` and every `--transformed` run build their defense
-through `optimize.build_defense`, the single entry point that composes
-passes.
+3 internal error.  A command accepts --page-size, --seed and --out only
+where they take effect.  All sampled work is driven by --seed, and
+reports are emitted with stable ordering, so identical invocations
+produce identical bytes.  `transform` and every `--transformed` run build
+their defense through `optimize.build_defense`, the single entry point
+that composes passes.
 """
 
 from __future__ import annotations
@@ -355,32 +356,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pfo",
         description="page-fault-oblivious compilation and analysis toolkit",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--page-size", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--out", default=None)
+    # each shared flag goes only to the commands it takes effect in
+    shared = {}
+    for flag, kwargs in (("--json", {"action": "store_true"}),
+                         ("--page-size", {"type": int, "default": None}),
+                         ("--seed", {"type": int, "default": 0}),
+                         ("--out", {"default": None})):
+        shared[flag] = argparse.ArgumentParser(add_help=False)
+        shared[flag].add_argument(flag, **kwargs)
+
+    def flags(*names):
+        return [shared[n] for n in ("--json",) + names]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common])
+    p = sub.add_parser("parse", parents=flags("--out"))
     p.add_argument("program")
     p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("analyze", parents=[common])
+    p = sub.add_parser("analyze", parents=flags("--out"))
     p.add_argument("program")
     p.add_argument("--balance", action="store_true")
     p.add_argument("--dot", default=None)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("transform", parents=[common])
+    # no abbreviations, so `--out` is rejected, not read as `--output`
+    p = sub.add_parser("transform", parents=flags("--page-size", "--seed"),
+                       allow_abbrev=False)
     p.add_argument("program")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--mux", choices=["basic", "compacted", "auto"], default="auto")
     p.add_argument("--opt", default="")
     p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("simulate", parents=[common])
+    p = sub.add_parser("simulate", parents=flags("--page-size", "--out"))
     p.add_argument("--program", required=True)
     p.add_argument("--secret", action="append", default=[])
     p.add_argument("--public", action="append", default=[])
@@ -391,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     for name, fn in (("verify", cmd_verify), ("leak", cmd_leak)):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=flags("--page-size", "--seed", "--out"))
         p.add_argument("--program", required=True)
         p.add_argument("--public", action="append", default=[])
         p.add_argument("--transformed", action="store_true")
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exhaustive-limit", type=int, default=1 << 20)
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("attack", parents=[common])
+    p = sub.add_parser("attack", parents=flags("--page-size", "--out"))
     p.add_argument("--oracle", required=True, choices=["eddsa", "powm", "table"])
     p.add_argument("--program", required=True)
     p.add_argument("--secret", action="append", default=[])
@@ -407,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=1)
     p.set_defaults(fn=cmd_attack)
 
-    p = sub.add_parser("contract", parents=[common])
+    p = sub.add_parser("contract", parents=flags("--page-size", "--seed", "--out"))
     p.add_argument("--program", required=True)
     p.add_argument("--policy", choices=["fake", "naive"], default="fake")
     p.add_argument("--strategy", default=None)
@@ -416,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None)
     p.set_defaults(fn=cmd_contract)
 
-    p = sub.add_parser("corpus", parents=[common])
+    p = sub.add_parser("corpus", parents=flags("--seed", "--out"))
     p.add_argument("suite")
     p.add_argument("--opt", default="")
     p.add_argument("--sample", type=int, default=None)

@@ -6,9 +6,11 @@ Two execution modes share one micro-op compiler:
   transfer control, loop trip counts follow the data.  This is the
   reference semantics and what vanilla attack simulations run on.
 * tree mode (`TreeExecutable`): a materialized execution tree is walked
-  root to leaf; branches pick children.  Transformed (multiplexed)
-  programs are tree executions with staging schedules wrapped around each
-  level (see `transform`).
+  root to leaf, each block one flat tuple of closures; branches pick
+  children.  Transformed (multiplexed) programs are tree executions whose
+  block tuples also hold the staging schedule: the copies that enter the
+  level, the selector update and, after a leaf, the last copy-back (see
+  `transform.MultiplexedExecutable`).
 
 Every micro-op costs one logical step and emits one code fetch plus its
 data operand events; staging copies cost one step per word moved.  The
@@ -46,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .exectree import Block, ExecutionTree
+from .exectree import ExecutionTree
 from .ir import (
     BinI,
     BranchI,
@@ -648,17 +650,9 @@ class AstExecutable:
             for name in self.objects.names if name != PAD_OBJECT
         ]
 
-    def _code_pages(self, name: str) -> list[int]:
-        fn = self.lowered.functions[name]
-        extents = self.layout.code_extents(name) if fn.instrs else ()
-        pages: list[int] = []
-        for ext in extents:
-            pages.extend([ext.page] * (ext.length // WORD_SIZE))
-        return pages
-
     def _compile_function(self, name: str):
         fn = self.lowered.functions[name]
-        pages = self._code_pages(name)
+        pages = _code_pages(self.layout, name, len(fn.instrs))
         compiler = self._compiler
         runners = self._fn_runners
 
@@ -785,6 +779,19 @@ def _no_op(st: State) -> None:
     pass
 
 
+def _code_pages(layout: MemoryLayout, unit: str, count: int) -> list[int]:
+    """The code page of each of a unit's `count` one-word instructions: the
+    page holding its first byte (past the unit's extents, the last one)."""
+    pages: list[int] = []
+    end = 0
+    for ext in layout.code_extents(unit) if count else ():
+        end += ext.length
+        while len(pages) < count and len(pages) * WORD_SIZE < end:
+            pages.append(ext.page)
+    pages.extend(pages[-1:] * (count - len(pages)))
+    return pages
+
+
 def _start(exe, model: Optional[AdversaryModel], collect_trace: bool,
            secret: dict[str, int] | None, public: dict[str, int] | None) -> State:
     """A run's state: a fresh sink, the register template and array image,
@@ -852,64 +859,53 @@ def _bind_inputs(program: Program, decl_slots, st: State, canon,
 class TreeExecutable:
     """Root-to-leaf walker over a (possibly balanced) execution tree.
 
-    Optional hooks let the transform wrap levels with staging phases:
-    `on_level(st, block)` runs before a block executes, `on_block_end(st,
-    block)` after it, and `on_exit(st, leaf)` after the leaf; block
-    instructions may be relocated and redirected by supplying `compiler`
-    and `code_page_for`.
+    Each block compiles to one flat tuple of closures, its instructions at
+    their own code pages; a run calls a block's closures in order, then
+    moves to the child its branch picked.  `transform.MultiplexedExecutable`
+    builds the same tuples with the staging schedule compiled in.
     """
 
     def __init__(self, tree: ExecutionTree, layout: Optional[MemoryLayout] = None,
-                 page_size: Optional[int] = None,
-                 objects: Optional[ObjectTable] = None,
-                 compiler: Optional[_OpCompiler] = None,
-                 code_page_for: Optional[Callable[[Block, int], int]] = None,
-                 on_level: Optional[Callable] = None,
-                 on_block_end: Optional[Callable] = None,
-                 on_exit: Optional[Callable] = None):
-        self.tree = tree
+                 page_size: Optional[int] = None):
         program = tree.program
-        self.program = program
         if layout is None:
             layout = build_tree_layout(tree, program.resolve_page_size(page_size))
+        objects = ObjectTable(program, layout)
+        compiler = _OpCompiler(program, objects, program.int_width, tree.alloc)
+        self._link(tree, layout, objects, compiler, {
+            b.id: tuple(map(compiler.compile, b.instrs,
+                            _code_pages(layout, b.name(), len(b.instrs))))
+            for b in tree.blocks
+        })
+
+    def _link(self, tree: ExecutionTree, layout: MemoryLayout,
+              objects: ObjectTable, compiler: _OpCompiler,
+              closures: dict[int, tuple]) -> None:
+        """Make runs walk `tree`, calling each block's `closures` (by block
+        id); call it once every closure is compiled (it fixes the registers)."""
+        self.tree = tree
+        self.program = tree.program
         self.layout = layout
-        self.objects = objects or ObjectTable(program, layout)
-        self.width = program.int_width
-        self.compiler = compiler or _OpCompiler(program, self.objects, self.width,
-                                                tree.alloc)
-        self.canon = self.compiler.canon
-        self.on_level = on_level
-        self.on_block_end = on_block_end
-        self.on_exit = on_exit
-
-        if code_page_for is None:
-            def code_page_for(block: Block, idx: int) -> int:
-                extents = layout.code_extents(f"BB{block.id}")
-                byte = idx * WORD_SIZE
-                for ext in extents:
-                    if byte < ext.length:
-                        return ext.page
-                    byte -= ext.length
-                return extents[-1].page
-
-        self._block_runners: dict[int, Callable] = {}
-        for block in tree.blocks:
-            closures = tuple(
-                self.compiler.compile(instr, code_page_for(block, i))
-                for i, instr in enumerate(block.instrs)
-            )
-            def run_block(st: State, closures=closures):
-                for f in closures:
-                    f(st)
-            self._block_runners[block.id] = run_block
-
-        self._decl_slots = self.compiler.decl_slots
-        self._regs0 = self.compiler.regs0()
+        self.objects = objects
+        self.canon = compiler.canon
+        self._decl_slots = compiler.decl_slots
+        self._regs0 = compiler.regs0()
         self._stored = [
-            (name, self.objects.index[name])
-            for name in self.objects.names
+            (name, objects.index[name])
+            for name in objects.names
             if name != PAD_OBJECT and not name.startswith("__sa")
         ]
+        # a node is (closures, successors indexed by `st.branch`, or None for
+        # a leaf); deepest blocks first, so every child's node exists
+        nodes: dict[int, tuple] = {}
+        for b in sorted(tree.blocks, key=lambda b: -b.level):
+            kids = None
+            if b.children:
+                first = nodes[b.children[0].id]
+                kids = (first, first) if b.branch is None \
+                    else (nodes[b.children[1].id], first)
+            nodes[b.id] = (closures[b.id], kids)
+        self._root = nodes[tree.root.id]
 
     def run(self, secret: dict[str, int] | None = None,
             public: dict[str, int] | None = None,
@@ -917,22 +913,13 @@ class TreeExecutable:
             collect_trace: bool = False) -> SimulationResult:
         st = _start(self, model, collect_trace, secret, public)
         trap = None
+        node = self._root
         try:
-            block = self.tree.root
-            while True:
-                if self.on_level is not None:
-                    self.on_level(st, block)
-                self._block_runners[block.id](st)
-                if self.on_block_end is not None:
-                    self.on_block_end(st, block)
-                if block.is_leaf:
-                    break
-                if block.branch is not None:
-                    block = block.children[0] if st.branch else block.children[1]
-                else:
-                    block = block.children[0]
-            if self.on_exit is not None:
-                self.on_exit(st, block)
+            while node is not None:
+                closures, kids = node
+                for f in closures:
+                    f(st)
+                node = None if kids is None else kids[st.branch]
         except SimTrap as t:
             trap = t.info
         return _result(self, st, trap)

@@ -19,18 +19,11 @@ def _pages_spanned(extents: tuple[Extent, ...]) -> int:
     return max(e.page for e in extents) + 1 if extents else 0
 
 
-def _data_extent_map(
-    program: Program,
-    page_size: int,
-    next_free: int,
-    include_pad: bool,
-    extra_arrays: dict[str, int] | None = None,
-) -> tuple[dict[str, tuple[Extent, ...]], int]:
+def _data_extent_map(program: Program, page_size: int, next_free: int,
+                     include_pad: bool) -> dict[str, tuple[Extent, ...]]:
     placements = {p.name: p for p in program.placements if p.kind == "data"}
     data_map: dict[str, tuple[Extent, ...]] = {}
     arrays = {d.name: d.byte_length for d in program.arrays}
-    if extra_arrays:
-        arrays.update(extra_arrays)
     for name, byte_len in arrays.items():
         p = placements.get(name)
         if p is not None:
@@ -43,10 +36,7 @@ def _data_extent_map(
         next_free = _pages_spanned(data_map[name])
     if include_pad and PAD_OBJECT not in data_map:
         data_map[PAD_OBJECT] = split_extents(page_size, next_free, 0, WORD_SIZE)
-        next_free += 1
-    for extents in data_map.values():
-        next_free = max(next_free, _pages_spanned(extents))
-    return data_map, next_free
+    return data_map
 
 
 def build_ast_layout(lowered: LoweredProgram, page_size: int) -> MemoryLayout:
@@ -70,7 +60,7 @@ def build_ast_layout(lowered: LoweredProgram, page_size: int) -> MemoryLayout:
             continue
         code_map[name] = split_extents(page_size, next_free, 0, byte_len)
         next_free = _pages_spanned(code_map[name])
-    data_map, _ = _data_extent_map(program, page_size, next_free, include_pad=False)
+    data_map = _data_extent_map(program, page_size, next_free, include_pad=False)
     return MemoryLayout(page_size=page_size, code_map=code_map, data_map=data_map)
 
 
@@ -113,7 +103,7 @@ def build_tree_layout(tree: ExecutionTree, page_size: int) -> MemoryLayout:
         end = place_group(by_origin[origin], next_free, 0)
         next_free = end
 
-    data_map, _ = _data_extent_map(program, page_size, next_free, include_pad=True)
+    data_map = _data_extent_map(program, page_size, next_free, include_pad=True)
     return MemoryLayout(page_size=page_size, code_map=code_map, data_map=data_map)
 
 

@@ -326,10 +326,6 @@ class PowmSkeleton:
     trailing: int              # squarings after the last fetch
     window: int
 
-    @property
-    def total_bits(self) -> int:
-        return sum(self.runs) + self.trailing
-
     def determined_bits(self) -> list[Optional[int]]:
         """Bit values fixed by the skeleton alone (None where ambiguous).
 

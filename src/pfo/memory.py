@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 
 class PfoError(Exception):
@@ -93,33 +93,20 @@ def split_extents(page_size: int, page: int, offset: int, length: int) -> tuple[
 
 
 @dataclass(frozen=True)
-class Staging:
-    """Pages reserved for the staging areas of a transformed program."""
-
-    sa_code: Optional[int]
-    sa_data: tuple[int, ...] = ()
-
-    def pages(self) -> frozenset[int]:
-        ps = set(self.sa_data)
-        if self.sa_code is not None:
-            ps.add(self.sa_code)
-        return frozenset(ps)
-
-
-@dataclass(frozen=True)
 class MemoryLayout:
     """Assignment of code units and data objects to page extents.
 
     `code_map` keys are code-unit names (a function or an execution block),
     `data_map` keys are data-object names (arrays, staging slots, the pad
     object).  Every value is the tuple of per-page extents the unit spans,
-    in byte order.
+    in byte order.  `staging` holds the pages reserved for a transformed
+    program's staging areas.
     """
 
     page_size: int
     code_map: dict[str, tuple[Extent, ...]] = field(default_factory=dict)
     data_map: dict[str, tuple[Extent, ...]] = field(default_factory=dict)
-    staging: Optional[Staging] = None
+    staging: frozenset[int] = frozenset()
 
     def __post_init__(self):
         _check_page_size(self.page_size)
@@ -141,13 +128,12 @@ class MemoryLayout:
                 used.setdefault(ext.page, []).append(
                     (ext.offset, ext.offset + ext.length, name)
                 )
-        if self.staging is not None:
-            staging_pages = self.staging.pages()
+        if self.staging:
             for name, extents in list(self.code_map.items()) + list(self.data_map.items()):
                 if name.startswith("__sa") or name.startswith("__pad"):
                     continue  # staged slots live on staging pages by design
                 for ext in extents:
-                    if ext.page in staging_pages:
+                    if ext.page in self.staging:
                         raise LayoutError(
                             f"{name} mapped onto staging page {ext.page}"
                         )
@@ -170,8 +156,7 @@ class MemoryLayout:
             ps.update(e.page for e in extents)
         for extents in self.data_map.values():
             ps.update(e.page for e in extents)
-        if self.staging is not None:
-            ps.update(self.staging.pages())
+        ps.update(self.staging)
         return frozenset(ps)
 
 

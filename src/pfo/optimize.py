@@ -58,6 +58,7 @@ from .lang import (
     Unary,
     Var,
     VarDecl,
+    WORD_SIZE,
     While,
     map_ast,
     walk,
@@ -326,7 +327,7 @@ def _merge_levels(plan: TransformPlan) -> TransformPlan:
     groups: list[list[LevelPlan]] = []
     room = 0
     for lp in plan.levels:
-        nbytes = code_words(lp) * 4
+        nbytes = code_words(lp) * WORD_SIZE
         if not groups or nbytes > room:
             groups.append([])
             room = plan.page_size
@@ -351,7 +352,7 @@ def _merge_levels(plan: TransformPlan) -> TransformPlan:
                         continue
                     seen_data.add(key)
                     fetch.append(c)
-            offset += code_words(lp) * 4
+            offset += code_words(lp) * WORD_SIZE
         back: list = []
         seen_back: set[tuple] = set()
         for lp in group:

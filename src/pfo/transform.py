@@ -20,14 +20,24 @@ same for every input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
-from .exectree import Block, ExecutionTree, check_balanced
+from .exectree import ExecutionTree, check_balanced
 from .ir import PAD_OBJECT, data_refs
-from .interp import _KIND_RW, _KIND_W, ObjectTable, State, TreeExecutable, _OpCompiler
+from .interp import (
+    _KIND_RW,
+    _KIND_W,
+    Footprint,
+    ObjectTable,
+    State,
+    TreeExecutable,
+    _code_pages,
+    _OpCompiler,
+)
 from .lang import WORD_SIZE
 from .layouts import next_free_page
-from .memory import Extent, MemoryLayout, PfoError, Staging
+from .memory import MemoryLayout, PfoError
 
 SELECTOR = "__sa_sel"
 
@@ -97,13 +107,6 @@ class TransformPlan:
             n += len(lv.copy_back)
         return n
 
-    @property
-    def scheduled_words(self) -> int:
-        total = sum(c.words for c in self.final_copy_back)
-        for lv in self.levels:
-            total += sum(c.words for c in lv.fetch) + sum(c.words for c in lv.copy_back)
-        return total
-
     def to_json_dict(self) -> dict:
         def step(c: CopyStep) -> dict:
             return {
@@ -149,37 +152,6 @@ def select_mode(level_code_sizes: list[list[int]], page_size: int) -> str:
     return "basic" if all(t <= page_size for t in totals) else "compacted"
 
 
-def smart_copy(block_sizes: list[int], real_index: int, page_size: int) -> list[tuple[int, bool]]:
-    """Byte offsets for a compacted-level fetch.
-
-    Non-selected blocks all overwrite the shared dummy slot at offset 0;
-    the selected block lands at the non-overlapping real offset.  Returns
-    (offset, is_real) per block, in order.
-    """
-    if not block_sizes:
-        return []
-    dummy_span = max(block_sizes)
-    real_off = dummy_span
-    if real_off + block_sizes[real_index] > page_size:
-        raise PlanError(
-            f"real block of {block_sizes[real_index]} bytes does not fit beside "
-            f"the {dummy_span}-byte dummy slot in a {page_size}-byte page"
-        )
-    return [
-        (real_off if i == real_index else 0, i == real_index)
-        for i in range(len(block_sizes))
-    ]
-
-
-def _block_objects(block: Block) -> list[tuple[str, bool]]:
-    """(object, is_write) per data reference, in instruction order."""
-    out = []
-    for instr in block.instrs:
-        for obj, _idx, is_write in data_refs(instr):
-            out.append((obj, is_write))
-    return out
-
-
 def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
                 mode: str = "auto", readonly_elim: bool = False,
                 stage_code: bool = True) -> TransformPlan:
@@ -190,7 +162,9 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     page_size = source_layout.page_size
     levels = tree.levels
 
+    # each block's size and its (object, is_write) data references, once
     block_sizes = {}
+    refs: dict[int, list[tuple[str, bool]]] = {}
     for b in tree.blocks:
         block_sizes[b.id] = max(b.code_size, WORD_SIZE)
         if block_sizes[b.id] > page_size:
@@ -198,24 +172,27 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
                 f"block BB{b.id} is {block_sizes[b.id]} bytes, larger than one "
                 f"{page_size}-byte page (block splitting unsupported)"
             )
+        refs[b.id] = [
+            (obj, is_write)
+            for instr in b.instrs for obj, _idx, is_write in data_refs(instr)
+        ]
 
-    level_totals = [sum(block_sizes[b.id] for b in lv) for lv in levels]
-    fits_basic = all(t <= page_size for t in level_totals)
+    level_sizes = [[block_sizes[b.id] for b in lv] for lv in levels]
+    fitting_mode = select_mode(level_sizes, page_size)
     if mode == "auto":
-        mode = select_mode([[block_sizes[b.id] for b in lv] for lv in levels], page_size)
-    elif mode == "basic" and not fits_basic:
-        worst = max(range(len(levels)), key=lambda i: level_totals[i])
+        mode = fitting_mode
+    elif mode == "basic" and fitting_mode != "basic":
+        totals = [sum(sizes) for sizes in level_sizes]
+        worst = max(range(len(levels)), key=totals.__getitem__)
         raise PlanError(
             f"basic multiplexing needs every level to fit one page; level "
-            f"{worst + 1} totals {level_totals[worst]} bytes"
+            f"{worst + 1} totals {totals[worst]} bytes"
         )
     if mode == "compacted":
-        for lv, blocks in enumerate(levels):
-            sizes = [block_sizes[b.id] for b in blocks]
-            biggest = max(sizes)
-            if 2 * biggest > page_size and len(blocks) > 1:
+        for lv, sizes in enumerate(level_sizes):
+            if 2 * max(sizes) > page_size and len(sizes) > 1:
                 raise PlanError(
-                    f"level {lv + 1}: block of {biggest} bytes cannot sit beside "
+                    f"level {lv + 1}: block of {max(sizes)} bytes cannot sit beside "
                     f"the dummy slot in one page"
                 )
 
@@ -224,13 +201,12 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     sa_data_pages = [sa_code + 1]
 
     # data slots: every array any block touches, plus pad and selector
-    objects_in_order: list[str] = []
+    objects_in_order: dict[str, None] = {}
     writes: set[str] = set()
     for lv in levels:
         for b in lv:
-            for obj, is_write in _block_objects(b):
-                if obj not in objects_in_order:
-                    objects_in_order.append(obj)
+            for obj, is_write in refs[b.id]:
+                objects_in_order.setdefault(obj)
                 if is_write:
                     writes.add(obj)
     readonly = frozenset(
@@ -269,105 +245,83 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     staging = StagingArea(sa_code, tuple(sa_data_pages), slots)
 
     # uniform per-level page-visit check: same-level blocks must touch the
-    # same staging-page sequence during their execute phase
+    # same staging-page sequence during their execute phase, which every
+    # block ends with the uniform selector-update step
     for lv_index, blocks in enumerate(levels):
-        seqs = []
-        for b in blocks:
-            # every block ends with the uniform selector-update step
-            seq = [slots[obj].page for obj, _w in _block_objects(b)]
-            seq.append(slots[SELECTOR].page)
-            seqs.append(tuple(seq))
-        if len(set(seqs)) > 1:
+        seqs = {
+            tuple(slots[obj].page for obj, _w in refs[b.id]) + (slots[SELECTOR].page,)
+            for b in blocks
+        }
+        if len(seqs) > 1:
             raise PlanError(
                 f"level {lv_index + 1}: candidate blocks visit different staging "
                 f"pages; rebalance data or widen the page size"
             )
 
-    # gamma + per-level schedules
-    gamma: dict[int, tuple[int, int]] = {}
-    level_plans: list[LevelPlan] = []
-    fetched_readonly: set[str] = set()
-    ever_fetched: list[str] = []
-
-    def data_steps(obj: str, kind: str) -> list[CopyStep]:
+    def copy_steps(obj: str, kind: str) -> list[CopyStep]:
+        """`obj`'s extents into its slot ('data') or back out ('back')."""
         slot = slots[obj]
         steps = []
         word_off = 0
         for ext in source_layout.data_extents(obj):
             words = ext.length // WORD_SIZE
-            if kind == "data":
-                steps.append(CopyStep(
-                    "data", obj, ext.page, slot.page, words,
-                    src_word=word_off, dst_word=word_off,
-                ))
-            else:
-                steps.append(CopyStep(
-                    "back", obj, slot.page, ext.page, words,
-                    src_word=word_off, dst_word=word_off,
-                ))
+            src, dst = (ext.page, slot.page) if kind == "data" else (slot.page, ext.page)
+            steps.append(CopyStep(kind, obj, src, dst, words,
+                                  src_word=word_off, dst_word=word_off))
             word_off += words
         return steps
 
-    for lv_index, blocks in enumerate(levels):
-        fetch: list[CopyStep] = []
-        sizes = [block_sizes[b.id] for b in blocks]
-        if not stage_code:
-            for b in blocks:
-                gamma[b.id] = (lv_index + 1, 0)
-        elif mode == "basic":
-            offset = 0
-            for b in blocks:
-                gamma[b.id] = (lv_index + 1, offset)
-                for ext in _code_extents(source_layout, b):
-                    fetch.append(CopyStep(
-                        "code", f"BB{b.id}", ext.page, sa_code,
-                        ext.length // WORD_SIZE, dst_offset=offset,
-                    ))
-                offset += block_sizes[b.id]
-        else:
-            real_off = max(sizes)
-            for b in blocks:
-                gamma[b.id] = (lv_index + 1, real_off)
-                for ext in _code_extents(source_layout, b):
-                    fetch.append(CopyStep(
-                        "code", f"BB{b.id}", ext.page, sa_code,
-                        ext.length // WORD_SIZE, dst_offset=0,
-                    ))
+    # gamma + per-level schedules
+    gamma: dict[int, tuple[int, int]] = {}
+    level_plans: list[LevelPlan] = []
+    ever_fetched: dict[str, None] = {}
 
-        level_objs: list[str] = []
+    for lv_index, blocks in enumerate(levels):
+        level = lv_index + 1
+        fetch: list[CopyStep] = []
+        # basic: blocks side by side, each run where it lands; compacted
+        # (the smart copy): every block overwrites the dummy slot at 0 and
+        # the selected one runs from just past the largest block
+        real_off = max(level_sizes[lv_index])
+        offset = 0
+        for b in blocks:
+            dst, run_at = (offset, offset) if mode == "basic" else (0, real_off)
+            offset += block_sizes[b.id]
+            if not stage_code:
+                gamma[b.id] = (level, 0)
+                continue
+            gamma[b.id] = (level, run_at)
+            fetch.extend(
+                CopyStep("code", b.name(), ext.page, sa_code,
+                         ext.length // WORD_SIZE, dst_offset=dst)
+                for ext in source_layout.code_extents(b.name())
+            )
+
+        level_objs: dict[str, None] = {}
         level_writes: set[str] = set()
         for b in blocks:
-            for obj, is_write in _block_objects(b):
+            for obj, is_write in refs[b.id]:
                 if obj == PAD_OBJECT:
                     continue
-                if obj not in level_objs:
-                    level_objs.append(obj)
+                level_objs.setdefault(obj)
                 if is_write:
                     level_writes.add(obj)
         for obj in level_objs:
-            if obj in readonly:
-                if obj in fetched_readonly:
-                    continue
-                fetched_readonly.add(obj)
-            if obj not in ever_fetched:
-                ever_fetched.append(obj)
-            fetch.extend(data_steps(obj, "data"))
+            if obj in readonly and obj in ever_fetched:
+                continue  # O1: a read-only object is fetched once
+            ever_fetched.setdefault(obj)
+            fetch.extend(copy_steps(obj, "data"))
+        copy_back = [
+            step for obj in level_objs if obj in level_writes
+            for step in copy_steps(obj, "back")
+        ]
+        level_plans.append(LevelPlan(level, tuple(fetch), tuple(copy_back)))
 
-        copy_back: list[CopyStep] = []
-        for obj in level_objs:
-            if obj in level_writes:
-                copy_back.extend(data_steps(obj, "back"))
-
-        level_plans.append(LevelPlan(lv_index + 1, tuple(fetch), tuple(copy_back)))
-
-    written_somewhere = set()
-    for lp in level_plans:
-        written_somewhere.update(c.unit for c in lp.copy_back)
-    final_back: list[CopyStep] = []
-    for obj in ever_fetched:
-        if obj in written_somewhere or obj in readonly:
-            continue
-        final_back.extend(data_steps(obj, "back"))
+    # objects no level writes back are pushed back once at the end
+    final_back = [
+        step for obj in ever_fetched if obj not in writes and obj not in readonly
+        for step in copy_steps(obj, "back")
+    ]
 
     return TransformPlan(
         mode=mode,
@@ -380,142 +334,122 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     )
 
 
-def _code_extents(layout: MemoryLayout, block: Block) -> tuple[Extent, ...]:
-    return layout.code_extents(f"BB{block.id}")
+def _copier(ops: tuple, charge: int) -> Callable[[State], None]:
+    """Run scheduled copies, each (footprint, words, is_code, src array,
+    dst array, src word, dst word), then add a block's multiplexing charge."""
+    def run(st: State, ops=ops, charge=charge):
+        sink = st.sink
+        arrays = st.arrays
+        for fp, words, is_code, src_i, dst_i, src_word, dst_word in ops:
+            sink.copy(fp, words, is_code)
+            if not is_code:
+                arrays[dst_i][dst_word:dst_word + words] = \
+                    arrays[src_i][src_word:src_word + words]
+        sink.mux_accesses += charge
+    return run
 
 
-class MultiplexedExecutable:
-    """Tree execution wrapped with the fetch/execute/copy-back schedule.
+def _selector(fp: Footprint, sel_index: int) -> Callable[[State], None]:
+    """The uniform per-block selector update: one step, one staging write."""
+    def run(st: State, fp=fp, sel_index=sel_index):
+        st.sink.instr(fp)
+        st.sink.mux_accesses += 1
+        st.arrays[sel_index][0] = st.branch
+    return run
 
-    Execute-phase instructions run from the code staging page against the
-    data staging slots only; an access that would leave the staging pages
-    is an internal error, which keeps levels atomic.
+
+class MultiplexedExecutable(TreeExecutable):
+    """Tree execution with the fetch/execute/copy-back schedule compiled in.
+
+    Each block's closure tuple holds, in order: the copies that enter its
+    level (the level before's copy-back, then this level's fetch, unless
+    one merged group covers both) with the block's multiplexing charge; its
+    instructions, at the code staging page (their own pages under O4),
+    against the data staging slots only; the selector update; and for a
+    leaf the last copy-back.  Blocks with the same copies and charge share
+    one copy closure, and blocks on one code page one selector closure.  An
+    execute-phase access that would leave the staging pages is an internal
+    error, which keeps levels atomic.
     """
 
     def __init__(self, tree: ExecutionTree, source_layout: MemoryLayout,
                  plan: TransformPlan, code_staged: bool = True):
-        self.tree = tree
         self.source_layout = source_layout
         self.plan = plan
-        self.code_staged = code_staged
         program = tree.program
-
-        staged = [o for o in plan.staging.slots if o not in (SELECTOR, PAD_OBJECT)]
-        shadow_lengths = {
-            f"__sa/{obj}": plan.staging.slots[obj].words for obj in staged
-        }
-        shadow_lengths[f"__sa/{PAD_OBJECT}"] = 1
-        shadow_lengths[f"__sa/{SELECTOR}"] = 1
-
-        layout = MemoryLayout(
-            page_size=source_layout.page_size,
-            code_map=dict(source_layout.code_map),
-            data_map=dict(source_layout.data_map),
-            staging=Staging(plan.staging.sa_code, plan.staging.sa_data),
-        )
-        objects = ObjectTable(program, layout, extra_objects=shadow_lengths)
-
+        slots = plan.staging.slots
+        layout = replace(source_layout, staging=plan.staging.pages())
+        # every slot, the pad and the selector included, is a shadow array
+        objects = ObjectTable(program, layout, extra_objects={
+            f"__sa/{obj}": slot.words for obj, slot in slots.items()
+        })
         # execute-phase accesses go to the staging slots: one page each
         compiler = _OpCompiler(
             program, objects, program.int_width, tree.alloc,
-            pages={obj: plan.staging.slots[obj].page for obj in staged + [PAD_OBJECT]},
-            indices={obj: objects.index[f"__sa/{obj}"] for obj in staged + [PAD_OBJECT]},
-            strict_pages=plan.staging.pages(),
+            pages={obj: slot.page for obj, slot in slots.items()},
+            indices={obj: objects.index[f"__sa/{obj}"] for obj in slots},
+            strict_pages=layout.staging,
         )
-        sel_index = objects.index[f"__sa/{SELECTOR}"]
-        sel_page = plan.staging.slots[SELECTOR].page
-        sa_code_page = plan.staging.sa_code
 
         level_plans = {}
         for lp in plan.levels:
             for covered in lp.covered():
                 level_plans[covered] = lp
 
-        copies: dict[tuple, tuple] = {}
+        def copy_ops(steps: tuple[CopyStep, ...], cp: int) -> tuple:
+            """`_copier`'s ops for `steps`, run from code page `cp`."""
+            ops = []
+            for c in steps:
+                fp = compiler.footprint(cp, (c.src_page, c.dst_page), _KIND_RW)
+                if c.kind == "code":
+                    ops.append((fp, c.words, True, 0, 0, 0, 0))
+                    continue
+                src_i = objects.index[c.unit]
+                dst_i = objects.index[f"__sa/{c.unit}"]
+                if c.kind == "back":
+                    src_i, dst_i = dst_i, src_i
+                ops.append((fp, c.words, False, src_i, dst_i, c.src_word, c.dst_word))
+            return tuple(ops)
 
-        def copy_ops(steps: tuple[CopyStep, ...], back: bool, cp: int) -> tuple:
-            """(footprint, words, is_code, src array, dst array, src word,
-            dst word) per scheduled copy, shared by every block that runs
-            the same steps from the same code page."""
-            key = (id(steps), back, cp)
-            got = copies.get(key)
+        shared: dict[tuple, Callable] = {}
+
+        def once(key: tuple, make: Callable[[], Callable]) -> Callable:
+            got = shared.get(key)
             if got is None:
-                ops = []
-                for c in steps:
-                    fp = compiler.footprint(cp, (c.src_page, c.dst_page), _KIND_RW)
-                    if c.kind == "code":
-                        ops.append((fp, c.words, True, 0, 0, 0, 0))
-                        continue
-                    src_i = objects.index[c.unit]
-                    dst_i = objects.index[f"__sa/{c.unit}"]
-                    if back:
-                        src_i, dst_i = dst_i, src_i
-                    ops.append((fp, c.words, False, src_i, dst_i, c.src_word, c.dst_word))
-                got = copies[key] = tuple(ops)
+                got = shared[key] = make()
             return got
 
-        # Per block, fixed here with the compiled code: the copies before it
-        # runs, the selector update after it, its multiplexing charge (not
-        # on `Block`: balancing appends pads to a block's instrs), and after
-        # a leaf the last copy-back.  A block's parent sits one level up, so
-        # the group that ran before a block's is its parent level's: copy
-        # that one back, then fetch, unless one group covers both levels.
-        enter = {}
-        exit_ops = {}
+        def enter(group: LevelPlan, prev: LevelPlan | None, cp: int) -> tuple:
+            # the group that ran before a block's is its parent level's: copy
+            # that one back, then fetch, unless one group covers both levels
+            if group is prev:
+                return ()
+            return copy_ops((prev.copy_back if prev else ()) + group.fetch, cp)
+
+        sel_index = objects.index[f"__sa/{SELECTOR}"]
+        sel_page = slots[SELECTOR].page
+        closures = {}
         for b in tree.blocks:
-            cp = sa_code_page if code_staged else \
-                source_layout.code_extents(f"BB{b.id}")[0].page
+            if code_staged:
+                cp = plan.staging.sa_code
+                pages = [cp] * len(b.instrs)
+            else:
+                cp = source_layout.code_extents(b.name())[0].page
+                pages = _code_pages(layout, b.name(), len(b.instrs))
             group = level_plans[b.level]
             prev = level_plans.get(b.level - 1)
-            ops = ()
-            if group is not prev:
-                if prev is not None:
-                    ops = copy_ops(prev.copy_back, True, cp)
-                ops = ops + copy_ops(group.fetch, False, cp)
-            sel_fp = compiler.footprint(cp, (sel_page,), _KIND_W)
-            enter[b.id] = (ops, b.data_accesses, sel_fp)
+            # the charge is fixed here, not read from `Block` at run time:
+            # balancing appends pads to a block's instrs
+            charge = b.data_accesses
+            block = (
+                once(("enter", id(group), id(prev), cp, charge),
+                     lambda: _copier(enter(group, prev, cp), charge)),
+                *map(compiler.compile, b.instrs, pages),
+                once(("select", cp), lambda: _selector(
+                    compiler.footprint(cp, (sel_page,), _KIND_W), sel_index)),
+            )
             if b.is_leaf:
-                exit_ops[b.id] = copy_ops(group.copy_back, True, cp) \
-                    + copy_ops(plan.final_copy_back, True, cp)
-
-        def run_copies(st: State, ops: tuple):
-            sink = st.sink
-            arrays = st.arrays
-            for fp, words, is_code, src_i, dst_i, src_word, dst_word in ops:
-                sink.copy(fp, words, is_code)
-                if not is_code:
-                    arrays[dst_i][dst_word:dst_word + words] = \
-                        arrays[src_i][src_word:src_word + words]
-
-        def on_level(st: State, block: Block):
-            ops, charge, _ = enter[block.id]
-            run_copies(st, ops)
-            st.sink.mux_accesses += charge
-
-        def on_block_end(st: State, block: Block):
-            # uniform per-block selector update: one step, one staging write
-            st.sink.instr(enter[block.id][2])
-            st.sink.mux_accesses += 1
-            st.arrays[sel_index][0] = st.branch
-
-        def on_exit(st: State, leaf: Block):
-            run_copies(st, exit_ops[leaf.id])
-
-        if code_staged:
-            code_page_for = lambda block, idx: sa_code_page
-        else:
-            code_page_for = None  # natural per-block placement
-        self._exe = TreeExecutable(
-            tree, layout,
-            objects=objects,
-            compiler=compiler,
-            code_page_for=code_page_for,
-            on_level=on_level,
-            on_block_end=on_block_end,
-            on_exit=on_exit,
-        )
-        self.layout = layout
-
-    def run(self, secret=None, public=None, model=None, collect_trace=False):
-        return self._exe.run(secret, public, model, collect_trace)
-
+                block += (once(("exit", id(group), cp), lambda: _copier(
+                    copy_ops(group.copy_back + plan.final_copy_back, cp), 0)),)
+            closures[b.id] = block
+        self._link(tree, layout, objects, compiler, closures)

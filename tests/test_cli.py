@@ -324,6 +324,29 @@ class TestAttackAndContract:
         assert flag in err
 
 
+FOO = str(CORPUS / "foo.pfo")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["parse", FOO, "--page-size", "64"], "--page-size"),
+    (["parse", FOO, "--seed", "3"], "--seed"),
+    (["analyze", FOO, "--page-size", "64"], "--page-size"),
+    (["analyze", FOO, "--seed", "3"], "--seed"),
+    (["transform", FOO, "-o", "{tmp}/foo.pfo", "--out", "{tmp}/report"], "--out"),
+    (["simulate", "--program", FOO, "--secret", "x=1", "--secret", "y=2",
+      "--seed", "9"], "--seed"),
+    (["attack", "--oracle", "table", "--program", FOO, "--secret", "x=1",
+      "--secret", "y=2", "--seed", "4"], "--seed"),
+    (["corpus", "attacks", "--sample", "2", "--page-size", "64"], "--page-size"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flag_that_would_be_ignored_is_rejected(argv, flag, tmp_path, capsys):
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert not list(tmp_path.iterdir())
+
+
 class TestCorpusSuites:
     def test_attacks_suite_markdown(self, capsys):
         code, out, _ = run_cli(

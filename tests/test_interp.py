@@ -402,3 +402,28 @@ def test_access_outside_strict_pages_is_an_error(pages, strict, ok, escaped):
     if escaped is not None:
         with pytest.raises(PfoError, match="escaped staging pages"):
             run(escaped)
+
+
+# `main` starts 50 bytes into page 1, so its fifth instruction (byte 66)
+# is the first on page 2 and no extent holds a whole number of words
+UNALIGNED_CODE = """
+#pragma page_size 64
+#pragma place code main 1 50
+secret int<4> k;
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  y = k + 1; y = y + 2; y = y + 3; y = y + 4; y = y + 5;
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("make", [
+    AstExecutable,
+    lambda program: TreeExecutable(balance(build_execution_tree(program))),
+], ids=["ast", "tree"])
+def test_instruction_page_is_the_page_of_its_first_byte(make):
+    result = make(parse(UNALIGNED_CODE)).run(secret={"k": 1})
+    assert result.outputs == {"y": 16}
+    assert result.profile == [1, 2]

@@ -11,7 +11,6 @@ from pfo.transform import (
     PlanError,
     plan_layout,
     select_mode,
-    smart_copy,
 )
 
 from test_lang import FOO_SOURCE
@@ -96,19 +95,9 @@ fn main() {
             assert isinstance(plan.staging.sa_code, int)
 
 
-class TestSmartCopy:
-    def test_offsets_dummy_real_dummy(self):
-        offsets = smart_copy([30, 30, 30], real_index=1, page_size=64)
-        assert offsets == [(0, False), (30, True), (0, False)]
-
-    def test_real_block_too_large(self):
-        with pytest.raises(PlanError, match="does not fit"):
-            smart_copy([40, 40], real_index=0, page_size=64)
-
-    def test_profiles_identical_over_real_choice(self):
-        # 3-way branch: nested ifs give 3 candidate blocks that cannot
-        # share a 64-byte page; the secret picks which one is real.
-        src = """
+# 3-way branch: nested ifs give 3 candidate blocks that cannot share a
+# 64-byte page; the secret picks which one is real.
+THREE_WAY = """
 #pragma page_size 64
 secret int<2> s;
 output int a;
@@ -126,7 +115,28 @@ fn main() {
   #pragma end_pf_sensitive
 }
 """
-        exe = build_defense(parse(src)).executable()
+
+
+class TestSmartCopy:
+    def test_compacted_offsets_follow_largest_block(self):
+        _, tree, _, plan = planned(THREE_WAY)
+        assert plan.mode == "compacted"
+        multi = [lv for lv in tree.levels if len(lv) > 1]
+        assert multi
+        for blocks in multi:
+            biggest = max(b.code_size for b in blocks)
+            for b in blocks:
+                assert plan.gamma[b.id] == (b.level, biggest)
+        code_steps = [c for lp in plan.levels for c in lp.fetch if c.kind == "code"]
+        assert code_steps and all(c.dst_offset == 0 for c in code_steps)
+
+    def test_compacted_block_too_large_for_dummy_slot(self):
+        # two 40-byte arms: the largest block is more than half the page
+        with pytest.raises(PlanError, match="cannot sit beside the dummy slot"):
+            planned(branchy_source(5, 64), mode="compacted")
+
+    def test_profiles_identical_over_real_choice(self):
+        exe = build_defense(parse(THREE_WAY)).executable()
         assert exe.plan.mode == "compacted"
         profiles = {tuple(exe.run(secret={"s": v}).profile) for v in (0, 1, 2, 3)}
         assert len(profiles) == 1
@@ -320,3 +330,38 @@ def test_uneven_arms_multiplexed_oblivious():
     exe = build_defense(parse(UNEVEN_ARMS)).executable()
     profiles = {tuple(exe.run(secret={"s": s}).profile) for s in range(4)}
     assert len(profiles) == 1
+
+
+# the then-arm indexes past `t`, so the run traps inside a multiplexed block
+TRAPPING_ARM = """
+#pragma page_size 64
+secret int<3> s;
+output int y;
+int t[4] = {1, 2, 3, 4};
+fn main() {
+  #pragma begin_pf_sensitive
+  y = 1;
+  if (s == 1) {
+    y = t[s + 4];
+  } else {
+    y = t[0];
+  }
+  t[1] = y;
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("s, trap, counts, faults, store", [
+    # the trap ends the run before the level's copy-back: `t` keeps its values
+    (1, ("index-oob", 20), (20, 1, 3, 18), 6, [1, 2, 3, 4]),
+    (0, None, (28, 2, 3, 23), 9, [1, 1, 3, 4]),
+])
+def test_trap_inside_multiplexed_block(s, trap, counts, faults, store):
+    result = build_defense(parse(TRAPPING_ARM)).run(secret={"s": s})
+    got_trap = None if result.trap is None else (result.trap.kind, result.trap.step)
+    assert got_trap == trap
+    assert (result.steps, result.copy_ops, result.code_copy_ops,
+            result.mux_accesses) == counts
+    assert result.faults == faults
+    assert result.store["t"] == store
