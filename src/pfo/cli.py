@@ -3,11 +3,12 @@
 Subcommands: parse, analyze, transform, simulate, verify, leak, attack,
 contract, corpus.  Exit codes: 0 ok, 1 assertion failure, 2 usage error,
 3 internal error.  A command accepts --page-size, --seed and --out only
-where they take effect.  All sampled work is driven by --seed, and
-reports are emitted with stable ordering, so identical invocations
-produce identical bytes.  `transform` and every `--transformed` run build
-their defense through `optimize.build_defense`, the single entry point
-that composes passes.
+where they take effect, and rejects a --sample below 1.  All sampled work
+is driven by --seed, and reports are emitted with stable ordering, so
+identical invocations produce identical bytes.  `transform` and every
+`--transformed` run build their defense through `optimize.build_defense`,
+the single entry point that composes passes; the multiplexing mode it
+plans with follows from whether each level's blocks fit one page.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def cmd_transform(args) -> int:
     opts = _parse_opts(args.opt)
     build = build_defense(
         program, ALL_PASSES if opts == ["all"] else opts,
-        args.page_size, args.mux, args.seed,
+        args.page_size, args.seed,
     )
     out_path = Path(args.output)
     out_path.write_text(pretty(build.program))
@@ -152,11 +153,22 @@ def _executable(args, program):
     return AstExecutable(program, page_size=args.page_size)
 
 
+def _sample(args, default=None):
+    """`--sample`, else `default`; a value below 1 is rejected."""
+    if args.sample is None:
+        return default
+    if args.sample < 1:
+        raise CliFailure(f"--sample must be at least 1, got {args.sample}",
+                         EXIT_USAGE)
+    return args.sample
+
+
 def _inputs(args, program):
     """The secrets to check: `--sample` of them, else the whole domain."""
     domain = SecretDomain.of(program)
-    if args.sample:
-        return domain.sample(args.sample, args.seed)
+    sample = _sample(args)
+    if sample is not None:
+        return domain.sample(sample, args.seed)
     if domain.size > args.exhaustive_limit:
         raise CliFailure(
             f"domain of {domain.size} secrets needs --sample", EXIT_USAGE
@@ -177,10 +189,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     program = _read_program(args.program)
+    inputs = _inputs(args, program)
     exe = _executable(args, program)
     publics = _parse_bindings(args.public)
     result = verify_pfo(lambda s: exe.run(secret=s, public=publics).profile,
-                        _inputs(args, program))
+                        inputs)
     doc = {
         "oblivious": result.oblivious,
         "classes": result.classes,
@@ -197,10 +210,11 @@ def cmd_verify(args) -> int:
 
 def cmd_leak(args) -> int:
     program = _read_program(args.program)
+    inputs = _inputs(args, program)
     exe = _executable(args, program)
     publics = _parse_bindings(args.public)
     report = quantify_leakage(lambda s: exe.run(secret=s, public=publics).profile,
-                              _inputs(args, program))
+                              inputs)
     emit(to_json(report.to_json_dict()), args.out)
     return EXIT_OK
 
@@ -264,9 +278,7 @@ def _check_contract_flags(args) -> None:
                             ("--secret", bool(args.secret))):
             if given:
                 raise CliFailure(f"{flag} cannot be used with --sweep", EXIT_USAGE)
-        if args.sample is not None and args.sample < 1:
-            raise CliFailure(f"--sample must be at least 1, got {args.sample}",
-                             EXIT_USAGE)
+        _sample(args)
     elif args.sample is not None:
         raise CliFailure("--sample needs --sweep", EXIT_USAGE)
 
@@ -288,8 +300,7 @@ def cmd_contract(args) -> int:
     }
     ok = True
     if args.sweep:
-        secrets = list(domain.sample(64 if args.sample is None else args.sample,
-                                     args.seed))
+        secrets = list(domain.sample(_sample(args, 64), args.seed))
         report = check_contract_indistinguishability(exe, contract, secrets, policy)
         doc["sweep"] = report.to_json_dict()
         ok = report.indistinguishable if policy == FAKE_EXECUTE else True
@@ -321,15 +332,14 @@ def cmd_corpus(args) -> int:
             EXIT_USAGE,
         )
     if args.suite == "attacks":
-        result = attacks_suite(seed=args.seed, eddsa_samples=args.sample or 50,
-                               powm_samples=(args.sample or 50) // 2)
+        result = attacks_suite(seed=args.seed, samples=_sample(args, 50))
         headers = ["Case", "Input bits", "Leakage", "%"]
         rows = [
             [r["case"], r["input_bits"], r["leakage_display"], r["percent"]]
             for r in result.rows
         ]
     elif args.suite == "defenses":
-        result = defenses_suite(seed=args.seed, sample_pairs=args.sample or 100,
+        result = defenses_suite(seed=args.seed, sample_pairs=_sample(args, 100),
                                 opt_all=args.opt == "all")
         headers = ["Case", "PF(vanilla)", "PF(transformed)", "Oblivious"]
         rows = [
@@ -338,7 +348,7 @@ def cmd_corpus(args) -> int:
         ]
     else:
         result = contracts_suite(seed=args.seed,
-                                 secrets_per_case=args.sample or 64)
+                                 secrets_per_case=_sample(args, 64))
         headers = ["Case", "Bucket", "Fake classes", "Naive classes"]
         rows = [
             [r["case"], r["bucket"], r["fake_classes"], r["naive_classes"]]
@@ -385,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("program")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--mux", choices=["basic", "compacted", "auto"], default="auto")
     p.add_argument("--opt", default="")
     p.set_defaults(fn=cmd_transform)
 

@@ -56,7 +56,6 @@ class TableCase:
     tables: tuple[TableGeometry, ...]
     lookups: tuple[tuple[int, int], ...]  # (table index, key byte index)
     key_bits: int
-    opts: tuple[str, ...] = ("O1", "O2")
 
     def source(self, key_bytes: Optional[int] = None,
                key_bits: Optional[int] = None) -> str:
@@ -421,30 +420,19 @@ class CorpusCase:
     name: str
     kind: str  # 'table' | 'eddsa' | 'powm' | 'powm_balanced' | 'branching'
     source: str
-    opts: tuple[str, ...]
-    attack_widths: tuple[int, int] = (0, 0)  # (exhaustive, sampled)
     meta: dict = field(default_factory=dict)
 
 
 def load_cases() -> dict[str, CorpusCase]:
     cases: dict[str, CorpusCase] = {}
     for name, tc in make_table_cases().items():
-        cases[name] = CorpusCase(
-            name, "table", tc.source(), tc.opts,
-            meta={
-                "table_case": tc,
-                "splits": [g.split for g in tc.tables],
-            },
-        )
-    cases["eddsa"] = CorpusCase(
-        "eddsa", "eddsa", eddsa_source(512), ("O5",), (12, 512),
-        meta={"pages": EDDSA_PAGES},
-    )
+        cases[name] = CorpusCase(name, "table", tc.source())
+    cases["eddsa"] = CorpusCase("eddsa", "eddsa", eddsa_source(512))
     cases["powm"] = CorpusCase(
-        "powm", "powm_balanced", powm_balanced_source(64), ("O4",),
-        meta={"attack_source": powm_source(64, 1), "pages": POWM_PAGES},
+        "powm", "powm_balanced", powm_balanced_source(64),
+        meta={"attack_source": powm_source(64, 1)},
     )
-    cases["foo"] = CorpusCase("foo", "branching", FOO_SOURCE, ())
+    cases["foo"] = CorpusCase("foo", "branching", FOO_SOURCE)
     return cases
 
 

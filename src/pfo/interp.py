@@ -82,6 +82,7 @@ from .memory import (
     AdversaryModel,
     AdversaryVariant,
     EventKind,
+    MAX_PAGES_PER_INSTRUCTION,
     MemoryLayout,
     PfoError,
     PageModelError,
@@ -229,13 +230,12 @@ class Sink:
     """Event sink: step accounting, optional trace, optional pigeonhole."""
 
     __slots__ = (
-        "pigeonhole", "limit", "resident", "faults", "steps",
+        "pigeonhole", "resident", "faults", "steps",
         "copy_ops", "code_copy_ops", "mux_accesses", "footprints",
     )
 
-    def __init__(self, pigeonhole: bool, limit: int, collect: bool):
+    def __init__(self, pigeonhole: bool, collect: bool):
         self.pigeonhole = pigeonhole
-        self.limit = limit
         self.resident: frozenset = frozenset()
         self.faults: list[int] = []
         self.steps = 0
@@ -256,9 +256,10 @@ class Sink:
             self.footprints.append(fp)
         if self.pigeonhole and self.resident is not fp.need_set:
             need = fp.need
-            if len(need) > self.limit:
+            if len(need) > MAX_PAGES_PER_INSTRUCTION:
                 raise PageModelError(
-                    f"instruction needs {len(need)} pages (limit {self.limit})"
+                    f"instruction needs {len(need)} pages "
+                    f"(limit {MAX_PAGES_PER_INSTRUCTION})"
                 )
             resident = self.resident
             faults = self.faults
@@ -799,7 +800,6 @@ def _start(exe, model: Optional[AdversaryModel], collect_trace: bool,
     model = model or AdversaryModel.pigeonhole()
     sink = Sink(
         pigeonhole=model.variant is AdversaryVariant.PIGEONHOLE,
-        limit=model.resident_limit,
         collect=collect_trace,
     )
     st = State(exe._regs0[:], exe.objects.fresh_arrays(), sink)

@@ -341,12 +341,10 @@ class LoweredFunction:
     params: tuple[int, ...]  # register slots for parameters
     instrs: list[Instr]
     body: SeqNode
-    result_slot: Optional[int]
 
 
 def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFunction:
     low = _FnLowerer(program, alloc, f"{fn.name}/", fn.name)
-    ret_slot = alloc.slot(f"{fn.name}/__ret")
 
     def lower_stmts(stmts) -> SeqNode:
         items: list = []
@@ -395,7 +393,7 @@ def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFu
 
     body = lower_stmts(fn.body)
     params = tuple(low.local(p) for p in fn.params)
-    return LoweredFunction(fn.name, params, low.instrs, body, ret_slot)
+    return LoweredFunction(fn.name, params, low.instrs, body)
 
 
 @dataclass

@@ -368,7 +368,11 @@ class Program:
     def resolve_page_size(self, requested: Optional[int] = None) -> int:
         """Page size to build with: the requested one, else the source's
         `#pragma page_size`, else 4096."""
-        return requested or self.page_size_hint or DEFAULT_PAGE_SIZE
+        if requested is not None:
+            return requested
+        if self.page_size_hint is not None:
+            return self.page_size_hint
+        return DEFAULT_PAGE_SIZE
 
     @property
     def entry(self) -> Function:
@@ -560,7 +564,10 @@ class _Parser:
                 raise self.error(f"malformed placement pragma {tok.text!r}", tok) from None
             return Placement(kind, words[3], page, offset, self.pos(tok))
         if words[1:2] == ["page_size"] and len(words) == 3:
-            return int(words[2], 0)
+            try:
+                return int(words[2], 0)
+            except ValueError:
+                raise self.error(f"malformed page_size pragma {tok.text!r}", tok) from None
         raise self.error(f"unknown top-level pragma {tok.text!r}", tok)
 
     def parse_decl(self) -> VarDecl:

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from .corpus import EDDSA_PAGES, POWM_PAGES
 from .lang import DeclKind, Program
 from .memory import PfoError
 
@@ -136,7 +137,6 @@ def verify_pfo(runner: Runner, inputs: Iterable[dict[str, int]]) -> VerifyResult
 class LeakageReport:
     domain_size: int
     class_sizes: dict[Profile, int]
-    class_examples: dict[Profile, dict[str, int]]
     mutual_information: float
     max_leakage: float
 
@@ -187,20 +187,18 @@ class ComposedLeakage:
 def quantify_leakage(runner: Runner, inputs: Iterable[dict[str, int]]) -> LeakageReport:
     """Partition inputs by profile and compute the leakage measures."""
     sizes: dict[Profile, int] = {}
-    examples: dict[Profile, dict[str, int]] = {}
     total = 0
     for secret in inputs:
         total += 1
         profile = tuple(runner(secret))
         sizes[profile] = sizes.get(profile, 0) + 1
-        examples.setdefault(profile, dict(secret))
     if total == 0:
         raise DomainError("empty input domain")
     mi = 0.0
     for count in sizes.values():
         mi += (count / total) * math.log2(total / count)
     max_leak = math.log2(total / min(sizes.values()))
-    return LeakageReport(total, sizes, examples, mi, max_leak)
+    return LeakageReport(total, sizes, mi, max_leak)
 
 
 def distinguishability_advantage(runner: Runner, i0: dict[str, int],
@@ -274,16 +272,16 @@ class ProfileParseError(PfoError):
         return f"{self.message} (at profile offset {self.offset})"
 
 
-def attack_eddsa(profile: Iterable[int], main_page: int = 1, add_page: int = 2,
-                 test_page: int = 3) -> list[int]:
+def attack_eddsa(profile: Iterable[int]) -> list[int]:
     """Recover the scalar from a vanilla double-and-add fault profile.
 
-    Per loop iteration the profile shows `[P2 P1 P3 P1]` (double, bit
-    test); a one-bit appends the addition routine's `(P2 P1)` page
-    alternation before the next iteration's doubling, which is recognized
-    by its following `P3`.  Bits come out most significant first.
+    Pages are `corpus.EDDSA_PAGES`.  Per loop iteration the profile
+    shows `[P2 P1 P3 P1]` (double, bit test); a one-bit appends the
+    addition routine's `(P2 P1)` page alternation before the next
+    iteration's doubling, which is recognized by its following `P3`.  Bits
+    come out most significant first.
     """
-    p1, p2, p3 = main_page, add_page, test_page
+    p1, p2, p3 = EDDSA_PAGES["main"], EDDSA_PAGES["add"], EDDSA_PAGES["test"]
     tokens = [p for p in profile if p in (p1, p2, p3)]
     pos = 0
     if tokens[:1] == [p1]:
@@ -349,16 +347,17 @@ class PowmSkeleton:
         return sum(1 for b in bits if b is not None) / len(bits)
 
 
-def attack_powm(profile: Iterable[int], window: int = 1, mul_page: int = 2,
-                sel_page: int = 3, precompute_mults: int = 0):
+def attack_powm(profile: Iterable[int], window: int = 1,
+                precompute_mults: int = 0):
     """Recover exponent structure from a windowed-exponentiation profile.
 
-    Multiply-routine visits between power-fetch visits split into
-    squarings and the per-window outer multiply; with window size 1 the
-    squaring-run lengths give the exact exponent (most significant bit
-    first), otherwise the window skeleton and the fraction of bits it
-    pins down.
+    Pages are `corpus.POWM_PAGES`.  Multiply-routine visits between
+    power-fetch visits split into squarings and the per-window outer
+    multiply; with window size 1 the squaring-run lengths give the exact
+    exponent (most significant bit first), otherwise the window skeleton
+    and the fraction of bits it pins down.
     """
+    mul_page, sel_page = POWM_PAGES["mul"], POWM_PAGES["sel"]
     tokens = [p for p in profile if p in (mul_page, sel_page)]
     if precompute_mults:
         prefix = tokens[:precompute_mults]

@@ -16,7 +16,6 @@ offsets within a page, only page numbers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -190,15 +189,14 @@ MAX_PAGES_PER_INSTRUCTION = 3
 @dataclass(frozen=True)
 class AdversaryModel:
     variant: AdversaryVariant
-    resident_limit: int = MAX_PAGES_PER_INSTRUCTION
 
     @staticmethod
     def infinite_memory() -> "AdversaryModel":
         return AdversaryModel(AdversaryVariant.INFINITE_MEMORY)
 
     @staticmethod
-    def pigeonhole(resident_limit: int = MAX_PAGES_PER_INSTRUCTION) -> "AdversaryModel":
-        return AdversaryModel(AdversaryVariant.PIGEONHOLE, resident_limit)
+    def pigeonhole() -> "AdversaryModel":
+        return AdversaryModel(AdversaryVariant.PIGEONHOLE)
 
 
 def _instruction_groups(trace: Iterable[AccessEvent]) -> Iterator[list[AccessEvent]]:
@@ -244,10 +242,10 @@ def observe_profile(trace: Iterable[AccessEvent], model: AdversaryModel) -> list
         for ev in group:
             if ev.page not in needed:
                 needed.append(ev.page)
-        if len(needed) > model.resident_limit:
+        if len(needed) > MAX_PAGES_PER_INSTRUCTION:
             raise PageModelError(
                 f"instruction at step {group[0].step} needs {len(needed)} pages "
-                f"(limit {model.resident_limit}): {needed}"
+                f"(limit {MAX_PAGES_PER_INSTRUCTION}): {needed}"
             )
         for page in needed:
             if page not in resident:
@@ -255,34 +253,3 @@ def observe_profile(trace: Iterable[AccessEvent], model: AdversaryModel) -> list
         resident = frozenset(needed)
     return faults
 
-
-# --- serialization -------------------------------------------------------
-
-def profile_to_json(profile: list[int]) -> str:
-    return json.dumps(profile, separators=(",", ":"))
-
-
-def profile_from_json(text: str) -> list[int]:
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(p, int) for p in data):
-        raise PfoError("profile JSON must be an array of integers")
-    return data
-
-
-def trace_to_jsonl(trace: Iterable[AccessEvent]) -> str:
-    lines = [
-        json.dumps({"kind": ev.kind.value, "page": ev.page, "step": ev.step},
-                   separators=(",", ":"))
-        for ev in trace
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-def trace_from_jsonl(text: str) -> list[AccessEvent]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        out.append(AccessEvent(EventKind(obj["kind"]), int(obj["page"]), int(obj["step"])))
-    return out

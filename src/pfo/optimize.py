@@ -82,30 +82,26 @@ class OptError(PfoError):
 
 @dataclass
 class DefenseBuild:
-    """One defended configuration of a program, staged or in-place."""
+    """One defended configuration of a program: staged when it has a tree
+    (with its code staged unless O4 is applied), else in place."""
 
     program: Program
-    page_size: int
-    mode: str  # 'staged' | 'inplace'
+    source_layout: MemoryLayout
     applied: tuple[str, ...] = ()
     tree: Optional[ExecutionTree] = None
-    source_layout: Optional[MemoryLayout] = None
     plan: Optional[TransformPlan] = None
-    code_staged: bool = True
     notes: tuple[str, ...] = ()
 
     _exe: object = field(default=None, repr=False, compare=False)
 
     def executable(self):
         if self._exe is None:
-            if self.mode == "staged":
+            if self.tree is None:
+                self._exe = AstExecutable(self.program, self.source_layout)
+            else:
                 self._exe = MultiplexedExecutable(
                     self.tree, self.source_layout, self.plan,
-                    code_staged=self.code_staged,
-                )
-            else:
-                self._exe = AstExecutable(
-                    self.program, self.source_layout, self.page_size
+                    code_staged="O4" not in self.applied,
                 )
         return self._exe
 
@@ -113,21 +109,15 @@ class DefenseBuild:
         return self.executable().run(secret, public, model, collect_trace)
 
 
-def build_staged(program: Program, page_size: Optional[int] = None,
-                 mux: str = "auto") -> DefenseBuild:
-    ps = program.resolve_page_size(page_size)
+def build_staged(program: Program, page_size: Optional[int] = None) -> DefenseBuild:
     tree = balance(build_execution_tree(program))
-    layout = build_tree_layout(tree, ps)
-    plan = plan_layout(tree, layout, mode=mux)
-    return DefenseBuild(program, ps, "staged", (), tree, layout, plan)
+    layout = build_tree_layout(tree, program.resolve_page_size(page_size))
+    return DefenseBuild(program, layout, tree=tree, plan=plan_layout(tree, layout))
 
 
-def build_inplace(program: Program, page_size: Optional[int] = None,
-                  layout: Optional[MemoryLayout] = None) -> DefenseBuild:
+def build_inplace(program: Program, page_size: Optional[int] = None) -> DefenseBuild:
     ps = program.resolve_page_size(page_size)
-    if layout is None:
-        layout = build_ast_layout(lower_program(program), ps)
-    return DefenseBuild(program, ps, "inplace", (), None, layout, None)
+    return DefenseBuild(program, build_ast_layout(lower_program(program), ps))
 
 
 # --- O5: control-to-data dependency transformation ----------------------
@@ -258,8 +248,8 @@ def opt_readonly_elim(build: DefenseBuild) -> DefenseBuild:
 def opt_page_realign(build: DefenseBuild) -> DefenseBuild:
     """Move sensitive read-only arrays to fresh page-aligned extents."""
     program = build.program
-    page_size = build.page_size
     layout = build.source_layout
+    page_size = layout.page_size
 
     labeled = label_sensitivity(program)
     written = _written_arrays(build)
@@ -583,9 +573,7 @@ def opt_mux_elim_staged(build: DefenseBuild, probe_secrets: int = 32,
                         seed: int = 0) -> DefenseBuild:
     """O4 on a staged build: drop code staging when the natural block
     layout already determinizes the profile (probed empirically)."""
-    if build.mode != "staged" or not build.code_staged:
-        return replace(build, applied=build.applied + ("O4",), _exe=None)
-    candidate = _replan(build, code_staged=False, applied=build.applied + ("O4",))
+    candidate = _replan(build, applied=build.applied + ("O4",))
     if _probe_uniform(candidate, probe_secrets, seed):
         return candidate
     return replace(build, notes=build.notes + ("O4 declined: grouping leaks",),
@@ -595,17 +583,18 @@ def opt_mux_elim_staged(build: DefenseBuild, probe_secrets: int = 32,
 def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
     """`build` with `changes`, its plan redone from every decision so far.
 
-    The multiplexing mode, O1's elision, whether code is staged (O4) and
-    O3A's level merge all come from the build, so no pass undoes another.
-    In-place builds have no plan and only take the changes.
+    O1's elision, whether code is staged (O4) and O3A's level merge all come
+    from `applied`, so no pass undoes another.  In-place builds have no plan
+    and only take the changes.
     """
     build = replace(build, _exe=None, **changes)
-    if build.mode == "staged":
+    if build.tree is not None:
+        stage_code = "O4" not in build.applied
         plan = plan_layout(
-            build.tree, build.source_layout, mode=build.plan.mode,
-            readonly_elim="O1" in build.applied, stage_code=build.code_staged,
+            build.tree, build.source_layout,
+            readonly_elim="O1" in build.applied, stage_code=stage_code,
         )
-        if "O3A" in build.applied and build.code_staged:
+        if "O3A" in build.applied and stage_code:
             plan = _merge_levels(plan)
         build.plan = plan
     return build
@@ -616,7 +605,7 @@ ALL_PASSES = ("O5", "O3B", "O3A", "O4", "O1", "O2")
 
 
 def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
-                  mux: str = "auto", seed: int = 0) -> DefenseBuild:
+                  seed: int = 0) -> DefenseBuild:
     """The defense pipeline: multiplexing plus the named passes.
 
     O5 and O3B rewrite the AST (and placements) before the tree exists, so
@@ -631,7 +620,7 @@ def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
         program, _ = opt_if_convert(program)
     if "O3B" in passes:
         program, _ = opt_clone(program, ps)
-    build = build_staged(program, ps, mux)
+    build = build_staged(program, ps)
     build.applied = tuple(p for p in ("O5", "O3B") if p in passes)
     if "O3A" in passes:
         build = opt_level_merge(build)

@@ -86,8 +86,10 @@ def _table_attack_row(name: str) -> dict:
     }
 
 
-def attacks_suite(seed: int = 0, eddsa_samples: int = 50,
-                  powm_samples: int = 25) -> SuiteResult:
+def attacks_suite(seed: int = 0, samples: int = 50) -> SuiteResult:
+    """Every attack, EdDSA over `samples` scalars and each powm row over
+    half as many exponents (at least one)."""
+    eddsa_samples, powm_samples = samples, max(samples // 2, 1)
     result = SuiteResult("attacks")
     rng = random.Random(seed)
 
@@ -194,15 +196,17 @@ FULL_WIDTHS = {name: 64 for name in DEFENSE_CASES}
 FULL_WIDTHS["eddsa"] = 512
 
 
-def defenses_suite(seed: int = 0, exhaustive_limit: int = 1 << 16,
-                   sample_pairs: int = 100, full_exhaustive: bool = False,
+def defenses_suite(seed: int = 0, sample_pairs: int = 100,
                    opt_all: bool = False) -> SuiteResult:
     """Re-verify obliviousness per case; emit fault and copy counters.
 
-    `sample_pairs` counts full-width secret pairs checked against the
-    first profile (profile equality is transitive, so `n` matching runs
-    cover all pairs among them).  `opt_all` defends every case with all
-    passes instead of its recorded combination.
+    The `exhaustive_*` row fields report a seeded sample of 256 secrets
+    (at most the domain size) at the exhaustive width; the keys keep
+    their names so the reports stay byte-identical.  `sample_pairs` counts
+    full-width secret pairs checked against the first profile (profile
+    equality is transitive, so `n` matching runs cover all pairs among
+    them).  `opt_all` defends every case with all passes instead of its
+    recorded combination.
     """
     def defend(name: str, width: int) -> DefenseBuild:
         if opt_all:
@@ -215,11 +219,8 @@ def defenses_suite(seed: int = 0, exhaustive_limit: int = 1 << 16,
         width = EXHAUSTIVE_WIDTHS[name]
         small = defend(name, width)
         domain = SecretDomain.of(small.program)
-        if full_exhaustive and domain.size <= exhaustive_limit:
-            inputs = domain.exhaustive(exhaustive_limit)
-        else:
-            inputs = domain.sample(min(domain.size, 256), seed)
-        verdict = verify_pfo(lambda s: small.run(secret=s).profile, inputs)
+        verdict = verify_pfo(lambda s: small.run(secret=s).profile,
+                             domain.sample(min(domain.size, 256), seed))
         row["exhaustive_width"] = width
         row["exhaustive_oblivious"] = verdict.oblivious
         row["exhaustive_inputs"] = verdict.inputs_checked
@@ -255,6 +256,8 @@ def defenses_suite(seed: int = 0, exhaustive_limit: int = 1 << 16,
 # --- contracts ---------------------------------------------------------------
 
 CONTRACT_WIDTHS = {"aes": 12, "powm": 12}
+# steal points per sweep: every `total_steps // STEAL_STEPS`-th step
+STEAL_STEPS = 25
 
 
 def contract_case(name: str, width: int):
@@ -267,21 +270,16 @@ def contract_case(name: str, width: int):
     return AstExecutable(program), probes, secret_name
 
 
-def contracts_suite(seed: int = 0, secrets_per_case: int = 64,
-                    steal_steps: int = 25,
-                    exhaustive: bool = False) -> SuiteResult:
+def contracts_suite(seed: int = 0, secrets_per_case: int = 64) -> SuiteResult:
     result = SuiteResult("contracts")
     for name in ("aes", "powm", "eddsa"):
         width = CONTRACT_WIDTHS.get(name, 12)
         exe, probes, secret_name = contract_case(name, width)
         contract = derive_contract(exe, probes)
-        if exhaustive:
-            secrets = [{secret_name: v} for v in range(1 << width)]
-        else:
-            rng = random.Random(seed)
-            secrets = [{secret_name: rng.randrange(1 << width)}
-                       for _ in range(secrets_per_case)]
-        stride = max(contract.total_steps // steal_steps, 1)
+        rng = random.Random(seed)
+        secrets = [{secret_name: rng.randrange(1 << width)}
+                   for _ in range(secrets_per_case)]
+        stride = max(contract.total_steps // STEAL_STEPS, 1)
         steps = range(0, contract.total_steps + 1, stride)
         fake = check_contract_indistinguishability(
             exe, contract, secrets, FAKE_EXECUTE, steps=steps,

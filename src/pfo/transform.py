@@ -6,7 +6,9 @@ would run under and produces a static schedule:
 * every level's candidate blocks are copied into the single code staging
   page (`SA_code`) in a fixed order: side by side under basic multiplexing,
   or overlapping a shared dummy slot with only the selected block at the
-  real offset under compacted multiplexing (the smart copy);
+  real offset under compacted multiplexing (the smart copy).  The mode
+  comes from the fit alone: basic when every level's blocks fit one page
+  together, else compacted;
 * every data object any candidate block may touch is copied into the data
   staging pages (`SA_data`), the selected block executes entirely against
   staging, and written objects are copied back after the level (objects
@@ -147,13 +149,14 @@ class TransformPlan:
 
 
 def select_mode(level_code_sizes: list[list[int]], page_size: int) -> str:
-    """Basic multiplexing when every level's blocks fit one page, else compacted."""
+    """The multiplexing mode, from the fit alone: basic when every level's
+    blocks fit one page together, else compacted."""
     totals = [sum(sizes) for sizes in level_code_sizes]
     return "basic" if all(t <= page_size for t in totals) else "compacted"
 
 
 def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
-                mode: str = "auto", readonly_elim: bool = False,
+                readonly_elim: bool = False,
                 stage_code: bool = True) -> TransformPlan:
     """Choose staging geometry and emit the static fetch/copy-back schedule."""
     report = check_balanced(tree)
@@ -178,16 +181,7 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
         ]
 
     level_sizes = [[block_sizes[b.id] for b in lv] for lv in levels]
-    fitting_mode = select_mode(level_sizes, page_size)
-    if mode == "auto":
-        mode = fitting_mode
-    elif mode == "basic" and fitting_mode != "basic":
-        totals = [sum(sizes) for sizes in level_sizes]
-        worst = max(range(len(levels)), key=totals.__getitem__)
-        raise PlanError(
-            f"basic multiplexing needs every level to fit one page; level "
-            f"{worst + 1} totals {totals[worst]} bytes"
-        )
+    mode = select_mode(level_sizes, page_size)
     if mode == "compacted":
         for lv, sizes in enumerate(level_sizes):
             if 2 * max(sizes) > page_size and len(sizes) > 1:

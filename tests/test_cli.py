@@ -94,6 +94,22 @@ class TestBasicCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("pragma, flag, code, message", [
+        ("#pragma page_size abc\n", [], 2, "malformed page_size pragma"),
+        ("#pragma page_size 0\n", [], 1, "got 0"),
+        ("", ["--page-size", "0"], 1, "got 0"),
+    ], ids=["pragma-not-a-number", "pragma-zero", "flag-zero"])
+    def test_page_size_is_used_or_rejected(self, pragma, flag, code, message,
+                                           tmp_path, capsys):
+        path = tmp_path / "p.pfo"
+        path.write_text(pragma + "secret int<2> k;\noutput int y;\n"
+                        "fn main() { y = k + 1; }\n")
+        got, out, err = run_cli(
+            ["simulate", "--program", str(path), "--secret", "k=1"] + flag, capsys
+        )
+        assert (got, out) == (code, "")
+        assert message in err
+
     @pytest.mark.parametrize("mode", [[], ["--transformed"]], ids=["vanilla", "transformed"])
     def test_page_size_flag_overrides_pragma(self, mode, tmp_path, capsys):
         # `unused` pushes the table past the first 64-byte code page
@@ -333,6 +349,7 @@ FOO = str(CORPUS / "foo.pfo")
     (["analyze", FOO, "--page-size", "64"], "--page-size"),
     (["analyze", FOO, "--seed", "3"], "--seed"),
     (["transform", FOO, "-o", "{tmp}/foo.pfo", "--out", "{tmp}/report"], "--out"),
+    (["transform", FOO, "-o", "{tmp}/foo.pfo", "--mux", "basic"], "--mux"),
     (["simulate", "--program", FOO, "--secret", "x=1", "--secret", "y=2",
       "--seed", "9"], "--seed"),
     (["attack", "--oracle", "table", "--program", FOO, "--secret", "x=1",
@@ -347,7 +364,27 @@ def test_flag_that_would_be_ignored_is_rejected(argv, flag, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["corpus", "attacks", "--sample", "0"],
+    ["corpus", "contracts", "--sample", "-1"],
+    ["verify", "--program", FOO, "--sample", "0"],
+    ["leak", "--program", FOO, "--sample", "0"],
+], ids=lambda v: v[0] if v[0] != "corpus" else f"corpus-{v[1]}")
+def test_sample_below_one_is_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--sample must be at least 1" in err
+
+
 class TestCorpusSuites:
+    def test_attacks_suite_with_one_sample(self, capsys):
+        # every powm row still runs one exponent
+        code, out, _ = run_cli(["corpus", "attacks", "--sample", "1", "--json"], capsys)
+        assert code == 0
+        samples = {r["case"]: r.get("samples") for r in json.loads(out)["rows"]}
+        assert samples["eddsa"] == samples["powm"] == samples["powm_w4"] == 1
+
     def test_attacks_suite_markdown(self, capsys):
         code, out, _ = run_cli(
             ["corpus", "attacks", "--sample", "4"], capsys

@@ -392,7 +392,7 @@ def test_access_outside_strict_pages_is_an_error(pages, strict, ok, escaped):
     def run(i):
         regs = compiler.regs0()
         regs[index_slot] = i
-        st = State(regs, exe.objects.fresh_arrays(), Sink(True, 3, False))
+        st = State(regs, exe.objects.fresh_arrays(), Sink(True, False))
         load(st)
         return st
 

@@ -11,11 +11,7 @@ from pfo.memory import (
     PageModelError,
     observe_profile,
     page_of,
-    profile_from_json,
-    profile_to_json,
     split_extents,
-    trace_from_jsonl,
-    trace_to_jsonl,
 )
 
 CF = EventKind.CODE_FETCH
@@ -100,7 +96,7 @@ class TestObserveProfileProperties:
         # footprints built one per step (never shared)
         expected = observe_profile(trace_of(instrs), AdversaryModel.pigeonhole())
         for footprint in (FootprintTable(), Footprint):
-            sink = Sink(pigeonhole=True, limit=3, collect=False)
+            sink = Sink(pigeonhole=True, collect=False)
             for code, data in instrs:
                 sink.instr(footprint(code, tuple(data), (DR,) * len(data)))
             assert sink.faults == expected
@@ -161,16 +157,9 @@ class TestLayoutValidation:
 
 
 class TestSerialization:
-    def test_profile_roundtrip(self):
-        assert profile_from_json(profile_to_json([7, 9, 12])) == [7, 9, 12]
-
-    def test_trace_roundtrip(self):
-        trace = [ev(CF, 7, 0), ev(DR, 9, 1), ev(DW, 4, 2)]
-        assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
-
     @given(st.lists(instr_strategy, max_size=20))
     def test_profile_serialization_deterministic(self, instrs):
         model = AdversaryModel.pigeonhole()
-        p1 = profile_to_json(observe_profile(trace_of(instrs), model))
-        p2 = profile_to_json(observe_profile(trace_of(instrs), model))
-        assert p1 == p2
+        p1 = observe_profile(trace_of(instrs), model)
+        p2 = observe_profile(trace_of(instrs), model)
+        assert isinstance(p1, list) and p1 == p2

@@ -31,12 +31,12 @@ fn main() {
 """
 
 
-def planned(source, page_size=None, mode="auto", readonly_elim=False):
+def planned(source, page_size=None, readonly_elim=False):
     program = parse(source)
     tree = balance(build_execution_tree(program))
     ps = page_size or program.page_size_hint or 4096
     layout = build_tree_layout(tree, ps)
-    return program, tree, layout, plan_layout(tree, layout, mode, readonly_elim)
+    return program, tree, layout, plan_layout(tree, layout, readonly_elim)
 
 
 def _arm(statements_per_arm):
@@ -72,10 +72,6 @@ class TestPlanSelection:
     def test_small_blocks_fit_basic(self):
         _, _, _, plan = planned(branchy_source(1, 4096))
         assert plan.mode == "basic"
-
-    def test_forced_basic_errors_when_too_big(self):
-        with pytest.raises(PlanError, match="basic multiplexing"):
-            planned(branchy_source(5, 64), mode="basic")
 
     def test_single_block_larger_than_page_rejected(self):
         src = """
@@ -133,7 +129,7 @@ class TestSmartCopy:
     def test_compacted_block_too_large_for_dummy_slot(self):
         # two 40-byte arms: the largest block is more than half the page
         with pytest.raises(PlanError, match="cannot sit beside the dummy slot"):
-            planned(branchy_source(5, 64), mode="compacted")
+            planned(branchy_source(5, 64))
 
     def test_profiles_identical_over_real_choice(self):
         exe = build_defense(parse(THREE_WAY)).executable()
@@ -176,6 +172,19 @@ class TestMultiplexedExecution:
         vanilla = AstExecutable(program)
         for (x, y), out in outputs.items():
             assert out == vanilla.run(secret={"x": x, "y": y}).outputs
+
+    @pytest.mark.parametrize("passes", [("O4",), ("O4", "O1")])
+    @pytest.mark.parametrize("source, o4, notes, code_copies", [
+        (LOOKUP_64, True, (), 0),
+        (THREE_WAY, False, ("O4 declined: grouping leaks",), 8),
+    ], ids=["lookup", "three-way"])
+    def test_o4_staging_follows_applied(self, passes, source, o4, notes, code_copies):
+        # O4 unstages the code only when it is applied, and a later re-plan
+        # (O1) keeps that decision
+        build = build_defense(parse(source), passes)
+        assert ("O4" in build.applied) is o4 and build.notes == notes
+        for s in range(4):
+            assert build.run(secret={"s": s}).code_copy_ops == code_copies
 
     def test_single_block_no_secrets_identity_up_to_staging(self):
         src = """
