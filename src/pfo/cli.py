@@ -220,6 +220,9 @@ def cmd_leak(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.window < 1:
+        raise CliFailure(f"--window must be at least 1, got {args.window}",
+                         EXIT_USAGE)
     program = _read_program(args.program)
     secrets = _parse_bindings(args.secret)
     publics = _parse_bindings(args.public)

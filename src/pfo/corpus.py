@@ -166,12 +166,13 @@ def eddsa_source(width: int = 512) -> str:
     code alternates between pages 2 and 1.  The per-iteration fault
     pattern therefore spells out the scalar.
     """
+    main, add, test = EDDSA_PAGES["main"], EDDSA_PAGES["add"], EDDSA_PAGES["test"]
     return f"""#pragma page_size {PAGE_SIZE}
-#pragma place code main 1 0
-#pragma place code add_step 1 1024
-#pragma place code dup_point 2 0
-#pragma place code add_points 2 1024
-#pragma place code test_bit 3 0
+#pragma place code main {main} 0
+#pragma place code add_step {main} 1024
+#pragma place code dup_point {add} 0
+#pragma place code add_points {add} 1024
+#pragma place code test_bit {test} 0
 secret int<{width}> k;
 public int gx = 31337;
 int m = {ECC_MODULUS};
@@ -240,10 +241,11 @@ def powm_source(width: int = 64, window: int = 1) -> str:
         precompute.append("    g_pow[j] = mul_mod(g_pow[j - 2], mul_mod(g, g));")
         precompute.append("  }")
     body = "\n".join(precompute)
+    main, mul, sel = POWM_PAGES["main"], POWM_PAGES["mul"], POWM_PAGES["sel"]
     return f"""#pragma page_size {PAGE_SIZE}
-#pragma place code main 1 0
-#pragma place code mul_mod 2 0
-#pragma place code set_cond 3 0
+#pragma place code main {main} 0
+#pragma place code mul_mod {mul} 0
+#pragma place code set_cond {sel} 0
 secret int<{width}> d;
 public int g = 7;
 int p = {POWM_MODULUS};

@@ -6,7 +6,7 @@ Two execution modes share one micro-op compiler:
   transfer control, loop trip counts follow the data.  This is the
   reference semantics and what vanilla attack simulations run on.
 * tree mode (`TreeExecutable`): a materialized execution tree is walked
-  root to leaf, each block one flat tuple of closures; branches pick
+  root to leaf, each block one flat tuple of ops; branches pick
   children.  Transformed (multiplexed) programs are tree executions whose
   block tuples also hold the staging schedule: the copies that enter the
   level, the selector update and, after a leaf, the last copy-back (see
@@ -19,11 +19,25 @@ pages are layout-dependent; runs are then cheap and allocation-light:
 
 * footprints: each micro-op's page events (code page, data pages and
   their kinds, the distinct pages it needs and their set) are fixed at
-  compile time in an interned `Footprint`.  A split-extent array access
-  picks one of its per-extent footprints by word index; every other
-  access, staging slots included, has one.  `Sink.instr(fp)` is the
-  pigeonhole rule; while the resident set is `fp.need_set` it only counts
-  the step (`memory.observe_profile` is the trace-replay reference).
+  compile time in an interned `Footprint`.  `Sink.instr(fp)` is the
+  pigeonhole rule (`memory.observe_profile` is the trace-replay
+  reference).
+* value-only closures: the compiler returns each micro-op as a closure
+  that only computes values, with the footprint its step is charged.
+  Four kinds account for themselves as they run: a split-extent access
+  (its footprint depends on the word index), a call, a return, and a
+  footprint over `MAX_PAGES_PER_INSTRUCTION`.
+* accounting: whole-function mode charges each step after its closure,
+  inlining the rule for a step whose pages are already resident.  Tree
+  mode cuts each block at the self-accounting ops and summarises every
+  run of charged ops once, at construction, by running a scratch `Sink`
+  over it (`Summary`): the OS keeps exactly the previous step's pages,
+  so all but the first step's faults are fixed.  A run calls the
+  closures, then adds the whole segment in one `Sink.account`.
+* traps: a trapping closure raises without a step count; the runner that
+  catches it brings the sink up to the trap with the same charges
+  (`_trap_info`), so a trap's step, profile and trace are those of
+  charging each step as it runs.
 * constant slots: every constant operand reads a register slot above the
   program's own, filled once per run from the register template, so an
   operand is always `regs[slot]`.
@@ -35,20 +49,22 @@ each run starts from a fresh copy of it, and its `SimulationResult.store`
 holds those same arrays as the run left them, not further copies.
 
 A traced run stores its trace as the footprint of each step, in step
-order (`SimulationResult.footprints`), not as events: `Sink.instr`
-appends the interned `Footprint` and nothing else.  `SimulationResult.trace`
-expands that list once, on first read, into the `AccessEvent` stream:
-the code fetch, then each data operand, stamped with a counter that
-rises by one per event.  Consumers that need only pages per step (the
-contract layer's access schedule) read the footprints directly.
+order (`SimulationResult.footprints`), not as events: a step appends its
+interned `Footprint` (a summary its footprint tuple) and nothing else.
+`SimulationResult.trace` expands that list once, on first read, into the
+`AccessEvent` stream: the code fetch, then each data operand, stamped
+with a counter that rises by one per event.  Consumers that need only
+pages per step (the contract layer's access schedule) read the
+footprints directly.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
+from itertools import groupby
 from typing import Callable, Optional
 
-from .exectree import ExecutionTree
+from .exectree import Block, ExecutionTree
 from .ir import (
     BinI,
     BranchI,
@@ -97,9 +113,17 @@ class TrapInfo:
 
 
 class SimTrap(PfoError):
-    def __init__(self, info: TrapInfo):
-        self.info = info
-        super().__init__(f"trap {info.kind} at step {info.step}: {info.detail}")
+    """A trap, raised without its step: the runner that catches it makes the
+    `TrapInfo` (`_trap_info`).  `counted` is the footprint of the step the
+    trapping op took first (a division steps, then traps; an out-of-bounds
+    access traps unstepped)."""
+
+    def __init__(self, kind: str, detail: str = "",
+                 counted: Optional["Footprint"] = None):
+        self.kind = kind
+        self.detail = detail
+        self.counted = counted
+        super().__init__(f"trap {kind}: {detail}")
 
 
 @dataclass
@@ -227,7 +251,11 @@ def _expand_trace(footprints: list[Footprint]) -> list[AccessEvent]:
 
 
 class Sink:
-    """Event sink: step accounting, optional trace, optional pigeonhole."""
+    """Event sink: step accounting, optional trace, optional pigeonhole.
+
+    `resident` is the page set of the last step taken under either model;
+    only the pigeonhole model turns the pages it lacks into faults.
+    """
 
     __slots__ = (
         "pigeonhole", "resident", "faults", "steps",
@@ -254,18 +282,19 @@ class Sink:
         self.steps += 1
         if self.footprints is not None:
             self.footprints.append(fp)
-        if self.pigeonhole and self.resident is not fp.need_set:
-            need = fp.need
-            if len(need) > MAX_PAGES_PER_INSTRUCTION:
-                raise PageModelError(
-                    f"instruction needs {len(need)} pages "
-                    f"(limit {MAX_PAGES_PER_INSTRUCTION})"
-                )
-            resident = self.resident
-            faults = self.faults
-            for p in need:
-                if p not in resident:
-                    faults.append(p)
+        if self.resident is not fp.need_set:
+            if self.pigeonhole:
+                need = fp.need
+                if len(need) > MAX_PAGES_PER_INSTRUCTION:
+                    raise PageModelError(
+                        f"instruction needs {len(need)} pages "
+                        f"(limit {MAX_PAGES_PER_INSTRUCTION})"
+                    )
+                resident = self.resident
+                faults = self.faults
+                for p in need:
+                    if p not in resident:
+                        faults.append(p)
             self.resident = fp.need_set
 
     def copy(self, fp: Footprint, words: int, is_code: bool) -> None:
@@ -278,6 +307,65 @@ class Sink:
             self.copy_ops += 1
         self.instr(fp)
         self.steps -= 1  # instr() charged 1; total cost stays `words`
+
+    def charge(self, charges) -> None:
+        """Ops' static charges, in order: each an instruction's `Footprint`,
+        or a callable that charges this sink (a staging copy or selector)."""
+        instr = self.instr
+        for c in charges:
+            if c.__class__ is Footprint:
+                instr(c)
+            else:
+                c(self)
+
+    def account(self, s: "Summary") -> None:
+        """A summarised segment's steps, counters and trace, and the
+        pigeonhole rule for its first step; its later faults are fixed."""
+        self.steps += s.steps
+        self.copy_ops += s.copy_ops
+        self.code_copy_ops += s.code_copy_ops
+        self.mux_accesses += s.mux_accesses
+        if self.footprints is not None:
+            self.footprints += s.footprints
+        first = s.first
+        if first is None:
+            return  # no step: the resident set stays
+        if self.pigeonhole:
+            resident = self.resident
+            if resident is not first.need_set:
+                self.faults += [p for p in first.need if p not in resident]
+            self.faults += s.faults
+        self.resident = s.exit
+
+
+class Summary:
+    """What a segment of statically charged ops adds to a `Sink`, computed
+    once by running a scratch sink over their `charges`.
+
+    Every step's pages are fixed and the OS keeps exactly the previous
+    step's pages, so everything but the first step's faults is the same
+    for every run: the steps and counters, the footprints, the faults from
+    the second step on and the resident set at exit.  `first` is the
+    first step's footprint (`None` when no op steps).
+    """
+
+    __slots__ = ("charges", "steps", "copy_ops", "code_copy_ops", "mux_accesses",
+                 "footprints", "first", "faults", "exit")
+
+    def __init__(self, charges: tuple):
+        scratch = Sink(pigeonhole=True, collect=True)
+        scratch.charge(charges)
+        fps = scratch.footprints
+        self.charges = charges
+        self.steps = scratch.steps
+        self.copy_ops = scratch.copy_ops
+        self.code_copy_ops = scratch.code_copy_ops
+        self.mux_accesses = scratch.mux_accesses
+        self.footprints = tuple(fps)
+        self.first = fps[0] if fps else None
+        # from an empty resident set the first step faults all its pages
+        self.faults = tuple(scratch.faults[len(fps[0].need) if fps else 0:])
+        self.exit = scratch.resident
 
 
 _KIND_R = (EventKind.DATA_READ,)
@@ -317,41 +405,43 @@ def _make_canon(width: int) -> Callable[[int], int]:
     return canon
 
 
+_DIVISIONS = ("/", "%")
+
+
+@cache
 def _make_arith(width: int):
+    """Wrapping arithmetic, made once per width; a division by zero raises
+    `ZeroDivisionError`, which the compiled division turns into a trap."""
     canon = _make_canon(width)
 
-    def div(a: int, b: int, sink: Sink) -> int:
-        if b == 0:
-            raise SimTrap(TrapInfo("div-zero", sink.steps))
+    def div(a: int, b: int) -> int:
         q = abs(a) // abs(b)
         return canon(-q if (a < 0) != (b < 0) else q)
 
-    def mod(a: int, b: int, sink: Sink) -> int:
-        if b == 0:
-            raise SimTrap(TrapInfo("div-zero", sink.steps))
+    def mod(a: int, b: int) -> int:
         q = abs(a) // abs(b)
         q = -q if (a < 0) != (b < 0) else q
         return canon(a - q * b)
 
     ops: dict[str, Callable] = {
-        "+": lambda a, b, s: canon(a + b),
-        "-": lambda a, b, s: canon(a - b),
-        "*": lambda a, b, s: canon(a * b),
+        "+": lambda a, b: canon(a + b),
+        "-": lambda a, b: canon(a - b),
+        "*": lambda a, b: canon(a * b),
         "/": div,
         "%": mod,
         # shift amounts reduce modulo the integer width
-        "<<": lambda a, b, s: canon(a << (b % width)),
-        ">>": lambda a, b, s: a >> (b % width),
-        "&": lambda a, b, s: canon(a & b),
-        "|": lambda a, b, s: canon(a | b),
-        "^": lambda a, b, s: canon(a ^ b),
-        "&&": lambda a, b, s: int(bool(a) and bool(b)),
-        "==": lambda a, b, s: int(a == b),
-        "!=": lambda a, b, s: int(a != b),
-        "<": lambda a, b, s: int(a < b),
-        ">": lambda a, b, s: int(a > b),
-        "<=": lambda a, b, s: int(a <= b),
-        ">=": lambda a, b, s: int(a >= b),
+        "<<": lambda a, b: canon(a << (b % width)),
+        ">>": lambda a, b: a >> (b % width),
+        "&": lambda a, b: canon(a & b),
+        "|": lambda a, b: canon(a | b),
+        "^": lambda a, b: canon(a ^ b),
+        "&&": lambda a, b: int(bool(a) and bool(b)),
+        "==": lambda a, b: int(a == b),
+        "!=": lambda a, b: int(a != b),
+        "<": lambda a, b: int(a < b),
+        ">": lambda a, b: int(a > b),
+        "<=": lambda a, b: int(a <= b),
+        ">=": lambda a, b: int(a >= b),
     }
     unops: dict[str, Callable] = {
         "-": lambda a: canon(-a),
@@ -363,6 +453,18 @@ def _make_arith(width: int):
 
 
 # --- object resolution --------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def _canonical(init: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """An array initializer wrapped to `width` bits, made once per
+    initializer: the tables of a program are rebuilt with every executable."""
+    canon = _make_canon(width)
+    # canonical values form an interval, so in-range ends mean no value
+    # needs wrapping
+    if init and any(canon(v) != v for v in (min(init), max(init))):
+        return tuple(map(canon, init))
+    return init
+
 
 class ObjectTable:
     """Array storage indices, the canonical initial array image (computed
@@ -379,20 +481,16 @@ class ObjectTable:
         self.lengths: list[int] = []
         self._image: list[list[int]] = []
         self._extent_pages: dict[str, tuple] = {}
-        canon = _make_canon(program.int_width)
+        width = program.int_width
         for n in self.names:
             d = program.decl(n)
             if d is not None and d.is_array:
-                length, init = d.array_len, d.init
+                length, init = d.array_len, _canonical(d.init, width)
             elif extra_objects and n in extra_objects:
                 length, init = extra_objects[n], ()
             else:
                 length, init = 1, ()
             arr = list(init)
-            # canonical values form an interval, so in-range ends mean no
-            # value needs wrapping
-            if arr and any(canon(v) != v for v in (min(arr), max(arr))):
-                arr = list(map(canon, arr))
             arr.extend([0] * (length - len(arr)))
             self.lengths.append(length)
             self._image.append(arr)
@@ -477,7 +575,8 @@ class _OpCompiler:
     def _data_footprint(self, obj: str, cp: int, kinds: tuple):
         """(footprint, None) for a static access; else (None, lookup), where
         `lookup(i)` gives word i's footprint or raises for a page outside
-        `strict_pages`."""
+        `strict_pages`: a split extent, a strict page, or more pages than
+        one instruction may touch, which the access checks as it steps."""
         key = (obj, cp, kinds)
         got = self._data_footprints.get(key)
         if got is None:
@@ -495,7 +594,8 @@ class _OpCompiler:
             else self.footprint(cp, (p,), kinds)
             for p in pages
         )
-        if ext_of is None and fps[0] is not None:
+        if ext_of is None and fps[0] is not None \
+                and len(fps[0].need) <= MAX_PAGES_PER_INSTRUCTION:
             return fps[0], None
 
         def lookup(i: int) -> Footprint:
@@ -509,7 +609,11 @@ class _OpCompiler:
         return None, lookup
 
     def compile(self, instr: Instr, code_page: int,
-                call_target: Optional[Callable] = None) -> Callable[[State], None]:
+                call_target: Optional[Callable] = None) -> tuple:
+        """`(closure, footprint)`: the closure computes the micro-op's values
+        and its step is charged `footprint`; with footprint `None` the
+        closure accounts for itself (a split-extent access, a call, a
+        return, or more pages than one instruction may touch)."""
         slot = self.slot
         fp = self._code_footprints.get(code_page)
         if fp is None:
@@ -517,57 +621,62 @@ class _OpCompiler:
         if isinstance(instr, BinI):
             fn = self.binops[instr.op]
             a, b, dst = slot(instr.a), slot(instr.b), instr.dst
-            def run(st: State, fp=fp, fn=fn, a=a, b=b, dst=dst):
-                st.sink.instr(fp)
+            if instr.op in _DIVISIONS:
+                def run(st: State, fn=fn, a=a, b=b, dst=dst, fp=fp):
+                    regs = st.regs
+                    try:
+                        regs[dst] = fn(regs[a], regs[b])
+                    except ZeroDivisionError:
+                        raise SimTrap("div-zero", counted=fp) from None
+                return run, fp
+            def run(st: State, fn=fn, a=a, b=b, dst=dst):
                 regs = st.regs
-                regs[dst] = fn(regs[a], regs[b], st.sink)
-            return run
+                regs[dst] = fn(regs[a], regs[b])
+            return run, fp
         if isinstance(instr, MovI):
             a, dst = slot(instr.a), instr.dst
-            def run(st: State, fp=fp, a=a, dst=dst):
-                st.sink.instr(fp)
+            def run(st: State, a=a, dst=dst):
                 regs = st.regs
                 regs[dst] = regs[a]
-            return run
+            return run, fp
         if isinstance(instr, (LoadI, StoreI)):
             return self._compile_access(instr, code_page)
         if isinstance(instr, UnI):
             fn = self.unops[instr.op]
             a, dst = slot(instr.a), instr.dst
-            def run(st: State, fp=fp, fn=fn, a=a, dst=dst):
-                st.sink.instr(fp)
+            def run(st: State, fn=fn, a=a, dst=dst):
                 regs = st.regs
                 regs[dst] = fn(regs[a])
-            return run
+            return run, fp
         if isinstance(instr, SelI):
             c, a, b, dst = slot(instr.cond), slot(instr.a), slot(instr.b), instr.dst
-            def run(st: State, fp=fp, c=c, a=a, b=b, dst=dst):
-                st.sink.instr(fp)
+            def run(st: State, c=c, a=a, b=b, dst=dst):
                 regs = st.regs
                 regs[dst] = regs[a] if regs[c] else regs[b]
-            return run
+            return run, fp
         if isinstance(instr, BranchI):
             c = slot(instr.cond)
-            def run(st: State, fp=fp, c=c):
-                st.sink.instr(fp)
+            def run(st: State, c=c):
                 st.branch = 1 if st.regs[c] else 0
-            return run
+            return run, fp
         if isinstance(instr, PadI):
             oi = self._obj_index(PAD_OBJECT)
             pad_fp, lookup = self._data_footprint(PAD_OBJECT, code_page, _KIND_W)
-            def run(st: State, fp=pad_fp, lookup=lookup, oi=oi):
-                st.sink.instr(fp if lookup is None else lookup(0))
+            if lookup is None:
+                def run(st: State, oi=oi):
+                    st.arrays[oi][0] = 0
+                return run, pad_fp
+            def run(st: State, lookup=lookup, oi=oi):
+                st.sink.instr(lookup(0))
                 st.arrays[oi][0] = 0
-            return run
+            return run, None
         if isinstance(instr, NopI):
-            def run(st: State, fp=fp):
-                st.sink.instr(fp)
-            return run
+            return _no_op, fp
         if isinstance(instr, RetI):
             ret = self.compile_return(instr, code_page)
             def run(st: State, ret=ret):
                 raise _EarlyReturn(ret(st))
-            return run
+            return run, None
         if isinstance(instr, CallI):
             args = tuple(slot(a) for a in instr.args)
             dst = instr.dst
@@ -577,7 +686,7 @@ class _OpCompiler:
                 result = call_target(st, [regs[a] for a in args])
                 if dst is not None:
                     regs[dst] = 0 if result is None else result
-            return run
+            return run, None
         raise PfoError(f"cannot compile {instr!r}")
 
     def compile_return(self, instr: RetI, code_page: int) -> Callable[[State], int]:
@@ -589,39 +698,87 @@ class _OpCompiler:
             return st.regs[v]
         return ret
 
-    def _compile_access(self, instr, code_page: int) -> Callable[[State], None]:
+    def _compile_access(self, instr, code_page: int) -> tuple:
         obj = instr.obj
         oi = self._obj_index(obj)
         n = self.objects.lengths[oi]
         a = self.slot(instr.index)
-
-        def oob(st: State, i: int) -> SimTrap:
-            return SimTrap(TrapInfo("index-oob", st.sink.steps, f"{obj}[{i}]"))
-
         # a static access has one footprint; a split table looks its one up
+        # and accounts for itself
         if isinstance(instr, LoadI):
             fp, lookup = self._data_footprint(obj, code_page, _KIND_R)
             dst = instr.dst
-            def run(st: State, fp=fp, lookup=lookup, a=a, n=n, oi=oi, dst=dst,
-                    oob=oob):
+            if lookup is None:
+                def run(st: State, a=a, n=n, oi=oi, dst=dst, obj=obj):
+                    regs = st.regs
+                    i = regs[a]
+                    if i < 0 or i >= n:
+                        raise SimTrap("index-oob", f"{obj}[{i}]")
+                    regs[dst] = st.arrays[oi][i]
+                return run, fp
+            def run(st: State, lookup=lookup, a=a, n=n, oi=oi, dst=dst, obj=obj):
                 regs = st.regs
                 i = regs[a]
                 if i < 0 or i >= n:
-                    raise oob(st, i)
-                st.sink.instr(fp if lookup is None else lookup(i))
+                    raise SimTrap("index-oob", f"{obj}[{i}]")
+                st.sink.instr(lookup(i))
                 regs[dst] = st.arrays[oi][i]
-            return run
+            return run, None
         fp, lookup = self._data_footprint(obj, code_page, _KIND_W)
         src = self.slot(instr.src)
-        def run(st: State, fp=fp, lookup=lookup, a=a, n=n, oi=oi, src=src,
-                oob=oob):
+        if lookup is None:
+            def run(st: State, a=a, n=n, oi=oi, src=src, obj=obj):
+                regs = st.regs
+                i = regs[a]
+                if i < 0 or i >= n:
+                    raise SimTrap("index-oob", f"{obj}[{i}]")
+                st.arrays[oi][i] = regs[src]
+            return run, fp
+        def run(st: State, lookup=lookup, a=a, n=n, oi=oi, src=src, obj=obj):
             regs = st.regs
             i = regs[a]
             if i < 0 or i >= n:
-                raise oob(st, i)
-            st.sink.instr(fp if lookup is None else lookup(i))
+                raise SimTrap("index-oob", f"{obj}[{i}]")
+            st.sink.instr(lookup(i))
             st.arrays[oi][i] = regs[src]
-        return run
+        return run, None
+
+
+def _sequence(steps: list) -> Callable[[State], None]:
+    """Run `(closure, footprint)` steps in order, charging each static
+    footprint right after its closure; the pigeonhole rule is inlined for
+    a step whose pages are the resident set, where nothing can fault."""
+    if not steps:
+        return _no_op
+    if len(steps) == 1 and steps[0][1] is None:
+        return steps[0][0]
+    steps = tuple(steps)
+
+    def run(st: State):
+        sink = st.sink
+        for f, fp in steps:
+            f(st)
+            if fp is None:
+                continue
+            if sink.resident is fp.need_set:
+                sink.steps += 1
+                if sink.footprints is not None:
+                    sink.footprints.append(fp)
+            else:
+                sink.instr(fp)
+    return run
+
+
+def _trap_info(sink: Sink, trap: SimTrap, at: int = 0,
+               summary: Optional[Summary] = None) -> TrapInfo:
+    """The trap's step, with `sink` brought up to it: a trap at op `at` of
+    a summarised segment first charges the ops before it, the same way
+    the summary was made."""
+    if summary is not None:
+        sink.charge(summary.charges[:at])
+    if trap.counted is not None:
+        sink.instr(trap.counted)
+    return TrapInfo(trap.kind, sink.steps, trap.detail)
 
 
 # --- whole-function executable ----------------------------------------------
@@ -644,8 +801,9 @@ class AstExecutable:
         self._fn_runners: dict[str, Callable] = {}
         for name in self.lowered.functions:
             self._compile_function(name)
-        self._decl_slots = self._compiler.decl_slots
         self._regs0 = self._compiler.regs0()
+        self._inputs, self._outputs = _scalar_slots(
+            program, self._compiler.decl_slots, self._regs0, self.canon)
         self._stored = [
             (name, self.objects.index[name])
             for name in self.objects.names if name != PAD_OBJECT
@@ -663,57 +821,45 @@ class AstExecutable:
                 return runners[callee](st, values)
             return target
 
-        closures = [
+        ops = [
             compiler.compile(instr, pages[idx],
                              call_target_for(instr) if isinstance(instr, CallI) else None)
             for idx, instr in enumerate(fn.instrs)
         ]
-
-        def sequence(steps: list) -> Callable:
-            if len(steps) <= 1:
-                return steps[0] if steps else _no_op
-            steps = tuple(steps)
-            def run(st: State):
-                for f in steps:
-                    f(st)
-            return run
 
         def compile_seq(seq: SeqNode) -> Callable:
             # runs are spliced in, so a sequence is one flat list of steps
             steps: list = []
             for item in seq.items:
                 if isinstance(item, RunNode):
-                    steps.extend(closures[item.lo:item.hi])
+                    steps.extend(ops[item.lo:item.hi])
                 elif isinstance(item, RetNode):
-                    steps.extend(closures[item.run.lo:item.run.hi])
-                    steps.append(closures[item.ret_index])
+                    steps.extend(ops[item.run.lo:item.run.hi])
+                    steps.append(ops[item.ret_index])
                 elif isinstance(item, IfNode):
-                    steps.extend(closures[item.cond_run.lo:item.cond_run.hi])
-                    branch = closures[item.branch_index]
+                    steps.extend(ops[item.cond_run.lo:item.cond_run.hi])
+                    steps.append(ops[item.branch_index])
                     then_run = compile_seq(item.then_node)
                     else_run = compile_seq(item.else_node)
-                    def run_if(st: State, branch=branch, then_run=then_run,
-                               else_run=else_run):
-                        branch(st)
+                    def run_if(st: State, then_run=then_run, else_run=else_run):
                         if st.branch:
                             then_run(st)
                         else:
                             else_run(st)
-                    steps.append(run_if)
+                    steps.append((run_if, None))
                 elif isinstance(item, ForNode):
-                    steps.extend(closures[item.init_run.lo:item.init_run.hi])
+                    steps.extend(ops[item.init_run.lo:item.init_run.hi])
                     body = compile_seq(item.body)
-                    step_run = sequence(closures[item.step_run.lo:item.step_run.hi])
+                    step_run = _sequence(ops[item.step_run.lo:item.step_run.hi])
                     def run_for(st: State, body=body, step_run=step_run,
                                 trips=item.trips):
                         for _ in range(trips):
                             body(st)
                             step_run(st)
-                    steps.append(run_for)
+                    steps.append((run_for, None))
                 elif isinstance(item, WhileNode):
-                    cond_run = sequence(
-                        closures[item.cond_run.lo:item.cond_run.hi]
-                        + [closures[item.branch_index]])
+                    cond_run = _sequence(
+                        ops[item.cond_run.lo:item.cond_run.hi] + [ops[item.branch_index]])
                     body = compile_seq(item.body)
                     def run_while(st: State, cond_run=cond_run, body=body,
                                   bound=item.bound, do_first=item.do_first):
@@ -728,16 +874,13 @@ class AstExecutable:
                             if not st.branch:
                                 return
                             if n >= bound:
-                                raise SimTrap(
-                                    TrapInfo("loop-bound", st.sink.steps,
-                                             f"exceeded bound {bound}")
-                                )
+                                raise SimTrap("loop-bound", f"exceeded bound {bound}")
                             body(st)
                             n += 1
-                    steps.append(run_while)
+                    steps.append((run_while, None))
                 else:
                     raise PfoError(f"cannot compile node {item!r}")
-            return sequence(steps)
+            return _sequence(steps)
 
         # a `return` that ends the body hands its value back directly; only
         # nested ones unwind through `_EarlyReturn`
@@ -772,7 +915,7 @@ class AstExecutable:
         try:
             self._fn_runners["main"](st, [])
         except SimTrap as t:
-            trap = t.info
+            trap = _trap_info(st.sink, t)
         return _result(self, st, trap)
 
 
@@ -803,14 +946,15 @@ def _start(exe, model: Optional[AdversaryModel], collect_trace: bool,
         collect=collect_trace,
     )
     st = State(exe._regs0[:], exe.objects.fresh_arrays(), sink)
-    _bind_inputs(exe.program, exe._decl_slots, st, exe.canon, secret, public)
+    _bind_inputs(exe._inputs, st, exe.canon, secret, public)
     return st
 
 
 def _result(exe, st: State, trap: Optional[TrapInfo]) -> SimulationResult:
     sink = st.sink
+    regs = st.regs
     return SimulationResult(
-        outputs={d.name: st.regs[exe._decl_slots[d.name]] for d in exe.program.outputs},
+        outputs={name: regs[slot] for name, slot in exe._outputs},
         profile=sink.faults,
         steps=sink.steps,
         copy_ops=sink.copy_ops,
@@ -822,14 +966,29 @@ def _result(exe, st: State, trap: Optional[TrapInfo]) -> SimulationResult:
     )
 
 
-def _bind_inputs(program: Program, decl_slots, st: State, canon,
-                 secret: dict[str, int] | None, public: dict[str, int] | None):
-    secret = dict(secret or {})
-    public = dict(public or {})
+def _scalar_slots(program: Program, decl_slots: dict[str, int], regs0: list[int],
+                  canon) -> tuple[tuple, tuple]:
+    """Each input's (declaration, slot) and each output's (name, slot);
+    the other scalars' initial values go into the register template."""
+    inputs = []
     for d in program.decls:
         if d.is_array:
             continue
         slot = decl_slots[d.name]
+        if d.kind in (DeclKind.SECRET, DeclKind.PUBLIC):
+            inputs.append((d, slot))
+        elif d.init:
+            regs0[slot] = canon(d.init[0])
+    outputs = tuple((d.name, decl_slots[d.name]) for d in program.outputs)
+    return tuple(inputs), outputs
+
+
+def _bind_inputs(inputs: tuple, st: State, canon,
+                 secret: dict[str, int] | None, public: dict[str, int] | None):
+    secret = dict(secret or {})
+    public = dict(public or {})
+    regs = st.regs
+    for d, slot in inputs:
         if d.kind == DeclKind.SECRET:
             if d.name not in secret:
                 raise PfoError(f"secret {d.name!r} not bound")
@@ -838,16 +997,13 @@ def _bind_inputs(program: Program, decl_slots, st: State, canon,
                 raise PfoError(
                     f"secret {d.name!r} must be in [0, 2^{d.width}), got {v}"
                 )
-            st.regs[slot] = canon(v)
-        elif d.kind == DeclKind.PUBLIC:
+        else:
             v = public.pop(d.name, d.init[0] if d.init else 0)
             if d.width is not None and not (0 <= v < (1 << d.width)):
                 raise PfoError(
                     f"public {d.name!r} must be in [0, 2^{d.width}), got {v}"
                 )
-            st.regs[slot] = canon(v)
-        else:
-            st.regs[slot] = canon(d.init[0]) if d.init else 0
+        regs[slot] = canon(v)
     if secret:
         raise PfoError(f"unknown secret inputs: {sorted(secret)}")
     if public:
@@ -859,10 +1015,13 @@ def _bind_inputs(program: Program, decl_slots, st: State, canon,
 class TreeExecutable:
     """Root-to-leaf walker over a (possibly balanced) execution tree.
 
-    Each block compiles to one flat tuple of closures, its instructions at
-    their own code pages; a run calls a block's closures in order, then
-    moves to the child its branch picked.  `transform.MultiplexedExecutable`
-    builds the same tuples with the staging schedule compiled in.
+    Each block compiles to one flat tuple of `(closure, charge)` ops, its
+    instructions at their own code pages; `transform.MultiplexedExecutable`
+    builds the same tuples with the staging schedule compiled in.  A block
+    is cut into segments at the ops that account for themselves, and each
+    run of charged ops is summarised once (`Summary`): a run calls a
+    segment's closures, which compute values only, then accounts its
+    summary in one `Sink.account`, and moves to the child its branch picked.
     """
 
     def __init__(self, tree: ExecutionTree, layout: Optional[MemoryLayout] = None,
@@ -872,30 +1031,30 @@ class TreeExecutable:
             layout = build_tree_layout(tree, program.resolve_page_size(page_size))
         objects = ObjectTable(program, layout)
         compiler = _OpCompiler(program, objects, program.int_width, tree.alloc)
-        self._link(tree, layout, objects, compiler, {
-            b.id: tuple(map(compiler.compile, b.instrs,
-                            _code_pages(layout, b.name(), len(b.instrs))))
-            for b in tree.blocks
-        })
+        self._link(tree, layout, objects, compiler, lambda b: list(map(
+            compiler.compile, b.instrs, _code_pages(layout, b.name(), len(b.instrs)))))
 
     def _link(self, tree: ExecutionTree, layout: MemoryLayout,
               objects: ObjectTable, compiler: _OpCompiler,
-              closures: dict[int, tuple]) -> None:
-        """Make runs walk `tree`, calling each block's `closures` (by block
-        id); call it once every closure is compiled (it fixes the registers)."""
+              block_ops: Callable[[Block], list[tuple]]) -> None:
+        """Make runs walk `tree`, running the `(closure, charge)` ops that
+        `block_ops` compiles for each block."""
+        summaries: dict[tuple, Summary] = {}
+        segments = {b.id: _segments(block_ops(b), summaries) for b in tree.blocks}
         self.tree = tree
         self.program = tree.program
         self.layout = layout
         self.objects = objects
         self.canon = compiler.canon
-        self._decl_slots = compiler.decl_slots
-        self._regs0 = compiler.regs0()
+        self._regs0 = compiler.regs0()  # every op is compiled: the slots are fixed
+        self._inputs, self._outputs = _scalar_slots(
+            tree.program, compiler.decl_slots, self._regs0, self.canon)
         self._stored = [
             (name, objects.index[name])
             for name in objects.names
             if name != PAD_OBJECT and not name.startswith("__sa")
         ]
-        # a node is (closures, successors indexed by `st.branch`, or None for
+        # a node is (segments, successors indexed by `st.branch`, or None for
         # a leaf); deepest blocks first, so every child's node exists
         nodes: dict[int, tuple] = {}
         for b in sorted(tree.blocks, key=lambda b: -b.level):
@@ -904,7 +1063,7 @@ class TreeExecutable:
                 first = nodes[b.children[0].id]
                 kids = (first, first) if b.branch is None \
                     else (nodes[b.children[1].id], first)
-            nodes[b.id] = (closures[b.id], kids)
+            nodes[b.id] = (segments[b.id], kids)
         self._root = nodes[tree.root.id]
 
     def run(self, secret: dict[str, int] | None = None,
@@ -912,17 +1071,52 @@ class TreeExecutable:
             model: Optional[AdversaryModel] = None,
             collect_trace: bool = False) -> SimulationResult:
         st = _start(self, model, collect_trace, secret, public)
+        account = st.sink.account
         trap = None
         node = self._root
         try:
             while node is not None:
-                closures, kids = node
-                for f in closures:
-                    f(st)
+                segments, kids = node
+                for values, summary in segments:
+                    for f in values:
+                        f(st)
+                    if summary is not None:
+                        account(summary)
                 node = None if kids is None else kids[st.branch]
         except SimTrap as t:
-            trap = t.info
+            # `f` is the op that trapped
+            trap = _trap_info(st.sink, t, values.index(f), summary)
         return _result(self, st, trap)
+
+
+_NONE_ID = id(None)
+
+
+def _segments(ops: list[tuple], summaries: dict[tuple, Summary]) -> tuple:
+    """A block's `(closure, charge)` ops cut where self-accounting ones
+    start and stop: `(closures, None)` for a run of those, `(closures,
+    summary)` for a run of charged ones.  Runs with the same charges share
+    one `summaries` entry (charges are interned footprints and shared
+    staging closures)."""
+    if not ops:
+        return ()
+    values, charges = zip(*ops)
+    ids = tuple(map(id, charges))
+    if _NONE_ID not in ids:
+        return ((values, _summary(charges, ids, summaries)),)
+    segments = []
+    for self_accounting, run in groupby(ops, key=lambda op: op[1] is None):
+        values, charges = zip(*run)
+        segments.append((values, None if self_accounting else
+                         _summary(charges, tuple(map(id, charges)), summaries)))
+    return tuple(segments)
+
+
+def _summary(charges: tuple, key: tuple, summaries: dict[tuple, Summary]) -> Summary:
+    got = summaries.get(key)
+    if got is None:
+        got = summaries[key] = Summary(charges)
+    return got
 
 
 def simulate(program: Program, layout: Optional[MemoryLayout] = None,

@@ -23,18 +23,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 from typing import Callable
 
-from .exectree import ExecutionTree, check_balanced
+from .exectree import Block, ExecutionTree, check_balanced
 from .ir import PAD_OBJECT, data_refs
 from .interp import (
     _KIND_RW,
     _KIND_W,
     Footprint,
     ObjectTable,
+    Sink,
     State,
     TreeExecutable,
     _code_pages,
+    _no_op,
     _OpCompiler,
 )
 from .lang import WORD_SIZE
@@ -42,6 +45,8 @@ from .layouts import next_free_page
 from .memory import MemoryLayout, PfoError
 
 SELECTOR = "__sa_sel"
+_PAGES = attrgetter("pages")
+_CHARGE = itemgetter(1)
 
 
 class PlanError(PfoError):
@@ -328,42 +333,48 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     )
 
 
-def _copier(ops: tuple, charge: int) -> Callable[[State], None]:
-    """Run scheduled copies, each (footprint, words, is_code, src array,
-    dst array, src word, dst word), then add a block's multiplexing charge."""
-    def run(st: State, ops=ops, charge=charge):
-        sink = st.sink
+def _copier(copies: tuple, moves: tuple, mux: int) -> tuple:
+    """Scheduled copies as one op: the closure moves the data words, each
+    move (src array, dst array, src word, dst word, words); the charge
+    steps each copy, (footprint, words, is_code), per word and adds a
+    block's multiplexing charge `mux`."""
+    def run(st: State, moves=moves):
         arrays = st.arrays
-        for fp, words, is_code, src_i, dst_i, src_word, dst_word in ops:
+        for src_i, dst_i, src_word, dst_word, words in moves:
+            arrays[dst_i][dst_word:dst_word + words] = \
+                arrays[src_i][src_word:src_word + words]
+
+    def charge(sink: Sink):
+        for fp, words, is_code in copies:
             sink.copy(fp, words, is_code)
-            if not is_code:
-                arrays[dst_i][dst_word:dst_word + words] = \
-                    arrays[src_i][src_word:src_word + words]
-        sink.mux_accesses += charge
-    return run
+        sink.mux_accesses += mux
+    return run if moves else _no_op, charge
 
 
-def _selector(fp: Footprint, sel_index: int) -> Callable[[State], None]:
+def _selector(fp: Footprint, sel_index: int) -> tuple:
     """The uniform per-block selector update: one step, one staging write."""
-    def run(st: State, fp=fp, sel_index=sel_index):
-        st.sink.instr(fp)
-        st.sink.mux_accesses += 1
+    def run(st: State, sel_index=sel_index):
         st.arrays[sel_index][0] = st.branch
-    return run
+
+    def charge(sink: Sink):
+        sink.instr(fp)
+        sink.mux_accesses += 1
+    return run, charge
 
 
 class MultiplexedExecutable(TreeExecutable):
     """Tree execution with the fetch/execute/copy-back schedule compiled in.
 
-    Each block's closure tuple holds, in order: the copies that enter its
+    Each block's op tuple holds, in order: the copies that enter its
     level (the level before's copy-back, then this level's fetch, unless
     one merged group covers both) with the block's multiplexing charge; its
     instructions, at the code staging page (their own pages under O4),
     against the data staging slots only; the selector update; and for a
-    leaf the last copy-back.  Blocks with the same copies and charge share
-    one copy closure, and blocks on one code page one selector closure.  An
-    execute-phase access that would leave the staging pages is an internal
-    error, which keeps levels atomic.
+    leaf the last copy-back.  Every op's pages are fixed, so a block is
+    one segment that a run accounts once, from its `Summary`.  Blocks with
+    the same copies and charge share one copy op, and blocks on one code
+    page one selector op.  An execute-phase access that would leave the
+    staging pages is an internal error, which keeps levels atomic.
     """
 
     def __init__(self, tree: ExecutionTree, source_layout: MemoryLayout,
@@ -390,40 +401,45 @@ class MultiplexedExecutable(TreeExecutable):
             for covered in lp.covered():
                 level_plans[covered] = lp
 
-        def copy_ops(steps: tuple[CopyStep, ...], cp: int) -> tuple:
-            """`_copier`'s ops for `steps`, run from code page `cp`."""
-            ops = []
+        def copier(steps: tuple[CopyStep, ...], cp: int, mux: int) -> tuple:
+            """The op running `steps` from code page `cp`, charging `mux`."""
+            copies, moves = [], []
             for c in steps:
                 fp = compiler.footprint(cp, (c.src_page, c.dst_page), _KIND_RW)
+                copies.append((fp, c.words, c.kind == "code"))
                 if c.kind == "code":
-                    ops.append((fp, c.words, True, 0, 0, 0, 0))
                     continue
                 src_i = objects.index[c.unit]
                 dst_i = objects.index[f"__sa/{c.unit}"]
                 if c.kind == "back":
                     src_i, dst_i = dst_i, src_i
-                ops.append((fp, c.words, False, src_i, dst_i, c.src_word, c.dst_word))
-            return tuple(ops)
+                moves.append((src_i, dst_i, c.src_word, c.dst_word, c.words))
+            # levels that copy alike share one op, and so can their blocks'
+            # summaries (footprints are interned: equal ones are one object)
+            copies, moves = tuple(copies), tuple(moves)
+            key = (tuple((id(fp), words, is_code) for fp, words, is_code in copies),
+                   moves, mux)
+            return once(key, lambda: _copier(copies, moves, mux))
 
-        shared: dict[tuple, Callable] = {}
+        shared: dict[tuple, tuple] = {}
 
-        def once(key: tuple, make: Callable[[], Callable]) -> Callable:
+        def once(key: tuple, make: Callable[[], tuple]) -> tuple:
             got = shared.get(key)
             if got is None:
                 got = shared[key] = make()
             return got
 
-        def enter(group: LevelPlan, prev: LevelPlan | None, cp: int) -> tuple:
+        def enter(group: LevelPlan, prev: LevelPlan | None) -> tuple:
             # the group that ran before a block's is its parent level's: copy
             # that one back, then fetch, unless one group covers both levels
             if group is prev:
                 return ()
-            return copy_ops((prev.copy_back if prev else ()) + group.fetch, cp)
+            return (prev.copy_back if prev else ()) + group.fetch
 
         sel_index = objects.index[f"__sa/{SELECTOR}"]
         sel_page = slots[SELECTOR].page
-        closures = {}
-        for b in tree.blocks:
+
+        def block_ops(b: Block) -> list[tuple]:
             if code_staged:
                 cp = plan.staging.sa_code
                 pages = [cp] * len(b.instrs)
@@ -432,18 +448,18 @@ class MultiplexedExecutable(TreeExecutable):
                 pages = _code_pages(layout, b.name(), len(b.instrs))
             group = level_plans[b.level]
             prev = level_plans.get(b.level - 1)
-            # the charge is fixed here, not read from `Block` at run time:
-            # balancing appends pads to a block's instrs
-            charge = b.data_accesses
-            block = (
-                once(("enter", id(group), id(prev), cp, charge),
-                     lambda: _copier(enter(group, prev, cp), charge)),
-                *map(compiler.compile, b.instrs, pages),
-                once(("select", cp), lambda: _selector(
-                    compiler.footprint(cp, (sel_page,), _KIND_W), sel_index)),
-            )
+            instrs = list(map(compiler.compile, b.instrs, pages))
+            # the multiplexing charge is the data operand events of the
+            # block's instructions (`Block.data_accesses` under staging)
+            mux = sum(map(len, map(_PAGES, filter(None, map(_CHARGE, instrs)))))
+            ops = [once(("enter", id(group), id(prev), cp, mux),
+                        lambda: copier(enter(group, prev), cp, mux)),
+                   *instrs,
+                   once(("select", cp), lambda: _selector(
+                       compiler.footprint(cp, (sel_page,), _KIND_W), sel_index))]
             if b.is_leaf:
-                block += (once(("exit", id(group), cp), lambda: _copier(
-                    copy_ops(group.copy_back + plan.final_copy_back, cp), 0)),)
-            closures[b.id] = block
-        self._link(tree, layout, objects, compiler, closures)
+                ops.append(once(("exit", id(group), cp), lambda: copier(
+                    group.copy_back + plan.final_copy_back, cp, 0)))
+            return ops
+
+        self._link(tree, layout, objects, compiler, block_ops)

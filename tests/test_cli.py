@@ -377,6 +377,17 @@ def test_sample_below_one_is_rejected(argv, capsys):
     assert "--sample must be at least 1" in err
 
 
+@pytest.mark.parametrize("window", ["-2", "0"])
+def test_window_below_one_is_rejected(window, capsys):
+    code, out, err = run_cli(
+        ["attack", "--oracle", "powm", "--program", str(CORPUS / "powm_sw.pfo"),
+         "--secret", "d=5", "--window", window], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--window must be at least 1" in err
+
+
 class TestCorpusSuites:
     def test_attacks_suite_with_one_sample(self, capsys):
         # every powm row still runs one exponent

@@ -5,7 +5,9 @@ import pytest
 
 from pfo.corpus import (
     ECC_MODULUS,
+    EDDSA_PAGES,
     FOO_SOURCE,
+    POWM_PAGES,
     eddsa_reference,
     eddsa_source,
     load_cases,
@@ -145,6 +147,21 @@ class TestPowmCases:
         assert len(profiles) == 1
         sample = build.run(secret={"d": 5})
         assert sample.copy_ops == 0 and sample.code_copy_ops == 0
+
+
+# the decoders read `EDDSA_PAGES` and `POWM_PAGES`: each function's code
+# must sit on the page its constant names
+@pytest.mark.parametrize("source, pages, functions", [
+    (eddsa_source(8), EDDSA_PAGES, {"main": "main", "add_step": "main",
+                                    "dup_point": "add", "add_points": "add",
+                                    "test_bit": "test"}),
+    (powm_source(16, 2), POWM_PAGES, {"main": "main", "mul_mod": "mul",
+                                      "set_cond": "sel"}),
+], ids=["eddsa", "powm"])
+def test_code_sits_on_the_decoder_pages(source, pages, functions):
+    layout = AstExecutable(parse(source)).layout
+    for fn, key in functions.items():
+        assert {e.page for e in layout.code_extents(fn)} == {pages[key]}, fn
 
 
 class TestCorpusFiles:

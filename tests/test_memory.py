@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pfo.interp import Footprint, FootprintTable, Sink
+from pfo.interp import Footprint, FootprintTable, Sink, Summary
 from pfo.memory import (
     AccessEvent,
     AdversaryModel,
@@ -100,6 +100,25 @@ class TestObserveProfileProperties:
             for code, data in instrs:
                 sink.instr(footprint(code, tuple(data), (DR,) * len(data)))
             assert sink.faults == expected
+
+    @given(st.lists(instr_strategy, max_size=20), st.lists(instr_strategy, max_size=20),
+           st.booleans())
+    def test_summary_matches_charging_each_step(self, before, segment, pigeonhole):
+        # a segment summarised once, accounted after any prefix, leaves the
+        # sink as charging its steps one by one does
+        table = FootprintTable()
+
+        def charges(instrs):
+            return tuple(table(code, tuple(data), (DR,) * len(data)) for code, data in instrs)
+
+        summary = Summary(charges(segment))
+        stepped, summed = Sink(pigeonhole, collect=True), Sink(pigeonhole, collect=True)
+        for sink in (stepped, summed):
+            sink.charge(charges(before))
+        stepped.charge(charges(segment))
+        summed.account(summary)
+        assert (summed.steps, summed.faults, summed.footprints, summed.resident) \
+            == (stepped.steps, stepped.faults, stepped.footprints, stepped.resident)
 
 
 def word_table_layout(page_size, placements):
