@@ -220,6 +220,11 @@ def cmd_leak(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.window is None:
+        args.window = 1
+    elif args.oracle != "powm":
+        raise CliFailure("unrecognized arguments: --window (only --oracle powm "
+                         "takes it)", EXIT_USAGE)
     if args.window < 1:
         raise CliFailure(f"--window must be at least 1, got {args.window}",
                          EXIT_USAGE)
@@ -425,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True)
     p.add_argument("--secret", action="append", default=[])
     p.add_argument("--public", action="append", default=[])
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--window", type=int, default=None)
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("contract", parents=flags("--page-size", "--seed", "--out"))

@@ -11,11 +11,17 @@ Block boundaries are deterministic: conditionals end the current block
 and the code following the conditional is replicated under both arms, and
 unrolled loop iterations are chained as separate blocks.  Inlined call
 bodies merge into the enclosing block.
+
+A tree indexes itself once, when it is made: one walk from the root fills
+its `blocks` and `levels` and every block's data references (`refs`), and
+every later pass (balance check, balancing, planning, compiling) reads
+those fields.  No block changes after that; `balance` pads copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .ir import (
@@ -40,7 +46,7 @@ from .memory import PfoError
 PAD_ORIGIN = "__pad"
 
 
-@dataclass
+@dataclass(eq=False)
 class Block:
     id: int
     level: int
@@ -48,6 +54,9 @@ class Block:
     children: list["Block"] = field(default_factory=list)
     branch: Optional[Operand] = None
     origin: str = ""
+    # the (object, is_write) pairs of its data accesses, in order: set by
+    # the `ExecutionTree` that holds the block
+    refs: tuple[tuple[str, bool], ...] = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -63,35 +72,40 @@ class Block:
 
     @property
     def data_accesses(self) -> int:
-        return sum(len(data_refs(i)) for i in self.instrs)
+        return len(self.refs)
 
     def name(self) -> str:
         return f"BB{self.id}"
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionTree:
+    """A tree of blocks from `root`, indexed once when it is made.
+
+    `blocks` is every block in id order, so every parent comes before its
+    children; `levels` groups them by level, each in id order.  Making the
+    tree also sets each block's `refs`; no block changes afterwards.
+    """
+
     program: Program
     root: Block
     alloc: RegAlloc
+    blocks: list[Block] = field(init=False, repr=False)
+    levels: list[list[Block]] = field(init=False, repr=False)
 
-    @property
-    def blocks(self) -> list[Block]:
-        out: list[Block] = []
+    def __post_init__(self):
+        blocks: list[Block] = []
         stack = [self.root]
         while stack:
             b = stack.pop()
-            out.append(b)
-            stack.extend(reversed(b.children))
-        out.sort(key=lambda b: b.id)
-        return out
-
-    @property
-    def levels(self) -> list[list[Block]]:
-        by_level: dict[int, list[Block]] = {}
-        for b in self.blocks:
-            by_level.setdefault(b.level, []).append(b)
-        return [sorted(by_level[lv], key=lambda b: b.id) for lv in sorted(by_level)]
+            b.refs = tuple((obj, w) for i in b.instrs for obj, _, w in data_refs(i))
+            blocks.append(b)
+            stack.extend(b.children)
+        blocks.sort(key=attrgetter("id"))
+        self.blocks = blocks
+        self.levels = [[] for _ in range(max(b.level for b in blocks))]
+        for b in blocks:
+            self.levels[b.level - 1].append(b)
 
     def leaf_depths(self) -> list[tuple[int, int]]:
         """(block id, depth) for every leaf, in id order."""
@@ -181,98 +195,65 @@ class BalanceReport:
 def check_balanced(tree: ExecutionTree) -> BalanceReport:
     """Balanced iff all leaf depths agree and per-level access counts agree."""
     leaves = tree.leaf_depths()
-    depths = {d for _, d in leaves}
-    if len(depths) > 1:
-        lo = min(leaves, key=lambda t: (t[1], t[0]))
-        hi = max(leaves, key=lambda t: (t[1], -t[0]))
+    lo = min(leaves, key=lambda t: (t[1], t[0]))
+    hi = max(leaves, key=lambda t: (t[1], -t[0]))
+    if lo[1] != hi[1]:
         return BalanceReport(False, BalanceWitness("depth", lo, hi))
     for level_blocks in tree.levels:
-        counts = {(b.code_accesses, b.data_accesses) for b in level_blocks}
-        if len(counts) > 1:
-            first = level_blocks[0]
-            other = next(
-                b for b in level_blocks
-                if (b.code_accesses, b.data_accesses)
-                != (first.code_accesses, first.data_accesses)
-            )
-            return BalanceReport(
-                False,
-                BalanceWitness(
-                    "accesses",
-                    (first.id, first.code_accesses, first.data_accesses),
-                    (other.id, other.code_accesses, other.data_accesses),
-                ),
-            )
+        counts = [(b.id, b.code_accesses, b.data_accesses) for b in level_blocks]
+        other = next((c for c in counts if c[1:] != counts[0][1:]), None)
+        if other is not None:
+            return BalanceReport(False, BalanceWitness("accesses", counts[0], other))
     return BalanceReport(True)
 
 
 def balance(tree: ExecutionTree) -> ExecutionTree:
-    """Pad a tree until `check_balanced` passes.
+    """A padded copy of `tree` that `check_balanced` passes.
 
     Short paths get chains of padding blocks; every block is then padded to
     its level's maximum data-access count with dummy pad-object writes and
     to the maximum instruction count with no-ops.  Padding instructions
     keep the terminator (branch) last.  Already-balanced trees come back
-    unchanged.
+    unchanged, and `tree` itself never changes.
     """
     if check_balanced(tree).balanced:
         return tree
 
-    counter = iter(range(max(b.id for b in tree.blocks) + 1, 1 << 62))
+    # copy children before parents (ids put every parent first); a copy
+    # keeps its block's refs until the padded tree indexes itself
+    copies: dict[int, Block] = {}
+    for b in reversed(tree.blocks):
+        copies[b.id] = Block(b.id, b.level, list(b.instrs),
+                             [copies[c.id] for c in b.children], b.branch,
+                             b.origin, b.refs)
+    levels = [[copies[b.id] for b in lv] for lv in tree.levels]
 
-    def clone(block: Block) -> Block:
-        # iterative deep copy: trees can be thousands of levels deep
-        copies: dict[int, Block] = {}
-        stack = [block]
-        while stack:
-            b = stack.pop()
-            copies[b.id] = Block(b.id, b.level, list(b.instrs), [],
-                                 b.branch, b.origin)
-            stack.extend(b.children)
-        stack = [block]
-        while stack:
-            b = stack.pop()
-            copies[b.id].children = [copies[c.id] for c in b.children]
-            stack.extend(b.children)
-        return copies[block.id]
+    # chain padding blocks under every short leaf, the last leaf first
+    next_id = tree.blocks[-1].id + 1
+    for leaf in reversed(tree.blocks):
+        if not leaf.is_leaf:
+            continue
+        cur = copies[leaf.id]
+        while cur.level < len(levels):
+            pad = Block(next_id, cur.level + 1, [], origin=PAD_ORIGIN)
+            next_id += 1
+            levels[cur.level].append(pad)
+            cur.children = [pad]
+            cur = pad
 
-    root = clone(tree.root)
-    new_tree = ExecutionTree(tree.program, root, tree.alloc)
+    def fill(b: Block, instr: Instr, count: int) -> None:
+        at = len(b.instrs) - (b.branch is not None)  # the branch stays last
+        b.instrs[at:at] = [instr] * count
 
-    depth = max(d for _, d in new_tree.leaf_depths())
+    for blocks in levels:
+        most = max(b.data_accesses for b in blocks)
+        for b in blocks:
+            fill(b, PadI(PAD_ORIGIN), most - b.data_accesses)
+        most = max(len(b.instrs) for b in blocks)
+        for b in blocks:
+            fill(b, NopI(PAD_ORIGIN), most - len(b.instrs))
 
-    stack = [root]
-    while stack:
-        block = stack.pop()
-        if block.is_leaf:
-            cur = block
-            while cur.level < depth:
-                pad = Block(next(counter), cur.level + 1, [], origin=PAD_ORIGIN)
-                cur.children = [pad]
-                cur = pad
-        else:
-            stack.extend(block.children)
-
-    for level_blocks in new_tree.levels:
-        max_data = max(b.data_accesses for b in level_blocks)
-        padded_code = []
-        for b in level_blocks:
-            need = max_data - b.data_accesses
-            fill: list[Instr] = [PadI(PAD_ORIGIN) for _ in range(need)]
-            if b.instrs and isinstance(b.instrs[-1], BranchI):
-                b.instrs[-1:-1] = fill
-            else:
-                b.instrs.extend(fill)
-            padded_code.append(b.code_accesses)
-        max_code = max(padded_code)
-        for b in level_blocks:
-            need = max_code - b.code_accesses
-            fill = [NopI(PAD_ORIGIN) for _ in range(need)]
-            if b.instrs and isinstance(b.instrs[-1], BranchI):
-                b.instrs[-1:-1] = fill
-            else:
-                b.instrs.extend(fill)
-
+    new_tree = ExecutionTree(tree.program, copies[tree.root.id], tree.alloc)
     report = check_balanced(new_tree)
     if not report.balanced:
         raise PfoError(f"internal: balancing failed ({report.witness})")

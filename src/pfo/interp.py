@@ -24,9 +24,8 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   reference).
 * value-only closures: the compiler returns each micro-op as a closure
   that only computes values, with the footprint its step is charged.
-  Four kinds account for themselves as they run: a split-extent access
-  (its footprint depends on the word index), a call, a return, and a
-  footprint over `MAX_PAGES_PER_INSTRUCTION`.
+  Three kinds account for themselves as they run: a split-extent access
+  (its footprint depends on the word index), a call and a return.
 * accounting: whole-function mode charges each step after its closure,
   inlining the rule for a step whose pages are already resident.  Tree
   mode cuts each block at the self-accounting ops and summarises every
@@ -575,8 +574,8 @@ class _OpCompiler:
     def _data_footprint(self, obj: str, cp: int, kinds: tuple):
         """(footprint, None) for a static access; else (None, lookup), where
         `lookup(i)` gives word i's footprint or raises for a page outside
-        `strict_pages`: a split extent, a strict page, or more pages than
-        one instruction may touch, which the access checks as it steps."""
+        `strict_pages`: a split extent or a strict page, which the access
+        checks as it steps."""
         key = (obj, cp, kinds)
         got = self._data_footprints.get(key)
         if got is None:
@@ -594,8 +593,7 @@ class _OpCompiler:
             else self.footprint(cp, (p,), kinds)
             for p in pages
         )
-        if ext_of is None and fps[0] is not None \
-                and len(fps[0].need) <= MAX_PAGES_PER_INSTRUCTION:
+        if ext_of is None and fps[0] is not None:
             return fps[0], None
 
         def lookup(i: int) -> Footprint:
@@ -612,8 +610,8 @@ class _OpCompiler:
                 call_target: Optional[Callable] = None) -> tuple:
         """`(closure, footprint)`: the closure computes the micro-op's values
         and its step is charged `footprint`; with footprint `None` the
-        closure accounts for itself (a split-extent access, a call, a
-        return, or more pages than one instruction may touch)."""
+        closure accounts for itself (a split-extent access, a call or a
+        return)."""
         slot = self.slot
         fp = self._code_footprints.get(code_page)
         if fp is None:
@@ -993,16 +991,10 @@ def _bind_inputs(inputs: tuple, st: State, canon,
             if d.name not in secret:
                 raise PfoError(f"secret {d.name!r} not bound")
             v = secret.pop(d.name)
-            if d.width is not None and not (0 <= v < (1 << d.width)):
-                raise PfoError(
-                    f"secret {d.name!r} must be in [0, 2^{d.width}), got {v}"
-                )
         else:
             v = public.pop(d.name, d.init[0] if d.init else 0)
-            if d.width is not None and not (0 <= v < (1 << d.width)):
-                raise PfoError(
-                    f"public {d.name!r} must be in [0, 2^{d.width}), got {v}"
-                )
+        if d.width is not None and not (0 <= v < (1 << d.width)):
+            raise PfoError(f"{d.kind} {d.name!r} must be in [0, 2^{d.width}), got {v}")
         regs[slot] = canon(v)
     if secret:
         raise PfoError(f"unknown secret inputs: {sorted(secret)}")
@@ -1055,9 +1047,9 @@ class TreeExecutable:
             if name != PAD_OBJECT and not name.startswith("__sa")
         ]
         # a node is (segments, successors indexed by `st.branch`, or None for
-        # a leaf); deepest blocks first, so every child's node exists
+        # a leaf); deepest level first, so every child's node exists
         nodes: dict[int, tuple] = {}
-        for b in sorted(tree.blocks, key=lambda b: -b.level):
+        for b in (b for lv in reversed(tree.levels) for b in lv):
             kids = None
             if b.children:
                 first = nodes[b.children[0].id]

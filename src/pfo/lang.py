@@ -26,6 +26,9 @@ WORD_SIZE = 4  # bytes per array element / IR instruction
 DEFAULT_INT_WIDTH = 64
 DEFAULT_PAGE_SIZE = 4096
 MAX_DERIVED_TRIPS = 1 << 20
+# the largest array (in words) and bit width a declaration may ask for
+MAX_ARRAY_WORDS = 1 << 20
+MAX_INT_WIDTH = 1 << 16
 
 
 class ParseError(PfoError):
@@ -584,6 +587,9 @@ class _Parser:
             if width < 1:
                 raise self.error("bit width must be positive", tok)
         name_tok = self.expect("name")
+        if width is not None and width > MAX_INT_WIDTH:
+            raise self.error(f"{name_tok.text!r} is {width} bits wide; at most "
+                             f"{MAX_INT_WIDTH} are supported", name_tok)
         array_len = None
         if self.at("op", "["):
             self.advance()
@@ -593,6 +599,9 @@ class _Parser:
                 raise self.error(f"{kind} declarations must be scalars", name_tok)
             if array_len <= 0:
                 raise self.error("array length must be positive", name_tok)
+            if array_len > MAX_ARRAY_WORDS:
+                raise self.error(f"array {name_tok.text!r} has {array_len} words; at "
+                                 f"most {MAX_ARRAY_WORDS} are supported", name_tok)
         init: tuple[int, ...] = ()
         if self.at("op", "="):
             self.advance()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .exectree import ExecutionTree, balance, build_execution_tree
 from .interp import AstExecutable
@@ -120,6 +120,27 @@ def build_inplace(program: Program, page_size: Optional[int] = None) -> DefenseB
     return DefenseBuild(program, build_ast_layout(lower_program(program), ps))
 
 
+def _names_in_use(program: Program) -> set[str]:
+    """Every name `program` declares or uses: its declarations, functions,
+    parameters, and the variables and callees its bodies name."""
+    names = {d.name for d in program.decls}
+    for fn in program.functions:
+        names.update((fn.name, *fn.params))
+        for n in walk_all(fn.body):
+            name = n.var if isinstance(n, For) else getattr(n, "name", None)
+            if name is not None:
+                names.add(name)
+    return names
+
+
+def _fresh_name(taken: set[str], candidate: Callable[[int], str]) -> str:
+    """The first of `candidate(0)`, `candidate(1)`, ... not in `taken`,
+    which it then joins, so a pass's names never collide with the program's."""
+    name = next(c for c in map(candidate, itertools.count()) if c not in taken)
+    taken.add(name)
+    return name
+
+
 # --- O5: control-to-data dependency transformation ----------------------
 
 @dataclass
@@ -163,7 +184,7 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
     """
     report = IfConversionReport()
     new_decls = list(program.decls)
-    counter = itertools.count()
+    taken = _names_in_use(program)
 
     def selector_index(cond):
         if isinstance(cond, Binary) and cond.op in _BOOL_OPS:
@@ -205,7 +226,8 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
                 if ok:
                     sel = selector_index(s.cond)
                     for target in then_w:
-                        slot_name = f"{O5_SLOT_PREFIX}{next(counter)}"
+                        slot_name = _fresh_name(
+                            taken, lambda n: f"{O5_SLOT_PREFIX}{n}")
                         new_decls.append(
                             VarDecl(DeclKind.GLOBAL, slot_name, None, 2, ())
                         )
@@ -287,13 +309,12 @@ def opt_page_realign(build: DefenseBuild) -> DefenseBuild:
 
 def _written_arrays(build: DefenseBuild) -> frozenset[str]:
     if build.tree is not None:
-        instrs = (i for b in build.tree.blocks for i in b.instrs)
+        refs = (ref for b in build.tree.blocks for ref in b.refs)
     else:
         functions = lower_program(build.program).functions.values()
-        instrs = (i for fn in functions for i in fn.instrs)
-    return frozenset(
-        obj for instr in instrs for obj, _i, is_write in data_refs(instr) if is_write
-    )
+        refs = ((obj, is_write) for fn in functions for instr in fn.instrs
+                for obj, _i, is_write in data_refs(instr))
+    return frozenset(obj for obj, is_write in refs if is_write)
 
 
 # --- O3A: level merging ---------------------------------------------------
@@ -393,6 +414,7 @@ def opt_clone(program: Program, page_size: Optional[int] = None
 
     functions = {f.name: f for f in program.functions}
     new_functions = list(program.functions)
+    taken = _names_in_use(program)
     placements = [p for p in program.placements if p.kind != "code"]
     next_page = max((p.page for p in program.placements), default=-1) + 1
     for callee, caller_names in sorted(shared.items()):
@@ -406,7 +428,8 @@ def opt_clone(program: Program, page_size: Optional[int] = None
                 raise OptError(
                     f"{callee} cannot sit beside {caller} in a {ps}-byte page"
                 )
-            clone_name = f"{callee}__for_{caller}"
+            clone_name = _fresh_name(
+                taken, lambda n: f"{callee}__for_{caller}" + (f"_{n}" if n else ""))
             clones.append(clone_name)
             body = functions[callee].body
             new_functions.append(Function(clone_name, functions[callee].params, body))

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .exectree import Block, ExecutionTree, check_balanced
-from .ir import PAD_OBJECT, data_refs
+from .ir import PAD_OBJECT
 from .interp import (
     _KIND_RW,
     _KIND_W,
@@ -45,8 +44,6 @@ from .layouts import next_free_page
 from .memory import MemoryLayout, PfoError
 
 SELECTOR = "__sa_sel"
-_PAGES = attrgetter("pages")
-_CHARGE = itemgetter(1)
 
 
 class PlanError(PfoError):
@@ -170,22 +167,14 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     page_size = source_layout.page_size
     levels = tree.levels
 
-    # each block's size and its (object, is_write) data references, once
-    block_sizes = {}
-    refs: dict[int, list[tuple[str, bool]]] = {}
     for b in tree.blocks:
-        block_sizes[b.id] = max(b.code_size, WORD_SIZE)
-        if block_sizes[b.id] > page_size:
+        if b.code_size > page_size:  # pages are at least 16 bytes
             raise PlanError(
-                f"block BB{b.id} is {block_sizes[b.id]} bytes, larger than one "
+                f"block {b.name()} is {b.code_size} bytes, larger than one "
                 f"{page_size}-byte page (block splitting unsupported)"
             )
-        refs[b.id] = [
-            (obj, is_write)
-            for instr in b.instrs for obj, _idx, is_write in data_refs(instr)
-        ]
-
-    level_sizes = [[block_sizes[b.id] for b in lv] for lv in levels]
+    # an empty block still takes one word
+    level_sizes = [[max(b.code_size, WORD_SIZE) for b in lv] for lv in levels]
     mode = select_mode(level_sizes, page_size)
     if mode == "compacted":
         for lv, sizes in enumerate(level_sizes):
@@ -204,7 +193,7 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     writes: set[str] = set()
     for lv in levels:
         for b in lv:
-            for obj, is_write in refs[b.id]:
+            for obj, is_write in b.refs:
                 objects_in_order.setdefault(obj)
                 if is_write:
                     writes.add(obj)
@@ -248,7 +237,7 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     # block ends with the uniform selector-update step
     for lv_index, blocks in enumerate(levels):
         seqs = {
-            tuple(slots[obj].page for obj, _w in refs[b.id]) + (slots[SELECTOR].page,)
+            tuple(slots[obj].page for obj, _w in b.refs) + (slots[SELECTOR].page,)
             for b in blocks
         }
         if len(seqs) > 1:
@@ -283,9 +272,9 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
         # the selected one runs from just past the largest block
         real_off = max(level_sizes[lv_index])
         offset = 0
-        for b in blocks:
+        for b, size in zip(blocks, level_sizes[lv_index]):
             dst, run_at = (offset, offset) if mode == "basic" else (0, real_off)
-            offset += block_sizes[b.id]
+            offset += size
             if not stage_code:
                 gamma[b.id] = (level, 0)
                 continue
@@ -299,7 +288,7 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
         level_objs: dict[str, None] = {}
         level_writes: set[str] = set()
         for b in blocks:
-            for obj, is_write in refs[b.id]:
+            for obj, is_write in b.refs:
                 if obj == PAD_OBJECT:
                     continue
                 level_objs.setdefault(obj)
@@ -367,14 +356,14 @@ class MultiplexedExecutable(TreeExecutable):
 
     Each block's op tuple holds, in order: the copies that enter its
     level (the level before's copy-back, then this level's fetch, unless
-    one merged group covers both) with the block's multiplexing charge; its
-    instructions, at the code staging page (their own pages under O4),
-    against the data staging slots only; the selector update; and for a
-    leaf the last copy-back.  Every op's pages are fixed, so a block is
-    one segment that a run accounts once, from its `Summary`.  Blocks with
-    the same copies and charge share one copy op, and blocks on one code
-    page one selector op.  An execute-phase access that would leave the
-    staging pages is an internal error, which keeps levels atomic.
+    one merged group covers both) with the block's multiplexing charge,
+    its `data_accesses`; its instructions, at the code staging page (their
+    own pages under O4), against the data staging slots only; the selector
+    update; and for a leaf the last copy-back.  Every op's pages are fixed,
+    so a block is one segment that a run accounts once, from its `Summary`.
+    Blocks with the same copies and charge share one copy op, and blocks on
+    one code page one selector op.  An execute-phase access that would
+    leave the staging pages is an internal error, which keeps levels atomic.
     """
 
     def __init__(self, tree: ExecutionTree, source_layout: MemoryLayout,
@@ -396,10 +385,7 @@ class MultiplexedExecutable(TreeExecutable):
             strict_pages=layout.staging,
         )
 
-        level_plans = {}
-        for lp in plan.levels:
-            for covered in lp.covered():
-                level_plans[covered] = lp
+        level_plans = {lv: lp for lp in plan.levels for lv in lp.covered()}
 
         def copier(steps: tuple[CopyStep, ...], cp: int, mux: int) -> tuple:
             """The op running `steps` from code page `cp`, charging `mux`."""
@@ -448,13 +434,10 @@ class MultiplexedExecutable(TreeExecutable):
                 pages = _code_pages(layout, b.name(), len(b.instrs))
             group = level_plans[b.level]
             prev = level_plans.get(b.level - 1)
-            instrs = list(map(compiler.compile, b.instrs, pages))
-            # the multiplexing charge is the data operand events of the
-            # block's instructions (`Block.data_accesses` under staging)
-            mux = sum(map(len, map(_PAGES, filter(None, map(_CHARGE, instrs)))))
+            mux = b.data_accesses
             ops = [once(("enter", id(group), id(prev), cp, mux),
                         lambda: copier(enter(group, prev), cp, mux)),
-                   *instrs,
+                   *map(compiler.compile, b.instrs, pages),
                    once(("select", cp), lambda: _selector(
                        compiler.footprint(cp, (sel_page,), _KIND_W), sel_index))]
             if b.is_leaf:

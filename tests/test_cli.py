@@ -354,6 +354,10 @@ FOO = str(CORPUS / "foo.pfo")
       "--seed", "9"], "--seed"),
     (["attack", "--oracle", "table", "--program", FOO, "--secret", "x=1",
       "--secret", "y=2", "--seed", "4"], "--seed"),
+    (["attack", "--oracle", "eddsa", "--program", str(CORPUS / "eddsa.pfo"),
+      "--secret", "k=5", "--window", "7"], "--window"),
+    (["attack", "--oracle", "table", "--program", FOO, "--secret", "x=1",
+      "--secret", "y=2", "--window", "1"], "--window"),
     (["corpus", "attacks", "--sample", "2", "--page-size", "64"], "--page-size"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_flag_that_would_be_ignored_is_rejected(argv, flag, tmp_path, capsys):

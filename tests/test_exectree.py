@@ -113,6 +113,24 @@ class TestBuild:
             build_execution_tree(program)
 
 
+# both arms one level deep, one with two array writes and one with one
+ACCESS_SKEW = """
+secret int<1> s;
+int a[4];
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  if (s == 1) {
+    a[0] = 1;
+    a[1] = 2;
+  } else {
+    a[0] = 3;
+  }
+  #pragma end_pf_sensitive
+}
+"""
+
+
 class TestCheckBalanced:
     def test_foo_unbalanced_with_depth_witness(self):
         tree = build_execution_tree(parse(FOO_SOURCE))
@@ -130,23 +148,8 @@ class TestCheckBalanced:
         assert check_balanced(tree).balanced
 
     def test_access_count_witness(self):
-        # Same depth both arms, different data-access counts: one arm does
-        # two array writes, the other one.
-        tree = build_execution_tree(parse("""
-        secret int<1> s;
-        int a[4];
-        output int y;
-        fn main() {
-          #pragma begin_pf_sensitive
-          if (s == 1) {
-            a[0] = 1;
-            a[1] = 2;
-          } else {
-            a[0] = 3;
-          }
-          #pragma end_pf_sensitive
-        }
-        """))
+        # Same depth both arms, different data-access counts
+        tree = build_execution_tree(parse(ACCESS_SKEW))
         report = check_balanced(tree)
         assert not report.balanced
         assert report.witness.kind == "accesses"
@@ -195,6 +198,20 @@ class TestBalance:
             level_peers = [x for x in tree.blocks if x.level == b.level]
             assert b.data_accesses == level_peers[0].data_accesses
             assert b.code_accesses == level_peers[0].code_accesses
+
+    @pytest.mark.parametrize("source", [FOO_SOURCE, ACCESS_SKEW])
+    def test_balance_leaves_its_input_unchanged(self, source):
+        def shape(tree):
+            return ([(b.id, b.level, tuple(b.instrs), [c.id for c in b.children],
+                      b.code_accesses, b.data_accesses) for b in tree.blocks],
+                    [[b.id for b in lv] for lv in tree.levels])
+
+        tree = build_execution_tree(parse(source))
+        before = shape(tree)
+        balanced = balance(tree)
+        assert balanced is not tree and check_balanced(balanced).balanced
+        assert shape(tree) == before
+        assert not check_balanced(tree).balanced
 
     def test_per_level_counts_equal_after_balance(self):
         tree = balance(build_execution_tree(parse(FOO_SOURCE)))

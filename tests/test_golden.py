@@ -7,8 +7,10 @@ and the two contract sweeps with
 `pfo contract --program corpus/powm.pfo --sweep --policy naive|fake`:
 every single-page steal at every step, 26 313 strategies over 64 secrets.
 `golden/run_results.jsonl` holds what single runs observe (see
-`run_result_cases`); running this file as a script rewrites it.
-Regenerate one only for a change that is meant to alter what it reports.
+`run_result_cases`) and `golden/trees.jsonl` the tree shapes and staging
+plans of a few programs (see `tree_cases`); running this file as a script
+rewrites both.  Regenerate one only for a change that is meant to alter
+what it reports.
 """
 
 import json
@@ -17,12 +19,12 @@ from pathlib import Path
 import pytest
 
 from pfo.cli import main
-from pfo.exectree import balance, build_execution_tree
+from pfo.exectree import balance, build_execution_tree, tree_to_json
 from pfo.interp import TreeExecutable
 from pfo.lang import parse
-from pfo.memory import AdversaryModel
-from pfo.optimize import build_defense, build_staged
-from pfo.suites import defended_build
+from pfo.memory import AdversaryModel, PfoError
+from pfo.optimize import ALL_PASSES, build_defense, build_staged
+from pfo.suites import case_source, defended_build
 
 from test_interp import SPLIT_LOOKUP, TRAP_AFTER_TAIL_RETURN
 from test_lang import FOO_SOURCE
@@ -105,7 +107,49 @@ def test_run_results_are_byte_identical():
     assert run_results_document() == (GOLDEN / "run_results.jsonl").read_text()
 
 
+def tree_cases():
+    """(name, source) for the tree golden file: nested branches, padded
+    arms, a three-way level, a split table and three 16-bit table cases."""
+    yield "foo", FOO_SOURCE
+    yield "uneven-arms", UNEVEN_ARMS
+    yield "three-way", THREE_WAY
+    yield "lookup64", LOOKUP_64
+    for name in ("aes", "cast_gcrypt", "whirlpool"):
+        yield f"{name}-16", case_source(name, 16)
+
+
+TREE_PASSES = ((), ("O3A",), ("O4",), ("O1", "O2"), ALL_PASSES)
+
+
+def trees_document() -> str:
+    """Each tree case's tree before and after `balance`, then the plan of
+    `build_defense` under each of `TREE_PASSES` (or the error it raises),
+    one JSON document per line."""
+    lines = []
+
+    def line(doc: dict) -> None:
+        lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+    for name, source in tree_cases():
+        program = parse(source)
+        tree = build_execution_tree(program)
+        line({"case": name, "tree": tree_to_json(tree)})
+        line({"case": name, "balanced": tree_to_json(balance(tree))})
+        for passes in TREE_PASSES:
+            try:
+                doc = {"plan": build_defense(program, passes).plan.to_json_dict()}
+            except PfoError as e:
+                doc = {"error": str(e)}
+            line({"case": name, "passes": list(passes), **doc})
+    return "\n".join(lines) + "\n"
+
+
+def test_trees_and_plans_are_byte_identical():
+    assert trees_document() == (GOLDEN / "trees.jsonl").read_text()
+
+
 if __name__ == "__main__":
-    # rewrite the run-result golden file: only for a change that is meant
-    # to alter what a run observes
+    # rewrite the run-result and tree golden files: only for a change that
+    # is meant to alter what a run observes or how a program is staged
     (GOLDEN / "run_results.jsonl").write_text(run_results_document())
+    (GOLDEN / "trees.jsonl").write_text(trees_document())

@@ -4,6 +4,7 @@ import typing
 import pytest
 
 from pfo import lang
+from pfo.cli import main
 from pfo.lang import (
     Assign,
     Binary,
@@ -156,6 +157,27 @@ class TestParse:
     def test_missing_main_rejected(self):
         with pytest.raises(ParseError, match="main"):
             parse("fn helper() { return 0; }")
+
+    @pytest.mark.parametrize("decl, name", [
+        ("int t[1099511627776];", "'t'"),
+        ("int t[1048577];", "'t'"),
+        ("public int<100000000000> w;", "'w'"),
+        ("secret int<65537> w;", "'w'"),
+    ])
+    def test_huge_declaration_rejected(self, decl, name, tmp_path, capsys):
+        source = decl + "\noutput int y;\nfn main() { y = 1; }\n"
+        with pytest.raises(ParseError, match=f"{name} .* at most"):
+            parse(source)
+        path = tmp_path / "huge.pfo"
+        path.write_text(source)
+        assert main(["parse", str(path)]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_largest_declarations_accepted(self):
+        program = parse(f"int t[{lang.MAX_ARRAY_WORDS}];\n"
+                        f"public int<{lang.MAX_INT_WIDTH}> w;\nfn main() {{ }}\n")
+        assert [d.array_len or d.width for d in program.decls] == \
+               [lang.MAX_ARRAY_WORDS, lang.MAX_INT_WIDTH]
 
     def test_syntax_error_carries_location(self):
         with pytest.raises(ParseError) as info:

@@ -257,6 +257,25 @@ class TestClone:
             clone_pages = {e.page for e in lay.code_extents(f"shared__for_{caller}")}
             assert caller_pages & clone_pages
 
+    def test_clone_name_skips_a_function_of_that_name(self):
+        source = SHARED_CALLEE.replace("fn left(v)", """fn shared__for_left(v) {
+  return v * 40;
+}
+fn left(v)""").replace("#pragma end_pf_sensitive", """y = y + shared__for_left(2);
+  #pragma end_pf_sensitive""")
+        vanilla = AstExecutable(parse(source))
+        program, report = opt_clone(parse(source))
+        names = [f.name for f in program.functions]
+        assert len(names) == len(set(names))
+        assert report.cloned["shared"] == ("shared__for_left_1", "shared__for_right")
+        cloned = AstExecutable(program)
+        defended = build_defense(parse(source), ("O3B",), page_size=4096)
+        for s in (0, 1):
+            expected = vanilla.run(secret={"s": s}).outputs
+            assert expected == {"y": 97 if s == 0 else 96}
+            assert cloned.run(secret={"s": s}).outputs == expected
+            assert defended.run(secret={"s": s}).outputs == expected
+
     def test_single_caller_no_clone(self):
         src = """
 fn helper(v) { return v * 2; }
@@ -325,6 +344,32 @@ class TestIfConvert:
         assert "__o5_0[0] = result;" in printed
         assert "__o5_0[1] = (result * 2);" in printed
         assert "result = __o5_0[(c == 1)];" in printed
+
+    def test_slot_name_skips_a_declared_one(self):
+        source = """
+secret int<2> s;
+output int y;
+int __o5_0[2] = {7, 7};
+fn main() {
+  #pragma begin_pf_sensitive
+  y = 1;
+  if (s == 3) {
+    y = 2;
+  }
+  y = y + __o5_0[1];
+  #pragma end_pf_sensitive
+}
+"""
+        vanilla = AstExecutable(parse(source))
+        build = build_defense(parse(source), ("O5",))
+        printed = pretty(build.program)
+        assert "__o5_1[0] = y;" in printed
+        reparsed = AstExecutable(parse(printed))
+        for s in (1, 3):
+            expected = vanilla.run(secret={"s": s}).outputs
+            assert expected == {"y": 9 if s == 3 else 8}
+            assert build.run(secret={"s": s}).outputs == expected
+            assert reparsed.run(secret={"s": s}).outputs == expected
 
     def test_semantics_preserved(self):
         program, _ = opt_if_convert(parse(FIG8_SOURCE))
