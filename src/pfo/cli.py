@@ -271,11 +271,12 @@ def _parse_strategy(spec: str) -> OsStrategy:
     if spec == "honest":
         return OsStrategy.honest()
     if spec.startswith("steal:"):
-        body = spec[len("steal:"):]
-        if "@" not in body:
-            raise CliFailure("steal strategy is steal:PAGE@STEP", EXIT_USAGE)
-        page, step = body.split("@", 1)
-        return OsStrategy.steal(int(page, 0), int(step, 0))
+        page, _, step = spec[len("steal:"):].partition("@")
+        try:
+            return OsStrategy.steal(int(page, 0), int(step, 0))
+        except ValueError:
+            raise CliFailure(f"--strategy {spec!r}: a steal strategy is steal:PAGE@STEP, "
+                             "with integer PAGE and STEP", EXIT_USAGE) from None
     raise CliFailure(f"unknown strategy {spec!r}", EXIT_USAGE)
 
 

@@ -247,16 +247,6 @@ def run_contractual(exe, contract: Contract, secret, strategy: OsStrategy,
     return result, observable
 
 
-def steal_many(exe, contract: Contract, secret, steals: Iterable[tuple[int, int]],
-               policy: str = FAKE_EXECUTE, public=None) -> list[EnclaveObservable]:
-    """Adaptive repeated-invocation attack: one steal per run, composed."""
-    schedule = access_schedule(exe, secret, public)
-    return [
-        observable_for(schedule, contract, OsStrategy.steal(page, step), policy)
-        for page, step in steals
-    ]
-
-
 @dataclass(frozen=True)
 class SweepReport:
     policy: str

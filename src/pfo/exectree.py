@@ -67,6 +67,12 @@ class Block:
         return len(self.instrs) * WORD_SIZE
 
     @property
+    def slot_size(self) -> int:
+        """Bytes of code the block takes in a layout: an empty block still
+        takes one word."""
+        return max(self.code_size, WORD_SIZE)
+
+    @property
     def code_accesses(self) -> int:
         return len(self.instrs)
 

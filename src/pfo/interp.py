@@ -59,7 +59,6 @@ footprints directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
 from itertools import groupby
 from typing import Callable, Optional
 
@@ -90,7 +89,7 @@ from .ir import (
     WhileNode,
     lower_program,
 )
-from .lang import DeclKind, Program, WORD_SIZE
+from .lang import DeclKind, Program, WORD_SIZE, arith
 from .layouts import build_ast_layout, build_tree_layout
 from .memory import (
     AccessEvent,
@@ -389,81 +388,7 @@ class _EarlyReturn(Exception):
         self.value = value
 
 
-# --- arithmetic ----------------------------------------------------------
-
-def _make_canon(width: int) -> Callable[[int], int]:
-    """Wrap an integer to `width`-bit two's complement."""
-    mask = (1 << width) - 1
-    sign_bit = 1 << (width - 1)
-    wrap = 1 << width
-
-    def canon(v: int) -> int:
-        v &= mask
-        return v - wrap if v >= sign_bit else v
-
-    return canon
-
-
-_DIVISIONS = ("/", "%")
-
-
-@cache
-def _make_arith(width: int):
-    """Wrapping arithmetic, made once per width; a division by zero raises
-    `ZeroDivisionError`, which the compiled division turns into a trap."""
-    canon = _make_canon(width)
-
-    def div(a: int, b: int) -> int:
-        q = abs(a) // abs(b)
-        return canon(-q if (a < 0) != (b < 0) else q)
-
-    def mod(a: int, b: int) -> int:
-        q = abs(a) // abs(b)
-        q = -q if (a < 0) != (b < 0) else q
-        return canon(a - q * b)
-
-    ops: dict[str, Callable] = {
-        "+": lambda a, b: canon(a + b),
-        "-": lambda a, b: canon(a - b),
-        "*": lambda a, b: canon(a * b),
-        "/": div,
-        "%": mod,
-        # shift amounts reduce modulo the integer width
-        "<<": lambda a, b: canon(a << (b % width)),
-        ">>": lambda a, b: a >> (b % width),
-        "&": lambda a, b: canon(a & b),
-        "|": lambda a, b: canon(a | b),
-        "^": lambda a, b: canon(a ^ b),
-        "&&": lambda a, b: int(bool(a) and bool(b)),
-        "==": lambda a, b: int(a == b),
-        "!=": lambda a, b: int(a != b),
-        "<": lambda a, b: int(a < b),
-        ">": lambda a, b: int(a > b),
-        "<=": lambda a, b: int(a <= b),
-        ">=": lambda a, b: int(a >= b),
-    }
-    unops: dict[str, Callable] = {
-        "-": lambda a: canon(-a),
-        "+": lambda a: a,
-        "~": lambda a: canon(~a),
-        "!": lambda a: int(a == 0),
-    }
-    return canon, ops, unops
-
-
 # --- object resolution --------------------------------------------------
-
-@lru_cache(maxsize=1024)
-def _canonical(init: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """An array initializer wrapped to `width` bits, made once per
-    initializer: the tables of a program are rebuilt with every executable."""
-    canon = _make_canon(width)
-    # canonical values form an interval, so in-range ends mean no value
-    # needs wrapping
-    if init and any(canon(v) != v for v in (min(init), max(init))):
-        return tuple(map(canon, init))
-    return init
-
 
 class ObjectTable:
     """Array storage indices, the canonical initial array image (computed
@@ -480,11 +405,10 @@ class ObjectTable:
         self.lengths: list[int] = []
         self._image: list[list[int]] = []
         self._extent_pages: dict[str, tuple] = {}
-        width = program.int_width
         for n in self.names:
             d = program.decl(n)
             if d is not None and d.is_array:
-                length, init = d.array_len, _canonical(d.init, width)
+                length, init = d.array_len, d.init
             elif extra_objects and n in extra_objects:
                 length, init = extra_objects[n], ()
             else:
@@ -531,14 +455,13 @@ class _OpCompiler:
     access to any other page is an internal error when it executes.
     """
 
-    def __init__(self, program: Program, objects: ObjectTable, width: int,
-                 alloc: RegAlloc,
+    def __init__(self, program: Program, objects: ObjectTable, alloc: RegAlloc,
                  pages: Optional[dict[str, int]] = None,
                  indices: Optional[dict[str, int]] = None,
                  strict_pages: Optional[frozenset[int]] = None):
         self.program = program
         self.objects = objects
-        self.canon, self.binops, self.unops = _make_arith(width)
+        self.canon, self.binops, self.unops = arith(program.int_width)
         self.decl_slots = {
             d.name: alloc.slot(d.name) for d in program.decls if not d.is_array
         }
@@ -619,7 +542,7 @@ class _OpCompiler:
         if isinstance(instr, BinI):
             fn = self.binops[instr.op]
             a, b, dst = slot(instr.a), slot(instr.b), instr.dst
-            if instr.op in _DIVISIONS:
+            if instr.op in ("/", "%"):
                 def run(st: State, fn=fn, a=a, b=b, dst=dst, fp=fp):
                     regs = st.regs
                     try:
@@ -792,16 +715,14 @@ class AstExecutable:
             layout = build_ast_layout(self.lowered, program.resolve_page_size(page_size))
         self.layout = layout
         self.objects = ObjectTable(program, layout)
-        self.width = program.int_width
-        self._compiler = _OpCompiler(program, self.objects, self.width,
-                                     self.lowered.alloc)
+        self._compiler = _OpCompiler(program, self.objects, self.lowered.alloc)
         self.canon = self._compiler.canon
         self._fn_runners: dict[str, Callable] = {}
         for name in self.lowered.functions:
             self._compile_function(name)
         self._regs0 = self._compiler.regs0()
         self._inputs, self._outputs = _scalar_slots(
-            program, self._compiler.decl_slots, self._regs0, self.canon)
+            program, self._compiler.decl_slots, self._regs0)
         self._stored = [
             (name, self.objects.index[name])
             for name in self.objects.names if name != PAD_OBJECT
@@ -964,8 +885,8 @@ def _result(exe, st: State, trap: Optional[TrapInfo]) -> SimulationResult:
     )
 
 
-def _scalar_slots(program: Program, decl_slots: dict[str, int], regs0: list[int],
-                  canon) -> tuple[tuple, tuple]:
+def _scalar_slots(program: Program, decl_slots: dict[str, int],
+                  regs0: list[int]) -> tuple[tuple, tuple]:
     """Each input's (declaration, slot) and each output's (name, slot);
     the other scalars' initial values go into the register template."""
     inputs = []
@@ -976,7 +897,7 @@ def _scalar_slots(program: Program, decl_slots: dict[str, int], regs0: list[int]
         if d.kind in (DeclKind.SECRET, DeclKind.PUBLIC):
             inputs.append((d, slot))
         elif d.init:
-            regs0[slot] = canon(d.init[0])
+            regs0[slot] = d.init[0]
     outputs = tuple((d.name, decl_slots[d.name]) for d in program.outputs)
     return tuple(inputs), outputs
 
@@ -1022,7 +943,7 @@ class TreeExecutable:
         if layout is None:
             layout = build_tree_layout(tree, program.resolve_page_size(page_size))
         objects = ObjectTable(program, layout)
-        compiler = _OpCompiler(program, objects, program.int_width, tree.alloc)
+        compiler = _OpCompiler(program, objects, tree.alloc)
         self._link(tree, layout, objects, compiler, lambda b: list(map(
             compiler.compile, b.instrs, _code_pages(layout, b.name(), len(b.instrs)))))
 
@@ -1040,7 +961,7 @@ class TreeExecutable:
         self.canon = compiler.canon
         self._regs0 = compiler.regs0()  # every op is compiled: the slots are fixed
         self._inputs, self._outputs = _scalar_slots(
-            tree.program, compiler.decl_slots, self._regs0, self.canon)
+            tree.program, compiler.decl_slots, self._regs0)
         self._stored = [
             (name, objects.index[name])
             for name in objects.names

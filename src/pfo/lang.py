@@ -11,14 +11,21 @@ geometry.
 
 Scalars follow fixed-width two's-complement semantics (width chosen per
 program, default 64, wrapping on overflow); arrays have static lengths and
-4-byte elements for layout purposes.
+4-byte elements for layout purposes.  `arith` is the one table of these
+operators: the interpreter runs with it, and constants in initializers and
+loop headers fold with it at the program's width, so a constant expression
+has the value it would have at run time wherever it is written.  The width
+follows from every declaration, so the parser reads every declared width
+before it folds anything.  Expressions, statements and call chains nest at
+most 64 levels deep.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Union
+from functools import cache
+from typing import Callable, Optional, Union
 
 from .memory import PfoError
 
@@ -29,6 +36,11 @@ MAX_DERIVED_TRIPS = 1 << 20
 # the largest array (in words) and bit width a declaration may ask for
 MAX_ARRAY_WORDS = 1 << 20
 MAX_INT_WIDTH = 1 << 16
+# how deep expressions, statements and calls may nest: every pass over a
+# program recurses along these, so past the caps parsing fails instead
+MAX_EXPR_DEPTH = 64
+MAX_STMT_DEPTH = 64
+MAX_CALL_DEPTH = 64
 
 
 class ParseError(PfoError):
@@ -97,6 +109,11 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
                 tok_kind = "kw"
             elif kind == "hex":
                 tok_kind = "num"
+            elif kind == "num":
+                try:
+                    int(text, 0)  # rejects a leading zero, and more digits than it converts
+                except ValueError:
+                    raise ParseError(f"malformed number {text!r}", line, col, filename) from None
             tokens.append(Token(tok_kind, text, line, col))
             col += len(text)
         pos = m.end()
@@ -313,7 +330,7 @@ class VarDecl:
     name: str
     width: Optional[int] = None  # bit width for secret/public scalars
     array_len: Optional[int] = None
-    init: tuple[int, ...] = ()
+    init: tuple[int, ...] = ()  # folded, so canonical at the program width
     pos: Pos = _pos_field()
 
     @property
@@ -399,84 +416,98 @@ class Program:
 
     @property
     def int_width(self) -> int:
-        """Program integer width: wide enough for the widest declared input."""
-        widest = DEFAULT_INT_WIDTH
-        for d in self.decls:
-            if d.width is not None:
-                needed = ((d.width + 1 + 63) // 64) * 64
-                widest = max(widest, needed)
-        return widest
+        return _int_width(d.width for d in self.decls if d.width is not None)
 
 
-# --- constant folding -------------------------------------------------------
-
-def fold_const(expr: Expr) -> Optional[int]:
-    """Evaluate an expression made of literals, or None if input-dependent."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Unary):
-        v = fold_const(expr.operand)
-        if v is None:
-            return None
-        return {"-": -v, "+": v, "~": ~v, "!": int(v == 0)}[expr.op]
-    if isinstance(expr, Binary):
-        a, b = fold_const(expr.left), fold_const(expr.right)
-        if a is None or b is None:
-            return None
-        return _const_binop(expr.op, a, b)
-    if isinstance(expr, Ternary):
-        c = fold_const(expr.cond)
-        if c is None:
-            return None
-        return fold_const(expr.if_true if c else expr.if_false)
-    return None
+def _int_width(widths) -> int:
+    """Program integer width: a multiple of 64 bits with room for the
+    widest declared input and a sign bit."""
+    return max([DEFAULT_INT_WIDTH] + [(w + 64) // 64 * 64 for w in widths])
 
 
-def _trunc_div(a: int, b: int) -> int:
-    """Integer quotient truncated toward zero, as the interpreter divides."""
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
+# --- arithmetic -------------------------------------------------------------
+
+@cache
+def arith(width: int):
+    """The language's arithmetic at `width` bits, made once per width:
+    `(canon, binops, unops)`, where `canon` wraps an integer to `width`-bit
+    two's complement and every operator gives a canonical value from
+    canonical operands.  The interpreter and constant folding both use it;
+    a division by zero raises `ZeroDivisionError`."""
+    mask = (1 << width) - 1
+    sign_bit = 1 << (width - 1)
+    wrap = 1 << width
+
+    def canon(v: int) -> int:
+        v &= mask
+        return v - wrap if v >= sign_bit else v
+
+    def div(a: int, b: int) -> int:
+        q = abs(a) // abs(b)
+        return canon(-q if (a < 0) != (b < 0) else q)
+
+    def mod(a: int, b: int) -> int:
+        q = abs(a) // abs(b)
+        q = -q if (a < 0) != (b < 0) else q
+        return canon(a - q * b)
+
+    binops: dict[str, Callable] = {
+        "+": lambda a, b: canon(a + b),
+        "-": lambda a, b: canon(a - b),
+        "*": lambda a, b: canon(a * b),
+        "/": div,
+        "%": mod,
+        # shift amounts reduce modulo the integer width
+        "<<": lambda a, b: canon(a << (b % width)),
+        ">>": lambda a, b: a >> (b % width),
+        "&": lambda a, b: canon(a & b),
+        "|": lambda a, b: canon(a | b),
+        "^": lambda a, b: canon(a ^ b),
+        "&&": lambda a, b: int(bool(a) and bool(b)),
+        "==": lambda a, b: int(a == b),
+        "!=": lambda a, b: int(a != b),
+        "<": lambda a, b: int(a < b),
+        ">": lambda a, b: int(a > b),
+        "<=": lambda a, b: int(a <= b),
+        ">=": lambda a, b: int(a >= b),
+    }
+    unops: dict[str, Callable] = {
+        "-": lambda a: canon(-a),
+        "+": lambda a: a,
+        "~": lambda a: canon(~a),
+        "!": lambda a: int(a == 0),
+    }
+    return canon, binops, unops
 
 
-def _const_binop(op: str, a: int, b: int) -> Optional[int]:
-    try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return _trunc_div(a, b) if b else None
-        if op == "%":
-            return a - _trunc_div(a, b) * b if b else None
-        if op == "<<":
-            return a << b
-        if op == ">>":
-            return a >> b
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op == "&&":
-            return int(bool(a) and bool(b))
-        if op == "==":
-            return int(a == b)
-        if op == "!=":
-            return int(a != b)
-        if op == "<":
-            return int(a < b)
-        if op == ">":
-            return int(a > b)
-        if op == "<=":
-            return int(a <= b)
-        if op == ">=":
-            return int(a >= b)
-    except ValueError:
+def fold_const(expr: Expr, width: int, filename: str = "<source>") -> Optional[int]:
+    """The value an expression of literals has at run time in a `width`-bit
+    program, or None if it reads anything else.  As in the lowered code,
+    every operand is evaluated (a ternary is a select), so a division by
+    zero anywhere in it is a `ParseError` at that division."""
+    canon, binops, unops = arith(width)
+
+    def fold(e: Expr) -> Optional[int]:
+        if isinstance(e, Num):
+            return canon(e.value)
+        if isinstance(e, Unary):
+            v = fold(e.operand)
+            return None if v is None else unops[e.op](v)
+        if isinstance(e, Binary):
+            a, b = fold(e.left), fold(e.right)
+            if a is None or b is None:
+                return None
+            try:
+                return binops[e.op](a, b)
+            except ZeroDivisionError:
+                raise ParseError("division by zero in a constant expression",
+                                 e.pos.line, e.pos.col, filename) from None
+        if isinstance(e, Ternary):
+            c, t, f = fold(e.cond), fold(e.if_true), fold(e.if_false)
+            return None if c is None else t if c else f
         return None
-    return None
+
+    return fold(expr)
 
 
 # --- parser ------------------------------------------------------------
@@ -492,13 +523,29 @@ _BINARY_LEVELS = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+# each operator's level, loosest first; every level associates left
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
 class _Parser:
+    """Recursive descent, with nesting capped so that no later recursive
+    pass runs out of stack: `height` is the height of the expression parsed
+    last (a parenthesis counts as a level), `open` the expressions being
+    parsed around it and `nesting` the statements around it.
+    """
+
     def __init__(self, tokens: list[Token], filename: str):
         self.tokens = tokens
         self.i = 0
         self.filename = filename
+        # only a declaration can write `int<N>`, so the program's width is
+        # known before anything folds, whatever the order of declarations
+        # (an N past the cap is an error at its declaration)
+        self.width = _int_width(
+            min(int(n.text, 0), MAX_INT_WIDTH)
+            for t, lt, n in zip(tokens, tokens[1:], tokens[2:])
+            if t.text == "int" and lt.text == "<" and n.kind == "num")
+        self.height = self.open = self.nesting = 0
 
     # token helpers
     def peek(self) -> Token:
@@ -526,6 +573,9 @@ class _Parser:
 
     def pos(self, tok: Token) -> Pos:
         return Pos(tok.line, tok.col)
+
+    def fold(self, expr: Expr) -> Optional[int]:
+        return fold_const(expr, self.width, self.filename)
 
     # grammar
     def parse_program(self) -> Program:
@@ -625,7 +675,7 @@ class _Parser:
 
     def _const_expr(self) -> int:
         tok = self.peek()
-        value = fold_const(self.parse_expr())
+        value = self.fold(self.parse_expr())
         if value is None:
             raise self.error("initializer must be constant", tok)
         return value
@@ -652,6 +702,14 @@ class _Parser:
         return tuple(stmts)
 
     def parse_stmt(self) -> Stmt:
+        if self.nesting == MAX_STMT_DEPTH:
+            raise self.error(f"statements nest more than {MAX_STMT_DEPTH} levels deep")
+        self.nesting += 1
+        stmt = self._parse_stmt()
+        self.nesting -= 1
+        return stmt
+
+    def _parse_stmt(self) -> Stmt:
         tok = self.peek()
         if tok.kind == "pragma":
             self.advance()
@@ -706,7 +764,7 @@ class _Parser:
         if self.at("kw", "else"):
             self.advance()
             if self.at("kw", "if"):
-                else_body = (self.parse_if(),)
+                else_body = (self.parse_stmt(),)
             else:
                 else_body = self.parse_block()
         return If(cond, then_body, else_body, self.pos(tok))
@@ -722,15 +780,8 @@ class _Parser:
         self.expect("op", "(")
         cond = self.parse_expr()
         self.expect("op", ")")
-        bound = self._parse_bound()
-        if bound is None:
-            bound = self._derived_cond_bound(cond)
-        if bound is None:
-            raise ParseError(
-                "unbounded loop: while conditions need a constant trip bound "
-                "(write `while (e) bound N`)",
-                tok.line, tok.col, self.filename,
-            )
+        bound = self._while_bound(cond, tok, "while conditions need a constant trip "
+                                  "bound (write `while (e) bound N`)")
         body = self.parse_block()
         return While(cond, bound, body, False, self.pos(tok))
 
@@ -741,25 +792,21 @@ class _Parser:
         self.expect("op", "(")
         cond = self.parse_expr()
         self.expect("op", ")")
-        bound = self._parse_bound()
+        bound = self._while_bound(cond, tok, "do-while conditions need a constant trip "
+                                  "bound (write `do {...} while (e) bound N;`)")
         self.expect("op", ";")
-        if bound is None:
-            bound = self._derived_cond_bound(cond)
-        if bound is None:
-            raise ParseError(
-                "unbounded loop: do-while conditions need a constant trip bound "
-                "(write `do {...} while (e) bound N;`)",
-                tok.line, tok.col, self.filename,
-            )
         return While(cond, bound, body, True, self.pos(tok))
 
-    def _derived_cond_bound(self, cond: Expr) -> Optional[int]:
-        # A constant-false condition gives a trivial bound; anything else
-        # that folds is a constant-true infinite loop, which stays rejected.
-        value = fold_const(cond)
-        if value == 0:
+    def _while_bound(self, cond: Expr, tok: Token, hint: str) -> int:
+        """The written bound, else 0 for a constant-false condition; any
+        other condition that folds is a constant-true infinite loop, which
+        stays rejected."""
+        bound = self._parse_bound()
+        if bound is None and self.fold(cond) == 0:
             return 0
-        return None
+        if bound is None:
+            raise self.error(f"unbounded loop: {hint}", tok)
+        return bound
 
     def parse_for(self) -> For:
         tok = self.expect("kw", "for")
@@ -781,7 +828,7 @@ class _Parser:
         trips = bound
         explicit = bound is not None
         if trips is None:
-            trips = _derive_for_trips(var_tok.text, init, cond, step)
+            trips = self._derive_for_trips(var_tok.text, init, cond, step)
         if trips is None:
             raise ParseError(
                 "unbounded loop: for-loop trip count is not a compile-time "
@@ -790,59 +837,112 @@ class _Parser:
             )
         return For(var_tok.text, init, cond, step, trips, explicit, body, self.pos(tok))
 
+    def _derive_for_trips(self, var: str, init: Expr, cond: Expr,
+                          step: Expr) -> Optional[int]:
+        """Trip count of a counted loop with a constant-foldable header.
+
+        Handles `i = c0; i <op> c1; i = i +/- c2` shapes by stepping the
+        header with the program's wrapping arithmetic; anything else is not
+        derivable.
+        """
+        if not (isinstance(cond, Binary) and cond.op in ("<", "<=", ">", ">=", "!=")
+                and isinstance(cond.left, Var) and cond.left.name == var
+                and isinstance(step, Binary) and step.op in ("+", "-")
+                and isinstance(step.left, Var) and step.left.name == var):
+            return None
+        v, limit, delta = self.fold(init), self.fold(cond.right), self.fold(step.right)
+        if v is None or limit is None or not delta:
+            return None
+        binops = arith(self.width)[1]
+        test, advance = binops[cond.op], binops[step.op]
+        trips = 0
+        while test(v, limit):
+            trips += 1
+            if trips > MAX_DERIVED_TRIPS:
+                return None
+            v = advance(v, delta)
+        return trips
+
     def _parse_args(self) -> tuple[Expr, ...]:
+        """Call arguments; `height` is then the highest one's (0 for none)."""
         self.expect("op", "(")
-        args = []
+        args, height = [], 0
         while not self.at("op", ")"):
             args.append(self.parse_expr())
+            height = max(height, self.height)
             if self.at("op", ","):
                 self.advance()
         self.expect("op", ")")
+        self.height = height
         return tuple(args)
 
-    # expressions, by precedence climbing over _BINARY_LEVELS
-    def parse_expr(self) -> Expr:
-        return self.parse_ternary()
+    # expressions: `height` is the height of the one parsed last
+    def _depth(self, depth: int, tok: Optional[Token] = None) -> int:
+        """`depth`, if expressions may nest that deep."""
+        if depth > MAX_EXPR_DEPTH:
+            raise self.error(f"expression nests more than {MAX_EXPR_DEPTH} levels deep", tok)
+        return depth
 
-    def parse_ternary(self) -> Expr:
-        cond = self.parse_binary(0)
+    def parse_expr(self) -> Expr:
+        self.open = self._depth(self.open + 1)
+        expr = self.parse_binary()
         if self.at("op", "?"):
             tok = self.advance()
+            height = self.height
             if_true = self.parse_expr()
+            height = max(height, self.height)
             self.expect("op", ":")
             if_false = self.parse_expr()
-            return Ternary(cond, if_true, if_false, self.pos(tok))
-        return cond
+            self.height = self._depth(max(height, self.height) + 1, tok)
+            expr = Ternary(expr, if_true, if_false, self.pos(tok))
+        self.open -= 1
+        return expr
 
-    def parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while self.peek().kind == "op" and self.peek().text in ops:
-            tok = self.advance()
-            right = self.parse_binary(level + 1)
-            left = Binary(tok.text, left, right, self.pos(tok))
-        return left
+    def parse_binary(self) -> Expr:
+        """Binary operators by precedence, with explicit operand and
+        operator stacks, so that long operator chains do not recurse."""
+        operands, heights, ops = [self.parse_unary()], [self.height], []
+        while True:
+            tok = self.peek()
+            level = _PRECEDENCE.get(tok.text, -1) if tok.kind == "op" else -1
+            while ops and _PRECEDENCE[ops[-1].text] >= level:
+                op = ops.pop()
+                right = operands.pop()
+                operands[-1] = Binary(op.text, operands[-1], right, self.pos(op))
+                height = heights.pop()
+                heights[-1] = self._depth(max(heights[-1], height) + 1, op)
+            if level < 0:
+                self.height = heights[0]
+                return operands[0]
+            ops.append(self.advance())
+            operands.append(self.parse_unary())
+            heights.append(self.height)
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in REJECTED_OPS:
-            raise self.error(
-                f"unsupported construct: {REJECTED_OPS[tok.text]} operator {tok.text!r}"
-            )
-        if tok.kind == "op" and tok.text in ("~", "!", "+", "-"):
-            self.advance()
-            return Unary(tok.text, self.parse_unary(), self.pos(tok))
-        if tok.kind == "op" and tok.text in ("&", "*"):
-            raise self.error(
-                f"unsupported construct: pointer operator {tok.text!r} "
-                "(no address-of or dereference)"
-            )
-        return self.parse_postfix()
+        prefix = []
+        while self.peek().kind == "op":
+            tok = self.peek()
+            if tok.text in REJECTED_OPS:
+                raise self.error(
+                    f"unsupported construct: {REJECTED_OPS[tok.text]} operator {tok.text!r}"
+                )
+            if tok.text in ("&", "*"):
+                raise self.error(
+                    f"unsupported construct: pointer operator {tok.text!r} "
+                    "(no address-of or dereference)"
+                )
+            if tok.text not in ("~", "!", "+", "-"):
+                break
+            prefix.append(self.advance())
+        expr = self.parse_postfix()
+        for tok in reversed(prefix):
+            expr = Unary(tok.text, expr, self.pos(tok))
+            self.height = self._depth(self.height + 1, tok)
+        return expr
 
     def parse_postfix(self) -> Expr:
         tok = self.peek()
+        self.height = 1
         if tok.kind == "num":
             self.advance()
             return Num(int(tok.text, 0), self.pos(tok))
@@ -856,53 +956,22 @@ class _Parser:
             self.advance()
             if self.at("op", "("):
                 args = self._parse_args()
+                self.height = self._depth(self.height + 1, tok)
                 return CallExpr(tok.text, args, self.pos(tok))
             if self.at("op", "["):
                 self.advance()
                 idx = self.parse_expr()
                 self.expect("op", "]")
+                self.height = self._depth(self.height + 1, tok)
                 return Index(tok.text, idx, self.pos(tok))
             return Var(tok.text, self.pos(tok))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect("op", ")")
+            self.height = self._depth(self.height + 1, tok)
             return inner
         raise self.error(f"expected expression, found {tok.text or 'end of input'!r}")
-
-
-def _derive_for_trips(var: str, init: Expr, cond: Expr, step: Expr) -> Optional[int]:
-    """Trip count of a counted loop with a constant-foldable header.
-
-    Handles `i = c0; i <op> c1; i = i +/- c2` shapes by stepping the header
-    with unbounded integers; anything else is not derivable.
-    """
-    v = fold_const(init)
-    if v is None:
-        return None
-    if not isinstance(cond, Binary) or cond.op not in ("<", "<=", ">", ">=", "!="):
-        return None
-    if not (isinstance(cond.left, Var) and cond.left.name == var):
-        return None
-    limit = fold_const(cond.right)
-    if limit is None:
-        return None
-    if not isinstance(step, Binary) or step.op not in ("+", "-"):
-        return None
-    if not (isinstance(step.left, Var) and step.left.name == var):
-        return None
-    delta = fold_const(step.right)
-    if delta is None or delta == 0:
-        return None
-    if step.op == "-":
-        delta = -delta
-    trips = 0
-    while _const_binop(cond.op, v, limit):
-        trips += 1
-        if trips > MAX_DERIVED_TRIPS:
-            return None
-        v += delta
-    return trips
 
 
 def _validate_program(program: Program, filename: str) -> None:
@@ -936,25 +1005,34 @@ def _validate_program(program: Program, filename: str) -> None:
                 )
             calls[f.name].add(n.name)
 
-    # recursion is outside the grammar: reject call-graph cycles
-
-    state: dict[str, int] = {}
-
-    def visit(fn: str, chain: list[str]):
-        if state.get(fn) == 1:
-            cycle = " -> ".join(chain + [fn])
-            raise ParseError(
-                f"unsupported construct: unbounded recursion ({cycle})", 1, 1, filename
-            )
-        if state.get(fn) == 2:
-            return
-        state[fn] = 1
-        for callee in sorted(calls[fn]):
-            visit(callee, chain + [fn])
-        state[fn] = 2
-
+    # recursion is outside the grammar: reject call-graph cycles.  A depth-
+    # first walk with an explicit stack also finds each function's call
+    # depth (0 for a function that calls nothing), which is capped
+    depth: dict[str, int] = {}
     for f in program.functions:
-        visit(f.name, [])
+        path, todo = [f.name], [sorted(calls[f.name], reverse=True)]
+        on_path = {f.name}
+        while path:
+            if todo[-1]:
+                callee = todo[-1].pop()
+                if callee in on_path:
+                    cycle = " -> ".join(path + [callee])
+                    raise ParseError(
+                        f"unsupported construct: unbounded recursion ({cycle})", 1, 1, filename
+                    )
+                if callee not in depth:
+                    path.append(callee)
+                    on_path.add(callee)
+                    todo.append(sorted(calls[callee], reverse=True))
+                continue
+            fn = path.pop()
+            on_path.discard(fn)
+            todo.pop()
+            depth[fn] = max((depth[c] + 1 for c in calls[fn]), default=0)
+            if depth[fn] > MAX_CALL_DEPTH:
+                pos = program.function(fn).pos
+                raise ParseError(f"calls from {fn!r} nest more than {MAX_CALL_DEPTH} levels deep",
+                                 pos.line, pos.col, filename)
 
     # region markers must nest properly in every function
     def check_markers(stmts, depth, fname):

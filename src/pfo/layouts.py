@@ -83,8 +83,7 @@ def build_tree_layout(tree: ExecutionTree, page_size: int) -> MemoryLayout:
     def place_group(blocks, page: int, offset: int) -> int:
         cursor_page, cursor_off = page, offset
         for b in sorted(blocks, key=lambda b: b.id):
-            size = max(b.code_size, WORD_SIZE)  # empty blocks still occupy a slot
-            extents = split_extents(page_size, cursor_page, cursor_off, size)
+            extents = split_extents(page_size, cursor_page, cursor_off, b.slot_size)
             code_map[f"BB{b.id}"] = extents
             last = extents[-1]
             cursor_page = last.page

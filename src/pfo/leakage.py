@@ -201,12 +201,6 @@ def quantify_leakage(runner: Runner, inputs: Iterable[dict[str, int]]) -> Leakag
     return LeakageReport(total, sizes, mi, max_leak)
 
 
-def distinguishability_advantage(runner: Runner, i0: dict[str, int],
-                                 i1: dict[str, int]) -> int:
-    """Def-2-style experiment: exact advantage, 0 iff the profiles match."""
-    return 0 if tuple(runner(i0)) == tuple(runner(i1)) else 1
-
-
 # --- table-lookup narrowing oracle -----------------------------------------
 
 @dataclass(frozen=True)

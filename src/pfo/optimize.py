@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from .exectree import ExecutionTree, balance, build_execution_tree
 from .interp import AstExecutable
-from .ir import data_refs, lower_program
+from .ir import lower_program
 from .labeling import label_sensitivity
 from .lang import (
     Assign,
@@ -269,12 +269,14 @@ def opt_readonly_elim(build: DefenseBuild) -> DefenseBuild:
 
 def opt_page_realign(build: DefenseBuild) -> DefenseBuild:
     """Move sensitive read-only arrays to fresh page-aligned extents."""
+    if build.tree is None:
+        raise OptError("O2 realigns the arrays of a staged build; this build runs in place")
     program = build.program
     layout = build.source_layout
     page_size = layout.page_size
 
     labeled = label_sensitivity(program)
-    written = _written_arrays(build)
+    written = _written_arrays(build.tree)
     targets = [
         d.name for d in program.arrays
         if d.name not in written and labeled.variables.get(d.name) == "high"
@@ -307,14 +309,8 @@ def opt_page_realign(build: DefenseBuild) -> DefenseBuild:
     )
 
 
-def _written_arrays(build: DefenseBuild) -> frozenset[str]:
-    if build.tree is not None:
-        refs = (ref for b in build.tree.blocks for ref in b.refs)
-    else:
-        functions = lower_program(build.program).functions.values()
-        refs = ((obj, is_write) for fn in functions for instr in fn.instrs
-                for obj, _i, is_write in data_refs(instr))
-    return frozenset(obj for obj, is_write in refs if is_write)
+def _written_arrays(tree: ExecutionTree) -> frozenset[str]:
+    return frozenset(obj for b in tree.blocks for obj, is_write in b.refs if is_write)
 
 
 # --- O3A: level merging ---------------------------------------------------
@@ -469,9 +465,15 @@ class MuxElimReport:
     reason: str = ""
 
 
-def opt_mux_elim(program: Program, page_size: Optional[int] = None,
-                 probe_secrets: int = 64, seed: int = 0,
-                 max_states: int = 10_000) -> tuple[Optional[DefenseBuild], MuxElimReport]:
+# O4's probes: random secrets per probed in-place grouping (seed 0) and
+# per probed staged build, and the most groupings tried
+MUX_ELIM_PROBES = 64
+STAGED_MUX_ELIM_PROBES = 32
+MAX_GROUPINGS = 10_000
+
+
+def opt_mux_elim(program: Program, page_size: Optional[int] = None
+                 ) -> tuple[Optional[DefenseBuild], MuxElimReport]:
     """O4: group functions onto pages so transitions fault identically.
 
     Functions that are alternative targets under a conditional must share
@@ -525,7 +527,7 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None,
     candidates = _packings(group_list, lengths, ps)
     for placement_groups in candidates:
         states += 1
-        if states > max_states:
+        if states > MAX_GROUPINGS:
             break
         placements = []
         for page, members in enumerate(placement_groups):
@@ -539,7 +541,7 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None,
             program.page_size_hint,
         )
         build = replace(build_inplace(candidate, ps), applied=("O4",))
-        if _probe_uniform(build, probe_secrets, seed):
+        if _probe_uniform(build, MUX_ELIM_PROBES, 0):
             report = MuxElimReport(
                 True, tuple(tuple(g) for g in placement_groups), states
             )
@@ -592,12 +594,11 @@ def _probe_uniform(build: DefenseBuild, n: int, seed: int) -> bool:
     return True
 
 
-def opt_mux_elim_staged(build: DefenseBuild, probe_secrets: int = 32,
-                        seed: int = 0) -> DefenseBuild:
+def opt_mux_elim_staged(build: DefenseBuild, seed: int = 0) -> DefenseBuild:
     """O4 on a staged build: drop code staging when the natural block
     layout already determinizes the profile (probed empirically)."""
     candidate = _replan(build, applied=build.applied + ("O4",))
-    if _probe_uniform(candidate, probe_secrets, seed):
+    if _probe_uniform(candidate, STAGED_MUX_ELIM_PROBES, seed):
         return candidate
     return replace(build, notes=build.notes + ("O4 declined: grouping leaks",),
                    _exe=None)

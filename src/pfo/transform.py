@@ -173,8 +173,7 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
                 f"block {b.name()} is {b.code_size} bytes, larger than one "
                 f"{page_size}-byte page (block splitting unsupported)"
             )
-    # an empty block still takes one word
-    level_sizes = [[max(b.code_size, WORD_SIZE) for b in lv] for lv in levels]
+    level_sizes = [[b.slot_size for b in lv] for lv in levels]
     mode = select_mode(level_sizes, page_size)
     if mode == "compacted":
         for lv, sizes in enumerate(level_sizes):
@@ -379,7 +378,7 @@ class MultiplexedExecutable(TreeExecutable):
         })
         # execute-phase accesses go to the staging slots: one page each
         compiler = _OpCompiler(
-            program, objects, program.int_width, tree.alloc,
+            program, objects, tree.alloc,
             pages={obj: slot.page for obj, slot in slots.items()},
             indices={obj: objects.index[f"__sa/{obj}"] for obj in slots},
             strict_pages=layout.staging,

@@ -330,6 +330,8 @@ class TestAttackAndContract:
         (["--sweep", "--secret", "d=5"], "--secret"),
         (["--sweep", "--sample", "0"], "--sample"),
         (["--sample", "8"], "--sample"),
+        (["--strategy", "steal:abc@1"], "--strategy"),
+        (["--strategy", "steal:1@x"], "--strategy"),
     ])
     def test_contract_rejects_ignored_flags(self, extra, flag, capsys):
         code, out, err = run_cli(

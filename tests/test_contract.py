@@ -16,7 +16,6 @@ from pfo.contract import (
     derive_contract,
     observable_for,
     run_contractual,
-    steal_many,
 )
 from pfo.corpus import make_table_cases, powm_balanced_source
 from pfo.interp import AstExecutable, Footprint, SimulationResult
@@ -143,14 +142,6 @@ class TestRunContractual:
             for step in (0, contract.total_steps):
                 run_contractual(exe, contract, {"k": 9},
                                 OsStrategy.steal(page, step), FAKE_EXECUTE)
-
-    def test_steal_many_composes_single_steals(self):
-        exe = aes_exe()
-        contract = derive_contract(exe, aes_probes())
-        steals = [(page, 3) for page in sorted(contract.data_pages)]
-        observables = steal_many(exe, contract, {"k": 77}, steals, FAKE_EXECUTE)
-        assert len(observables) == len(steals)
-        assert len(set(observables)) == 1
 
 
 class TestIndistinguishabilitySweep:

@@ -232,8 +232,9 @@ def test_initializers_wrap_to_program_width():
     fn main() { y = t[0]; }
     """)
     result = AstExecutable(program).run()
-    assert result.outputs == {"y": 5}
-    assert result.store["t"] == [5, -(1 << 63), -1, 0]
+    # 1 << 64 shifts by 64 mod 64 bits, as it would in `main`
+    assert result.outputs == {"y": 6}
+    assert result.store["t"] == [6, -(1 << 63), -1, 0]
 
 
 # `inc` returns at the end of its body, then `look` traps on its table read
@@ -386,7 +387,7 @@ def test_nested_early_return_agrees_across_modes(k):
 def test_access_outside_strict_pages_is_an_error(pages, strict, ok, escaped):
     program = parse(SPLIT_LOOKUP)
     exe = AstExecutable(program)
-    compiler = _OpCompiler(program, exe.objects, program.int_width, exe.lowered.alloc,
+    compiler = _OpCompiler(program, exe.objects, exe.lowered.alloc,
                            pages=pages, strict_pages=frozenset(strict))
     index_slot = compiler.decl_slots["s"]
     # the sequence runner charges a static access's step after its closure

@@ -1,10 +1,13 @@
 import dataclasses
+import time
 import typing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfo import lang
 from pfo.cli import main
+from pfo.interp import AstExecutable
 from pfo.lang import (
     Assign,
     Binary,
@@ -18,6 +21,8 @@ from pfo.lang import (
     ParseError,
     RegionMarker,
     Stmt,
+    Ternary,
+    Unary,
     Var,
     While,
     children,
@@ -173,11 +178,47 @@ class TestParse:
         assert main(["parse", str(path)]) == 2
         assert name in capsys.readouterr().err
 
+    # each program nests `n` levels deep in one way, from line 4
+    NESTED = {
+        "parens": lambda n: "y = " + "(" * (n - 1) + "1" + ")" * (n - 1) + ";",
+        "sum": lambda n: "y = " + " + ".join(["1"] * n) + ";",
+        "ifs": lambda n: "\n".join(["if (p) {"] * (n - 1) + ["y = 1;"] + ["}"] * (n - 1)),
+        "calls": lambda n: f"y = f{n - 1}(p);\n}}\nfn f0(v) {{ return v; "
+                           + "".join(f"}}\nfn f{i}(v) {{ return f{i - 1}(v) + 1; "
+                                     for i in range(1, n)),
+    }
+
+    @pytest.mark.parametrize("kind, cap, line", [
+        ("parens", lang.MAX_EXPR_DEPTH, 4),
+        ("sum", lang.MAX_EXPR_DEPTH, 4),
+        ("ifs", lang.MAX_STMT_DEPTH, 3 + lang.MAX_STMT_DEPTH + 1),
+        ("calls", lang.MAX_CALL_DEPTH, 3),
+    ])
+    def test_nesting_capped(self, kind, cap, line, tmp_path, capsys):
+        path = tmp_path / "nest.pfo"
+        for depth in (cap, cap + 1):
+            path.write_text("public int p;\noutput int y;\nfn main() {\n"
+                            + self.NESTED[kind](depth) + "\n}\n")
+            code = main(["simulate", "--program", str(path), "--public", "p=1"])
+            out, err = capsys.readouterr()
+            if depth == cap:
+                assert code == 0, err
+                assert '"trap": null' in out
+            else:
+                assert code == 2
+                assert err.startswith(f"{path}:{line}:")
+                assert f"more than {cap} levels deep" in err
+
     def test_largest_declarations_accepted(self):
         program = parse(f"int t[{lang.MAX_ARRAY_WORDS}];\n"
                         f"public int<{lang.MAX_INT_WIDTH}> w;\nfn main() {{ }}\n")
         assert [d.array_len or d.width for d in program.decls] == \
                [lang.MAX_ARRAY_WORDS, lang.MAX_INT_WIDTH]
+
+    @pytest.mark.parametrize("literal", ["08", "0123"])
+    def test_malformed_number_rejected(self, literal):
+        with pytest.raises(ParseError, match="malformed number"):
+            parse(f"fn main() {{\n  x = {literal};\n}}")
 
     def test_syntax_error_carries_location(self):
         with pytest.raises(ParseError) as info:
@@ -271,14 +312,16 @@ class TestConstantFolding:
     """Folded `/` and `%` truncate toward zero, as the interpreter divides."""
 
     @staticmethod
-    def folded(expr: str) -> int:
-        return parse(f"int t[1] = {{{expr}}};\nfn main() {{ x = t[0]; }}").decl("t").init[0]
+    def folded(expr: str, decls: str = "") -> int:
+        source = f"{decls}int t[1] = {{{expr}}};\nfn main() {{ x = t[0]; }}"
+        return parse(source).decl("t").init[0]
 
     def test_large_quotient_is_exact(self):
         assert self.folded("((1 << 62) + 1) / 3") == 1537228672809129301
 
     def test_quotient_beyond_float_range(self):
-        assert self.folded("(1 << 1100) / 3") == (1 << 1100) // 3
+        # the secret widens the program to 1152 bits, room for 1 << 1100
+        assert self.folded("(1 << 1100) / 3", "secret int<1101> s;\n") == (1 << 1100) // 3
 
     def test_negative_operands_truncate_toward_zero(self):
         assert self.folded("-7 / 2") == -3
@@ -286,9 +329,49 @@ class TestConstantFolding:
         assert self.folded("7 / -2") == -3
         assert self.folded("7 % -2") == 1
 
-    def test_folding_agrees_with_interpreter(self):
-        from pfo.interp import AstExecutable
+    def test_initializers_fold_as_main_computes(self):
+        exprs = ["1 << 64", "(1 << 70) >> 10", "(0xFFFFFFFFFFFFFFFF > 0)",
+                 "0xFFFFFFFFFFFFFFFF / 2"]
+        program = parse(
+            "int a = 1 << 64;\nint b = (1 << 70) >> 10;\n"
+            "int c = (0xFFFFFFFFFFFFFFFF > 0);\n"
+            "int t[2] = {1 << 64, 0xFFFFFFFFFFFFFFFF / 2};\n"
+            + "".join(f"output int y{i};\n" for i in range(len(exprs)))
+            + "fn main() {\n" + "".join(f"  y{i} = {e};\n" for i, e in enumerate(exprs))
+            + "}\n")
+        outputs = AstExecutable(program).run().outputs
+        assert [outputs[f"y{i}"] for i in range(len(exprs))] == [1, 0, 0, 0]
+        assert [program.decl(n).init for n in "abct"] == [(1,), (0,), (0,), (1, 0)]
 
+    def test_width_counts_declarations_after_the_initializer(self):
+        assert parse("int c = 1 << 64;\nsecret int<100> k;\nfn main() { }\n"
+                     ).decl("c").init == (1 << 64,)
+        assert parse("int c = 1 << 64;\nfn main() { }\n").decl("c").init == (1,)
+
+    def test_huge_shift_count_folds_fast(self):
+        start = time.perf_counter()
+        program = parse("int x = 1 << 40000000000;\nfn main() { }\n")
+        assert time.perf_counter() - start < 1
+        assert program.decl("x").init == (1,)  # 40000000000 is 0 modulo 64
+
+    def test_constant_division_by_zero(self, tmp_path, capsys):
+        path = tmp_path / "div.pfo"
+        path.write_text("int a = 1 / 0;\nfn main() { }\n")
+        assert main(["parse", str(path)]) == 2
+        assert f"{path}:1:11: division by zero" in capsys.readouterr().err
+
+    def test_loop_trips_wrap_at_program_width(self):
+        program = parse("""
+        output int y;
+        fn main() {
+          y = 0;
+          for (i = 0x7FFFFFFFFFFFFFFF; i > 0; i = i + 1) { y = y + 1; }
+        }
+        """)
+        assert program.entry.body[1].trips == 1
+        assert AstExecutable(program).run().outputs == {"y": 1}
+
+    def test_folding_agrees_with_interpreter(self):
         program = parse("""
         public int a;
         public int b;
@@ -299,6 +382,35 @@ class TestConstantFolding:
         """)
         result = AstExecutable(program).run(public={"a": -7, "b": 2})
         assert program.decl("f").init == (result.outputs["q"], result.outputs["r"])
+
+
+# literals around the 64-bit edges, and shift counts at or past either width
+LITERALS = st.sampled_from([0, 1, (1 << 63) - 1, 1 << 64, 64, 65, 128, 200]).map(Num) \
+    | st.just(Unary("-", Num(1)))
+CONST_EXPRS = st.recursive(LITERALS, lambda sub: st.one_of(
+    st.builds(Unary, st.sampled_from(["-", "+", "~", "!"]), sub),
+    st.builds(Binary, st.sampled_from(sorted(lang._PRECEDENCE)), sub, sub),
+    st.builds(Ternary, sub, sub, sub),
+), max_leaves=8)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(CONST_EXPRS, st.sampled_from([64, 128]))
+def test_folded_initializer_is_the_value_main_computes(expr, width):
+    widen = "secret int<100> w;\n" if width == 128 else ""
+    text = lang._pp_expr(expr)
+    program = parse(f"{widen}output int y;\nfn main() {{ y = {text}; }}\n")
+    assert program.int_width == width
+    assert parse(pretty(program)) == program
+    result = AstExecutable(program).run(secret={"w": 0} if widen else None)
+    try:
+        init = parse(f"{widen}int c = {text};\nfn main() {{ }}\n").decl("c").init
+    except ParseError as err:
+        assert "division by zero" in err.msg
+        assert result.trap is not None and result.trap.kind == "div-zero"
+    else:
+        assert result.trap is None
+        assert init == (result.outputs["y"],)
 
 
 def _sentinel(hint, label):

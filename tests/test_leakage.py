@@ -19,7 +19,6 @@ from pfo.leakage import (
     attack_eddsa,
     attack_powm,
     attack_table,
-    distinguishability_advantage,
     narrow_candidates,
     quantify_leakage,
     verify_pfo,
@@ -147,17 +146,6 @@ class TestQuantifyLeakage:
         exe, run = runner_for(BYTE_LOOKUP)
         report = quantify_leakage(run, SecretDomain.of(exe.program).exhaustive())
         assert abs(report.max_leakage - math.log2(256 / 28)) < 1e-12
-
-
-class TestDistinguishability:
-    def test_advantage_one_on_vanilla_split(self):
-        _, run = runner_for(SPLIT_LOOKUP)
-        assert distinguishability_advantage(run, {"s": 0}, {"s": 4}) == 1
-
-    def test_advantage_zero_after_transform(self):
-        exe = build_defense(parse(SPLIT_LOOKUP.replace("16", "64", 1))).executable()
-        run = lambda secret: exe.run(secret=secret).profile
-        assert distinguishability_advantage(run, {"s": 0}, {"s": 4}) == 0
 
 
 class TestAttackEddsa:

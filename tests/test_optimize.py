@@ -125,6 +125,10 @@ fn main() {
         optimized = opt_page_realign(opt_readonly_elim(build_staged(parse(TWO_TABLE_TOY))))
         assert outputs_for(plain, SECRETS) == outputs_for(optimized, SECRETS)
 
+    def test_in_place_build_rejected(self):
+        with pytest.raises(OptError, match="runs in place"):
+            opt_page_realign(build_inplace(parse(TWO_TABLE_TOY)))
+
 
 CHAIN_SOURCE = """
 #pragma page_size 4096
