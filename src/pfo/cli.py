@@ -297,7 +297,7 @@ def cmd_contract(args) -> int:
     program = _read_program(args.program)
     exe = AstExecutable(program, page_size=args.page_size)
     domain = SecretDomain.of(program)
-    probes = list(domain.sample(3, args.seed)) or [{}]
+    probes = list(domain.sample(3, args.seed))
     contract = derive_contract(exe, probes)
     policy = FAKE_EXECUTE if args.policy == "fake" else NAIVE_TERMINATE
     doc = {

@@ -135,8 +135,7 @@ def _reachable_functions(lowered: LoweredProgram, entry: str) -> set[str]:
     return seen
 
 
-def derive_contract(exe, probe_secrets: Iterable[dict],
-                    probe_public: Optional[dict] = None) -> Contract:
+def derive_contract(exe, probe_secrets: Iterable[dict]) -> Contract:
     """Bucket and schedule length for a balanced, laid-out program.
 
     The bucket is every code page of a reachable function plus every page
@@ -169,8 +168,7 @@ def derive_contract(exe, probe_secrets: Iterable[dict],
     if not probes:
         raise ContractError("need at least one probe secret")
     for secret in probes:
-        result = exe.run(secret=secret, public=probe_public,
-                         model=AdversaryModel.infinite_memory())
+        result = exe.run(secret=secret, model=AdversaryModel.infinite_memory())
         if result.trap is not None:
             raise ContractError(f"probe run trapped: {result.trap}")
         totals.add(result.steps)

@@ -315,19 +315,19 @@ def powm_precompute_mults(window: int) -> int:
 POWM_BALANCED_FILLERS = 17
 
 
-def powm_balanced_source(width: int = 64, fillers: int = POWM_BALANCED_FILLERS) -> str:
+def powm_balanced_source(width: int = 64) -> str:
     """Square-and-multiply-always with the real and dummy multiply routines
     on different pages: balanced in time, leaky in page visits until the
     grouping optimization co-locates the two routines."""
     decl_lines = []
     body_lines = []
-    for i in range(fillers):
+    for i in range(POWM_BALANCED_FILLERS):
         decl_lines.append(
             f"fn warm{i}(v) {{\n  return (v * 3 + {i + 1}) % 97;\n}}"
         )
         body_lines.append(f"  x = warm{i}(x);")
     placements = "\n".join(
-        f"#pragma place code warm{i} {5 + i} 0" for i in range(fillers)
+        f"#pragma place code warm{i} {5 + i} 0" for i in range(POWM_BALANCED_FILLERS)
     )
     decls = "\n\n".join(decl_lines)
     warmup = "\n".join(body_lines)

@@ -25,13 +25,14 @@ from operator import attrgetter
 from typing import Optional
 
 from .ir import (
-    DEFAULT_NODE_BUDGET,
+    NODE_BUDGET,
     BranchI,
     ExpansionBudgetError,
     Instr,
     IterMark,
     NopI,
     Operand,
+    OverrunI,
     PadI,
     RegAlloc,
     TaggedIf,
@@ -121,39 +122,47 @@ class ExecutionTree:
         return sum(1 for b in self.blocks if b.is_leaf)
 
 
-def build_execution_tree(program: Program, budget: int = DEFAULT_NODE_BUDGET) -> ExecutionTree:
+def build_execution_tree(program: Program) -> ExecutionTree:
     """Inline, unroll, and split the sensitive region into an execution tree.
 
-    Every item lowered into a block is charged against `budget`, as every
-    expanded statement is: copying continuations under both arms of each
-    conditional can outgrow the expansion itself.
+    Every item lowered into a block is charged against `NODE_BUDGET`, as
+    every expanded statement is: copying continuations under both arms of
+    each conditional can outgrow the expansion itself.  Arms are grown
+    from an explicit stack, the then arm's whole subtree before the else
+    arm, so ids follow a depth-first walk however deep branches nest.
     """
-    items = expand_region(program, budget)
+    items = expand_region(program)
     alloc = RegAlloc()
-    lowerer = _FnLowerer(program, alloc, "", program.entry.name)
-    counter = iter(range(1, 1 << 62))
+    entry = program.entry.name
+    lowerer = _FnLowerer(program, alloc, "", entry)
+    next_id = 1
     spent = 0
-
-    def grow(items: tuple, level: int) -> Block:
-        # iterative along chains (IterMark) so deep unrolled loops do not
-        # recurse; only branch arms recurse, bounded by branch nesting
-        nonlocal spent
-        first = Block(next(counter), level, [], origin="")
-        block = first
+    root = None
+    # an arm still to grow: its items, its level, and its parent's slot
+    arms: list[tuple] = [(tuple(items), 1, None, 0)]
+    while arms:
+        items, level, parent, slot = arms.pop()
+        first = block = Block(next_id, level, [], origin="")
+        next_id += 1
+        if parent is None:
+            root = first
+        else:
+            parent.children[slot] = first
         lowerer.instrs = block.instrs
         for i, item in enumerate(items):
             if isinstance(item, IterMark):
                 if not block.instrs:
                     continue  # nothing to split yet; merge boundary away
-                child = Block(next(counter), block.level + 1, [], origin="")
+                child = Block(next_id, block.level + 1, [], origin="")
+                next_id += 1
                 block.children = [child]
                 block = child
                 lowerer.instrs = block.instrs
                 continue
             spent += 1
-            if spent > budget:
+            if spent > NODE_BUDGET:
                 raise ExpansionBudgetError(
-                    f"execution tree exceeds {budget} lowered statements "
+                    f"execution tree exceeds {NODE_BUDGET} lowered statements "
                     "(conditionals copy the code after them into both arms)"
                 )
             if not block.instrs:
@@ -161,25 +170,22 @@ def build_execution_tree(program: Program, budget: int = DEFAULT_NODE_BUDGET) ->
             lowerer.origin = item.origin
             if isinstance(item, TaggedStmt):
                 lowerer.assign(item.stmt)
+            elif isinstance(item, OverrunI):
+                lowerer.emit(item)
             elif isinstance(item, TaggedIf):
-                cond = lowerer.operand(item.cond)
-                lowerer.emit(BranchI(cond, item.origin))
+                block.branch = lowerer.operand(item.cond)
+                lowerer.emit(BranchI(block.branch, item.origin))
+                block.children = [None, None]
                 rest = items[i + 1:]
-                then_child = grow(tuple(item.then_items) + rest, block.level + 1)
-                else_child = grow(tuple(item.else_items) + rest, block.level + 1)
-                block.branch = cond
-                block.children = [then_child, else_child]
-                if not first.origin:
-                    first.origin = program.entry.name
-                return first
+                arms.append((tuple(item.else_items) + rest, block.level + 1, block, 1))
+                arms.append((tuple(item.then_items) + rest, block.level + 1, block, 0))
+                first.origin = first.origin or entry
+                break
             else:
                 raise PfoError(f"unexpected expansion item {item!r}")
-        for b in (first, block):
-            if not b.origin:
-                b.origin = program.entry.name
-        return first
-
-    root = grow(tuple(items), 1)
+        else:
+            for b in (first, block):
+                b.origin = b.origin or entry
     return ExecutionTree(program, root, alloc)
 
 

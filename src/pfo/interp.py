@@ -75,6 +75,7 @@ from .ir import (
     MovI,
     NopI,
     Operand,
+    OverrunI,
     PadI,
     PAD_OBJECT,
     Reg,
@@ -217,7 +218,11 @@ class Footprint:
 
 
 class FootprintTable:
-    """Interns footprints, and the page sets of equal footprints' needs."""
+    """Interns footprints, and the page sets of equal footprints' needs.
+
+    A footprint that needs more than `MAX_PAGES_PER_INSTRUCTION` pages is
+    an error when it is interned, so no step has to check.
+    """
 
     def __init__(self):
         self._footprints: dict[tuple, Footprint] = {}
@@ -228,6 +233,11 @@ class FootprintTable:
         got = self._footprints.get(key)
         if got is None:
             got = Footprint(code, pages, kinds)
+            if len(got.need) > MAX_PAGES_PER_INSTRUCTION:
+                raise PageModelError(
+                    f"instruction needs {len(got.need)} pages "
+                    f"(limit {MAX_PAGES_PER_INSTRUCTION})"
+                )
             got.need_set = self._need_sets.setdefault(got.need_set, got.need_set)
             self._footprints[key] = got
         return got
@@ -282,15 +292,9 @@ class Sink:
             self.footprints.append(fp)
         if self.resident is not fp.need_set:
             if self.pigeonhole:
-                need = fp.need
-                if len(need) > MAX_PAGES_PER_INSTRUCTION:
-                    raise PageModelError(
-                        f"instruction needs {len(need)} pages "
-                        f"(limit {MAX_PAGES_PER_INSTRUCTION})"
-                    )
                 resident = self.resident
                 faults = self.faults
-                for p in need:
+                for p in fp.need:
                     if p not in resident:
                         faults.append(p)
             self.resident = fp.need_set
@@ -399,7 +403,7 @@ class ObjectTable:
         self.names: list[str] = [d.name for d in program.arrays]
         if extra_objects:
             self.names.extend(n for n in extra_objects if n not in self.names)
-        if PAD_OBJECT in layout.data_map and PAD_OBJECT not in self.names:
+        if PAD_OBJECT in layout.data_map:
             self.names.append(PAD_OBJECT)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lengths: list[int] = []
@@ -581,16 +585,15 @@ class _OpCompiler:
                 st.branch = 1 if st.regs[c] else 0
             return run, fp
         if isinstance(instr, PadI):
+            # the pad object is one word on one page: its access is static
             oi = self._obj_index(PAD_OBJECT)
-            pad_fp, lookup = self._data_footprint(PAD_OBJECT, code_page, _KIND_W)
-            if lookup is None:
-                def run(st: State, oi=oi):
-                    st.arrays[oi][0] = 0
-                return run, pad_fp
-            def run(st: State, lookup=lookup, oi=oi):
-                st.sink.instr(lookup(0))
+            def run(st: State, oi=oi):
                 st.arrays[oi][0] = 0
-            return run, None
+            return run, self._data_footprint(PAD_OBJECT, code_page, _KIND_W)[0]
+        if isinstance(instr, OverrunI):
+            def run(st: State, detail=f"exceeded bound {instr.bound}"):
+                raise SimTrap("loop-bound", detail)
+            return run, fp
         if isinstance(instr, NopI):
             return _no_op, fp
         if isinstance(instr, RetI):
@@ -784,8 +787,6 @@ class AstExecutable:
                                   bound=item.bound, do_first=item.do_first):
                         n = 0
                         if do_first:
-                            if bound == 0:
-                                return
                             body(st)
                             n = 1
                         while True:
@@ -937,11 +938,9 @@ class TreeExecutable:
     summary in one `Sink.account`, and moves to the child its branch picked.
     """
 
-    def __init__(self, tree: ExecutionTree, layout: Optional[MemoryLayout] = None,
-                 page_size: Optional[int] = None):
+    def __init__(self, tree: ExecutionTree):
         program = tree.program
-        if layout is None:
-            layout = build_tree_layout(tree, program.resolve_page_size(page_size))
+        layout = build_tree_layout(tree, program.resolve_page_size())
         objects = ObjectTable(program, layout)
         compiler = _OpCompiler(program, objects, tree.alloc)
         self._link(tree, layout, objects, compiler, lambda b: list(map(
@@ -1031,13 +1030,3 @@ def _summary(charges: tuple, key: tuple, summaries: dict[tuple, Summary]) -> Sum
         got = summaries[key] = Summary(charges)
     return got
 
-
-def simulate(program: Program, layout: Optional[MemoryLayout] = None,
-             secret: dict[str, int] | None = None,
-             public: dict[str, int] | None = None,
-             model: Optional[AdversaryModel] = None,
-             page_size: Optional[int] = None,
-             collect_trace: bool = False) -> SimulationResult:
-    """One-shot reference simulation of a program under a layout."""
-    exe = AstExecutable(program, layout, page_size)
-    return exe.run(secret, public, model, collect_trace)

@@ -14,7 +14,11 @@ Design choices that everything downstream relies on:
 
 The same lowering serves two consumers: the whole-program interpreter
 (functions stay separate, calls are real transfers) and the execution-tree
-builder (calls inlined, loops unrolled; see `expand_region`).
+builder (calls inlined, loops unrolled; see `expand_region`).  Unrolled, a
+`while` is one conditional per trip, each nested in the one before, and a
+last test of its condition whose true arm is an `OverrunI`: the tree traps
+`loop-bound` where the interpreter does.  Expansion and tree building
+stop at `NODE_BUDGET` statements.
 """
 
 from __future__ import annotations
@@ -155,9 +159,18 @@ class NopI:
     origin: str
 
 
+@dataclass(frozen=True)
+class OverrunI:
+    """Trap `loop-bound` without a step: an unrolled `while` whose
+    condition still holds after `bound` trips."""
+    bound: int
+    origin: str
+
+
 PAD_OBJECT = "__pad"
 
-Instr = Union[LoadI, StoreI, BinI, UnI, SelI, MovI, CallI, RetI, BranchI, PadI, NopI]
+Instr = Union[LoadI, StoreI, BinI, UnI, SelI, MovI, CallI, RetI, BranchI, PadI, NopI,
+              OverrunI]
 
 
 def data_refs(instr: Instr) -> tuple[tuple[str, Operand, bool], ...]:
@@ -472,20 +485,21 @@ class IterMark:
 
 
 class ExpansionBudgetError(PfoError):
-    """Unrolled region exceeded the configured node budget."""
+    """Unrolled region exceeded `NODE_BUDGET`."""
 
 
 class _Expander:
     """Inlines calls and unrolls loops into a flat, origin-tagged list.
 
     Output items are TaggedStmt (Assign only), TaggedIf (arms already
-    expanded), and IterMark.  Variables from inlined bodies are renamed
-    `callee@k/name` so every call-site instance owns fresh locals.
+    expanded), IterMark, and OverrunI (a `while` past its bound).  Variables
+    from inlined bodies are renamed `callee@k/name` so every call-site
+    instance owns fresh locals.  Every expanded statement is charged
+    against `NODE_BUDGET`.
     """
 
-    def __init__(self, program: Program, budget: int):
+    def __init__(self, program: Program):
         self.program = program
-        self.budget = budget
         self.count = 0
         self.site = itertools.count()
         self.origin_stack = [program.entry.name]
@@ -498,11 +512,11 @@ class _Expander:
 
     def spend(self, loop_pos=None) -> None:
         self.count += 1
-        if self.count > self.budget:
+        if self.count > NODE_BUDGET:
             pos = loop_pos or (self.loop_stack[-1] if self.loop_stack else None)
             where = f" (loop at line {pos.line})" if pos else ""
             raise ExpansionBudgetError(
-                f"unrolled region exceeds {self.budget} statements{where}"
+                f"unrolled region exceeds {NODE_BUDGET} statements{where}"
             )
 
     def expand_stmts(self, stmts, rename) -> list:
@@ -558,23 +572,24 @@ class _Expander:
         return out
 
     def expand_while(self, s: While, rename) -> list:
+        """A do-while's first body, then one conditional per remaining trip,
+        each nested in the one before, and a last test of the condition
+        whose true arm traps, as the interpreter does past the bound."""
         self.loop_stack.append(s.pos)
-
-        def cascade(remaining: int) -> list:
-            if remaining == 0:
-                return []
+        first = self.expand_stmts(s.body, rename) if s.do_first else []
+        trips = []
+        for _ in range(s.bound - s.do_first):
             self.spend(s.pos)
             pre, cond = self.expand_expr(s.cond, rename)
-            body = tuple(self.expand_stmts(s.body, rename) + cascade(remaining - 1))
-            return pre + [TaggedIf(cond, self.origin, body, ())]
-
-        try:
-            if s.do_first:
-                first = self.expand_stmts(s.body, rename)
-                return first + cascade(max(s.bound - 1, 0))
-            return cascade(s.bound)
-        finally:
-            self.loop_stack.pop()
+            trips.append((pre, cond, self.expand_stmts(s.body, rename)))
+        self.spend(s.pos)
+        pre, cond = self.expand_expr(s.cond, rename)
+        overrun = OverrunI(s.bound, self.origin)
+        rest = pre + [TaggedIf(cond, self.origin, (overrun,), ())]
+        for pre, cond, body in reversed(trips):
+            rest = pre + [TaggedIf(cond, self.origin, tuple(body + rest), ())]
+        self.loop_stack.pop()
+        return first + rest
 
     def expand_expr(self, e: Expr, rename) -> tuple[list, Expr]:
         pre: list = []
@@ -645,10 +660,11 @@ class _Expander:
         return out, ret_expr
 
 
-DEFAULT_NODE_BUDGET = 1 << 20
+# the most statements a region expands to, and items a tree lowers
+NODE_BUDGET = 1 << 20
 
 
-def expand_region(program: Program, budget: int = DEFAULT_NODE_BUDGET) -> list:
+def expand_region(program: Program) -> list:
     """Inline calls and unroll loops of the sensitive region of `main`.
 
     Returns origin-tagged items (TaggedStmt / TaggedIf / IterMark); the
@@ -663,7 +679,7 @@ def expand_region(program: Program, budget: int = DEFAULT_NODE_BUDGET) -> list:
             f"line {outside[0].pos.line}: tree mode runs only the sensitive "
             "region; move this statement of `main` inside it"
         )
-    expander = _Expander(program, budget)
+    expander = _Expander(program)
 
     entry_scope: dict[str, str] = {}
 

@@ -17,7 +17,11 @@ loop headers fold with it at the program's width, so a constant expression
 has the value it would have at run time wherever it is written.  The width
 follows from every declaration, so the parser reads every declared width
 before it folds anything.  Expressions, statements and call chains nest at
-most 64 levels deep.
+most 64 levels deep.  A `while` runs its body at most `bound` times and
+traps if its condition still holds after that; a do-while's body always
+runs once, so its bound is at least 1.  Names starting with `__pad` or
+`__sa` are reserved for the pad object and staging slots of a staged
+build.
 """
 
 from __future__ import annotations
@@ -74,6 +78,8 @@ _TOKEN_RE = re.compile(
 )
 
 REJECTED_OPS = {"++": "increment", "--": "decrement", "||": "logical-or"}
+# names the staged build gives the pad object and the staging slots
+RESERVED_PREFIXES = ("__pad", "__sa")
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,10 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
             tok_kind = kind
             if kind == "name" and text in KEYWORDS:
                 tok_kind = "kw"
+            elif kind == "name" and text.startswith(RESERVED_PREFIXES):
+                raise ParseError(f"{text!r}: names starting with "
+                                 f"{' or '.join(RESERVED_PREFIXES)} are reserved",
+                                 line, col, filename)
             elif kind == "hex":
                 tok_kind = "num"
             elif kind == "num":
@@ -405,10 +415,6 @@ class Program:
     @property
     def outputs(self) -> tuple[VarDecl, ...]:
         return tuple(d for d in self.decls if d.kind == DeclKind.OUTPUT)
-
-    @property
-    def publics(self) -> tuple[VarDecl, ...]:
-        return tuple(d for d in self.decls if d.kind == DeclKind.PUBLIC)
 
     @property
     def arrays(self) -> tuple[VarDecl, ...]:
@@ -792,15 +798,19 @@ class _Parser:
         self.expect("op", "(")
         cond = self.parse_expr()
         self.expect("op", ")")
+        written = self.peek()
         bound = self._while_bound(cond, tok, "do-while conditions need a constant trip "
                                   "bound (write `do {...} while (e) bound N;`)")
+        if bound == 0 and written.text == "bound":
+            raise self.error("a do-while body always runs once: its bound must be "
+                             "at least 1", written)
         self.expect("op", ";")
-        return While(cond, bound, body, True, self.pos(tok))
+        return While(cond, max(bound, 1), body, True, self.pos(tok))
 
     def _while_bound(self, cond: Expr, tok: Token, hint: str) -> int:
-        """The written bound, else 0 for a constant-false condition; any
-        other condition that folds is a constant-true infinite loop, which
-        stays rejected."""
+        """The written bound, else 0 for a constant-false condition (a
+        do-while still runs its body once); any other condition that folds
+        is a constant-true infinite loop, which stays rejected."""
         bound = self._parse_bound()
         if bound is None and self.fold(cond) == 0:
             return 0

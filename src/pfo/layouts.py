@@ -34,7 +34,7 @@ def _data_extent_map(program: Program, page_size: int, next_free: int,
             continue
         data_map[name] = split_extents(page_size, next_free, 0, byte_len)
         next_free = _pages_spanned(data_map[name])
-    if include_pad and PAD_OBJECT not in data_map:
+    if include_pad:
         data_map[PAD_OBJECT] = split_extents(page_size, next_free, 0, WORD_SIZE)
     return data_map
 

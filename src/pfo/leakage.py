@@ -1,17 +1,21 @@
 """Leakage verification and quantification over the page-fault channel.
 
 The simulator is deterministic, so distinguishability is exact: two
-secrets are distinguishable iff their fault profiles differ, and a
-program is oblivious over a domain iff every enumerated secret lands in
-one profile class.  Leakage is reported three ways:
+secrets are distinguishable iff their fault profiles differ.  Secrets
+come from one `SecretDomain` (exhaustive, seeded samples, or the
+extremes), and one loop, `_classes`, partitions them by profile (the
+partition view of Koepf and Basin): a program is oblivious over the
+inputs iff they form one profile class (`verify_pfo`, also O4's probe),
+and leakage is measured from the class sizes (`quantify_leakage`):
 
 * mutual information between the secret and the observed profile,
   ``sum_c (|c|/N) * log2(N/|c|)`` over profile classes `c`;
 * max-leakage, ``log2(N / min_c |c|)``: the bits revealed about the
   worst-case (smallest) class;
 * per-class knowledge gain, ``log2(N) - log2(|c|)``: how far an observed
-  profile narrows the initial choice set.  For a run of independent
-  observations this composes additively (`LeakageReport.power`).
+  profile narrows the initial choice set.  Independent observations
+  compose additively: `n` lookups that each land in class `c` reveal
+  ``n * class_bits(c)``.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ class SecretDomain:
             yield dict(zip(self.names, values))
 
     def sample(self, count: int, seed: int) -> Iterable[dict[str, int]]:
+        """`count` secrets drawn from `random.Random(seed)`, each name's
+        value in declaration order."""
         rng = random.Random(seed)
         for _ in range(count):
             yield {
@@ -76,8 +82,10 @@ class SecretDomain:
                 for name, width in zip(self.names, self.widths)
             }
 
-    def key(self, secret: dict[str, int]) -> tuple[int, ...]:
-        return tuple(secret[n] for n in self.names)
+    def extremes(self) -> list[dict[str, int]]:
+        """Every secret at 0, then every secret at its maximum."""
+        return [{n: 0 for n in self.names},
+                {n: (1 << w) - 1 for n, w in zip(self.names, self.widths)}]
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,23 @@ def _first_divergence(a: Profile, b: Profile) -> int:
     return min(len(a), len(b))
 
 
+def _classes(runner: Runner, inputs: Iterable[dict[str, int]],
+             ) -> tuple[dict[Profile, list], int]:
+    """Partition `inputs` by profile: each class's `[size, first input]`,
+    in the order the classes were first seen, and the number of inputs."""
+    classes: dict[Profile, list] = {}
+    count = 0
+    for secret in inputs:
+        count += 1
+        profile = tuple(runner(secret))
+        seen = classes.get(profile)
+        if seen is None:
+            classes[profile] = [1, dict(secret)]
+        else:
+            seen[0] += 1
+    return classes, count
+
+
 def verify_pfo(runner: Runner, inputs: Iterable[dict[str, int]]) -> VerifyResult:
     """Single-profile-class check over enumerated inputs.
 
@@ -109,26 +134,15 @@ def verify_pfo(runner: Runner, inputs: Iterable[dict[str, int]]) -> VerifyResult
     the first enumerated input versus the first input whose profile
     diverges from it.
     """
-    base_input = None
-    base_profile: Optional[Profile] = None
-    profiles: set[Profile] = set()
-    checked = 0
+    classes, count = _classes(runner, inputs)
     counterexample = None
-    for secret in inputs:
-        checked += 1
-        profile = tuple(runner(secret))
-        profiles.add(profile)
-        if base_profile is None:
-            base_input = dict(secret)
-            base_profile = profile
-        elif counterexample is None and profile != base_profile:
-            counterexample = Counterexample(
-                base_input, dict(secret), _first_divergence(base_profile, profile)
-            )
+    if len(classes) > 1:
+        (base, (_, first)), (other, (_, second)) = itertools.islice(classes.items(), 2)
+        counterexample = Counterexample(first, second, _first_divergence(base, other))
     return VerifyResult(
-        oblivious=len(profiles) <= 1,
-        classes=len(profiles),
-        inputs_checked=checked,
+        oblivious=len(classes) <= 1,
+        classes=len(classes),
+        inputs_checked=count,
         counterexample=counterexample,
     )
 
@@ -148,10 +162,6 @@ class LeakageReport:
         """Knowledge gain of observing this profile: log2(N / |class|)."""
         return math.log2(self.domain_size / self.class_sizes[profile])
 
-    def power(self, n: int) -> "ComposedLeakage":
-        """Leakage of `n` independent repetitions of this observation."""
-        return ComposedLeakage(self, n)
-
     def to_json_dict(self) -> dict:
         ordered = sorted(self.class_sizes.items(), key=lambda kv: (kv[1], kv[0]))
         return {
@@ -166,34 +176,12 @@ class LeakageReport:
         }
 
 
-@dataclass(frozen=True)
-class ComposedLeakage:
-    base: LeakageReport
-    repetitions: int
-
-    @property
-    def domain_size(self) -> int:
-        return self.base.domain_size ** self.repetitions
-
-    @property
-    def mutual_information(self) -> float:
-        return self.base.mutual_information * self.repetitions
-
-    def uniform_class_bits(self, profile: Profile) -> float:
-        """Bits revealed when all repetitions land in one base class."""
-        return self.base.class_bits(profile) * self.repetitions
-
-
 def quantify_leakage(runner: Runner, inputs: Iterable[dict[str, int]]) -> LeakageReport:
     """Partition inputs by profile and compute the leakage measures."""
-    sizes: dict[Profile, int] = {}
-    total = 0
-    for secret in inputs:
-        total += 1
-        profile = tuple(runner(secret))
-        sizes[profile] = sizes.get(profile, 0) + 1
+    classes, total = _classes(runner, inputs)
     if total == 0:
         raise DomainError("empty input domain")
+    sizes = {profile: size for profile, (size, _) in classes.items()}
     mi = 0.0
     for count in sizes.values():
         mi += (count / total) * math.log2(total / count)

@@ -13,7 +13,8 @@ Each pass preserves program outputs and the single-profile-class property
   next to each caller, so neither call crosses a page.
 * O4 multiplexing elimination: code stays in place; functions are grouped
   onto pages so every level transition faults identically, removing the
-  code fetch/execute machinery altogether.
+  code fetch/execute machinery altogether.  Its gate is `leakage.verify_pfo`
+  over the domain's extreme secrets and seeded samples.
 * O5 if-conversion: secret-conditioned branches become data selection
   through a two-slot table, removing control dependence on the secret.
 
@@ -32,7 +33,6 @@ pass that changes a staged build re-plans it through `_replan`.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -65,6 +65,7 @@ from .lang import (
     walk_all,
 )
 from .layouts import build_ast_layout, build_tree_layout
+from .leakage import SecretDomain, verify_pfo
 from .memory import MemoryLayout, PfoError, split_extents
 from .transform import (
     LevelPlan,
@@ -465,7 +466,7 @@ class MuxElimReport:
     reason: str = ""
 
 
-# O4's probes: random secrets per probed in-place grouping (seed 0) and
+# O4's probes: seeded samples per probed in-place grouping (seed 0) and
 # per probed staged build, and the most groupings tried
 MUX_ELIM_PROBES = 64
 STAGED_MUX_ELIM_PROBES = 32
@@ -478,8 +479,9 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None
 
     Functions that are alternative targets under a conditional must share
     a page (then either both fault or neither does); groups are packed
-    greedily and the candidate layout is probed with random secrets under
-    the pigeonhole observer.  On failure the plan is left unchanged.
+    greedily and each candidate layout is kept only if `verify_pfo` finds
+    one profile class over the extreme secrets and seeded samples.  On
+    failure the plan is left unchanged.
     """
     ps = program.resolve_page_size(page_size)
     lowered = lower_program(program)
@@ -570,28 +572,11 @@ def _packings(group_list, lengths, page_size):
 
 
 def _probe_uniform(build: DefenseBuild, n: int, seed: int) -> bool:
-    program = build.program
-    rng = random.Random(seed)
-    secrets = [d for d in program.decls if d.kind == DeclKind.SECRET]
+    """Whether the extreme secrets and `n` seeded samples share one profile."""
+    domain = SecretDomain.of(build.program)
     exe = build.executable()
-
-    def sample():
-        return {
-            d.name: rng.randrange(1 << d.domain_width) for d in secrets
-        }
-
-    base = None
-    trials = [
-        {d.name: 0 for d in secrets},
-        {d.name: (1 << d.domain_width) - 1 for d in secrets},
-    ] + [sample() for _ in range(n)]
-    for secret in trials:
-        profile = tuple(exe.run(secret=secret).profile)
-        if base is None:
-            base = profile
-        elif profile != base:
-            return False
-    return True
+    probes = domain.extremes() + list(domain.sample(n, seed))
+    return verify_pfo(lambda s: exe.run(secret=s).profile, probes).oblivious
 
 
 def opt_mux_elim_staged(build: DefenseBuild, seed: int = 0) -> DefenseBuild:

@@ -57,6 +57,16 @@ class TestBasicCommands:
         assert doc["paths"] == 3
         assert not doc["balanced"]
 
+    def test_analyze_long_while(self, tmp_path, capsys):
+        # one nested conditional per trip: building the tree must not recurse
+        src = tmp_path / "loop.pfo"
+        src.write_text("secret int<4> s;\noutput int y;\n"
+                       "fn main() { y = s; while (y > 0) bound 1000 { y = y - 1; } }\n")
+        code, out, err = run_cli(["analyze", str(src)], capsys)
+        assert code == 0, err
+        # each trip's exit, and the test after the last trip's two arms
+        assert json.loads(out)["paths"] == 1002
+
     def test_analyze_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "tree.dot"
         code, _, _ = run_cli(
@@ -446,7 +456,7 @@ class TestCorpusSuites:
 
 
 class TestConsoleEntryPoint:
-    def test_installed_script_runs(self, tmp_path):
+    def test_python_dash_m_pfo_cli(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "pfo.cli", "parse",
              str(CORPUS / "foo.pfo"), "--json"],

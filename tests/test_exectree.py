@@ -1,5 +1,6 @@
 import pytest
 
+from pfo import exectree, ir
 from pfo.exectree import (
     BalanceWitness,
     balance,
@@ -12,6 +13,12 @@ from pfo.ir import ExpansionBudgetError, LoweringError, PadI, expand_region
 from pfo.lang import parse
 
 from test_lang import FOO_SOURCE
+
+
+def budget(monkeypatch, n):
+    """Cap expansion and tree building at `n` statements."""
+    monkeypatch.setattr(ir, "NODE_BUDGET", n)
+    monkeypatch.setattr(exectree, "NODE_BUDGET", n)
 
 
 def depth_multiset(tree):
@@ -66,7 +73,8 @@ class TestBuild:
         assert [(b.id, b.level, len(b.instrs)) for b in t1.blocks] == \
                [(b.id, b.level, len(b.instrs)) for b in t2.blocks]
 
-    def test_budget_exceeded_names_loop(self):
+    def test_budget_exceeded_names_loop(self, monkeypatch):
+        budget(monkeypatch, 100)
         src = """
         output int y;
         fn main() {
@@ -78,9 +86,10 @@ class TestBuild:
         }
         """
         with pytest.raises(ExpansionBudgetError, match="line"):
-            build_execution_tree(parse(src), budget=100)
+            build_execution_tree(parse(src))
 
-    def test_tree_budget_counts_copied_continuations(self):
+    def test_tree_budget_counts_copied_continuations(self, monkeypatch):
+        budget(monkeypatch, 100)
         # each secret branch copies the rest of the loop under both arms:
         # the expansion stays at 3 statements per trip, the tree doubles
         program = parse("""
@@ -94,9 +103,9 @@ class TestBuild:
           #pragma end_pf_sensitive
         }
         """)
-        expand_region(program, budget=100)
+        expand_region(program)
         with pytest.raises(ExpansionBudgetError, match="execution tree exceeds 100"):
-            build_execution_tree(program, budget=100)
+            build_execution_tree(program)
 
     def test_array_used_as_scalar_rejected(self):
         program = parse("""

@@ -5,12 +5,12 @@ import pytest
 from pfo.corpus import make_table_cases
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import (
-    AstExecutable, Sink, State, TreeExecutable, _OpCompiler, _sequence, simulate,
+    AstExecutable, FootprintTable, Sink, State, TreeExecutable, _OpCompiler, _sequence,
 )
 from pfo.ir import LoadI, Reg
 from pfo.lang import parse
 from pfo.layouts import build_ast_layout
-from pfo.memory import AdversaryModel, EventKind, PfoError, observe_profile
+from pfo.memory import AdversaryModel, EventKind, PageModelError, PfoError, observe_profile
 from pfo.optimize import build_staged, opt_if_convert, opt_page_realign, opt_readonly_elim
 
 from test_lang import FOO_SOURCE
@@ -188,10 +188,6 @@ class TestTreeExecution:
             for x, y in [(4, 2), (8, 9), (6, 5)]
         }
         assert len(steps) == 1
-
-    def test_simulate_convenience(self):
-        result = simulate(parse(SPLIT_LOOKUP), secret={"s": 1})
-        assert result.outputs == {"y": 11}
 
 
 # writes the initialized table it reads, so a run that started from another
@@ -431,3 +427,11 @@ def test_instruction_page_is_the_page_of_its_first_byte(make):
     result = make(parse(UNALIGNED_CODE)).run(secret={"k": 1})
     assert result.outputs == {"y": 16}
     assert result.profile == [1, 2]
+
+
+def test_footprint_over_page_limit_rejected_when_interned():
+    table = FootprintTable()
+    reads = (EventKind.DATA_READ,) * 3
+    assert table(0, (1, 2), reads[:2]).need == (0, 1, 2)
+    with pytest.raises(PageModelError, match="needs 4 pages"):
+        table(0, (1, 2, 3), reads)

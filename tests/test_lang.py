@@ -113,6 +113,23 @@ class TestParse:
         """)
         assert program.function("main").body[0].trips == 12
 
+    def test_do_while_runs_its_body_once(self):
+        program = parse("fn main() { do { x = 1; } while (0); }")
+        assert program.function("main").body[0].bound == 1
+        with pytest.raises(ParseError, match="at least 1") as err:
+            parse("fn main() {\n  do { x = 1; } while (x) bound 0;\n}")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("source, line", [
+        ("int __pad[2] = {7, 9};\nfn main() { }", 1),
+        ("output int y;\nfn main() {\n  __sa_t = 1; y = __sa_t;\n}", 3),
+        ("fn __padding() { }\nfn main() { }", 1),
+    ])
+    def test_staging_names_reserved(self, source, line):
+        with pytest.raises(ParseError, match="reserved") as err:
+            parse(source)
+        assert err.value.line == line
+
     def test_unbounded_while_rejected(self):
         with pytest.raises(ParseError, match="unbounded loop"):
             parse("""

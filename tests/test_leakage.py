@@ -112,8 +112,7 @@ class TestQuantifyLeakage:
         exe, run = runner_for(BYTE_LOOKUP)
         report = quantify_leakage(run, SecretDomain.of(exe.program).exhaustive())
         low_profile = next(p for p, n in report.class_sizes.items() if n == 28)
-        eight = report.power(8)
-        bits = eight.uniform_class_bits(low_profile)
+        bits = report.class_bits(low_profile) * 8
         assert abs(bits - 25.5) <= 0.1
         assert int(bits) == 25
 

@@ -2,10 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from pfo.interp import AstExecutable
+from pfo.exectree import balance, build_execution_tree
+from pfo.interp import AstExecutable, TreeExecutable
 from pfo.lang import parse, pretty
 from pfo.leakage import SecretDomain, verify_pfo
 from pfo.optimize import (
+    ALL_PASSES,
     OptError,
     build_defense,
     build_inplace,
@@ -502,3 +504,69 @@ def test_unwidthed_secret_probed_at_64_bit_extreme():
     assert SecretDomain.of(program).widths == (64,)
     assert probed[:2] == [0, (1 << 64) - 1]
     assert all(0 <= v < 1 << 64 for v in probed)
+
+
+def _region(decls, body):
+    return (f"{decls}\nfn main() {{\n  #pragma begin_pf_sensitive\n  {body}\n"
+            "  #pragma end_pf_sensitive\n}\n")
+
+
+_S = "secret int<2> s;\noutput int y;"
+# small programs, each on a path few others take: `while` past its bound,
+# do-while bounds, call statements, `sizeof` and `else if`, a store into an
+# array split across pages, a read-only table read on two levels (O1 fetches
+# it once), a conditional with empty arms (O5 drops it) and a call under a
+# secret branch (O4 groups it with its caller)
+AGREEMENT_CASES = {
+    "while_overrun": _region(_S, "y = 0; while (y < s + 1) bound 2 { y = y + 1; }"),
+    "do_while_false": _region(_S, "y = s; do { y = y + 10; } while (0);"),
+    "do_while_overrun": _region(_S, "y = 0; do { y = y + 1; } while (y < s) bound 2;"),
+    "while_long": _region(_S, "y = s; while (y > 0) bound 16 { y = y - 1; }"),
+    "call_stmt": _region(_S + "\nint t[4];\nfn put(v) { t[v] = v + 5; }",
+                         "put(s); y = t[s];"),
+    "sizeof_else_if": _region(_S + "\nint t[3];", "if (s == 0) { y = sizeof(t); } "
+                              "else if (s == 1) { y = 1; } else { y = 2; }"),
+    "split_store": _region("#pragma page_size 64\n#pragma place data t 1 -8\n" + _S
+                           + "\nint t[4] = {1, 2, 3, 4};", "t[s] = 9; y = t[3 - s] + t[s];"),
+    "readonly_two_levels": _region(_S + "\nint t[4] = {3, 5, 7, 11};",
+                                   "for (i = 0; i < 2; i = i + 1) { y = y + t[s]; }"),
+    "empty_if": _region(_S, "if (s == 1) { } y = s + 1;"),
+    "call_under_branch": _region(_S + "\nfn f(v) { return v + 3; }",
+                                 "y = 0; if (s == 1) { y = f(y); }"),
+}
+
+
+@pytest.mark.parametrize("source", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys())
+def test_executables_agree(source):
+    program = parse(source)
+    exes = [
+        AstExecutable(program),
+        TreeExecutable(balance(build_execution_tree(program))),
+        build_defense(program).executable(),
+        build_defense(program, ALL_PASSES).executable(),
+    ]
+    for secret in SecretDomain.of(program).exhaustive():
+        seen = [(r.outputs, r.trap and r.trap.kind)
+                for r in (exe.run(secret=secret) for exe in exes)]
+        assert seen == seen[:1] * len(exes), secret
+
+
+def test_while_overrun_traps():
+    exe = AstExecutable(parse(AGREEMENT_CASES["while_overrun"]))
+    traps = [exe.run(secret={"s": s}).trap for s in range(4)]
+    assert [t and t.kind for t in traps] == [None, None, "loop-bound", "loop-bound"]
+
+
+def test_mux_elim_merges_caller_and_callee():
+    # f alone on a page faults only when s == 1; with main it never faults
+    build, report = opt_mux_elim(parse(AGREEMENT_CASES["call_under_branch"]))
+    assert report.succeeded
+    assert report.groups == (("f", "main"),)
+    assert report.states_tried == 2
+
+
+def test_readonly_table_fetched_on_first_level_only():
+    build = build_defense(parse(AGREEMENT_CASES["readonly_two_levels"]), ("O1",))
+    fetched = [lv.level for lv in build.plan.levels
+               if any(c.kind == "data" and c.unit == "t" for c in lv.fetch)]
+    assert fetched == [1]
