@@ -1,7 +1,8 @@
 """Contractual execution: bucket pledges, redirected faults, fake execution.
 
 The enclave pledges the full set of pages its sensitive code needs (the
-*bucket*, derived from what the program can touch) plus one reserved page
+*bucket*: the code of every function reachable from `main` and the arrays
+those functions index, read off the program's index) plus one reserved page
 that must always stay mapped for the fault handler.  A cooperating OS
 never unmaps bucket pages, so a run completes with no OS-visible faults;
 a cheating OS may steal any page at any time (stealing always succeeds,
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from .ir import CallI, LoweredProgram, data_refs, lower_program
+from .lang import Index, walk_all
 from .memory import AdversaryModel, PfoError
 
 
@@ -120,46 +121,24 @@ def access_schedule(exe, secret=None, public=None) -> AccessSchedule:
     return AccessSchedule(len(footprints), {p: tuple(s) for p, s in pages.items()})
 
 
-def _reachable_functions(lowered: LoweredProgram, entry: str) -> set[str]:
-    edges: dict[str, set[str]] = {}
-    for name, fn in lowered.functions.items():
-        edges[name] = {i.fn for i in fn.instrs if isinstance(i, CallI)}
-    seen: set[str] = set()
-    frontier = [entry]
-    while frontier:
-        fn = frontier.pop()
-        if fn in seen:
-            continue
-        seen.add(fn)
-        frontier.extend(edges.get(fn, ()))
-    return seen
-
-
 def derive_contract(exe, probe_secrets: Iterable[dict]) -> Contract:
     """Bucket and schedule length for a balanced, laid-out program.
 
-    The bucket is every code page of a reachable function plus every page
-    of a referenced array; the reserved handler page is the next unused
-    page.  Schedule length must agree across the probe secrets, otherwise
-    the program is not balanced and no meaningful contract exists.
+    The bucket is every code page of a function reachable from `main` (a
+    function without code has none) plus every page of an array those
+    functions index: the program's index gives the functions, and the
+    in-place layout, whose code units are functions, their pages.  The
+    reserved handler page is the next unused page.  Schedule length must
+    agree across the probe secrets, otherwise the program is not balanced
+    and no meaningful contract exists.
     """
     program = exe.program
     layout = exe.layout
-    lowered = lower_program(program)
-    reachable = _reachable_functions(lowered, program.entry.name)
-
-    code_pages: set[int] = set()
-    for name in reachable:
-        if lowered.functions[name].instrs:
-            code_pages.update(e.page for e in layout.code_extents(name))
-    objects: set[str] = set()
-    for name in reachable:
-        for instr in lowered.functions[name].instrs:
-            for obj, _i, _w in data_refs(instr):
-                objects.add(obj)
-    data_pages: set[int] = set()
-    for obj in objects:
-        data_pages.update(e.page for e in layout.data_extents(obj))
+    reachable = program.reachable({"main"})
+    code_pages = {e.page for name in reachable for e in layout.code_map.get(name, ())}
+    bodies = [s for name in reachable for s in program.function(name).body]
+    arrays = {n.name for n in walk_all(bodies) if isinstance(n, Index)}
+    data_pages = {e.page for name in arrays for e in layout.data_extents(name)}
 
     reserved = max(layout.all_pages() | {0}) + 1
 

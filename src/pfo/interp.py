@@ -749,9 +749,8 @@ class AstExecutable:
             for idx, instr in enumerate(fn.instrs)
         ]
 
-        def compile_seq(seq: SeqNode) -> Callable:
+        def compile_seq(seq: SeqNode, steps: list) -> Callable:
             # runs are spliced in, so a sequence is one flat list of steps
-            steps: list = []
             for item in seq.items:
                 if isinstance(item, RunNode):
                     steps.extend(ops[item.lo:item.hi])
@@ -761,8 +760,8 @@ class AstExecutable:
                 elif isinstance(item, IfNode):
                     steps.extend(ops[item.cond_run.lo:item.cond_run.hi])
                     steps.append(ops[item.branch_index])
-                    then_run = compile_seq(item.then_node)
-                    else_run = compile_seq(item.else_node)
+                    then_run = compile_seq(item.then_node, [])
+                    else_run = compile_seq(item.else_node, [])
                     def run_if(st: State, then_run=then_run, else_run=else_run):
                         if st.branch:
                             then_run(st)
@@ -771,7 +770,7 @@ class AstExecutable:
                     steps.append((run_if, None))
                 elif isinstance(item, ForNode):
                     steps.extend(ops[item.init_run.lo:item.init_run.hi])
-                    body = compile_seq(item.body)
+                    body = compile_seq(item.body, [])
                     step_run = _sequence(ops[item.step_run.lo:item.step_run.hi])
                     def run_for(st: State, body=body, step_run=step_run,
                                 trips=item.trips):
@@ -782,7 +781,7 @@ class AstExecutable:
                 elif isinstance(item, WhileNode):
                     cond_run = _sequence(
                         ops[item.cond_run.lo:item.cond_run.hi] + [ops[item.branch_index]])
-                    body = compile_seq(item.body)
+                    body = compile_seq(item.body, [])
                     def run_while(st: State, cond_run=cond_run, body=body,
                                   bound=item.bound, do_first=item.do_first):
                         n = 0
@@ -811,7 +810,10 @@ class AstExecutable:
             items = items[:-1] + [last.run]
             tail = compiler.compile_return(fn.instrs[last.ret_index],
                                            pages[last.ret_index])
-        body_runner = compile_seq(SeqNode(items))
+        # every call starts the function's named locals at 0; a function
+        # without any pays nothing for it
+        start = [(_zeroer(fn.locals), None)] if fn.locals else []
+        body_runner = compile_seq(SeqNode(items), start)
         params = fn.params
 
         def runner(st: State, values):
@@ -841,6 +843,14 @@ class AstExecutable:
 
 def _no_op(st: State) -> None:
     pass
+
+
+def _zeroer(slots: tuple[int, ...]) -> Callable[[State], None]:
+    def run(st: State, slots=slots):
+        regs = st.regs
+        for slot in slots:
+            regs[slot] = 0
+    return run
 
 
 def _code_pages(layout: MemoryLayout, unit: str, count: int) -> list[int]:

@@ -14,7 +14,9 @@ Design choices that everything downstream relies on:
 
 The same lowering serves two consumers: the whole-program interpreter
 (functions stay separate, calls are real transfers) and the execution-tree
-builder (calls inlined, loops unrolled; see `expand_region`).  Unrolled, a
+builder (calls inlined, loops unrolled; see `expand_region`).  Parsing has
+checked every call and array use, so lowering does not.  Each inlined
+call gets fresh locals, which start at 0 as in the interpreter.  Unrolled, a
 `while` is one conditional per trip, each nested in the one before, and a
 last test of its condition whose true arm is an `OverrunI`: the tree traps
 `loop-bound` where the interpreter does.  Expansion and tree building
@@ -231,7 +233,6 @@ class _FnLowerer:
         self.program = program
         self.alloc = alloc
         self.scope = scope
-        self.arrays = {d.name: d for d in program.decls if d.is_array}
         self.scalars = {d.name for d in program.decls if not d.is_array}
         self.instrs: list[Instr] = []
         self.origin = origin
@@ -249,12 +250,8 @@ class _FnLowerer:
         if isinstance(e, Num):
             return Const(e.value)
         if isinstance(e, Var):
-            if e.name in self.arrays:
-                raise LoweringError(f"array {e.name!r} used without an index")
             return Reg(self.local(e.name))
         if isinstance(e, Index):
-            if e.name not in self.arrays:
-                raise LoweringError(f"{e.name!r} is not an array")
             idx = self.operand(e.index)
             dst = self.alloc.temp()
             self.instrs.append(LoadI(dst, e.name, idx, self.origin))
@@ -270,19 +267,12 @@ class _FnLowerer:
                 self.instrs.append(SelI(dst, *ops, self.origin))
             return Reg(dst)
         if isinstance(e, SizeOf):
-            if e.name not in self.arrays:
-                raise LoweringError(f"sizeof({e.name}): not an array")
-            return Const(self.arrays[e.name].byte_length)
+            return Const(self.program.decl(e.name).byte_length)
         if isinstance(e, CallExpr):
             return self.call(e.name, e.args)
         raise LoweringError(f"cannot lower expression {e!r}")
 
     def call(self, name: str, args: tuple[Expr, ...]) -> Operand:
-        callee = self.program.function(name)
-        if len(callee.params) != len(args):
-            raise LoweringError(
-                f"{name}() expects {len(callee.params)} arguments, got {len(args)}"
-            )
         arg_ops = tuple(self.operand(a) for a in args)
         dst = self.alloc.temp()
         self.emit(CallI(dst, name, arg_ops, self.origin))
@@ -292,12 +282,8 @@ class _FnLowerer:
         value = self.operand(stmt.value)
         name = stmt.target.name
         if isinstance(stmt.target, Var):
-            if name in self.arrays:
-                raise LoweringError(f"cannot assign whole array {name!r}")
             self.instrs.append(MovI(self.local(name), value, self.origin))
         else:
-            if name not in self.arrays:
-                raise LoweringError(f"{name!r} is not an array")
             idx = self.operand(stmt.target.index)
             self.instrs.append(StoreI(name, idx, value, self.origin))
 
@@ -354,10 +340,13 @@ class LoweredFunction:
     params: tuple[int, ...]  # register slots for parameters
     instrs: list[Instr]
     body: SeqNode
+    locals: tuple[int, ...]  # register slots of the other named locals
 
 
 def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFunction:
-    low = _FnLowerer(program, alloc, f"{fn.name}/", fn.name)
+    scope = f"{fn.name}/"
+    first = len(alloc.slots)
+    low = _FnLowerer(program, alloc, scope, fn.name)
 
     def lower_stmts(stmts) -> SeqNode:
         items: list = []
@@ -406,7 +395,10 @@ def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFu
 
     body = lower_stmts(fn.body)
     params = tuple(low.local(p) for p in fn.params)
-    return LoweredFunction(fn.name, params, low.instrs, body)
+    named = itertools.islice(alloc.slots.items(), first, None)
+    locals_ = tuple(slot for name, slot in named
+                    if name.startswith(scope) and slot not in params)
+    return LoweredFunction(fn.name, params, low.instrs, body, locals_)
 
 
 @dataclass
@@ -617,10 +609,6 @@ class _Expander:
 
     def inline_call(self, name: str, args, rename) -> tuple[list, Expr]:
         callee = self.program.function(name)
-        if len(callee.params) != len(args):
-            raise LoweringError(
-                f"{name}() expects {len(callee.params)} arguments, got {len(args)}"
-            )
         tag = f"{name}@{next(self.site)}"
         scope: dict[str, str] = {}
 

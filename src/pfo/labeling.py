@@ -1,8 +1,8 @@
 """Secret-sensitivity labeling.
 
 Labels form a two-point lattice (high above low).  High taint starts at
-declared secrets and at everything lexically inside the marked region,
-then closes transitively over calls reachable from region code and over
+declared secrets and at everything lexically inside the marked region
+and the functions it reaches (`Program.reachable`), then closes over
 dataflow: an assignment reading a high variable makes its target high,
 and, conservatively, any function writing a high variable becomes high
 itself.  The result is a fixpoint, so labeling twice changes nothing.
@@ -38,7 +38,6 @@ class _Flow:
 
 @dataclass(frozen=True)
 class _CallSite:
-    caller: str
     callee: str
     arg_reads: tuple[frozenset[str], ...]
 
@@ -156,7 +155,7 @@ def _collect(program: Program, declared: set[str]):
             for target, reads in assigns
         )
         sites.extend(
-            _CallSite(f.name, callee, tuple(scoped(r) for r in arg_reads))
+            _CallSite(callee, tuple(scoped(r) for r in arg_reads))
             for callee, arg_reads in calls
         )
     return flows, sites, mentions
@@ -168,7 +167,6 @@ def label_sensitivity(program: Program) -> LabelingResult:
     flows, calls, mentions = _collect(program, declared)
     region = extract_region(program)
     region_mentioned, region_calls, _ = _scan(region.body)
-    region_called = {callee for callee, _ in region_calls}
 
     warnings: list[str] = []
     if region.explicit and not program.secrets:
@@ -185,19 +183,9 @@ def label_sensitivity(program: Program) -> LabelingResult:
     if region.explicit or program.secrets:
         high_fns.add(entry)
 
-    # transitive closure over calls from region code; bodies of these
-    # functions count as lexically inside the region
-    callee_map: dict[str, set[str]] = {}
-    for site in calls:
-        callee_map.setdefault(site.caller, set()).add(site.callee)
-    region_closure: set[str] = set()
-    frontier = set(region_called)
-    while frontier:
-        fn = frontier.pop()
-        if fn in region_closure:
-            continue
-        region_closure.add(fn)
-        frontier.update(callee_map.get(fn, ()))
+    # every function region code reaches; its body counts as lexically
+    # inside the region
+    region_closure = program.reachable(callee for callee, _ in region_calls)
     high_fns.update(region_closure)
 
     # every variable lexically inside region-reachable code is high; code

@@ -17,18 +17,22 @@ loop headers fold with it at the program's width, so a constant expression
 has the value it would have at run time wherever it is written.  The width
 follows from every declaration, so the parser reads every declared width
 before it folds anything.  Expressions, statements and call chains nest at
-most 64 levels deep.  A `while` runs its body at most `bound` times and
-traps if its condition still holds after that; a do-while's body always
-runs once, so its bound is at least 1.  Names starting with `__pad` or
-`__sa` are reserved for the pad object and staging slots of a staged
-build.
+most 64 levels deep, counted with every call inlined.  A call sets the
+callee's parameters to its arguments and its other locals to 0.  A
+`while` runs its body at most `bound` times and traps if its condition
+still holds after that; a do-while's body always runs once, so its bound
+is at least 1.  Names starting with `__pad` or `__sa` are reserved for
+the pad object and staging slots of a staged build.  A `Program` indexes
+its names and call graph once; parsing checks every call and every use
+of an array against that index, with its position.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Optional, Union
 
 from .memory import PfoError
@@ -378,22 +382,49 @@ class Function:
 
 @dataclass(frozen=True)
 class Program:
+    """A parsed program.  It never changes, so its index (the name lookups
+    and each function's callees) is built on first use and kept; a pass
+    that rewrites a program makes a new one, with a fresh index."""
+
     decls: tuple[VarDecl, ...]
     functions: tuple[Function, ...]
     placements: tuple[Placement, ...] = ()
     page_size_hint: Optional[int] = None
 
+    @cached_property
+    def _decls(self) -> dict[str, VarDecl]:
+        return {d.name: d for d in reversed(self.decls)}  # the first one wins
+
+    @cached_property
+    def _functions(self) -> dict[str, Function]:
+        return {f.name: f for f in reversed(self.functions)}
+
+    @cached_property
+    def callees(self) -> dict[str, tuple[str, ...]]:
+        """The functions each function calls anywhere in its body, in
+        first-call order."""
+        return {f.name: tuple(dict.fromkeys(
+            n.name for n in walk_all(f.body) if isinstance(n, (CallExpr, CallStmt))))
+            for f in self.functions}
+
     def decl(self, name: str) -> Optional[VarDecl]:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
+        return self._decls.get(name)
 
     def function(self, name: str) -> Function:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise PfoError(f"no function named {name!r}")
+        try:
+            return self._functions[name]
+        except KeyError:
+            raise PfoError(f"no function named {name!r}") from None
+
+    def reachable(self, names) -> frozenset[str]:
+        """`names` and every function they call, directly or not."""
+        seen, todo = set(), list(names)
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(self.callees[name])
+        return frozenset(seen)
 
     def resolve_page_size(self, requested: Optional[int] = None) -> int:
         """Page size to build with: the requested one, else the source's
@@ -985,87 +1016,111 @@ class _Parser:
 
 
 def _validate_program(program: Program, filename: str) -> None:
-    names = [d.name for d in program.decls]
-    if len(names) != len(set(names)):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ParseError(f"duplicate declaration of {dup!r}", 1, 1, filename)
-    fn_names = [f.name for f in program.functions]
-    if len(fn_names) != len(set(fn_names)):
-        dup = next(n for n in fn_names if fn_names.count(n) > 1)
-        raise ParseError(f"duplicate function {dup!r}", 1, 1, filename)
-    if "main" not in fn_names:
+    def error(msg: str, pos: Pos) -> ParseError:
+        return ParseError(msg, pos.line, pos.col, filename)
+
+    # the index keeps the first of each name, so a later one is a duplicate
+    for what, items, index in (("declaration of", program.decls, program._decls),
+                               ("function", program.functions, program._functions)):
+        dup = next((x for x in items if index[x.name] is not x), None)
+        if dup is not None:
+            raise error(f"duplicate {what} {dup.name!r}", dup.pos)
+    if "main" not in program._functions:
         raise ParseError("program must define exactly one entry function `main`", 1, 1, filename)
     if program.function("main").params:
         raise ParseError("`main` takes no parameters (inputs are declared)", 1, 1, filename)
 
+    # every call names a function and passes its arguments; a variable never
+    # names an array, and an index or `sizeof` always does
     arity = {f.name: len(f.params) for f in program.functions}
-    calls: dict[str, set[str]] = {}
-    for f in program.functions:
-        calls[f.name] = set()
-        for n in walk_all(f.body):
-            if not isinstance(n, (CallExpr, CallStmt)):
-                continue
+    arrays = {d.name for d in program.arrays}
+    for n in walk_all(s for fn in program.functions for s in fn.body):
+        kind = type(n)
+        if kind is CallExpr or kind is CallStmt:
             if n.name not in arity:
-                raise ParseError(f"call to undefined function {n.name!r}",
-                                 n.pos.line, n.pos.col, filename)
+                raise error(f"call to undefined function {n.name!r}", n.pos)
             if len(n.args) != arity[n.name]:
-                raise ParseError(
-                    f"{n.name}() expects {arity[n.name]} arguments, got {len(n.args)}",
-                    n.pos.line, n.pos.col, filename,
-                )
-            calls[f.name].add(n.name)
+                raise error(f"{n.name}() expects {arity[n.name]} arguments, "
+                            f"got {len(n.args)}", n.pos)
+        elif kind is Var and n.name in arrays:
+            raise error(f"array {n.name!r} used without an index", n.pos)
+        elif (kind is Index or kind is SizeOf) and n.name not in arrays:
+            raise error(f"{n.name!r} is not an array", n.pos)
 
-    # recursion is outside the grammar: reject call-graph cycles.  A depth-
-    # first walk with an explicit stack also finds each function's call
-    # depth (0 for a function that calls nothing), which is capped
-    depth: dict[str, int] = {}
-    for f in program.functions:
-        path, todo = [f.name], [sorted(calls[f.name], reverse=True)]
-        on_path = {f.name}
-        while path:
-            if todo[-1]:
-                callee = todo[-1].pop()
-                if callee in on_path:
-                    cycle = " -> ".join(path + [callee])
-                    raise ParseError(
-                        f"unsupported construct: unbounded recursion ({cycle})", 1, 1, filename
-                    )
-                if callee not in depth:
-                    path.append(callee)
-                    on_path.add(callee)
-                    todo.append(sorted(calls[callee], reverse=True))
-                continue
-            fn = path.pop()
-            on_path.discard(fn)
-            todo.pop()
-            depth[fn] = max((depth[c] + 1 for c in calls[fn]), default=0)
-            if depth[fn] > MAX_CALL_DEPTH:
-                pos = program.function(fn).pos
-                raise ParseError(f"calls from {fn!r} nest more than {MAX_CALL_DEPTH} levels deep",
-                                 pos.line, pos.col, filename)
+    # recursion is outside the grammar: reject call-graph cycles.  Callees
+    # come before their callers in `order`, so each function's nesting
+    # (`_nesting`) follows from its callees'; each kind is capped
+    try:
+        order = tuple(TopologicalSorter(program.callees).static_order())
+    except CycleError as e:
+        cycle = " -> ".join(reversed(e.args[1]))
+        raise ParseError(f"unsupported construct: unbounded recursion ({cycle})",
+                         1, 1, filename) from None
+    nesting: dict[str, tuple[int, int, int]] = {}
+    for name in order:
+        nesting[name] = _nesting(program.function(name), nesting)
+    for i, (what, cap) in enumerate((("calls from", MAX_CALL_DEPTH),
+                                     ("statements in", MAX_STMT_DEPTH),
+                                     ("expressions in", MAX_EXPR_DEPTH))):
+        for name in order:
+            if nesting[name][i] > cap:
+                inlined = " once its calls are inlined" if i else ""
+                raise error(f"{what} {name!r} nest more than {cap} levels deep{inlined}",
+                            program.function(name).pos)
 
     # region markers must nest properly in every function
-    def check_markers(stmts, depth, fname):
+    def check_markers(stmts, depth):
         for s in stmts:
             if isinstance(s, RegionMarker):
                 depth += 1 if s.begin else -1
                 if depth not in (0, 1):
-                    raise ParseError(
-                        "sensitive-region markers are not properly nested", s.pos.line,
-                        s.pos.col, filename,
-                    )
+                    raise error("sensitive-region markers are not properly nested", s.pos)
             elif isinstance(s, If):
-                check_markers(s.then_body, depth, fname)
-                check_markers(s.else_body, depth, fname)
+                check_markers(s.then_body, depth)
+                check_markers(s.else_body, depth)
             elif isinstance(s, (For, While)):
-                check_markers(s.body, depth, fname)
+                check_markers(s.body, depth)
         return depth
 
     for f in program.functions:
-        if check_markers(f.body, 0, f.name) != 0:
-            raise ParseError(
-                f"unterminated sensitive region in {f.name!r}", f.pos.line, f.pos.col, filename
-            )
+        if check_markers(f.body, 0) != 0:
+            raise error(f"unterminated sensitive region in {f.name!r}", f.pos)
+
+
+def _nesting(fn: Function, callees: dict[str, tuple[int, int, int]]
+             ) -> tuple[int, int, int]:
+    """How deep calls from `fn` nest (0 if it calls nothing), and how deep
+    its statements and expressions nest once every call is inlined at its
+    site, given the same for its callees.
+
+    Inlining puts a callee's statements at the level of the statement that
+    calls it, and its expressions where the call stands: the return value
+    replaces the call, and tree mode expands the arguments and the rest of
+    the body from there.  So a call adds no level of its own, and a call
+    statement stands where a call at the top of an expression would.
+    """
+    calls = stmts = exprs = 0
+    # (node, level of its statement, its depth in its expression or 0)
+    stack = [(stmt, 1, 0) for stmt in fn.body]
+    while stack:
+        n, level, depth = stack.pop()
+        kind = type(n)
+        if kind is CallExpr or kind is CallStmt:
+            depth = max(depth, 1)
+            c, s, x = callees[n.name]
+            calls = max(calls, c + 1)
+            stmts = max(stmts, level - 1 + s)
+            exprs = max(exprs, depth - 1 + x)
+            below = depth
+        else:
+            below = depth + 1
+        if level > stmts:
+            stmts = level
+        if depth > exprs:
+            exprs = depth
+        for k in _CHILDREN[kind](n):
+            stack.append((k, level + 1, 0) if isinstance(k, Stmt) else (k, level, below))
+    return calls, stmts, exprs
 
 
 def parse(source: str, filename: str = "<source>") -> Program:

@@ -96,24 +96,22 @@ class MemoryLayout:
     """Assignment of code units and data objects to page extents.
 
     `code_map` keys are code-unit names (a function or an execution block),
-    `data_map` keys are data-object names (arrays, staging slots, the pad
-    object).  Every value is the tuple of per-page extents the unit spans,
-    in byte order.  `staging` holds the pages reserved for a transformed
-    program's staging areas.
+    `data_map` keys are data-object names (arrays and the pad object).
+    Every value is the tuple of per-page extents the unit spans, in byte
+    order.  A transformed program's staging pages lie past every mapped
+    page (`transform.plan_layout`), so they are not part of its layout.
     """
 
     page_size: int
     code_map: dict[str, tuple[Extent, ...]] = field(default_factory=dict)
     data_map: dict[str, tuple[Extent, ...]] = field(default_factory=dict)
-    staging: frozenset[int] = frozenset()
 
     def __post_init__(self):
         _check_page_size(self.page_size)
         self._validate()
 
     def _validate(self) -> None:
-        # No two objects may claim overlapping byte ranges on one page, and
-        # staging pages must stay disjoint from every mapped extent.
+        # No two objects may claim overlapping byte ranges on one page.
         used: dict[int, list[tuple[int, int, str]]] = {}
         for name, extents in list(self.code_map.items()) + list(self.data_map.items()):
             for ext in extents:
@@ -127,15 +125,6 @@ class MemoryLayout:
                 used.setdefault(ext.page, []).append(
                     (ext.offset, ext.offset + ext.length, name)
                 )
-        if self.staging:
-            for name, extents in list(self.code_map.items()) + list(self.data_map.items()):
-                if name.startswith("__sa") or name.startswith("__pad"):
-                    continue  # staged slots live on staging pages by design
-                for ext in extents:
-                    if ext.page in self.staging:
-                        raise LayoutError(
-                            f"{name} mapped onto staging page {ext.page}"
-                        )
 
     def data_extents(self, object_id: str) -> tuple[Extent, ...]:
         try:
@@ -150,13 +139,8 @@ class MemoryLayout:
             raise LayoutError(f"unmapped code unit {unit_id!r}") from None
 
     def all_pages(self) -> frozenset[int]:
-        ps: set[int] = set()
-        for extents in self.code_map.values():
-            ps.update(e.page for e in extents)
-        for extents in self.data_map.values():
-            ps.update(e.page for e in extents)
-        ps.update(self.staging)
-        return frozenset(ps)
+        return frozenset(e.page for units in (self.code_map, self.data_map)
+                         for extents in units.values() for e in extents)
 
 
 def page_of(layout: MemoryLayout, object_id: str, byte_index: int) -> int:

@@ -18,10 +18,12 @@ Each pass preserves program outputs and the single-profile-class property
 * O5 if-conversion: secret-conditioned branches become data selection
   through a two-slot table, removing control dependence on the secret.
 
-Calls and writes are found with `lang.walk`, and O3B redirects calls with
-`lang.map_ast`, so loop headers, assignment targets' indices and call
-arguments are never skipped: a call in a callee's `for` step counts for
-O5's purity check, O3B's redirection and O4's page grouping alike.
+Calls and writes are found with `lang.walk_all`, the callers O3B clones
+for and the callees O5's purity check reads come from the program's
+index (`Program.callees`, `Program.reachable`), and O3B redirects calls
+with `lang.map_ast`, so loop headers, assignment targets' indices and
+call arguments are never skipped: a call in a callee's `for` step counts
+for O5's purity check, O3B's redirection and O4's page grouping alike.
 
 `build_defense` is the single entry point that composes passes: the CLI,
 the suites and the tests all build a defense through it.  A
@@ -61,7 +63,6 @@ from .lang import (
     WORD_SIZE,
     While,
     map_ast,
-    walk,
     walk_all,
 )
 from .layouts import build_ast_layout, build_tree_layout
@@ -154,21 +155,17 @@ def _is_pure(program: Program, nodes) -> bool:
     """No array write, global scalar write or call statement anywhere in
     `nodes` or in the body of any function they call, headers included."""
     globals_ = {d.name for d in program.decls}
-    checked: set[str] = set()
-    pending = list(nodes)
-    while pending:
-        for n in walk(pending.pop()):
-            if isinstance(n, (CallStmt, RegionMarker)):
-                return False
-            if isinstance(n, Assign) and (
-                isinstance(n.target, Index) or n.target.name in globals_
-            ):
-                return False
-            if isinstance(n, For) and n.var in globals_:
-                return False
-            if isinstance(n, CallExpr) and n.name not in checked:
-                checked.add(n.name)
-                pending.extend(program.function(n.name).body)
+    called = program.reachable(n.name for n in walk_all(nodes) if isinstance(n, CallExpr))
+    bodies = [s for name in called for s in program.function(name).body]
+    for n in walk_all([*nodes, *bodies]):
+        if isinstance(n, (CallStmt, RegionMarker)):
+            return False
+        if isinstance(n, Assign) and (
+            isinstance(n.target, Index) or n.target.name in globals_
+        ):
+            return False
+        if isinstance(n, For) and n.var in globals_:
+            return False
     return True
 
 
@@ -394,13 +391,9 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     ps = program.resolve_page_size(page_size)
     report = CloneReport()
     callers: dict[str, list[str]] = {}
-
     for fn in program.functions:
-        for n in walk_all(fn.body):
-            if isinstance(n, (CallExpr, CallStmt)):
-                callers.setdefault(n.name, [])
-                if fn.name not in callers[n.name]:
-                    callers[n.name].append(fn.name)
+        for callee in program.callees[fn.name]:
+            callers.setdefault(callee, []).append(fn.name)
 
     shared = {name: cs for name, cs in callers.items() if len(cs) > 1}
     if not shared:

@@ -22,7 +22,7 @@ same for every input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .exectree import Block, ExecutionTree, check_balanced
@@ -371,9 +371,8 @@ class MultiplexedExecutable(TreeExecutable):
         self.plan = plan
         program = tree.program
         slots = plan.staging.slots
-        layout = replace(source_layout, staging=plan.staging.pages())
         # every slot, the pad and the selector included, is a shadow array
-        objects = ObjectTable(program, layout, extra_objects={
+        objects = ObjectTable(program, source_layout, extra_objects={
             f"__sa/{obj}": slot.words for obj, slot in slots.items()
         })
         # execute-phase accesses go to the staging slots: one page each
@@ -381,7 +380,7 @@ class MultiplexedExecutable(TreeExecutable):
             program, objects, tree.alloc,
             pages={obj: slot.page for obj, slot in slots.items()},
             indices={obj: objects.index[f"__sa/{obj}"] for obj in slots},
-            strict_pages=layout.staging,
+            strict_pages=plan.staging.pages(),
         )
 
         level_plans = {lv: lp for lp in plan.levels for lv in lp.covered()}
@@ -430,7 +429,7 @@ class MultiplexedExecutable(TreeExecutable):
                 pages = [cp] * len(b.instrs)
             else:
                 cp = source_layout.code_extents(b.name())[0].page
-                pages = _code_pages(layout, b.name(), len(b.instrs))
+                pages = _code_pages(source_layout, b.name(), len(b.instrs))
             group = level_plans[b.level]
             prev = level_plans.get(b.level - 1)
             mux = b.data_accesses
@@ -444,4 +443,4 @@ class MultiplexedExecutable(TreeExecutable):
                     group.copy_back + plan.final_copy_back, cp, 0)))
             return ops
 
-        self._link(tree, layout, objects, compiler, block_ops)
+        self._link(tree, source_layout, objects, compiler, block_ops)

@@ -104,6 +104,20 @@ class TestBasicCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bindings, message", [
+        (["--secret", "x=1"], "secret 'y' not bound"),
+        (["--secret", "x=256", "--secret", "y=0"], "secret 'x' must be in [0, 2^8), got 256"),
+        (["--secret", "x=1", "--secret", "y=1", "--secret", "q=3"],
+         "unknown secret inputs: ['q']"),
+        (["--secret", "x=1", "--secret", "y=1", "--public", "p=3"],
+         "unknown public inputs: ['p']"),
+    ], ids=["missing", "out-of-range", "unknown-secret", "unknown-public"])
+    def test_bad_input_binding_names_the_input(self, bindings, message, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--program", str(CORPUS / "foo.pfo"), *bindings], capsys)
+        assert code == 1
+        assert message in err
+
     @pytest.mark.parametrize("pragma, flag, code, message", [
         ("#pragma page_size abc\n", [], 2, "malformed page_size pragma"),
         ("#pragma page_size 0\n", [], 1, "got 0"),
@@ -504,3 +518,20 @@ class TestCallChecks:
         code, _, err = run_cli(["parse", str(bad)], capsys)
         assert code == 2
         assert "bad.pfo:2:3: call to undefined function 'nosuch'" in err
+
+
+class TestArrayUseChecks:
+    @pytest.mark.parametrize("stmt, message, col", [
+        ("y = t + k;", "array 't' used without an index", 7),
+        ("t = 1;", "array 't' used without an index", 3),
+        ("y = k[0];", "'k' is not an array", 7),
+        ("k[0] = 1;", "'k' is not an array", 3),
+        ("y = sizeof(k);", "'k' is not an array", 7),
+    ])
+    def test_misused_array_is_a_parse_error(self, tmp_path, capsys, stmt, message, col):
+        bad = tmp_path / "bad.pfo"
+        bad.write_text("secret int<8> k;\noutput int y;\nint t[4];\n"
+                       f"fn main() {{\n  y = 1;\n  {stmt}\n}}\n")
+        code, _, err = run_cli(["parse", str(bad)], capsys)
+        assert code == 2
+        assert f"bad.pfo:6:{col}: {message}" in err

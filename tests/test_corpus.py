@@ -211,6 +211,7 @@ class TestEddsaFullSize:
         assert report.converted == 1
         build = build_staged(program, 4096)
         assert len(build.plan.staging.pages()) == EDDSA_FULL_STAGING_PAGES
+        assert build.plan.scheduled_copy_ops == 1026
         r1 = build.run(secret={"k": 3})
         r2 = build.run(secret={"k": (1 << 511) | 1})
         assert r1.mux_accesses == r2.mux_accesses == EDDSA_FULL_MUX_ACCESSES

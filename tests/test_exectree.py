@@ -9,8 +9,8 @@ from pfo.exectree import (
     tree_to_dot,
     tree_to_json,
 )
-from pfo.ir import ExpansionBudgetError, LoweringError, PadI, expand_region
-from pfo.lang import parse
+from pfo.ir import ExpansionBudgetError, PadI, expand_region
+from pfo.lang import ParseError, parse
 
 from test_lang import FOO_SOURCE
 
@@ -108,18 +108,18 @@ class TestBuild:
             build_execution_tree(program)
 
     def test_array_used_as_scalar_rejected(self):
-        program = parse("""
-        secret int<2> k;
-        output int y;
-        int t[4];
-        fn main() {
-          #pragma begin_pf_sensitive
-          y = t + k;
-          #pragma end_pf_sensitive
-        }
-        """)
-        with pytest.raises(LoweringError, match="'t'"):
-            build_execution_tree(program)
+        with pytest.raises(ParseError, match="array 't' used without an index") as info:
+            parse("""
+            secret int<2> k;
+            output int y;
+            int t[4];
+            fn main() {
+              #pragma begin_pf_sensitive
+              y = t + k;
+              #pragma end_pf_sensitive
+            }
+            """)
+        assert (info.value.line, info.value.col) == (7, 19)
 
 
 # both arms one level deep, one with two array writes and one with one

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import time
 import typing
 
@@ -225,6 +226,61 @@ class TestParse:
                 assert code == 2
                 assert err.startswith(f"{path}:{line}:")
                 assert f"more than {cap} levels deep" in err
+
+    # 63 chained functions, each within every cap, whose nesting adds up
+    # along the chain: 20 nested `if`s around each call, or each call
+    # under a sum of 60 ones that tree mode substitutes into the caller
+    CHAINED = {
+        "ifs": lambda i: "if (a) { " * 19 + f"r = f{i - 1}(a) + 1;" + " }" * 19 + " return r;",
+        "sum": lambda i: f"return f{i - 1}(a)" + " + 1" * 60 + ";",
+    }
+
+    @staticmethod
+    def chain_source(body, n=63, tail="", region="y = f62(s);") -> str:
+        """f0 returns its argument, f1 ... f{n-1} have `body(i)`, then `tail`
+        and a `main` running `region`."""
+        return ("secret int<2> s;\noutput int y;\nfn f0(a) { return a; }\n"
+                + "".join(f"fn f{i}(a) {{ {body(i)} }}\n" for i in range(1, n)) + tail
+                + f"fn main() {{\n  #pragma begin_pf_sensitive\n  {region}\n"
+                  "  #pragma end_pf_sensitive\n}\n")
+
+    @pytest.mark.parametrize("kind, message", [
+        ("ifs", "7:1: statements in 'f4' nest more than 64 levels deep"),
+        ("sum", "5:1: expressions in 'f2' nest more than 64 levels deep"),
+    ])
+    def test_nesting_adds_up_along_call_chains(self, kind, message, tmp_path, capsys):
+        path = tmp_path / "chain.pfo"
+        path.write_text(self.chain_source(self.CHAINED[kind]))
+        for argv in (["parse", str(path)],
+                     ["simulate", "--program", str(path), "--secret", "s=1"],
+                     ["simulate", "--transformed", "--program", str(path), "--secret", "s=1"],
+                     ["analyze", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"{path}:{message} once its calls "
+                                                      "are inlined"), argv
+
+    def test_every_cap_at_once(self, tmp_path, capsys):
+        # calls from `main` nest 64 deep; inlined, each call adds a statement
+        # level (it sits in a loop) and an expression level (under a `+`),
+        # so both reach their cap too, as `p`'s expression and `g`'s
+        # statements do on their own.  One-trip loops nest statements
+        # without copying what follows them into two arms of the tree
+        once = "for (j = 0; j < 1; j = j + 1) { "
+        tail = ("fn p(a) { return " + "~" * 63 + "a; }\n"
+                "fn g(a) { r = 0; " + once * 62 + "if (a < 2) { r = r + 1; }" + " }" * 62
+                + " return r; }\n")
+        path = tmp_path / "caps.pfo"
+        path.write_text(self.chain_source(
+            lambda i: f"r = 0; {once}r = f{i - 1}(a) + 1; }} return r;", n=64,
+            tail=tail, region="y = f63(s); z = p(s); w = g(s);")
+            .replace("output int y;", "output int y;\noutput int z;\noutput int w;"))
+        for flag in ([], ["--transformed"]):
+            code = main(["simulate", *flag, "--program", str(path), "--secret", "s=1"])
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            assert json.loads(out)["outputs"] == {"y": 64, "z": -2, "w": 1}
+        assert main(["analyze", str(path)]) == 0
+        capsys.readouterr()
 
     def test_largest_declarations_accepted(self):
         program = parse(f"int t[{lang.MAX_ARRAY_WORDS}];\n"

@@ -533,6 +533,11 @@ AGREEMENT_CASES = {
     "empty_if": _region(_S, "if (s == 1) { } y = s + 1;"),
     "call_under_branch": _region(_S + "\nfn f(v) { return v + 3; }",
                                  "y = 0; if (s == 1) { y = f(y); }"),
+    # a callee's locals start at 0 on every call, in a loop too
+    "callee_locals": _region(_S + "\nfn f() { c = c + 1; return c; }",
+                             "y = f(); y = f() + s;"),
+    "callee_locals_loop": _region(_S + "\nfn f() { c = c + 1; return c; }",
+                                  "y = s; for (i = 0; i < 3; i = i + 1) { y = y + f(); }"),
 }
 
 
@@ -549,6 +554,15 @@ def test_executables_agree(source):
         seen = [(r.outputs, r.trap and r.trap.kind)
                 for r in (exe.run(secret=secret) for exe in exes)]
         assert seen == seen[:1] * len(exes), secret
+
+
+@pytest.mark.parametrize("case, ys", [
+    ("callee_locals", [1, 2, 3, 4]),
+    ("callee_locals_loop", [3, 4, 5, 6]),
+])
+def test_callee_locals_start_at_zero(case, ys):
+    exe = AstExecutable(parse(AGREEMENT_CASES[case]))
+    assert [exe.run(secret={"s": s}).outputs["y"] for s in range(4)] == ys
 
 
 def test_while_overrun_traps():

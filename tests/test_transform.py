@@ -85,6 +85,29 @@ fn main() {
         with pytest.raises(PlanError, match="larger than one"):
             planned(src)
 
+    def test_blocks_visiting_different_staging_pages_rejected(self):
+        # on 16-byte pages a and b take separate staging pages, so the two
+        # arms of the level visit different ones
+        src = """
+#pragma page_size 16
+secret int<1> s;
+int a[2];
+int b[2];
+fn main() {
+  #pragma begin_pf_sensitive
+  if (s == 1) { a[0] = 1; } else { b[0] = 1; }
+  #pragma end_pf_sensitive
+}
+"""
+        with pytest.raises(PlanError, match="level 2: candidate blocks visit different "
+                                            "staging pages"):
+            planned(src)
+
+    def test_scheduled_copy_ops(self):
+        from pfo.suites import defended_build
+
+        assert defended_build("aes", 16).plan.scheduled_copy_ops == 2
+
     def test_sa_code_is_one_page(self):
         for source in (branchy_source(3, 64), branchy_source(1, 4096)):
             _, _, _, plan = planned(source)
