@@ -23,25 +23,37 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   pigeonhole rule (`memory.observe_profile` is the trace-replay
   reference).
 * value-only closures: the compiler returns each micro-op as a closure
-  that only computes values, with the footprint its step is charged.
-  Three kinds account for themselves as they run: a split-extent access
-  (its footprint depends on the word index), a call and a return.
-* accounting: whole-function mode charges each step after its closure,
-  inlining the rule for a step whose pages are already resident.  Tree
-  mode cuts each block at the self-accounting ops and summarises every
-  run of charged ops once, at construction, by running a scratch `Sink`
-  over it (`Summary`): the OS keeps exactly the previous step's pages,
-  so all but the first step's faults are fixed.  A run calls the
-  closures, then adds the whole segment in one `Sink.account`.
-* traps: a trapping closure raises without a step count; the runner that
-  catches it brings the sink up to the trap with the same charges
-  (`_trap_info`), so a trap's step, profile and trace are those of
+  that only computes values, with the charge its step adds.  Some ops
+  account for themselves as they run: a split-extent access (its
+  footprint depends on the word index), a nested return, a call to a
+  function that is not summarised, and an `if`, `for` or `while` of
+  whole-function mode, which runs the segments of its arms or body.
+* segments: both modes cut their code at the self-accounting ops (tree
+  mode each block; whole-function mode each function body, `if` arm and
+  loop body) and summarise every run of charged ops once, at
+  construction, by running a scratch `Sink` over its charges (`Summary`):
+  the OS keeps exactly the previous step's pages, so all but the first
+  step's faults are fixed.  One loop, `_run`, runs a segment's closures
+  and then adds the whole segment in one `Sink.account`.
+* whole-call summaries: in whole-function mode a function whose body is
+  straight-line code (an optional tail `return`), whose ops are all
+  charged and whose callees are all summarised, is summarised whole.  A
+  call to it is one charged op: the call's step, then the callee's
+  summary (`_Call`).  Each executable merges at most `NODE_BUDGET` such
+  steps, so summaries never expand a large call tree; past that, a call
+  steps and runs the callee's one segment.
+* traps: a trapping closure raises without a step count.  Each
+  summarised segment and call it unwinds through records the charges of
+  the ops before the trapping one, and the runner that catches it
+  charges those prefixes outermost first, then the trapping op's own
+  step (`_trap_info`).  So a trap's step, profile and trace are those of
   charging each step as it runs.
 * constant slots: every constant operand reads a register slot above the
   program's own, filled once per run from the register template, so an
   operand is always `regs[slot]`.
-* tail returns: a `return` that ends a function body hands its value
-  back directly; only nested ones unwind through `_EarlyReturn`.
+* tail returns: a `return` that ends a function body is charged as the
+  body's last step and its value read from its slot; only nested ones
+  unwind through `_EarlyReturn`.
 
 The canonical initial array image is computed once per `ObjectTable`;
 each run starts from a fresh copy of it, and its `SimulationResult.store`
@@ -77,6 +89,7 @@ from .ir import (
     Operand,
     OverrunI,
     PadI,
+    NODE_BUDGET,
     PAD_OBJECT,
     Reg,
     RegAlloc,
@@ -84,11 +97,9 @@ from .ir import (
     RetNode,
     RunNode,
     SelI,
-    SeqNode,
     StoreI,
     UnI,
     WhileNode,
-    lower_program,
 )
 from .lang import DeclKind, Program, WORD_SIZE, arith
 from .layouts import build_ast_layout, build_tree_layout
@@ -115,13 +126,16 @@ class SimTrap(PfoError):
     """A trap, raised without its step: the runner that catches it makes the
     `TrapInfo` (`_trap_info`).  `counted` is the footprint of the step the
     trapping op took first (a division steps, then traps; an out-of-bounds
-    access traps unstepped)."""
+    access traps unstepped).  `prefixes` gathers, innermost first, the
+    charges that each summarised segment or call it unwinds through had
+    not yet made."""
 
     def __init__(self, kind: str, detail: str = "",
                  counted: Optional["Footprint"] = None):
         self.kind = kind
         self.detail = detail
         self.counted = counted
+        self.prefixes: list[tuple] = []
         super().__init__(f"trap {kind}: {detail}")
 
 
@@ -312,7 +326,8 @@ class Sink:
 
     def charge(self, charges) -> None:
         """Ops' static charges, in order: each an instruction's `Footprint`,
-        or a callable that charges this sink (a staging copy or selector)."""
+        or a callable that charges this sink (a staging copy, a selector or
+        a summarised call)."""
         instr = self.instr
         for c in charges:
             if c.__class__ is Footprint:
@@ -601,16 +616,6 @@ class _OpCompiler:
             def run(st: State, ret=ret):
                 raise _EarlyReturn(ret(st))
             return run, None
-        if isinstance(instr, CallI):
-            args = tuple(slot(a) for a in instr.args)
-            dst = instr.dst
-            def run(st: State, fp=fp, args=args, dst=dst, call_target=call_target):
-                st.sink.instr(fp)
-                regs = st.regs
-                result = call_target(st, [regs[a] for a in args])
-                if dst is not None:
-                    regs[dst] = 0 if result is None else result
-            return run, None
         raise PfoError(f"cannot compile {instr!r}")
 
     def compile_return(self, instr: RetI, code_page: int) -> Callable[[State], int]:
@@ -668,61 +673,115 @@ class _OpCompiler:
         return run, None
 
 
-def _sequence(steps: list) -> Callable[[State], None]:
-    """Run `(closure, footprint)` steps in order, charging each static
-    footprint right after its closure; the pigeonhole rule is inlined for
-    a step whose pages are the resident set, where nothing can fault."""
-    if not steps:
-        return _no_op
-    if len(steps) == 1 and steps[0][1] is None:
-        return steps[0][0]
-    steps = tuple(steps)
+def _run(st: State, node: tuple) -> None:
+    """The one segment loop: run a node's `(closures, summary)` segments in
+    order, each one's closures and then its summary in one `Sink.account`
+    (a segment of self-accounting ops has none), then go on to the child
+    its branch picked.  A node is `(segments, children)`, its children
+    indexed by `st.branch` or `None`.  A trap in a summarised segment
+    records the charges of the ops before the one that trapped (see
+    `_trap_info`)."""
+    account = st.sink.account
+    try:
+        while node is not None:
+            segments, kids = node
+            for values, summary in segments:
+                for f in values:
+                    f(st)
+                if summary is not None:
+                    account(summary)
+            node = None if kids is None else kids[st.branch]
+    except SimTrap as t:
+        # `f` is the op that trapped; it appears once in `values`
+        if summary is not None:
+            t.prefixes.append(summary.charges[:values.index(f)])
+        raise
 
-    def run(st: State):
-        sink = st.sink
-        for f, fp in steps:
-            f(st)
-            if fp is None:
-                continue
-            if sink.resident is fp.need_set:
-                sink.steps += 1
-                if sink.footprints is not None:
-                    sink.footprints.append(fp)
-            else:
-                sink.instr(fp)
-    return run
 
-
-def _trap_info(sink: Sink, trap: SimTrap, at: int = 0,
-               summary: Optional[Summary] = None) -> TrapInfo:
-    """The trap's step, with `sink` brought up to it: a trap at op `at` of
-    a summarised segment first charges the ops before it, the same way
-    the summary was made."""
-    if summary is not None:
-        sink.charge(summary.charges[:at])
+def _trap_info(sink: Sink, trap: SimTrap) -> TrapInfo:
+    """The trap's step, with `sink` brought up to it: the charges of the
+    ops before the trapping one in every enclosing summarised segment and
+    call, outermost first, then the step the trapping op took."""
+    for prefix in reversed(trap.prefixes):
+        sink.charge(prefix)
     if trap.counted is not None:
         sink.instr(trap.counted)
     return TrapInfo(trap.kind, sink.steps, trap.detail)
 
 
+class _Call:
+    """The charge of a call to a summarised function: the call's own step,
+    then the callee's whole body."""
+
+    __slots__ = ("fp", "summary")
+
+    def __init__(self, fp: Footprint, summary: Summary):
+        self.fp = fp
+        self.summary = summary
+
+    def __call__(self, sink: Sink) -> None:
+        sink.instr(self.fp)
+        sink.account(self.summary)
+
+
+@dataclass(frozen=True)
+class _Body:
+    """A compiled function: its body as one leaf node for `_run`, its
+    parameter and local slots, and the slot its value is read from (a
+    constant 0 without a tail `return`).  A summarised function also keeps
+    its body's closures and `Summary`, its node's one segment."""
+
+    node: tuple
+    params: tuple[int, ...]
+    locals: tuple[int, ...]
+    ret: int
+    closures: Optional[tuple] = None
+    summary: Optional[Summary] = None
+
+
+def _invoke(st: State, body: _Body) -> int:
+    """Run a function's segments and give its value."""
+    try:
+        _run(st, body.node)
+    except _EarlyReturn as ret:
+        return ret.value
+    return st.regs[body.ret]
+
+
 # --- whole-function executable ----------------------------------------------
 
 class AstExecutable:
-    """Layout-specialized compilation of a whole program."""
+    """Layout-specialized compilation of a whole program.
+
+    Each function is compiled once, when `main` or a caller first needs
+    it (`_body`).  A body is cut into segments at its `if`, `for` and
+    `while` statements and at the ops that account for themselves, as a
+    tree block is.  A function whose lowered body is straight-line code
+    with an optional tail `return`, whose every op is statically charged
+    and whose steps, calls expanded, are at most `NODE_BUDGET` is
+    summarised whole.  A call to it is then one op: its closure binds the
+    parameters, zeroes the callee's locals and runs the callee's closures,
+    and its charge is the call's step followed by the callee's summary
+    (`_Call`).  Such calls are merged while the executable's budget of
+    `NODE_BUDGET` merged steps lasts, so summaries never expand a large
+    call tree; every other call accounts for its own step and runs the
+    callee's segments.
+    """
 
     def __init__(self, program: Program, layout: Optional[MemoryLayout] = None,
                  page_size: Optional[int] = None):
         self.program = program
-        self.lowered = lower_program(program)
+        self.lowered = program.lowered
         if layout is None:
             layout = build_ast_layout(self.lowered, program.resolve_page_size(page_size))
         self.layout = layout
         self.objects = ObjectTable(program, layout)
         self._compiler = _OpCompiler(program, self.objects, self.lowered.alloc)
         self.canon = self._compiler.canon
-        self._fn_runners: dict[str, Callable] = {}
-        for name in self.lowered.functions:
-            self._compile_function(name)
+        self._summaries: dict[tuple, Summary] = {}
+        self._bodies: dict[str, _Body] = {}
+        self._merge_budget = NODE_BUDGET
+        self._main = self._body("main")
         self._regs0 = self._compiler.regs0()
         self._inputs, self._outputs = _scalar_slots(
             program, self._compiler.decl_slots, self._regs0)
@@ -731,102 +790,139 @@ class AstExecutable:
             for name in self.objects.names if name != PAD_OBJECT
         ]
 
-    def _compile_function(self, name: str):
+    def _body(self, name: str) -> _Body:
+        got = self._bodies.get(name)
+        if got is None:
+            got = self._bodies[name] = self._compile_function(name)
+        return got
+
+    def _compile_function(self, name: str) -> _Body:
         fn = self.lowered.functions[name]
-        pages = _code_pages(self.layout, name, len(fn.instrs))
         compiler = self._compiler
-        runners = self._fn_runners
-
-        def call_target_for(instr: CallI):
-            callee = instr.fn
-            def target(st: State, values):
-                return runners[callee](st, values)
-            return target
-
+        pages = _code_pages(self.layout, name, len(fn.instrs))
+        # a `return` that ends the body steps last and leaves its value in
+        # `ret`; only nested ones unwind through `_EarlyReturn`
+        items = list(fn.body.items)
+        ret, ret_fp, tail = compiler.slot(Const(0)), None, None
+        if items and isinstance(items[-1], RetNode):
+            last = items.pop()
+            items.append(last.run)
+            tail = last.ret_index
+            value = fn.instrs[tail].value
+            ret = compiler.slot(Const(0) if value is None else value)
+            ret_fp = compiler.footprint(pages[tail])
         ops = [
-            compiler.compile(instr, pages[idx],
-                             call_target_for(instr) if isinstance(instr, CallI) else None)
+            None if idx == tail
+            else self._call(instr, pages[idx]) if isinstance(instr, CallI)
+            else compiler.compile(instr, pages[idx])
             for idx, instr in enumerate(fn.instrs)
         ]
+        body = self._seq_ops(items, ops)
+        # control flow and nested returns account for themselves, so only
+        # straight-line code is charged throughout
+        if all(charge is not None for _, charge in body):
+            closures = tuple(f for f, _ in body)
+            charges = tuple(c for _, c in body) + ((ret_fp,) if ret_fp else ())
+            summary = _summary(charges, tuple(map(id, charges)), self._summaries)
+            if summary.steps <= NODE_BUDGET:
+                return _Body((((closures, summary),), None), fn.params, fn.locals,
+                             ret, closures, summary)
+        if ret_fp is not None:
+            body.append((_no_op, ret_fp))
+        return _Body(self._leaf(body), fn.params, fn.locals, ret)
 
-        def compile_seq(seq: SeqNode, steps: list) -> Callable:
-            # runs are spliced in, so a sequence is one flat list of steps
-            for item in seq.items:
-                if isinstance(item, RunNode):
-                    steps.extend(ops[item.lo:item.hi])
-                elif isinstance(item, RetNode):
-                    steps.extend(ops[item.run.lo:item.run.hi])
-                    steps.append(ops[item.ret_index])
-                elif isinstance(item, IfNode):
-                    steps.extend(ops[item.cond_run.lo:item.cond_run.hi])
-                    steps.append(ops[item.branch_index])
-                    then_run = compile_seq(item.then_node, [])
-                    else_run = compile_seq(item.else_node, [])
-                    def run_if(st: State, then_run=then_run, else_run=else_run):
-                        if st.branch:
-                            then_run(st)
-                        else:
-                            else_run(st)
-                    steps.append((run_if, None))
-                elif isinstance(item, ForNode):
-                    steps.extend(ops[item.init_run.lo:item.init_run.hi])
-                    body = compile_seq(item.body, [])
-                    step_run = _sequence(ops[item.step_run.lo:item.step_run.hi])
-                    def run_for(st: State, body=body, step_run=step_run,
-                                trips=item.trips):
-                        for _ in range(trips):
-                            body(st)
-                            step_run(st)
-                    steps.append((run_for, None))
-                elif isinstance(item, WhileNode):
-                    cond_run = _sequence(
-                        ops[item.cond_run.lo:item.cond_run.hi] + [ops[item.branch_index]])
-                    body = compile_seq(item.body, [])
-                    def run_while(st: State, cond_run=cond_run, body=body,
-                                  bound=item.bound, do_first=item.do_first):
-                        n = 0
-                        if do_first:
-                            body(st)
-                            n = 1
-                        while True:
-                            cond_run(st)
-                            if not st.branch:
-                                return
-                            if n >= bound:
-                                raise SimTrap("loop-bound", f"exceeded bound {bound}")
-                            body(st)
-                            n += 1
-                    steps.append((run_while, None))
-                else:
-                    raise PfoError(f"cannot compile node {item!r}")
-            return _sequence(steps)
+    def _leaf(self, ops: list) -> tuple:
+        """A node without children that runs `ops`."""
+        return _segments(ops, self._summaries), None
 
-        # a `return` that ends the body hands its value back directly; only
-        # nested ones unwind through `_EarlyReturn`
-        items = fn.body.items
-        tail = None
-        if items and isinstance(items[-1], RetNode):
-            last = items[-1]
-            items = items[:-1] + [last.run]
-            tail = compiler.compile_return(fn.instrs[last.ret_index],
-                                           pages[last.ret_index])
-        # every call starts the function's named locals at 0; a function
-        # without any pays nothing for it
-        start = [(_zeroer(fn.locals), None)] if fn.locals else []
-        body_runner = compile_seq(SeqNode(items), start)
-        params = fn.params
+    def _seq_ops(self, items: list, ops: list) -> list:
+        """A sequence's `(closure, charge)` ops: its runs spliced in, each
+        `if`, `for` and `while` one self-accounting op that runs the nodes
+        of its arms or body."""
+        out: list = []
 
-        def runner(st: State, values):
+        def leaf(seq_items: list, *tail: list) -> tuple:
+            return self._leaf(self._seq_ops(seq_items, ops) + [op for t in tail for op in t])
+
+        for item in items:
+            if isinstance(item, RunNode):
+                out.extend(ops[item.lo:item.hi])
+            elif isinstance(item, RetNode):
+                out.extend(ops[item.run.lo:item.ret_index + 1])
+            elif isinstance(item, IfNode):
+                out.extend(ops[item.cond_run.lo:item.branch_index + 1])
+                arms = (leaf(item.else_node.items), leaf(item.then_node.items))
+                def run_if(st: State, arms=arms):
+                    _run(st, arms[st.branch])
+                out.append((run_if, None))
+            elif isinstance(item, ForNode):
+                out.extend(ops[item.init_run.lo:item.init_run.hi])
+                body = leaf(item.body.items, ops[item.step_run.lo:item.step_run.hi])
+                def run_for(st: State, body=body, trips=item.trips):
+                    for _ in range(trips):
+                        _run(st, body)
+                out.append((run_for, None))
+            elif isinstance(item, WhileNode):
+                cond = ops[item.cond_run.lo:item.branch_index + 1]
+                first = leaf(item.body.items if item.do_first else [], cond)
+                body = leaf(item.body.items, cond)
+                def run_while(st: State, first=first, body=body, bound=item.bound,
+                              n0=int(item.do_first)):
+                    _run(st, first)
+                    n = n0
+                    while st.branch:
+                        if n >= bound:
+                            raise SimTrap("loop-bound", f"exceeded bound {bound}")
+                        _run(st, body)
+                        n += 1
+                out.append((run_while, None))
+            else:
+                raise PfoError(f"cannot compile node {item!r}")
+        return out
+
+    def _call(self, instr: CallI, code_page: int) -> tuple:
+        """A call site as one op.  Its parameters are bound to the
+        arguments and the callee's locals start at 0; `dst` gets the
+        callee's value, 0 when it does not return one.  Binding one
+        parameter at a time is a parallel assignment: an argument is the
+        caller's, and a parameter never names a global, so no argument
+        reads a parameter's slot."""
+        callee = self._body(instr.fn)
+        compiler = self._compiler
+        fp = compiler.footprint(code_page)
+        binds = tuple(zip(callee.params, (compiler.slot(a) for a in instr.args)))
+        dst, zero, ret = instr.dst, callee.locals, callee.ret
+        summary = callee.summary
+        if summary is not None and summary.steps < self._merge_budget:
+            self._merge_budget -= 1 + summary.steps
+            closures, charges = callee.closures, summary.charges
+
+            def call(st: State, binds=binds, zero=zero, body=closures, dst=dst, ret=ret):
+                regs = st.regs
+                for p, a in binds:
+                    regs[p] = regs[a]
+                for slot in zero:
+                    regs[slot] = 0
+                try:
+                    for f in body:
+                        f(st)
+                except SimTrap as t:
+                    # each closure appears once in `body`: each call site
+                    # has its own closure
+                    t.prefixes.append((fp,) + charges[:body.index(f)])
+                    raise
+                regs[dst] = regs[ret]
+            return call, _Call(fp, summary)
+
+        def call(st: State, binds=binds, zero=zero, dst=dst, fp=fp):
+            st.sink.instr(fp)
             regs = st.regs
-            for slot, v in zip(params, values):
-                regs[slot] = v
-            try:
-                body_runner(st)
-            except _EarlyReturn as ret:
-                return ret.value
-            return None if tail is None else tail(st)
-
-        runners[name] = runner
+            for p, a in binds:
+                regs[p] = regs[a]
+            for slot in zero:
+                regs[slot] = 0
+            regs[dst] = _invoke(st, callee)
+        return call, None
 
     def run(self, secret: dict[str, int] | None = None,
             public: dict[str, int] | None = None,
@@ -835,7 +931,7 @@ class AstExecutable:
         st = _start(self, model, collect_trace, secret, public)
         trap = None
         try:
-            self._fn_runners["main"](st, [])
+            _invoke(st, self._main)
         except SimTrap as t:
             trap = _trap_info(st.sink, t)
         return _result(self, st, trap)
@@ -843,14 +939,6 @@ class AstExecutable:
 
 def _no_op(st: State) -> None:
     pass
-
-
-def _zeroer(slots: tuple[int, ...]) -> Callable[[State], None]:
-    def run(st: State, slots=slots):
-        regs = st.regs
-        for slot in slots:
-            regs[slot] = 0
-    return run
 
 
 def _code_pages(layout: MemoryLayout, unit: str, count: int) -> list[int]:
@@ -993,21 +1081,11 @@ class TreeExecutable:
             model: Optional[AdversaryModel] = None,
             collect_trace: bool = False) -> SimulationResult:
         st = _start(self, model, collect_trace, secret, public)
-        account = st.sink.account
         trap = None
-        node = self._root
         try:
-            while node is not None:
-                segments, kids = node
-                for values, summary in segments:
-                    for f in values:
-                        f(st)
-                    if summary is not None:
-                        account(summary)
-                node = None if kids is None else kids[st.branch]
+            _run(st, self._root)
         except SimTrap as t:
-            # `f` is the op that trapped
-            trap = _trap_info(st.sink, t, values.index(f), summary)
+            trap = _trap_info(st.sink, t)
         return _result(self, st, trap)
 
 

@@ -413,10 +413,16 @@ class LoweredProgram:
 
 
 def lower_program(program: Program) -> LoweredProgram:
+    """Every function lowered into one register file, then a slot for each
+    declared scalar no function names, so the lowering is complete and
+    nothing that compiles it allocates more (`Program.lowered` keeps it)."""
     alloc = RegAlloc()
     functions = {}
     for fn in program.functions:
         functions[fn.name] = lower_function(program, fn, alloc)
+    for d in program.decls:
+        if not d.is_array:
+            alloc.slot(d.name)
     return LoweredProgram(program, alloc, functions)
 
 

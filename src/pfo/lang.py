@@ -17,14 +17,18 @@ loop headers fold with it at the program's width, so a constant expression
 has the value it would have at run time wherever it is written.  The width
 follows from every declaration, so the parser reads every declared width
 before it folds anything.  Expressions, statements and call chains nest at
-most 64 levels deep, counted with every call inlined.  A call sets the
-callee's parameters to its arguments and its other locals to 0.  A
-`while` runs its body at most `bound` times and traps if its condition
-still holds after that; a do-while's body always runs once, so its bound
-is at least 1.  Names starting with `__pad` or `__sa` are reserved for
-the pad object and staging slots of a staged build.  A `Program` indexes
-its names and call graph once; parsing checks every call and every use
-of an array against that index, with its position.
+most 64 levels deep, counted with every call inlined, and one call of a
+function makes at most `MAX_CALLS` (2^20) calls, its callees' counted
+and each loop body once.  A call sets the callee's parameters to its
+arguments and its other locals to 0.  Inside a function a global's name
+denotes the global, so no parameter may take it.  A `while` runs its
+body at most `bound` times and traps if its condition still holds after
+that; a do-while's body always runs once, so its bound is at least 1.
+Names starting with `__pad` or `__sa` are reserved for the pad object
+and staging slots of a staged build.  A `Program` indexes its names and
+call graph once; parsing checks every call and every use of an array
+against that index, with its position, in the same one walk per
+function body that counts its nesting and calls.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ MAX_INT_WIDTH = 1 << 16
 MAX_EXPR_DEPTH = 64
 MAX_STMT_DEPTH = 64
 MAX_CALL_DEPTH = 64
+# the most calls one run of a function may make, its callees' counted and
+# each loop body once: past it, a program's call tree is too large to run
+MAX_CALLS = 1 << 20
 
 
 class ParseError(PfoError):
@@ -378,13 +385,15 @@ class Function:
     params: tuple[str, ...]
     body: tuple[Stmt, ...]
     pos: Pos = _pos_field()
+    param_pos: tuple[Pos, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Program:
     """A parsed program.  It never changes, so its index (the name lookups
-    and each function's callees) is built on first use and kept; a pass
-    that rewrites a program makes a new one, with a fresh index."""
+    and each function's callees) and its lowering are built on first use
+    and kept; a pass that rewrites a program makes a new one, with a fresh
+    index."""
 
     decls: tuple[VarDecl, ...]
     functions: tuple[Function, ...]
@@ -406,6 +415,12 @@ class Program:
         return {f.name: tuple(dict.fromkeys(
             n.name for n in walk_all(f.body) if isinstance(n, (CallExpr, CallStmt))))
             for f in self.functions}
+
+    @cached_property
+    def lowered(self):
+        """The program lowered to micro-ops (`ir.lower_program`), once."""
+        from . import ir
+        return ir.lower_program(self)
 
     def decl(self, name: str) -> Optional[VarDecl]:
         return self._decls.get(name)
@@ -721,14 +736,16 @@ class _Parser:
         fn_tok = self.expect("kw", "fn")
         name = self.expect("name").text
         self.expect("op", "(")
-        params = []
+        params, param_pos = [], []
         while not self.at("op", ")"):
-            params.append(self.expect("name").text)
+            tok = self.expect("name")
+            params.append(tok.text)
+            param_pos.append(self.pos(tok))
             if self.at("op", ","):
                 self.advance()
         self.expect("op", ")")
         body = self.parse_block()
-        return Function(name, tuple(params), body, self.pos(fn_tok))
+        return Function(name, tuple(params), body, self.pos(fn_tok), tuple(param_pos))
 
     def parse_block(self) -> tuple[Stmt, ...]:
         self.expect("op", "{")
@@ -1029,36 +1046,34 @@ def _validate_program(program: Program, filename: str) -> None:
         raise ParseError("program must define exactly one entry function `main`", 1, 1, filename)
     if program.function("main").params:
         raise ParseError("`main` takes no parameters (inputs are declared)", 1, 1, filename)
+    # a parameter named like a global would be that global
+    for fn in program.functions:
+        for name, pos in zip(fn.params, fn.param_pos):
+            if name in program._decls:
+                raise error(f"parameter {name!r} of {fn.name!r} has the name of a "
+                            "global", pos)
 
-    # every call names a function and passes its arguments; a variable never
-    # names an array, and an index or `sizeof` always does
-    arity = {f.name: len(f.params) for f in program.functions}
-    arrays = {d.name for d in program.arrays}
-    for n in walk_all(s for fn in program.functions for s in fn.body):
-        kind = type(n)
-        if kind is CallExpr or kind is CallStmt:
-            if n.name not in arity:
-                raise error(f"call to undefined function {n.name!r}", n.pos)
-            if len(n.args) != arity[n.name]:
-                raise error(f"{n.name}() expects {arity[n.name]} arguments, "
-                            f"got {len(n.args)}", n.pos)
-        elif kind is Var and n.name in arrays:
-            raise error(f"array {n.name!r} used without an index", n.pos)
-        elif (kind is Index or kind is SizeOf) and n.name not in arrays:
-            raise error(f"{n.name!r} is not an array", n.pos)
+    # every call names a function: the index knows every callee's name
+    for fn in program.functions:
+        if any(c not in program._functions for c in program.callees[fn.name]):
+            call = next(n for n in walk_all(fn.body)
+                        if type(n) in (CallExpr, CallStmt) and n.name not in program._functions)
+            raise error(f"call to undefined function {call.name!r}", call.pos)
 
     # recursion is outside the grammar: reject call-graph cycles.  Callees
     # come before their callers in `order`, so each function's nesting
-    # (`_nesting`) follows from its callees'; each kind is capped
+    # and call count (`_nesting`) follow from its callees'; each is capped
     try:
         order = tuple(TopologicalSorter(program.callees).static_order())
     except CycleError as e:
         cycle = " -> ".join(reversed(e.args[1]))
         raise ParseError(f"unsupported construct: unbounded recursion ({cycle})",
                          1, 1, filename) from None
-    nesting: dict[str, tuple[int, int, int]] = {}
+    arity = {f.name: len(f.params) for f in program.functions}
+    arrays = {d.name for d in program.arrays}
+    nesting: dict[str, tuple[int, int, int, int]] = {}
     for name in order:
-        nesting[name] = _nesting(program.function(name), nesting)
+        nesting[name] = _nesting(program.function(name), nesting, arity, arrays, error)
     for i, (what, cap) in enumerate((("calls from", MAX_CALL_DEPTH),
                                      ("statements in", MAX_STMT_DEPTH),
                                      ("expressions in", MAX_EXPR_DEPTH))):
@@ -1067,6 +1082,10 @@ def _validate_program(program: Program, filename: str) -> None:
                 inlined = " once its calls are inlined" if i else ""
                 raise error(f"{what} {name!r} nest more than {cap} levels deep{inlined}",
                             program.function(name).pos)
+    for name in order:
+        if nesting[name][3] > MAX_CALLS:
+            raise error(f"{name!r} makes more than {MAX_CALLS} calls once its calls "
+                        "are inlined", program.function(name).pos)
 
     # region markers must nest properly in every function
     def check_markers(stmts, depth):
@@ -1087,40 +1106,55 @@ def _validate_program(program: Program, filename: str) -> None:
             raise error(f"unterminated sensitive region in {f.name!r}", f.pos)
 
 
-def _nesting(fn: Function, callees: dict[str, tuple[int, int, int]]
-             ) -> tuple[int, int, int]:
-    """How deep calls from `fn` nest (0 if it calls nothing), and how deep
-    its statements and expressions nest once every call is inlined at its
-    site, given the same for its callees.
+def _nesting(fn: Function, callees: dict[str, tuple[int, int, int, int]],
+             arity: dict[str, int], arrays: set[str], error: Callable
+             ) -> tuple[int, int, int, int]:
+    """How deep calls from `fn` nest (0 if it calls nothing), how deep its
+    statements and expressions nest once every call is inlined at its
+    site, and how many calls one call of `fn` makes, given the same for
+    its callees.  The same walk checks, in source order, that every call
+    passes its callee's arguments, that a variable never names an array
+    and that an index or `sizeof` always does.
 
     Inlining puts a callee's statements at the level of the statement that
     calls it, and its expressions where the call stands: the return value
     replaces the call, and tree mode expands the arguments and the rest of
     the body from there.  So a call adds no level of its own, and a call
-    statement stands where a call at the top of an expression would.
+    statement stands where a call at the top of an expression would.  Each
+    call site counts itself and its callee's calls; a loop body counts
+    once, whatever its trips.
     """
-    calls = stmts = exprs = 0
+    calls = stmts = exprs = count = 0
     # (node, level of its statement, its depth in its expression or 0)
-    stack = [(stmt, 1, 0) for stmt in fn.body]
+    stack = [(stmt, 1, 0) for stmt in reversed(fn.body)]
     while stack:
         n, level, depth = stack.pop()
         kind = type(n)
         if kind is CallExpr or kind is CallStmt:
+            if len(n.args) != arity[n.name]:
+                raise error(f"{n.name}() expects {arity[n.name]} arguments, "
+                            f"got {len(n.args)}", n.pos)
             depth = max(depth, 1)
-            c, s, x = callees[n.name]
+            c, s, x, made = callees[n.name]
             calls = max(calls, c + 1)
             stmts = max(stmts, level - 1 + s)
             exprs = max(exprs, depth - 1 + x)
+            count += 1 + made
             below = depth
         else:
+            if kind is Var:
+                if n.name in arrays:
+                    raise error(f"array {n.name!r} used without an index", n.pos)
+            elif (kind is Index or kind is SizeOf) and n.name not in arrays:
+                raise error(f"{n.name!r} is not an array", n.pos)
             below = depth + 1
         if level > stmts:
             stmts = level
         if depth > exprs:
             exprs = depth
-        for k in _CHILDREN[kind](n):
+        for k in reversed(_CHILDREN[kind](n)):
             stack.append((k, level + 1, 0) if isinstance(k, Stmt) else (k, level, below))
-    return calls, stmts, exprs
+    return calls, stmts, exprs, count
 
 
 def parse(source: str, filename: str = "<source>") -> Program:

@@ -40,7 +40,6 @@ from typing import Callable, Optional
 
 from .exectree import ExecutionTree, balance, build_execution_tree
 from .interp import AstExecutable
-from .ir import lower_program
 from .labeling import label_sensitivity
 from .lang import (
     Assign,
@@ -119,7 +118,7 @@ def build_staged(program: Program, page_size: Optional[int] = None) -> DefenseBu
 
 def build_inplace(program: Program, page_size: Optional[int] = None) -> DefenseBuild:
     ps = program.resolve_page_size(page_size)
-    return DefenseBuild(program, build_ast_layout(lower_program(program), ps))
+    return DefenseBuild(program, build_ast_layout(program.lowered, ps))
 
 
 def _names_in_use(program: Program) -> set[str]:
@@ -399,8 +398,7 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     if not shared:
         return program, report
 
-    lowered = lower_program(program)
-    lengths = lowered.code_lengths()
+    lengths = program.lowered.code_lengths()
 
     functions = {f.name: f for f in program.functions}
     new_functions = list(program.functions)
@@ -477,8 +475,7 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None
     failure the plan is left unchanged.
     """
     ps = program.resolve_page_size(page_size)
-    lowered = lower_program(program)
-    lengths = lowered.code_lengths()
+    lengths = program.lowered.code_lengths()
 
     # union-find over functions forced to share a page
     parent = {f.name: f.name for f in program.functions}

@@ -19,15 +19,20 @@ from pathlib import Path
 import pytest
 
 from pfo.cli import main
+from pfo.corpus import eddsa_source, powm_source
 from pfo.exectree import balance, build_execution_tree, tree_to_json
-from pfo.interp import TreeExecutable
+from pfo.interp import AstExecutable, TreeExecutable
 from pfo.lang import parse
 from pfo.memory import AdversaryModel, PfoError
 from pfo.optimize import ALL_PASSES, build_defense, build_staged
 from pfo.suites import case_source, defended_build
 
-from test_interp import SPLIT_LOOKUP, TRAP_AFTER_TAIL_RETURN
+from test_interp import (
+    DIV_AT_SECOND_SITE, OOB_AT_SECOND_SITE, SPLIT_LOOKUP, TRAP_AFTER_TAIL_RETURN,
+    VALUELESS_CALL,
+)
 from test_lang import FOO_SOURCE
+from test_optimize import AGREEMENT_CASES
 from test_transform import LOOKUP_64, THREE_WAY, TRAPPING_ARM, UNEVEN_ARMS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -58,8 +63,9 @@ def test_contract_sweep_is_byte_identical(policy, capsys):
 def run_result_cases():
     """(name, executable, secret, public) for the run-result golden file:
     staged builds with and without passes, multi-block levels, a trapping
-    arm, O4's unstaged code, and a plain tree run whose split-table load
-    accounts for itself."""
+    arm, O4's unstaged code, a plain tree run whose split-table load
+    accounts for itself, and vanilla runs of the attacked programs and of
+    callees that trap, return nothing or keep locals."""
     foo = parse(FOO_SOURCE)
     foo_inputs = [{"x": 4, "y": 2}, {"x": 8, "y": 9}, {"x": 10, "y": 6}]
     builds = [
@@ -82,6 +88,21 @@ def run_result_cases():
     for public in ({"i": 3, "d": 1}, {"i": 1, "d": 0}, {"i": 1, "d": 3}):
         builds.append((f"trap-after-tail-return-{public['i']}-{public['d']}",
                        trap, [{}], public))
+    # vanilla (whole-function) runs: the attacked programs, a split table,
+    # callees that trap at their second call site, a value-less callee
+    # used as a value and callee locals
+    vanilla = [
+        ("eddsa-8-vanilla", eddsa_source(8), "k", [0, 0xA5, 0xFF]),
+        ("powm-8-1-vanilla", powm_source(8, 1), "d", [0, 0x5B, 0xFF]),
+        ("split-lookup-vanilla", SPLIT_LOOKUP, "s", [2, 6]),
+        ("div-at-second-site", DIV_AT_SECOND_SITE, "s", [0, 1, 2]),
+        ("oob-at-second-site", OOB_AT_SECOND_SITE, "s", [0, 2, 3]),
+        ("valueless-call", VALUELESS_CALL, "s", [0, 3]),
+        ("callee-locals-vanilla", AGREEMENT_CASES["callee_locals"], "s", [0, 3]),
+    ]
+    for name, source, secret_name, values in vanilla:
+        builds.append((name, AstExecutable(parse(source)),
+                       [{secret_name: v} for v in values], None))
     for name, exe, secrets, public in builds:
         for secret in secrets:
             yield name, exe, secret, public

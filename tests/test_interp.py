@@ -1,11 +1,14 @@
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pfo import interp
 from pfo.corpus import make_table_cases
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import (
-    AstExecutable, FootprintTable, Sink, State, TreeExecutable, _OpCompiler, _sequence,
+    AstExecutable, FootprintTable, Sink, State, TreeExecutable, _OpCompiler, _run, _segments,
 )
 from pfo.ir import LoadI, Reg
 from pfo.lang import parse
@@ -252,6 +255,51 @@ fn main() {
 """
 
 
+# `twice` calls `quot` at two sites; the second one divides by s - 1, so
+# s = 1 traps div-zero two calls deep, in the middle of straight-line code
+DIV_AT_SECOND_SITE = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+int t[4] = {10, 20, 30, 40};
+fn quot(a, b) { c = a + t[0]; return c / b; }
+fn twice(a, b) { u = quot(a, 1); v = quot(u, b); return u + v; }
+fn main() {
+  y = s + 1;
+  y = twice(y, s - 1) + quot(y, 2);
+  y = y + t[s];
+}
+"""
+
+# the second call to `look` in `twice` reads t[1 + s + 1]: out of bounds
+# from s = 2 on
+OOB_AT_SECOND_SITE = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+int t[4] = {10, 20, 30, 40};
+fn look(j) { return t[j] + 1; }
+fn twice(a, b) { u = look(a); v = look(a + b); return u + v; }
+fn main() {
+  y = s;
+  y = twice(1, s + 1) + y;
+}
+"""
+
+# `put` has no `return`, so its value is 0
+VALUELESS_CALL = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+int t[4];
+fn put(v) { t[v] = v + 5; }
+fn main() {
+  y = put(s) + s;
+  y = y + t[s];
+}
+"""
+
+
 # (steps, profile) per mode: in whole-function mode main's code is on
 # page 2, inc's on 0, look's on 1 and t on 3; tree mode inlines the calls
 TRAP_EXPECTED = {
@@ -386,14 +434,14 @@ def test_access_outside_strict_pages_is_an_error(pages, strict, ok, escaped):
     compiler = _OpCompiler(program, exe.objects, exe.lowered.alloc,
                            pages=pages, strict_pages=frozenset(strict))
     index_slot = compiler.decl_slots["s"]
-    # the sequence runner charges a static access's step after its closure
-    load = _sequence([compiler.compile(LoadI(0, "t", Reg(index_slot), "main"), 0)])
+    # the segment runner charges a static access's step after its closure
+    load = (_segments([compiler.compile(LoadI(0, "t", Reg(index_slot), "main"), 0)], {}), None)
 
     def run(i):
         regs = compiler.regs0()
         regs[index_slot] = i
         st = State(regs, exe.objects.fresh_arrays(), Sink(True, False))
-        load(st)
+        _run(st, load)
         return st
 
     if ok is not None:
@@ -435,3 +483,98 @@ def test_footprint_over_page_limit_rejected_when_interned():
     assert table(0, (1, 2), reads[:2]).need == (0, 1, 2)
     with pytest.raises(PageModelError, match="needs 4 pages"):
         table(0, (1, 2, 3), reads)
+
+
+# --- whole-call summaries against step-by-step charging -----------------------
+
+def _callee_expr(draw, i: int, depth: int) -> str:
+    """An expression for the body of f{i}: its parameters and local, the
+    secret, constants, arithmetic, divisions and table reads that may
+    trap, and calls to earlier functions."""
+    leaves = ["a", "b", "c", "s", "1", "2", "5"]
+    kinds = ["leaf"] if depth == 0 else ["leaf", "bin", "div", "read", "wide"] \
+        + (["call"] if i else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        return draw(st.sampled_from(leaves))
+    sub = lambda: _callee_expr(draw, i, depth - 1)  # noqa: E731
+    if kind == "bin":
+        return f"({sub()} {draw(st.sampled_from(['+', '-', '*', '&']))} {sub()})"
+    if kind == "div":
+        return f"({sub()} {draw(st.sampled_from(['/', '%']))} {sub()})"
+    if kind == "read":  # t has 4 words: half of these indices are out of bounds
+        return f"t[({sub()}) & 7]"
+    if kind == "wide":  # u spans two pages: its reads account for themselves
+        return f"u[({sub()}) & 7]"
+    j = draw(st.integers(0, i - 1))
+    return f"f{j}({sub()}, {sub()})"
+
+
+@st.composite
+def call_chains(draw) -> str:
+    """A program whose functions f0 .. f{n-1} are branch-free, each calling
+    only earlier ones, and a `main` that calls them in straight-line code,
+    from a loop and under secret `if`s."""
+    n = draw(st.integers(1, 4))
+    lines = ["#pragma page_size 32", "secret int<2> s;", "output int y;", "output int z;",
+             "int t[4] = {3, 0, 7, 2};", "int u[12] = {1, 2, 3, 4, 5, 6, 7, 8, 9};"]
+    for i in range(n):
+        body = []
+        for _ in range(draw(st.integers(1, 3))):
+            target = draw(st.sampled_from(["c", "b", "z", "t[(a) & 3]"]))
+            body.append(f"{target} = {_callee_expr(draw, i, 2)};")
+        if draw(st.booleans()):
+            body.append(f"return {_callee_expr(draw, i, 1)};")
+        lines.append(f"fn f{i}(a, b) {{ {' '.join(body)} }}")
+
+    def call() -> str:
+        return f"f{draw(st.integers(0, n - 1))}({draw(st.sampled_from(['s', 'y', 'i', '1']))}, " \
+               f"{draw(st.sampled_from(['s', 'y', 'z', '0']))})"
+
+    main = ["y = 0;", "i = 0;"]
+    for _ in range(draw(st.integers(1, 4))):
+        form = draw(st.sampled_from(["plain", "loop", "if"]))
+        if form == "plain":
+            main.append(f"y = y + {call()};")
+        elif form == "loop":
+            trips = draw(st.integers(1, 3))
+            main.append(f"for (i = 0; i < {trips}; i = i + 1) {{ z = z + {call()}; }}")
+        else:
+            main.append(f"if (s == {draw(st.integers(0, 3))}) {{ y = {call()}; }} "
+                        f"else {{ z = {call()} + 1; }}")
+    lines.append("fn main() {\n  " + "\n  ".join(main) + "\n}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(call_chains())
+def test_summarised_calls_charge_as_each_step_would(source):
+    program = parse(source)
+    exe = AstExecutable(program)
+    # with no budget for them, no call is summarised: each call steps, then
+    # runs its callee's segments.  A small budget summarises the smallest
+    # callees and merges calls to them only until it runs out
+    with mock.patch.object(interp, "NODE_BUDGET", 0):
+        unsummarised = AstExecutable(program)
+    with mock.patch.object(interp, "NODE_BUDGET", 12):
+        partly = AstExecutable(program)
+    assert not any(b.summary for b in unsummarised._bodies.values())
+    tree = TreeExecutable(balance(build_execution_tree(program)))
+    for s in range(4):
+        for model in (AdversaryModel.pigeonhole(), AdversaryModel.infinite_memory()):
+            plain = exe.run(secret={"s": s}, model=model)
+            traced = exe.run(secret={"s": s}, model=model, collect_trace=True)
+            assert plain.profile == traced.profile
+            assert (plain.steps, plain.outputs, plain.trap) == \
+                   (traced.steps, traced.outputs, traced.trap)
+            assert plain.profile == observe_profile(traced.trace, model)
+            assert len(traced.footprints) == traced.steps
+            if plain.trap is not None:
+                assert plain.trap.step == plain.steps
+            reference = unsummarised.run(secret={"s": s}, model=model, collect_trace=True)
+            assert traced.to_json_dict() == reference.to_json_dict()
+            assert partly.run(secret={"s": s}, model=model, collect_trace=True
+                              ).to_json_dict() == reference.to_json_dict()
+        other = tree.run(secret={"s": s})
+        assert (plain.outputs, plain.trap and plain.trap.kind) == \
+               (other.outputs, other.trap and other.trap.kind)

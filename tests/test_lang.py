@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import tracemalloc
 import typing
 
 import pytest
@@ -281,6 +282,69 @@ class TestParse:
             assert json.loads(out)["outputs"] == {"y": 64, "z": -2, "w": 1}
         assert main(["analyze", str(path)]) == 0
         capsys.readouterr()
+
+    @staticmethod
+    def doubling_source(n: int, extra: int) -> str:
+        """f0 .. f{n-1}, each but f0 calling the one before twice, and a
+        `main` that calls f{n-1} once and f0 `extra` times."""
+        return ("secret int<2> s;\noutput int y;\nfn f0() { }\n"
+                + "".join(f"fn f{i}() {{ f{i - 1}(); f{i - 1}(); }}\n" for i in range(1, n))
+                + f"fn main() {{\n  f{n - 1}();\n" + "  f0();\n" * extra
+                + "  y = s + 1;\n}\n")
+
+    def test_calls_at_the_cap_run(self, tmp_path, capsys):
+        # f19 makes 2^20 - 2 calls, so `main` makes exactly MAX_CALLS
+        assert lang.MAX_CALLS == 1 << 20
+        source = self.doubling_source(20, 1)
+        path = tmp_path / "calls.pfo"
+        path.write_text(source)
+        for argv in (["parse", str(path)],
+                     ["simulate", "--program", str(path), "--secret", "s=1"],
+                     ["analyze", str(path)]):
+            assert main(argv) == 0, capsys.readouterr().err
+            out = capsys.readouterr().out
+            if argv[0] == "simulate":  # each call steps once, then y = s + 1
+                result = json.loads(out)
+                assert (result["steps"], result["outputs"]) == ((1 << 20) + 2, {"y": 2})
+        # summaries never expand the call tree
+        program = parse(source)
+        tracemalloc.start()
+        start = time.process_time()
+        AstExecutable(program)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 2 and peak < 200 << 20, (elapsed, peak)
+
+    @pytest.mark.parametrize("n, extra, message", [
+        (20, 2, "23:1: 'main' makes more than 1048576 calls"),
+        (41, 0, "23:1: 'f20' makes more than 1048576 calls"),
+    ])
+    def test_calls_past_the_cap_rejected(self, n, extra, message, tmp_path, capsys):
+        path = tmp_path / "calls.pfo"
+        path.write_text(self.doubling_source(n, extra))
+        for argv in (["parse", str(path)],
+                     ["simulate", "--program", str(path), "--secret", "s=1"],
+                     ["analyze", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"{path}:{message} once its calls "
+                                                      "are inlined"), argv
+
+    @pytest.mark.parametrize("before, after", [
+        ("int x = 7;\n", ""), ("", "int x = 7;\n"),
+    ], ids=["declared-before", "declared-after"])
+    def test_parameter_named_like_a_global_rejected(self, before, after, tmp_path, capsys):
+        path = tmp_path / "param.pfo"
+        path.write_text(f"{before}secret int<2> s;\noutput int y;\noutput int z;\n"
+                        f"fn f(a, x) {{ return x + 1; }}\n{after}"
+                        "fn main() { y = f(0, s); z = x; }\n")
+        line = 5 if before else 4
+        for argv in (["parse", str(path)],
+                     ["simulate", "--program", str(path), "--secret", "s=2"],
+                     ["simulate", "--transformed", "--program", str(path), "--secret", "s=2"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                f"{path}:{line}:9: parameter 'x' of 'f' has the name of a global"), argv
 
     def test_largest_declarations_accepted(self):
         program = parse(f"int t[{lang.MAX_ARRAY_WORDS}];\n"
