@@ -10,7 +10,9 @@ Block boundaries are deterministic: conditionals end the current block
 (the condition evaluation stays with it), each arm starts a child block
 and the code following the conditional is replicated under both arms, and
 unrolled loop iterations are chained as separate blocks.  Inlined call
-bodies merge into the enclosing block.
+bodies merge into the enclosing block.  Replicated code gets blocks of its
+own under each arm, but its micro-ops are lowered once: every copy of an
+expanded statement holds the same `Instr` objects and temporaries.
 
 A tree indexes itself once, when it is made: one walk from the root fills
 its `blocks` and `levels` and every block's data references (`refs`), and
@@ -125,21 +127,28 @@ class ExecutionTree:
 def build_execution_tree(program: Program) -> ExecutionTree:
     """Inline, unroll, and split the sensitive region into an execution tree.
 
-    Every item lowered into a block is charged against `NODE_BUDGET`, as
+    Every item placed into a block is charged against `NODE_BUDGET`, as
     every expanded statement is: copying continuations under both arms of
-    each conditional can outgrow the expansion itself.  Arms are grown
+    each conditional can outgrow the expansion itself.  An item is lowered
+    the first time it is placed, and every later copy of it reuses those
+    micro-ops, temporaries and branch operand: a temporary is written and
+    read within one item's ops, and a run takes one arm.  Arms are grown
     from an explicit stack, the then arm's whole subtree before the else
     arm, so ids follow a depth-first walk however deep branches nest.
     """
-    items = expand_region(program)
+    # every item stays reachable from `expanded` until the tree is built,
+    # so an item's id names it in `lowered`
+    expanded = expand_region(program)
     alloc = RegAlloc()
     entry = program.entry.name
     lowerer = _FnLowerer(program, alloc, "", entry)
+    # id(item) -> (its micro-ops, the operand a `TaggedIf` branches on)
+    lowered: dict[int, tuple[list[Instr], Optional[Operand]]] = {}
     next_id = 1
     spent = 0
     root = None
     # an arm still to grow: its items, its level, and its parent's slot
-    arms: list[tuple] = [(tuple(items), 1, None, 0)]
+    arms: list[tuple] = [(tuple(expanded), 1, None, 0)]
     while arms:
         items, level, parent, slot = arms.pop()
         first = block = Block(next_id, level, [], origin="")
@@ -148,7 +157,6 @@ def build_execution_tree(program: Program) -> ExecutionTree:
             root = first
         else:
             parent.children[slot] = first
-        lowerer.instrs = block.instrs
         for i, item in enumerate(items):
             if isinstance(item, IterMark):
                 if not block.instrs:
@@ -157,7 +165,6 @@ def build_execution_tree(program: Program) -> ExecutionTree:
                 next_id += 1
                 block.children = [child]
                 block = child
-                lowerer.instrs = block.instrs
                 continue
             spent += 1
             if spent > NODE_BUDGET:
@@ -167,22 +174,30 @@ def build_execution_tree(program: Program) -> ExecutionTree:
                 )
             if not block.instrs:
                 block.origin = item.origin
-            lowerer.origin = item.origin
-            if isinstance(item, TaggedStmt):
-                lowerer.assign(item.stmt)
-            elif isinstance(item, OverrunI):
-                lowerer.emit(item)
-            elif isinstance(item, TaggedIf):
-                block.branch = lowerer.operand(item.cond)
-                lowerer.emit(BranchI(block.branch, item.origin))
+            done = lowered.get(id(item))
+            if done is None:
+                lowerer.instrs = ops = []
+                lowerer.origin = item.origin
+                branch = None
+                if isinstance(item, TaggedStmt):
+                    lowerer.assign(item.stmt)
+                elif isinstance(item, OverrunI):
+                    lowerer.emit(item)
+                elif isinstance(item, TaggedIf):
+                    branch = lowerer.operand(item.cond)
+                    lowerer.emit(BranchI(branch, item.origin))
+                else:
+                    raise PfoError(f"unexpected expansion item {item!r}")
+                done = lowered[id(item)] = (ops, branch)
+            block.instrs += done[0]
+            if isinstance(item, TaggedIf):
+                block.branch = done[1]
                 block.children = [None, None]
                 rest = items[i + 1:]
                 arms.append((tuple(item.else_items) + rest, block.level + 1, block, 1))
                 arms.append((tuple(item.then_items) + rest, block.level + 1, block, 0))
                 first.origin = first.origin or entry
                 break
-            else:
-                raise PfoError(f"unexpected expansion item {item!r}")
         else:
             for b in (first, block):
                 b.origin = b.origin or entry

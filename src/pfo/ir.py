@@ -226,7 +226,9 @@ class _FnLowerer:
     `scope` prefixes every name that is not a declared global scalar: `fn/`
     in a function body, empty in an expanded region, whose names the
     expander has already renamed apart.  Tree building points `instrs` and
-    `origin` at each block and item in turn.
+    `origin` at each block and item in turn.  Operands are interned: one
+    `Const` per value and one `Reg` per named variable; a temporary gets a
+    fresh slot and `Reg` each time.
     """
 
     def __init__(self, program: Program, alloc: RegAlloc, scope: str, origin: str):
@@ -236,6 +238,8 @@ class _FnLowerer:
         self.scalars = {d.name for d in program.decls if not d.is_array}
         self.instrs: list[Instr] = []
         self.origin = origin
+        self.consts: dict[int, Const] = {}
+        self.regs: dict[str, Reg] = {}
 
     def local(self, name: str) -> int:
         # globals (declared scalars) share bare names; everything else is
@@ -248,9 +252,15 @@ class _FnLowerer:
 
     def operand(self, e: Expr) -> Operand:
         if isinstance(e, Num):
-            return Const(e.value)
+            got = self.consts.get(e.value)
+            if got is None:
+                got = self.consts[e.value] = Const(e.value)
+            return got
         if isinstance(e, Var):
-            return Reg(self.local(e.name))
+            got = self.regs.get(e.name)
+            if got is None:
+                got = self.regs[e.name] = Reg(self.local(e.name))
+            return got
         if isinstance(e, Index):
             idx = self.operand(e.index)
             dst = self.alloc.temp()
@@ -498,6 +508,7 @@ class _Expander:
 
     def __init__(self, program: Program):
         self.program = program
+        self.vars: dict[str, Var] = {}  # one `Var` per renamed name
         self.count = 0
         self.site = itertools.count()
         self.origin_stack = [program.entry.name]
@@ -507,6 +518,12 @@ class _Expander:
     @property
     def origin(self) -> str:
         return self.origin_stack[-1]
+
+    def var(self, name: str) -> Var:
+        got = self.vars.get(name)
+        if got is None:
+            got = self.vars[name] = Var(name)
+        return got
 
     def spend(self, loop_pos=None) -> None:
         self.count += 1
@@ -527,7 +544,7 @@ class _Expander:
                 out.extend(pre)
                 target = s.target
                 if isinstance(target, Var):
-                    stmt = Assign(Var(rename(target.name)), value)
+                    stmt = Assign(self.var(rename(target.name)), value)
                 else:
                     ipre, idx = self.expand_expr(target.index, rename)
                     out.extend(ipre)
@@ -552,7 +569,7 @@ class _Expander:
                 var = rename(s.var)
                 pre, init = self.expand_expr(s.init, rename)
                 out.extend(pre)
-                out.append(TaggedStmt(Assign(Var(var), init), self.origin))
+                out.append(TaggedStmt(Assign(self.var(var), init), self.origin))
                 self.loop_stack.append(s.pos)
                 for trip in range(s.trips):
                     if trip:
@@ -560,7 +577,7 @@ class _Expander:
                     out.extend(self.expand_stmts(s.body, rename))
                     spre, step = self.expand_expr(s.step, rename)
                     out.extend(spre)
-                    out.append(TaggedStmt(Assign(Var(var), step), self.origin))
+                    out.append(TaggedStmt(Assign(self.var(var), step), self.origin))
                     self.spend(s.pos)
                 self.loop_stack.pop()
             elif isinstance(s, While):
@@ -596,7 +613,7 @@ class _Expander:
             if isinstance(e, (Num, SizeOf)):
                 return e
             if isinstance(e, Var):
-                return Var(rename(e.name))
+                return self.var(rename(e.name))
             if isinstance(e, Index):
                 return Index(rename(e.name), walk(e.index))
             if isinstance(e, Unary):
@@ -629,7 +646,7 @@ class _Expander:
         for p, a in zip(callee.params, args):
             pre, value = self.expand_expr(a, rename)
             out.extend(pre)
-            out.append(TaggedStmt(Assign(Var(inner_rename(p)), value), self.origin))
+            out.append(TaggedStmt(Assign(self.var(inner_rename(p)), value), self.origin))
             self.spend()
 
         body = list(callee.body)

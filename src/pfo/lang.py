@@ -28,7 +28,10 @@ Names starting with `__pad` or `__sa` are reserved for the pad object
 and staging slots of a staged build.  A `Program` indexes its names and
 call graph once; parsing checks every call and every use of an array
 against that index, with its position, in the same one walk per
-function body that counts its nesting and calls.
+function body that counts its nesting and calls.  Every node carries the
+`Pos` of its source text; a node built without one, by a pass or the
+tree expander, shares the one `NOWHERE` (line 0), and positions take no
+part in equality or printing.
 """
 
 from __future__ import annotations
@@ -150,8 +153,13 @@ class Pos:
     col: int = 0
 
 
+# the position of every node built without one (line 0): passes and the
+# expander build many such nodes, and all of them share this one
+NOWHERE = Pos()
+
+
 def _pos_field():
-    return field(default_factory=Pos, compare=False, repr=False)
+    return field(default=NOWHERE, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -229,12 +229,13 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
                             VarDecl(DeclKind.GLOBAL, slot_name, None, 2, ())
                         )
                         keep = else_w.get(target, Var(target))
-                        result.append(Assign(Index(slot_name, Num(0)), keep))
-                        result.append(Assign(Index(slot_name, Num(1)), then_w[target]))
-                        result.append(Assign(Var(target), Index(slot_name, sel)))
+                        result.append(Assign(Index(slot_name, Num(0)), keep, s.pos))
+                        result.append(Assign(Index(slot_name, Num(1)), then_w[target], s.pos))
+                        result.append(Assign(Var(target), Index(slot_name, sel), s.pos))
                     report.converted += 1
                     continue
-                result.append(If(s.cond, convert(s.then_body), convert(s.else_body)))
+                result.append(replace(s, then_body=convert(s.then_body),
+                                      else_body=convert(s.else_body)))
             elif isinstance(s, For):
                 result.append(replace(s, body=convert(s.body)))
             elif isinstance(s, While):

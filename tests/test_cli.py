@@ -259,6 +259,29 @@ class TestTransformVerify:
             assert out == ""
             assert "line 5: tree mode runs only the sensitive region" in err
 
+    @pytest.mark.parametrize("else_body", ["", " else { z = 3; }"],
+                             ids=["converted", "declined"])
+    def test_if_conversion_keeps_positions(self, tmp_path, capsys, else_body):
+        # O5 converts the first `if` (or declines it, its arms writing
+        # different scalars); either way the rejected statement keeps its line
+        path = tmp_path / "outside.pfo"
+        path.write_text(
+            "secret int<2> k;\n"
+            "public int<2> p;\n"
+            "output int y;\n"
+            "fn main() {\n"
+            f"  if (p == 1) {{ y = 2; }}{else_body}\n"
+            "  #pragma begin_pf_sensitive\n"
+            "  if (k == 2) { y = 3; } else { y = 4; }\n"
+            "  #pragma end_pf_sensitive\n"
+            "}\n"
+        )
+        for opts in ([], ["--opt", "O5"], ["--opt", "all"]):
+            code, _, err = run_cli(
+                ["transform", str(path), "-o", str(tmp_path / "o.json"), *opts], capsys)
+            assert code == 1
+            assert "line 5: tree mode runs only the sensitive region" in err, opts
+
     def test_verify_vanilla_toy_fails_with_counterexample(self, tmp_path, capsys):
         toy = tmp_path / "toy.pfo"
         toy.write_text("""

@@ -205,6 +205,7 @@ class TestEddsaFullSize:
             EDDSA_FULL_STAGING_PAGES,
             eddsa_full_source,
         )
+        from pfo.exectree import PAD_ORIGIN
         from pfo.optimize import build_staged, opt_if_convert
 
         program, report = opt_if_convert(parse(eddsa_full_source()))
@@ -212,6 +213,10 @@ class TestEddsaFullSize:
         build = build_staged(program, 4096)
         assert len(build.plan.staging.pages()) == EDDSA_FULL_STAGING_PAGES
         assert build.plan.scheduled_copy_ops == 1026
+        # each expanded statement is lowered once, however many arms copy it
+        placed = [i for b in build.tree.blocks for i in b.instrs
+                  if i.origin != PAD_ORIGIN]
+        assert (len({id(i) for i in placed}), len(placed)) == (28206, 56287)
         r1 = build.run(secret={"k": 3})
         r2 = build.run(secret={"k": (1 << 511) | 1})
         assert r1.mux_accesses == r2.mux_accesses == EDDSA_FULL_MUX_ACCESSES

@@ -9,10 +9,37 @@ from pfo.exectree import (
     tree_to_dot,
     tree_to_json,
 )
-from pfo.ir import ExpansionBudgetError, PadI, expand_region
+from pfo.ir import ExpansionBudgetError, LoadI, PadI, expand_region
 from pfo.lang import ParseError, parse
 
 from test_lang import FOO_SOURCE
+
+
+# the code after nested secret branches, with temporaries and a table load,
+# is copied under all three paths; a secret `if` in it is copied with it,
+# and the last statement traps (division by zero) for s == 2
+SHARED_CONTINUATION = """
+secret int<3> s;
+public int p = 5;
+output int y;
+int t[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+fn main() {
+  #pragma begin_pf_sensitive
+  a = 1; b = 2; c = 3;
+  if (s & 1) {
+    a = s;
+    if (s & 2) { b = t[s]; } else { c = a + 1; }
+  } else {
+    b = s + 3;
+  }
+  for (i = 0; i < 2; i = i + 1) {
+    y = y + (a + b) * (c + t[(p + i) & 7]);
+  }
+  if (y & 4) { y = y + 1; }
+  y = y + 100 / (s - 2);
+  #pragma end_pf_sensitive
+}
+"""
 
 
 def budget(monkeypatch, n):
@@ -106,6 +133,24 @@ class TestBuild:
         expand_region(program)
         with pytest.raises(ExpansionBudgetError, match="execution tree exceeds 100"):
             build_execution_tree(program)
+
+    def test_copied_continuations_share_micro_ops(self):
+        tree = build_execution_tree(parse(SHARED_CONTINUATION))
+        # the loop's second trip and the test of `y & 4`, once per path
+        # through the nested branches, then its two arms under each
+        copies = [b for b in tree.blocks
+                  if b.branch is not None and b.children[0].is_leaf]
+        assert [b.id for b in copies] == [4, 8, 12]
+        assert any(isinstance(i, LoadI) for i in copies[0].instrs)
+        for blocks in (copies, [b.children[0] for b in copies],
+                       [b.children[1] for b in copies]):
+            first = blocks[0].instrs
+            for b in blocks[1:]:
+                assert len(b.instrs) == len(first)
+                assert all(x is y for x, y in zip(b.instrs, first)), b.id
+        assert copies[0].branch is copies[1].branch is copies[2].branch
+        placed = [i for b in tree.blocks for i in b.instrs]
+        assert len({id(i) for i in placed}) < len(placed)
 
     def test_array_used_as_scalar_rejected(self):
         with pytest.raises(ParseError, match="array 't' used without an index") as info:

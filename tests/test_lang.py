@@ -422,6 +422,18 @@ class TestPretty:
         once = pretty(program)
         assert pretty(parse(once)) == once
 
+    def test_nodes_without_a_position_share_nowhere(self):
+        # passes and the expander build nodes without a position: they all
+        # share one `Pos`, which takes no part in equality or printing
+        built = Assign(Var("x"), Binary("+", Var("x"), Num(1)))
+        assert built.pos is built.target.pos is built.value.right.pos is lang.NOWHERE
+        assert lang.NOWHERE == lang.Pos(0, 0)
+        program = parse(FOO_SOURCE)
+        assert program.function("main").pos is not lang.NOWHERE
+        program = lang.Program(program.decls, program.functions + (
+            lang.Function("g", (), (built,)),))
+        assert parse(pretty(program)) == program
+
     def test_roundtrip_loops_and_pragmas(self):
         src = """
         #pragma place data t 2 -16

@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pfo.interp import Footprint, FootprintTable, Sink, Summary
+from pfo.exectree import balance, build_execution_tree
+from pfo.interp import AstExecutable, Footprint, FootprintTable, Sink, Summary, TreeExecutable
+from pfo.lang import parse
+from pfo.layouts import build_ast_layout, build_tree_layout
 from pfo.memory import (
     AccessEvent,
     AdversaryModel,
@@ -13,6 +16,7 @@ from pfo.memory import (
     page_of,
     split_extents,
 )
+from pfo.optimize import build_defense
 
 CF = EventKind.CODE_FETCH
 DR = EventKind.DATA_READ
@@ -173,6 +177,56 @@ class TestLayoutValidation:
             MemoryLayout(page_size=48)
         with pytest.raises(LayoutError):
             MemoryLayout(page_size=8)
+
+
+def _pinned_u(place: str, body: str) -> str:
+    return (f"#pragma page_size 32\n#pragma place data u {place}\n"
+            "secret int<2> s;\noutput int y;\nint u[8];\n"
+            f"fn main() {{\n  #pragma begin_pf_sensitive\n{body}\n"
+            "  #pragma end_pf_sensitive\n}\n")
+
+
+def _code_pages(layout: MemoryLayout) -> set[int]:
+    return {e.page for extents in layout.code_map.values() for e in extents}
+
+
+class TestPinnedData:
+    """Unpinned code never lands on the bytes of a pinned array: a unit that
+    would overlap one starts on the page after it."""
+
+    # 13 instructions: 52 bytes from page 0 would reach bytes 0-19 of page 1
+    STRAIGHT = "y = s;\n" + "".join(f"y = y + {k};\n" for k in range(1, 7))
+    # one block per trip (16 bytes each): about 50 pages of code
+    LONG = ("y = s;\nfor (i = 0; i < 100; i = i + 1) { y = y + i; }\n"
+            "u[1] = y; y = y + u[1];")
+
+    def test_function_moves_past_pinned_data(self):
+        program = parse(_pinned_u("1 16", self.STRAIGHT))
+        assert len(program.lowered.functions["main"].instrs) == 13
+        layout = build_ast_layout(program.lowered, 32)
+        assert layout.data_map["u"] == split_extents(32, 1, 16, 32)
+        assert [e.page for e in layout.code_map["main"]] == [3, 4]
+        assert AstExecutable(program).run(secret={"s": 2}).outputs["y"] == 23
+
+    def test_tree_group_moves_past_pinned_data(self):
+        program = parse(_pinned_u("40 16", self.LONG))
+        tree = build_execution_tree(program)
+        layout = build_tree_layout(tree, 32)
+        assert layout.data_map["u"] == split_extents(32, 40, 16, 32)
+        pages = _code_pages(layout)
+        assert min(pages) == 42 and not pages & {40, 41}
+        exes = [AstExecutable(program), TreeExecutable(balance(tree)),
+                build_defense(program).executable()]
+        for s in range(4):
+            ys = [exe.run(secret={"s": s}).outputs["y"] for exe in exes]
+            assert ys == [2 * (s + 4950)] * 3, s
+
+    def test_code_beside_pinned_data_stays(self):
+        # main's 4 instructions fill bytes 0-15 of page 0, which `u` leaves free
+        program = parse(_pinned_u("0 16", "y = s + 1;\ny = y * 2;"))
+        layout = build_ast_layout(program.lowered, 32)
+        assert layout.code_map["main"] == split_extents(32, 0, 0, 16)
+        assert layout.data_map["u"] == split_extents(32, 0, 16, 32)
 
 
 class TestSerialization:

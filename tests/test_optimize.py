@@ -20,6 +20,8 @@ from pfo.optimize import (
     opt_readonly_elim,
 )
 
+from test_exectree import SHARED_CONTINUATION
+
 # Two 1 KB lookup tables, each straddling a page boundary 112 bytes before
 # its end (the 0x1C split): table_a covers pages 1-2, table_b pages 3-4.
 TWO_TABLE_TOY = """
@@ -538,6 +540,8 @@ AGREEMENT_CASES = {
                              "y = f(); y = f() + s;"),
     "callee_locals_loop": _region(_S + "\nfn f() { c = c + 1; return c; }",
                                   "y = s; for (i = 0; i < 3; i = i + 1) { y = y + f(); }"),
+    # every copy of the code after nested secret branches shares one lowering
+    "shared_continuation": SHARED_CONTINUATION,
 }
 
 
