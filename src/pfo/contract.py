@@ -259,12 +259,19 @@ def check_contract_indistinguishability(
     abort observables (reserved-page theft) must at least be independent
     of the secret.  Under naive termination the report names the first
     distinguishing steal point, in page, then step, then secret order.
-
-    A non-abort observable is its termination step, so each page is one
-    column of `termination_steps` per secret: the classes are the distinct
-    steps in the columns plus the honest run's, and a steal distinguishes
-    where a column departs from the first secret's.
     """
+    (report,) = sweep_policies(exe, contract, secrets, (policy,), pages, steps, public)
+    return report
+
+
+def sweep_policies(
+        exe, contract: Contract, secrets: Iterable[dict], policies: Sequence[str],
+        pages: Optional[Iterable[int]] = None,
+        steps: Optional[Iterable[int]] = None,
+        public=None) -> tuple[SweepReport, ...]:
+    """`check_contract_indistinguishability` under each of `policies`, from
+    one traced run per secret: a run's access schedule does not depend on
+    the handler policy."""
     secret_list = list(secrets)
     schedules = [access_schedule(exe, s, public) for s in secret_list]
     for sched in schedules:
@@ -273,7 +280,20 @@ def check_contract_indistinguishability(
 
     page_list = sorted(pages if pages is not None else contract.bucket)
     step_list = list(steps if steps is not None else range(contract.total_steps + 1))
+    return tuple(_sweep(contract, secret_list, schedules, policy, page_list, step_list)
+                 for policy in policies)
 
+
+def _sweep(contract: Contract, secret_list: list[dict],
+           schedules: list[AccessSchedule], policy: str,
+           page_list: list[int], step_list: list[int]) -> SweepReport:
+    """One policy's sweep over the secrets' schedules.
+
+    A non-abort observable is its termination step, so each page is one
+    column of `termination_steps` per secret: the classes are the distinct
+    steps in the columns plus the honest run's, and a steal distinguishes
+    where a column departs from the first secret's.
+    """
     strategies = 1 + len(page_list) * len(step_list)  # honest, then steals
     if not schedules:
         # no observables at all, so none of the aborts agree either

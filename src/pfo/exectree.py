@@ -13,6 +13,9 @@ unrolled loop iterations are chained as separate blocks.  Inlined call
 bodies merge into the enclosing block.  Replicated code gets blocks of its
 own under each arm, but its micro-ops are lowered once: every copy of an
 expanded statement holds the same `Instr` objects and temporaries.
+`balance` pads with one shared pad write and one shared no-op, so copies
+padded alike stay the same objects throughout, and a staged executable
+compiles such copies once (`transform.MultiplexedExecutable`).
 
 A tree indexes itself once, when it is made: one walk from the root fills
 its `blocks` and `levels` and every block's data references (`refs`), and
@@ -47,6 +50,10 @@ from .lang import Program, WORD_SIZE
 from .memory import PfoError
 
 PAD_ORIGIN = "__pad"
+# the one padding write and the one no-op `balance` fills with, so blocks
+# padded alike hold the same micro-op objects
+_PAD = PadI(PAD_ORIGIN)
+_NOP = NopI(PAD_ORIGIN)
 
 
 @dataclass(eq=False)
@@ -239,9 +246,11 @@ def balance(tree: ExecutionTree) -> ExecutionTree:
 
     Short paths get chains of padding blocks; every block is then padded to
     its level's maximum data-access count with dummy pad-object writes and
-    to the maximum instruction count with no-ops.  Padding instructions
-    keep the terminator (branch) last.  Already-balanced trees come back
-    unchanged, and `tree` itself never changes.
+    to the maximum instruction count with no-ops, each one object (`_PAD`,
+    `_NOP`) however often it is placed, so blocks that held the same
+    micro-ops and are padded alike still do.  Padding instructions keep the
+    terminator (branch) last.  Already-balanced trees come back unchanged,
+    and `tree` itself never changes.
     """
     if check_balanced(tree).balanced:
         return tree
@@ -275,10 +284,10 @@ def balance(tree: ExecutionTree) -> ExecutionTree:
     for blocks in levels:
         most = max(b.data_accesses for b in blocks)
         for b in blocks:
-            fill(b, PadI(PAD_ORIGIN), most - b.data_accesses)
+            fill(b, _PAD, most - b.data_accesses)
         most = max(len(b.instrs) for b in blocks)
         for b in blocks:
-            fill(b, NopI(PAD_ORIGIN), most - len(b.instrs))
+            fill(b, _NOP, most - len(b.instrs))
 
     new_tree = ExecutionTree(tree.program, copies[tree.root.id], tree.alloc)
     report = check_balanced(new_tree)

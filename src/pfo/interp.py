@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 from .exectree import Block, ExecutionTree
 from .ir import (
@@ -502,7 +502,7 @@ class _OpCompiler:
 
     def slot(self, op: Operand) -> int:
         """The register slot an operand reads (constants get their own)."""
-        if isinstance(op, Reg):
+        if op.__class__ is Reg:
             return op.slot
         value = self.canon(op.value)
         got = self._const_slots.get(value)
@@ -558,7 +558,16 @@ class _OpCompiler:
         fp = self._code_footprints.get(code_page)
         if fp is None:
             fp = self._code_footprints[code_page] = self.footprint(code_page)
-        if isinstance(instr, BinI):
+        # exact classes, the commonest first: moves are about half of a
+        # large program's micro-ops
+        cls = instr.__class__
+        if cls is MovI:
+            a, dst = slot(instr.a), instr.dst
+            def run(st: State, a=a, dst=dst):
+                regs = st.regs
+                regs[dst] = regs[a]
+            return run, fp
+        if cls is BinI:
             fn = self.binops[instr.op]
             a, b, dst = slot(instr.a), slot(instr.b), instr.dst
             if instr.op in ("/", "%"):
@@ -573,45 +582,39 @@ class _OpCompiler:
                 regs = st.regs
                 regs[dst] = fn(regs[a], regs[b])
             return run, fp
-        if isinstance(instr, MovI):
-            a, dst = slot(instr.a), instr.dst
-            def run(st: State, a=a, dst=dst):
-                regs = st.regs
-                regs[dst] = regs[a]
-            return run, fp
-        if isinstance(instr, (LoadI, StoreI)):
+        if cls is LoadI or cls is StoreI:
             return self._compile_access(instr, code_page)
-        if isinstance(instr, UnI):
+        if cls is UnI:
             fn = self.unops[instr.op]
             a, dst = slot(instr.a), instr.dst
             def run(st: State, fn=fn, a=a, dst=dst):
                 regs = st.regs
                 regs[dst] = fn(regs[a])
             return run, fp
-        if isinstance(instr, SelI):
+        if cls is SelI:
             c, a, b, dst = slot(instr.cond), slot(instr.a), slot(instr.b), instr.dst
             def run(st: State, c=c, a=a, b=b, dst=dst):
                 regs = st.regs
                 regs[dst] = regs[a] if regs[c] else regs[b]
             return run, fp
-        if isinstance(instr, BranchI):
+        if cls is BranchI:
             c = slot(instr.cond)
             def run(st: State, c=c):
                 st.branch = 1 if st.regs[c] else 0
             return run, fp
-        if isinstance(instr, PadI):
+        if cls is PadI:
             # the pad object is one word on one page: its access is static
             oi = self._obj_index(PAD_OBJECT)
             def run(st: State, oi=oi):
                 st.arrays[oi][0] = 0
             return run, self._data_footprint(PAD_OBJECT, code_page, _KIND_W)[0]
-        if isinstance(instr, OverrunI):
+        if cls is OverrunI:
             def run(st: State, detail=f"exceeded bound {instr.bound}"):
                 raise SimTrap("loop-bound", detail)
             return run, fp
-        if isinstance(instr, NopI):
+        if cls is NopI:
             return _no_op, fp
-        if isinstance(instr, RetI):
+        if cls is RetI:
             ret = self.compile_return(instr, code_page)
             def run(st: State, ret=ret):
                 raise _EarlyReturn(ret(st))
@@ -1029,7 +1032,8 @@ class TreeExecutable:
 
     Each block compiles to one flat tuple of `(closure, charge)` ops, its
     instructions at their own code pages; `transform.MultiplexedExecutable`
-    builds the same tuples with the staging schedule compiled in.  A block
+    builds the same tuples with the staging schedule compiled in, and
+    compiles blocks that would get equal tuples once (`_link`).  A block
     is cut into segments at the ops that account for themselves, and each
     run of charged ops is summarised once (`Summary`): a run calls a
     segment's closures, which compute values only, then accounts its
@@ -1046,11 +1050,28 @@ class TreeExecutable:
 
     def _link(self, tree: ExecutionTree, layout: MemoryLayout,
               objects: ObjectTable, compiler: _OpCompiler,
-              block_ops: Callable[[Block], list[tuple]]) -> None:
+              block_ops: Callable[[Block], list[tuple]],
+              block_key: Optional[Callable[[Block], Hashable]] = None) -> None:
         """Make runs walk `tree`, running the `(closure, charge)` ops that
-        `block_ops` compiles for each block."""
+        `block_ops` compiles for each block.
+
+        Blocks with equal `block_key`s share one segment tuple, compiled
+        once from the first of them, so a key must fix everything
+        `block_ops` reads of a block; without a key every block is compiled
+        on its own.  Sharing is between blocks only: within a block each
+        placement of a micro-op is compiled on its own, so the op a trap
+        unwinds from appears once in its segment (`_run`).  Only the cut
+        segments are kept, not the op lists they were cut from.
+        """
         summaries: dict[tuple, Summary] = {}
-        segments = {b.id: _segments(block_ops(b), summaries) for b in tree.blocks}
+        # every key before the first compile, so no key is allocated among
+        # the closures
+        keys = {b.id: b.id if block_key is None else block_key(b) for b in tree.blocks}
+        compiled: dict[Hashable, tuple] = {}
+        for b in tree.blocks:
+            key = keys[b.id]
+            if key not in compiled:
+                compiled[key] = _segments(block_ops(b), summaries)
         self.tree = tree
         self.program = tree.program
         self.layout = layout
@@ -1073,7 +1094,7 @@ class TreeExecutable:
                 first = nodes[b.children[0].id]
                 kids = (first, first) if b.branch is None \
                     else (nodes[b.children[1].id], first)
-            nodes[b.id] = (segments[b.id], kids)
+            nodes[b.id] = (compiled[keys[b.id]], kids)
         self._root = nodes[tree.root.id]
 
     def run(self, secret: dict[str, int] | None = None,

@@ -15,8 +15,8 @@ from typing import Optional
 from .contract import (
     FAKE_EXECUTE,
     NAIVE_TERMINATE,
-    check_contract_indistinguishability,
     derive_contract,
+    sweep_policies,
 )
 from .corpus import (
     TABLE_ENTRIES,
@@ -277,11 +277,8 @@ def contracts_suite(seed: int = 0, secrets_per_case: int = 64) -> SuiteResult:
         secrets = list(SecretDomain.of(exe.program).sample(secrets_per_case, seed))
         stride = max(contract.total_steps // STEAL_STEPS, 1)
         steps = range(0, contract.total_steps + 1, stride)
-        fake = check_contract_indistinguishability(
-            exe, contract, secrets, FAKE_EXECUTE, steps=steps,
-        )
-        naive = check_contract_indistinguishability(
-            exe, contract, secrets, NAIVE_TERMINATE, steps=steps,
+        fake, naive = sweep_policies(
+            exe, contract, secrets, (FAKE_EXECUTE, NAIVE_TERMINATE), steps=steps,
         )
         row = {
             "case": name,

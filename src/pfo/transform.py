@@ -361,8 +361,13 @@ class MultiplexedExecutable(TreeExecutable):
     update; and for a leaf the last copy-back.  Every op's pages are fixed,
     so a block is one segment that a run accounts once, from its `Summary`.
     Blocks with the same copies and charge share one copy op, and blocks on
-    one code page one selector op.  An execute-phase access that would
-    leave the staging pages is an internal error, which keeps levels atomic.
+    one code page one selector op.  With the code staged, blocks on one
+    level that hold the same micro-op objects (copies of one continuation,
+    padded alike) and agree on being a leaf share one compiled segment
+    tuple (`TreeExecutable._link`); under O4 each block runs from its own
+    code pages and is compiled on its own.  An execute-phase access that
+    would leave the staging pages is an internal error, which keeps levels
+    atomic.
     """
 
     def __init__(self, tree: ExecutionTree, source_layout: MemoryLayout,
@@ -443,4 +448,11 @@ class MultiplexedExecutable(TreeExecutable):
                     group.copy_back + plan.final_copy_back, cp, 0)))
             return ops
 
-        self._link(tree, source_layout, objects, compiler, block_ops)
+        def staged_key(b: Block) -> tuple:
+            # fixes everything `block_ops` reads when the code is staged: the
+            # level gives `group` and `prev`, the micro-ops `mux`, and every
+            # block runs from the one staging page
+            return (b.level, b.is_leaf, *map(id, b.instrs))
+
+        self._link(tree, source_layout, objects, compiler, block_ops,
+                   staged_key if code_staged else None)

@@ -16,6 +16,7 @@ from pfo.contract import (
     derive_contract,
     observable_for,
     run_contractual,
+    sweep_policies,
 )
 from pfo.corpus import make_table_cases, powm_balanced_source
 from pfo.interp import AstExecutable, Footprint, SimulationResult
@@ -277,6 +278,19 @@ class TestIntegerSweep:
             assert report.observable_classes == 5  # ends 0..4
         else:
             assert report.distinguishing is None
+
+    def test_both_policies_from_one_run_per_secret(self):
+        exe = ScriptedExe(scripted_runs())
+        traced = []
+        run = exe.run
+        exe.run = lambda secret=None, **kw: traced.append(secret) or run(secret, **kw)
+        contract = Contract(frozenset({0}), frozenset({1}), 2, 4)
+        secrets = [{"s": 0}, {"s": 1}, {"s": 2}]
+        policies = (FAKE_EXECUTE, NAIVE_TERMINATE)
+        reports = sweep_policies(exe, contract, secrets, policies)
+        assert traced == secrets
+        assert reports == tuple(brute_force_sweep(exe, contract, secrets, policy)
+                                for policy in policies)
 
     def test_schedule_from_scripted_footprints(self):
         exe = ScriptedExe(scripted_runs())

@@ -199,7 +199,7 @@ class TestEddsaFullSize:
         for key, value in EDDSA_FULL_ANALYSIS.items():
             assert summary[key] == value, (key, summary)
 
-    def test_staged_build_mux_accesses_and_pages(self):
+    def test_staged_build_mux_accesses_and_pages(self, monkeypatch):
         from pfo.corpus import (
             EDDSA_FULL_MUX_ACCESSES,
             EDDSA_FULL_STAGING_PAGES,
@@ -207,6 +207,7 @@ class TestEddsaFullSize:
         )
         from pfo.exectree import PAD_ORIGIN
         from pfo.optimize import build_staged, opt_if_convert
+        from test_transform import count_compiles, segments_by_block
 
         program, report = opt_if_convert(parse(eddsa_full_source()))
         assert report.converted == 1
@@ -217,6 +218,12 @@ class TestEddsaFullSize:
         placed = [i for b in build.tree.blocks for i in b.instrs
                   if i.origin != PAD_ORIGIN]
         assert (len({id(i) for i in placed}), len(placed)) == (28206, 56287)
+        # blocks holding the same micro-ops on one level compile once
+        calls = count_compiles(monkeypatch)
+        exe = build.executable()
+        assert len(calls) == 28216
+        segments = segments_by_block(exe)
+        assert (len(set(map(id, segments.values()))), len(segments)) == (845, 1674)
         r1 = build.run(secret={"k": 3})
         r2 = build.run(secret={"k": (1 << 511) | 1})
         assert r1.mux_accesses == r2.mux_accesses == EDDSA_FULL_MUX_ACCESSES

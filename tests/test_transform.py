@@ -3,16 +3,18 @@ import itertools
 import pytest
 
 from pfo.exectree import balance, build_execution_tree
-from pfo.interp import AstExecutable
+from pfo.interp import AstExecutable, TrapInfo, _OpCompiler
 from pfo.lang import parse
 from pfo.layouts import build_tree_layout
-from pfo.optimize import build_defense
+from pfo.optimize import build_defense, build_staged
 from pfo.transform import (
+    MultiplexedExecutable,
     PlanError,
     plan_layout,
     select_mode,
 )
 
+from test_exectree import SHARED_CONTINUATION
 from test_lang import FOO_SOURCE
 
 # 8-entry table split 4 entries / 4 entries across pages 1 and 2.
@@ -397,3 +399,80 @@ def test_trap_inside_multiplexed_block(s, trap, counts, faults, store):
             result.mux_accesses) == counts
     assert result.faults == faults
     assert result.store["t"] == store
+
+
+def count_compiles(monkeypatch) -> list:
+    """A list that gains one entry per `_OpCompiler.compile` call from now on."""
+    calls = []
+    compile_op = _OpCompiler.compile
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return compile_op(self, *args)
+    monkeypatch.setattr(_OpCompiler, "compile", counting)
+    return calls
+
+
+def segments_by_block(exe) -> dict:
+    """Each block's compiled segment tuple, by block id, read off the nodes
+    a run walks (a branching node's successors are (else, then))."""
+    got = {}
+    stack = [(exe.tree.root, exe._root)]
+    while stack:
+        b, (segments, kids) = stack.pop()
+        got[b.id] = segments
+        if kids is not None:
+            stack.extend(zip(b.children[::-1] if b.branch is not None else b.children,
+                             kids))
+    return got
+
+
+def shared_groups(exe) -> list:
+    """The ids of the blocks that share a segment tuple, group by group."""
+    groups: dict[int, list] = {}
+    for bid, segments in sorted(segments_by_block(exe).items()):
+        groups.setdefault(id(segments), []).append(bid)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+# the division traps for s == 3 on the nested then-then path, in a leaf
+# whose segments it shares with the copy under the other inner arm
+TRAP_IN_COPY = SHARED_CONTINUATION.replace("(s - 2)", "(s - 3)")
+
+
+@pytest.mark.parametrize("source, s, step, profile", [
+    # the else path: it traps before reaching the shared pad leaf
+    (SHARED_CONTINUATION, 2, 182,
+     [4, 1, 5, 1, 2, 5, 5, 5, 1, 2, 5, 5, 5, 5, 1, 2, 5]),
+    (TRAP_IN_COPY, 3, 233,
+     [4, 1, 5, 1, 2, 5, 5, 5, 1, 2, 5, 5, 5, 1, 2, 5, 5, 5, 1, 0]),
+], ids=["else-path", "shared-leaf"])
+def test_copies_of_a_continuation_share_compiled_segments(
+        monkeypatch, source, s, step, profile):
+    build = build_staged(parse(source))
+    calls = count_compiles(monkeypatch)
+    exe = MultiplexedExecutable(build.tree, build.source_layout, build.plan)
+    # the loop's second trip and the test of `y & 4` (level 4) and its two
+    # arms (level 5) are copied under both inner arms; the two pad leaves
+    # are padded alike
+    assert shared_groups(exe) == [[4, 8], [5, 9], [6, 10], [15, 16]]
+    assert len(set(map(id, segments_by_block(exe).values()))) == 12
+    # blocks 8, 9, 10 and 16 (30 micro-ops) compile nothing of their own
+    placed = sum(len(b.instrs) for b in build.tree.blocks)
+    assert (len(calls), placed) == (127, 157)
+    # the trap's step and profile are those of the build without sharing
+    result = exe.run(secret={"s": s})
+    assert result.trap == TrapInfo("div-zero", step)
+    assert (result.steps, result.profile) == (step, profile)
+
+
+def test_in_place_code_shares_nothing(monkeypatch):
+    # under O4 each block runs from its own code pages, so every placement
+    # compiles to its own closure
+    build = build_staged(parse(SHARED_CONTINUATION))
+    plan = plan_layout(build.tree, build.source_layout, stage_code=False)
+    calls = count_compiles(monkeypatch)
+    exe = MultiplexedExecutable(build.tree, build.source_layout, plan, code_staged=False)
+    assert len(calls) == sum(len(b.instrs) for b in build.tree.blocks) == 157
+    assert shared_groups(exe) == []
+    assert exe.run(secret={"s": 2}).trap.kind == "div-zero"
