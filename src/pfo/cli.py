@@ -3,12 +3,13 @@
 Subcommands: parse, analyze, transform, simulate, verify, leak, attack,
 contract, corpus.  Exit codes: 0 ok, 1 assertion failure, 2 usage error,
 3 internal error.  A command accepts --page-size, --seed and --out only
-where they take effect, and rejects a --sample below 1.  All sampled work
-is driven by --seed, and reports are emitted with stable ordering, so
-identical invocations produce identical bytes.  `transform` and every
-`--transformed` run build their defense through `optimize.build_defense`,
-the single entry point that composes passes; the multiplexing mode it
-plans with follows from whether each level's blocks fit one page.
+where they take effect, and rejects a --sample below 1.  Only verify,
+leak, contract and corpus sample, each driven by --seed, and reports are
+emitted with stable ordering, so identical invocations produce identical
+bytes.  `transform` and every `--transformed` run build their defense
+through `optimize.build_defense`, the single entry point that composes
+passes; the multiplexing mode it plans with follows from whether each
+level's blocks fit one page.
 """
 
 from __future__ import annotations
@@ -121,9 +122,7 @@ def cmd_transform(args) -> int:
     program = _read_program(args.program)
     opts = _parse_opts(args.opt)
     build = build_defense(
-        program, ALL_PASSES if opts == ["all"] else opts,
-        args.page_size, args.seed,
-    )
+        program, ALL_PASSES if opts == ["all"] else opts, args.page_size)
     out_path = Path(args.output)
     out_path.write_text(pretty(build.program))
     plan_doc = build.plan.to_json_dict()
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     # no abbreviations, so `--out` is rejected, not read as `--output`
-    p = sub.add_parser("transform", parents=flags("--page-size", "--seed"),
+    p = sub.add_parser("transform", parents=flags("--page-size"),
                        allow_abbrev=False)
     p.add_argument("program")
     p.add_argument("-o", "--output", required=True)

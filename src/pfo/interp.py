@@ -1061,7 +1061,7 @@ class TreeExecutable:
         on its own.  Sharing is between blocks only: within a block each
         placement of a micro-op is compiled on its own, so the op a trap
         unwinds from appears once in its segment (`_run`).  Only the cut
-        segments are kept, not the op lists they were cut from.
+        segments are kept (`segments`, by block id), not the op lists.
         """
         summaries: dict[tuple, Summary] = {}
         # every key before the first compile, so no key is allocated among
@@ -1072,6 +1072,7 @@ class TreeExecutable:
             key = keys[b.id]
             if key not in compiled:
                 compiled[key] = _segments(block_ops(b), summaries)
+        self.segments = {bid: compiled[key] for bid, key in keys.items()}
         self.tree = tree
         self.program = tree.program
         self.layout = layout
@@ -1094,7 +1095,7 @@ class TreeExecutable:
                 first = nodes[b.children[0].id]
                 kids = (first, first) if b.branch is None \
                     else (nodes[b.children[1].id], first)
-            nodes[b.id] = (compiled[keys[b.id]], kids)
+            nodes[b.id] = (self.segments[b.id], kids)
         self._root = nodes[tree.root.id]
 
     def run(self, secret: dict[str, int] | None = None,

@@ -11,10 +11,10 @@ Each pass preserves program outputs and the single-profile-class property
   share one fetch, so interior transitions stop multiplexing.
 * O3B cloning: a callee shared by callers on different pages is copied
   next to each caller, so neither call crosses a page.
-* O4 multiplexing elimination: code stays in place; functions are grouped
-  onto pages so every level transition faults identically, removing the
-  code fetch/execute machinery altogether.  Its gate is `leakage.verify_pfo`
-  over the domain's extreme secrets and seeded samples.
+* O4 multiplexing elimination: code stays in place, removing the code
+  fetch/execute machinery, when every level transition faults alike:
+  decided statically on a staged build (`MultiplexedExecutable.level_witness`),
+  probed with `leakage.verify_pfo` (seed 0) per in-place page grouping.
 * O5 if-conversion: secret-conditioned branches become data selection
   through a two-slot table, removing control dependence on the secret.
 
@@ -101,9 +101,7 @@ class DefenseBuild:
                 self._exe = AstExecutable(self.program, self.source_layout)
             else:
                 self._exe = MultiplexedExecutable(
-                    self.tree, self.source_layout, self.plan,
-                    code_staged="O4" not in self.applied,
-                )
+                    self.tree, self.source_layout, self.plan)
         return self._exe
 
     def run(self, secret=None, public=None, model=None, collect_trace=False):
@@ -458,10 +456,9 @@ class MuxElimReport:
     reason: str = ""
 
 
-# O4's probes: seeded samples per probed in-place grouping (seed 0) and
-# per probed staged build, and the most groupings tried
+# in-place O4's probes: samples per probed grouping (seed 0), and the most
+# groupings tried
 MUX_ELIM_PROBES = 64
-STAGED_MUX_ELIM_PROBES = 32
 MAX_GROUPINGS = 10_000
 
 
@@ -472,8 +469,8 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None
     Functions that are alternative targets under a conditional must share
     a page (then either both fault or neither does); groups are packed
     greedily and each candidate layout is kept only if `verify_pfo` finds
-    one profile class over the extreme secrets and seeded samples.  On
-    failure the plan is left unchanged.
+    one profile class over the extreme secrets and samples drawn with seed
+    0.  On failure the plan is left unchanged.
     """
     ps = program.resolve_page_size(page_size)
     lengths = program.lowered.code_lengths()
@@ -534,7 +531,7 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None
             program.page_size_hint,
         )
         build = replace(build_inplace(candidate, ps), applied=("O4",))
-        if _probe_uniform(build, MUX_ELIM_PROBES, 0):
+        if _probe_uniform(build):
             report = MuxElimReport(
                 True, tuple(tuple(g) for g in placement_groups), states
             )
@@ -562,22 +559,23 @@ def _packings(group_list, lengths, page_size):
             yield merged
 
 
-def _probe_uniform(build: DefenseBuild, n: int, seed: int) -> bool:
-    """Whether the extreme secrets and `n` seeded samples share one profile."""
+def _probe_uniform(build: DefenseBuild) -> bool:
+    """Whether the extreme secrets and the seed-0 samples share one profile."""
     domain = SecretDomain.of(build.program)
     exe = build.executable()
-    probes = domain.extremes() + list(domain.sample(n, seed))
+    probes = domain.extremes() + list(domain.sample(MUX_ELIM_PROBES, 0))
     return verify_pfo(lambda s: exe.run(secret=s).profile, probes).oblivious
 
 
-def opt_mux_elim_staged(build: DefenseBuild, seed: int = 0) -> DefenseBuild:
-    """O4 on a staged build: drop code staging when the natural block
-    layout already determinizes the profile (probed empirically)."""
+def opt_mux_elim_staged(build: DefenseBuild) -> DefenseBuild:
+    """O4 on a staged build: drop code staging when, with every block at its
+    own code pages, each level's blocks fault alike (`level_witness`)."""
     candidate = _replan(build, applied=build.applied + ("O4",))
-    if _probe_uniform(candidate, STAGED_MUX_ELIM_PROBES, seed):
+    witness = candidate.executable().level_witness()
+    if witness is None:
         return candidate
-    return replace(build, notes=build.notes + ("O4 declined: grouping leaks",),
-                   _exe=None)
+    note = "O4 declined: level {}, BB{} and BB{} fault differently".format(*witness)
+    return replace(build, notes=build.notes + (note,), _exe=None)
 
 
 def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
@@ -604,13 +602,13 @@ def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
 ALL_PASSES = ("O5", "O3B", "O3A", "O4", "O1", "O2")
 
 
-def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
-                  seed: int = 0) -> DefenseBuild:
+def build_defense(program: Program, passes=(), page_size: Optional[int] = None
+                  ) -> DefenseBuild:
     """The defense pipeline: multiplexing plus the named passes.
 
     O5 and O3B rewrite the AST (and placements) before the tree exists, so
-    they run first; the staged build then takes O3A, O4 (probed with
-    `seed`), O1 and O2, in that order.
+    they run first; the staged build then takes O3A, O4 (decided from its
+    compiled blocks, without sampling), O1 and O2, in that order.
     """
     unknown = [p for p in passes if p not in ALL_PASSES]
     if unknown:
@@ -625,7 +623,7 @@ def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
     if "O3A" in passes:
         build = opt_level_merge(build)
     if "O4" in passes:
-        build = opt_mux_elim_staged(build, seed=seed)
+        build = opt_mux_elim_staged(build)
     if "O1" in passes:
         build = opt_readonly_elim(build)
     if "O2" in passes:

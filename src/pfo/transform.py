@@ -357,25 +357,27 @@ class MultiplexedExecutable(TreeExecutable):
     level (the level before's copy-back, then this level's fetch, unless
     one merged group covers both) with the block's multiplexing charge,
     its `data_accesses`; its instructions, at the code staging page (their
-    own pages under O4), against the data staging slots only; the selector
-    update; and for a leaf the last copy-back.  Every op's pages are fixed,
-    so a block is one segment that a run accounts once, from its `Summary`.
+    own pages when the plan fetches no code, as under O4), against the data
+    staging slots only; the selector update; and for a leaf the last
+    copy-back.  Every op's pages are fixed, so a block is one segment that
+    a run accounts once, from its `Summary` (which `level_witness` reads).
     Blocks with the same copies and charge share one copy op, and blocks on
     one code page one selector op.  With the code staged, blocks on one
     level that hold the same micro-op objects (copies of one continuation,
     padded alike) and agree on being a leaf share one compiled segment
-    tuple (`TreeExecutable._link`); under O4 each block runs from its own
+    tuple (`TreeExecutable._link`); unstaged, each block runs from its own
     code pages and is compiled on its own.  An execute-phase access that
     would leave the staging pages is an internal error, which keeps levels
     atomic.
     """
 
     def __init__(self, tree: ExecutionTree, source_layout: MemoryLayout,
-                 plan: TransformPlan, code_staged: bool = True):
+                 plan: TransformPlan):
         self.source_layout = source_layout
         self.plan = plan
         program = tree.program
         slots = plan.staging.slots
+        code_staged = any(c.kind == "code" for lp in plan.levels for c in lp.fetch)
         # every slot, the pad and the selector included, is a shadow array
         objects = ObjectTable(program, source_layout, extra_objects={
             f"__sa/{obj}": slot.words for obj, slot in slots.items()
@@ -456,3 +458,28 @@ class MultiplexedExecutable(TreeExecutable):
 
         self._link(tree, source_layout, objects, compiler, block_ops,
                    staged_key if code_staged else None)
+
+    def level_witness(self) -> tuple[int, int, int] | None:
+        """`None` when every level's blocks fault alike, else `(level, first
+        block id, differing block id)` for the first level where two do not:
+        each block's one summarised segment, accounted from the level's entry
+        set (empty, then the level before's common exit set), must end with
+        the same faults and resident set.  By induction over the levels,
+        `None` proves one profile for every run that does not trap; a witness
+        may name a block no secret reaches.  O4 does not move traps: a run
+        traps at the same op on the same path staged or not (its step
+        shifted by the code copies, alike on every path).
+        """
+        entry: frozenset = frozenset()
+        for blocks in self.tree.levels:
+            ends = set()
+            for b in blocks:
+                ((_, summary),) = self.segments[b.id]
+                sink = Sink(pigeonhole=True, collect=False)
+                sink.resident = entry
+                sink.account(summary)
+                ends.add((tuple(sink.faults), sink.resident))
+                if len(ends) > 1:
+                    return (b.level, blocks[0].id, b.id)
+            ((_, entry),) = ends
+        return None

@@ -216,25 +216,6 @@ class TestTransformVerify:
                         if c["kind"] == "code"]
             assert code_fetches(plain) and not code_fetches(opted)
 
-    def test_transform_seed_reaches_o4_probe(self, tmp_path, capsys, monkeypatch):
-        from pfo import optimize
-
-        seeds = []
-        probe = optimize._probe_uniform
-
-        def recording_probe(build, n, seed):
-            seeds.append(seed)
-            return probe(build, n, seed)
-
-        monkeypatch.setattr(optimize, "_probe_uniform", recording_probe)
-        code, _, _ = run_cli(
-            ["transform", str(CORPUS / "aes.pfo"), "-o", str(tmp_path / "o.pfo"),
-             "--opt", "O4", "--seed", "5"],
-            capsys,
-        )
-        assert code == 0
-        assert seeds == [5]
-
     def test_tree_mode_rejects_code_outside_region(self, tmp_path, capsys):
         path = tmp_path / "outside.pfo"
         path.write_text(
@@ -399,6 +380,7 @@ FOO = str(CORPUS / "foo.pfo")
     (["analyze", FOO, "--seed", "3"], "--seed"),
     (["transform", FOO, "-o", "{tmp}/foo.pfo", "--out", "{tmp}/report"], "--out"),
     (["transform", FOO, "-o", "{tmp}/foo.pfo", "--mux", "basic"], "--mux"),
+    (["transform", FOO, "-o", "{tmp}/foo.pfo", "--opt", "O4", "--seed", "5"], "--seed"),
     (["simulate", "--program", FOO, "--secret", "x=1", "--secret", "y=2",
       "--seed", "9"], "--seed"),
     (["attack", "--oracle", "table", "--program", FOO, "--secret", "x=1",

@@ -207,7 +207,7 @@ class TestEddsaFullSize:
         )
         from pfo.exectree import PAD_ORIGIN
         from pfo.optimize import build_staged, opt_if_convert
-        from test_transform import count_compiles, segments_by_block
+        from test_transform import count_compiles
 
         program, report = opt_if_convert(parse(eddsa_full_source()))
         assert report.converted == 1
@@ -222,8 +222,8 @@ class TestEddsaFullSize:
         calls = count_compiles(monkeypatch)
         exe = build.executable()
         assert len(calls) == 28216
-        segments = segments_by_block(exe)
-        assert (len(set(map(id, segments.values()))), len(segments)) == (845, 1674)
+        assert (len(set(map(id, exe.segments.values()))), len(exe.segments)) == \
+            (845, 1674)
         r1 = build.run(secret={"k": 3})
         r2 = build.run(secret={"k": (1 << 511) | 1})
         assert r1.mux_accesses == r2.mux_accesses == EDDSA_FULL_MUX_ACCESSES

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,16 @@ from pfo.optimize import (
     opt_page_realign,
     opt_readonly_elim,
 )
+from pfo.transform import plan_layout
 
-from test_exectree import SHARED_CONTINUATION
+from test_exectree import ACCESS_SKEW, SHARED_CONTINUATION
+from test_interp import (
+    OOB_AT_SECOND_SITE, TRAP_AFTER_TAIL_RETURN, UNALIGNED_CODE, VALUELESS_CALL,
+    WRITE_BACK,
+)
+from test_transform import (
+    DATA_PLACEMENT, LOOKUP_64, THREE_WAY, TRAP_IN_COPY, TRAPPING_ARM, UNEVEN_ARMS,
+)
 
 # Two 1 KB lookup tables, each straddling a page boundary 112 bytes before
 # its end (the 0x1C split): table_a covers pages 1-2, table_b pages 3-4.
@@ -502,7 +511,7 @@ def test_unwidthed_secret_probed_at_64_bit_extreme():
             return SimpleNamespace(profile=[])
 
     build = SimpleNamespace(program=program, executable=Recorder)
-    assert _probe_uniform(build, 8, seed=0)
+    assert _probe_uniform(build)
     assert SecretDomain.of(program).widths == (64,)
     assert probed[:2] == [0, (1 << 64) - 1]
     assert all(0 <= v < 1 << 64 for v in probed)
@@ -588,3 +597,49 @@ def test_readonly_table_fetched_on_first_level_only():
     fetched = [lv.level for lv in build.plan.levels
                if any(c.kind == "data" and c.unit == "t" for c in lv.fetch)]
     assert fetched == [1]
+
+
+# every fixture whose secret domain has at most 64 secrets and whose staged
+# build plans
+WITNESS_CASES = {
+    "data_placement": DATA_PLACEMENT, "lookup_64": LOOKUP_64, "three_way": THREE_WAY,
+    "trap_in_copy": TRAP_IN_COPY, "trapping_arm": TRAPPING_ARM,
+    "uneven_arms": UNEVEN_ARMS, "oob_at_second_site": OOB_AT_SECOND_SITE,
+    "trap_after_tail_return": TRAP_AFTER_TAIL_RETURN,
+    "unaligned_code": UNALIGNED_CODE, "valueless_call": VALUELESS_CALL,
+    "write_back": WRITE_BACK, "access_skew": ACCESS_SKEW, "chain": CHAIN_SOURCE,
+    "shared_callee": SHARED_CALLEE, **AGREEMENT_CASES,
+}
+
+
+@pytest.mark.parametrize("source", WITNESS_CASES.values(), ids=WITNESS_CASES.keys())
+def test_level_witness_is_exact(source):
+    # under each plan, and for O4's candidate (every block at its own code
+    # pages), no witness exactly when the runs that do not trap share one
+    # profile; a witness alone proves no leak in general (it may name a block
+    # no secret reaches), but does on these builds
+    program = parse(source)
+    builds = {passes: build_defense(program, passes)
+              for passes in ((), ("O5",), ALL_PASSES)}
+    plain = builds[()]
+    builds["unstaged"] = replace(plain, _exe=None, plan=plan_layout(
+        plain.tree, plain.source_layout, stage_code=False))
+    for plan, build in builds.items():
+        witness = build.executable().level_witness()
+        runs = [build.run(secret=s)
+                for s in SecretDomain.of(build.program).exhaustive()]
+        profiles = {tuple(r.profile) for r in runs if r.trap is None}
+        assert (witness is None) == (len(profiles) <= 1), (plan, witness)
+
+
+def test_corpus_o4_decisions():
+    # under every pass, staged O4 keeps every corpus program's code in place
+    # but foo's; powm_sw's plain tree exceeds the expansion budget
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    applied = {path.stem: "O4" in build_defense(parse(path.read_text()), ALL_PASSES).applied
+               for path in sorted(corpus.glob("*.pfo")) if path.stem != "powm_sw"}
+    assert applied == {
+        "aes": True, "cast_gcrypt": True, "cast_openssl": True, "eddsa": True,
+        "foo": False, "powm": True, "seed_gcrypt": True, "seed_openssl": True,
+        "stribog": True, "tiger": True, "whirlpool": True,
+    }

@@ -6,7 +6,8 @@ from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, _OpCompiler
 from pfo.lang import parse
 from pfo.layouts import build_tree_layout
-from pfo.optimize import build_defense, build_staged
+from pfo.optimize import ALL_PASSES, build_defense, build_staged
+from pfo.suites import case_source
 from pfo.transform import (
     MultiplexedExecutable,
     PlanError,
@@ -201,7 +202,7 @@ class TestMultiplexedExecution:
     @pytest.mark.parametrize("passes", [("O4",), ("O4", "O1")])
     @pytest.mark.parametrize("source, o4, notes, code_copies", [
         (LOOKUP_64, True, (), 0),
-        (THREE_WAY, False, ("O4 declined: grouping leaks",), 8),
+        (THREE_WAY, False, ("O4 declined: level 2, BB2 and BB3 fault differently",), 8),
     ], ids=["lookup", "three-way"])
     def test_o4_staging_follows_applied(self, passes, source, o4, notes, code_copies):
         # O4 unstages the code only when it is applied, and a later re-plan
@@ -413,24 +414,10 @@ def count_compiles(monkeypatch) -> list:
     return calls
 
 
-def segments_by_block(exe) -> dict:
-    """Each block's compiled segment tuple, by block id, read off the nodes
-    a run walks (a branching node's successors are (else, then))."""
-    got = {}
-    stack = [(exe.tree.root, exe._root)]
-    while stack:
-        b, (segments, kids) = stack.pop()
-        got[b.id] = segments
-        if kids is not None:
-            stack.extend(zip(b.children[::-1] if b.branch is not None else b.children,
-                             kids))
-    return got
-
-
 def shared_groups(exe) -> list:
     """The ids of the blocks that share a segment tuple, group by group."""
     groups: dict[int, list] = {}
-    for bid, segments in sorted(segments_by_block(exe).items()):
+    for bid, segments in sorted(exe.segments.items()):
         groups.setdefault(id(segments), []).append(bid)
     return [g for g in groups.values() if len(g) > 1]
 
@@ -456,7 +443,7 @@ def test_copies_of_a_continuation_share_compiled_segments(
     # arms (level 5) are copied under both inner arms; the two pad leaves
     # are padded alike
     assert shared_groups(exe) == [[4, 8], [5, 9], [6, 10], [15, 16]]
-    assert len(set(map(id, segments_by_block(exe).values()))) == 12
+    assert len(set(map(id, exe.segments.values()))) == 12
     # blocks 8, 9, 10 and 16 (30 micro-ops) compile nothing of their own
     placed = sum(len(b.instrs) for b in build.tree.blocks)
     assert (len(calls), placed) == (127, 157)
@@ -472,7 +459,46 @@ def test_in_place_code_shares_nothing(monkeypatch):
     build = build_staged(parse(SHARED_CONTINUATION))
     plan = plan_layout(build.tree, build.source_layout, stage_code=False)
     calls = count_compiles(monkeypatch)
-    exe = MultiplexedExecutable(build.tree, build.source_layout, plan, code_staged=False)
+    exe = MultiplexedExecutable(build.tree, build.source_layout, plan)
     assert len(calls) == sum(len(b.instrs) for b in build.tree.blocks) == 157
     assert shared_groups(exe) == []
     assert exe.run(secret={"s": 2}).trap.kind == "div-zero"
+
+
+# the smallest build known to leak through where a level's data accesses
+# fall, not how many there are: 2 profile classes with no pass and with all
+# passes
+DATA_PLACEMENT = """
+#pragma page_size 4096
+secret int<3> s;
+public int p = 7;
+output int y;
+int a;
+int b;
+int t[8];
+fn main() {
+  #pragma begin_pf_sensitive
+  a = 1; b = 2; y = 0;
+  if (s == 1) { b = 0; a = a; } else { a = t[p & 7]; }
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("source, passes, witness", [
+    pytest.param(DATA_PLACEMENT, (), (2, 2, 3), id="data-placement"),
+    pytest.param(DATA_PLACEMENT, ALL_PASSES, (2, 2, 3), id="data-placement-all"),
+    pytest.param(UNEVEN_ARMS, (), (2, 2, 3), id="uneven-arms"),
+    pytest.param(FOO_SOURCE, ("O5",), (3, 3, 6), id="foo-O5"),
+    pytest.param(SHARED_CONTINUATION, (), (3, 3, 12), id="shared-continuation"),
+    *(pytest.param(source, passes, None, id=f"{name}{suffix}")
+      for name, source in [("three-way", THREE_WAY), ("lookup", LOOKUP_64),
+                           ("trapping-arm", TRAPPING_ARM)]
+      for passes, suffix in [((), ""), (ALL_PASSES, "-all")]),
+    *(pytest.param(case_source(name, 16), ("O1", "O2"), None, id=f"{name}-16-O1-O2")
+      for name in ("aes", "cast_gcrypt", "cast_openssl", "seed_gcrypt",
+                   "seed_openssl", "stribog", "tiger", "whirlpool")),
+])
+def test_level_witness(source, passes, witness):
+    exe = build_defense(parse(source), passes).executable()
+    assert exe.level_witness() == witness
