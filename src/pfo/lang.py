@@ -7,7 +7,11 @@ possible, otherwise written explicitly as `bound N`).  Two pragma lines,
 ``#pragma begin_pf_sensitive`` and ``#pragma end_pf_sensitive``, mark the
 secret-handling region; ``#pragma place code|data NAME PAGE [OFFSET]``
 pins functions and arrays to pages so a source file carries its own page
-geometry.
+geometry.  A `place code` pragma names a defined function and a `place
+data` pragma a declared array (scalars have no pages), each name is
+placed at most once, and no page is negative.  The region markers nest
+in each function, and an `if` arm or loop body that begins or ends the
+region ends or begins it too.
 
 Scalars follow fixed-width two's-complement semantics (width chosen per
 program, default 64, wrapping on overflow); arrays have static lengths and
@@ -1061,6 +1065,22 @@ def _validate_program(program: Program, filename: str) -> None:
                 raise error(f"parameter {name!r} of {fn.name!r} has the name of a "
                             "global", pos)
 
+    # a placement pins one array or function, once, from a page that exists
+    placed: set[tuple[str, str]] = set()
+    for p in program.placements:
+        decl = program._decls.get(p.name)
+        if p.kind == "data" and decl is None:
+            raise error(f"cannot place undeclared {p.name!r}", p.pos)
+        if p.kind == "data" and not decl.is_array:
+            raise error(f"cannot place scalar {p.name!r}: only arrays have pages", p.pos)
+        if p.kind == "code" and p.name not in program._functions:
+            raise error(f"cannot place undefined function {p.name!r}", p.pos)
+        if (p.kind, p.name) in placed:
+            raise error(f"{p.name!r} is placed twice", p.pos)
+        if p.page < 0:
+            raise error(f"cannot place {p.name!r} on negative page {p.page}", p.pos)
+        placed.add((p.kind, p.name))
+
     # every call names a function: the index knows every callee's name
     for fn in program.functions:
         if any(c not in program._functions for c in program.callees[fn.name]):
@@ -1095,18 +1115,20 @@ def _validate_program(program: Program, filename: str) -> None:
             raise error(f"{name!r} makes more than {MAX_CALLS} calls once its calls "
                         "are inlined", program.function(name).pos)
 
-    # region markers must nest properly in every function
+    # region markers must nest properly in every function: each `if` arm
+    # and loop body ends inside the region if and only if it starts there
     def check_markers(stmts, depth):
         for s in stmts:
             if isinstance(s, RegionMarker):
                 depth += 1 if s.begin else -1
                 if depth not in (0, 1):
                     raise error("sensitive-region markers are not properly nested", s.pos)
-            elif isinstance(s, If):
-                check_markers(s.then_body, depth)
-                check_markers(s.else_body, depth)
-            elif isinstance(s, (For, While)):
-                check_markers(s.body, depth)
+            elif isinstance(s, (If, For, While)):
+                bodies = (s.then_body, s.else_body) if isinstance(s, If) else (s.body,)
+                if any(check_markers(body, depth) != depth for body in bodies):
+                    raise error("sensitive-region markers are not properly nested: "
+                                "a region that starts or ends in an `if` arm or "
+                                "loop body must end or start there too", s.pos)
         return depth
 
     for f in program.functions:

@@ -25,6 +25,11 @@ with `lang.map_ast`, so loop headers, assignment targets' indices and
 call arguments are never skipped: a call in a callee's `for` step counts
 for O5's purity check, O3B's redirection and O4's page grouping alike.
 
+No pass computes a page number itself: O2 lays its arrays out with
+`layouts.place` from `layouts.next_free_page`, and O3B's clone pairs and
+in-place O4's groupings start at `layouts.first_page_past_pins`, the
+first page past every pinned array.
+
 `build_defense` is the single entry point that composes passes: the CLI,
 the suites and the tests all build a defense through it.  A
 `DefenseBuild` bundles whatever the pipeline has produced so far (AST
@@ -64,9 +69,15 @@ from .lang import (
     map_ast,
     walk_all,
 )
-from .layouts import build_ast_layout, build_tree_layout
+from .layouts import (
+    build_ast_layout,
+    build_tree_layout,
+    first_page_past_pins,
+    next_free_page,
+    place,
+)
 from .leakage import SecretDomain, verify_pfo
-from .memory import MemoryLayout, PfoError, split_extents
+from .memory import MemoryLayout, PfoError
 from .transform import (
     LevelPlan,
     MultiplexedExecutable,
@@ -269,35 +280,19 @@ def opt_page_realign(build: DefenseBuild) -> DefenseBuild:
         raise OptError("O2 realigns the arrays of a staged build; this build runs in place")
     program = build.program
     layout = build.source_layout
-    page_size = layout.page_size
-
     labeled = label_sensitivity(program)
     written = _written_arrays(build.tree)
-    targets = [
+    # sensitive read-only arrays, unless already on one page from its start
+    moved = [
         d.name for d in program.arrays
         if d.name not in written and labeled.variables.get(d.name) == "high"
+        and (len(layout.data_map[d.name]) > 1 or layout.data_map[d.name][0].offset)
     ]
-
-    data_map = dict(layout.data_map)
-    next_page = max(
-        (e.page for exts in list(layout.code_map.values()) + list(layout.data_map.values())
-         for e in exts),
-        default=-1,
-    ) + 1
-    moved = []
-    for name in targets:
-        extents = data_map[name]
-        aligned = len(extents) == 1 and extents[0].offset == 0
-        if aligned:
-            continue
-        length = sum(e.length for e in extents)
-        data_map[name] = split_extents(page_size, next_page, 0, length)
-        next_page = max(e.page for e in data_map[name]) + 1
-        moved.append(name)
-
-    new_layout = MemoryLayout(
-        page_size=page_size, code_map=dict(layout.code_map), data_map=data_map,
-    )
+    fresh, _ = place(layout.page_size,
+                     [(n, ((n, program.decl(n).byte_length),)) for n in moved],
+                     pins={}, pinned={}, page=next_free_page(layout))
+    new_layout = MemoryLayout(page_size=layout.page_size, code_map=dict(layout.code_map),
+                              data_map={**layout.data_map, **fresh})
     return _replan(
         build, source_layout=new_layout,
         applied=build.applied + ("O2",),
@@ -403,7 +398,7 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     new_functions = list(program.functions)
     taken = _names_in_use(program)
     placements = [p for p in program.placements if p.kind != "code"]
-    next_page = max((p.page for p in program.placements), default=-1) + 1
+    next_page = first_page_past_pins(program, ps)
     for callee, caller_names in sorted(shared.items()):
         if lengths[callee] > ps:
             raise OptError(
@@ -503,15 +498,7 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None
     group_list.sort(key=lambda g: g[0])
 
     # fresh code pages must not collide with pragma-placed data
-    base_page = 0
-    for p in program.placements:
-        if p.kind != "data":
-            continue
-        decl = program.decl(p.name)
-        length = decl.byte_length if decl is not None and decl.is_array else ps
-        offset = p.offset if p.offset >= 0 else ps + p.offset
-        spanned = (offset + length + ps - 1) // ps
-        base_page = max(base_page, p.page + spanned)
+    base_page = first_page_past_pins(program, ps)
 
     states = 0
     candidates = _packings(group_list, lengths, ps)

@@ -7,10 +7,11 @@ and the two contract sweeps with
 `pfo contract --program corpus/powm.pfo --sweep --policy naive|fake`:
 every single-page steal at every step, 26 313 strategies over 64 secrets.
 `golden/run_results.jsonl` holds what single runs observe (see
-`run_result_cases`) and `golden/trees.jsonl` the tree shapes and staging
-plans of a few programs (see `tree_cases`); running this file as a script
-rewrites both.  Regenerate one only for a change that is meant to alter
-what it reports.
+`run_result_cases`), `golden/trees.jsonl` the tree shapes and staging
+plans of a few programs (see `tree_cases`) and `golden/layouts.jsonl`
+where the vanilla and tree layouts put those programs and the corpus
+(see `layout_cases`); running this file as a script rewrites all three.
+Regenerate one only for a change that is meant to alter what it reports.
 """
 
 import json
@@ -23,8 +24,9 @@ from pfo.corpus import eddsa_source, powm_source
 from pfo.exectree import balance, build_execution_tree, tree_to_json
 from pfo.interp import AstExecutable, TreeExecutable
 from pfo.lang import parse
+from pfo.layouts import build_ast_layout, build_tree_layout
 from pfo.memory import AdversaryModel, PfoError
-from pfo.optimize import ALL_PASSES, build_defense, build_staged
+from pfo.optimize import ALL_PASSES, build_defense, build_staged, opt_if_convert
 from pfo.suites import case_source, defended_build
 
 from test_interp import (
@@ -169,8 +171,57 @@ def test_trees_and_plans_are_byte_identical():
     assert trees_document() == (GOLDEN / "trees.jsonl").read_text()
 
 
+def layout_cases():
+    """(name, program, tree program) for the layout golden file: each tree
+    case, and each corpus program, whose tree is built after O5: without
+    it the trees of the corpus's secret-branching programs exceed the
+    tree budget."""
+    for name, source in tree_cases():
+        program = parse(source)
+        yield name, program, program
+    for path in sorted(CORPUS.glob("*.pfo")):
+        program = parse(path.read_text(), path.name)
+        yield path.stem, program, opt_if_convert(program)[0]
+
+
+def _extent_lists(units: dict) -> list:
+    """A layout map as `[name, [[page, offset, length], ...]]` pairs, in
+    map order."""
+    return [[name, [[e.page, e.offset, e.length] for e in extents]]
+            for name, extents in units.items()]
+
+
+def layouts_document() -> str:
+    """Each layout case's vanilla layout and the layout of its tree
+    program's balanced tree (or the error building it raises), one JSON
+    document per line."""
+    lines = []
+    for name, program, tree_program in layout_cases():
+        page_size = program.resolve_page_size()
+        for kind in ("ast", "tree"):
+            try:
+                if kind == "ast":
+                    layout = build_ast_layout(program.lowered, page_size)
+                else:
+                    layout = build_tree_layout(
+                        balance(build_execution_tree(tree_program)), page_size)
+                doc = {"code": _extent_lists(layout.code_map),
+                       "data": _extent_lists(layout.data_map)}
+            except PfoError as e:
+                doc = {"error": str(e)}
+            lines.append(json.dumps({"case": name, "layout": kind, **doc},
+                                    sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def test_layouts_are_byte_identical():
+    assert layouts_document() == (GOLDEN / "layouts.jsonl").read_text()
+
+
 if __name__ == "__main__":
-    # rewrite the run-result and tree golden files: only for a change that
-    # is meant to alter what a run observes or how a program is staged
+    # rewrite the run-result, tree and layout golden files: only for a
+    # change that is meant to alter what a run observes, how a program is
+    # staged or where its code and data sit
     (GOLDEN / "run_results.jsonl").write_text(run_results_document())
     (GOLDEN / "trees.jsonl").write_text(trees_document())
+    (GOLDEN / "layouts.jsonl").write_text(layouts_document())

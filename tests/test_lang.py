@@ -378,6 +378,49 @@ class TestParse:
             }
             """)
 
+    @pytest.mark.parametrize("body", [
+        "  if (s == 1) {\n    #pragma begin_pf_sensitive\n    y = t[s];\n  }\n",
+        "  if (s == 1) {\n    y = 1;\n  } else {\n    #pragma begin_pf_sensitive\n"
+        "    y = t[s];\n  }\n",
+        "  #pragma begin_pf_sensitive\n  for (i = 0; i < 2; i = i + 1) {\n"
+        "    y = y + t[s];\n    #pragma end_pf_sensitive\n  }\n",
+    ], ids=["then-arm-opens", "else-arm-opens", "loop-body-closes"])
+    def test_region_open_across_a_block_rejected(self, body, tmp_path, capsys):
+        path = tmp_path / "region.pfo"
+        path.write_text(f"secret int<2> s;\noutput int y;\nint t[4];\nfn main() {{\n{body}}}\n")
+        line = 5 if body.startswith("  if") else 6
+        for argv in (["parse", str(path)], ["analyze", str(path)],
+                     ["transform", str(path), "-o", str(tmp_path / "out.pfo")]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(
+                f"{path}:{line}:3: sensitive-region markers are not properly nested"), argv
+
+    def test_region_inside_one_arm_accepted(self):
+        program = parse("secret int<2> s;\noutput int y;\nfn main() {\n"
+                        "  if (s == 1) {\n    #pragma begin_pf_sensitive\n    y = s;\n"
+                        "    #pragma end_pf_sensitive\n  }\n}\n")
+        assert isinstance(program.entry.body[0], If)
+
+    @pytest.mark.parametrize("pragma, message", [
+        ("place data x 1", "cannot place scalar 'x': only arrays have pages"),
+        ("place data u 1", "cannot place undeclared 'u'"),
+        ("place code g 1", "cannot place undefined function 'g'"),
+        ("place data t 2", "'t' is placed twice"),
+        ("place code main 0\n#pragma place code main 2", "'main' is placed twice"),
+        ("place code main -1", "cannot place 'main' on negative page -1"),
+    ], ids=["scalar", "undeclared", "undefined-function", "array-twice",
+            "function-twice", "negative-page"])
+    def test_placement_that_cannot_take_effect_rejected(self, pragma, message,
+                                                        tmp_path, capsys):
+        path = tmp_path / "place.pfo"
+        path.write_text(f"#pragma place data t 1 -8\n#pragma {pragma}\nsecret int<2> s;\n"
+                        "output int y;\nint x;\nint t[4];\nfn main() { y = t[s]; }\n")
+        line = 3 if "\n" in pragma else 2
+        for argv in (["parse", str(path)],
+                     ["simulate", "--program", str(path), "--secret", "s=1"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(f"{path}:{line}:1: {message}"), argv
+
     def test_placement_pragmas(self):
         program = parse("""
         #pragma page_size 4096

@@ -293,6 +293,35 @@ fn left(v)""").replace("#pragma end_pf_sensitive", """y = y + shared__for_left(2
             assert cloned.run(secret={"s": s}).outputs == expected
             assert defended.run(secret={"s": s}).outputs == expected
 
+    def test_clone_pairs_start_past_a_straddling_array(self):
+        # `t` spans bytes 56-63 of page 1 and 0-7 of page 2, and BB1 is f's
+        source = """
+#pragma page_size 64
+#pragma place data t 1 -8
+secret int<2> s;
+output int y;
+int t[4];
+fn h(v) { return v + 1; }
+fn f() { return h(2) + 2; }
+fn g() { return h(5) - 1; }
+fn main() {
+  #pragma begin_pf_sensitive
+  y = f();
+  if (s == 1) { y = g(); }
+  #pragma end_pf_sensitive
+}
+"""
+        program, report = opt_clone(parse(source))
+        assert report.cloned == {"h": ("h__for_f", "h__for_g")}
+        assert [(p.name, p.page) for p in program.placements if p.kind == "code"] == [
+            ("f", 3), ("h__for_f", 3), ("g", 4), ("h__for_g", 4)]
+        vanilla = AstExecutable(parse(source))
+        defended = build_defense(parse(source), ("O3B",))
+        for s in range(4):
+            expected = vanilla.run(secret={"s": s}).outputs
+            assert expected == {"y": 5}
+            assert defended.run(secret={"s": s}).outputs == expected
+
     def test_single_caller_no_clone(self):
         src = """
 fn helper(v) { return v * 2; }
