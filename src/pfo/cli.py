@@ -18,7 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from .contract import (
     FAKE_EXECUTE,
     NAIVE_TERMINATE,
@@ -32,6 +31,7 @@ from .interp import AstExecutable
 from .labeling import label_sensitivity
 from .lang import ParseError, parse, pretty
 from .leakage import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
     SecretDomain,
     attack_eddsa,
     attack_powm,
@@ -168,11 +168,11 @@ def _inputs(args, program):
     sample = _sample(args)
     if sample is not None:
         return domain.sample(sample, args.seed)
-    if domain.size > args.exhaustive_limit:
+    if domain.size > DEFAULT_EXHAUSTIVE_LIMIT:
         raise CliFailure(
             f"domain of {domain.size} secrets needs --sample", EXIT_USAGE
         )
-    return domain.exhaustive(args.exhaustive_limit)
+    return domain.exhaustive()
 
 
 def cmd_simulate(args) -> int:
@@ -241,8 +241,7 @@ def cmd_attack(args) -> int:
         if truth is not None:
             doc["exact"] = recovered == truth
     elif args.oracle == "powm":
-        pre = corpus_mod.powm_precompute_mults(args.window)
-        outcome = attack_powm(profile, window=args.window, precompute_mults=pre)
+        outcome = attack_powm(profile, window=args.window)
         if args.window == 1:
             recovered = int("".join(map(str, outcome)), 2) if outcome else 0
             doc = {"oracle": "powm", "window": 1, "bits": outcome,
@@ -422,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--public", action="append", default=[])
         p.add_argument("--transformed", action="store_true")
         p.add_argument("--sample", type=int, default=None)
-        p.add_argument("--exhaustive-limit", type=int, default=1 << 20)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("attack", parents=flags("--page-size", "--out"))

@@ -384,6 +384,14 @@ class Summary:
         self.faults = tuple(scratch.faults[len(fps[0].need) if fps else 0:])
         self.exit = scratch.resident
 
+    def ends(self, entry: frozenset) -> tuple:
+        """The faults and the resident set the segment leaves when it runs
+        from resident set `entry`."""
+        sink = Sink(pigeonhole=True, collect=False)
+        sink.resident = entry
+        sink.account(self)
+        return tuple(sink.faults), sink.resident
+
 
 _KIND_R = (EventKind.DATA_READ,)
 _KIND_W = (EventKind.DATA_WRITE,)
@@ -489,6 +497,8 @@ class _OpCompiler:
         self.indices = indices or {}
         self.strict_pages = strict_pages
         self._const_slots: dict[int, int] = {}
+        # objects split across extents: their accesses look their pages up
+        self.split: dict[str, None] = {}
         self.footprint = FootprintTable()
         self._code_footprints: dict[int, Footprint] = {}
         self._data_footprints: dict[tuple, tuple] = {}
@@ -537,6 +547,8 @@ class _OpCompiler:
         )
         if ext_of is None and fps[0] is not None:
             return fps[0], None
+        if ext_of is not None:
+            self.split.setdefault(obj)
 
         def lookup(i: int) -> Footprint:
             k = 0 if ext_of is None else ext_of[i]
@@ -548,16 +560,19 @@ class _OpCompiler:
             return fp
         return None, lookup
 
-    def compile(self, instr: Instr, code_page: int,
-                call_target: Optional[Callable] = None) -> tuple:
+    def compile(self, instr: Instr, code_page: int, fp: Optional[Footprint] = None
+                ) -> tuple:
         """`(closure, footprint)`: the closure computes the micro-op's values
         and its step is charged `footprint`; with footprint `None` the
         closure accounts for itself (a split-extent access, a call or a
-        return)."""
+        return).  A micro-op without a data operand is charged `fp` when
+        one is given (a code-only step that also reads a data page), else
+        its code page's fetch."""
         slot = self.slot
-        fp = self._code_footprints.get(code_page)
         if fp is None:
-            fp = self._code_footprints[code_page] = self.footprint(code_page)
+            fp = self._code_footprints.get(code_page)
+            if fp is None:
+                fp = self._code_footprints[code_page] = self.footprint(code_page)
         # exact classes, the commonest first: moves are about half of a
         # large program's micro-ops
         cls = instr.__class__
@@ -769,6 +784,15 @@ class AstExecutable:
     `NODE_BUDGET` merged steps lasts, so summaries never expand a large
     call tree; every other call accounts for its own step and runs the
     callee's segments.
+
+    Compiling records `witness`, which in-place O4 reads: `None` proves
+    one profile for every run that does not trap, by induction over the
+    steps, when every compiled `if` has arms of at most one summarised
+    segment each that, accounted from the branch step's pages, end with
+    the same faults and resident set, no `while` is compiled and no array
+    is split across extents.  Else it names the first construct that
+    breaks this; as with `MultiplexedExecutable.level_witness`, no secret
+    may reach it.
     """
 
     def __init__(self, program: Program, layout: Optional[MemoryLayout] = None,
@@ -784,7 +808,11 @@ class AstExecutable:
         self._summaries: dict[tuple, Summary] = {}
         self._bodies: dict[str, _Body] = {}
         self._merge_budget = NODE_BUDGET
+        self.witness: Optional[str] = None
         self._main = self._body("main")
+        split = next(iter(self._compiler.split), None)
+        if self.witness is None and split is not None:
+            self.witness = f"access to {split} split across pages"
         self._regs0 = self._compiler.regs0()
         self._inputs, self._outputs = _scalar_slots(
             program, self._compiler.decl_slots, self._regs0)
@@ -855,6 +883,8 @@ class AstExecutable:
             elif isinstance(item, IfNode):
                 out.extend(ops[item.cond_run.lo:item.branch_index + 1])
                 arms = (leaf(item.else_node.items), leaf(item.then_node.items))
+                if self.witness is None and _arms_differ(arms, out[-1][1].need_set):
+                    self.witness = f"`if` at line {item.line}: its arms fault differently"
                 def run_if(st: State, arms=arms):
                     _run(st, arms[st.branch])
                 out.append((run_if, None))
@@ -866,6 +896,8 @@ class AstExecutable:
                         _run(st, body)
                 out.append((run_for, None))
             elif isinstance(item, WhileNode):
+                if self.witness is None:
+                    self.witness = f"`while` at line {item.line}: its trips may vary"
                 cond = ops[item.cond_run.lo:item.branch_index + 1]
                 first = leaf(item.body.items if item.do_first else [], cond)
                 body = leaf(item.body.items, cond)
@@ -938,6 +970,15 @@ class AstExecutable:
         except SimTrap as t:
             trap = _trap_info(st.sink, t)
         return _result(self, st, trap)
+
+
+def _arms_differ(arms: tuple, entry: frozenset) -> bool:
+    """Whether an `if`'s arm nodes may fault differently: one is more than
+    one summarised segment, or run from the branch step's pages `entry`
+    the two end with different faults or resident sets."""
+    if any(len(segs) > 1 or segs and segs[0][1] is None for segs, _ in arms):
+        return True
+    return len({segs[0][1].ends(entry) if segs else ((), entry) for segs, _ in arms}) > 1
 
 
 def _no_op(st: State) -> None:

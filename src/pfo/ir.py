@@ -309,7 +309,7 @@ class RunNode:
 @dataclass
 class IfNode:
     cond_run: RunNode
-    cond: Operand
+    line: int
     branch_index: int
     then_node: "SeqNode"
     else_node: "SeqNode"
@@ -326,7 +326,7 @@ class ForNode:
 @dataclass
 class WhileNode:
     cond_run: RunNode
-    cond: Operand
+    line: int
     branch_index: int
     body: "SeqNode"
     bound: int
@@ -378,27 +378,25 @@ def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFu
                 items.append(RetNode(RunNode(lo, idx), idx))
             elif isinstance(s, If):
                 lo = len(low.instrs)
-                cond = low.operand(s.cond)
-                bidx = low.emit(BranchI(cond, low.origin))
+                bidx = low.emit(BranchI(low.operand(s.cond), low.origin))
                 then_node = lower_stmts(s.then_body)
                 else_node = lower_stmts(s.else_body)
-                items.append(IfNode(RunNode(lo, bidx), cond, bidx, then_node, else_node))
+                items.append(IfNode(RunNode(lo, bidx), s.pos.line, bidx, then_node, else_node))
             elif isinstance(s, For):
                 lo = len(low.instrs)
                 var_slot = low.local(s.var)
                 low.emit(MovI(var_slot, low.operand(s.init), low.origin))
                 init_run = RunNode(lo, len(low.instrs))
-                body_lo = len(low.instrs)
                 body = lower_stmts(s.body)
                 step_lo = len(low.instrs)
                 low.emit(MovI(var_slot, low.operand(s.step), low.origin))
                 items.append(ForNode(init_run, body, RunNode(step_lo, len(low.instrs)), s.trips))
             elif isinstance(s, While):
                 lo = len(low.instrs)
-                cond = low.operand(s.cond)
-                bidx = low.emit(BranchI(cond, low.origin))
+                bidx = low.emit(BranchI(low.operand(s.cond), low.origin))
                 body = lower_stmts(s.body)
-                items.append(WhileNode(RunNode(lo, bidx), cond, bidx, body, s.bound, s.do_first))
+                items.append(WhileNode(RunNode(lo, bidx), s.pos.line, bidx, body, s.bound,
+                                        s.do_first))
             else:
                 raise LoweringError(f"cannot lower statement {s!r}")
         return SeqNode(items)
@@ -451,22 +449,13 @@ class Region:
 def extract_region(program: Program) -> Region:
     """Split `main` into (before, sensitive region, after).
 
-    Programs without markers treat the whole entry body as the region.  For
-    tree construction the markers must sit at the top level of `main`.
+    Programs without markers treat the whole entry body as the region;
+    parsing has checked that markers are one top-level pair in `main`.
     """
     body = program.entry.body
     marks = [i for i, s in enumerate(body) if isinstance(s, RegionMarker)]
     if not marks:
-        for fn in program.functions:
-            for s in fn.body:
-                if isinstance(s, RegionMarker):
-                    raise LoweringError(
-                        "sensitive region must be a top-level span of `main` "
-                        f"(found markers in {fn.name!r})"
-                    )
         return Region((), body, (), False)
-    if len(marks) != 2:
-        raise LoweringError("expected exactly one begin/end marker pair in `main`")
     b, e = marks
     return Region(body[:b], body[b + 1:e], body[e + 1:], True)
 

@@ -9,9 +9,9 @@ secret-handling region; ``#pragma place code|data NAME PAGE [OFFSET]``
 pins functions and arrays to pages so a source file carries its own page
 geometry.  A `place code` pragma names a defined function and a `place
 data` pragma a declared array (scalars have no pages), each name is
-placed at most once, and no page is negative.  The region markers nest
-in each function, and an `if` arm or loop body that begins or ends the
-region ends or begins it too.
+placed at most once, and no page is negative.  A program has no region
+markers, and then all of `main` is the region, or one begin/end pair at
+the top level of `main`; a marker anywhere else is a parse error.
 
 Scalars follow fixed-width two's-complement semantics (width chosen per
 program, default 64, wrapping on overflow); arrays have static lengths and
@@ -1115,25 +1115,14 @@ def _validate_program(program: Program, filename: str) -> None:
             raise error(f"{name!r} makes more than {MAX_CALLS} calls once its calls "
                         "are inlined", program.function(name).pos)
 
-    # region markers must nest properly in every function: each `if` arm
-    # and loop body ends inside the region if and only if it starts there
-    def check_markers(stmts, depth):
-        for s in stmts:
-            if isinstance(s, RegionMarker):
-                depth += 1 if s.begin else -1
-                if depth not in (0, 1):
-                    raise error("sensitive-region markers are not properly nested", s.pos)
-            elif isinstance(s, (If, For, While)):
-                bodies = (s.then_body, s.else_body) if isinstance(s, If) else (s.body,)
-                if any(check_markers(body, depth) != depth for body in bodies):
-                    raise error("sensitive-region markers are not properly nested: "
-                                "a region that starts or ends in an `if` arm or "
-                                "loop body must end or start there too", s.pos)
-        return depth
-
-    for f in program.functions:
-        if check_markers(f.body, 0) != 0:
-            raise error(f"unterminated sensitive region in {f.name!r}", f.pos)
+    # the region is all of `main`, or one begin/end pair at its top level
+    # (`_nesting` rejects a marker anywhere else)
+    marks = [s for s in program.function("main").body if isinstance(s, RegionMarker)]
+    for i, m in enumerate(marks):
+        if i > 1 or m.begin != (i == 0):
+            raise error("`main` takes one begin/end pair of sensitive-region markers", m.pos)
+    if len(marks) == 1:
+        raise error("unterminated sensitive region in 'main'", marks[0].pos)
 
 
 def _nesting(fn: Function, callees: dict[str, tuple[int, int, int, int]],
@@ -1143,8 +1132,9 @@ def _nesting(fn: Function, callees: dict[str, tuple[int, int, int, int]],
     statements and expressions nest once every call is inlined at its
     site, and how many calls one call of `fn` makes, given the same for
     its callees.  The same walk checks, in source order, that every call
-    passes its callee's arguments, that a variable never names an array
-    and that an index or `sizeof` always does.
+    passes its callee's arguments, that a variable never names an array,
+    that an index or `sizeof` always does and that a region marker sits at
+    the top level of `main`.
 
     Inlining puts a callee's statements at the level of the statement that
     calls it, and its expressions where the call stands: the return value
@@ -1177,6 +1167,9 @@ def _nesting(fn: Function, callees: dict[str, tuple[int, int, int, int]],
                     raise error(f"array {n.name!r} used without an index", n.pos)
             elif (kind is Index or kind is SizeOf) and n.name not in arrays:
                 raise error(f"{n.name!r} is not an array", n.pos)
+            elif kind is RegionMarker and (level > 1 or fn.name != "main"):
+                raise error("a sensitive-region marker must sit at the top level of "
+                            "`main`", n.pos)
             below = depth + 1
         if level > stmts:
             stmts = level

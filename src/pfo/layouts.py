@@ -22,7 +22,7 @@ The two layouts differ only in their code groups and their order:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exectree import ExecutionTree
 from .ir import LoweredProgram, PAD_OBJECT
@@ -88,9 +88,13 @@ def _pinned_arrays(program: Program, page_size: int) -> tuple[ExtentMap, int]:
     return place(page_size, [g for g in _arrays(program) if g[0] in pins], pins, {})
 
 
-def first_page_past_pins(program: Program, page_size: int) -> int:
-    """The first page past every array a pragma pins (0 if none is)."""
-    return _pinned_arrays(program, page_size)[1]
+def first_page_past_pins(program: Program, page_size: int,
+                         code: Iterable[str] = ()) -> int:
+    """The first page past every array a pragma pins and past the pinned
+    code of each function `code` names (0 if none is)."""
+    pins, lengths = _pins(program, "code"), program.lowered.code_lengths()
+    groups = [(name, ((name, lengths[name]),)) for name in code if name in pins]
+    return place(page_size, groups, pins, {}, _pinned_arrays(program, page_size)[1])[1]
 
 
 def _layout(program: Program, page_size: int, code: Sequence[Group],

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .corpus import EDDSA_PAGES, POWM_PAGES
+from .corpus import EDDSA_PAGES, POWM_PAGES, powm_precompute_mults
 from .lang import DeclKind, Program
 from .memory import PfoError
 
@@ -329,18 +329,20 @@ class PowmSkeleton:
         return sum(1 for b in bits if b is not None) / len(bits)
 
 
-def attack_powm(profile: Iterable[int], window: int = 1,
-                precompute_mults: int = 0):
+def attack_powm(profile: Iterable[int], window: int = 1):
     """Recover exponent structure from a windowed-exponentiation profile.
 
-    Pages are `corpus.POWM_PAGES`.  Multiply-routine visits between
-    power-fetch visits split into squarings and the per-window outer
-    multiply; with window size 1 the squaring-run lengths give the exact
-    exponent (most significant bit first), otherwise the window skeleton
-    and the fraction of bits it pins down.
+    Pages are `corpus.POWM_PAGES`.  The multiplies that fill the odd-power
+    table come first (`corpus.powm_precompute_mults(window)` of them).
+    Multiply-routine visits between power-fetch visits split into
+    squarings and the per-window outer multiply; with window size 1 the
+    squaring-run lengths give the exact exponent (most significant bit
+    first), otherwise the window skeleton and the fraction of bits it
+    pins down.
     """
     mul_page, sel_page = POWM_PAGES["mul"], POWM_PAGES["sel"]
     tokens = [p for p in profile if p in (mul_page, sel_page)]
+    precompute_mults = powm_precompute_mults(window)
     if precompute_mults:
         prefix = tokens[:precompute_mults]
         if prefix != [mul_page] * precompute_mults:

@@ -12,9 +12,10 @@ Each pass preserves program outputs and the single-profile-class property
 * O3B cloning: a callee shared by callers on different pages is copied
   next to each caller, so neither call crosses a page.
 * O4 multiplexing elimination: code stays in place, removing the code
-  fetch/execute machinery, when every level transition faults alike:
-  decided statically on a staged build (`MultiplexedExecutable.level_witness`),
-  probed with `leakage.verify_pfo` (seed 0) per in-place page grouping.
+  fetch/execute machinery, when it faults alike on every path.  Both forms
+  are decided from compiled code, without a run: a staged build's levels
+  by `MultiplexedExecutable.level_witness`, and the one page grouping of
+  an in-place build (`opt_mux_elim`) by `AstExecutable.witness`.
 * O5 if-conversion: secret-conditioned branches become data selection
   through a two-slot table, removing control dependence on the secret.
 
@@ -27,8 +28,9 @@ for O5's purity check, O3B's redirection and O4's page grouping alike.
 
 No pass computes a page number itself: O2 lays its arrays out with
 `layouts.place` from `layouts.next_free_page`, and O3B's clone pairs and
-in-place O4's groupings start at `layouts.first_page_past_pins`, the
-first page past every pinned array.
+in-place O4's groups start at `layouts.first_page_past_pins`: past every
+pinned array, and for O3B past the `place code` pins it keeps (those of
+every function it does not pin beside a clone).
 
 `build_defense` is the single entry point that composes passes: the CLI,
 the suites and the tests all build a defense through it.  A
@@ -76,7 +78,6 @@ from .layouts import (
     next_free_page,
     place,
 )
-from .leakage import SecretDomain, verify_pfo
 from .memory import MemoryLayout, PfoError
 from .transform import (
     LevelPlan,
@@ -397,8 +398,12 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     functions = {f.name: f for f in program.functions}
     new_functions = list(program.functions)
     taken = _names_in_use(program)
-    placements = [p for p in program.placements if p.kind != "code"]
-    next_page = first_page_past_pins(program, ps)
+    # each caller is pinned again beside its clone; every other pin stays
+    repinned = set().union(*shared.values())
+    placements = [p for p in program.placements
+                  if p.kind == "data" or p.name not in repinned]
+    next_page = first_page_past_pins(
+        program, ps, [p.name for p in placements if p.kind == "code"])
     for callee, caller_names in sorted(shared.items()):
         if lengths[callee] > ps:
             raise OptError(
@@ -447,111 +452,58 @@ def _redirect_calls(fn: Function, old: str, new: str) -> Function:
 class MuxElimReport:
     succeeded: bool
     groups: tuple[tuple[str, ...], ...] = ()
-    states_tried: int = 0
     reason: str = ""
-
-
-# in-place O4's probes: samples per probed grouping (seed 0), and the most
-# groupings tried
-MUX_ELIM_PROBES = 64
-MAX_GROUPINGS = 10_000
 
 
 def opt_mux_elim(program: Program, page_size: Optional[int] = None
                  ) -> tuple[Optional[DefenseBuild], MuxElimReport]:
-    """O4: group functions onto pages so transitions fault identically.
+    """O4 in place: put the functions an `if` chooses between on one page,
+    so whichever arm runs, its calls fault alike.
 
-    Functions that are alternative targets under a conditional must share
-    a page (then either both fault or neither does); groups are packed
-    greedily and each candidate layout is kept only if `verify_pfo` finds
-    one profile class over the extreme secrets and samples drawn with seed
-    0.  On failure the plan is left unchanged.
+    The functions called under an `if`'s arms share a page, and when only
+    one arm calls anything, its callees and theirs share the page of the
+    function that holds the `if`.  The groups go one per page, from
+    `layouts.first_page_past_pins` on; a group larger than a page declines.
+    The build is kept when its `AstExecutable.witness` is `None`, which is
+    decided from its compiled code without a run; otherwise the reason
+    names the witness.
     """
     ps = program.resolve_page_size(page_size)
     lengths = program.lowered.code_lengths()
-
-    # union-find over functions forced to share a page
-    parent = {f.name: f.name for f in program.functions}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    # every function called under either arm of a conditional shares a page
+    group = {f.name: {f.name} for f in program.functions}
     for fn in program.functions:
         for n in walk_all(fn.body):
             if isinstance(n, If):
-                arms = sorted({c.name for c in walk_all(n.then_body + n.else_body)
-                               if isinstance(c, (CallExpr, CallStmt))})
-                for a, b in zip(arms, arms[1:]):
-                    union(a, b)
+                arms = [{c.name for c in walk_all(body) if isinstance(c, (CallExpr, CallStmt))}
+                        for body in (n.then_body, n.else_body)]
+                calls = set().union(*arms)
+                tied = calls if all(arms) else {fn.name, *program.reachable(calls)}
+                merged = set().union(*(group[name] for name in tied))
+                for name in merged:
+                    group[name] = merged
+    groups = tuple(sorted({tuple(sorted(g)) for g in group.values()}))
+    for g in groups:
+        size = sum(lengths[n] for n in g)
+        if size > ps:
+            return None, MuxElimReport(False, reason=f"O4 declined: {' + '.join(g)} "
+                                       f"is {size} bytes, larger than one {ps}-byte page")
 
-    groups: dict[str, list[str]] = {}
-    for fn in program.functions:
-        groups.setdefault(find(fn.name), []).append(fn.name)
-    group_list = [sorted(g) for g in groups.values()]
-    group_list.sort(key=lambda g: g[0])
-
-    # fresh code pages must not collide with pragma-placed data
-    base_page = first_page_past_pins(program, ps)
-
-    states = 0
-    candidates = _packings(group_list, lengths, ps)
-    for placement_groups in candidates:
-        states += 1
-        if states > MAX_GROUPINGS:
-            break
-        placements = []
-        for page, members in enumerate(placement_groups):
-            offset = 0
-            for name in members:
-                placements.append(Placement("code", name, base_page + page, offset))
-                offset += lengths[name]
-        candidate = Program(
-            program.decls, program.functions,
-            tuple(p for p in program.placements if p.kind != "code") + tuple(placements),
-            program.page_size_hint,
-        )
-        build = replace(build_inplace(candidate, ps), applied=("O4",))
-        if _probe_uniform(build):
-            report = MuxElimReport(
-                True, tuple(tuple(g) for g in placement_groups), states
-            )
-            return build, report
-    return None, MuxElimReport(False, (), states, "no uniform grouping found")
-
-
-def _packings(group_list, lengths, page_size):
-    """Candidate page packings: one group per page first, then pairwise merges."""
-    def size(g):
-        return sum(lengths[n] for n in g)
-
-    for g in group_list:
-        if size(g) > page_size:
-            return  # a forced group exceeds one page: nothing will fit
-    yield group_list
-    # merge adjacent groups when they fit (fewer pages, still uniform)
-    for i, j in itertools.combinations(range(len(group_list)), 2):
-        merged = []
-        for k, g in enumerate(group_list):
-            if k == j:
-                continue
-            merged.append(sorted(g + group_list[j]) if k == i else g)
-        if all(size(g) <= page_size for g in merged):
-            yield merged
-
-
-def _probe_uniform(build: DefenseBuild) -> bool:
-    """Whether the extreme secrets and the seed-0 samples share one profile."""
-    domain = SecretDomain.of(build.program)
-    exe = build.executable()
-    probes = domain.extremes() + list(domain.sample(MUX_ELIM_PROBES, 0))
-    return verify_pfo(lambda s: exe.run(secret=s).profile, probes).oblivious
+    placements = []
+    for page, members in enumerate(groups, first_page_past_pins(program, ps)):
+        offset = 0
+        for name in members:
+            placements.append(Placement("code", name, page, offset))
+            offset += lengths[name]
+    candidate = Program(
+        program.decls, program.functions,
+        tuple(p for p in program.placements if p.kind != "code") + tuple(placements),
+        program.page_size_hint,
+    )
+    build = replace(build_inplace(candidate, ps), applied=("O4",))
+    witness = build.executable().witness
+    if witness is not None:
+        return None, MuxElimReport(False, reason=f"O4 declined: {witness}")
+    return build, MuxElimReport(True, groups)
 
 
 def opt_mux_elim_staged(build: DefenseBuild) -> DefenseBuild:

@@ -23,7 +23,6 @@ from .corpus import (
     eddsa_source,
     make_table_cases,
     powm_balanced_source,
-    powm_precompute_mults,
     powm_source,
 )
 from .interp import AstExecutable
@@ -136,12 +135,10 @@ def attacks_suite(seed: int = 0, samples: int = 50) -> SuiteResult:
 
     # wider window: the skeleton pins only part of the exponent
     exe = AstExecutable(parse(powm_source(64, 4)))
-    pre = powm_precompute_mults(4)
     fractions = []
     for _ in range(powm_samples):
         d = rng.randrange(1 << 64)
-        sk = attack_powm(exe.run(secret={"d": d}).profile, window=4,
-                         precompute_mults=pre)
+        sk = attack_powm(exe.run(secret={"d": d}).profile, window=4)
         fractions.append(sk.known_fraction)
     mean_fraction = sum(fractions) / len(fractions)
     result.rows.append({

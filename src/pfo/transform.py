@@ -16,7 +16,12 @@ would run under and produces a static schedule:
 
 Because the schedule is a function of the program alone and the execute
 phase touches only staging pages, the page sequence the OS observes is the
-same for every input.
+same for every input.  On a level of several blocks with staged code,
+each code-only step also reads the staging data page of its block's next
+data access, as a dummy read operand at no extra step (most x86 ALU
+instructions take a memory operand): the OS keeps exactly the previous
+step's pages, so otherwise where the accesses fall among a block's steps
+would show, and `plan_layout` makes a level's blocks visit the same pages.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .exectree import Block, ExecutionTree, check_balanced
-from .ir import PAD_OBJECT
+from .ir import PAD_OBJECT, LoadI, PadI, StoreI
 from .interp import (
+    _KIND_R,
     _KIND_RW,
     _KIND_W,
     Footprint,
@@ -350,6 +356,10 @@ def _selector(fp: Footprint, sel_index: int) -> tuple:
     return run, charge
 
 
+# the micro-ops with a data operand
+_DATA_OPS = frozenset((LoadI, StoreI, PadI))
+
+
 class MultiplexedExecutable(TreeExecutable):
     """Tree execution with the fetch/execute/copy-back schedule compiled in.
 
@@ -358,9 +368,10 @@ class MultiplexedExecutable(TreeExecutable):
     one merged group covers both) with the block's multiplexing charge,
     its `data_accesses`; its instructions, at the code staging page (their
     own pages when the plan fetches no code, as under O4), against the data
-    staging slots only; the selector update; and for a leaf the last
-    copy-back.  Every op's pages are fixed, so a block is one segment that
-    a run accounts once, from its `Summary` (which `level_witness` reads).
+    staging slots only (with the dummy reads of a level of several
+    blocks); the selector update; and for a leaf the last copy-back.
+    Every op's pages are fixed, so a block is one segment that a run
+    accounts once, from its `Summary` (which `level_witness` reads).
     Blocks with the same copies and charge share one copy op, and blocks on
     one code page one selector op.  With the code staged, blocks on one
     level that hold the same micro-op objects (copies of one continuation,
@@ -430,10 +441,23 @@ class MultiplexedExecutable(TreeExecutable):
         sel_index = objects.index[f"__sa/{SELECTOR}"]
         sel_page = slots[SELECTOR].page
 
+        # a code-only step's footprint when it reads a staging data page
+        reads = {page: compiler.footprint(plan.staging.sa_code, (page,), _KIND_R)
+                 for page in plan.staging.sa_data}
+
         def block_ops(b: Block) -> list[tuple]:
+            fps = [None] * len(b.instrs)
             if code_staged:
                 cp = plan.staging.sa_code
                 pages = [cp] * len(b.instrs)
+                if len(tree.levels[b.level - 1]) > 1:
+                    fp = reads[sel_page]  # the selector write ends every block
+                    fps = []
+                    for instr in reversed(b.instrs):
+                        if instr.__class__ in _DATA_OPS:
+                            fp = reads[compiler.pages[getattr(instr, "obj", PAD_OBJECT)]]
+                        fps.append(fp)
+                    fps.reverse()
             else:
                 cp = source_layout.code_extents(b.name())[0].page
                 pages = _code_pages(source_layout, b.name(), len(b.instrs))
@@ -442,7 +466,7 @@ class MultiplexedExecutable(TreeExecutable):
             mux = b.data_accesses
             ops = [once(("enter", id(group), id(prev), cp, mux),
                         lambda: copier(enter(group, prev), cp, mux)),
-                   *map(compiler.compile, b.instrs, pages),
+                   *map(compiler.compile, b.instrs, pages, fps),
                    once(("select", cp), lambda: _selector(
                        compiler.footprint(cp, (sel_page,), _KIND_W), sel_index))]
             if b.is_leaf:
@@ -475,10 +499,7 @@ class MultiplexedExecutable(TreeExecutable):
             ends = set()
             for b in blocks:
                 ((_, summary),) = self.segments[b.id]
-                sink = Sink(pigeonhole=True, collect=False)
-                sink.resident = entry
-                sink.account(summary)
-                ends.add((tuple(sink.faults), sink.resident))
+                ends.add(summary.ends(entry))
                 if len(ends) > 1:
                     return (b.level, blocks[0].id, b.id)
             ((_, entry),) = ends

@@ -390,6 +390,7 @@ FOO = str(CORPUS / "foo.pfo")
     (["attack", "--oracle", "table", "--program", FOO, "--secret", "x=1",
       "--secret", "y=2", "--window", "1"], "--window"),
     (["corpus", "attacks", "--sample", "2", "--page-size", "64"], "--page-size"),
+    (["verify", "--program", FOO, "--exhaustive-limit", "5"], "--exhaustive-limit"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_flag_that_would_be_ignored_is_rejected(argv, flag, tmp_path, capsys):
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)

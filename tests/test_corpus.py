@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,45 @@ class TestPowmCases:
         assert len(profiles) == 1
         sample = build.run(secret={"d": 5})
         assert sample.copy_ops == 0 and sample.code_copy_ops == 0
+
+    def test_ungrouped_layout_has_a_witness(self):
+        assert AstExecutable(parse(powm_balanced_source(16))).witness == \
+            "`if` at line 129: its arms fault differently"
+
+
+class TestInPlaceO4:
+    def test_eddsa_one_class(self):
+        # the arm that adds calls add_points and, through it, add_step: both
+        # share main's page
+        program = parse(eddsa_source(8))
+        build, report = opt_mux_elim(program)
+        assert report.groups == (("add_points", "add_step", "main"), ("dup_point",),
+                                 ("test_bit",))
+        vanilla = AstExecutable(program)
+        profiles = set()
+        for secret in SecretDomain.of(program).exhaustive():
+            r = build.run(secret=secret)
+            assert r.outputs == vanilla.run(secret=secret).outputs
+            profiles.add(tuple(r.profile))
+        assert len(profiles) == 1
+
+    def test_full_eddsa_decided_quickly(self):
+        from pfo.corpus import eddsa_full_source
+
+        program = parse(eddsa_full_source())
+        start = time.perf_counter()
+        build, report = opt_mux_elim(program)
+        assert time.perf_counter() - start < 5
+        assert report.succeeded
+        setups = tuple((f"setup{i}",) for i in range(26))
+        assert report.groups == tuple(sorted(
+            (("add_points", "add_step", "main"), ("dup_point",), ("test_bit",), *setups)))
+
+    def test_split_table_declines(self):
+        # without the split-access rule aes would pass, with 8 classes
+        build, report = opt_mux_elim(parse(make_table_cases()["aes"].source(key_bits=16)))
+        assert build is None
+        assert report.reason == "O4 declined: access to table1 split across pages"
 
 
 # the decoders read `EDDSA_PAGES` and `POWM_PAGES`: each function's code

@@ -378,28 +378,51 @@ class TestParse:
             }
             """)
 
-    @pytest.mark.parametrize("body", [
-        "  if (s == 1) {\n    #pragma begin_pf_sensitive\n    y = t[s];\n  }\n",
-        "  if (s == 1) {\n    y = 1;\n  } else {\n    #pragma begin_pf_sensitive\n"
-        "    y = t[s];\n  }\n",
-        "  #pragma begin_pf_sensitive\n  for (i = 0; i < 2; i = i + 1) {\n"
-        "    y = y + t[s];\n    #pragma end_pf_sensitive\n  }\n",
+    @pytest.mark.parametrize("body, line", [
+        ("  if (s == 1) {\n    #pragma begin_pf_sensitive\n    y = t[s];\n  }\n", 6),
+        ("  if (s == 1) {\n    y = 1;\n  } else {\n    #pragma begin_pf_sensitive\n"
+         "    y = t[s];\n  }\n", 8),
+        ("  #pragma begin_pf_sensitive\n  for (i = 0; i < 2; i = i + 1) {\n"
+         "    y = y + t[s];\n    #pragma end_pf_sensitive\n  }\n", 8),
     ], ids=["then-arm-opens", "else-arm-opens", "loop-body-closes"])
-    def test_region_open_across_a_block_rejected(self, body, tmp_path, capsys):
+    def test_region_open_across_a_block_rejected(self, body, line, tmp_path, capsys):
         path = tmp_path / "region.pfo"
         path.write_text(f"secret int<2> s;\noutput int y;\nint t[4];\nfn main() {{\n{body}}}\n")
-        line = 5 if body.startswith("  if") else 6
         for argv in (["parse", str(path)], ["analyze", str(path)],
                      ["transform", str(path), "-o", str(tmp_path / "out.pfo")]):
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith(
-                f"{path}:{line}:3: sensitive-region markers are not properly nested"), argv
+                f"{path}:{line}:5: a sensitive-region marker must sit at the top level "
+                "of `main`"), argv
 
-    def test_region_inside_one_arm_accepted(self):
-        program = parse("secret int<2> s;\noutput int y;\nfn main() {\n"
+    def test_region_inside_one_arm_rejected(self, tmp_path, capsys):
+        # a pair nested in an arm used to parse, and tree mode then took all
+        # of `main` as the region; it is rejected at the marker now
+        path = tmp_path / "region.pfo"
+        path.write_text("secret int<2> s;\noutput int y;\nfn main() {\n  y = 1;\n"
                         "  if (s == 1) {\n    #pragma begin_pf_sensitive\n    y = s;\n"
                         "    #pragma end_pf_sensitive\n  }\n}\n")
-        assert isinstance(program.entry.body[0], If)
+        for argv in (["parse", str(path)], ["analyze", str(path)],
+                     ["simulate", "--program", str(path), "--transformed", "--secret", "s=1"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(
+                f"{path}:6:5: a sensitive-region marker must sit at the top level "
+                "of `main`"), argv
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("fn f() {\n  #pragma begin_pf_sensitive\n  y = 1;\n  #pragma end_pf_sensitive\n}\n"
+         "fn main() { f(); }\n", 4,
+         "a sensitive-region marker must sit at the top level of `main`"),
+        ("fn main() {\n  #pragma end_pf_sensitive\n  y = 1;\n}\n", 4,
+         "`main` takes one begin/end pair of sensitive-region markers"),
+        ("fn main() {\n  #pragma begin_pf_sensitive\n  #pragma end_pf_sensitive\n"
+         "  #pragma begin_pf_sensitive\n  y = 1;\n  #pragma end_pf_sensitive\n}\n", 6,
+         "`main` takes one begin/end pair of sensitive-region markers"),
+    ], ids=["in-a-callee", "end-first", "two-pairs"])
+    def test_region_markers_outside_one_top_level_pair_rejected(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse("secret int<2> s;\noutput int y;\n" + text)
+        assert (info.value.line, info.value.col, info.value.msg) == (line, 3, message)
 
     @pytest.mark.parametrize("pragma, message", [
         ("place data x 1", "cannot place scalar 'x': only arrays have pages"),

@@ -7,7 +7,6 @@ import pytest
 from pfo.corpus import (
     eddsa_source,
     make_table_cases,
-    powm_precompute_mults,
     powm_source,
 )
 from pfo.interp import AstExecutable
@@ -90,6 +89,11 @@ class TestVerifyPfo:
         )
         assert result.oblivious
         assert result.inputs_checked == 1 << 16
+
+    def test_unwidthed_secret_spans_64_bits(self):
+        domain = SecretDomain.of(parse("secret int s;\noutput int y;\nfn main() { y = s; }"))
+        assert domain.widths == (64,)
+        assert domain.extremes() == [{"s": 0}, {"s": (1 << 64) - 1}]
 
     def test_domain_guard(self):
         exe, _ = runner_for(BYTE_LOOKUP)
@@ -193,13 +197,11 @@ class TestAttackPowm:
 
     def test_window_3_skeleton_fraction(self):
         exe = AstExecutable(parse(powm_source(64, 3)))
-        pre = powm_precompute_mults(3)
         rng = random.Random(9)
         fractions = []
         for _ in range(10):
             d = rng.randrange(1 << 64)
-            sk = attack_powm(exe.run(secret={"d": d}).profile, window=3,
-                             precompute_mults=pre)
+            sk = attack_powm(exe.run(secret={"d": d}).profile, window=3)
             bits = sk.determined_bits()
             true = [(d >> (63 - i)) & 1 for i in range(64)]
             assert len(bits) == 64

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pfo.corpus import powm_balanced_source
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TreeExecutable
 from pfo.lang import parse, pretty
@@ -217,10 +218,6 @@ def test_unknown_pass_rejected():
         build_defense(FOO, ("O1", "O9"))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "balance equalises data accesses per level, not where they fall among "
-    "code-only instructions: foo after O5 (and --opt all) has 2 profile classes"
-))
 def test_if_converted_foo_oblivious():
     assert exhaustive_verdict(build_defense(FOO, ("O5",))).oblivious
 
@@ -245,6 +242,24 @@ fn main() {
   } else {
     y = right(5);
   }
+  #pragma end_pf_sensitive
+}
+"""
+
+
+CLONE_PAST_ARRAY = """
+#pragma page_size 64
+#pragma place data t 1 -8
+secret int<2> s;
+output int y;
+int t[4];
+fn h(v) { return v + 1; }
+fn f() { return h(2) + 2; }
+fn g() { return h(5) - 1; }
+fn main() {
+  #pragma begin_pf_sensitive
+  y = f();
+  if (s == 1) { y = g(); }
   #pragma end_pf_sensitive
 }
 """
@@ -295,22 +310,7 @@ fn left(v)""").replace("#pragma end_pf_sensitive", """y = y + shared__for_left(2
 
     def test_clone_pairs_start_past_a_straddling_array(self):
         # `t` spans bytes 56-63 of page 1 and 0-7 of page 2, and BB1 is f's
-        source = """
-#pragma page_size 64
-#pragma place data t 1 -8
-secret int<2> s;
-output int y;
-int t[4];
-fn h(v) { return v + 1; }
-fn f() { return h(2) + 2; }
-fn g() { return h(5) - 1; }
-fn main() {
-  #pragma begin_pf_sensitive
-  y = f();
-  if (s == 1) { y = g(); }
-  #pragma end_pf_sensitive
-}
-"""
+        source = CLONE_PAST_ARRAY
         program, report = opt_clone(parse(source))
         assert report.cloned == {"h": ("h__for_f", "h__for_g")}
         assert [(p.name, p.page) for p in program.placements if p.kind == "code"] == [
@@ -321,6 +321,23 @@ fn main() {
             expected = vanilla.run(secret={"s": s}).outputs
             assert expected == {"y": 5}
             assert defended.run(secret={"s": s}).outputs == expected
+
+    def test_code_pins_it_does_not_replace_stay(self):
+        # O3B pins f and g beside their clones; main keeps its own pin, and
+        # the pairs start past it
+        source = CLONE_PAST_ARRAY.replace("int t[4];", "int t[4];\n#pragma place code main 6")
+        program, _ = opt_clone(parse(source))
+        assert [(p.name, p.page) for p in program.placements if p.kind == "code"] == [
+            ("main", 6), ("f", 7), ("h__for_f", 7), ("g", 8), ("h__for_g", 8)]
+        assert {e.page for e in AstExecutable(program).layout.code_extents("main")} == {6}
+        defended = build_defense(parse(source), ("O3B",))
+        main_blocks = [b.name() for b in defended.tree.blocks if b.origin == "main"]
+        assert {e.page for name in main_blocks
+                for e in defended.source_layout.code_extents(name)} == {6}
+        vanilla = AstExecutable(parse(source))
+        for s in range(4):
+            assert defended.run(secret={"s": s}).outputs == \
+                vanilla.run(secret={"s": s}).outputs == {"y": 5}
 
     def test_single_caller_no_clone(self):
         src = """
@@ -366,6 +383,17 @@ fn main() { y = step(step(1)); }
         build, report = opt_mux_elim(parse(SHARED_CALLEE), page_size=4096)
         result = build.run(secret={"s": 1})
         assert result.copy_ops == 0 and result.code_copy_ops == 0
+
+    def test_ungrouped_layout_has_a_witness(self):
+        # one function per page: only one arm calls `left`'s page
+        assert AstExecutable(parse(SHARED_CALLEE)).witness == \
+            "`if` at line 16: its arms fault differently"
+
+    def test_group_larger_than_a_page_declines(self):
+        build, report = opt_mux_elim(parse(THREE_WAY))
+        assert build is None
+        assert report.reason == \
+            "O4 declined: main is 112 bytes, larger than one 64-byte page"
 
 
 FIG8_SOURCE = """
@@ -521,31 +549,6 @@ fn main() {
                    vanilla.run(secret={"k": k}).outputs
 
 
-def test_unwidthed_secret_probed_at_64_bit_extreme():
-    from types import SimpleNamespace
-
-    from pfo.leakage import SecretDomain
-    from pfo.optimize import _probe_uniform
-
-    program = parse("""
-    secret int s;
-    output int y;
-    fn main() { y = s; }
-    """)
-    probed = []
-
-    class Recorder:
-        def run(self, secret):
-            probed.append(secret["s"])
-            return SimpleNamespace(profile=[])
-
-    build = SimpleNamespace(program=program, executable=Recorder)
-    assert _probe_uniform(build)
-    assert SecretDomain.of(program).widths == (64,)
-    assert probed[:2] == [0, (1 << 64) - 1]
-    assert all(0 <= v < 1 << 64 for v in probed)
-
-
 def _region(decls, body):
     return (f"{decls}\nfn main() {{\n  #pragma begin_pf_sensitive\n  {body}\n"
             "  #pragma end_pf_sensitive\n}\n")
@@ -618,7 +621,14 @@ def test_mux_elim_merges_caller_and_callee():
     build, report = opt_mux_elim(parse(AGREEMENT_CASES["call_under_branch"]))
     assert report.succeeded
     assert report.groups == (("f", "main"),)
-    assert report.states_tried == 2
+
+
+def test_in_place_o4_decline_names_the_witness():
+    build, report = opt_mux_elim(parse(AGREEMENT_CASES["while_long"]))
+    assert build is None
+    assert report.reason == "O4 declined: `while` at line 5: its trips may vary"
+    _, report = opt_mux_elim(parse(AGREEMENT_CASES["split_store"]))
+    assert report.reason == "O4 declined: access to t split across pages"
 
 
 def test_readonly_table_fetched_on_first_level_only():
@@ -659,6 +669,20 @@ def test_level_witness_is_exact(source):
                 for s in SecretDomain.of(build.program).exhaustive()]
         profiles = {tuple(r.profile) for r in runs if r.trap is None}
         assert (witness is None) == (len(profiles) <= 1), (plan, witness)
+
+
+@pytest.mark.parametrize("source", [*WITNESS_CASES.values(), powm_balanced_source(8)],
+                         ids=[*WITNESS_CASES, "powm_8"])
+def test_no_in_place_witness_means_one_profile(source):
+    # in place as written and under in-place O4: no witness implies that the
+    # runs that do not trap share one profile
+    program = parse(source)
+    build, _ = opt_mux_elim(program)
+    secrets = list(SecretDomain.of(program).exhaustive())
+    for exe in [AstExecutable(program)] + ([build.executable()] if build else []):
+        if exe.witness is None:
+            runs = [exe.run(secret=s) for s in secrets]
+            assert len({tuple(r.profile) for r in runs if r.trap is None}) <= 1
 
 
 def test_corpus_o4_decisions():
