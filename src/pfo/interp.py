@@ -785,14 +785,14 @@ class AstExecutable:
     call tree; every other call accounts for its own step and runs the
     callee's segments.
 
-    Compiling records `witness`, which in-place O4 reads: `None` proves
+    Compiling records `witness`, which O4 reads of an in-place build as it
+    reads `MultiplexedExecutable.witness` of a staged one: `None` proves
     one profile for every run that does not trap, by induction over the
     steps, when every compiled `if` has arms of at most one summarised
     segment each that, accounted from the branch step's pages, end with
     the same faults and resident set, no `while` is compiled and no array
     is split across extents.  Else it names the first construct that
-    breaks this; as with `MultiplexedExecutable.level_witness`, no secret
-    may reach it.
+    breaks this; as with the staged witness, no secret may reach it.
     """
 
     def __init__(self, program: Program, layout: Optional[MemoryLayout] = None,

@@ -9,7 +9,7 @@ page and offset, then every other group on fresh pages from offset 0, each
 past any pinned array its bytes would overlap.  Arrays are one-unit
 groups, laid out after the code; `first_page_past_pins` is the first page
 past every pinned array, where a pass that pins code of its own (O3B's
-clone pairs, in-place O4's groupings) starts.
+caller pages, in-place O4's groupings) starts.
 
 The two layouts differ only in their code groups and their order:
 

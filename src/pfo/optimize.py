@@ -12,10 +12,9 @@ Each pass preserves program outputs and the single-profile-class property
 * O3B cloning: a callee shared by callers on different pages is copied
   next to each caller, so neither call crosses a page.
 * O4 multiplexing elimination: code stays in place, removing the code
-  fetch/execute machinery, when it faults alike on every path.  Both forms
-  are decided from compiled code, without a run: a staged build's levels
-  by `MultiplexedExecutable.level_witness`, and the one page grouping of
-  an in-place build (`opt_mux_elim`) by `AstExecutable.witness`.
+  fetch/execute machinery, when it faults alike on every path.  Staged or
+  in place, it is decided from compiled code without a run: the
+  candidate is kept when its executable has no `witness`.
 * O5 if-conversion: secret-conditioned branches become data selection
   through a two-slot table, removing control dependence on the secret.
 
@@ -27,13 +26,13 @@ call arguments are never skipped: a call in a callee's `for` step counts
 for O5's purity check, O3B's redirection and O4's page grouping alike.
 
 No pass computes a page number itself: O2 lays its arrays out with
-`layouts.place` from `layouts.next_free_page`, and O3B's clone pairs and
+`layouts.place` from `layouts.next_free_page`, and O3B's caller pages and
 in-place O4's groups start at `layouts.first_page_past_pins`: past every
 pinned array, and for O3B past the `place code` pins it keeps (those of
 every function it does not pin beside a clone).
 
-`build_defense` is the single entry point that composes passes: the CLI,
-the suites and the tests all build a defense through it.  A
+`build_defense` is the single entry point that composes passes: the CLI
+and the suites build every defense through it, staged or in place.  A
 `DefenseBuild` bundles whatever the pipeline has produced so far (AST
 rewrites, tree, plan, layouts) and hands out a runnable executable; each
 pass that changes a staged build re-plans it through `_replan`.
@@ -68,6 +67,7 @@ from .lang import (
     VarDecl,
     WORD_SIZE,
     While,
+    arith,
     map_ast,
     walk_all,
 )
@@ -126,11 +126,6 @@ def build_staged(program: Program, page_size: Optional[int] = None) -> DefenseBu
     return DefenseBuild(program, layout, tree=tree, plan=plan_layout(tree, layout))
 
 
-def build_inplace(program: Program, page_size: Optional[int] = None) -> DefenseBuild:
-    ps = program.resolve_page_size(page_size)
-    return DefenseBuild(program, build_ast_layout(program.lowered, ps))
-
-
 def _names_in_use(program: Program) -> set[str]:
     """Every name `program` declares or uses: its declarations, functions,
     parameters, and the variables and callees its bodies name."""
@@ -178,6 +173,45 @@ def _is_pure(program: Program, nodes) -> bool:
     return True
 
 
+def _constant_globals(program: Program) -> frozenset[str]:
+    """The global scalars whose initializer is non-zero and that no
+    assignment or `for` header writes (no parameter has a global's name)."""
+    written = set()
+    for fn in program.functions:
+        for n in walk_all(fn.body):
+            if isinstance(n, For):
+                written.add(n.var)
+            elif isinstance(n, Assign) and isinstance(n.target, Var):
+                written.add(n.target.name)
+    return frozenset(d.name for d in program.decls
+                     if d.kind == DeclKind.GLOBAL and not d.is_array
+                     and any(d.init) and d.name not in written)
+
+
+def _may_trap(program: Program, nodes, constants: frozenset[str]) -> Optional[str]:
+    """The first op in `nodes`, or in the body of any function they call,
+    that may trap, named with its line, else None: a `while` (its bound may
+    run out), a `/` or `%` whose divisor is neither a non-zero literal nor
+    one of `constants` (`_constant_globals`), and an index that is not a
+    literal in bounds."""
+    canon = arith(program.int_width)[0]
+    called = program.reachable(n.name for n in walk_all(nodes) if isinstance(n, CallExpr))
+    bodies = [s for name in called for s in program.function(name).body]
+    for n in walk_all([*nodes, *bodies]):
+        if isinstance(n, While):
+            return f"`while` at line {n.pos.line}"
+        if isinstance(n, Binary) and n.op in ("/", "%"):
+            d = n.right
+            if not (isinstance(d, Num) and canon(d.value)
+                    or isinstance(d, Var) and d.name in constants):
+                return f"`{n.op}` at line {n.pos.line}"
+        if isinstance(n, Index) and not (
+                isinstance(n.index, Num)
+                and 0 <= n.index.value < program.decl(n.name).array_len):
+            return f"index into {n.name} at line {n.pos.line}"
+    return None
+
+
 _BOOL_OPS = {"==", "!=", "<", ">", "<=", ">=", "&&"}
 
 
@@ -187,11 +221,14 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
     `if (c) { x = e; }` becomes `slot[0] = x; slot[1] = e; x = slot[c'];`
     with a fresh two-entry selection table per site, so the branch turns
     into a data access on a single page.  Arms with mismatched write sets,
-    array writes, or impure calls are left alone.
+    array writes or impure calls are left alone, and so are arms that may
+    trap (`_may_trap`): both arms always run once converted, so a trap in
+    the arm not taken would be a trap the program does not have.
     """
     report = IfConversionReport()
     new_decls = list(program.decls)
     taken = _names_in_use(program)
+    constants = _constant_globals(program)
 
     def selector_index(cond):
         if isinstance(cond, Binary) and cond.op in _BOOL_OPS:
@@ -222,9 +259,14 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
                     report.declined.append("mismatched write sets")
                     ok = False
                 if ok:
-                    exprs = list(then_w.values()) + list(else_w.values()) + [s.cond]
-                    if not _is_pure(program, exprs):
+                    values = [*then_w.values(), *else_w.values()]
+                    if not _is_pure(program, [*values, s.cond]):
                         report.declined.append("impure arm or condition")
+                        ok = False
+                if ok:
+                    trap = _may_trap(program, values, constants)
+                    if trap is not None:
+                        report.declined.append(f"arm may trap: {trap}")
                         ok = False
                 if ok and not then_w:
                     # empty conditional: drop it
@@ -378,9 +420,11 @@ def opt_clone(program: Program, page_size: Optional[int] = None
               ) -> tuple[Program, CloneReport]:
     """Replicate a callee shared by several callers, one clone per caller.
 
-    Every caller gets its own copy placed directly after its code, so the
-    call never crosses a page; single-caller callees are just co-located
-    (the degenerate case).
+    Every caller gets its own copy on the caller's page, after its code
+    and the clones placed before, so the call never crosses a page; a
+    caller of several shared callees is pinned once, on one page with all
+    its clones.  Single-caller callees are just co-located (the
+    degenerate case).
     """
     ps = program.resolve_page_size(page_size)
     report = CloneReport()
@@ -404,6 +448,8 @@ def opt_clone(program: Program, page_size: Optional[int] = None
                   if p.kind == "data" or p.name not in repinned]
     next_page = first_page_past_pins(
         program, ps, [p.name for p in placements if p.kind == "code"])
+    # each caller's page and the offset past what sits on it so far
+    ends: dict[str, tuple[int, int]] = {}
     for callee, caller_names in sorted(shared.items()):
         if lengths[callee] > ps:
             raise OptError(
@@ -411,7 +457,13 @@ def opt_clone(program: Program, page_size: Optional[int] = None
             )
         clones = []
         for caller in caller_names:
-            if lengths[caller] + lengths[callee] > ps:
+            if caller not in ends:
+                # the caller opens its own page, which holds all its clones
+                placements.append(Placement("code", caller, next_page, 0))
+                ends[caller] = (next_page, lengths[caller])
+                next_page += 1
+            page, offset = ends[caller]
+            if offset + lengths[callee] > ps:
                 raise OptError(
                     f"{callee} cannot sit beside {caller} in a {ps}-byte page"
                 )
@@ -424,10 +476,8 @@ def opt_clone(program: Program, page_size: Optional[int] = None
             new_functions[new_functions.index(caller_fn)] = _redirect_calls(
                 caller_fn, callee, clone_name
             )
-            # pin the clone right after its caller on a shared page
-            placements.append(Placement("code", caller, next_page, 0))
-            placements.append(Placement("code", clone_name, next_page, lengths[caller]))
-            next_page += 1
+            placements.append(Placement("code", clone_name, page, offset))
+            ends[caller] = (page, offset + lengths[callee])
         report.cloned[callee] = tuple(clones)
 
     new_program = Program(
@@ -448,27 +498,34 @@ def _redirect_calls(fn: Function, old: str, new: str) -> Function:
 
 # --- O4: multiplexing elimination -------------------------------------------
 
-@dataclass
-class MuxElimReport:
-    succeeded: bool
-    groups: tuple[tuple[str, ...], ...] = ()
-    reason: str = ""
+def opt_mux_elim(build: DefenseBuild) -> DefenseBuild:
+    """O4: a staged build with its code unstaged (every block at its own
+    code pages), or an in-place build's page grouping (`_grouped`), when
+    that candidate's executable has no `witness`; else `build`, noted
+    "O4 declined: <witness>"."""
+    if build.tree is None:
+        candidate, witness = _grouped(build)
+    else:
+        candidate = _replan(build, applied=build.applied + ("O4",))
+        witness = candidate.executable().witness
+    if witness is None:
+        return candidate
+    return replace(build, notes=build.notes + (f"O4 declined: {witness}",))
 
 
-def opt_mux_elim(program: Program, page_size: Optional[int] = None
-                 ) -> tuple[Optional[DefenseBuild], MuxElimReport]:
-    """O4 in place: put the functions an `if` chooses between on one page,
-    so whichever arm runs, its calls fault alike.
+def _grouped(build: DefenseBuild) -> tuple[Optional[DefenseBuild], Optional[str]]:
+    """In-place O4's candidate and its witness: put the functions an `if`
+    chooses between on one page, so whichever arm runs, its calls fault
+    alike.
 
     The functions called under an `if`'s arms share a page, and when only
     one arm calls anything, its callees and theirs share the page of the
     function that holds the `if`.  The groups go one per page, from
-    `layouts.first_page_past_pins` on; a group larger than a page declines.
-    The build is kept when its `AstExecutable.witness` is `None`, which is
-    decided from its compiled code without a run; otherwise the reason
-    names the witness.
+    `layouts.first_page_past_pins` on; a group larger than a page is the
+    witness.
     """
-    ps = program.resolve_page_size(page_size)
+    program = build.program
+    ps = build.source_layout.page_size
     lengths = program.lowered.code_lengths()
     group = {f.name: {f.name} for f in program.functions}
     for fn in program.functions:
@@ -481,12 +538,12 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None
                 merged = set().union(*(group[name] for name in tied))
                 for name in merged:
                     group[name] = merged
-    groups = tuple(sorted({tuple(sorted(g)) for g in group.values()}))
+    groups = sorted({tuple(sorted(g)) for g in group.values()})
     for g in groups:
         size = sum(lengths[n] for n in g)
         if size > ps:
-            return None, MuxElimReport(False, reason=f"O4 declined: {' + '.join(g)} "
-                                       f"is {size} bytes, larger than one {ps}-byte page")
+            return None, (f"{' + '.join(g)} is {size} bytes, "
+                          f"larger than one {ps}-byte page")
 
     placements = []
     for page, members in enumerate(groups, first_page_past_pins(program, ps)):
@@ -494,27 +551,15 @@ def opt_mux_elim(program: Program, page_size: Optional[int] = None
         for name in members:
             placements.append(Placement("code", name, page, offset))
             offset += lengths[name]
-    candidate = Program(
+    grouped = Program(
         program.decls, program.functions,
         tuple(p for p in program.placements if p.kind != "code") + tuple(placements),
         program.page_size_hint,
     )
-    build = replace(build_inplace(candidate, ps), applied=("O4",))
-    witness = build.executable().witness
-    if witness is not None:
-        return None, MuxElimReport(False, reason=f"O4 declined: {witness}")
-    return build, MuxElimReport(True, groups)
-
-
-def opt_mux_elim_staged(build: DefenseBuild) -> DefenseBuild:
-    """O4 on a staged build: drop code staging when, with every block at its
-    own code pages, each level's blocks fault alike (`level_witness`)."""
-    candidate = _replan(build, applied=build.applied + ("O4",))
-    witness = candidate.executable().level_witness()
-    if witness is None:
-        return candidate
-    note = "O4 declined: level {}, BB{} and BB{} fault differently".format(*witness)
-    return replace(build, notes=build.notes + (note,), _exe=None)
+    candidate = replace(build, program=grouped, _exe=None,
+                        source_layout=build_ast_layout(grouped.lowered, ps),
+                        applied=build.applied + ("O4",))
+    return candidate, candidate.executable().witness
 
 
 def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
@@ -539,30 +584,42 @@ def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
 
 # the order `build_defense` runs the passes in, whatever order they are named
 ALL_PASSES = ("O5", "O3B", "O3A", "O4", "O1", "O2")
+# the passes an in-place build takes: the others need an execution tree
+IN_PLACE_PASSES = ("O5", "O4")
 
 
-def build_defense(program: Program, passes=(), page_size: Optional[int] = None
-                  ) -> DefenseBuild:
-    """The defense pipeline: multiplexing plus the named passes.
+def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
+                  *, in_place: bool = False) -> DefenseBuild:
+    """The defense pipeline: multiplexing plus the named passes, or with
+    `in_place` the program's own layout plus `IN_PLACE_PASSES`.
 
-    O5 and O3B rewrite the AST (and placements) before the tree exists, so
-    they run first; the staged build then takes O3A, O4 (decided from its
-    compiled blocks, without sampling), O1 and O2, in that order.
+    O5 and O3B rewrite the AST (and placements) before anything is laid
+    out, so they run first; the build then takes O3A, O4 (decided from
+    its compiled code, without sampling), O1 and O2, in that order.
+    `applied` leaves out an AST pass that rewrote nothing and declined O4.
     """
     unknown = [p for p in passes if p not in ALL_PASSES]
     if unknown:
         raise OptError(f"unknown optimization(s): {', '.join(unknown)}")
+    staged_only = [p for p in passes if p not in IN_PLACE_PASSES]
+    if in_place and staged_only:
+        raise OptError(f"in place only O5 and O4 apply, not {', '.join(staged_only)}")
     ps = program.resolve_page_size(page_size)
+    applied: tuple[str, ...] = ()
     if "O5" in passes:
-        program, _ = opt_if_convert(program)
+        program, report = opt_if_convert(program)
+        applied += ("O5",) if report.converted else ()
     if "O3B" in passes:
-        program, _ = opt_clone(program, ps)
-    build = build_staged(program, ps)
-    build.applied = tuple(p for p in ("O5", "O3B") if p in passes)
+        program, report = opt_clone(program, ps)
+        applied += ("O3B",) if report.cloned else ()
+    if in_place:
+        build = DefenseBuild(program, build_ast_layout(program.lowered, ps), applied)
+    else:
+        build = replace(build_staged(program, ps), applied=applied)
     if "O3A" in passes:
         build = opt_level_merge(build)
     if "O4" in passes:
-        build = opt_mux_elim_staged(build)
+        build = opt_mux_elim(build)
     if "O1" in passes:
         build = opt_readonly_elim(build)
     if "O2" in passes:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .contract import (
@@ -34,14 +34,7 @@ from .leakage import (
     quantify_leakage,
     verify_pfo,
 )
-from .optimize import (
-    ALL_PASSES,
-    DefenseBuild,
-    build_defense,
-    build_inplace,
-    opt_if_convert,
-    opt_mux_elim,
-)
+from .optimize import ALL_PASSES, DefenseBuild, build_defense
 
 
 @dataclass
@@ -167,20 +160,19 @@ def case_source(name: str, width: Optional[int] = None) -> str:
     raise KeyError(name)
 
 
+# each case's recorded defense, `(passes, in_place)`; every other case is
+# staged under O1 and O2
+RECORDED = {"eddsa": (("O5",), True), "powm": (("O4",), True)}
+
+
 def defended_build(name: str, width: Optional[int] = None) -> DefenseBuild:
     """Per-case defense with its recorded optimization combination."""
-    program = parse(case_source(name, width))
-    if name == "eddsa":
-        program, report = opt_if_convert(program)
-        if report.converted != 1:
-            raise RuntimeError("if-conversion did not fire on the scalar loop")
-        return replace(build_inplace(program), applied=("O5",))
-    if name == "powm":
-        build, report = opt_mux_elim(program)
-        if build is None:
-            raise RuntimeError(f"grouping failed: {report.reason}")
-        return build
-    return build_defense(program, ("O1", "O2"))
+    passes, in_place = RECORDED.get(name, (("O1", "O2"), False))
+    build = build_defense(parse(case_source(name, width)), passes, in_place=in_place)
+    missing = [p for p in passes if p not in build.applied]
+    if missing:
+        raise RuntimeError(f"{name}: {', '.join(missing)} did not apply {build.notes}")
+    return build
 
 
 DEFENSE_CASES = (
@@ -257,12 +249,11 @@ STEAL_STEPS = 25
 
 def contract_case(name: str, width: int):
     """Balanced executable plus probe secrets for a contract sweep."""
-    program = parse(case_source(name, width))
-    if name == "eddsa":
-        program, _ = opt_if_convert(program)
-    domain = SecretDomain.of(program)
+    passes = ("O5",) if name == "eddsa" else ()
+    build = build_defense(parse(case_source(name, width)), passes, in_place=True)
+    domain = SecretDomain.of(build.program)
     [secret_name] = domain.names
-    return AstExecutable(program), domain.extremes(), secret_name
+    return build.executable(), domain.extremes(), secret_name
 
 
 def contracts_suite(seed: int = 0, secrets_per_case: int = 64) -> SuiteResult:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .exectree import Block, ExecutionTree, check_balanced
@@ -371,7 +372,7 @@ class MultiplexedExecutable(TreeExecutable):
     staging slots only (with the dummy reads of a level of several
     blocks); the selector update; and for a leaf the last copy-back.
     Every op's pages are fixed, so a block is one segment that a run
-    accounts once, from its `Summary` (which `level_witness` reads).
+    accounts once, from its `Summary` (which `witness` reads).
     Blocks with the same copies and charge share one copy op, and blocks on
     one code page one selector op.  With the code staged, blocks on one
     level that hold the same micro-op objects (copies of one continuation,
@@ -483,16 +484,17 @@ class MultiplexedExecutable(TreeExecutable):
         self._link(tree, source_layout, objects, compiler, block_ops,
                    staged_key if code_staged else None)
 
-    def level_witness(self) -> tuple[int, int, int] | None:
-        """`None` when every level's blocks fault alike, else `(level, first
-        block id, differing block id)` for the first level where two do not:
-        each block's one summarised segment, accounted from the level's entry
-        set (empty, then the level before's common exit set), must end with
-        the same faults and resident set.  By induction over the levels,
-        `None` proves one profile for every run that does not trap; a witness
-        may name a block no secret reaches.  O4 does not move traps: a run
-        traps at the same op on the same path staged or not (its step
-        shifted by the code copies, alike on every path).
+    @cached_property
+    def witness(self) -> str | None:
+        """`None` when every level's blocks fault alike, else the first level
+        where two do not, as "level L, BBi and BBj fault differently": each
+        block's one summarised segment, accounted from the level's entry set
+        (empty, then the level before's common exit set), must end with the
+        same faults and resident set.  By induction over the levels, `None`
+        proves one profile for every run that does not trap; a witness may
+        name a block no secret reaches.  O4 does not move traps: a run traps
+        at the same op on the same path staged or not (its step shifted by
+        the code copies, alike on every path).
         """
         entry: frozenset = frozenset()
         for blocks in self.tree.levels:
@@ -501,6 +503,7 @@ class MultiplexedExecutable(TreeExecutable):
                 ((_, summary),) = self.segments[b.id]
                 ends.add(summary.ends(entry))
                 if len(ends) > 1:
-                    return (b.level, blocks[0].id, b.id)
+                    return (f"level {b.level}, BB{blocks[0].id} and BB{b.id} "
+                            "fault differently")
             ((_, entry),) = ends
         return None

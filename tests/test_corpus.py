@@ -23,7 +23,9 @@ from pfo.interp import AstExecutable
 from pfo.lang import parse
 from pfo.leakage import SecretDomain, verify_pfo
 from pfo.memory import page_of
-from pfo.optimize import build_defense, build_inplace, opt_if_convert, opt_mux_elim
+from pfo.optimize import build_defense, opt_if_convert
+
+from test_optimize import code_groups
 
 RNG = random.Random(20240810)
 
@@ -135,9 +137,9 @@ class TestPowmCases:
 
     def test_o4_defense_oblivious(self):
         program = parse(powm_balanced_source(16))
-        build, report = opt_mux_elim(program)
-        assert report.succeeded
-        grouped = next(g for g in report.groups if "mul_mod" in g)
+        build = build_defense(program, ("O4",), in_place=True)
+        assert build.applied == ("O4",)
+        grouped = next(g for g in code_groups(build) if "mul_mod" in g)
         assert "mul_mod_dummy" in grouped
         profiles = set()
         vanilla = AstExecutable(program)
@@ -159,9 +161,9 @@ class TestInPlaceO4:
         # the arm that adds calls add_points and, through it, add_step: both
         # share main's page
         program = parse(eddsa_source(8))
-        build, report = opt_mux_elim(program)
-        assert report.groups == (("add_points", "add_step", "main"), ("dup_point",),
-                                 ("test_bit",))
+        build = build_defense(program, ("O4",), in_place=True)
+        assert code_groups(build) == (("add_points", "add_step", "main"), ("dup_point",),
+                                      ("test_bit",))
         vanilla = AstExecutable(program)
         profiles = set()
         for secret in SecretDomain.of(program).exhaustive():
@@ -175,18 +177,19 @@ class TestInPlaceO4:
 
         program = parse(eddsa_full_source())
         start = time.perf_counter()
-        build, report = opt_mux_elim(program)
+        build = build_defense(program, ("O4",), in_place=True)
         assert time.perf_counter() - start < 5
-        assert report.succeeded
+        assert build.applied == ("O4",)
         setups = tuple((f"setup{i}",) for i in range(26))
-        assert report.groups == tuple(sorted(
+        assert code_groups(build) == tuple(sorted(
             (("add_points", "add_step", "main"), ("dup_point",), ("test_bit",), *setups)))
 
     def test_split_table_declines(self):
         # without the split-access rule aes would pass, with 8 classes
-        build, report = opt_mux_elim(parse(make_table_cases()["aes"].source(key_bits=16)))
-        assert build is None
-        assert report.reason == "O4 declined: access to table1 split across pages"
+        build = build_defense(parse(make_table_cases()["aes"].source(key_bits=16)),
+                              ("O4",), in_place=True)
+        assert build.applied == ()
+        assert build.notes == ("O4 declined: access to table1 split across pages",)
 
 
 # the decoders read `EDDSA_PAGES` and `POWM_PAGES`: each function's code

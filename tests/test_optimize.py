@@ -12,12 +12,10 @@ from pfo.optimize import (
     ALL_PASSES,
     OptError,
     build_defense,
-    build_inplace,
     build_staged,
     opt_clone,
     opt_if_convert,
     opt_level_merge,
-    opt_mux_elim,
     opt_page_realign,
     opt_readonly_elim,
 )
@@ -141,7 +139,7 @@ fn main() {
 
     def test_in_place_build_rejected(self):
         with pytest.raises(OptError, match="runs in place"):
-            opt_page_realign(build_inplace(parse(TWO_TABLE_TOY)))
+            opt_page_realign(build_defense(parse(TWO_TABLE_TOY), in_place=True))
 
 
 CHAIN_SOURCE = """
@@ -218,6 +216,12 @@ def test_unknown_pass_rejected():
         build_defense(FOO, ("O1", "O9"))
 
 
+@pytest.mark.parametrize("opt", ["O1", "O2", "O3A", "O3B"])
+def test_in_place_rejects_a_pass_that_needs_a_tree(opt):
+    with pytest.raises(OptError, match=opt):
+        build_defense(FOO, (opt,), in_place=True)
+
+
 def test_if_converted_foo_oblivious():
     assert exhaustive_verdict(build_defense(FOO, ("O5",))).oblivious
 
@@ -260,6 +264,22 @@ fn main() {
   #pragma begin_pf_sensitive
   y = f();
   if (s == 1) { y = g(); }
+  #pragma end_pf_sensitive
+}
+"""
+
+
+TWO_SHARED_CALLEES = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+fn h1(v) { return v + 1; }
+fn h2(v) { return v + 2; }
+fn f(v) { return h1(v) + h2(v); }
+fn g(v) { return h2(v) * h1(v); }
+fn main() {
+  #pragma begin_pf_sensitive
+  y = f(s) + g(s);
   #pragma end_pf_sensitive
 }
 """
@@ -339,6 +359,25 @@ fn left(v)""").replace("#pragma end_pf_sensitive", """y = y + shared__for_left(2
             assert defended.run(secret={"s": s}).outputs == \
                 vanilla.run(secret={"s": s}).outputs == {"y": 5}
 
+    def test_caller_of_two_shared_callees_pinned_once(self):
+        # f and g both call h1 and h2: each caller shares one page with both
+        # of its clones, so the program prints and re-parses
+        program, report = opt_clone(parse(TWO_SHARED_CALLEES))
+        assert report.cloned == {"h1": ("h1__for_f", "h1__for_g"),
+                                 "h2": ("h2__for_f", "h2__for_g")}
+        assert [(p.name, p.page, p.offset) for p in program.placements] == [
+            ("f", 0, 0), ("h1__for_f", 0, 16), ("g", 1, 0), ("h1__for_g", 1, 16),
+            ("h2__for_f", 0, 24), ("h2__for_g", 1, 24)]
+        layout = AstExecutable(parse(pretty(program))).layout
+        for name in ("h1__for_f", "h2__for_f"):
+            assert {e.page for e in layout.code_extents(name)} == \
+                {e.page for e in layout.code_extents("f")} == {0}
+        vanilla = AstExecutable(parse(TWO_SHARED_CALLEES))
+        defended = build_defense(parse(TWO_SHARED_CALLEES), ("O3B",))
+        for s in range(4):
+            assert defended.run(secret={"s": s}).outputs == \
+                vanilla.run(secret={"s": s}).outputs == {"y": 2 * s + 3 + (s + 2) * (s + 1)}
+
     def test_single_caller_no_clone(self):
         src = """
 fn helper(v) { return v * 2; }
@@ -350,21 +389,34 @@ output int y;
         assert {f.name for f in program.functions} == {"helper", "main"}
 
 
+def in_place_o4(source, page_size=None):
+    return build_defense(parse(source), ("O4",), page_size, in_place=True)
+
+
+def code_groups(build):
+    """The functions that `place code` pins put on one page, page by page."""
+    pages = {}
+    for p in build.program.placements:
+        if p.kind == "code":
+            pages.setdefault(p.page, []).append(p.name)
+    return tuple(sorted(tuple(sorted(names)) for names in pages.values()))
+
+
 class TestMuxElim:
     def test_alternative_targets_grouped(self):
-        build, report = opt_mux_elim(parse(SHARED_CALLEE), page_size=4096)
-        assert report.succeeded
-        grouped = next(g for g in report.groups if "left" in g)
+        build = in_place_o4(SHARED_CALLEE, page_size=4096)
+        assert build.applied == ("O4",)
+        grouped = next(g for g in code_groups(build) if "left" in g)
         assert "right" in grouped
 
     def test_profile_uniform_after_grouping(self):
-        build, report = opt_mux_elim(parse(SHARED_CALLEE), page_size=4096)
-        assert report.succeeded
+        build = in_place_o4(SHARED_CALLEE, page_size=4096)
+        assert build.applied == ("O4",)
         profiles = {tuple(build.run(secret={"s": v}).profile) for v in (0, 1)}
         assert len(profiles) == 1
 
     def test_outputs_preserved(self):
-        build, _ = opt_mux_elim(parse(SHARED_CALLEE), page_size=4096)
+        build = in_place_o4(SHARED_CALLEE, page_size=4096)
         vanilla = AstExecutable(parse(SHARED_CALLEE))
         for s in (0, 1):
             assert build.run(secret={"s": s}).outputs == \
@@ -376,11 +428,11 @@ output int y;
 fn step(v) { return v + 1; }
 fn main() { y = step(step(1)); }
 """
-        build, report = opt_mux_elim(parse(src), page_size=4096)
-        assert report.succeeded
+        build = in_place_o4(src, page_size=4096)
+        assert build.applied == ("O4",)
 
     def test_zero_staging_copies(self):
-        build, report = opt_mux_elim(parse(SHARED_CALLEE), page_size=4096)
+        build = in_place_o4(SHARED_CALLEE, page_size=4096)
         result = build.run(secret={"s": 1})
         assert result.copy_ops == 0 and result.code_copy_ops == 0
 
@@ -390,10 +442,10 @@ fn main() { y = step(step(1)); }
             "`if` at line 16: its arms fault differently"
 
     def test_group_larger_than_a_page_declines(self):
-        build, report = opt_mux_elim(parse(THREE_WAY))
-        assert build is None
-        assert report.reason == \
-            "O4 declined: main is 112 bytes, larger than one 64-byte page"
+        build = in_place_o4(THREE_WAY)
+        assert build.applied == () and build.program.placements == ()
+        assert build.notes == \
+            ("O4 declined: main is 112 bytes, larger than one 64-byte page",)
 
 
 FIG8_SOURCE = """
@@ -601,6 +653,64 @@ def test_executables_agree(source):
         assert seen == seen[:1] * len(exes), secret
 
 
+_S3 = "secret int<3> s;\noutput int y;\nint a;\nint t[8];"
+# O5 runs both arms of each `if` it converts, so an arm that may trap must
+# stay a branch: converted, these would trap where the program does not
+O5_TRAPS = {
+    "index_in_else": _region(_S3, "a = y; if (s != 6) { y = 4; } else { y = t[s + 1]; }"),
+    "div_in_then": _region(_S3, "if (s == 3) { a = 100 / (s - 4); }"),
+    "trapping_arm": TRAPPING_ARM,
+}
+
+
+@pytest.mark.parametrize("passes", [("O5",), ALL_PASSES], ids=["O5", "all"])
+@pytest.mark.parametrize("source", O5_TRAPS.values(), ids=O5_TRAPS.keys())
+def test_o5_adds_no_trap(source, passes):
+    program = parse(source)
+    exes = [AstExecutable(program), build_defense(program, passes).executable()]
+    for secret in SecretDomain.of(program).exhaustive():
+        seen = [(r.outputs, r.trap and r.trap.kind)
+                for r in (exe.run(secret=secret) for exe in exes)]
+        assert seen[0] == seen[1], secret
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("index_in_else", "index into t at line 7"),
+    ("div_in_then", "`/` at line 7"),
+    ("trapping_arm", "index into t at line 10"),
+])
+def test_o5_declines_an_arm_that_may_trap(case, reason):
+    _, report = opt_if_convert(parse(O5_TRAPS[case]))
+    assert report.converted == 0
+    assert report.declined == [f"arm may trap: {reason}"]
+
+
+@pytest.mark.parametrize("decls, arm, converted", [
+    pytest.param("", "y = 100 / 7;", True, id="literal-divisor"),
+    pytest.param("", "y = 100 / (7 - 7);", False, id="computed-divisor"),
+    pytest.param("", "y = t[7];", True, id="literal-index"),
+    pytest.param("", "y = t[8];", False, id="literal-index-past-end"),
+    # a divisor that only its non-zero initializer sets
+    pytest.param("int m = 5;", "y = 100 % m;", True, id="constant-global"),
+    pytest.param("int m;", "y = 100 % m;", False, id="zero-global"),
+    pytest.param("int m = 5;\nfn zero() { m = 0; return 0; }", "y = 100 % m;", False,
+                 id="written-global"),
+    pytest.param("int m = 5;\nfn f() { for (m = 1; m < 2; m = m + 1) { } return 0; }",
+                 "y = 100 % m;", False, id="for-written-global"),
+    pytest.param("public int m = 5;", "y = 100 % m;", False, id="public-divisor"),
+    # in a function the arm calls
+    pytest.param("fn f(v) { while (v > 0) bound 2 { v = v - 1; } return v; }",
+                 "y = f(s);", False, id="callee-while"),
+    pytest.param("fn f(v) { return t[v]; }", "y = f(2);", False, id="callee-index"),
+])
+def test_o5_trap_rule(decls, arm, converted):
+    source = _region(f"{_S3}\n{decls}", f"if (s == 1) {{ {arm} }}")
+    _, report = opt_if_convert(parse(source))
+    assert report.converted == int(converted)
+    assert [d.split(":")[0] for d in report.declined] == \
+        ([] if converted else ["arm may trap"])
+
+
 @pytest.mark.parametrize("case, ys", [
     ("callee_locals", [1, 2, 3, 4]),
     ("callee_locals_loop", [3, 4, 5, 6]),
@@ -618,17 +728,17 @@ def test_while_overrun_traps():
 
 def test_mux_elim_merges_caller_and_callee():
     # f alone on a page faults only when s == 1; with main it never faults
-    build, report = opt_mux_elim(parse(AGREEMENT_CASES["call_under_branch"]))
-    assert report.succeeded
-    assert report.groups == (("f", "main"),)
+    build = in_place_o4(AGREEMENT_CASES["call_under_branch"])
+    assert build.applied == ("O4",)
+    assert code_groups(build) == (("f", "main"),)
 
 
 def test_in_place_o4_decline_names_the_witness():
-    build, report = opt_mux_elim(parse(AGREEMENT_CASES["while_long"]))
-    assert build is None
-    assert report.reason == "O4 declined: `while` at line 5: its trips may vary"
-    _, report = opt_mux_elim(parse(AGREEMENT_CASES["split_store"]))
-    assert report.reason == "O4 declined: access to t split across pages"
+    build = in_place_o4(AGREEMENT_CASES["while_long"])
+    assert build.applied == ()
+    assert build.notes == ("O4 declined: `while` at line 5: its trips may vary",)
+    build = in_place_o4(AGREEMENT_CASES["split_store"])
+    assert build.notes == ("O4 declined: access to t split across pages",)
 
 
 def test_readonly_table_fetched_on_first_level_only():
@@ -664,7 +774,7 @@ def test_level_witness_is_exact(source):
     builds["unstaged"] = replace(plain, _exe=None, plan=plan_layout(
         plain.tree, plain.source_layout, stage_code=False))
     for plan, build in builds.items():
-        witness = build.executable().level_witness()
+        witness = build.executable().witness
         runs = [build.run(secret=s)
                 for s in SecretDomain.of(build.program).exhaustive()]
         profiles = {tuple(r.profile) for r in runs if r.trap is None}
@@ -674,12 +784,12 @@ def test_level_witness_is_exact(source):
 @pytest.mark.parametrize("source", [*WITNESS_CASES.values(), powm_balanced_source(8)],
                          ids=[*WITNESS_CASES, "powm_8"])
 def test_no_in_place_witness_means_one_profile(source):
-    # in place as written and under in-place O4: no witness implies that the
-    # runs that do not trap share one profile
+    # in place as written, under O4 and under O5 and O4: no witness implies
+    # that the runs that do not trap share one profile
     program = parse(source)
-    build, _ = opt_mux_elim(program)
     secrets = list(SecretDomain.of(program).exhaustive())
-    for exe in [AstExecutable(program)] + ([build.executable()] if build else []):
+    for passes in ((), ("O4",), ("O5", "O4")):
+        exe = build_defense(program, passes, in_place=True).executable()
         if exe.witness is None:
             runs = [exe.run(secret=s) for s in secrets]
             assert len({tuple(r.profile) for r in runs if r.trap is None}) <= 1

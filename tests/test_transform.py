@@ -497,12 +497,14 @@ fn main() {
 ])
 def test_level_witness(source, passes, witness):
     exe = build_defense(parse(source), passes).executable()
-    assert exe.level_witness() == witness
+    assert exe.witness == witness
 
 
 @pytest.mark.parametrize("source, witness", [
-    (DATA_PLACEMENT, (2, 2, 3)), (UNEVEN_ARMS, (2, 2, 3)),
-    (SHARED_CONTINUATION, (3, 3, 12)), (FOO_SOURCE, (3, 3, 5)),
+    (DATA_PLACEMENT, "level 2, BB2 and BB3 fault differently"),
+    (UNEVEN_ARMS, "level 2, BB2 and BB3 fault differently"),
+    (SHARED_CONTINUATION, "level 3, BB3 and BB12 fault differently"),
+    (FOO_SOURCE, "level 3, BB3 and BB5 fault differently"),
 ], ids=["data-placement", "uneven-arms", "shared-continuation", "foo"])
 def test_level_witness_of_unstaged_code(source, witness):
     # each block at its own code pages reads no staging page in its code-only
@@ -510,7 +512,7 @@ def test_level_witness_of_unstaged_code(source, witness):
     build = build_staged(parse(source))
     plan = plan_layout(build.tree, build.source_layout, stage_code=False)
     exe = MultiplexedExecutable(build.tree, build.source_layout, plan)
-    assert exe.level_witness() == witness
+    assert exe.witness == witness
 
 
 @pytest.mark.parametrize("passes", [(), ALL_PASSES], ids=["plain", "all"])
