@@ -10,9 +10,10 @@ Block boundaries are deterministic: conditionals end the current block
 (the condition evaluation stays with it), each arm starts a child block
 and the code following the conditional is replicated under both arms, and
 unrolled loop iterations are chained as separate blocks.  Inlined call
-bodies merge into the enclosing block.  Replicated code gets blocks of its
-own under each arm, but its micro-ops are lowered once: every copy of an
-expanded statement holds the same `Instr` objects and temporaries.
+bodies merge into the enclosing block.  Building places the items that
+`ir.expand_region` has already lowered and lowers nothing itself, so the
+code replicated under each arm gets blocks of its own, but every copy of
+an item holds the same `Instr` objects and temporaries.
 `balance` pads with one shared pad write and one shared no-op, so copies
 padded alike stay the same objects throughout, and a staged executable
 compiles such copies once (`transform.MultiplexedExecutable`).
@@ -31,18 +32,14 @@ from typing import Optional
 
 from .ir import (
     NODE_BUDGET,
-    BranchI,
     ExpansionBudgetError,
+    IfItem,
     Instr,
     IterMark,
     NopI,
     Operand,
-    OverrunI,
     PadI,
     RegAlloc,
-    TaggedIf,
-    TaggedStmt,
-    _FnLowerer,
     data_refs,
     expand_region,
 )
@@ -132,25 +129,20 @@ class ExecutionTree:
 
 
 def build_execution_tree(program: Program) -> ExecutionTree:
-    """Inline, unroll, and split the sensitive region into an execution tree.
+    """Split the lowered sensitive region (`expand_region`) into an
+    execution tree.
 
     Every item placed into a block is charged against `NODE_BUDGET`, as
     every expanded statement is: copying continuations under both arms of
-    each conditional can outgrow the expansion itself.  An item is lowered
-    the first time it is placed, and every later copy of it reuses those
-    micro-ops, temporaries and branch operand: a temporary is written and
-    read within one item's ops, and a run takes one arm.  Arms are grown
-    from an explicit stack, the then arm's whole subtree before the else
-    arm, so ids follow a depth-first walk however deep branches nest.
+    each conditional can outgrow the expansion itself.  Every copy of an
+    item holds its micro-ops, temporaries and branch operand: a run takes
+    one arm.  Arms are grown from an explicit stack, the then arm's whole
+    subtree before the else arm, so ids follow a depth-first walk however
+    deep branches nest.  A block's origin is the function its first
+    micro-op came from (`main` if it has none).
     """
-    # every item stays reachable from `expanded` until the tree is built,
-    # so an item's id names it in `lowered`
-    expanded = expand_region(program)
-    alloc = RegAlloc()
+    expanded, alloc = expand_region(program)
     entry = program.entry.name
-    lowerer = _FnLowerer(program, alloc, "", entry)
-    # id(item) -> (its micro-ops, the operand a `TaggedIf` branches on)
-    lowered: dict[int, tuple[list[Instr], Optional[Operand]]] = {}
     next_id = 1
     spent = 0
     root = None
@@ -158,17 +150,17 @@ def build_execution_tree(program: Program) -> ExecutionTree:
     arms: list[tuple] = [(tuple(expanded), 1, None, 0)]
     while arms:
         items, level, parent, slot = arms.pop()
-        first = block = Block(next_id, level, [], origin="")
+        block = Block(next_id, level, [], origin=entry)
         next_id += 1
         if parent is None:
-            root = first
+            root = block
         else:
-            parent.children[slot] = first
+            parent.children[slot] = block
         for i, item in enumerate(items):
             if isinstance(item, IterMark):
                 if not block.instrs:
                     continue  # nothing to split yet; merge boundary away
-                child = Block(next_id, block.level + 1, [], origin="")
+                child = Block(next_id, block.level + 1, [], origin=entry)
                 next_id += 1
                 block.children = [child]
                 block = child
@@ -179,35 +171,17 @@ def build_execution_tree(program: Program) -> ExecutionTree:
                     f"execution tree exceeds {NODE_BUDGET} lowered statements "
                     "(conditionals copy the code after them into both arms)"
                 )
+            ops = item.ops if isinstance(item, IfItem) else item
             if not block.instrs:
-                block.origin = item.origin
-            done = lowered.get(id(item))
-            if done is None:
-                lowerer.instrs = ops = []
-                lowerer.origin = item.origin
-                branch = None
-                if isinstance(item, TaggedStmt):
-                    lowerer.assign(item.stmt)
-                elif isinstance(item, OverrunI):
-                    lowerer.emit(item)
-                elif isinstance(item, TaggedIf):
-                    branch = lowerer.operand(item.cond)
-                    lowerer.emit(BranchI(branch, item.origin))
-                else:
-                    raise PfoError(f"unexpected expansion item {item!r}")
-                done = lowered[id(item)] = (ops, branch)
-            block.instrs += done[0]
-            if isinstance(item, TaggedIf):
-                block.branch = done[1]
+                block.origin = ops[0].origin
+            block.instrs += ops
+            if isinstance(item, IfItem):
+                block.branch = ops[-1].cond
                 block.children = [None, None]
                 rest = items[i + 1:]
-                arms.append((tuple(item.else_items) + rest, block.level + 1, block, 1))
-                arms.append((tuple(item.then_items) + rest, block.level + 1, block, 0))
-                first.origin = first.origin or entry
+                arms.append((item.else_items + rest, block.level + 1, block, 1))
+                arms.append((item.then_items + rest, block.level + 1, block, 0))
                 break
-        else:
-            for b in (first, block):
-                b.origin = b.origin or entry
     return ExecutionTree(program, root, alloc)
 
 

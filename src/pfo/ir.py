@@ -12,15 +12,25 @@ Design choices that everything downstream relies on:
 * Ternary expressions lower to a branchless select; `if` statements are
   the only control-flow construct that branches.
 
-The same lowering serves two consumers: the whole-program interpreter
-(functions stay separate, calls are real transfers) and the execution-tree
-builder (calls inlined, loops unrolled; see `expand_region`).  Parsing has
-checked every call and array use, so lowering does not.  Each inlined
-call gets fresh locals, which start at 0 as in the interpreter.  Unrolled, a
-`while` is one conditional per trip, each nested in the one before, and a
-last test of its condition whose true arm is an `OverrunI`: the tree traps
-`loop-bound` where the interpreter does.  Expansion and tree building
-stop at `NODE_BUDGET` statements.
+One expression lowering (`_FnLowerer`) serves two consumers: the
+whole-program interpreter (functions stay separate, calls are real
+transfers) and the execution-tree builder (calls inlined, loops unrolled;
+see `expand_region`, whose items the builder only places into blocks).
+They differ in one thing, a call: the interpreter emits a `CallI`, and
+tree mode binds each parameter right after its own argument, then lowers
+the callee's statements, then its return value where the call stands.
+Both follow one evaluation rule: operands are evaluated left to right, a
+variable operand is read by the op that uses it, each argument is bound
+to its value when it is evaluated, and a call's value is the one its
+callee returns.  So the interpreter copies a global passed bare when a
+later argument makes a call, and tree mode copies a bare global return
+value, each of which a later call could write before it is read.
+Parsing has checked every call and array use, so lowering does not.
+Each inlined call gets fresh locals, which start at 0 as in the
+interpreter.  Unrolled, a `while` is one conditional per trip, each
+nested in the one before, and a last test of its condition whose true
+arm is an `OverrunI`: the tree traps `loop-bound` where the interpreter
+does.  Expansion and tree building stop at `NODE_BUDGET` statements.
 """
 
 from __future__ import annotations
@@ -223,12 +233,11 @@ class RegAlloc:
 class _FnLowerer:
     """Lowers expressions and assignments into micro-ops appended to `instrs`.
 
-    `scope` prefixes every name that is not a declared global scalar: `fn/`
-    in a function body, empty in an expanded region, whose names the
-    expander has already renamed apart.  Tree building points `instrs` and
-    `origin` at each block and item in turn.  Operands are interned: one
-    `Const` per value and one `Reg` per named variable; a temporary gets a
-    fresh slot and `Reg` each time.
+    `scope` prefixes every name that is not a declared global scalar:
+    `fn/` in a function body, and in an expanded region the entry's or
+    the inlined call's own prefix (`_Expander`).  Operands are interned:
+    one `Const` per value and one `Reg` per scoped variable; a temporary
+    gets a fresh slot and `Reg` each time.
     """
 
     def __init__(self, program: Program, alloc: RegAlloc, scope: str, origin: str):
@@ -241,14 +250,28 @@ class _FnLowerer:
         self.consts: dict[int, Const] = {}
         self.regs: dict[str, Reg] = {}
 
-    def local(self, name: str) -> int:
+    def reg(self, name: str) -> Reg:
         # globals (declared scalars) share bare names; everything else is
         # scoped
-        return self.alloc.slot(name if name in self.scalars else self.scope + name)
+        key = name if name in self.scalars else self.scope + name
+        got = self.regs.get(key)
+        if got is None:
+            got = self.regs[key] = Reg(self.alloc.slot(key))
+        return got
+
+    def local(self, name: str) -> int:
+        return self.reg(name).slot
 
     def emit(self, instr: Instr) -> int:
         self.instrs.append(instr)
         return len(self.instrs) - 1
+
+    def copy(self, value: Operand) -> Reg:
+        """`value` held in a fresh temporary, so later writes to the
+        variable it names do not reach it."""
+        dst = self.alloc.temp()
+        self.instrs.append(MovI(dst, value, self.origin))
+        return Reg(dst)
 
     def operand(self, e: Expr) -> Operand:
         if isinstance(e, Num):
@@ -257,10 +280,7 @@ class _FnLowerer:
                 got = self.consts[e.value] = Const(e.value)
             return got
         if isinstance(e, Var):
-            got = self.regs.get(e.name)
-            if got is None:
-                got = self.regs[e.name] = Reg(self.local(e.name))
-            return got
+            return self.reg(e.name)
         if isinstance(e, Index):
             idx = self.operand(e.index)
             dst = self.alloc.temp()
@@ -283,9 +303,19 @@ class _FnLowerer:
         raise LoweringError(f"cannot lower expression {e!r}")
 
     def call(self, name: str, args: tuple[Expr, ...]) -> Operand:
-        arg_ops = tuple(self.operand(a) for a in args)
+        """A `CallI`, which reads its argument operands when it runs: a
+        global passed bare is copied where it is evaluated if a later
+        argument calls a function, which may write it (a callee cannot
+        write the caller's locals)."""
+        arg_ops = []
+        for i, a in enumerate(args):
+            op = self.operand(a)
+            if (isinstance(a, Var) and a.name in self.scalars
+                    and any(isinstance(n, CallExpr) for n in walk_all(args[i + 1:]))):
+                op = self.copy(op)
+            arg_ops.append(op)
         dst = self.alloc.temp()
-        self.emit(CallI(dst, name, arg_ops, self.origin))
+        self.emit(CallI(dst, name, tuple(arg_ops), self.origin))
         return Reg(dst)
 
     def assign(self, stmt: Assign) -> None:
@@ -461,17 +491,11 @@ def extract_region(program: Program) -> Region:
 
 
 @dataclass(frozen=True)
-class TaggedStmt:
-    """A flat statement plus the source function it came from."""
+class IfItem:
+    """A lowered conditional: `ops` evaluate the condition and end in its
+    `BranchI`; the arms are item lists, already expanded."""
 
-    stmt: Stmt
-    origin: str
-
-
-@dataclass(frozen=True)
-class TaggedIf:
-    cond: Expr
-    origin: str
+    ops: list[Instr]
     then_items: tuple
     else_items: tuple
 
@@ -485,34 +509,29 @@ class ExpansionBudgetError(PfoError):
     """Unrolled region exceeded `NODE_BUDGET`."""
 
 
-class _Expander:
-    """Inlines calls and unrolls loops into a flat, origin-tagged list.
+class _Expander(_FnLowerer):
+    """Lowers the sensitive region with calls inlined and loops unrolled.
 
-    Output items are TaggedStmt (Assign only), TaggedIf (arms already
-    expanded), IterMark, and OverrunI (a `while` past its bound).  Variables
-    from inlined bodies are renamed `callee@k/name` so every call-site
-    instance owns fresh locals.  Every expanded statement is charged
-    against `NODE_BUDGET`.
+    It lowers as `_FnLowerer` does, statement by statement, but a call
+    binds each parameter right after its own argument, then runs the
+    callee's statements, and stands for the callee's return value, copied
+    into a temporary when it is a bare global.  Every inlined call gets
+    its own scope (`callee@k/`), so its locals are fresh.  The output
+    items are micro-op lists (a statement's or a parameter binding's ops,
+    after those of the expression around a call that precede it),
+    `IfItem`s and `IterMark`s, appended to `items`; `instrs` holds the ops
+    not yet in an item.  Every expanded statement is charged against
+    `NODE_BUDGET`.
     """
 
     def __init__(self, program: Program):
-        self.program = program
-        self.vars: dict[str, Var] = {}  # one `Var` per renamed name
+        entry = program.entry.name
+        super().__init__(program, RegAlloc(), f"{entry}/", entry)
+        self.items: list = []
         self.count = 0
         self.site = itertools.count()
-        self.origin_stack = [program.entry.name]
         self.loop_stack: list = []
         self.single_exit: set[str] = set()  # callees checked for early returns
-
-    @property
-    def origin(self) -> str:
-        return self.origin_stack[-1]
-
-    def var(self, name: str) -> Var:
-        got = self.vars.get(name)
-        if got is None:
-            got = self.vars[name] = Var(name)
-        return got
 
     def spend(self, loop_pos=None) -> None:
         self.count += 1
@@ -523,119 +542,94 @@ class _Expander:
                 f"unrolled region exceeds {NODE_BUDGET} statements{where}"
             )
 
-    def expand_stmts(self, stmts, rename) -> list:
-        out: list = []
+    def flush(self) -> None:
+        """The ops lowered so far become one item."""
+        if self.instrs:
+            self.items.append(self.instrs)
+            self.instrs = []
+
+    def block(self, stmts) -> list:
+        """The items `stmts` expand to, apart from `items`."""
+        outer, self.items = self.items, []
+        self.stmts(stmts)
+        inner, self.items = self.items, outer
+        return inner
+
+    def test(self, cond: Expr) -> tuple[list, list[Instr]]:
+        """The items a condition's calls expand to, and the ops that
+        evaluate it and branch on it."""
+        outer, self.items = self.items, []
+        self.emit(BranchI(self.operand(cond), self.origin))
+        pre, self.items = self.items, outer
+        ops, self.instrs = self.instrs, []
+        return pre, ops
+
+    def stmts(self, stmts) -> None:
         for s in stmts:
             if isinstance(s, RegionMarker):
                 continue
             if isinstance(s, Assign):
-                pre, value = self.expand_expr(s.value, rename)
-                out.extend(pre)
-                target = s.target
-                if isinstance(target, Var):
-                    stmt = Assign(self.var(rename(target.name)), value)
-                else:
-                    ipre, idx = self.expand_expr(target.index, rename)
-                    out.extend(ipre)
-                    stmt = Assign(Index(rename(target.name), idx), value)
-                out.append(TaggedStmt(stmt, self.origin))
+                self.assign(s)
+                self.flush()
                 self.spend()
             elif isinstance(s, CallStmt):
-                pre, _ = self.inline_call(s.name, s.args, rename)
-                out.extend(pre)
+                self.call(s.name, s.args)
+                self.flush()
             elif isinstance(s, Return):
                 raise LoweringError(
                     "return inside the sensitive region of `main` is unsupported"
                 )
             elif isinstance(s, If):
-                pre, cond = self.expand_expr(s.cond, rename)
-                out.extend(pre)
-                then_items = tuple(self.expand_stmts(s.then_body, rename))
-                else_items = tuple(self.expand_stmts(s.else_body, rename))
-                out.append(TaggedIf(cond, self.origin, then_items, else_items))
+                pre, ops = self.test(s.cond)
+                self.items += pre
+                self.items.append(IfItem(ops, tuple(self.block(s.then_body)),
+                                         tuple(self.block(s.else_body))))
                 self.spend()
             elif isinstance(s, For):
-                var = rename(s.var)
-                pre, init = self.expand_expr(s.init, rename)
-                out.extend(pre)
-                out.append(TaggedStmt(Assign(self.var(var), init), self.origin))
+                var = self.local(s.var)
+                self.emit(MovI(var, self.operand(s.init), self.origin))
+                self.flush()
                 self.loop_stack.append(s.pos)
                 for trip in range(s.trips):
                     if trip:
-                        out.append(IterMark())
-                    out.extend(self.expand_stmts(s.body, rename))
-                    spre, step = self.expand_expr(s.step, rename)
-                    out.extend(spre)
-                    out.append(TaggedStmt(Assign(self.var(var), step), self.origin))
+                        self.items.append(IterMark())
+                    self.stmts(s.body)
+                    self.emit(MovI(var, self.operand(s.step), self.origin))
+                    self.flush()
                     self.spend(s.pos)
                 self.loop_stack.pop()
             elif isinstance(s, While):
-                out.extend(self.expand_while(s, rename))
+                self.expand_while(s)
             else:
                 raise LoweringError(f"cannot expand statement {s!r}")
-        return out
 
-    def expand_while(self, s: While, rename) -> list:
+    def expand_while(self, s: While) -> None:
         """A do-while's first body, then one conditional per remaining trip,
         each nested in the one before, and a last test of the condition
         whose true arm traps, as the interpreter does past the bound."""
         self.loop_stack.append(s.pos)
-        first = self.expand_stmts(s.body, rename) if s.do_first else []
+        if s.do_first:
+            self.stmts(s.body)
         trips = []
         for _ in range(s.bound - s.do_first):
             self.spend(s.pos)
-            pre, cond = self.expand_expr(s.cond, rename)
-            trips.append((pre, cond, self.expand_stmts(s.body, rename)))
+            trips.append((*self.test(s.cond), self.block(s.body)))
         self.spend(s.pos)
-        pre, cond = self.expand_expr(s.cond, rename)
-        overrun = OverrunI(s.bound, self.origin)
-        rest = pre + [TaggedIf(cond, self.origin, (overrun,), ())]
-        for pre, cond, body in reversed(trips):
-            rest = pre + [TaggedIf(cond, self.origin, tuple(body + rest), ())]
+        rest, ops = self.test(s.cond)
+        rest.append(IfItem(ops, ([OverrunI(s.bound, self.origin)],), ()))
+        for pre, ops, body in reversed(trips):
+            rest = pre + [IfItem(ops, tuple(body + rest), ())]
+        self.items += rest
         self.loop_stack.pop()
-        return first + rest
 
-    def expand_expr(self, e: Expr, rename) -> tuple[list, Expr]:
-        pre: list = []
-
-        def walk(e: Expr) -> Expr:
-            if isinstance(e, (Num, SizeOf)):
-                return e
-            if isinstance(e, Var):
-                return self.var(rename(e.name))
-            if isinstance(e, Index):
-                return Index(rename(e.name), walk(e.index))
-            if isinstance(e, Unary):
-                return Unary(e.op, walk(e.operand))
-            if isinstance(e, Binary):
-                return Binary(e.op, walk(e.left), walk(e.right))
-            if isinstance(e, Ternary):
-                return Ternary(walk(e.cond), walk(e.if_true), walk(e.if_false))
-            if isinstance(e, CallExpr):
-                stmts, result = self.inline_call(e.name, e.args, rename)
-                pre.extend(stmts)
-                return result
-            raise LoweringError(f"cannot expand expression {e!r}")
-
-        return pre, walk(e)
-
-    def inline_call(self, name: str, args, rename) -> tuple[list, Expr]:
+    def call(self, name: str, args: tuple[Expr, ...]) -> Operand:
         callee = self.program.function(name)
-        tag = f"{name}@{next(self.site)}"
-        scope: dict[str, str] = {}
-
-        def inner_rename(var: str) -> str:
-            if self.program.decl(var) is not None:
-                return var  # globals and arrays keep their names
-            if var not in scope:
-                scope[var] = f"{tag}/{var}"
-            return scope[var]
-
-        out: list = []
+        caller, origin = self.scope, self.origin
+        scope = f"{name}@{next(self.site)}/"
         for p, a in zip(callee.params, args):
-            pre, value = self.expand_expr(a, rename)
-            out.extend(pre)
-            out.append(TaggedStmt(Assign(self.var(inner_rename(p)), value), self.origin))
+            value = self.operand(a)
+            self.emit(MovI(self.alloc.slot(scope + p), value, origin))
+            self.flush()
             self.spend()
 
         body = list(callee.body)
@@ -647,30 +641,29 @@ class _Expander:
                 )
             self.single_exit.add(name)
 
-        self.origin_stack.append(name)
-        try:
-            out.extend(self.expand_stmts(body, inner_rename))
-            ret_expr: Expr = Num(0)
-            if tail is not None and tail.value is not None:
-                pre, value = self.expand_expr(tail.value, inner_rename)
-                out.extend(pre)
-                ret_expr = value
-        finally:
-            self.origin_stack.pop()
-        return out, ret_expr
+        self.scope, self.origin = scope, name
+        self.stmts(body)
+        # the return value is computed where the call stands, as the
+        # caller's code
+        self.origin = origin
+        value: Operand = self.consts.setdefault(0, Const(0))
+        if tail is not None and tail.value is not None:
+            value = self.operand(tail.value)
+            if isinstance(tail.value, Var) and tail.value.name in self.scalars:
+                value = self.copy(value)
+        self.scope = caller
+        return value
 
 
-# the most statements a region expands to, and items a tree lowers
+# the most statements a region expands to, and items a tree places
 NODE_BUDGET = 1 << 20
 
 
-def expand_region(program: Program) -> list:
-    """Inline calls and unroll loops of the sensitive region of `main`.
-
-    Returns origin-tagged items (TaggedStmt / TaggedIf / IterMark); the
-    identity renaming applies to the entry function's own statements.
-    A statement of `main` outside the region is an error: the tree would
-    never run it.
+def expand_region(program: Program) -> tuple[list, RegAlloc]:
+    """Lower the sensitive region of `main`, calls inlined and loops
+    unrolled, into items (micro-op lists, `IfItem`s and `IterMark`s), and the
+    register file they use.  A statement of `main` outside the region is
+    an error: the tree would never run it.
     """
     region = extract_region(program)
     outside = region.prefix + region.suffix
@@ -680,14 +673,5 @@ def expand_region(program: Program) -> list:
             "region; move this statement of `main` inside it"
         )
     expander = _Expander(program)
-
-    entry_scope: dict[str, str] = {}
-
-    def entry_rename(var: str) -> str:
-        if expander.program.decl(var) is not None:
-            return var
-        if var not in entry_scope:
-            entry_scope[var] = f"{program.entry.name}/{var}"
-        return entry_scope[var]
-
-    return expander.expand_stmts(list(region.body), entry_rename)
+    expander.stmts(region.body)
+    return expander.items, expander.alloc

@@ -33,9 +33,9 @@ and staging slots of a staged build.  A `Program` indexes its names and
 call graph once; parsing checks every call and every use of an array
 against that index, with its position, in the same one walk per
 function body that counts its nesting and calls.  Every node carries the
-`Pos` of its source text; a node built without one, by a pass or the
-tree expander, shares the one `NOWHERE` (line 0), and positions take no
-part in equality or printing.
+`Pos` of its source text; a node a pass builds without one shares the
+one `NOWHERE` (line 0), and positions take no part in equality or
+printing.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ class Pos:
     col: int = 0
 
 
-# the position of every node built without one (line 0): passes and the
-# expander build many such nodes, and all of them share this one
+# the position of every node built without one (line 0): passes build
+# many such nodes, and all of them share this one
 NOWHERE = Pos()
 
 
@@ -1136,13 +1136,14 @@ def _nesting(fn: Function, callees: dict[str, tuple[int, int, int, int]],
     that an index or `sizeof` always does and that a region marker sits at
     the top level of `main`.
 
-    Inlining puts a callee's statements at the level of the statement that
-    calls it, and its expressions where the call stands: the return value
-    replaces the call, and tree mode expands the arguments and the rest of
-    the body from there.  So a call adds no level of its own, and a call
-    statement stands where a call at the top of an expression would.  Each
-    call site counts itself and its callee's calls; a loop body counts
-    once, whatever its trips.
+    The depths bound how deep every pass that follows calls recurses.
+    Tree mode lowers a callee's statements, then its return value, while
+    it lowers the expression that calls it, so the caps count a callee's
+    statements from the level of the statement that calls it and its
+    expressions from the depth where the call stands.  So a call adds no
+    level of its own, and a call statement stands where a call at the top
+    of an expression would.  Each call site counts itself and its
+    callee's calls; a loop body counts once, whatever its trips.
     """
     calls = stmts = exprs = count = 0
     # (node, level of its statement, its depth in its expression or 0)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from graphlib import TopologicalSorter
 from typing import Callable, Optional
 
 from .exectree import ExecutionTree, balance, build_execution_tree
@@ -423,65 +424,73 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     Every caller gets its own copy on the caller's page, after its code
     and the clones placed before, so the call never crosses a page; a
     caller of several shared callees is pinned once, on one page with all
-    its clones.  Single-caller callees are just co-located (the
-    degenerate case).
+    its clones.  Callers are cloned before their callees, so a clone's own
+    shared callees are cloned onto its page in turn; a function left
+    without a caller is not pinned.  Single-caller callees are not moved.
     """
     ps = program.resolve_page_size(page_size)
     report = CloneReport()
-    callers: dict[str, list[str]] = {}
-    for fn in program.functions:
-        for callee in program.callees[fn.name]:
-            callers.setdefault(callee, []).append(fn.name)
-
-    shared = {name: cs for name, cs in callers.items() if len(cs) > 1}
-    if not shared:
-        return program, report
-
     lengths = program.lowered.code_lengths()
+    # each function's longest call chain from any root: callers come first
+    depth: dict[str, int] = {}
+    for name in reversed(tuple(TopologicalSorter(program.callees).static_order())):
+        depth.setdefault(name, 0)
+        for callee in program.callees[name]:
+            depth[callee] = max(depth.get(callee, 0), depth[name] + 1)
 
     functions = {f.name: f for f in program.functions}
-    new_functions = list(program.functions)
+    calls = {name: set(callees) for name, callees in program.callees.items()}
+    live = set(program.reachable([program.entry.name]))
     taken = _names_in_use(program)
-    # each caller is pinned again beside its clone; every other pin stays
-    repinned = set().union(*shared.values())
-    placements = [p for p in program.placements
-                  if p.kind == "data" or p.name not in repinned]
-    next_page = first_page_past_pins(
-        program, ps, [p.name for p in placements if p.kind == "code"])
-    # each caller's page and the offset past what sits on it so far
-    ends: dict[str, tuple[int, int]] = {}
-    for callee, caller_names in sorted(shared.items()):
+    clones = []  # (callee, caller, clone), in the order they are made
+    for callee in sorted(depth, key=lambda name: (depth[name], name)):
+        callers = [name for name in functions if name in live and callee in calls[name]]
+        if len(callers) < 2:
+            continue
         if lengths[callee] > ps:
             raise OptError(
                 f"{callee} is {lengths[callee]} bytes; too large to co-locate"
             )
-        clones = []
-        for caller in caller_names:
-            if caller not in ends:
-                # the caller opens its own page, which holds all its clones
-                placements.append(Placement("code", caller, next_page, 0))
-                ends[caller] = (next_page, lengths[caller])
-                next_page += 1
-            page, offset = ends[caller]
-            if offset + lengths[callee] > ps:
-                raise OptError(
-                    f"{callee} cannot sit beside {caller} in a {ps}-byte page"
-                )
-            clone_name = _fresh_name(
+        made = []
+        for caller in callers:
+            clone = _fresh_name(
                 taken, lambda n: f"{callee}__for_{caller}" + (f"_{n}" if n else ""))
-            clones.append(clone_name)
-            body = functions[callee].body
-            new_functions.append(Function(clone_name, functions[callee].params, body))
-            caller_fn = next(f for f in new_functions if f.name == caller)
-            new_functions[new_functions.index(caller_fn)] = _redirect_calls(
-                caller_fn, callee, clone_name
+            functions[clone] = Function(clone, functions[callee].params,
+                                        functions[callee].body)
+            functions[caller] = _redirect_calls(functions[caller], callee, clone)
+            calls[clone] = calls[callee]
+            calls[caller] = calls[caller] - {callee} | {clone}
+            clones.append((callee, caller, clone))
+            made.append(clone)
+        report.cloned[callee] = tuple(made)
+        live = live - {callee} | set(made)
+    if not clones:
+        return program, report
+
+    # each caller that is not a clone is pinned again, on a page of its
+    # own; every other pin stays
+    repinned = {caller for _, caller, _ in clones if caller in program.callees}
+    placements = [p for p in program.placements
+                  if p.kind == "data" or p.name not in repinned]
+    next_page = first_page_past_pins(
+        program, ps, [p.name for p in placements if p.kind == "code"])
+    page_of: dict[str, int] = {}
+    ends: dict[int, int] = {}  # each opened page's offset past what sits on it
+    for callee, caller, clone in clones:
+        if caller not in page_of:
+            placements.append(Placement("code", caller, next_page, 0))
+            page_of[caller], ends[next_page] = next_page, lengths[caller]
+            next_page += 1
+        page = page_of[clone] = page_of[caller]
+        if ends[page] + lengths[callee] > ps:
+            raise OptError(
+                f"{callee} cannot sit beside {caller} in a {ps}-byte page"
             )
-            placements.append(Placement("code", clone_name, page, offset))
-            ends[caller] = (page, offset + lengths[callee])
-        report.cloned[callee] = tuple(clones)
+        placements.append(Placement("code", clone, page, ends[page]))
+        ends[page] += lengths[callee]
 
     new_program = Program(
-        program.decls, tuple(new_functions), tuple(placements),
+        program.decls, tuple(functions.values()), tuple(placements),
         program.page_size_hint,
     )
     return new_program, report

@@ -1,0 +1,61 @@
+"""Generated programs whose executables must agree.
+
+Each program calls two or three helpers that read or write the same
+global and table cell from expressions that also read them, so the order
+in which a call's value, its callee's writes and the operands around it
+are taken decides the outputs.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from pfo.lang import parse
+
+from test_optimize import _CALLS, _region, assert_executables_agree
+
+# helper bodies by kind; `sum` takes two arguments, the others none
+HELPERS = {
+    "global": "return g;",
+    "table": "return t[0];",
+    "sum": "return a + b;",
+    "write_global": "g = 5; return 0;",
+    "write_table": "t[0] = 5; return 0;",
+}
+
+
+def expressions(helpers: list[str]):
+    """Sums of two or more terms over `s`, `g`, `t[0]`, a literal and
+    calls to `helpers` (f0, f1, ...), whose arguments are such terms too."""
+    def call(args, i: int):
+        arity = 2 if helpers[i] == "sum" else 0
+        return st.lists(args, min_size=arity, max_size=arity).map(
+            lambda a: f"f{i}({', '.join(a)})")
+
+    def calls(args):
+        return st.integers(0, len(helpers) - 1).flatmap(lambda i: call(args, i))
+
+    variables = st.sampled_from(["s", "g", "t[0]", "1"])
+    terms = st.recursive(
+        variables | calls(variables),
+        lambda inner: calls(inner) | st.tuples(inner, inner).map(
+            lambda p: f"({p[0]} + {p[1]})"),
+        max_leaves=4)
+    return st.lists(terms, min_size=2, max_size=3).map(" + ".join)
+
+
+@st.composite
+def programs(draw) -> str:
+    helpers = draw(st.lists(st.sampled_from(sorted(HELPERS)), min_size=2, max_size=3))
+    fns = "".join(
+        f"\nfn f{i}({'a, b' if kind == 'sum' else ''}) {{ {HELPERS[kind]} }}"
+        for i, kind in enumerate(helpers))
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        stmt = f"y = {draw(expressions(helpers))};"
+        body.append(f"if (s == 1) {{ {stmt} }}" if draw(st.booleans()) else stmt)
+    return _region(_CALLS + fns, " ".join(body))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(programs())
+def test_calls_agree_across_executables(source):
+    assert_executables_agree(parse(source))

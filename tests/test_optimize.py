@@ -285,6 +285,23 @@ fn main() {
 """
 
 
+# h is shared by f and g and shares k with them: the clones of h call k
+NESTED_SHARED_CALLEES = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+fn k(v) { return v + 1; }
+fn h(v) { return k(v) + 2; }
+fn f(v) { return h(v) + k(v); }
+fn g(v) { return h(v) + k(v); }
+fn main() {
+  #pragma begin_pf_sensitive
+  y = f(s) + g(s);
+  #pragma end_pf_sensitive
+}
+"""
+
+
 class TestClone:
     def test_shared_callee_cloned_per_caller(self):
         program, report = opt_clone(parse(SHARED_CALLEE))
@@ -377,6 +394,33 @@ fn left(v)""").replace("#pragma end_pf_sensitive", """y = y + shared__for_left(2
         for s in range(4):
             assert defended.run(secret={"s": s}).outputs == \
                 vanilla.run(secret={"s": s}).outputs == {"y": 2 * s + 3 + (s + 2) * (s + 1)}
+
+    def test_clones_of_a_caller_get_clones_of_its_callees(self):
+        # h is cloned before k, so each clone of h calls a clone of k on
+        # its own page; h and k are left without a caller and not pinned
+        program, report = opt_clone(parse(NESTED_SHARED_CALLEES))
+        assert report.cloned == {
+            "h": ("h__for_f", "h__for_g"),
+            "k": ("k__for_f", "k__for_g", "k__for_h__for_f", "k__for_h__for_g")}
+        assert not {"h", "k"} & {p.name for p in program.placements}
+        reparsed = parse(pretty(program))
+        layout = AstExecutable(reparsed).layout
+
+        def pages(name):
+            return {e.page for e in layout.code_extents(name)}
+
+        # main's callees f and g have one caller each, so stay where they are
+        for caller in reparsed.reachable(["f", "g"]):
+            for callee in reparsed.callees[caller]:
+                assert pages(caller) & pages(callee), (caller, callee)
+        vanilla = AstExecutable(parse(NESTED_SHARED_CALLEES))
+        cloned = AstExecutable(reparsed)
+        # inlined, the region is one block, larger than a 64-byte page
+        defended = build_defense(parse(NESTED_SHARED_CALLEES), ("O3B",), page_size=4096)
+        for s in range(4):
+            assert cloned.run(secret={"s": s}).outputs == \
+                defended.run(secret={"s": s}).outputs == \
+                vanilla.run(secret={"s": s}).outputs == {"y": 4 * s + 8}
 
     def test_single_caller_no_clone(self):
         src = """
@@ -607,6 +651,7 @@ def _region(decls, body):
 
 
 _S = "secret int<2> s;\noutput int y;"
+_CALLS = _S + "\nint g = 1;\nint t[2] = {1, 1};"
 # small programs, each on a path few others take: `while` past its bound,
 # do-while bounds, call statements, `sizeof` and `else if`, a store into an
 # array split across pages, a read-only table read on two levels (O1 fetches
@@ -635,12 +680,34 @@ AGREEMENT_CASES = {
                                   "y = s; for (i = 0; i < 3; i = i + 1) { y = y + f(); }"),
     # every copy of the code after nested secret branches shares one lowering
     "shared_continuation": SHARED_CONTINUATION,
+    # a call's value is taken when it returns, and an operand or argument
+    # when it is evaluated, so a later call's write does not reach them
+    "global_returned_before_write": _region(
+        _CALLS + "\nfn f() { return g; }\nfn h() { g = 5; return 0; }",
+        "y = f() + h() + s;"),
+    "table_returned_before_write": _region(
+        _CALLS + "\nfn f() { return t[0]; }\nfn h() { t[0] = 5; return 0; }",
+        "y = f() + h() + s;"),
+    "table_read_before_call": _region(
+        _CALLS + "\nfn h() { t[0] = 5; return 0; }", "y = t[0] + h() + s;"),
+    "global_argument_before_call": _region(
+        _CALLS + "\nfn f(a, b) { return a + b; }\nfn h() { g = 5; return 0; }",
+        "y = f(g, h()) + s;"),
+    # a call statement's value is computed, and may trap, though unused
+    "discarded_value_traps": _region(_S + "\nfn h(v) { return 10 / v; }", "h(s); y = s;"),
 }
+CALL_ORDER = [name for name in AGREEMENT_CASES if "before" in name]
 
 
 @pytest.mark.parametrize("source", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys())
 def test_executables_agree(source):
-    program = parse(source)
+    assert_executables_agree(parse(source))
+
+
+def assert_executables_agree(program):
+    """Vanilla, the balanced tree, the plain multiplexed build and the
+    build with every pass give the same outputs and trap kinds for every
+    secret."""
     exes = [
         AstExecutable(program),
         TreeExecutable(balance(build_execution_tree(program))),
@@ -718,6 +785,12 @@ def test_o5_trap_rule(decls, arm, converted):
 def test_callee_locals_start_at_zero(case, ys):
     exe = AstExecutable(parse(AGREEMENT_CASES[case]))
     assert [exe.run(secret={"s": s}).outputs["y"] for s in range(4)] == ys
+
+
+@pytest.mark.parametrize("case", CALL_ORDER)
+def test_calls_see_writes_in_source_order(case):
+    exe = AstExecutable(parse(AGREEMENT_CASES[case]))
+    assert [exe.run(secret={"s": s}).outputs["y"] for s in range(4)] == [1, 2, 3, 4]
 
 
 def test_while_overrun_traps():
