@@ -23,11 +23,13 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   pigeonhole rule (`memory.observe_profile` is the trace-replay
   reference).
 * value-only closures: the compiler returns each micro-op as a closure
-  that only computes values, with the charge its step adds.  Some ops
-  account for themselves as they run: a split-extent access (its
-  footprint depends on the word index), a nested return, a call to a
-  function that is not summarised, and an `if`, `for` or `while` of
-  whole-function mode, which runs the segments of its arms or body.
+  that only computes values, with the charge its step adds; an
+  arithmetic op's closure is the one `lang.arith` makes, so its step is
+  one Python call.  Some ops account for themselves as they run: a
+  split-extent access (its footprint depends on the word index), a
+  nested return, a call to a function that is not summarised, and an
+  `if`, `for` or `while` of whole-function mode, which runs the segments
+  of its arms or body.
 * segments: both modes cut their code at the self-accounting ops (tree
   mode each block; whole-function mode each function body, `if` arm and
   loop body) and summarise every run of charged ops once, at
@@ -47,7 +49,10 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   the ops before the trapping one, and the runner that catches it
   charges those prefixes outermost first, then the trapping op's own
   step (`_trap_info`).  So a trap's step, profile and trace are those of
-  charging each step as it runs.
+  charging each step as it runs.  A `/` or `%` by zero raises Python's
+  `ZeroDivisionError` from its closure; the segment loop `_run` or the
+  summarised call it escapes first turns it into the `div-zero` trap of
+  the op at that index, counting the division's own step (`_unwound`).
 * constant slots: every constant operand reads a register slot above the
   program's own, filled once per run from the register template, so an
   operand is always `regs[slot]`.
@@ -55,9 +60,15 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   body's last step and its value read from its slot; only nested ones
   unwind through `_EarlyReturn`.
 
-The canonical initial array image is computed once per `ObjectTable`;
-each run starts from a fresh copy of it, and its `SimulationResult.store`
-holds those same arrays as the run left them, not further copies.
+Each executable makes its run frame once (`_Frame`): the register
+template, the input-binding plan, and the canonical initial array image
+of its `ObjectTable` with the set of arrays some compiled op writes (a
+store, a pad write, a staging copy's destination, the selector).  A run
+copies only those arrays and shares every other one with the image, so
+no op may write an array outside that set.  Its `SimulationResult.store`
+holds the run's own arrays as the run left them, not further copies,
+and the image's arrays for the others; those are shared by every run
+and must not be mutated.
 
 A traced run stores its trace as the footprint of each step, in step
 order (`SimulationResult.footprints`), not as events: a step appends its
@@ -72,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from .exectree import Block, ExecutionTree
 from .ir import (
@@ -144,8 +155,10 @@ class SimulationResult:
     """What one run observed and computed.
 
     `store` maps each program array (staging shadows and the pad object
-    excluded) to the run's own array as the run left it; no later run
-    shares it, so it is not copied.
+    excluded) to its words as the run left them.  An array some op of the
+    executable writes is the run's own copy, which no later run shares.
+    Any other array is the executable's initial image itself, shared by
+    every run and every result: it must not be mutated.
     """
 
     outputs: dict[str, int]
@@ -419,7 +432,8 @@ class _EarlyReturn(Exception):
 
 class ObjectTable:
     """Array storage indices, the canonical initial array image (computed
-    once per table), and each object's pages under a layout."""
+    once per table, and never written: a run copies the arrays it writes),
+    and each object's pages under a layout."""
 
     def __init__(self, program: Program, layout: MemoryLayout,
                  extra_objects: dict[str, int] | None = None):
@@ -430,7 +444,7 @@ class ObjectTable:
             self.names.append(PAD_OBJECT)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lengths: list[int] = []
-        self._image: list[list[int]] = []
+        self.image: list[list[int]] = []
         self._extent_pages: dict[str, tuple] = {}
         for n in self.names:
             d = program.decl(n)
@@ -443,12 +457,8 @@ class ObjectTable:
             arr = list(init)
             arr.extend([0] * (length - len(arr)))
             self.lengths.append(length)
-            self._image.append(arr)
+            self.image.append(arr)
         self.layout = layout
-
-    def fresh_arrays(self) -> list[list[int]]:
-        """One run's arrays: a copy of the canonical initial image."""
-        return [arr[:] for arr in self._image]
 
     def extent_pages(self, name: str) -> tuple[tuple[int, ...], Optional[list[int]]]:
         """An object's page per extent, and for a split object the extent
@@ -488,7 +498,7 @@ class _OpCompiler:
                  strict_pages: Optional[frozenset[int]] = None):
         self.program = program
         self.objects = objects
-        self.canon, self.binops, self.unops = arith(program.int_width)
+        self.canon, self.binops, self.unops = arith(program.int_width)[:3]
         self.decl_slots = {
             d.name: alloc.slot(d.name) for d in program.decls if not d.is_array
         }
@@ -500,6 +510,8 @@ class _OpCompiler:
         # objects split across extents: their accesses look their pages up
         self.split: dict[str, None] = {}
         self.footprint = FootprintTable()
+        # the indices of the arrays some compiled op writes
+        self.written: set[int] = set()
         self._code_footprints: dict[int, Footprint] = {}
         self._data_footprints: dict[tuple, tuple] = {}
 
@@ -583,29 +595,11 @@ class _OpCompiler:
                 regs[dst] = regs[a]
             return run, fp
         if cls is BinI:
-            fn = self.binops[instr.op]
-            a, b, dst = slot(instr.a), slot(instr.b), instr.dst
-            if instr.op in ("/", "%"):
-                def run(st: State, fn=fn, a=a, b=b, dst=dst, fp=fp):
-                    regs = st.regs
-                    try:
-                        regs[dst] = fn(regs[a], regs[b])
-                    except ZeroDivisionError:
-                        raise SimTrap("div-zero", counted=fp) from None
-                return run, fp
-            def run(st: State, fn=fn, a=a, b=b, dst=dst):
-                regs = st.regs
-                regs[dst] = fn(regs[a], regs[b])
-            return run, fp
+            return self.binops[instr.op](slot(instr.a), slot(instr.b), instr.dst), fp
         if cls is LoadI or cls is StoreI:
             return self._compile_access(instr, code_page)
         if cls is UnI:
-            fn = self.unops[instr.op]
-            a, dst = slot(instr.a), instr.dst
-            def run(st: State, fn=fn, a=a, dst=dst):
-                regs = st.regs
-                regs[dst] = fn(regs[a])
-            return run, fp
+            return self.unops[instr.op](slot(instr.a), instr.dst), fp
         if cls is SelI:
             c, a, b, dst = slot(instr.cond), slot(instr.a), slot(instr.b), instr.dst
             def run(st: State, c=c, a=a, b=b, dst=dst):
@@ -620,6 +614,7 @@ class _OpCompiler:
         if cls is PadI:
             # the pad object is one word on one page: its access is static
             oi = self._obj_index(PAD_OBJECT)
+            self.written.add(oi)
             def run(st: State, oi=oi):
                 st.arrays[oi][0] = 0
             return run, self._data_footprint(PAD_OBJECT, code_page, _KIND_W)[0]
@@ -673,6 +668,7 @@ class _OpCompiler:
             return run, None
         fp, lookup = self._data_footprint(obj, code_page, _KIND_W)
         src = self.slot(instr.src)
+        self.written.add(oi)
         if lookup is None:
             def run(st: State, a=a, n=n, oi=oi, src=src, obj=obj):
                 regs = st.regs
@@ -709,11 +705,21 @@ def _run(st: State, node: tuple) -> None:
                 if summary is not None:
                     account(summary)
             node = None if kids is None else kids[st.branch]
-    except SimTrap as t:
-        # `f` is the op that trapped; it appears once in `values`
-        if summary is not None:
-            t.prefixes.append(summary.charges[:values.index(f)])
-        raise
+    except (SimTrap, ZeroDivisionError) as exc:
+        # `f` is the op that trapped; it appears once in `values`.  Only a
+        # charged op divides, so a `ZeroDivisionError` has a summary
+        if summary is None:
+            raise
+        raise _unwound(exc, summary.charges, values.index(f)) from None
+
+
+def _unwound(exc: Exception, charges: tuple, i: int) -> SimTrap:
+    """The trap that op `i` of a summarised run of `charges` raised, with
+    the charges of the ops before it recorded.  A `ZeroDivisionError` (a
+    `/` or `%` by zero) is that op's `div-zero` trap, after its step."""
+    trap = exc if isinstance(exc, SimTrap) else SimTrap("div-zero", counted=charges[i])
+    trap.prefixes.append(charges[:i])
+    return trap
 
 
 def _trap_info(sink: Sink, trap: SimTrap) -> TrapInfo:
@@ -804,7 +810,6 @@ class AstExecutable:
         self.layout = layout
         self.objects = ObjectTable(program, layout)
         self._compiler = _OpCompiler(program, self.objects, self.lowered.alloc)
-        self.canon = self._compiler.canon
         self._summaries: dict[tuple, Summary] = {}
         self._bodies: dict[str, _Body] = {}
         self._merge_budget = NODE_BUDGET
@@ -813,13 +818,8 @@ class AstExecutable:
         split = next(iter(self._compiler.split), None)
         if self.witness is None and split is not None:
             self.witness = f"access to {split} split across pages"
-        self._regs0 = self._compiler.regs0()
-        self._inputs, self._outputs = _scalar_slots(
-            program, self._compiler.decl_slots, self._regs0)
-        self._stored = [
-            (name, self.objects.index[name])
-            for name in self.objects.names if name != PAD_OBJECT
-        ]
+        self._frame = _Frame(program, self._compiler, self.objects,
+                             (n for n in self.objects.names if n != PAD_OBJECT))
 
     def _body(self, name: str) -> _Body:
         got = self._bodies.get(name)
@@ -930,7 +930,8 @@ class AstExecutable:
         summary = callee.summary
         if summary is not None and summary.steps < self._merge_budget:
             self._merge_budget -= 1 + summary.steps
-            closures, charges = callee.closures, summary.charges
+            # the call's own step comes before the callee's charges
+            closures, charges = callee.closures, (fp,) + summary.charges
 
             def call(st: State, binds=binds, zero=zero, body=closures, dst=dst, ret=ret):
                 regs = st.regs
@@ -941,11 +942,10 @@ class AstExecutable:
                 try:
                     for f in body:
                         f(st)
-                except SimTrap as t:
+                except (SimTrap, ZeroDivisionError) as exc:
                     # each closure appears once in `body`: each call site
                     # has its own closure
-                    t.prefixes.append((fp,) + charges[:body.index(f)])
-                    raise
+                    raise _unwound(exc, charges, body.index(f) + 1) from None
                 regs[dst] = regs[ret]
             return call, _Call(fp, summary)
 
@@ -963,13 +963,14 @@ class AstExecutable:
             public: dict[str, int] | None = None,
             model: Optional[AdversaryModel] = None,
             collect_trace: bool = False) -> SimulationResult:
-        st = _start(self, model, collect_trace, secret, public)
+        frame = self._frame
+        st = frame.start(model, collect_trace, secret, public)
         trap = None
         try:
             _invoke(st, self._main)
         except SimTrap as t:
             trap = _trap_info(st.sink, t)
-        return _result(self, st, trap)
+        return frame.result(st, trap)
 
 
 def _arms_differ(arms: tuple, entry: frozenset) -> bool:
@@ -998,72 +999,100 @@ def _code_pages(layout: MemoryLayout, unit: str, count: int) -> list[int]:
     return pages
 
 
-def _start(exe, model: Optional[AdversaryModel], collect_trace: bool,
-           secret: dict[str, int] | None, public: dict[str, int] | None) -> State:
-    """A run's state: a fresh sink, the register template and array image,
-    and the bound inputs."""
-    model = model or AdversaryModel.pigeonhole()
-    sink = Sink(
-        pigeonhole=model.variant is AdversaryVariant.PIGEONHOLE,
-        collect=collect_trace,
-    )
-    st = State(exe._regs0[:], exe.objects.fresh_arrays(), sink)
-    _bind_inputs(exe._inputs, st, exe.canon, secret, public)
-    return st
+class _Frame:
+    """What every run of one executable starts from and ends with, made once.
 
+    The register template (the constants and the other scalars' initial
+    values in place), the array image and the indices of the arrays some
+    compiled op writes, the input-binding plan, the outputs' slots, and
+    the arrays a result stores: the image's unwritten ones, and the
+    written ones' indices.  A run copies only the written arrays and
+    shares the image's others, which no op changes.  The plan reads the
+    caller's input dicts without copying them: each input's name, slot,
+    whether it is secret, its range's end `1 << width` (`None` without a
+    width), its default and its range error's text.
+    """
 
-def _result(exe, st: State, trap: Optional[TrapInfo]) -> SimulationResult:
-    sink = st.sink
-    regs = st.regs
-    return SimulationResult(
-        outputs={name: regs[slot] for name, slot in exe._outputs},
-        profile=sink.faults,
-        steps=sink.steps,
-        copy_ops=sink.copy_ops,
-        code_copy_ops=sink.code_copy_ops,
-        mux_accesses=sink.mux_accesses,
-        trap=trap,
-        footprints=sink.footprints,
-        store={name: st.arrays[i] for name, i in exe._stored},
-    )
+    __slots__ = ("regs0", "image", "written", "inputs", "n_secrets", "canon",
+                 "outputs", "store", "stored")
 
+    def __init__(self, program: Program, compiler: _OpCompiler, objects: ObjectTable,
+                 stored: Iterable[str]):
+        slots = compiler.decl_slots
+        self.regs0 = compiler.regs0()
+        inputs = []
+        for d in program.decls:
+            if d.is_array:
+                continue
+            if d.kind in (DeclKind.SECRET, DeclKind.PUBLIC):
+                inputs.append((
+                    d.name, slots[d.name], d.kind == DeclKind.SECRET,
+                    None if d.width is None else 1 << d.width,
+                    d.init[0] if d.init else 0,
+                    f"{d.kind} {d.name!r} must be in [0, 2^{d.width}), got "))
+            elif d.init:
+                self.regs0[slots[d.name]] = d.init[0]
+        self.inputs = tuple(inputs)
+        self.n_secrets = sum(secret for _, _, secret, *_ in inputs)
+        self.canon = compiler.canon
+        self.outputs = tuple((d.name, slots[d.name]) for d in program.outputs)
+        self.image = objects.image
+        self.written = tuple(sorted(compiler.written))
+        # a result stores the image's own unwritten arrays, and the run's
+        # written ones in their places
+        indices = [(name, objects.index[name]) for name in stored]
+        self.store = {name: self.image[i] for name, i in indices}
+        self.stored = tuple((name, i) for name, i in indices if i in compiler.written)
 
-def _scalar_slots(program: Program, decl_slots: dict[str, int],
-                  regs0: list[int]) -> tuple[tuple, tuple]:
-    """Each input's (declaration, slot) and each output's (name, slot);
-    the other scalars' initial values go into the register template."""
-    inputs = []
-    for d in program.decls:
-        if d.is_array:
-            continue
-        slot = decl_slots[d.name]
-        if d.kind in (DeclKind.SECRET, DeclKind.PUBLIC):
-            inputs.append((d, slot))
-        elif d.init:
-            regs0[slot] = d.init[0]
-    outputs = tuple((d.name, decl_slots[d.name]) for d in program.outputs)
-    return tuple(inputs), outputs
+    def start(self, model: Optional[AdversaryModel], collect_trace: bool,
+              secret: dict[str, int] | None, public: dict[str, int] | None) -> State:
+        """A run's state: a fresh sink, the register template with the
+        inputs bound, and the arrays."""
+        arrays = self.image[:]
+        for i in self.written:
+            arrays[i] = arrays[i][:]
+        sink = Sink(model is None or model.variant is AdversaryVariant.PIGEONHOLE,
+                    collect_trace)
+        st = State(self.regs0[:], arrays, sink)
+        self._bind(st.regs, secret or {}, public or {})
+        return st
 
+    def _bind(self, regs: list[int], secret: dict[str, int], public: dict[str, int]):
+        canon = self.canon
+        given = 0  # public inputs the caller set
+        for name, slot, is_secret, end, default, out_of_range in self.inputs:
+            if is_secret:
+                if name not in secret:
+                    raise PfoError(f"secret {name!r} not bound")
+                v = secret[name]
+            elif name in public:
+                v = public[name]
+                given += 1
+            else:
+                v = default
+            if end is not None and not 0 <= v < end:
+                raise PfoError(f"{out_of_range}{v}")
+            regs[slot] = canon(v)
+        if len(secret) > self.n_secrets:
+            raise PfoError(f"unknown secret inputs: {self._unknown(secret, True)}")
+        if len(public) > given:
+            raise PfoError(f"unknown public inputs: {self._unknown(public, False)}")
 
-def _bind_inputs(inputs: tuple, st: State, canon,
-                 secret: dict[str, int] | None, public: dict[str, int] | None):
-    secret = dict(secret or {})
-    public = dict(public or {})
-    regs = st.regs
-    for d, slot in inputs:
-        if d.kind == DeclKind.SECRET:
-            if d.name not in secret:
-                raise PfoError(f"secret {d.name!r} not bound")
-            v = secret.pop(d.name)
-        else:
-            v = public.pop(d.name, d.init[0] if d.init else 0)
-        if d.width is not None and not (0 <= v < (1 << d.width)):
-            raise PfoError(f"{d.kind} {d.name!r} must be in [0, 2^{d.width}), got {v}")
-        regs[slot] = canon(v)
-    if secret:
-        raise PfoError(f"unknown secret inputs: {sorted(secret)}")
-    if public:
-        raise PfoError(f"unknown public inputs: {sorted(public)}")
+    def _unknown(self, given: dict[str, int], secret: bool) -> list[str]:
+        known = {name for name, _, is_secret, *_ in self.inputs if is_secret == secret}
+        return sorted(name for name in given if name not in known)
+
+    def result(self, st: State, trap: Optional[TrapInfo]) -> SimulationResult:
+        sink, regs, arrays = st.sink, st.regs, st.arrays
+        store = self.store.copy()
+        for name, i in self.stored:
+            store[name] = arrays[i]
+        # positional arguments: keywords would make the call cost about
+        # as much again
+        return SimulationResult(
+            {name: regs[slot] for name, slot in self.outputs}, sink.faults,
+            sink.steps, sink.copy_ops, sink.code_copy_ops, sink.mux_accesses,
+            trap, sink.footprints, store)
 
 
 # --- tree executable --------------------------------------------------------
@@ -1118,15 +1147,9 @@ class TreeExecutable:
         self.program = tree.program
         self.layout = layout
         self.objects = objects
-        self.canon = compiler.canon
-        self._regs0 = compiler.regs0()  # every op is compiled: the slots are fixed
-        self._inputs, self._outputs = _scalar_slots(
-            tree.program, compiler.decl_slots, self._regs0)
-        self._stored = [
-            (name, objects.index[name])
-            for name in objects.names
-            if name != PAD_OBJECT and not name.startswith("__sa")
-        ]
+        # every op is compiled: the slots and the written arrays are fixed
+        self._frame = _Frame(tree.program, compiler, objects, (
+            n for n in objects.names if n != PAD_OBJECT and not n.startswith("__sa")))
         # a node is (segments, successors indexed by `st.branch`, or None for
         # a leaf); deepest level first, so every child's node exists
         nodes: dict[int, tuple] = {}
@@ -1143,13 +1166,14 @@ class TreeExecutable:
             public: dict[str, int] | None = None,
             model: Optional[AdversaryModel] = None,
             collect_trace: bool = False) -> SimulationResult:
-        st = _start(self, model, collect_trace, secret, public)
+        frame = self._frame
+        st = frame.start(model, collect_trace, secret, public)
         trap = None
         try:
             _run(st, self._root)
         except SimTrap as t:
             trap = _trap_info(st.sink, t)
-        return _result(self, st, trap)
+        return frame.result(st, trap)
 
 
 _NONE_ID = id(None)

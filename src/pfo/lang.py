@@ -16,9 +16,10 @@ the top level of `main`; a marker anywhere else is a parse error.
 Scalars follow fixed-width two's-complement semantics (width chosen per
 program, default 64, wrapping on overflow); arrays have static lengths and
 4-byte elements for layout purposes.  `arith` is the one table of these
-operators: the interpreter runs with it, and constants in initializers and
-loop headers fold with it at the program's width, so a constant expression
-has the value it would have at run time wherever it is written.  The width
+operators, one closure body each: the interpreter binds those closures,
+and constants in initializers and loop headers fold with forms derived
+from them at the program's width, so a constant expression has the value
+it would have at run time wherever it is written.  The width
 follows from every declaration, so the parser reads every declared width
 before it folds anything.  Expressions, statements and call chains nest at
 most 64 levels deep, counted with every call inlined, and one call of a
@@ -44,7 +45,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .memory import PfoError
 
@@ -491,57 +492,212 @@ def _int_width(widths) -> int:
 
 # --- arithmetic -------------------------------------------------------------
 
+class Arith(NamedTuple):
+    """The language's operators at one width (`arith`)."""
+
+    canon: Callable[[int], int]
+    binops: dict[str, Callable]  # op -> factory(a, b, dst) -> run(st)
+    unops: dict[str, Callable]  # op -> factory(a, dst) -> run(st)
+    binary: dict[str, Callable[[int, int], int]]  # op -> (x, y) -> value
+    unary: dict[str, Callable[[int], int]]  # op -> x -> value
+
+
+class _Scratch:
+    """A register file, for running operator closures outside a program."""
+
+    __slots__ = ("regs",)
+
+    def __init__(self, regs: list[int]):
+        self.regs = regs
+
+
+def _binary(factory: Callable) -> Callable[[int, int], int]:
+    """A binary operator's closure as a two-argument function."""
+    run = factory(0, 1, 2)
+
+    def apply(x: int, y: int) -> int:
+        st = _Scratch([x, y, 0])
+        run(st)
+        return st.regs[2]
+    return apply
+
+
+def _unary(factory: Callable) -> Callable[[int], int]:
+    """A unary operator's closure as a one-argument function."""
+    run = factory(0, 1)
+
+    def apply(x: int) -> int:
+        st = _Scratch([x, 0])
+        run(st)
+        return st.regs[1]
+    return apply
+
+
 @cache
-def arith(width: int):
-    """The language's arithmetic at `width` bits, made once per width:
-    `(canon, binops, unops)`, where `canon` wraps an integer to `width`-bit
-    two's complement and every operator gives a canonical value from
-    canonical operands.  The interpreter and constant folding both use it;
-    a division by zero raises `ZeroDivisionError`."""
+def arith(width: int) -> Arith:
+    """The language's arithmetic at `width` bits, made once per width.
+
+    Each operator has one closure body: `binops[op](a, b, dst)` and
+    `unops[op](a, dst)` make the closure `run(st)` that computes
+    `st.regs[dst]` from `st.regs[a]` (and `st.regs[b]`), which is what the
+    interpreter binds for the micro-op, so a step costs one Python call.
+    Every operator gives a canonical value (`width`-bit two's complement)
+    from canonical operands: `+ - * <<` and unary `-` wrap in the one
+    expression `((v + sign) & mask) - sign` (`canon`), and `/` wraps its
+    quotient, which truncates toward zero as in C; `%` is the remainder
+    with the dividend's sign, `& | ^ ~ >>` and the comparisons need no
+    wrap, and shift amounts reduce modulo the width.  A `/` or `%` by zero
+    raises `ZeroDivisionError`.  `binary[op](x, y)` and `unary[op](x)`,
+    which constant folding calls, run the same closures on a scratch
+    register file, as trip derivation runs them.
+    """
     mask = (1 << width) - 1
-    sign_bit = 1 << (width - 1)
-    wrap = 1 << width
+    sign = 1 << (width - 1)
 
     def canon(v: int) -> int:
-        v &= mask
-        return v - wrap if v >= sign_bit else v
+        return ((v + sign) & mask) - sign
 
-    def div(a: int, b: int) -> int:
-        q = abs(a) // abs(b)
-        return canon(-q if (a < 0) != (b < 0) else q)
+    def add(a, b, dst):
+        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+            regs = st.regs
+            regs[dst] = ((regs[a] + regs[b] + sign) & mask) - sign
+        return run
 
-    def mod(a: int, b: int) -> int:
-        q = abs(a) // abs(b)
-        q = -q if (a < 0) != (b < 0) else q
-        return canon(a - q * b)
+    def sub(a, b, dst):
+        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+            regs = st.regs
+            regs[dst] = ((regs[a] - regs[b] + sign) & mask) - sign
+        return run
 
-    binops: dict[str, Callable] = {
-        "+": lambda a, b: canon(a + b),
-        "-": lambda a, b: canon(a - b),
-        "*": lambda a, b: canon(a * b),
-        "/": div,
-        "%": mod,
-        # shift amounts reduce modulo the integer width
-        "<<": lambda a, b: canon(a << (b % width)),
-        ">>": lambda a, b: a >> (b % width),
-        "&": lambda a, b: canon(a & b),
-        "|": lambda a, b: canon(a | b),
-        "^": lambda a, b: canon(a ^ b),
-        "&&": lambda a, b: int(bool(a) and bool(b)),
-        "==": lambda a, b: int(a == b),
-        "!=": lambda a, b: int(a != b),
-        "<": lambda a, b: int(a < b),
-        ">": lambda a, b: int(a > b),
-        "<=": lambda a, b: int(a <= b),
-        ">=": lambda a, b: int(a >= b),
+    def mul(a, b, dst):
+        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+            regs = st.regs
+            regs[dst] = ((regs[a] * regs[b] + sign) & mask) - sign
+        return run
+
+    def div(a, b, dst):
+        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+            regs = st.regs
+            x, y = regs[a], regs[b]
+            q = x // y
+            if q < 0 and q * y != x:
+                q += 1  # floor to truncation
+            regs[dst] = ((q + sign) & mask) - sign
+        return run
+
+    def mod(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            x, y = regs[a], regs[b]
+            r = x % y
+            regs[dst] = r - y if r and (x ^ y) < 0 else r
+        return run
+
+    def shl(a, b, dst):
+        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask, width=width):
+            regs = st.regs
+            regs[dst] = (((regs[a] << regs[b] % width) + sign) & mask) - sign
+        return run
+
+    def shr(a, b, dst):
+        def run(st, a=a, b=b, dst=dst, width=width):
+            regs = st.regs
+            regs[dst] = regs[a] >> regs[b] % width
+        return run
+
+    def and_(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = regs[a] & regs[b]
+        return run
+
+    def or_(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = regs[a] | regs[b]
+        return run
+
+    def xor(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = regs[a] ^ regs[b]
+        return run
+
+    def land(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = 1 if regs[a] and regs[b] else 0
+        return run
+
+    def eq(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = 1 if regs[a] == regs[b] else 0
+        return run
+
+    def ne(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = 1 if regs[a] != regs[b] else 0
+        return run
+
+    def lt(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = 1 if regs[a] < regs[b] else 0
+        return run
+
+    def gt(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = 1 if regs[a] > regs[b] else 0
+        return run
+
+    def le(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = 1 if regs[a] <= regs[b] else 0
+        return run
+
+    def ge(a, b, dst):
+        def run(st, a=a, b=b, dst=dst):
+            regs = st.regs
+            regs[dst] = 1 if regs[a] >= regs[b] else 0
+        return run
+
+    def neg(a, dst):
+        def run(st, a=a, dst=dst, sign=sign, mask=mask):
+            regs = st.regs
+            regs[dst] = ((sign - regs[a]) & mask) - sign
+        return run
+
+    def pos(a, dst):
+        def run(st, a=a, dst=dst):
+            regs = st.regs
+            regs[dst] = regs[a]
+        return run
+
+    def inv(a, dst):
+        def run(st, a=a, dst=dst):
+            regs = st.regs
+            regs[dst] = ~regs[a]
+        return run
+
+    def not_(a, dst):
+        def run(st, a=a, dst=dst):
+            regs = st.regs
+            regs[dst] = 0 if regs[a] else 1
+        return run
+
+    binops = {
+        "+": add, "-": sub, "*": mul, "/": div, "%": mod, "<<": shl, ">>": shr,
+        "&": and_, "|": or_, "^": xor, "&&": land,
+        "==": eq, "!=": ne, "<": lt, ">": gt, "<=": le, ">=": ge,
     }
-    unops: dict[str, Callable] = {
-        "-": lambda a: canon(-a),
-        "+": lambda a: a,
-        "~": lambda a: canon(~a),
-        "!": lambda a: int(a == 0),
-    }
-    return canon, binops, unops
+    unops = {"-": neg, "+": pos, "~": inv, "!": not_}
+    return Arith(canon, binops, unops,
+                 {op: _binary(f) for op, f in binops.items()},
+                 {op: _unary(f) for op, f in unops.items()})
 
 
 def fold_const(expr: Expr, width: int, filename: str = "<source>") -> Optional[int]:
@@ -549,20 +705,20 @@ def fold_const(expr: Expr, width: int, filename: str = "<source>") -> Optional[i
     program, or None if it reads anything else.  As in the lowered code,
     every operand is evaluated (a ternary is a select), so a division by
     zero anywhere in it is a `ParseError` at that division."""
-    canon, binops, unops = arith(width)
+    canon, _, _, binary, unary = arith(width)
 
     def fold(e: Expr) -> Optional[int]:
         if isinstance(e, Num):
             return canon(e.value)
         if isinstance(e, Unary):
             v = fold(e.operand)
-            return None if v is None else unops[e.op](v)
+            return None if v is None else unary[e.op](v)
         if isinstance(e, Binary):
             a, b = fold(e.left), fold(e.right)
             if a is None or b is None:
                 return None
             try:
-                return binops[e.op](a, b)
+                return binary[e.op](a, b)
             except ZeroDivisionError:
                 raise ParseError("division by zero in a constant expression",
                                  e.pos.line, e.pos.col, filename) from None
@@ -912,7 +1068,8 @@ class _Parser:
         """Trip count of a counted loop with a constant-foldable header.
 
         Handles `i = c0; i <op> c1; i = i +/- c2` shapes by stepping the
-        header with the program's wrapping arithmetic; anything else is not
+        header with the program's wrapping arithmetic, its operators'
+        closures on registers `[i, c1, c2, test]`; anything else is not
         derivable.
         """
         if not (isinstance(cond, Binary) and cond.op in ("<", "<=", ">", ">=", "!=")
@@ -923,14 +1080,17 @@ class _Parser:
         v, limit, delta = self.fold(init), self.fold(cond.right), self.fold(step.right)
         if v is None or limit is None or not delta:
             return None
-        binops = arith(self.width)[1]
-        test, advance = binops[cond.op], binops[step.op]
-        trips = 0
-        while test(v, limit):
+        binops = arith(self.width).binops
+        test, advance = binops[cond.op](0, 1, 3), binops[step.op](0, 2, 0)
+        st = _Scratch([v, limit, delta, 0])
+        regs, trips = st.regs, 0
+        test(st)
+        while regs[3]:
             trips += 1
             if trips > MAX_DERIVED_TRIPS:
                 return None
-            v = advance(v, delta)
+            advance(st)
+            test(st)
         return trips
 
     def _parse_args(self) -> tuple[Expr, ...]:

@@ -195,7 +195,7 @@ def _may_trap(program: Program, nodes, constants: frozenset[str]) -> Optional[st
     run out), a `/` or `%` whose divisor is neither a non-zero literal nor
     one of `constants` (`_constant_globals`), and an index that is not a
     literal in bounds."""
-    canon = arith(program.int_width)[0]
+    canon = arith(program.int_width).canon
     called = program.reachable(n.name for n in walk_all(nodes) if isinstance(n, CallExpr))
     bodies = [s for name in called for s in program.function(name).body]
     for n in walk_all([*nodes, *bodies]):
@@ -425,8 +425,9 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     and the clones placed before, so the call never crosses a page; a
     caller of several shared callees is pinned once, on one page with all
     its clones.  Callers are cloned before their callees, so a clone's own
-    shared callees are cloned onto its page in turn; a function left
-    without a caller is not pinned.  Single-caller callees are not moved.
+    shared callees are cloned onto its page in turn; a callee cloned away
+    is left without a caller and dropped, so it takes no page.
+    Single-caller callees are not moved.
     """
     ps = program.resolve_page_size(page_size)
     report = CloneReport()
@@ -467,11 +468,13 @@ def opt_clone(program: Program, page_size: Optional[int] = None
     if not clones:
         return program, report
 
-    # each caller that is not a clone is pinned again, on a page of its
-    # own; every other pin stays
+    # the callees cloned away are left without a caller and dropped; each
+    # caller that is not a clone is pinned again, on a page of its own;
+    # every other pin stays
+    gone = set(program.reachable([program.entry.name])) - live
     repinned = {caller for _, caller, _ in clones if caller in program.callees}
     placements = [p for p in program.placements
-                  if p.kind == "data" or p.name not in repinned]
+                  if p.kind == "data" or p.name not in repinned and p.name not in gone]
     next_page = first_page_past_pins(
         program, ps, [p.name for p in placements if p.kind == "code"])
     page_of: dict[str, int] = {}
@@ -490,8 +493,8 @@ def opt_clone(program: Program, page_size: Optional[int] = None
         ends[page] += lengths[callee]
 
     new_program = Program(
-        program.decls, tuple(functions.values()), tuple(placements),
-        program.page_size_hint,
+        program.decls, tuple(f for name, f in functions.items() if name not in gone),
+        tuple(placements), program.page_size_hint,
     )
     return new_program, report
 

@@ -417,6 +417,7 @@ class MultiplexedExecutable(TreeExecutable):
                 if c.kind == "back":
                     src_i, dst_i = dst_i, src_i
                 moves.append((src_i, dst_i, c.src_word, c.dst_word, c.words))
+                compiler.written.add(dst_i)
             # levels that copy alike share one op, and so can their blocks'
             # summaries (footprints are interned: equal ones are one object)
             copies, moves = tuple(copies), tuple(moves)
@@ -440,6 +441,7 @@ class MultiplexedExecutable(TreeExecutable):
             return (prev.copy_back if prev else ()) + group.fetch
 
         sel_index = objects.index[f"__sa/{SELECTOR}"]
+        compiler.written.add(sel_index)
         sel_page = slots[SELECTOR].page
 
         # a code-only step's footprint when it reads a staging data page

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -8,13 +9,17 @@ from pfo import interp
 from pfo.corpus import make_table_cases
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import (
-    AstExecutable, FootprintTable, Sink, State, TreeExecutable, _OpCompiler, _run, _segments,
+    AstExecutable, FootprintTable, ObjectTable, Sink, State, TreeExecutable, _OpCompiler,
+    _run, _segments,
 )
 from pfo.ir import LoadI, Reg
 from pfo.lang import parse
 from pfo.layouts import build_ast_layout
 from pfo.memory import AdversaryModel, EventKind, PageModelError, PfoError, observe_profile
-from pfo.optimize import build_staged, opt_if_convert, opt_page_realign, opt_readonly_elim
+from pfo.optimize import (
+    ALL_PASSES, build_defense, build_staged, opt_if_convert, opt_page_realign, opt_readonly_elim,
+)
+from pfo.suites import DEFENSE_CASES, EXHAUSTIVE_WIDTHS, case_source
 
 from test_lang import FOO_SOURCE
 
@@ -222,6 +227,75 @@ def test_runs_of_one_executable_are_independent(make):
     assert second.outputs == {"y": 2}  # from the initializer, not run 1
     assert second.store["t"] == [1, 99, 3, 4]
     assert first.store["t"] == [1, 2, 99, 4]
+
+
+def _fresh_image(exe):
+    """The array image a new `ObjectTable` of `exe`'s program, layout and
+    staging shadows computes."""
+    objects = exe.objects
+    shadows = {n: objects.lengths[i] for i, n in enumerate(objects.names)
+               if n.startswith("__sa/")}
+    return ObjectTable(exe.program, exe.layout, shadows).image
+
+
+def _three_executables(program):
+    build = build_defense(program, ALL_PASSES)
+    return [AstExecutable(program), TreeExecutable(build.tree), build.executable()]
+
+
+@pytest.mark.parametrize("name", [*DEFENSE_CASES, "write_back"])
+def test_runs_leave_the_array_image_alone(name):
+    # a run copies the arrays some op writes and shares the others
+    source = WRITE_BACK if name == "write_back" else \
+        case_source(name, EXHAUSTIVE_WIDTHS[name])
+    program = parse(source)
+    for exe in _three_executables(program):
+        runs = [exe.run(secret=_secrets(program, v)) for v in (1, 6)]
+        image = exe.objects.image
+        assert image == _fresh_image(exe)
+        written = {exe.objects.names[i] for i in exe._frame.written}
+        if name == "write_back":
+            assert "t" in written
+        for array, first in runs[0].store.items():
+            second, i = runs[1].store[array], exe.objects.index[array]
+            if array in written:
+                assert first is not second
+                assert first is not image[i] and second is not image[i]
+            else:
+                assert first is second is image[i]
+
+
+INPUTS = """
+#pragma page_size 64
+secret int<2> s;
+public int<3> p = 5;
+output int y;
+int t[4] = {1, 2, 3, 4};
+fn main() {
+  #pragma begin_pf_sensitive
+  y = t[s] + p;
+  t[s] = p;
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("secret, public, error", [
+    ({}, None, "secret 's' not bound"),
+    ({"s": 1, "q": 2, "a": 0}, None, "unknown secret inputs: ['a', 'q']"),
+    ({"s": 1}, {"p": 2, "s": 1}, "unknown public inputs: ['s']"),
+    ({"s": 4}, None, "secret 's' must be in [0, 2^2), got 4"),
+    ({"s": 1}, {"p": -1}, "public 'p' must be in [0, 2^3), got -1"),
+])
+def test_run_input_errors(secret, public, error):
+    given = (dict(secret), public and dict(public))
+    for exe in _three_executables(parse(INPUTS)):
+        with pytest.raises(PfoError, match=re.escape(error)):
+            exe.run(secret=secret, public=public)
+        # the caller's dicts are read, not changed
+        assert (secret, public) == given
+        assert exe.run(secret={"s": 2}).outputs == {"y": 8}
+        assert exe.run(secret={"s": 2}, public={"p": 0}).outputs == {"y": 3}
 
 
 def test_initializers_wrap_to_program_width():
@@ -440,7 +514,7 @@ def test_access_outside_strict_pages_is_an_error(pages, strict, ok, escaped):
     def run(i):
         regs = compiler.regs0()
         regs[index_slot] = i
-        st = State(regs, exe.objects.fresh_arrays(), Sink(True, False))
+        st = State(regs, [arr[:] for arr in exe.objects.image], Sink(True, False))
         _run(st, load)
         return st
 

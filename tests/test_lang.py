@@ -684,3 +684,111 @@ class TestTraversal:
         program = parse("fn main() { x = (1 + 2) * 3; }")
         doubled = map_ast(program.entry, lambda n: Num(n.value * 2) if isinstance(n, Num) else n)
         assert pretty(lang.Program((), (doubled,))).strip().endswith("x = ((2 + 4) * 6);\n}")
+
+
+# --- arithmetic -------------------------------------------------------------
+
+def _wrap(v: int, width: int) -> int:
+    """`v` as a `width`-bit two's complement integer."""
+    v %= 1 << width
+    return v - (1 << width) if v >= 1 << (width - 1) else v
+
+
+def _c_quotient(x: int, y: int) -> int:
+    q = abs(x) // abs(y)
+    return q if (x < 0) == (y < 0) else -q
+
+
+# the exact result of each operator, wrapped; `/` and `%` truncate as in
+# C, and shift amounts reduce modulo the width
+_BINARY_REFERENCE = {
+    "+": lambda x, y, w: x + y,
+    "-": lambda x, y, w: x - y,
+    "*": lambda x, y, w: x * y,
+    "/": lambda x, y, w: _c_quotient(x, y),
+    "%": lambda x, y, w: x - y * _c_quotient(x, y),
+    "<<": lambda x, y, w: x << (y % w),
+    ">>": lambda x, y, w: x >> (y % w),
+    "&": lambda x, y, w: x & y,
+    "|": lambda x, y, w: x | y,
+    "^": lambda x, y, w: x ^ y,
+    "&&": lambda x, y, w: int(x != 0 and y != 0),
+    "==": lambda x, y, w: int(x == y),
+    "!=": lambda x, y, w: int(x != y),
+    "<": lambda x, y, w: int(x < y),
+    ">": lambda x, y, w: int(x > y),
+    "<=": lambda x, y, w: int(x <= y),
+    ">=": lambda x, y, w: int(x >= y),
+}
+_UNARY_REFERENCE = {
+    "-": lambda x: -x,
+    "+": lambda x: x,
+    "~": lambda x: ~x,
+    "!": lambda x: int(x == 0),
+}
+
+
+def _edge_operands(width: int) -> list[int]:
+    """0, ±1, the extremes, `mask` wrapped, shift amounts at and past the
+    width and negative ones, and a few values between."""
+    lo, hi, mask = -(1 << (width - 1)), (1 << (width - 1)) - 1, (1 << width) - 1
+    values = {0, 1, -1, 2, -2, 7, -7, lo, hi, lo + 1, hi - 1, _wrap(mask, width),
+              width - 1, width, width + 1, 2 * width + 3, -width, -(width + 1),
+              hi // 3, lo // 5}
+    return sorted(values)
+
+
+class _Regs:
+    __slots__ = ("regs",)
+
+    def __init__(self, regs):
+        self.regs = regs
+
+
+@pytest.mark.parametrize("width", [64, 128, 576])
+@pytest.mark.parametrize("op", sorted(_BINARY_REFERENCE))
+def test_binary_operator_matches_reference(width, op):
+    ops = lang.arith(width)
+    st = _Regs([0, 0, 0])
+    # registers in another order than the two-argument form's
+    run, apply = ops.binops[op](2, 0, 1), ops.binary[op]
+    for x in _edge_operands(width):
+        for y in _edge_operands(width):
+            st.regs = [y, 0, x]
+            if op in ("/", "%") and y == 0:
+                with pytest.raises(ZeroDivisionError):
+                    run(st)
+                with pytest.raises(ZeroDivisionError):
+                    apply(x, y)
+                continue
+            want = _wrap(_BINARY_REFERENCE[op](x, y, width), width)
+            run(st)
+            assert st.regs == [y, want, x], (x, op, y)
+            assert apply(x, y) == want, (x, op, y)
+
+
+@pytest.mark.parametrize("width", [64, 128, 576])
+@pytest.mark.parametrize("op", sorted(_UNARY_REFERENCE))
+def test_unary_operator_matches_reference(width, op):
+    ops = lang.arith(width)
+    st = _Regs([0, 0])
+    run, apply = ops.unops[op](1, 0), ops.unary[op]
+    for x in _edge_operands(width):
+        want = _wrap(_UNARY_REFERENCE[op](x), width)
+        st.regs = [0, x]
+        run(st)
+        assert st.regs == [want, x], (op, x)
+        assert apply(x) == want, (op, x)
+
+
+@pytest.mark.parametrize("width", [64, 128, 576])
+def test_division_edges(width):
+    ops = lang.arith(width)
+    lo = -(1 << (width - 1))
+    # the one quotient that overflows wraps back to the minimum
+    assert ops.binary["/"](lo, -1) == lo
+    assert ops.binary["%"](lo, -1) == 0
+    assert ops.binary["/"](-7, 2) == -3 and ops.binary["%"](-7, 2) == -1
+    assert ops.binary["/"](7, -2) == -3 and ops.binary["%"](7, -2) == 1
+    mask = (1 << width) - 1
+    assert [ops.canon(v) for v in (mask, mask + 1, -lo, lo - 1)] == [-1, 0, lo, -lo - 1]

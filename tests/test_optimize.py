@@ -5,7 +5,7 @@ import pytest
 
 from pfo.corpus import powm_balanced_source
 from pfo.exectree import balance, build_execution_tree
-from pfo.interp import AstExecutable, TreeExecutable
+from pfo.interp import AstExecutable, TrapInfo, TreeExecutable
 from pfo.lang import parse, pretty
 from pfo.leakage import SecretDomain, verify_pfo
 from pfo.optimize import (
@@ -422,6 +422,22 @@ fn left(v)""").replace("#pragma end_pf_sensitive", """y = y + shared__for_left(2
                 defended.run(secret={"s": s}).outputs == \
                 vanilla.run(secret={"s": s}).outputs == {"y": 4 * s + 8}
 
+    def test_callees_cloned_away_are_dropped(self):
+        # h and k have no caller left, so they take no page and main moves
+        # up to the page after f's and g's
+        program, _ = opt_clone(parse(NESTED_SHARED_CALLEES))
+        names = {f.name for f in program.functions}
+        assert not {"h", "k"} & names
+        reparsed = parse(pretty(program))
+        assert reparsed == program
+        layout = AstExecutable(reparsed).layout
+        assert {e.page for e in layout.code_extents("main")} == {2}
+        vanilla = AstExecutable(parse(NESTED_SHARED_CALLEES))
+        cloned = AstExecutable(reparsed)
+        for s in range(4):
+            assert cloned.run(secret={"s": s}).outputs == \
+                vanilla.run(secret={"s": s}).outputs
+
     def test_single_caller_no_clone(self):
         src = """
 fn helper(v) { return v * 2; }
@@ -695,6 +711,15 @@ AGREEMENT_CASES = {
         "y = f(g, h()) + s;"),
     # a call statement's value is computed, and may trap, though unused
     "discarded_value_traps": _region(_S + "\nfn h(v) { return 10 / v; }", "h(s); y = s;"),
+    # a `/` (s = 1) and a `%` (s = 0) by zero mid-segment: in main, in a
+    # summarised callee and in that callee's callee
+    "div_zero_in_main": _region(_S, "y = s + 3; y = y * 12 / (s - 1); y = y + 7 % s;"),
+    "div_zero_in_callee": _region(_S + "\nfn f(v) { w = v + 3; return w * 12 / (v - 1) + 7 % v; }",
+                                  "y = s + 1; y = f(s) + y;"),
+    "div_zero_in_callees_callee": _region(
+        _S + "\nfn q(v) { w = v + 3; return w * 12 / (v - 1) + 7 % v; }"
+        "\nfn f(v) { w = v + 2; return q(v) + w; }",
+        "y = s + 1; y = f(s) + y;"),
 }
 CALL_ORDER = [name for name in AGREEMENT_CASES if "before" in name]
 
@@ -704,16 +729,21 @@ def test_executables_agree(source):
     assert_executables_agree(parse(source))
 
 
+def four_executables(program):
+    """Vanilla, the balanced tree, the plain multiplexed build and the build
+    with every pass, by name."""
+    return {
+        "vanilla": AstExecutable(program),
+        "tree": TreeExecutable(balance(build_execution_tree(program))),
+        "plain": build_defense(program).executable(),
+        "all": build_defense(program, ALL_PASSES).executable(),
+    }
+
+
 def assert_executables_agree(program):
-    """Vanilla, the balanced tree, the plain multiplexed build and the
-    build with every pass give the same outputs and trap kinds for every
+    """The four executables give the same outputs and trap kinds for every
     secret."""
-    exes = [
-        AstExecutable(program),
-        TreeExecutable(balance(build_execution_tree(program))),
-        build_defense(program).executable(),
-        build_defense(program, ALL_PASSES).executable(),
-    ]
+    exes = list(four_executables(program).values())
     for secret in SecretDomain.of(program).exhaustive():
         seen = [(r.outputs, r.trap and r.trap.kind)
                 for r in (exe.run(secret=secret) for exe in exes)]
@@ -791,6 +821,31 @@ def test_callee_locals_start_at_zero(case, ys):
 def test_calls_see_writes_in_source_order(case):
     exe = AstExecutable(parse(AGREEMENT_CASES[case]))
     assert [exe.run(secret={"s": s}).outputs["y"] for s in range(4)] == [1, 2, 3, 4]
+
+
+# each build's div-zero traps for s = 0 (the `%`) and s = 1 (the `/`):
+# (trap step, profile) each.  A division steps, then traps, and each
+# summarised segment and call it unwinds through charges its ops before it
+DIV_ZERO_TRAPS = {
+    "div_zero_in_main": {
+        "vanilla": ((7, [0]), (5, [0])), "tree": ((7, [0]), (5, [0])),
+        "plain": ((16, [2, 0]), (14, [2, 0])), "all": ((7, [0]), (5, [0]))},
+    "div_zero_in_callee": {
+        "vanilla": ((9, [1, 0]), (8, [1, 0])), "tree": ((9, [0]), (8, [0])),
+        "plain": ((21, [2, 0]), (20, [2, 0])), "all": ((9, [0]), (8, [0]))},
+    "div_zero_in_callees_callee": {
+        "vanilla": ((12, [2, 1, 0]), (11, [2, 1, 0])), "tree": ((12, [0]), (11, [0])),
+        "plain": ((28, [2, 0]), (27, [2, 0])), "all": ((12, [0]), (11, [0]))},
+}
+
+
+@pytest.mark.parametrize("case", DIV_ZERO_TRAPS)
+def test_div_zero_traps_where_it_divides(case):
+    for name, exe in four_executables(parse(AGREEMENT_CASES[case])).items():
+        runs = [exe.run(secret={"s": s}) for s in (0, 1)]
+        assert [r.trap for r in runs] == \
+            [TrapInfo("div-zero", step) for step, _ in DIV_ZERO_TRAPS[case][name]]
+        assert tuple((r.steps, r.profile) for r in runs) == DIV_ZERO_TRAPS[case][name]
 
 
 def test_while_overrun_traps():
