@@ -126,7 +126,10 @@ def cmd_transform(args) -> int:
     out_path = Path(args.output)
     out_path.write_text(pretty(build.program))
     plan_doc = build.plan.to_json_dict()
-    plan_doc["pipeline"] = {"mux": build.plan.mode, "opts": opts}
+    # the passes asked for, the ones that changed the build and why others
+    # did not (O4's witness, O2's moved arrays)
+    plan_doc["pipeline"] = {"mux": build.plan.mode, "opts": opts,
+                            "applied": list(build.applied), "notes": list(build.notes)}
     plan_path = out_path.with_suffix(out_path.suffix + ".plan.json")
     plan_path.write_text(to_json(plan_doc))
     print(f"wrote {out_path} and {plan_path}", file=sys.stderr)

@@ -8,7 +8,8 @@ Each pass preserves program outputs and the single-profile-class property
 * O2 page realignment: read-only tables moved to page starts so each
   fetch is one copy and sensitive data occupies the fewest pages.
 * O3A level merging: consecutive levels whose code fits a single page
-  share one fetch, so interior transitions stop multiplexing.
+  share one fetch, so interior transitions stop multiplexing.  The groups
+  are part of the one staged schedule `transform.plan_layout` makes.
 * O3B cloning: a callee shared by callers on different pages is copied
   next to each caller, so neither call crosses a page.
 * O4 multiplexing elimination: code stays in place, removing the code
@@ -66,7 +67,6 @@ from .lang import (
     Unary,
     Var,
     VarDecl,
-    WORD_SIZE,
     While,
     arith,
     map_ast,
@@ -80,12 +80,7 @@ from .layouts import (
     place,
 )
 from .memory import MemoryLayout, PfoError
-from .transform import (
-    LevelPlan,
-    MultiplexedExecutable,
-    TransformPlan,
-    plan_layout,
-)
+from .transform import MultiplexedExecutable, TransformPlan, plan_layout
 
 O5_SLOT_PREFIX = "__o5_"
 
@@ -354,60 +349,11 @@ def opt_level_merge(build: DefenseBuild) -> DefenseBuild:
     """Merge runs of consecutive levels whose code fits one page.
 
     Merged levels share a single fetch, so transitions inside the group
-    stop issuing multiplexing copies.  The merge is part of every later
-    re-plan (see `_replan`), so O1, O2 and O4 keep it.
+    stop issuing multiplexing copies.  `plan_layout` makes the groups, and
+    every later re-plan (see `_replan`) asks for them again, so O1, O2 and
+    O4 keep them.
     """
     return _replan(build, applied=build.applied + ("O3A",))
-
-
-def _merge_levels(plan: TransformPlan) -> TransformPlan:
-    """The O3A merge of `plan`: one level plan per run of consecutive levels
-    whose staged code fits one page, each data copy scheduled once."""
-    def code_words(lp: LevelPlan) -> int:
-        return sum(c.words for c in lp.fetch if c.kind == "code")
-
-    groups: list[list[LevelPlan]] = []
-    room = 0
-    for lp in plan.levels:
-        nbytes = code_words(lp) * WORD_SIZE
-        if not groups or nbytes > room:
-            groups.append([])
-            room = plan.page_size
-        groups[-1].append(lp)
-        room -= nbytes
-
-    merged: list[LevelPlan] = []
-    for group in groups:
-        if len(group) == 1:
-            merged.append(group[0])
-            continue
-        fetch: list = []
-        seen_data: set[tuple] = set()
-        offset = 0
-        for lp in group:
-            for c in lp.fetch:
-                if c.kind == "code":
-                    fetch.append(replace(c, dst_offset=offset + c.dst_offset))
-                else:
-                    key = (c.unit, c.src_word)
-                    if key in seen_data:
-                        continue
-                    seen_data.add(key)
-                    fetch.append(c)
-            offset += code_words(lp) * WORD_SIZE
-        back: list = []
-        seen_back: set[tuple] = set()
-        for lp in group:
-            for c in lp.copy_back:
-                key = (c.unit, c.src_word)
-                if key in seen_back:
-                    continue
-                seen_back.add(key)
-                back.append(c)
-        covered = tuple(c for lp in group for c in lp.covered())
-        merged.append(LevelPlan(group[0].level, tuple(fetch), tuple(back), covered))
-
-    return replace(plan, levels=tuple(merged))
 
 
 # --- O3B: level merging via cloning --------------------------------------
@@ -577,20 +523,19 @@ def _grouped(build: DefenseBuild) -> tuple[Optional[DefenseBuild], Optional[str]
 def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
     """`build` with `changes`, its plan redone from every decision so far.
 
-    O1's elision, whether code is staged (O4) and O3A's level merge all come
-    from `applied`, so no pass undoes another.  In-place builds have no plan
-    and only take the changes.
+    O1's elision, whether code is staged (O4) and O3A's level groups all
+    come from `applied`, and `plan_layout` makes all three in its one
+    schedule, so no pass undoes another.  The levels merge only while the
+    code is staged.  In-place builds have no plan and only take the changes.
     """
     build = replace(build, _exe=None, **changes)
     if build.tree is not None:
-        stage_code = "O4" not in build.applied
-        plan = plan_layout(
+        build.plan = plan_layout(
             build.tree, build.source_layout,
-            readonly_elim="O1" in build.applied, stage_code=stage_code,
+            readonly_elim="O1" in build.applied,
+            stage_code="O4" not in build.applied,
+            merge_levels="O3A" in build.applied,
         )
-        if "O3A" in build.applied and stage_code:
-            plan = _merge_levels(plan)
-        build.plan = plan
     return build
 
 

@@ -12,7 +12,13 @@ would run under and produces a static schedule:
 * every data object any candidate block may touch is copied into the data
   staging pages (`SA_data`), the selected block executes entirely against
   staging, and written objects are copied back after the level (objects
-  never written inside the region are pushed back once at the end).
+  never written inside the region are pushed back once at the end);
+* the developer-assisted optimizations that change this schedule are
+  decided here too, in the same level loop: O1 fetches a read-only object
+  once and never copies it back, O4 leaves the code in place, and O3A
+  schedules a run of consecutive levels whose code fits the page together
+  as one group, with one fetch and one copy-back.  Γ (`gamma`) says for
+  every block which group's level fetches it and where its code runs.
 
 Because the schedule is a function of the program alone and the execute
 phase touches only staging pages, the page sequence the OS observes is the
@@ -73,13 +79,17 @@ class CopyStep:
 
 @dataclass(frozen=True)
 class LevelPlan:
-    level: int
+    """One group's schedule: the consecutive tree levels it covers (one
+    level, or an O3A group), fetched together before the first of them
+    runs and copied back after the last."""
+
+    covers: tuple[int, ...]
     fetch: tuple[CopyStep, ...]
     copy_back: tuple[CopyStep, ...]
-    covers: tuple[int, ...] = ()  # merged source levels (O3A); defaults to (level,)
 
-    def covered(self) -> tuple[int, ...]:
-        return self.covers or (self.level,)
+    @property
+    def level(self) -> int:
+        return self.covers[0]
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,18 @@ def select_mode(level_code_sizes: list[list[int]], page_size: int) -> str:
 
 
 def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
-                readonly_elim: bool = False,
-                stage_code: bool = True) -> TransformPlan:
-    """Choose staging geometry and emit the static fetch/copy-back schedule."""
+                readonly_elim: bool = False, stage_code: bool = True,
+                merge_levels: bool = False) -> TransformPlan:
+    """Choose staging geometry and emit the static fetch/copy-back schedule.
+
+    One `LevelPlan` per group of consecutive levels: a level, or with
+    `merge_levels` (O3A) and `stage_code` each run of levels whose code fits
+    the room left on the page.  A group's levels put their code side by
+    side; its fetch takes, level by level, the level's code copies and then
+    the objects the group has not fetched yet (with `readonly_elim`, O1, a
+    read-only object is fetched once at all), and its copy-back the written
+    objects it has not copied back yet.
+    """
     report = check_balanced(tree)
     if not report.balanced:
         raise PlanError(f"tree must be balanced before planning ({report.witness})")
@@ -265,31 +284,42 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
             word_off += words
         return steps
 
-    # gamma + per-level schedules
+    # gamma + the schedule, one group of consecutive levels at a time
     gamma: dict[int, tuple[int, int]] = {}
-    level_plans: list[LevelPlan] = []
+    groups: list[tuple[list[int], list[CopyStep], list[CopyStep]]] = []
     ever_fetched: dict[str, None] = {}
+    merge = merge_levels and stage_code
+    room = 0
 
     for lv_index, blocks in enumerate(levels):
         level = lv_index + 1
-        fetch: list[CopyStep] = []
-        # basic: blocks side by side, each run where it lands; compacted
-        # (the smart copy): every block overwrites the dummy slot at 0 and
-        # the selected one runs from just past the largest block
-        real_off = max(level_sizes[lv_index])
-        offset = 0
-        for b, size in zip(blocks, level_sizes[lv_index]):
-            dst, run_at = (offset, offset) if mode == "basic" else (0, real_off)
-            offset += size
+        sizes = level_sizes[lv_index]
+        code_bytes = sum(sizes)
+        if not (merge and groups) or code_bytes > room:
+            groups.append(([], [], []))
+            room, base, fetched, backed = page_size, 0, set(), set()
+        covers, fetch, back = groups[-1]
+        covers.append(level)
+        room -= code_bytes
+        # basic: blocks side by side from the group's base, each run where
+        # it lands; compacted (the smart copy): every block overwrites the
+        # dummy slot at the base and the selected one runs from just past
+        # the largest block
+        real_off = base + max(sizes)
+        offset = base
+        for b, size in zip(blocks, sizes):
             if not stage_code:
                 gamma[b.id] = (level, 0)
                 continue
-            gamma[b.id] = (level, run_at)
+            dst, run_at = (offset, offset) if mode == "basic" else (base, real_off)
+            offset += size
+            gamma[b.id] = (covers[0], run_at)
             fetch.extend(
                 CopyStep("code", b.name(), ext.page, sa_code,
                          ext.length // WORD_SIZE, dst_offset=dst)
                 for ext in source_layout.code_extents(b.name())
             )
+        base += code_bytes
 
         level_objs: dict[str, None] = {}
         level_writes: set[str] = set()
@@ -301,15 +331,15 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
                 if is_write:
                     level_writes.add(obj)
         for obj in level_objs:
-            if obj in readonly and obj in ever_fetched:
-                continue  # O1: a read-only object is fetched once
+            if obj in fetched or obj in readonly and obj in ever_fetched:
+                continue  # once per group; O1: a read-only object once at all
+            fetched.add(obj)
             ever_fetched.setdefault(obj)
             fetch.extend(copy_steps(obj, "data"))
-        copy_back = [
-            step for obj in level_objs if obj in level_writes
-            for step in copy_steps(obj, "back")
-        ]
-        level_plans.append(LevelPlan(level, tuple(fetch), tuple(copy_back)))
+        for obj in level_objs:
+            if obj in level_writes and obj not in backed:
+                backed.add(obj)
+                back.extend(copy_steps(obj, "back"))
 
     # objects no level writes back are pushed back once at the end
     final_back = [
@@ -322,7 +352,8 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
         page_size=page_size,
         staging=staging,
         gamma=gamma,
-        levels=tuple(level_plans),
+        levels=tuple(LevelPlan(tuple(covers), tuple(fetch), tuple(back))
+                     for covers, fetch, back in groups),
         final_copy_back=tuple(final_back),
         readonly=readonly,
     )
@@ -402,7 +433,7 @@ class MultiplexedExecutable(TreeExecutable):
             strict_pages=plan.staging.pages(),
         )
 
-        level_plans = {lv: lp for lp in plan.levels for lv in lp.covered()}
+        level_plans = {lv: lp for lp in plan.levels for lv in lp.covers}
 
         def copier(steps: tuple[CopyStep, ...], cp: int, mux: int) -> tuple:
             """The op running `steps` from code page `cp`, charging `mux`."""

@@ -179,6 +179,21 @@ class TestTransformVerify:
         assert plan["mode"] in ("basic", "compacted")
         assert plan["pipeline"]["opts"] == ["O1", "O2"]
 
+    def test_transform_records_what_the_pipeline_did(self, tmp_path, capsys):
+        # O4 declines on foo, so its code stays staged: the document says so
+        out = tmp_path / "foo.pfo"
+        code, _, _ = run_cli(
+            ["transform", str(CORPUS / "foo.pfo"), "-o", str(out), "--opt", "O4"],
+            capsys,
+        )
+        assert code == 0
+        plan = json.loads((tmp_path / "foo.pfo.plan.json").read_text())
+        assert plan["pipeline"] == {
+            "mux": "basic", "opts": ["O4"], "applied": [],
+            "notes": ["O4 declined: level 3, BB3 and BB5 fault differently"],
+        }
+        assert any(c["kind"] == "code" for lv in plan["levels"] for c in lv["fetch"])
+
     def test_transform_applies_o2(self, tmp_path, capsys):
         plans = {}
         for opt in ("O1", "O1,O2"):

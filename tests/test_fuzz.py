@@ -1,4 +1,5 @@
-"""Generated programs whose executables must agree.
+"""Generated programs whose executables must agree, and that print and
+parse back to themselves.
 
 Each program calls two or three helpers that read or write the same
 global and table cell from expressions that also read them, so the order
@@ -8,7 +9,7 @@ are taken decides the outputs.
 
 from hypothesis import given, settings, strategies as st
 
-from pfo.lang import parse
+from pfo.lang import parse, pretty
 
 from test_optimize import _CALLS, _region, assert_executables_agree
 
@@ -59,3 +60,10 @@ def programs(draw) -> str:
 @given(programs())
 def test_calls_agree_across_executables(source):
     assert_executables_agree(parse(source))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(programs())
+def test_pretty_parses_back(source):
+    program = parse(source)
+    assert parse(pretty(program)) == program

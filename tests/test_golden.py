@@ -23,7 +23,7 @@ from pfo.cli import main
 from pfo.corpus import eddsa_source, powm_source
 from pfo.exectree import balance, build_execution_tree, tree_to_json
 from pfo.interp import AstExecutable, TreeExecutable
-from pfo.lang import parse
+from pfo.lang import WORD_SIZE, parse
 from pfo.layouts import build_ast_layout, build_tree_layout
 from pfo.memory import AdversaryModel, PfoError
 from pfo.optimize import ALL_PASSES, build_defense, build_staged, opt_if_convert
@@ -35,7 +35,9 @@ from test_interp import (
 )
 from test_lang import FOO_SOURCE
 from test_optimize import AGREEMENT_CASES
-from test_transform import LOOKUP_64, THREE_WAY, TRAPPING_ARM, UNEVEN_ARMS
+from test_transform import (
+    LOOKUP_64, MERGED_BEFORE_THREE_WAY, THREE_WAY, TRAPPING_ARM, UNEVEN_ARMS,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -169,6 +171,50 @@ def trees_document() -> str:
 
 def test_trees_and_plans_are_byte_identical():
     assert trees_document() == (GOLDEN / "trees.jsonl").read_text()
+
+
+def gamma_cases():
+    """Each tree case under all of `TREE_PASSES`, a compacted plan whose
+    O3A group puts a level past the one before, and each corpus program but
+    powm_sw (whose tree outgrows the budget) under O5, O3A, O1, O2."""
+    for name, source in tree_cases():
+        yield pytest.param(source, TREE_PASSES, id=name)
+    yield pytest.param(MERGED_BEFORE_THREE_WAY, (("O3A",),), id="merged-before-three-way")
+    for path in sorted(CORPUS.glob("*.pfo")):
+        if path.stem != "powm_sw":
+            yield pytest.param(path.read_text(), (("O5", "O3A", "O1", "O2"),),
+                               id=f"corpus-{path.stem}")
+
+
+@pytest.mark.parametrize("source, pipelines", gamma_cases())
+def test_gamma_agrees_with_the_fetches(source, pipelines):
+    # every block whose code a level plan fetches runs on that plan's
+    # level, from where its copy lands (basic) or from past the largest
+    # block of its level, after the code its group fetched for the levels
+    # before (compacted)
+    program = parse(source)
+    for passes in pipelines:
+        try:
+            build = build_defense(program, passes)
+        except PfoError:
+            continue  # the tree golden file holds the error
+        tree, plan = build.tree, build.plan
+        blocks = {b.name(): b for b in tree.blocks}
+        for lp in plan.levels:
+            code = [c for c in lp.fetch if c.kind == "code"]
+            base: dict[int, int] = {}
+            fetched = 0
+            for c in code:
+                base.setdefault(blocks[c.unit].level, fetched)
+                fetched += c.words * WORD_SIZE
+            for c in code:
+                b = blocks[c.unit]
+                if plan.mode == "basic":
+                    offset = c.dst_offset
+                else:
+                    offset = base[b.level] + max(
+                        x.slot_size for x in tree.levels[b.level - 1])
+                assert plan.gamma[b.id] == (lp.level, offset), (passes, b.name())
 
 
 def layout_cases():

@@ -163,7 +163,7 @@ class TestLevelMerge:
         assert len(build.plan.levels) == 3
         merged = opt_level_merge(build)
         assert len(merged.plan.levels) == 1
-        assert merged.plan.levels[0].covered() == (1, 2, 3)
+        assert merged.plan.levels[0].covers == (1, 2, 3)
 
     def test_merged_outputs_and_obliviousness(self):
         secrets = [{"s": v} for v in range(16)]
@@ -206,7 +206,7 @@ def exhaustive_verdict(build):
 def test_level_merge_survives_later_passes():
     # O1 re-plans after O3A; the merge must be part of that plan
     build = build_defense(FOO, ("O3A", "O1"))
-    assert [lp.covered() for lp in build.plan.levels] == [(1, 2, 3, 4)]
+    assert [lp.covers for lp in build.plan.levels] == [(1, 2, 3, 4)]
     verdict = exhaustive_verdict(build)
     assert verdict.oblivious and verdict.inputs_checked == 1 << 16
 

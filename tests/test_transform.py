@@ -141,6 +141,13 @@ fn main() {
 """
 
 
+# a two-way level ahead of the three-way branch: the plan is compacted, and
+# under O3A the first two levels share one fetch, level 2 after level 1's code
+MERGED_BEFORE_THREE_WAY = THREE_WAY.replace(
+    "  if (s == 0) {",
+    "  if (s == 3) { a = a + 1; } else { a = a + 2; }\n  if (s == 0) {", 1)
+
+
 class TestSmartCopy:
     def test_compacted_offsets_follow_largest_block(self):
         _, tree, _, plan = planned(THREE_WAY)
@@ -346,7 +353,7 @@ def test_mux_accesses_count_visited_blocks_staging_and_selector(s):
     block_refs = sum(len(data_refs(i)) for b in visited for i in b.instrs)
     # one level plan per visited level (no merged levels): every fetch,
     # copy-back and final copy-back runs exactly once
-    assert [lp.covered() for lp in exe.plan.levels] == [
+    assert [lp.covers for lp in exe.plan.levels] == [
         (lv,) for lv in range(1, len(visited) + 1)
     ]
     staging_words = sum(
