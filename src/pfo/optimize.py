@@ -9,13 +9,14 @@ Each pass preserves program outputs and the single-profile-class property
   fetch is one copy and sensitive data occupies the fewest pages.
 * O3A level merging: consecutive levels whose code fits a single page
   share one fetch, so interior transitions stop multiplexing.  The groups
-  are part of the one staged schedule `transform.plan_layout` makes.
+  are part of the one staged schedule `transform.plan_layout` makes, and
+  code O4 leaves in place takes no room on the page.
 * O3B cloning: a callee shared by callers on different pages is copied
   next to each caller, so neither call crosses a page.
 * O4 multiplexing elimination: code stays in place, removing the code
   fetch/execute machinery, when it faults alike on every path.  Staged or
-  in place, it is decided from compiled code without a run: the
-  candidate is kept when its executable has no `witness`.
+  in place, it is decided last, from compiled code without a run: the
+  candidate is kept, executable and all, when that has no `witness`.
 * O5 if-conversion: secret-conditioned branches become data selection
   through a two-slot table, removing control dependence on the secret.
 
@@ -151,13 +152,17 @@ class IfConversionReport:
     declined: list[str] = field(default_factory=list)
 
 
+def _walk_with_callees(program: Program, nodes):
+    """`walk_all` over `nodes` and the bodies of the functions they reach."""
+    called = program.reachable(n.name for n in walk_all(nodes) if isinstance(n, CallExpr))
+    return walk_all([*nodes, *(s for name in called for s in program.function(name).body)])
+
+
 def _is_pure(program: Program, nodes) -> bool:
     """No array write, global scalar write or call statement anywhere in
     `nodes` or in the body of any function they call, headers included."""
     globals_ = {d.name for d in program.decls}
-    called = program.reachable(n.name for n in walk_all(nodes) if isinstance(n, CallExpr))
-    bodies = [s for name in called for s in program.function(name).body]
-    for n in walk_all([*nodes, *bodies]):
+    for n in _walk_with_callees(program, nodes):
         if isinstance(n, (CallStmt, RegionMarker)):
             return False
         if isinstance(n, Assign) and (
@@ -191,9 +196,7 @@ def _may_trap(program: Program, nodes, constants: frozenset[str]) -> Optional[st
     one of `constants` (`_constant_globals`), and an index that is not a
     literal in bounds."""
     canon = arith(program.int_width).canon
-    called = program.reachable(n.name for n in walk_all(nodes) if isinstance(n, CallExpr))
-    bodies = [s for name in called for s in program.function(name).body]
-    for n in walk_all([*nodes, *bodies]):
+    for n in _walk_with_callees(program, nodes):
         if isinstance(n, While):
             return f"`while` at line {n.pos.line}"
         if isinstance(n, Binary) and n.op in ("/", "%"):
@@ -460,7 +463,8 @@ def opt_mux_elim(build: DefenseBuild) -> DefenseBuild:
     """O4: a staged build with its code unstaged (every block at its own
     code pages), or an in-place build's page grouping (`_grouped`), when
     that candidate's executable has no `witness`; else `build`, noted
-    "O4 declined: <witness>"."""
+    "O4 declined: <witness>".  It runs last: a later re-plan would drop
+    the executable the witness certified."""
     if build.tree is None:
         candidate, witness = _grouped(build)
     else:
@@ -525,8 +529,8 @@ def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
 
     O1's elision, whether code is staged (O4) and O3A's level groups all
     come from `applied`, and `plan_layout` makes all three in its one
-    schedule, so no pass undoes another.  The levels merge only while the
-    code is staged.  In-place builds have no plan and only take the changes.
+    schedule, so no pass undoes another.  In-place builds have no plan and
+    only take the changes.
     """
     build = replace(build, _exe=None, **changes)
     if build.tree is not None:
@@ -539,8 +543,10 @@ def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
     return build
 
 
-# the order `build_defense` runs the passes in, whatever order they are named
-ALL_PASSES = ("O5", "O3B", "O3A", "O4", "O1", "O2")
+# the build passes, in the order `build_defense` runs them: O4 last, to certify what runs
+_BUILD_PASSES = {"O3A": opt_level_merge, "O1": opt_readonly_elim,
+                 "O2": opt_page_realign, "O4": opt_mux_elim}
+ALL_PASSES = ("O5", "O3B", *_BUILD_PASSES)
 # the passes an in-place build takes: the others need an execution tree
 IN_PLACE_PASSES = ("O5", "O4")
 
@@ -551,8 +557,8 @@ def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
     `in_place` the program's own layout plus `IN_PLACE_PASSES`.
 
     O5 and O3B rewrite the AST (and placements) before anything is laid
-    out, so they run first; the build then takes O3A, O4 (decided from
-    its compiled code, without sampling), O1 and O2, in that order.
+    out, so they run first; the build then takes O3A, O1, O2 and last O4,
+    decided from the compiled code it returns, without sampling.
     `applied` leaves out an AST pass that rewrote nothing and declined O4.
     """
     unknown = [p for p in passes if p not in ALL_PASSES]
@@ -573,12 +579,7 @@ def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
         build = DefenseBuild(program, build_ast_layout(program.lowered, ps), applied)
     else:
         build = replace(build_staged(program, ps), applied=applied)
-    if "O3A" in passes:
-        build = opt_level_merge(build)
-    if "O4" in passes:
-        build = opt_mux_elim(build)
-    if "O1" in passes:
-        build = opt_readonly_elim(build)
-    if "O2" in passes:
-        build = opt_page_realign(build)
+    for name, opt in _BUILD_PASSES.items():
+        if name in passes:
+            build = opt(build)
     return build

@@ -16,9 +16,9 @@ would run under and produces a static schedule:
 * the developer-assisted optimizations that change this schedule are
   decided here too, in the same level loop: O1 fetches a read-only object
   once and never copies it back, O4 leaves the code in place, and O3A
-  schedules a run of consecutive levels whose code fits the page together
-  as one group, with one fetch and one copy-back.  Γ (`gamma`) says for
-  every block which group's level fetches it and where its code runs.
+  schedules a run of consecutive levels whose staged code fits the page
+  together as one group, with one fetch and one copy-back.  Γ (`gamma`)
+  says for every block which group's level fetches it and where it runs.
 
 Because the schedule is a function of the program alone and the execute
 phase touches only staging pages, the page sequence the OS observes is the
@@ -180,12 +180,13 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     """Choose staging geometry and emit the static fetch/copy-back schedule.
 
     One `LevelPlan` per group of consecutive levels: a level, or with
-    `merge_levels` (O3A) and `stage_code` each run of levels whose code fits
-    the room left on the page.  A group's levels put their code side by
-    side; its fetch takes, level by level, the level's code copies and then
-    the objects the group has not fetched yet (with `readonly_elim`, O1, a
-    read-only object is fetched once at all), and its copy-back the written
-    objects it has not copied back yet.
+    `merge_levels` (O3A) each run of levels whose staged code fits the room
+    left on the page (code left in place, without `stage_code`, takes none).
+    A group's levels put their code side by side; its fetch takes, level by
+    level, the level's code copies and then the objects the group has not
+    fetched yet (with `readonly_elim`, O1, a read-only object is fetched
+    once at all), and its copy-back the written objects it has not copied
+    back yet.
     """
     report = check_balanced(tree)
     if not report.balanced:
@@ -288,14 +289,12 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     gamma: dict[int, tuple[int, int]] = {}
     groups: list[tuple[list[int], list[CopyStep], list[CopyStep]]] = []
     ever_fetched: dict[str, None] = {}
-    merge = merge_levels and stage_code
-    room = 0
 
     for lv_index, blocks in enumerate(levels):
         level = lv_index + 1
         sizes = level_sizes[lv_index]
-        code_bytes = sum(sizes)
-        if not (merge and groups) or code_bytes > room:
+        code_bytes = sum(sizes) if stage_code else 0
+        if not (merge_levels and groups) or code_bytes > room:
             groups.append(([], [], []))
             room, base, fetched, backed = page_size, 0, set(), set()
         covers, fetch, back = groups[-1]

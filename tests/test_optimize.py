@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pfo import transform
 from pfo.corpus import powm_balanced_source
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, TreeExecutable
@@ -19,6 +20,7 @@ from pfo.optimize import (
     opt_page_realign,
     opt_readonly_elim,
 )
+from pfo.suites import case_source
 from pfo.transform import plan_layout
 
 from test_exectree import ACCESS_SKEW, SHARED_CONTINUATION
@@ -195,7 +197,8 @@ class TestLevelMerge:
                plain.run(secret={"s": 3}).code_copy_ops
 
 
-FOO = parse((Path(__file__).resolve().parent.parent / "corpus" / "foo.pfo").read_text())
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+FOO = parse((CORPUS / "foo.pfo").read_text())
 
 
 def exhaustive_verdict(build):
@@ -926,11 +929,42 @@ def test_no_in_place_witness_means_one_profile(source):
 def test_corpus_o4_decisions():
     # under every pass, staged O4 keeps every corpus program's code in place
     # but foo's; powm_sw's plain tree exceeds the expansion budget
-    corpus = Path(__file__).resolve().parent.parent / "corpus"
     applied = {path.stem: "O4" in build_defense(parse(path.read_text()), ALL_PASSES).applied
-               for path in sorted(corpus.glob("*.pfo")) if path.stem != "powm_sw"}
+               for path in sorted(CORPUS.glob("*.pfo")) if path.stem != "powm_sw"}
     assert applied == {
         "aes": True, "cast_gcrypt": True, "cast_openssl": True, "eddsa": True,
         "foo": False, "powm": True, "seed_gcrypt": True, "seed_openssl": True,
         "stribog": True, "tiger": True, "whirlpool": True,
     }
+
+
+@pytest.mark.parametrize("name, compiles", [("aes", 1), ("eddsa", 1), ("powm", 1), ("foo", 2)])
+def test_one_compile_per_certified_build(name, compiles, monkeypatch):
+    # O4 runs last, so a build it clears keeps the executable its witness
+    # was read from, and the run compiles nothing more; foo's candidate is
+    # declined, and its build compiles its own executable when it runs
+    made = []
+    init = transform.MultiplexedExecutable.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(transform.MultiplexedExecutable, "__init__", counted)
+    build = build_defense(parse((CORPUS / f"{name}.pfo").read_text()), ALL_PASSES)
+    build.run(secret={d.name: 1 for d in build.program.secrets})
+    assert ("O4" in build.applied) == (name != "foo")
+    assert len(made) == compiles and build.executable() is made[-1]
+
+
+@pytest.mark.parametrize("name, levels", [("eddsa", 512), ("powm", 64)])
+def test_o3a_merges_the_levels_o4_leaves_in_place(name, levels):
+    # code left in place takes no room on the staging page, so under every
+    # pass one group covers every level, and it stays one profile class
+    build = build_defense(parse((CORPUS / f"{name}.pfo").read_text()), ALL_PASSES)
+    assert "O4" in build.applied and len(build.tree.levels) == levels
+    assert [lp.covers for lp in build.plan.levels] == [tuple(range(1, levels + 1))]
+    small = build_defense(parse(case_source(name, 12)), ALL_PASSES)
+    assert "O4" in small.applied and len(small.plan.levels) == 1
+    verdict = exhaustive_verdict(small)
+    assert verdict.classes == 1 and verdict.inputs_checked == 1 << 12
