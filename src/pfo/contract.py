@@ -24,11 +24,12 @@ at entry, never at access time, so no double fault can arise.
 
 Every observable is therefore fixed by one integer, the termination step,
 and one rule gives it (`termination_steps`): for a page and a list of
-steal steps, the step at which each steal ends the run.  The access
-schedule behind it is read off a traced run's per-step footprints, and
-the indistinguishability sweep compares, page by page, one column of
-termination steps per secret instead of building a strategy and an
-observable per (page, step, secret).
+steal steps, the step at which each steal ends the run.  Only naive
+termination reads the access schedule behind it, off a traced run's
+footprints; under fake execution runs go untraced.  The sweep compares,
+page by page, one column of termination steps per distinct access list
+instead of an observable per (page, step, secret), and builds one
+schedule per distinct trace.
 """
 
 from __future__ import annotations
@@ -113,7 +114,10 @@ def access_schedule(exe, secret=None, public=None) -> AccessSchedule:
                      model=AdversaryModel.infinite_memory(), collect_trace=True)
     if result.trap is not None:
         raise ContractError(f"contracted run trapped: {result.trap}")
-    footprints = result.footprints
+    return _schedule(result.footprints)
+
+
+def _schedule(footprints) -> AccessSchedule:
     pages: defaultdict[int, list[int]] = defaultdict(list)
     for step, fp in enumerate(footprints):
         for page in fp.need:
@@ -207,21 +211,37 @@ def observable_for(schedule: AccessSchedule, contract: Contract,
     return EnclaveObservable((), end, kind)
 
 
+def _contracted_run(exe, contract: Contract, secret, public, traced: bool,
+                    memo: dict):
+    """A run under the contract and its schedule.  A traced run's schedule
+    is read off its footprints once per list of footprint objects: `memo`
+    holds each list it keys on, so no id in a key is reused."""
+    result = exe.run(secret=secret, public=public,
+                     model=AdversaryModel.infinite_memory(), collect_trace=traced)
+    if result.trap is not None:
+        raise ContractError(f"contracted run trapped: {result.trap}")
+    schedule = AccessSchedule(result.steps, {})
+    if traced:
+        key = tuple(map(id, result.footprints))
+        if key not in memo:
+            memo[key] = (result.footprints, _schedule(result.footprints))
+        schedule = memo[key][1]
+    if schedule.total_steps != contract.total_steps:
+        raise ContractError(f"schedule length {schedule.total_steps} does not "
+                            f"match the contract ({contract.total_steps})")
+    return result, schedule
+
+
 def run_contractual(exe, contract: Contract, secret, strategy: OsStrategy,
                     policy: str = FAKE_EXECUTE, public=None):
-    """One contractual run: the plain simulation plus the enclave observable."""
-    schedule = access_schedule(exe, secret, public)
-    if schedule.total_steps != contract.total_steps:
-        raise ContractError(
-            f"schedule length {schedule.total_steps} does not match the "
-            f"contract ({contract.total_steps})"
-        )
+    """One contractual run: the plain simulation (if honest) plus the enclave
+    observable, traced only for a naive-termination steal of a non-reserved
+    page, the one observable that reads access times."""
+    traced = (strategy.variant == "steal" and policy == NAIVE_TERMINATE
+              and strategy.page != contract.reserved_page)
+    result, schedule = _contracted_run(exe, contract, secret, public, traced, {})
     observable = observable_for(schedule, contract, strategy, policy)
-    result = None
-    if strategy.variant == "honest":
-        result = exe.run(secret=secret, public=public,
-                         model=AdversaryModel.infinite_memory())
-    return result, observable
+    return (result if strategy.variant == "honest" else None), observable
 
 
 @dataclass(frozen=True)
@@ -270,17 +290,23 @@ def sweep_policies(
         steps: Optional[Iterable[int]] = None,
         public=None) -> tuple[SweepReport, ...]:
     """`check_contract_indistinguishability` under each of `policies`, from
-    one traced run per secret: a run's access schedule does not depend on
-    the handler policy."""
+    one run per secret, made once every argument is checked: traced only
+    for naive termination, the one policy that reads access times."""
     secret_list = list(secrets)
-    schedules = [access_schedule(exe, s, public) for s in secret_list]
-    for sched in schedules:
-        if sched.total_steps != contract.total_steps:
-            raise ContractError("schedule length disagrees with the contract")
-
     page_list = sorted(pages if pages is not None else contract.bucket)
     step_list = list(steps if steps is not None else range(contract.total_steps + 1))
-    return tuple(_sweep(contract, secret_list, schedules, policy, page_list, step_list)
+    # the steal rule checks its arguments; fake execution reads no access
+    # times, so it sweeps a schedule without any
+    blank = AccessSchedule(contract.total_steps, {})
+    for policy in policies:
+        termination_steps(blank, contract, contract.reserved_page, step_list, policy)
+    traced = NAIVE_TERMINATE in policies
+    memo: dict = {}
+    schedules = [_contracted_run(exe, contract, secret, public, traced, memo)[1]
+                 for secret in secret_list]
+    return tuple(_sweep(contract, secret_list,
+                        schedules if policy == NAIVE_TERMINATE else [blank] * len(schedules),
+                        policy, page_list, step_list)
                  for policy in policies)
 
 
@@ -290,9 +316,9 @@ def _sweep(contract: Contract, secret_list: list[dict],
     """One policy's sweep over the secrets' schedules.
 
     A non-abort observable is its termination step, so each page is one
-    column of `termination_steps` per secret: the classes are the distinct
-    steps in the columns plus the honest run's, and a steal distinguishes
-    where a column departs from the first secret's.
+    column of `termination_steps` per distinct access list: the classes are
+    the distinct steps in the columns plus the honest run's, and a steal
+    distinguishes where a column departs from the first secret's.
     """
     strategies = 1 + len(page_list) * len(step_list)  # honest, then steals
     if not schedules:
@@ -303,17 +329,20 @@ def _sweep(contract: Contract, secret_list: list[dict],
     classes = {contract.total_steps}  # the honest run's
     distinguishing = None
     for page in page_list:
-        first, *rest = [
-            termination_steps(sched, contract, page, step_list, policy)
-            for sched in schedules
-        ]
         if page == contract.reserved_page:
             # an abort at the steal step whatever the secret, so the aborts
             # always agree
             continue
+        columns: dict = {}  # access list -> (first secret with it, column)
+        for i, sched in enumerate(schedules):
+            accesses = sched.page_steps.get(page)
+            if accesses not in columns:
+                columns[accesses] = (
+                    i, termination_steps(sched, contract, page, step_list, policy))
+        (_, first), *rest = columns.values()
         classes.update(first)
         diverge = None  # (step index, secret index)
-        for i, column in enumerate(rest, 1):
+        for i, column in rest:
             if column == first:
                 continue
             classes.update(column)

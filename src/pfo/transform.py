@@ -204,7 +204,7 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     mode = select_mode(level_sizes, page_size)
     if mode == "compacted":
         for lv, sizes in enumerate(level_sizes):
-            if 2 * max(sizes) > page_size and len(sizes) > 1:
+            if 2 * max(sizes) > page_size:
                 raise PlanError(
                     f"level {lv + 1}: block of {max(sizes)} bytes cannot sit beside "
                     f"the dummy slot in one page"

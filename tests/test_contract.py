@@ -136,6 +136,24 @@ class TestRunContractual:
         assert obs.termination_step == 5
         assert obs.os_visible_faults == ()
 
+    @pytest.mark.parametrize("strategy, policy, traced", [
+        (OsStrategy.honest(), FAKE_EXECUTE, False),
+        (OsStrategy.honest(), NAIVE_TERMINATE, False),
+        (OsStrategy.steal(1, 2), FAKE_EXECUTE, False),
+        (OsStrategy.steal(1, 2), NAIVE_TERMINATE, True),
+        (OsStrategy.steal(0, 4), NAIVE_TERMINATE, True),
+        (OsStrategy.steal(2, 1), NAIVE_TERMINATE, False),  # the reserved page
+    ], ids=["honest-fake", "honest-naive", "steal-fake", "steal-naive",
+            "steal-code-naive", "steal-reserved-naive"])
+    def test_one_run_traced_only_when_access_times_are_read(self, strategy,
+                                                             policy, traced):
+        exe = ScriptedExe(scripted_runs())
+        result, obs = run_contractual(exe, SCRIPTED_CONTRACT, {"s": 1}, strategy, policy)
+        assert exe.calls == [(1, traced)]
+        schedule = access_schedule(exe, {"s": 1})
+        assert obs == observable_for(schedule, SCRIPTED_CONTRACT, strategy, policy)
+        assert (result is not None) == (strategy.variant == "honest")
+
     def test_steal_always_succeeds_any_page_any_step(self):
         exe = aes_exe()
         contract = derive_contract(exe, aes_probes())
@@ -223,12 +241,15 @@ def brute_force_sweep(exe, contract, secrets, policy, steps=None, public=None):
 
 class ScriptedExe:
     """An executable whose traced runs replay fixed footprint lists, one
-    per value of the secret `s`."""
+    per value of the secret `s`; `calls` logs each run's secret value and
+    whether it was traced."""
 
     def __init__(self, runs):
         self.runs = runs
+        self.calls = []
 
     def run(self, secret=None, public=None, model=None, collect_trace=False):
+        self.calls.append((secret["s"], collect_trace))
         footprints = list(self.runs[secret["s"]])
         return SimulationResult({}, [], len(footprints), 0, 0, 0,
                                 footprints=footprints if collect_trace else None)
@@ -247,6 +268,9 @@ def scripted_runs():
         1: [code, read, read, code],
         2: [read, code, code, read],
     }
+
+
+SCRIPTED_CONTRACT = Contract(frozenset({0}), frozenset({1}), 2, 4)
 
 
 class TestIntegerSweep:
@@ -269,10 +293,9 @@ class TestIntegerSweep:
     @pytest.mark.parametrize("policy", [FAKE_EXECUTE, NAIVE_TERMINATE])
     def test_distinguishing_is_step_major_across_secrets(self, policy):
         exe = ScriptedExe(scripted_runs())
-        contract = Contract(frozenset({0}), frozenset({1}), 2, 4)
         secrets = [{"s": 0}, {"s": 1}, {"s": 2}]
-        report = check_contract_indistinguishability(exe, contract, secrets, policy)
-        assert report == brute_force_sweep(exe, contract, secrets, policy)
+        report = check_contract_indistinguishability(exe, SCRIPTED_CONTRACT, secrets, policy)
+        assert report == brute_force_sweep(exe, SCRIPTED_CONTRACT, secrets, policy)
         if policy == NAIVE_TERMINATE:
             assert report.distinguishing == (1, 0, (("s", 0),), (("s", 2),))
             assert report.observable_classes == 5  # ends 0..4
@@ -280,17 +303,62 @@ class TestIntegerSweep:
             assert report.distinguishing is None
 
     def test_both_policies_from_one_run_per_secret(self):
+        self.check_runs((FAKE_EXECUTE, NAIVE_TERMINATE), traced=True)
+
+    @pytest.mark.parametrize("policy, traced", [(FAKE_EXECUTE, False),
+                                                (NAIVE_TERMINATE, True)])
+    def test_one_run_per_secret_traced_only_for_naive(self, policy, traced):
+        self.check_runs((policy,), traced)
+
+    @staticmethod
+    def check_runs(policies, traced):
         exe = ScriptedExe(scripted_runs())
-        traced = []
-        run = exe.run
-        exe.run = lambda secret=None, **kw: traced.append(secret) or run(secret, **kw)
-        contract = Contract(frozenset({0}), frozenset({1}), 2, 4)
         secrets = [{"s": 0}, {"s": 1}, {"s": 2}]
-        policies = (FAKE_EXECUTE, NAIVE_TERMINATE)
-        reports = sweep_policies(exe, contract, secrets, policies)
-        assert traced == secrets
-        assert reports == tuple(brute_force_sweep(exe, contract, secrets, policy)
+        reports = sweep_policies(exe, SCRIPTED_CONTRACT, secrets, policies)
+        assert exe.calls == [(s["s"], traced) for s in secrets]
+        assert reports == tuple(brute_force_sweep(exe, SCRIPTED_CONTRACT, secrets, policy)
                                 for policy in policies)
+
+    @pytest.mark.parametrize("policy", [FAKE_EXECUTE, NAIVE_TERMINATE])
+    def test_shared_and_equal_traces_match_brute_force(self, policy):
+        # secrets 3 and 4 replay secret 0's footprint objects, secret 5 the
+        # same footprints as distinct objects, and 6 shares secret 1's
+        runs = scripted_runs()
+        runs[3] = runs[4] = runs[0]
+        runs[5] = [Footprint(fp.code, fp.pages, fp.kinds) for fp in runs[0]]
+        runs[6] = runs[1]
+        exe = ScriptedExe(runs)
+        secrets = [{"s": v} for v in (0, 3, 1, 4, 5, 2, 6)]
+        report = check_contract_indistinguishability(exe, SCRIPTED_CONTRACT, secrets, policy)
+        assert report == brute_force_sweep(exe, SCRIPTED_CONTRACT, secrets, policy)
+
+    @pytest.mark.parametrize("policy", [FAKE_EXECUTE, NAIVE_TERMINATE])
+    def test_equal_footprint_objects_give_the_same_report(self, policy):
+        runs = scripted_runs()
+        runs[3] = [Footprint(fp.code, fp.pages, fp.kinds) for fp in runs[1]]
+        exe = ScriptedExe(runs)
+        reports = [
+            check_contract_indistinguishability(
+                exe, SCRIPTED_CONTRACT, [{"s": 0}, {"s": v}, {"s": 2}], policy)
+            for v in (1, 3)
+        ]
+        assert reports[0] == brute_force_sweep(
+            exe, SCRIPTED_CONTRACT, [{"s": 0}, {"s": 1}, {"s": 2}], policy)
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("policies, steps", [
+        (("bogus",), None),
+        ((FAKE_EXECUTE, "bogus"), None),
+        ((FAKE_EXECUTE,), [0, 99]),
+        ((NAIVE_TERMINATE,), [-1, 0]),
+    ], ids=["bogus", "fake-then-bogus", "past-the-end", "negative"])
+    @pytest.mark.parametrize("values", [[], [0, 1]], ids=["no-secrets", "two-secrets"])
+    def test_bad_arguments_raise_before_any_run(self, policies, steps, values):
+        exe = ScriptedExe(scripted_runs())
+        secrets = [{"s": v} for v in values]
+        with pytest.raises(ContractError, match="unknown policy|outside"):
+            sweep_policies(exe, SCRIPTED_CONTRACT, secrets, policies, steps=steps)
+        assert exe.calls == []
 
     def test_schedule_from_scripted_footprints(self):
         exe = ScriptedExe(scripted_runs())

@@ -148,6 +148,23 @@ MERGED_BEFORE_THREE_WAY = THREE_WAY.replace(
     "  if (s == 3) { a = a + 1; } else { a = a + 2; }\n  if (s == 0) {", 1)
 
 
+# level 1 is one 48-byte block and the if-chain below it makes the plan
+# compacted at page 64
+ONE_BLOCK_LEVEL = """
+#pragma page_size 64
+secret int<3> s;
+output int y;
+int a;
+fn main() {
+  a = s + 1; a = a + 2; a = a + 3; a = a + 4; a = a + 5;
+  if (s == 0) { y = 1; } else { y = 2; }
+  if (s == 1) { y = y + 1; } else { y = y + 2; }
+  if (s == 2) { y = y + 3; } else { y = y + 4; }
+  if (s == 3) { y = y + 5; } else { y = y + 6; }
+}
+"""
+
+
 class TestSmartCopy:
     def test_compacted_offsets_follow_largest_block(self):
         _, tree, _, plan = planned(THREE_WAY)
@@ -165,6 +182,12 @@ class TestSmartCopy:
         # two 40-byte arms: the largest block is more than half the page
         with pytest.raises(PlanError, match="cannot sit beside the dummy slot"):
             planned(branchy_source(5, 64))
+
+    def test_one_block_level_too_large_for_dummy_slot(self):
+        # a lone 48-byte block would run past a dummy slot of its own size
+        with pytest.raises(PlanError, match="level 1: block of 48 bytes cannot sit "
+                                            "beside the dummy slot"):
+            planned(ONE_BLOCK_LEVEL)
 
     def test_profiles_identical_over_real_choice(self):
         exe = build_defense(parse(THREE_WAY)).executable()
