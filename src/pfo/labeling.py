@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import extract_region
+from .ir import Region, extract_region
 from .lang import (
     Assign, CallExpr, CallStmt, For, If, Index, Program, Stmt, Var, While,
     children, walk_all,
@@ -48,6 +48,7 @@ class LabelingResult:
     variables: dict[str, str]   # scoped name -> high/low
     functions: dict[str, str]
     warnings: list[str] = field(default_factory=list)
+    written: frozenset[str] = frozenset()  # globals code reachable from main writes
 
     @property
     def high_variables(self) -> frozenset[str]:
@@ -138,13 +139,17 @@ def _scan(stmts):
     return names, calls, flows
 
 
-def _collect(program: Program, declared: set[str]):
-    """Flow edges, call sites, and per-function mention sets."""
+def _collect(program: Program, declared: set[str], region: Region):
+    """Flow edges, call sites, per-function mention sets, and `region`'s scan."""
     flows: list[_Flow] = []
     sites: list[_CallSite] = []
     mentions: dict[str, set[str]] = {}
+    inside, entry = _scan(region.body), program.entry.name
     for f in program.functions:
-        names, calls, assigns = _scan(f.body)
+        body = region.prefix + region.suffix if f.name == entry else f.body
+        names, calls, assigns = _scan(body)
+        if f.name == entry:  # each statement is scanned once
+            names, calls, assigns = names | inside[0], calls + inside[1], assigns + inside[2]
 
         def scoped(reads, fn=f.name):
             return frozenset(_scoped(declared, fn, r) for r in reads)
@@ -158,15 +163,15 @@ def _collect(program: Program, declared: set[str]):
             _CallSite(callee, tuple(scoped(r) for r in arg_reads))
             for callee, arg_reads in calls
         )
-    return flows, sites, mentions
+    return flows, sites, mentions, inside
 
 
 def label_sensitivity(program: Program) -> LabelingResult:
     """Compute the high/low label of every variable and function."""
     declared = {d.name for d in program.decls}
-    flows, calls, mentions = _collect(program, declared)
     region = extract_region(program)
-    region_mentioned, region_calls, _ = _scan(region.body)
+    flows, calls, mentions, (region_mentioned, region_calls, _) = _collect(
+        program, declared, region)
 
     warnings: list[str] = []
     if region.explicit and not program.secrets:
@@ -238,4 +243,6 @@ def label_sensitivity(program: Program) -> LabelingResult:
     functions = {
         f.name: HIGH if f.name in high_fns else LOW for f in program.functions
     }
-    return LabelingResult(program, variables, functions, warnings)
+    reach = program.reachable([entry])
+    return LabelingResult(program, variables, functions, warnings, frozenset(
+        f.target for f in flows if f.fn in reach and f.target in declared))

@@ -403,10 +403,10 @@ class Function:
 
 @dataclass(frozen=True)
 class Program:
-    """A parsed program.  It never changes, so its index (the name lookups
-    and each function's callees) and its lowering are built on first use
-    and kept; a pass that rewrites a program makes a new one, with a fresh
-    index."""
+    """A parsed program.  It never changes, so its index (the name lookups,
+    its arrays and each function's callees) and its lowering are built on
+    first use and kept; a pass that rewrites a program makes a new one,
+    with a fresh index."""
 
     decls: tuple[VarDecl, ...]
     functions: tuple[Function, ...]
@@ -475,7 +475,7 @@ class Program:
     def outputs(self) -> tuple[VarDecl, ...]:
         return tuple(d for d in self.decls if d.kind == DeclKind.OUTPUT)
 
-    @property
+    @cached_property
     def arrays(self) -> tuple[VarDecl, ...]:
         return tuple(d for d in self.decls if d.is_array)
 

@@ -6,10 +6,10 @@ page end), so a program plus its pragmas fully determines the geometry an
 adversary observes.  One rule, `place`, puts everything on pages: it lays
 out groups of units back to back, pinned groups first from their pragma
 page and offset, then every other group on fresh pages from offset 0, each
-past any pinned array its bytes would overlap.  Arrays are one-unit
-groups, laid out after the code; `first_page_past_pins` is the first page
-past every pinned array, where a pass that pins code of its own (O3B's
-caller pages, in-place O4's groupings) starts.
+past any pinned array its bytes would overlap.  Arrays are one-unit groups,
+unpinned ones from the first page past the code no pinned array touches;
+`first_page_past_pins` is the first page past every pinned array, where a
+pass that pins code of its own (O3B's caller pages, in-place O4) starts.
 
 The two layouts differ only in their code groups and their order:
 
@@ -102,8 +102,10 @@ def _layout(program: Program, page_size: int, code: Sequence[Group],
     """The code groups, then the data groups, placed by the one rule."""
     pinned, _ = _pinned_arrays(program, page_size)
     code_map, page = place(page_size, code, _pins(program, "code"), pinned)
-    data_map, _ = place(page_size, data, _pins(program, "data"), {}, page)
-    return MemoryLayout(page_size=page_size, code_map=code_map, data_map=data_map)
+    while any(e.page == page for extents in pinned.values() for e in extents):
+        page += 1
+    data_map, _ = place(page_size, [g for g in data if g[0] not in pinned], {}, pinned, page)
+    return MemoryLayout(page_size, code_map, {**pinned, **data_map})
 
 
 def _arrays(program: Program) -> list[Group]:

@@ -5,7 +5,7 @@ Each pass preserves program outputs and the single-profile-class property
 `leakage` re-verifies the result.  The passes:
 
 * O1 read-only elision: data fetched once, never copied back.
-* O2 page realignment: read-only tables moved to page starts so each
+* O2 page realignment: read-only tables pinned to page starts so each
   fetch is one copy and sensitive data occupies the fewest pages.
 * O3A level merging: consecutive levels whose code fits a single page
   share one fetch, so interior transitions stop multiplexing.  The groups
@@ -27,21 +27,22 @@ with `lang.map_ast`, so loop headers, assignment targets' indices and
 call arguments are never skipped: a call in a callee's `for` step counts
 for O5's purity check, O3B's redirection and O4's page grouping alike.
 
-No pass computes a page number itself: O2 lays its arrays out with
-`layouts.place` from `layouts.next_free_page`, and O3B's caller pages and
-in-place O4's groups start at `layouts.first_page_past_pins`: past every
-pinned array, and for O3B past the `place code` pins it keeps (those of
-every function it does not pin beside a clone).
+No pass computes a page number or lays a build out itself: O2 pins its
+arrays where `layouts.place` puts them from `layouts.next_free_page`,
+O3B's caller pages and in-place O4's groups start at
+`layouts.first_page_past_pins` (past every pinned array, and for O3B past
+the `place code` pins it keeps), and `_replan` lays out a changed program.
 
 `build_defense` is the single entry point that composes passes: the CLI
 and the suites build every defense through it, staged or in place.  A
 `DefenseBuild` bundles whatever the pipeline has produced so far (AST
 rewrites, tree, plan, layouts) and hands out a runnable executable; each
-pass that changes a staged build re-plans it through `_replan`.
+pass that changes a build lays it out or re-plans it through `_replan`.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field, replace
 from graphlib import TopologicalSorter
@@ -93,7 +94,8 @@ class OptError(PfoError):
 @dataclass
 class DefenseBuild:
     """One defended configuration of a program: staged when it has a tree
-    (with its code staged unless O4 is applied), else in place."""
+    (its code staged unless O4 applies), else in place.  `source_layout` is
+    the layout of `program`, and of `tree` when staged."""
 
     program: Program
     source_layout: MemoryLayout
@@ -317,33 +319,29 @@ def opt_readonly_elim(build: DefenseBuild) -> DefenseBuild:
 # --- O2: page realignment ------------------------------------------------
 
 def opt_page_realign(build: DefenseBuild) -> DefenseBuild:
-    """Move sensitive read-only arrays to fresh page-aligned extents."""
-    if build.tree is None:
-        raise OptError("O2 realigns the arrays of a staged build; this build runs in place")
+    """Pin each sensitive array no code reachable from `main` assigns to,
+    unless it already sits on one page from its start, at offset 0 of fresh
+    pages past everything (`layouts.place` from `next_free_page`)."""
     program = build.program
     layout = build.source_layout
     labeled = label_sensitivity(program)
-    written = _written_arrays(build.tree)
-    # sensitive read-only arrays, unless already on one page from its start
     moved = [
         d.name for d in program.arrays
-        if d.name not in written and labeled.variables.get(d.name) == "high"
+        if d.name not in labeled.written and labeled.variables.get(d.name) == "high"
         and (len(layout.data_map[d.name]) > 1 or layout.data_map[d.name][0].offset)
     ]
     fresh, _ = place(layout.page_size,
                      [(n, ((n, program.decl(n).byte_length),)) for n in moved],
                      pins={}, pinned={}, page=next_free_page(layout))
-    new_layout = MemoryLayout(page_size=layout.page_size, code_map=dict(layout.code_map),
-                              data_map={**layout.data_map, **fresh})
+    if fresh:
+        pins = [p for p in program.placements if p.kind == "code" or p.name not in fresh]
+        pins += [Placement("data", n, extents[0].page, 0) for n, extents in fresh.items()]
+        program = replace(program, placements=tuple(pins))
     return _replan(
-        build, source_layout=new_layout,
+        build, program=program,
         applied=build.applied + ("O2",),
         notes=build.notes + (f"realigned: {', '.join(moved) if moved else 'none'}",),
     )
-
-
-def _written_arrays(tree: ExecutionTree) -> frozenset[str]:
-    return frozenset(obj for b in tree.blocks for obj, is_write in b.refs if is_write)
 
 
 # --- O3A: level merging ---------------------------------------------------
@@ -507,32 +505,35 @@ def _grouped(build: DefenseBuild) -> tuple[Optional[DefenseBuild], Optional[str]
             return None, (f"{' + '.join(g)} is {size} bytes, "
                           f"larger than one {ps}-byte page")
 
-    placements = []
+    placements = [p for p in program.placements if p.kind != "code"]
     for page, members in enumerate(groups, first_page_past_pins(program, ps)):
         offset = 0
         for name in members:
             placements.append(Placement("code", name, page, offset))
             offset += lengths[name]
-    grouped = Program(
-        program.decls, program.functions,
-        tuple(p for p in program.placements if p.kind != "code") + tuple(placements),
-        program.page_size_hint,
-    )
-    candidate = replace(build, program=grouped, _exe=None,
-                        source_layout=build_ast_layout(grouped.lowered, ps),
-                        applied=build.applied + ("O4",))
+    grouped = replace(program, placements=tuple(placements))
+    candidate = _replan(build, program=grouped, applied=build.applied + ("O4",))
     return candidate, candidate.executable().witness
 
 
 def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
     """`build` with `changes`, its plan redone from every decision so far.
 
-    O1's elision, whether code is staged (O4) and O3A's level groups all
-    come from `applied`, and `plan_layout` makes all three in its one
-    schedule, so no pass undoes another.  In-place builds have no plan and
-    only take the changes.
+    A changed program is laid out again, its tree re-pointed at it.  O1's
+    elision, whether code is staged (O4) and O3A's level groups all come
+    from `applied`, and `plan_layout` makes all three in its one
+    schedule, so no pass undoes another.  In-place builds have no plan.
     """
+    program = build.program
     build = replace(build, _exe=None, **changes)
+    if build.program is not program:
+        ps = build.source_layout.page_size
+        if build.tree is None:
+            build.source_layout = build_ast_layout(build.program.lowered, ps)
+        else:
+            build.tree = copy.copy(build.tree)  # the same blocks, not indexed again
+            build.tree.program = build.program
+            build.source_layout = build_tree_layout(build.tree, ps)
     if build.tree is not None:
         build.plan = plan_layout(
             build.tree, build.source_layout,
@@ -548,7 +549,7 @@ _BUILD_PASSES = {"O3A": opt_level_merge, "O1": opt_readonly_elim,
                  "O2": opt_page_realign, "O4": opt_mux_elim}
 ALL_PASSES = ("O5", "O3B", *_BUILD_PASSES)
 # the passes an in-place build takes: the others need an execution tree
-IN_PLACE_PASSES = ("O5", "O4")
+IN_PLACE_PASSES = ("O5", "O2", "O4")
 
 
 def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
@@ -564,9 +565,9 @@ def build_defense(program: Program, passes=(), page_size: Optional[int] = None,
     unknown = [p for p in passes if p not in ALL_PASSES]
     if unknown:
         raise OptError(f"unknown optimization(s): {', '.join(unknown)}")
-    staged_only = [p for p in passes if p not in IN_PLACE_PASSES]
+    staged_only = ", ".join(p for p in passes if p not in IN_PLACE_PASSES)
     if in_place and staged_only:
-        raise OptError(f"in place only O5 and O4 apply, not {', '.join(staged_only)}")
+        raise OptError(f"in place only {', '.join(IN_PLACE_PASSES)} apply, not {staged_only}")
     ps = program.resolve_page_size(page_size)
     applied: tuple[str, ...] = ()
     if "O5" in passes:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from pfo.cli import main
+from pfo.lang import parse
+from pfo.optimize import build_defense
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -206,6 +208,19 @@ class TestTransformVerify:
             plans[opt] = json.loads(Path(f"{out}.plan.json").read_text())
             del plans[opt]["pipeline"]
         assert plans["O1"] != plans["O1,O2"]
+
+    def test_transform_o2_output_carries_its_pins(self, tmp_path, capsys):
+        # the written program lays its data out where the O1+O2 build does,
+        # built again with no pass
+        out = tmp_path / "aes.pfo"
+        code, _, _ = run_cli(
+            ["transform", str(CORPUS / "aes.pfo"), "-o", str(out), "--opt", "O1,O2"],
+            capsys,
+        )
+        assert code == 0
+        o2 = build_defense(parse((CORPUS / "aes.pfo").read_text()), ("O1", "O2"))
+        again = build_defense(parse(out.read_text()))
+        assert again.source_layout.data_map == o2.source_layout.data_map
 
     @pytest.mark.parametrize("opt", ["O3A", "O3B", "O4"])
     def test_transform_applies_each_pass(self, tmp_path, opt, capsys):

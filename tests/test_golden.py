@@ -217,6 +217,34 @@ def test_gamma_agrees_with_the_fetches(source, pipelines):
                 assert plan.gamma[b.id] == (lp.level, offset), (passes, b.name())
 
 
+def laid_out_cases():
+    """Each tree case under each of `TREE_PASSES`, and each corpus program
+    but powm_sw staged under O5, O3A, O1, O2 and in place under O5, O2, O4."""
+    for name, source in tree_cases():
+        for passes in TREE_PASSES:
+            yield pytest.param(source, passes, False, id=f"{name}-{'+'.join(passes) or 'mux'}")
+    for path in sorted(CORPUS.glob("*.pfo")):
+        if path.stem != "powm_sw":
+            source = path.read_text()
+            yield pytest.param(source, ("O5", "O3A", "O1", "O2"), False,
+                               id=f"corpus-{path.stem}-staged")
+            yield pytest.param(source, ("O5", "O2", "O4"), True,
+                               id=f"corpus-{path.stem}-in-place")
+
+
+@pytest.mark.parametrize("source, passes, in_place", laid_out_cases())
+def test_a_build_is_laid_out_from_its_program(source, passes, in_place):
+    # every pass records its layout decisions as pins on the program, so
+    # the one rule lays the build's program (and tree) out as the build has
+    build = build_defense(parse(source), passes, in_place=in_place)
+    page_size = build.source_layout.page_size
+    if in_place:
+        assert build.source_layout == build_ast_layout(build.program.lowered, page_size)
+    else:
+        assert build.tree.program is build.program
+        assert build.source_layout == build_tree_layout(build.tree, page_size)
+
+
 def layout_cases():
     """(name, program, tree program) for the layout golden file: each tree
     case, and each corpus program, whose tree is built after O5: without

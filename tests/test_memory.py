@@ -221,6 +221,17 @@ class TestPinnedData:
             ys = [exe.run(secret={"s": s}).outputs["y"] for exe in exes]
             assert ys == [2 * (s + 4950)] * 3, s
 
+    def test_unpinned_data_starts_on_the_first_page_no_pinned_array_touches(self):
+        # past the code (page 0), pages 1-2 are free: `v` fills them, and `w`,
+        # which would land on `u`'s page 3, starts after it
+        program = parse(_pinned_u("3 0", "y = v[s] + w[s];").replace(
+            "int u[8];", "int u[8];\nint v[16];\nint w[4];"))
+        for layout in (build_ast_layout(program.lowered, 32),
+                       build_tree_layout(build_execution_tree(program), 32)):
+            assert layout.data_map["u"] == split_extents(32, 3, 0, 32)
+            assert layout.data_map["v"] == split_extents(32, 1, 0, 64)
+            assert layout.data_map["w"] == split_extents(32, 4, 0, 16)
+
     def test_code_beside_pinned_data_stays(self):
         # main's 4 instructions fill bytes 0-15 of page 0, which `u` leaves free
         program = parse(_pinned_u("0 16", "y = s + 1;\ny = y * 2;"))
