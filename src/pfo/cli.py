@@ -4,9 +4,11 @@ Subcommands: parse, analyze, transform, simulate, verify, leak, attack,
 contract, corpus.  Exit codes: 0 ok, 1 assertion failure, 2 usage error,
 3 internal error.  A command accepts --page-size, --seed and --out only
 where they take effect, and rejects a --sample below 1.  Only verify,
-leak, contract and corpus sample, each driven by --seed, and reports are
-emitted with stable ordering, so identical invocations produce identical
-bytes.  `transform` and every `--transformed` run build their defense
+leak, contract and corpus sample, each driven by --seed (verify and leak
+take it only with --sample: else they enumerate the domain), and reports
+are emitted with stable ordering, so identical invocations produce
+identical bytes.  `corpus` runs every suite from one table, `_SUITES`.
+`transform` and every `--transformed` run build their defense
 through `optimize.build_defense`, the single entry point that composes
 passes; the multiplexing mode it plans with follows from whether each
 level's blocks fit one page.
@@ -170,7 +172,9 @@ def _inputs(args, program):
     domain = SecretDomain.of(program)
     sample = _sample(args)
     if sample is not None:
-        return domain.sample(sample, args.seed)
+        return domain.sample(sample, args.seed or 0)
+    if args.seed is not None:
+        raise CliFailure("--seed needs --sample", EXIT_USAGE)
     if domain.size > DEFAULT_EXHAUSTIVE_LIMIT:
         raise CliFailure(
             f"domain of {domain.size} secrets needs --sample", EXIT_USAGE
@@ -327,7 +331,16 @@ def cmd_contract(args) -> int:
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
-_SUITES = {"attacks", "defenses", "contracts"}
+# each suite's function, the keyword --sample sets (without it, the suite's
+# own default holds) and its markdown columns, each header's row key
+_SUITES = {
+    "attacks": (attacks_suite, "samples", {"Case": "case", "Input bits": "input_bits",
+                "Leakage": "leakage_display", "%": "percent"}),
+    "defenses": (defenses_suite, "sample_pairs", {"Case": "case", "PF(vanilla)": "pf_vanilla",
+                 "PF(transformed)": "pf_transformed", "Oblivious": "oblivious"}),
+    "contracts": (contracts_suite, "secrets_per_case", {"Case": "case", "Bucket": "bucket",
+                  "Fake classes": "fake_classes", "Naive classes": "naive_classes"}),
+}
 
 
 def cmd_corpus(args) -> int:
@@ -341,33 +354,17 @@ def cmd_corpus(args) -> int:
             "corpus takes only --opt all, and only for the defenses suite",
             EXIT_USAGE,
         )
-    if args.suite == "attacks":
-        result = attacks_suite(seed=args.seed, samples=_sample(args, 50))
-        headers = ["Case", "Input bits", "Leakage", "%"]
-        rows = [
-            [r["case"], r["input_bits"], r["leakage_display"], r["percent"]]
-            for r in result.rows
-        ]
-    elif args.suite == "defenses":
-        result = defenses_suite(seed=args.seed, sample_pairs=_sample(args, 100),
-                                opt_all=args.opt == "all")
-        headers = ["Case", "PF(vanilla)", "PF(transformed)", "Oblivious"]
-        rows = [
-            [r["case"], r["pf_vanilla"], r["pf_transformed"], r["oblivious"]]
-            for r in result.rows
-        ]
-    else:
-        result = contracts_suite(seed=args.seed,
-                                 secrets_per_case=_sample(args, 64))
-        headers = ["Case", "Bucket", "Fake classes", "Naive classes"]
-        rows = [
-            [r["case"], r["bucket"], r["fake_classes"], r["naive_classes"]]
-            for r in result.rows
-        ]
+    suite, sample_keyword, columns = _SUITES[args.suite]
+    kwargs = {"opt_all": True} if args.opt else {}
+    sample = _sample(args)
+    if sample is not None:
+        kwargs[sample_keyword] = sample
+    result = suite(seed=args.seed, **kwargs)
     if args.json:
         emit(to_json(result.to_json_dict()), args.out)
     else:
-        emit(markdown_table(headers, rows), args.out)
+        rows = [[r[key] for key in columns.values()] for r in result.rows]
+        emit(markdown_table(list(columns), rows), args.out)
     return EXIT_OK if result.ok else EXIT_ASSERTION
 
 
@@ -419,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     for name, fn in (("verify", cmd_verify), ("leak", cmd_leak)):
-        p = sub.add_parser(name, parents=flags("--page-size", "--seed", "--out"))
+        p = sub.add_parser(name, parents=flags("--page-size", "--out"))
         p.add_argument("--program", required=True)
+        # no default, so that a --seed without --sample is seen
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--public", action="append", default=[])
         p.add_argument("--transformed", action="store_true")
         p.add_argument("--sample", type=int, default=None)

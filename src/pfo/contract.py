@@ -131,14 +131,20 @@ def derive_contract(exe, probe_secrets: Iterable[dict]) -> Contract:
     The bucket is every code page of a function reachable from `main` (a
     function without code has none) plus every page of an array those
     functions index: the program's index gives the functions, and the
-    in-place layout, whose code units are functions, their pages.  The
-    reserved handler page is the next unused page.  Schedule length must
-    agree across the probe secrets, otherwise the program is not balanced
-    and no meaningful contract exists.
+    in-place layout, whose code units are functions, their pages (a staged
+    build, whose code units are blocks, is an error).  The reserved
+    handler page is the next unused page.  Schedule length must agree
+    across the probe secrets, otherwise the program is not balanced and
+    no meaningful contract exists.
     """
     program = exe.program
     layout = exe.layout
     reachable = program.reachable({"main"})
+    lengths = program.lowered.code_lengths()
+    unplaced = sorted(n for n in reachable if lengths[n] and n not in layout.code_map)
+    if unplaced:
+        raise ContractError(f"the contract takes in-place builds: function {unplaced[0]!r} "
+                            "has code but no code extent in the layout")
     code_pages = {e.page for name in reachable for e in layout.code_map.get(name, ())}
     bodies = [s for name in reachable for s in program.function(name).body]
     arrays = {n.name for n in walk_all(bodies) if isinstance(n, Index)}
@@ -270,30 +276,28 @@ class SweepReport:
 
 def check_contract_indistinguishability(
         exe, contract: Contract, secrets: Iterable[dict], policy: str,
-        pages: Optional[Iterable[int]] = None,
         steps: Optional[Iterable[int]] = None,
         public=None) -> SweepReport:
-    """Sweep honest plus every single-page steal over every secret.
+    """Sweep honest plus every steal of one bucket page over every secret.
 
     Under fake execution all non-abort observables must form one class;
     abort observables (reserved-page theft) must at least be independent
     of the secret.  Under naive termination the report names the first
     distinguishing steal point, in page, then step, then secret order.
     """
-    (report,) = sweep_policies(exe, contract, secrets, (policy,), pages, steps, public)
+    (report,) = sweep_policies(exe, contract, secrets, (policy,), steps, public)
     return report
 
 
 def sweep_policies(
         exe, contract: Contract, secrets: Iterable[dict], policies: Sequence[str],
-        pages: Optional[Iterable[int]] = None,
         steps: Optional[Iterable[int]] = None,
         public=None) -> tuple[SweepReport, ...]:
     """`check_contract_indistinguishability` under each of `policies`, from
     one run per secret, made once every argument is checked: traced only
     for naive termination, the one policy that reads access times."""
     secret_list = list(secrets)
-    page_list = sorted(pages if pages is not None else contract.bucket)
+    page_list = sorted(contract.bucket)
     step_list = list(steps if steps is not None else range(contract.total_steps + 1))
     # the steal rule checks its arguments; fake execution reads no access
     # times, so it sweeps a schedule without any

@@ -40,10 +40,11 @@ pages are layout-dependent; runs are then cheap and allocation-light:
 * whole-call summaries: in whole-function mode a function whose body is
   straight-line code (an optional tail `return`), whose ops are all
   charged and whose callees are all summarised, is summarised whole.  A
-  call to it is one charged op: the call's step, then the callee's
-  summary (`_Call`).  Each executable merges at most `NODE_BUDGET` such
-  steps, so summaries never expand a large call tree; past that, a call
-  steps and runs the callee's one segment.
+  call to it is one charged op, its charge a closure (as a staging
+  copy's is): the call's step, then the callee's summary.  Each
+  executable merges at most `NODE_BUDGET` such steps, so summaries never
+  expand a large call tree; past that, a call steps and runs the
+  callee's one segment.
 * traps: a trapping closure raises without a step count.  Each
   summarised segment and call it unwinds through records the charges of
   the ops before the trapping one, and the runner that catches it
@@ -66,8 +67,9 @@ of its `ObjectTable` with the set of arrays some compiled op writes (a
 store, a pad write, a staging copy's destination, the selector).  A run
 copies only those arrays and shares every other one with the image, so
 no op may write an array outside that set.  Its `SimulationResult.store`
-holds the run's own arrays as the run left them, not further copies,
-and the image's arrays for the others; those are shared by every run
+holds the program's arrays (`Program.arrays`, so never a staging shadow
+or the pad object): the run's own as the run left them, not further
+copies, and the image's for the others; those are shared by every run
 and must not be mutated.
 
 A traced run stores its trace as the footprint of each step, in step
@@ -83,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Optional
 
 from .exectree import Block, ExecutionTree
 from .ir import (
@@ -433,7 +435,7 @@ class _EarlyReturn(Exception):
 class ObjectTable:
     """Array storage indices, the canonical initial array image (computed
     once per table, and never written: a run copies the arrays it writes),
-    and each object's pages under a layout."""
+    and the layout that places them."""
 
     def __init__(self, program: Program, layout: MemoryLayout,
                  extra_objects: dict[str, int] | None = None):
@@ -445,7 +447,6 @@ class ObjectTable:
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lengths: list[int] = []
         self.image: list[list[int]] = []
-        self._extent_pages: dict[str, tuple] = {}
         for n in self.names:
             d = program.decl(n)
             if d is not None and d.is_array:
@@ -459,24 +460,6 @@ class ObjectTable:
             self.lengths.append(length)
             self.image.append(arr)
         self.layout = layout
-
-    def extent_pages(self, name: str) -> tuple[tuple[int, ...], Optional[list[int]]]:
-        """An object's page per extent, and for a split object the extent
-        index of every word (words past the extents take the last one);
-        `None` when the object sits on one extent."""
-        got = self._extent_pages.get(name)
-        if got is None:
-            extents = self.layout.data_extents(name)
-            pages = tuple(e.page for e in extents)
-            ext_of = None
-            if len(extents) > 1:
-                ext_of = []
-                for k, e in enumerate(extents):
-                    ext_of.extend([k] * (e.length // WORD_SIZE))
-                length = self.lengths[self.index[name]]
-                ext_of.extend([len(extents) - 1] * (length - len(ext_of)))
-            got = self._extent_pages[name] = (pages, ext_of)
-        return got
 
 
 class _OpCompiler:
@@ -547,10 +530,19 @@ class _OpCompiler:
         return got
 
     def _new_data_footprint(self, obj: str, cp: int, kinds: tuple):
+        # an object's page per extent, and for a split one the extent of
+        # every word (words past the extents take the last one)
+        ext_of = None
         if obj in self.pages:
-            pages, ext_of = (self.pages[obj],), None
+            pages = (self.pages[obj],)
         else:
-            pages, ext_of = self.objects.extent_pages(obj)
+            extents = self.objects.layout.data_extents(obj)
+            pages = tuple(e.page for e in extents)
+            if len(extents) > 1:
+                ext_of = [k for k, e in enumerate(extents)
+                          for _ in range(e.length // WORD_SIZE)]
+                length = self.objects.lengths[self.objects.index[obj]]
+                ext_of.extend([len(extents) - 1] * (length - len(ext_of)))
         allowed = self.strict_pages
         fps = tuple(
             None if allowed is not None and p not in allowed
@@ -733,21 +725,6 @@ def _trap_info(sink: Sink, trap: SimTrap) -> TrapInfo:
     return TrapInfo(trap.kind, sink.steps, trap.detail)
 
 
-class _Call:
-    """The charge of a call to a summarised function: the call's own step,
-    then the callee's whole body."""
-
-    __slots__ = ("fp", "summary")
-
-    def __init__(self, fp: Footprint, summary: Summary):
-        self.fp = fp
-        self.summary = summary
-
-    def __call__(self, sink: Sink) -> None:
-        sink.instr(self.fp)
-        sink.account(self.summary)
-
-
 @dataclass(frozen=True)
 class _Body:
     """A compiled function: its body as one leaf node for `_run`, its
@@ -785,9 +762,9 @@ class AstExecutable:
     and whose steps, calls expanded, are at most `NODE_BUDGET` is
     summarised whole.  A call to it is then one op: its closure binds the
     parameters, zeroes the callee's locals and runs the callee's closures,
-    and its charge is the call's step followed by the callee's summary
-    (`_Call`).  Such calls are merged while the executable's budget of
-    `NODE_BUDGET` merged steps lasts, so summaries never expand a large
+    and its charge is a closure that steps the call and then accounts the
+    callee's summary.  Such calls are merged while the executable's budget
+    of `NODE_BUDGET` merged steps lasts, so summaries never expand a large
     call tree; every other call accounts for its own step and runs the
     callee's segments.
 
@@ -818,8 +795,7 @@ class AstExecutable:
         split = next(iter(self._compiler.split), None)
         if self.witness is None and split is not None:
             self.witness = f"access to {split} split across pages"
-        self._frame = _Frame(program, self._compiler, self.objects,
-                             (n for n in self.objects.names if n != PAD_OBJECT))
+        self._frame = _Frame(program, self._compiler, self.objects)
 
     def _body(self, name: str) -> _Body:
         got = self._bodies.get(name)
@@ -947,7 +923,11 @@ class AstExecutable:
                     # has its own closure
                     raise _unwound(exc, charges, body.index(f) + 1) from None
                 regs[dst] = regs[ret]
-            return call, _Call(fp, summary)
+
+            def charge(sink: Sink, fp=fp, summary=summary):
+                sink.instr(fp)
+                sink.account(summary)
+            return call, charge
 
         def call(st: State, binds=binds, zero=zero, dst=dst, fp=fp):
             st.sink.instr(fp)
@@ -1005,19 +985,18 @@ class _Frame:
     The register template (the constants and the other scalars' initial
     values in place), the array image and the indices of the arrays some
     compiled op writes, the input-binding plan, the outputs' slots, and
-    the arrays a result stores: the image's unwritten ones, and the
-    written ones' indices.  A run copies only the written arrays and
-    shares the image's others, which no op changes.  The plan reads the
-    caller's input dicts without copying them: each input's name, slot,
-    whether it is secret, its range's end `1 << width` (`None` without a
-    width), its default and its range error's text.
+    the program's arrays, which a result stores: the image's unwritten
+    ones, and the written ones' indices.  A run copies only the written
+    arrays and shares the image's others, which no op changes.  The plan
+    reads the caller's input dicts without copying them: each input's
+    name, slot, whether it is secret, its range's end `1 << width` (`None`
+    without a width), its default and its range error's text.
     """
 
     __slots__ = ("regs0", "image", "written", "inputs", "n_secrets", "canon",
                  "outputs", "store", "stored")
 
-    def __init__(self, program: Program, compiler: _OpCompiler, objects: ObjectTable,
-                 stored: Iterable[str]):
+    def __init__(self, program: Program, compiler: _OpCompiler, objects: ObjectTable):
         slots = compiler.decl_slots
         self.regs0 = compiler.regs0()
         inputs = []
@@ -1038,9 +1017,9 @@ class _Frame:
         self.outputs = tuple((d.name, slots[d.name]) for d in program.outputs)
         self.image = objects.image
         self.written = tuple(sorted(compiler.written))
-        # a result stores the image's own unwritten arrays, and the run's
-        # written ones in their places
-        indices = [(name, objects.index[name]) for name in stored]
+        # a result stores the program's arrays: the image's own unwritten
+        # ones, and the run's written ones in their places
+        indices = [(d.name, objects.index[d.name]) for d in program.arrays]
         self.store = {name: self.image[i] for name, i in indices}
         self.stored = tuple((name, i) for name, i in indices if i in compiler.written)
 
@@ -1148,8 +1127,7 @@ class TreeExecutable:
         self.layout = layout
         self.objects = objects
         # every op is compiled: the slots and the written arrays are fixed
-        self._frame = _Frame(tree.program, compiler, objects, (
-            n for n in objects.names if n != PAD_OBJECT and not n.startswith("__sa")))
+        self._frame = _Frame(tree.program, compiler, objects)
         # a node is (segments, successors indexed by `st.branch`, or None for
         # a leaf); deepest level first, so every child's node exists
         nodes: dict[int, tuple] = {}

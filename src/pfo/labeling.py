@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .ir import Region, extract_region
 from .lang import (
-    Assign, CallExpr, CallStmt, For, If, Index, Program, Stmt, Var, While,
+    Assign, CallExpr, CallStmt, For, If, Index, Program, Var, While,
     children, walk_all,
 )
 
@@ -59,37 +59,23 @@ class LabelingResult:
         return frozenset(f for f, l in self.functions.items() if l == HIGH)
 
     def summary(self) -> dict:
-        """Analysis counts over the high slice (functions, blocks, loops, vars)."""
-        blocks = 0
-        loops = 0
-        for fname in sorted(self.high_functions):
-            fn = self.program.function(fname)
-            blocks += static_block_count(fn.body)
-            loops += sum(isinstance(n, (For, While)) for n in walk_all(fn.body))
+        """Analysis counts over the high slice (functions, blocks, loops, vars).
+
+        Static execution blocks: one per function for its straight-line
+        spine, three per conditional (its two arms and the join) and two
+        per loop (its body and the re-entry), loops counted once, not
+        unrolled."""
+        ifs = loops = 0
+        for fname in self.high_functions:
+            for n in walk_all(self.program.function(fname).body):
+                ifs += isinstance(n, If)
+                loops += isinstance(n, (For, While))
         return {
             "functions": len(self.high_functions),
-            "execution_blocks": blocks,
+            "execution_blocks": len(self.high_functions) + 3 * ifs + 2 * loops,
             "loops": loops,
             "variables": len(self.high_variables),
         }
-
-
-def static_block_count(stmts: tuple[Stmt, ...]) -> int:
-    """Static execution-block count of a statement list.
-
-    One block for the straight-line spine; every conditional adds its two
-    arms plus the join continuation; every loop adds its body plus the
-    re-entry block.  Loops are counted once (statically, not unrolled).
-    """
-    blocks = 1
-    for s in stmts:
-        if isinstance(s, If):
-            blocks += static_block_count(s.then_body)
-            blocks += static_block_count(s.else_body) if s.else_body else 1
-            blocks += 1
-        elif isinstance(s, (For, While)):
-            blocks += static_block_count(s.body) + 1
-    return blocks
 
 
 def _scoped(declared: set[str], fn: str, name: str) -> str:

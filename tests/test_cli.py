@@ -9,6 +9,7 @@ import pytest
 from pfo.cli import main
 from pfo.lang import parse
 from pfo.optimize import build_defense
+from pfo.reports import markdown_table
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -443,6 +444,15 @@ def test_sample_below_one_is_rejected(argv, capsys):
     assert "--sample must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "leak"])
+def test_seed_without_sample_is_rejected(command, capsys):
+    # without --sample the domain is enumerated, so a seed would be ignored
+    code, out, err = run_cli([command, "--program", FOO, "--seed", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--seed needs --sample" in err
+
+
 @pytest.mark.parametrize("window", ["-2", "0"])
 def test_window_below_one_is_rejected(window, capsys):
     code, out, err = run_cli(
@@ -469,6 +479,24 @@ class TestCorpusSuites:
         assert code == 0
         assert "| Case |" in out
         assert "| eddsa | 512 | 512 | 100.00 |" in out
+
+    @pytest.mark.parametrize("suite, columns", [
+        ("attacks", (("Case", "case"), ("Input bits", "input_bits"),
+                     ("Leakage", "leakage_display"), ("%", "percent"))),
+        ("contracts", (("Case", "case"), ("Bucket", "bucket"),
+                       ("Fake classes", "fake_classes"),
+                       ("Naive classes", "naive_classes"))),
+    ])
+    def test_markdown_table_has_a_line_per_json_row(self, suite, columns, capsys):
+        # two contract secrets may show no naive oracle: both runs exit alike
+        argv = ["corpus", suite, "--sample", "2"]
+        json_code, out, _ = run_cli(argv + ["--json"], capsys)
+        rows = json.loads(out)["rows"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == json_code
+        assert out == markdown_table([h for h, _ in columns],
+                                     [[r[key] for _, key in columns] for r in rows])
+        assert len(out.splitlines()) == 2 + len(rows)
 
     def test_defenses_suite_json(self, capsys):
         code, out, _ = run_cli(

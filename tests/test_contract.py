@@ -1,5 +1,6 @@
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,8 @@ from pfo.interp import AstExecutable, Footprint, SimulationResult
 from pfo.lang import parse
 from pfo.leakage import SecretDomain
 from pfo.memory import AdversaryModel, EventKind, _instruction_groups
-from pfo.suites import CONTRACT_WIDTHS, contract_case
+from pfo.optimize import build_defense
+from pfo.suites import CONTRACT_WIDTHS, case_source, contract_case
 
 RNG = random.Random(7)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -75,6 +77,15 @@ class TestDeriveContract:
         """))
         with pytest.raises(ContractError, match="not balanced"):
             derive_contract(exe, [{"s": 0}, {"s": 15}])
+
+    def test_staged_build_rejected(self):
+        # a staged layout places blocks, not functions, and a staging copy is
+        # one footprint of many steps, so no contract of steps can be read
+        # off it; the check reads only the program and the layout
+        exe = build_defense(parse(case_source("aes", 8))).executable()
+        seen = SimpleNamespace(program=exe.program, layout=exe.layout)
+        with pytest.raises(ContractError, match="takes in-place builds"):
+            derive_contract(seen, [{"k": 0}, {"k": 255}])
 
     def test_reserved_page_in_bucket(self):
         exe = aes_exe()

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from pfo.cli import main
-from pfo.corpus import eddsa_source, powm_source
+from pfo.corpus import eddsa_full_source, eddsa_source, powm_source
 from pfo.exectree import balance, build_execution_tree, tree_to_json
 from pfo.interp import AstExecutable, TreeExecutable
 from pfo.lang import WORD_SIZE, parse
@@ -62,6 +62,37 @@ def test_contract_sweep_is_byte_identical(policy, capsys):
     assert code == 0
     expected = (GOLDEN / f"contract_powm_{policy}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+# the `labeling` block `pfo parse --json` prints for each corpus program and
+# the full EdDSA: (functions, execution_blocks, loops, variables)
+PARSE_LABELING = {
+    "aes": (2, 2, 0, 7),
+    "cast_gcrypt": (2, 2, 0, 6),
+    "cast_openssl": (2, 2, 0, 6),
+    "eddsa": (5, 10, 1, 14),
+    "eddsa_full": (31, 701, 332, 178),
+    "foo": (4, 14, 2, 8),
+    "powm": (20, 25, 1, 30),
+    "powm_sw": (3, 14, 4, 17),
+    "seed_gcrypt": (2, 2, 0, 6),
+    "seed_openssl": (2, 2, 0, 6),
+    "stribog": (2, 2, 0, 9),
+    "tiger": (2, 2, 0, 7),
+    "whirlpool": (2, 2, 0, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_LABELING))
+def test_parse_labeling_is_unchanged(name, tmp_path, capsys):
+    path = CORPUS / f"{name}.pfo"
+    if name == "eddsa_full":
+        path = tmp_path / "eddsa_full.pfo"
+        path.write_text(eddsa_full_source())
+    assert main(["parse", str(path), "--json"]) == 0
+    labeling = json.loads(capsys.readouterr().out)["labeling"]
+    keys = ("functions", "execution_blocks", "loops", "variables")
+    assert labeling == dict(zip(keys, PARSE_LABELING[name]))
 
 
 def run_result_cases():
