@@ -30,8 +30,8 @@ from pfo.optimize import ALL_PASSES, build_defense, build_staged, opt_if_convert
 from pfo.suites import case_source, defended_build
 
 from test_interp import (
-    DIV_AT_SECOND_SITE, OOB_AT_SECOND_SITE, SPLIT_LOOKUP, TRAP_AFTER_TAIL_RETURN,
-    VALUELESS_CALL,
+    DIV_AT_SECOND_SITE, FUSED_TRAPS_CALLEE, FUSED_TRAPS_MAIN, OOB_AT_SECOND_SITE,
+    SPLIT_LOOKUP, TRAP_AFTER_TAIL_RETURN, VALUELESS_CALL,
 )
 from test_lang import FOO_SOURCE
 from test_optimize import AGREEMENT_CASES
@@ -99,8 +99,10 @@ def run_result_cases():
     """(name, executable, secret, public) for the run-result golden file:
     staged builds with and without passes, multi-block levels, a trapping
     arm, O4's unstaged code, a plain tree run whose split-table load
-    accounts for itself, and vanilla runs of the attacked programs and of
-    callees that trap, return nothing or keep locals."""
+    accounts for itself, vanilla runs of the attacked programs and of
+    callees that trap, return nothing or keep locals, and runs that trap
+    inside an op and the move of its result, in `main`, in a summarised
+    callee, in a plain tree and in a staged build."""
     foo = parse(FOO_SOURCE)
     foo_inputs = [{"x": 4, "y": 2}, {"x": 8, "y": 9}, {"x": 10, "y": 6}]
     builds = [
@@ -138,6 +140,15 @@ def run_result_cases():
     for name, source, secret_name, values in vanilla:
         builds.append((name, AstExecutable(parse(source)),
                        [{secret_name: v} for v in values], None))
+    fused_main, fused_callee = parse(FUSED_TRAPS_MAIN), parse(FUSED_TRAPS_CALLEE)
+    every_s = [{"s": v} for v in range(4)]
+    builds += [
+        ("fused-traps-main-vanilla", AstExecutable(fused_main), every_s, None),
+        ("fused-traps-callee-vanilla", AstExecutable(fused_callee), every_s, None),
+        ("fused-traps-callee-tree",
+         TreeExecutable(balance(build_execution_tree(fused_callee))), every_s, None),
+        ("fused-traps-main-staged", build_staged(fused_main).executable(), every_s, None),
+    ]
     for name, exe, secrets, public in builds:
         for secret in secrets:
             yield name, exe, secret, public

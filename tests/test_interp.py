@@ -373,6 +373,43 @@ fn main() {
 }
 """
 
+# each `x = a op b` is an op and the move of its result: s = 1 traps on the
+# `/` and s = 2 on the `%` of such a pair, s = 3 on the quotient that a
+# negation and its move then take; s = 0 does not trap.  In `main`, then in
+# a callee whose call is summarised
+FUSED_TRAPS_MAIN = """
+#pragma page_size 128
+secret int<2> s;
+output int y;
+int a;
+int t[4] = {10, 20, 30, 40};
+fn main() {
+  #pragma begin_pf_sensitive
+  y = t[s] + 1;
+  a = 100 / (s - 1);
+  y = y + a;
+  a = 7 % (s - 2);
+  y = y + a;
+  a = -(100 / (s - 3));
+  y = y + a;
+  #pragma end_pf_sensitive
+}
+"""
+
+FUSED_TRAPS_CALLEE = """
+#pragma page_size 128
+secret int<2> s;
+output int y;
+int t[4] = {10, 20, 30, 40};
+fn q(v) { a = 100 / (v - 1); b = 7 % (v - 2); c = -(100 / (v - 3)); return a + b + c; }
+fn main() {
+  #pragma begin_pf_sensitive
+  y = t[s] + 1;
+  y = q(s) + y;
+  #pragma end_pf_sensitive
+}
+"""
+
 
 # (steps, profile) per mode: in whole-function mode main's code is on
 # page 2, inc's on 0, look's on 1 and t on 3; tree mode inlines the calls
