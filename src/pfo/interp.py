@@ -25,7 +25,11 @@ pages are layout-dependent; runs are then cheap and allocation-light:
 * value-only closures: the compiler returns each micro-op as a closure
   that only computes values, with the charge its step adds; an
   arithmetic op's closure is the one `lang.arith` makes, so its step is
-  one Python call.  Some ops account for themselves as they run: a
+  one Python call.  An arithmetic op and the `MovI` that copies its
+  result (how `x = a op b` lowers) are one such closure that writes both
+  registers (`_OpCompiler.compile_run`): the move keeps its charge but
+  has no closure, so the pair's two steps cost one call.  Some ops
+  account for themselves as they run: a
   split-extent access (its footprint depends on the word index), a
   nested return, a call to a function that is not summarised, and an
   `if`, `for` or `while` of whole-function mode, which runs the segments
@@ -53,7 +57,10 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   charging each step as it runs.  A `/` or `%` by zero raises Python's
   `ZeroDivisionError` from its closure; the segment loop `_run` or the
   summarised call it escapes first turns it into the `div-zero` trap of
-  the op at that index, counting the division's own step (`_unwound`).
+  the op whose closure raised, counting the division's own step
+  (`_unwound`).  A segment maps each closure's position back to its op's
+  index (`_op_index`), so a fused pair traps as its first op, before
+  either register is written.
 * constant slots: every constant operand reads a register slot above the
   program's own, filled once per run from the register template, so an
   operand is always `regs[slot]`.
@@ -84,8 +91,8 @@ footprints directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Callable, Hashable, Optional
+from itertools import chain, compress, count, groupby, islice, repeat
+from typing import Callable, Collection, Hashable, Optional
 
 from .exectree import Block, ExecutionTree
 from .ir import (
@@ -564,64 +571,92 @@ class _OpCompiler:
             return fp
         return None, lookup
 
-    def compile(self, instr: Instr, code_page: int, fp: Optional[Footprint] = None
-                ) -> tuple:
-        """`(closure, footprint)`: the closure computes the micro-op's values
-        and its step is charged `footprint`; with footprint `None` the
-        closure accounts for itself (a split-extent access, a call or a
-        return).  A micro-op without a data operand is charged `fp` when
-        one is given (a code-only step that also reads a data page), else
-        its code page's fetch."""
+    def compile_run(self, instrs: list[Instr], pages: list[int],
+                    fps: Optional[list] = None, starts: Collection[int] = (),
+                    call: Optional[Callable[[CallI, int], tuple]] = None) -> list[tuple]:
+        """The `(closure, charge)` of each micro-op of straight-line code,
+        op i at code page `pages[i]`.  The closure computes the op's values
+        and its step is charged `charge`; with charge `None` the closure
+        accounts for itself (a split-extent access, a call or a return).
+        An op without a data operand is charged `fps[i]` when one is given
+        (a code-only step that also reads a data page), else its code
+        page's fetch.  `call(instr, code_page)` compiles a `CallI`
+        (whole-function mode; a tree has its calls inlined).
+
+        A `BinI` or `UnI` and the `MovI` after it that copies its result
+        (how `x = a op b` lowers) are one closure, the operator's, that
+        writes the move's register too: the op carries it and the move
+        `None`, each its own charge, so the pair steps twice and traps as
+        its first op, before either register is written.  Code is entered
+        at its start or at one of `starts`, where a `RunNode` of a function
+        body begins (whole-function mode slices its ops by run), so no pair
+        is fused across one."""
         slot = self.slot
-        if fp is None:
-            fp = self._code_footprints.get(code_page)
-            if fp is None:
-                fp = self._code_footprints[code_page] = self.footprint(code_page)
+        code_steps = self._code_footprints
+        ops: list[tuple] = []
+        append = ops.append
+        moved = False  # whether the op before wrote this move's register
         # exact classes, the commonest first: moves are about half of a
-        # large program's micro-ops
-        cls = instr.__class__
-        if cls is MovI:
-            a, dst = slot(instr.a), instr.dst
-            def run(st: State, a=a, dst=dst):
-                regs = st.regs
-                regs[dst] = regs[a]
-            return run, fp
-        if cls is BinI:
-            return self.binops[instr.op](slot(instr.a), slot(instr.b), instr.dst), fp
-        if cls is LoadI or cls is StoreI:
-            return self._compile_access(instr, code_page)
-        if cls is UnI:
-            return self.unops[instr.op](slot(instr.a), instr.dst), fp
-        if cls is SelI:
-            c, a, b, dst = slot(instr.cond), slot(instr.a), slot(instr.b), instr.dst
-            def run(st: State, c=c, a=a, b=b, dst=dst):
-                regs = st.regs
-                regs[dst] = regs[a] if regs[c] else regs[b]
-            return run, fp
-        if cls is BranchI:
-            c = slot(instr.cond)
-            def run(st: State, c=c):
-                st.branch = 1 if st.regs[c] else 0
-            return run, fp
-        if cls is PadI:
-            # the pad object is one word on one page: its access is static
-            oi = self._obj_index(PAD_OBJECT)
-            self.written.add(oi)
-            def run(st: State, oi=oi):
-                st.arrays[oi][0] = 0
-            return run, self._data_footprint(PAD_OBJECT, code_page, _KIND_W)[0]
-        if cls is OverrunI:
-            def run(st: State, detail=f"exceeded bound {instr.bound}"):
-                raise SimTrap("loop-bound", detail)
-            return run, fp
-        if cls is NopI:
-            return _no_op, fp
-        if cls is RetI:
-            ret = self.compile_return(instr, code_page)
-            def run(st: State, ret=ret):
-                raise _EarlyReturn(ret(st))
-            return run, None
-        raise PfoError(f"cannot compile {instr!r}")
+        # large program's micro-ops.  `i` is the index of `after`
+        for i, (instr, after, cp, fp) in enumerate(zip(
+                instrs, chain(islice(instrs, 1, None), (None,)), pages,
+                fps or repeat(None)), 1):
+            if fp is None:
+                fp = code_steps.get(cp) or code_steps.setdefault(cp, self.footprint(cp))
+            if moved:
+                append((None, fp))
+                moved = False
+                continue
+            cls = instr.__class__
+            if cls is MovI:
+                def run(st: State, a=slot(instr.a), dst=instr.dst):
+                    regs = st.regs
+                    regs[dst] = regs[a]
+                append((run, fp))
+            elif cls is BinI or cls is UnI:
+                dst2 = None
+                if (after.__class__ is MovI and after.a.__class__ is Reg
+                        and after.a.slot == instr.dst and i not in starts):
+                    dst2, moved = after.dst, True
+                if cls is BinI:
+                    run = self.binops[instr.op](slot(instr.a), slot(instr.b), instr.dst, dst2)
+                else:
+                    run = self.unops[instr.op](slot(instr.a), instr.dst, dst2)
+                append((run, fp))
+            elif cls is LoadI or cls is StoreI:
+                append(self._compile_access(instr, cp))
+            elif cls is SelI:
+                def run(st: State, c=slot(instr.cond), a=slot(instr.a), b=slot(instr.b),
+                        dst=instr.dst):
+                    regs = st.regs
+                    regs[dst] = regs[a] if regs[c] else regs[b]
+                append((run, fp))
+            elif cls is BranchI:
+                def run(st: State, c=slot(instr.cond)):
+                    st.branch = 1 if st.regs[c] else 0
+                append((run, fp))
+            elif cls is PadI:
+                # the pad object is one word on one page: its access is static
+                oi = self._obj_index(PAD_OBJECT)
+                self.written.add(oi)
+                def run(st: State, oi=oi):
+                    st.arrays[oi][0] = 0
+                append((run, self._data_footprint(PAD_OBJECT, cp, _KIND_W)[0]))
+            elif cls is OverrunI:
+                def run(st: State, detail=f"exceeded bound {instr.bound}"):
+                    raise SimTrap("loop-bound", detail)
+                append((run, fp))
+            elif cls is NopI:
+                append((_no_op, fp))
+            elif cls is RetI:
+                def run(st: State, ret=self.compile_return(instr, cp)):
+                    raise _EarlyReturn(ret(st))
+                append((run, None))
+            elif cls is CallI and call is not None:
+                append(call(instr, cp))
+            else:
+                raise PfoError(f"cannot compile {instr!r}")
+        return ops
 
     def compile_return(self, instr: RetI, code_page: int) -> Callable[[State], int]:
         """A `return` as a closure that steps and gives the returned value."""
@@ -680,29 +715,36 @@ class _OpCompiler:
 
 
 def _run(st: State, node: tuple) -> None:
-    """The one segment loop: run a node's `(closures, summary)` segments in
-    order, each one's closures and then its summary in one `Sink.account`
-    (a segment of self-accounting ops has none), then go on to the child
-    its branch picked.  A node is `(segments, children)`, its children
-    indexed by `st.branch` or `None`.  A trap in a summarised segment
-    records the charges of the ops before the one that trapped (see
-    `_trap_info`)."""
+    """The one segment loop: run a node's `(closures, summary, at)`
+    segments (`_segments`) in order, each one's closures and then its
+    summary in one `Sink.account` (a segment of self-accounting ops has
+    none), then go on to the child its branch picked.  A node is
+    `(segments, children)`, its children indexed by `st.branch` or `None`.
+    A trap in a summarised segment records the charges of the ops before
+    the one that trapped (see `_trap_info`)."""
     account = st.sink.account
     try:
         while node is not None:
             segments, kids = node
-            for values, summary in segments:
+            for values, summary, at in segments:
                 for f in values:
                     f(st)
                 if summary is not None:
                     account(summary)
             node = None if kids is None else kids[st.branch]
     except (SimTrap, ZeroDivisionError) as exc:
-        # `f` is the op that trapped; it appears once in `values`.  Only a
-        # charged op divides, so a `ZeroDivisionError` has a summary
+        # `f` is the closure that trapped; it appears once in `values`.
+        # Only a charged op divides, so a `ZeroDivisionError` has a summary
         if summary is None:
             raise
-        raise _unwound(exc, summary.charges, values.index(f)) from None
+        raise _unwound(exc, summary.charges, _op_index(values, at, f)) from None
+
+
+def _op_index(values: tuple, at: Optional[tuple], f) -> int:
+    """The index among a summarised segment's ops of the op whose closure
+    `f` is, one of its `values` (see `_segments`)."""
+    i = values.index(f)
+    return i if at is None else at[i]
 
 
 def _unwound(exc: Exception, charges: tuple, i: int) -> SimTrap:
@@ -730,14 +772,13 @@ class _Body:
     """A compiled function: its body as one leaf node for `_run`, its
     parameter and local slots, and the slot its value is read from (a
     constant 0 without a tail `return`).  A summarised function also keeps
-    its body's closures and `Summary`, its node's one segment."""
+    its node's one segment, `(closures, summary, at)`."""
 
     node: tuple
     params: tuple[int, ...]
     locals: tuple[int, ...]
     ret: int
-    closures: Optional[tuple] = None
-    summary: Optional[Summary] = None
+    segment: Optional[tuple] = None
 
 
 def _invoke(st: State, body: _Body) -> int:
@@ -806,7 +847,8 @@ class AstExecutable:
     def _compile_function(self, name: str) -> _Body:
         fn = self.lowered.functions[name]
         compiler = self._compiler
-        pages = _code_pages(self.layout, name, len(fn.instrs))
+        instrs = fn.instrs
+        pages = _code_pages(self.layout, name, len(instrs))
         # a `return` that ends the body steps last and leaves its value in
         # `ret`; only nested ones unwind through `_EarlyReturn`
         items = list(fn.body.items)
@@ -815,27 +857,23 @@ class AstExecutable:
             last = items.pop()
             items.append(last.run)
             tail = last.ret_index
-            value = fn.instrs[tail].value
+            value = instrs[tail].value
             ret = compiler.slot(Const(0) if value is None else value)
             ret_fp = compiler.footprint(pages[tail])
-        ops = [
-            None if idx == tail
-            else self._call(instr, pages[idx]) if isinstance(instr, CallI)
-            else compiler.compile(instr, pages[idx])
-            for idx, instr in enumerate(fn.instrs)
-        ]
+        # in order, so calls spend the merge budget in program order; the
+        # tail return, the body's last instruction, is charged below
+        ops = compiler.compile_run(instrs[:tail], pages, starts=fn.run_starts,
+                                   call=self._call)
         body = self._seq_ops(items, ops)
+        if ret_fp is not None:
+            body.append((None, ret_fp))
         # control flow and nested returns account for themselves, so only
         # straight-line code is charged throughout
         if all(charge is not None for _, charge in body):
-            closures = tuple(f for f, _ in body)
-            charges = tuple(c for _, c in body) + ((ret_fp,) if ret_fp else ())
-            summary = _summary(charges, tuple(map(id, charges)), self._summaries)
-            if summary.steps <= NODE_BUDGET:
-                return _Body((((closures, summary),), None), fn.params, fn.locals,
-                             ret, closures, summary)
-        if ret_fp is not None:
-            body.append((_no_op, ret_fp))
+            segment = _segment(tuple(f for f, _ in body), tuple(c for _, c in body),
+                               self._summaries)
+            if segment[1].steps <= NODE_BUDGET:
+                return _Body(((segment,), None), fn.params, fn.locals, ret, segment)
         return _Body(self._leaf(body), fn.params, fn.locals, ret)
 
     def _leaf(self, ops: list) -> tuple:
@@ -903,13 +941,14 @@ class AstExecutable:
         fp = compiler.footprint(code_page)
         binds = tuple(zip(callee.params, (compiler.slot(a) for a in instr.args)))
         dst, zero, ret = instr.dst, callee.locals, callee.ret
-        summary = callee.summary
-        if summary is not None and summary.steps < self._merge_budget:
+        if callee.segment is not None and callee.segment[1].steps < self._merge_budget:
+            closures, summary, at = callee.segment
             self._merge_budget -= 1 + summary.steps
             # the call's own step comes before the callee's charges
-            closures, charges = callee.closures, (fp,) + summary.charges
+            charges = (fp,) + summary.charges
 
-            def call(st: State, binds=binds, zero=zero, body=closures, dst=dst, ret=ret):
+            def call(st: State, binds=binds, zero=zero, body=closures, at=at, dst=dst,
+                     ret=ret):
                 regs = st.regs
                 for p, a in binds:
                     regs[p] = regs[a]
@@ -921,7 +960,7 @@ class AstExecutable:
                 except (SimTrap, ZeroDivisionError) as exc:
                     # each closure appears once in `body`: each call site
                     # has its own closure
-                    raise _unwound(exc, charges, body.index(f) + 1) from None
+                    raise _unwound(exc, charges, _op_index(body, at, f) + 1) from None
                 regs[dst] = regs[ret]
 
             def charge(sink: Sink, fp=fp, summary=summary):
@@ -1094,8 +1133,8 @@ class TreeExecutable:
         layout = build_tree_layout(tree, program.resolve_page_size())
         objects = ObjectTable(program, layout)
         compiler = _OpCompiler(program, objects, tree.alloc)
-        self._link(tree, layout, objects, compiler, lambda b: list(map(
-            compiler.compile, b.instrs, _code_pages(layout, b.name(), len(b.instrs)))))
+        self._link(tree, layout, objects, compiler, lambda b: compiler.compile_run(
+            b.instrs, _code_pages(layout, b.name(), len(b.instrs))))
 
     def _link(self, tree: ExecutionTree, layout: MemoryLayout,
               objects: ObjectTable, compiler: _OpCompiler,
@@ -1159,27 +1198,34 @@ _NONE_ID = id(None)
 
 def _segments(ops: list[tuple], summaries: dict[tuple, Summary]) -> tuple:
     """A block's `(closure, charge)` ops cut where self-accounting ones
-    start and stop: `(closures, None)` for a run of those, `(closures,
-    summary)` for a run of charged ones.  Runs with the same charges share
-    one `summaries` entry (charges are interned footprints and shared
-    staging closures)."""
+    start and stop: `(closures, None, None)` for a run of those, and for a
+    run of charged ones its `_segment`."""
     if not ops:
         return ()
     values, charges = zip(*ops)
-    ids = tuple(map(id, charges))
-    if _NONE_ID not in ids:
-        return ((values, _summary(charges, ids, summaries)),)
+    if _NONE_ID not in map(id, charges):
+        return (_segment(values, charges, summaries),)
     segments = []
     for self_accounting, run in groupby(ops, key=lambda op: op[1] is None):
         values, charges = zip(*run)
-        segments.append((values, None if self_accounting else
-                         _summary(charges, tuple(map(id, charges)), summaries)))
+        segments.append((values, None, None) if self_accounting
+                        else _segment(values, charges, summaries))
     return tuple(segments)
 
 
-def _summary(charges: tuple, key: tuple, summaries: dict[tuple, Summary]) -> Summary:
-    got = summaries.get(key)
-    if got is None:
-        got = summaries[key] = Summary(charges)
-    return got
+def _segment(values: tuple, charges: tuple, summaries: dict[tuple, Summary]) -> tuple:
+    """A run of charged ops, their closures `values` and their `charges`,
+    as `(closures, summary, at)`: the closures to call in order, the
+    `Summary` of the charges, and `at`, the op index of each closure, or
+    `None` when every op has one.  An op without a closure (`None`: a move
+    fused with the op before it, see `_OpCompiler.compile_run`, or a tail
+    return) only steps.  Runs with the same charges share one `summaries`
+    entry (charges are interned footprints and shared staging closures)."""
+    key = tuple(map(id, charges))
+    summary = summaries.get(key)
+    if summary is None:
+        summary = summaries[key] = Summary(charges)
+    if None not in values:
+        return values, summary, None
+    return tuple(filter(None, values)), summary, tuple(compress(count(), values))
 

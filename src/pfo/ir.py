@@ -381,12 +381,18 @@ class LoweredFunction:
     instrs: list[Instr]
     body: SeqNode
     locals: tuple[int, ...]  # register slots of the other named locals
+    run_starts: frozenset[int]  # where each `RunNode` of `body` starts
 
 
 def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFunction:
     scope = f"{fn.name}/"
     first = len(alloc.slots)
     low = _FnLowerer(program, alloc, scope, fn.name)
+    starts: set[int] = set()
+
+    def run(lo: int, hi: int) -> RunNode:
+        starts.add(lo)
+        return RunNode(lo, hi)
 
     def lower_stmts(stmts) -> SeqNode:
         items: list = []
@@ -396,36 +402,36 @@ def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFu
             if isinstance(s, Assign):
                 lo = len(low.instrs)
                 low.assign(s)
-                items.append(RunNode(lo, len(low.instrs)))
+                items.append(run(lo, len(low.instrs)))
             elif isinstance(s, CallStmt):
                 lo = len(low.instrs)
                 low.call(s.name, s.args)
-                items.append(RunNode(lo, len(low.instrs)))
+                items.append(run(lo, len(low.instrs)))
             elif isinstance(s, Return):
                 lo = len(low.instrs)
                 value = low.operand(s.value) if s.value is not None else None
                 idx = low.emit(RetI(value, low.origin))
-                items.append(RetNode(RunNode(lo, idx), idx))
+                items.append(RetNode(run(lo, idx), idx))
             elif isinstance(s, If):
                 lo = len(low.instrs)
                 bidx = low.emit(BranchI(low.operand(s.cond), low.origin))
                 then_node = lower_stmts(s.then_body)
                 else_node = lower_stmts(s.else_body)
-                items.append(IfNode(RunNode(lo, bidx), s.pos.line, bidx, then_node, else_node))
+                items.append(IfNode(run(lo, bidx), s.pos.line, bidx, then_node, else_node))
             elif isinstance(s, For):
                 lo = len(low.instrs)
                 var_slot = low.local(s.var)
                 low.emit(MovI(var_slot, low.operand(s.init), low.origin))
-                init_run = RunNode(lo, len(low.instrs))
+                init_run = run(lo, len(low.instrs))
                 body = lower_stmts(s.body)
                 step_lo = len(low.instrs)
                 low.emit(MovI(var_slot, low.operand(s.step), low.origin))
-                items.append(ForNode(init_run, body, RunNode(step_lo, len(low.instrs)), s.trips))
+                items.append(ForNode(init_run, body, run(step_lo, len(low.instrs)), s.trips))
             elif isinstance(s, While):
                 lo = len(low.instrs)
                 bidx = low.emit(BranchI(low.operand(s.cond), low.origin))
                 body = lower_stmts(s.body)
-                items.append(WhileNode(RunNode(lo, bidx), s.pos.line, bidx, body, s.bound,
+                items.append(WhileNode(run(lo, bidx), s.pos.line, bidx, body, s.bound,
                                         s.do_first))
             else:
                 raise LoweringError(f"cannot lower statement {s!r}")
@@ -436,7 +442,7 @@ def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFu
     named = itertools.islice(alloc.slots.items(), first, None)
     locals_ = tuple(slot for name, slot in named
                     if name.startswith(scope) and slot not in params)
-    return LoweredFunction(fn.name, params, low.instrs, body, locals_)
+    return LoweredFunction(fn.name, params, low.instrs, body, locals_, frozenset(starts))
 
 
 @dataclass

@@ -496,8 +496,8 @@ class Arith(NamedTuple):
     """The language's operators at one width (`arith`)."""
 
     canon: Callable[[int], int]
-    binops: dict[str, Callable]  # op -> factory(a, b, dst) -> run(st)
-    unops: dict[str, Callable]  # op -> factory(a, dst) -> run(st)
+    binops: dict[str, Callable]  # op -> factory(a, b, dst, dst2=None) -> run(st)
+    unops: dict[str, Callable]  # op -> factory(a, dst, dst2=None) -> run(st)
     binary: dict[str, Callable[[int, int], int]]  # op -> (x, y) -> value
     unary: dict[str, Callable[[int], int]]  # op -> x -> value
 
@@ -537,156 +537,172 @@ def _unary(factory: Callable) -> Callable[[int], int]:
 def arith(width: int) -> Arith:
     """The language's arithmetic at `width` bits, made once per width.
 
-    Each operator has one closure body: `binops[op](a, b, dst)` and
-    `unops[op](a, dst)` make the closure `run(st)` that computes
-    `st.regs[dst]` from `st.regs[a]` (and `st.regs[b]`), which is what the
-    interpreter binds for the micro-op, so a step costs one Python call.
+    Each operator has one closure body: `binops[op](a, b, dst, dst2=None)`
+    and `unops[op](a, dst, dst2=None)` make the closure `run(st)` that
+    computes `st.regs[dst]` from `st.regs[a]` (and `st.regs[b]`) and writes
+    the value to `st.regs[dst2]` as well when one is given.  The
+    interpreter binds that closure for the micro-op, and for an op and
+    the `MovI` that copies its result (how `x = a op b` lowers) one
+    closure with both destinations, so either costs one Python call.
     Every operator gives a canonical value (`width`-bit two's complement)
-    from canonical operands: `+ - * <<` and unary `-` wrap in the one
-    expression `((v + sign) & mask) - sign` (`canon`), and `/` wraps its
-    quotient, which truncates toward zero as in C; `%` is the remainder
-    with the dividend's sign, `& | ^ ~ >>` and the comparisons need no
-    wrap, and shift amounts reduce modulo the width.  A `/` or `%` by zero
-    raises `ZeroDivisionError`.  `binary[op](x, y)` and `unary[op](x)`,
+    from canonical operands: `+ - * / <<` and unary `-` keep a value in
+    `[-2^(width-1), 2^(width-1))` as it is and wrap one outside in the one
+    expression `((v + sign) & mask) - sign`, as `canon` does; `/`
+    truncates toward zero as in C, `%` is the remainder with the
+    dividend's sign, `& | ^ ~ >>` and the comparisons need no wrap, and
+    shift amounts reduce modulo the width.  A `/` or `%` by zero raises
+    `ZeroDivisionError` before either register is written.  `binary[op](x, y)` and `unary[op](x)`,
     which constant folding calls, run the same closures on a scratch
     register file, as trip derivation runs them.
     """
     mask = (1 << width) - 1
     sign = 1 << (width - 1)
+    lo = -sign
 
     def canon(v: int) -> int:
-        return ((v + sign) & mask) - sign
+        return v if lo <= v < sign else ((v + sign) & mask) - sign
 
-    def add(a, b, dst):
-        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+    def add(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
+                lo=lo, sign=sign, mask=mask):
             regs = st.regs
-            regs[dst] = ((regs[a] + regs[b] + sign) & mask) - sign
+            v = regs[a] + regs[b]
+            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
         return run
 
-    def sub(a, b, dst):
-        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+    def sub(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
+                lo=lo, sign=sign, mask=mask):
             regs = st.regs
-            regs[dst] = ((regs[a] - regs[b] + sign) & mask) - sign
+            v = regs[a] - regs[b]
+            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
         return run
 
-    def mul(a, b, dst):
-        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+    def mul(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
+                lo=lo, sign=sign, mask=mask):
             regs = st.regs
-            regs[dst] = ((regs[a] * regs[b] + sign) & mask) - sign
+            v = regs[a] * regs[b]
+            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
         return run
 
-    def div(a, b, dst):
-        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask):
+    def div(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
+                lo=lo, sign=sign, mask=mask):
             regs = st.regs
             x, y = regs[a], regs[b]
             q = x // y
             if q < 0 and q * y != x:
                 q += 1  # floor to truncation
-            regs[dst] = ((q + sign) & mask) - sign
+            regs[dst2] = regs[dst] = q if lo <= q < sign else ((q + sign) & mask) - sign
         return run
 
-    def mod(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def mod(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
             x, y = regs[a], regs[b]
             r = x % y
-            regs[dst] = r - y if r and (x ^ y) < 0 else r
+            regs[dst2] = regs[dst] = r - y if r and (x ^ y) < 0 else r
         return run
 
-    def shl(a, b, dst):
-        def run(st, a=a, b=b, dst=dst, sign=sign, mask=mask, width=width):
+    def shl(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
+                lo=lo, sign=sign, mask=mask, width=width):
             regs = st.regs
-            regs[dst] = (((regs[a] << regs[b] % width) + sign) & mask) - sign
+            v = regs[a] << regs[b] % width
+            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
         return run
 
-    def shr(a, b, dst):
-        def run(st, a=a, b=b, dst=dst, width=width):
+    def shr(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2, width=width):
             regs = st.regs
-            regs[dst] = regs[a] >> regs[b] % width
+            regs[dst2] = regs[dst] = regs[a] >> regs[b] % width
         return run
 
-    def and_(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def and_(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = regs[a] & regs[b]
+            regs[dst2] = regs[dst] = regs[a] & regs[b]
         return run
 
-    def or_(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def or_(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = regs[a] | regs[b]
+            regs[dst2] = regs[dst] = regs[a] | regs[b]
         return run
 
-    def xor(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def xor(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = regs[a] ^ regs[b]
+            regs[dst2] = regs[dst] = regs[a] ^ regs[b]
         return run
 
-    def land(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def land(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 1 if regs[a] and regs[b] else 0
+            regs[dst2] = regs[dst] = 1 if regs[a] and regs[b] else 0
         return run
 
-    def eq(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def eq(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 1 if regs[a] == regs[b] else 0
+            regs[dst2] = regs[dst] = 1 if regs[a] == regs[b] else 0
         return run
 
-    def ne(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def ne(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 1 if regs[a] != regs[b] else 0
+            regs[dst2] = regs[dst] = 1 if regs[a] != regs[b] else 0
         return run
 
-    def lt(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def lt(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 1 if regs[a] < regs[b] else 0
+            regs[dst2] = regs[dst] = 1 if regs[a] < regs[b] else 0
         return run
 
-    def gt(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def gt(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 1 if regs[a] > regs[b] else 0
+            regs[dst2] = regs[dst] = 1 if regs[a] > regs[b] else 0
         return run
 
-    def le(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def le(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 1 if regs[a] <= regs[b] else 0
+            regs[dst2] = regs[dst] = 1 if regs[a] <= regs[b] else 0
         return run
 
-    def ge(a, b, dst):
-        def run(st, a=a, b=b, dst=dst):
+    def ge(a, b, dst, dst2=None):
+        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 1 if regs[a] >= regs[b] else 0
+            regs[dst2] = regs[dst] = 1 if regs[a] >= regs[b] else 0
         return run
 
-    def neg(a, dst):
-        def run(st, a=a, dst=dst, sign=sign, mask=mask):
+    def neg(a, dst, dst2=None):
+        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2,
+                lo=lo, sign=sign, mask=mask):
             regs = st.regs
-            regs[dst] = ((sign - regs[a]) & mask) - sign
+            v = -regs[a]
+            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
         return run
 
-    def pos(a, dst):
-        def run(st, a=a, dst=dst):
+    def pos(a, dst, dst2=None):
+        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = regs[a]
+            regs[dst2] = regs[dst] = regs[a]
         return run
 
-    def inv(a, dst):
-        def run(st, a=a, dst=dst):
+    def inv(a, dst, dst2=None):
+        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = ~regs[a]
+            regs[dst2] = regs[dst] = ~regs[a]
         return run
 
-    def not_(a, dst):
-        def run(st, a=a, dst=dst):
+    def not_(a, dst, dst2=None):
+        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2):
             regs = st.regs
-            regs[dst] = 0 if regs[a] else 1
+            regs[dst2] = regs[dst] = 0 if regs[a] else 1
         return run
 
     binops = {
@@ -745,6 +761,29 @@ _BINARY_LEVELS = [
 ]
 # each operator's level, loosest first; every level associates left
 _PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+
+
+def _counted_trips(op: str, v: int, limit: int, e: int, width: int) -> Optional[int]:
+    """How many times the test `i <op> limit` of the header `i = v; ...;
+    i = i + e` holds before it first fails, by division, or `None` when a
+    step wraps at `width` bits first, so the header must be stepped.  When
+    the test holds at more than `MAX_DERIVED_TRIPS` steps that stay in
+    range, it gives `MAX_DERIVED_TRIPS + 1`: all that stepping would find."""
+    lo, hi = -(1 << (width - 1)), 1 << (width - 1)
+    s = -1 if op in (">", ">=") else 1  # i > limit exactly when -i < -limit
+    gap, step = s * (limit - v), s * e
+    if op == "!=":
+        trips = gap // step if gap % step == 0 and gap // step >= 0 else None
+    elif op in ("<", ">"):
+        trips = 0 if gap <= 0 else -(-gap // step) if step > 0 else None
+    else:
+        trips = 0 if gap < 0 else gap // step + 1 if step > 0 else None
+    if trips is not None and lo <= v + trips * e < hi:
+        return trips
+    # the test holds at every step until one wraps: count those in range
+    safe = (hi - 1 - v) // e if e > 0 else (v - lo) // -e
+    return MAX_DERIVED_TRIPS + 1 if safe >= MAX_DERIVED_TRIPS else None
 
 
 class _Parser:
@@ -1067,10 +1106,12 @@ class _Parser:
                           step: Expr) -> Optional[int]:
         """Trip count of a counted loop with a constant-foldable header.
 
-        Handles `i = c0; i <op> c1; i = i +/- c2` shapes by stepping the
-        header with the program's wrapping arithmetic, its operators'
-        closures on registers `[i, c1, c2, test]`; anything else is not
-        derivable.
+        Handles `i = c0; i <op> c1; i = i +/- c2` shapes; anything else is
+        not derivable, nor is a count above `MAX_DERIVED_TRIPS`.  The count
+        is a division (`_counted_trips`) unless a step wraps before the
+        test fails; then the header is stepped with the program's wrapping
+        arithmetic, its operators' closures on registers `[i, c1, c2,
+        test]`.
         """
         if not (isinstance(cond, Binary) and cond.op in ("<", "<=", ">", ">=", "!=")
                 and isinstance(cond.left, Var) and cond.left.name == var
@@ -1080,6 +1121,10 @@ class _Parser:
         v, limit, delta = self.fold(init), self.fold(cond.right), self.fold(step.right)
         if v is None or limit is None or not delta:
             return None
+        trips = _counted_trips(cond.op, v, limit, delta if step.op == "+" else -delta,
+                               self.width)
+        if trips is not None:
+            return None if trips > MAX_DERIVED_TRIPS else trips
         binops = arith(self.width).binops
         test, advance = binops[cond.op](0, 1, 3), binops[step.op](0, 2, 0)
         st = _Scratch([v, limit, delta, 0])

@@ -499,7 +499,7 @@ class MultiplexedExecutable(TreeExecutable):
             mux = b.data_accesses
             ops = [once(("enter", id(group), id(prev), cp, mux),
                         lambda: copier(enter(group, prev), cp, mux)),
-                   *map(compiler.compile, b.instrs, pages, fps),
+                   *compiler.compile_run(b.instrs, pages, fps),
                    once(("select", cp), lambda: _selector(
                        compiler.footprint(cp, (sel_page,), _KIND_W), sel_index))]
             if b.is_leaf:
@@ -532,7 +532,7 @@ class MultiplexedExecutable(TreeExecutable):
         for blocks in self.tree.levels:
             ends = set()
             for b in blocks:
-                ((_, summary),) = self.segments[b.id]
+                ((_, summary, _),) = self.segments[b.id]
                 ends.add(summary.ends(entry))
                 if len(ends) > 1:
                     return (f"level {b.level}, BB{blocks[0].id} and BB{b.id} "

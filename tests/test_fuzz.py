@@ -4,7 +4,9 @@ parse back to themselves.
 Each program calls two or three helpers that read or write the same
 global and table cell from expressions that also read them, so the order
 in which a call's value, its callee's writes and the operands around it
-are taken decides the outputs.
+are taken decides the outputs.  Others trap for some secrets: they
+divide by `s - K` and read `t[s + k]`, in `main` and in a helper, under
+secret branches or not.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -67,3 +69,35 @@ def test_calls_agree_across_executables(source):
 def test_pretty_parses_back(source):
     program = parse(source)
     assert parse(pretty(program)) == program
+
+
+_TRAPS = "secret int<2> s;\noutput int y;\nint a;\nint t[4] = {3, 5, 7, 11};"
+
+
+@st.composite
+def trapping_programs(draw) -> str:
+    """`main` bodies of 1-3 statements, each `a = c / (s - K)`, `a = c %
+    (s - K)` or `a = t[s + k]`, then `y = y + a`, some under a secret `if`
+    and some in a helper `f(v)` that `main` calls with `s`."""
+    def statement(var: str) -> str:
+        kind = draw(st.sampled_from(["/", "%", "load"]))
+        k = draw(st.integers(0, 3))
+        if kind == "load":
+            return f"a = t[{var} + {k}];"
+        return f"a = {draw(st.integers(-9, 9))} {kind} ({var} - {k});"
+
+    helper = " ".join(statement("v") for _ in range(draw(st.integers(1, 2))))
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        stmt = "a = f(s);" if draw(st.booleans()) else statement("s")
+        stmt += " y = y + a;"
+        if draw(st.booleans()):
+            stmt = f"if (s == {draw(st.integers(0, 3))}) {{ {stmt} }}"
+        body.append(stmt)
+    return _region(f"{_TRAPS}\nfn f(v) {{ {helper} return a; }}", " ".join(body))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(trapping_programs())
+def test_traps_agree_across_executables(source):
+    assert_executables_agree(parse(source))

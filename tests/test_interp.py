@@ -546,7 +546,8 @@ def test_access_outside_strict_pages_is_an_error(pages, strict, ok, escaped):
                            pages=pages, strict_pages=frozenset(strict))
     index_slot = compiler.decl_slots["s"]
     # the segment runner charges a static access's step after its closure
-    load = (_segments([compiler.compile(LoadI(0, "t", Reg(index_slot), "main"), 0)], {}), None)
+    ops = compiler.compile_run([LoadI(0, "t", Reg(index_slot), "main")], [0])
+    load = (_segments(ops, {}), None)
 
     def run(i):
         regs = compiler.regs0()
@@ -669,7 +670,7 @@ def test_summarised_calls_charge_as_each_step_would(source):
         unsummarised = AstExecutable(program)
     with mock.patch.object(interp, "NODE_BUDGET", 12):
         partly = AstExecutable(program)
-    assert not any(b.summary for b in unsummarised._bodies.values())
+    assert not any(b.segment for b in unsummarised._bodies.values())
     tree = TreeExecutable(balance(build_execution_tree(program)))
     for s in range(4):
         for model in (AdversaryModel.pigeonhole(), AdversaryModel.infinite_memory()):

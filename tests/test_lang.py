@@ -3,6 +3,7 @@ import json
 import time
 import tracemalloc
 import typing
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -792,3 +793,108 @@ def test_division_edges(width):
     assert ops.binary["/"](7, -2) == -3 and ops.binary["%"](7, -2) == 1
     mask = (1 << width) - 1
     assert [ops.canon(v) for v in (mask, mask + 1, -lo, lo - 1)] == [-1, 0, lo, -lo - 1]
+
+
+def _near_limits(width: int):
+    """Canonical `width`-bit values within a few of -2^(width-1), 0 and
+    2^(width-1) (which wraps to the minimum)."""
+    sign = 1 << (width - 1)
+    return st.sampled_from([-sign, 0, sign]).flatmap(
+        lambda c: st.integers(c - 3, c + 3)).map(lambda v: _wrap(v, width))
+
+
+# operators whose value is 0 or 1 by definition: at one bit, 1 is out of
+# range, so these are left out there
+_TRUTH_VALUED = {"!", "&&", "==", "!=", "<", ">", "<=", ">="}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([1, 8, 64, 576]).flatmap(
+    lambda w: st.tuples(st.just(w), _near_limits(w), _near_limits(w))))
+def test_operators_wrap_as_the_reference_does(case):
+    # every operator's closure gives the exact result wrapped the one
+    # reference way, written to one destination or to both, as `canon`
+    # wraps it
+    width, x, y = case
+    sign, mask = 1 << (width - 1), (1 << width) - 1
+    ops = lang.arith(width)
+    for unary, table, factories in ((True, _UNARY_REFERENCE, ops.unops),
+                                    (False, _BINARY_REFERENCE, ops.binops)):
+        operands = [x] if unary else [x, y]
+        n = len(operands)
+        for op, reference in table.items():
+            if width == 1 and op in _TRUTH_VALUED or op in ("/", "%") and y == 0:
+                continue
+            exact = reference(x) if unary else reference(x, y, width)
+            want = ((exact + sign) & mask) - sign
+            assert ops.canon(exact) == want, (width, exact)
+            for dsts, written in (((n,), 0), ((n, n + 1), want)):
+                regs = _Regs(operands + [0, 0])
+                factories[op](*range(n), *dsts)(regs)
+                assert regs.regs == operands + [want, written], (width, op, x, y, dsts)
+
+
+def _stepped_trips(op: str, v: int, limit: int, step_op: str, delta: int, width: int,
+                   cap: int):
+    """The trips of `for (i = v; i <op> limit; i = i <step_op> delta)`,
+    stepped one at a time at `width` bits; `None` past `cap`."""
+    binary = lang.arith(width).binary
+    trips = 0
+    while binary[op](v, limit):
+        trips += 1
+        if trips > cap:
+            return None
+        v = binary[step_op](v, delta)
+    return trips
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([64, 128]).flatmap(lambda w: st.tuples(
+    st.just(w), _near_limits(w), _near_limits(w),
+    st.integers(1, 9) | _near_limits(w).filter(bool))),
+    st.sampled_from(["<", "<=", ">", ">=", "!="]), st.sampled_from(["+", "-"]),
+    st.booleans())
+def test_closed_form_trips_match_stepping(values, op, step_op, small):
+    # near the width's limits, where steps wrap, or (`small`) scaled down to
+    # about ±2^7, where most loops end within the cap; a small cap keeps
+    # stepping short, and the parser's count must be stepping's
+    width, v, limit, delta = values
+    if small:
+        v, limit = v // (1 << (width - 8)) + 5, limit // (1 << (width - 8))
+    decl = "secret int<100> s;\n" if width == 128 else ""
+    source = (f"{decl}output int y;\nfn main() {{\n  for (i = {v}; i {op} {limit}; "
+              f"i = i {step_op} ({delta})) {{ y = y + 1; }}\n}}\n")
+    cap = 64
+    with mock.patch.object(lang, "MAX_DERIVED_TRIPS", cap):
+        try:
+            trips = parse(source).function("main").body[0].trips
+        except ParseError as e:
+            assert "unbounded loop" in str(e)
+            trips = None
+    assert trips == _stepped_trips(op, v, limit, step_op, delta, width, cap)
+
+
+@pytest.mark.parametrize("header, trips", [
+    ("i = 0; i < 1048576; i = i + 1", 1 << 20),
+    ("i = 1048576; i > 0; i = i - 1", 1 << 20),
+    ("i = 0; i != 3145728; i = i + 3", 1 << 20),
+    ("i = 0; i < 1048577; i = i + 1", None),
+    ("i = 0; i >= -1048576; i = i - 1", None),
+    # moving away from the limit: the test holds until a step wraps, far
+    # past the cap
+    ("i = 0; i < 10; i = i - 1", None),
+])
+def test_max_derived_trips_is_the_cap(header, trips):
+    # counted by division, so a count at the cap parses at once; past it,
+    # the error is the one a count that is not a constant gets
+    source = f"output int y;\nfn main() {{\n  for ({header}) {{ y = y + 1; }}\n}}\n"
+    start = time.perf_counter()
+    if trips is None:
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert str(info.value) == (
+            "<source>:3:3: unbounded loop: for-loop trip count is not a compile-time "
+            "constant (write `for (...) bound N`)")
+    else:
+        assert parse(source).function("main").body[0].trips == trips
+    assert time.perf_counter() - start < 0.1

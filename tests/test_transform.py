@@ -431,14 +431,15 @@ def test_trap_inside_multiplexed_block(s, trap, counts, faults, store):
 
 
 def count_compiles(monkeypatch) -> list:
-    """A list that gains one entry per `_OpCompiler.compile` call from now on."""
+    """A list that gains each micro-op `_OpCompiler.compile_run` compiles
+    from now on (every compile of a block's code goes through it)."""
     calls = []
-    compile_op = _OpCompiler.compile
+    compile_run = _OpCompiler.compile_run
 
-    def counting(self, *args):
-        calls.append(args[0])
-        return compile_op(self, *args)
-    monkeypatch.setattr(_OpCompiler, "compile", counting)
+    def counting(self, instrs, *args, **kwargs):
+        calls.extend(instrs)
+        return compile_run(self, instrs, *args, **kwargs)
+    monkeypatch.setattr(_OpCompiler, "compile_run", counting)
     return calls
 
 
