@@ -19,9 +19,10 @@ padded alike stay the same objects throughout, and a staged executable
 compiles such copies once (`transform.MultiplexedExecutable`).
 
 A tree indexes itself once, when it is made: one walk from the root fills
-its `blocks` and `levels` and every block's data references (`refs`), and
-every later pass (balance check, balancing, planning, compiling) reads
-those fields.  No block changes after that; `balance` pads copies.
+its `blocks` and `levels`, every block's data references (`refs`) and
+the objects the tree writes (`stored`), and every later pass (balance
+check, balancing, planning, compiling) reads those fields.  No block
+changes after that; `balance` pads copies.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class ExecutionTree:
     """A tree of blocks from `root`, indexed once when it is made.
 
     `blocks` is every block in id order, so every parent comes before its
-    children; `levels` groups them by level, each in id order.  Making the
-    tree also sets each block's `refs`; no block changes afterwards.
+    children; `levels` groups them by level, each in id order; `stored` is
+    the objects some block writes (its stores and padding writes).  Making
+    the tree also sets each block's `refs`; no block changes afterwards.
     """
 
     program: Program
@@ -105,6 +107,7 @@ class ExecutionTree:
     alloc: RegAlloc
     blocks: list[Block] = field(init=False, repr=False)
     levels: list[list[Block]] = field(init=False, repr=False)
+    stored: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks: list[Block] = []
@@ -119,6 +122,7 @@ class ExecutionTree:
         self.levels = [[] for _ in range(max(b.level for b in blocks))]
         for b in blocks:
             self.levels[b.level - 1].append(b)
+        self.stored = frozenset(obj for b in blocks for obj, w in b.refs if w)
 
     def leaf_depths(self) -> list[tuple[int, int]]:
         """(block id, depth) for every leaf, in id order."""

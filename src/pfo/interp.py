@@ -71,13 +71,16 @@ pages are layout-dependent; runs are then cheap and allocation-light:
 Each executable makes its run frame once (`_Frame`): the register
 template, the input-binding plan, and the canonical initial array image
 of its `ObjectTable` with the set of arrays some compiled op writes (a
-store, a pad write, a staging copy's destination, the selector).  A run
+store, a pad write, the selector, a staging copy's destination).  A run
 copies only those arrays and shares every other one with the image, so
-no op may write an array outside that set.  Its `SimulationResult.store`
-holds the program's arrays (`Program.arrays`, so never a staging shadow
-or the pad object): the run's own as the run left them, not further
-copies, and the image's for the others; those are shared by every run
-and must not be mutated.
+no op may write an array outside that set.  An array no op stores into
+is the image's in every executable: a multiplexed one makes its staging
+shadow the image's own list too, and charges its copies without moving
+a word, so neither is in the set.  Its `SimulationResult.store` holds
+the program's arrays (`Program.arrays`, so never a staging shadow or the
+pad object): the run's own as the run left them, not further copies,
+and the image's for the others; those are shared by every run and must
+not be mutated.
 
 A traced run stores its trace as the footprint of each step, in step
 order (`SimulationResult.footprints`), not as events: a step appends its
@@ -166,8 +169,9 @@ class SimulationResult:
     `store` maps each program array (staging shadows and the pad object
     excluded) to its words as the run left them.  An array some op of the
     executable writes is the run's own copy, which no later run shares.
-    Any other array is the executable's initial image itself, shared by
-    every run and every result: it must not be mutated.
+    Any other array, and so every array no op stores into (staged or
+    not), is the executable's initial image itself, shared by every run
+    and every result: it must not be mutated.
     """
 
     outputs: dict[str, int]
@@ -441,8 +445,9 @@ class _EarlyReturn(Exception):
 
 class ObjectTable:
     """Array storage indices, the canonical initial array image (computed
-    once per table, and never written: a run copies the arrays it writes),
-    and the layout that places them."""
+    once per table, and never written: a run copies the arrays it writes;
+    a multiplexed executable points each never-stored array's shadow at
+    that array's own list), and the layout that places them."""
 
     def __init__(self, program: Program, layout: MemoryLayout,
                  extra_objects: dict[str, int] | None = None):
@@ -1218,9 +1223,10 @@ def _segment(values: tuple, charges: tuple, summaries: dict[tuple, Summary]) -> 
     as `(closures, summary, at)`: the closures to call in order, the
     `Summary` of the charges, and `at`, the op index of each closure, or
     `None` when every op has one.  An op without a closure (`None`: a move
-    fused with the op before it, see `_OpCompiler.compile_run`, or a tail
-    return) only steps.  Runs with the same charges share one `summaries`
-    entry (charges are interned footprints and shared staging closures)."""
+    fused with the op before it, see `_OpCompiler.compile_run`, a tail
+    return, or a staging copy that moves nothing) only steps.  Runs with
+    the same charges share one `summaries` entry (charges are interned
+    footprints and shared staging closures)."""
     key = tuple(map(id, charges))
     summary = summaries.get(key)
     if summary is None:

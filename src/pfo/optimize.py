@@ -95,16 +95,29 @@ class OptError(PfoError):
 class DefenseBuild:
     """One defended configuration of a program: staged when it has a tree
     (its code staged unless O4 applies), else in place.  `source_layout` is
-    the layout of `program`, and of `tree` when staged."""
+    the layout of `program`, and of `tree` when staged.  A staged build's
+    `plan` is made on first read, from `tree`, `source_layout` and the
+    decisions in `applied`, unless it was given (`_plan`)."""
 
     program: Program
     source_layout: MemoryLayout
     applied: tuple[str, ...] = ()
     tree: Optional[ExecutionTree] = None
-    plan: Optional[TransformPlan] = None
+    _plan: Optional[TransformPlan] = field(default=None, repr=False, compare=False)
     notes: tuple[str, ...] = ()
 
     _exe: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def plan(self) -> Optional[TransformPlan]:
+        if self._plan is None and self.tree is not None:
+            self._plan = plan_layout(
+                self.tree, self.source_layout,
+                readonly_elim="O1" in self.applied,
+                stage_code="O4" not in self.applied,
+                merge_levels="O3A" in self.applied,
+            )
+        return self._plan
 
     def executable(self):
         if self._exe is None:
@@ -122,7 +135,7 @@ class DefenseBuild:
 def build_staged(program: Program, page_size: Optional[int] = None) -> DefenseBuild:
     tree = balance(build_execution_tree(program))
     layout = build_tree_layout(tree, program.resolve_page_size(page_size))
-    return DefenseBuild(program, layout, tree=tree, plan=plan_layout(tree, layout))
+    return DefenseBuild(program, layout, tree=tree, _plan=plan_layout(tree, layout))
 
 
 def _names_in_use(program: Program) -> set[str]:
@@ -517,15 +530,20 @@ def _grouped(build: DefenseBuild) -> tuple[Optional[DefenseBuild], Optional[str]
 
 
 def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
-    """`build` with `changes`, its plan redone from every decision so far.
+    """`build` with `changes`, its plan to be redone from every decision so
+    far (`DefenseBuild.plan`).
 
-    A changed program is laid out again, its tree re-pointed at it.  O1's
-    elision, whether code is staged (O4) and O3A's level groups all come
-    from `applied`, and `plan_layout` makes all three in its one
-    schedule, so no pass undoes another.  In-place builds have no plan.
+    A changed program is laid out again, its tree re-pointed at it, and a
+    staged one planned at once: whether a tree and layout can be planned
+    does not depend on the decisions, so a `PlanError` comes from the
+    pass that made the layout, and a pass that keeps the layout defers
+    its plan to the first read.  O1's elision, whether code is staged (O4)
+    and O3A's level groups all come from `applied`, and `plan_layout`
+    makes all three in its one schedule, so no pass undoes another.
+    In-place builds have no plan.
     """
     program = build.program
-    build = replace(build, _exe=None, **changes)
+    build = replace(build, _exe=None, _plan=None, **changes)
     if build.program is not program:
         ps = build.source_layout.page_size
         if build.tree is None:
@@ -534,13 +552,7 @@ def _replan(build: DefenseBuild, **changes) -> DefenseBuild:
             build.tree = copy.copy(build.tree)  # the same blocks, not indexed again
             build.tree.program = build.program
             build.source_layout = build_tree_layout(build.tree, ps)
-    if build.tree is not None:
-        build.plan = plan_layout(
-            build.tree, build.source_layout,
-            readonly_elim="O1" in build.applied,
-            stage_code="O4" not in build.applied,
-            merge_levels="O3A" in build.applied,
-        )
+            build.plan  # planned now, so a PlanError is raised here
     return build
 
 

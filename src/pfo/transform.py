@@ -49,7 +49,6 @@ from .interp import (
     State,
     TreeExecutable,
     _code_pages,
-    _no_op,
     _OpCompiler,
 )
 from .lang import WORD_SIZE
@@ -215,16 +214,11 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     sa_data_pages = [sa_code + 1]
 
     # data slots: every array any block touches, plus pad and selector
-    objects_in_order: dict[str, None] = {}
-    writes: set[str] = set()
-    for lv in levels:
-        for b in lv:
-            for obj, is_write in b.refs:
-                objects_in_order.setdefault(obj)
-                if is_write:
-                    writes.add(obj)
+    objects_in_order = dict.fromkeys(
+        obj for lv in levels for b in lv for obj, _ in b.refs)
+    writes = tree.stored  # the pad object among them, when it is touched
     readonly = frozenset(
-        o for o in objects_in_order if o not in writes and o != PAD_OBJECT
+        o for o in objects_in_order if o not in writes
     ) if readonly_elim else frozenset()
 
     slots: dict[str, Slot] = {}
@@ -362,7 +356,9 @@ def _copier(copies: tuple, moves: tuple, mux: int) -> tuple:
     """Scheduled copies as one op: the closure moves the data words, each
     move (src array, dst array, src word, dst word, words); the charge
     steps each copy, (footprint, words, is_code), per word and adds a
-    block's multiplexing charge `mux`."""
+    block's multiplexing charge `mux`.  Every copy is charged, but only
+    the copies of arrays some op stores into move (`MultiplexedExecutable`):
+    with no move the op has no closure."""
     def run(st: State, moves=moves):
         arrays = st.arrays
         for src_i, dst_i, src_word, dst_word, words in moves:
@@ -373,7 +369,7 @@ def _copier(copies: tuple, moves: tuple, mux: int) -> tuple:
         for fp, words, is_code in copies:
             sink.copy(fp, words, is_code)
         sink.mux_accesses += mux
-    return run if moves else _no_op, charge
+    return run if moves else None, charge
 
 
 def _selector(fp: Footprint, sel_index: int) -> tuple:
@@ -403,6 +399,9 @@ class MultiplexedExecutable(TreeExecutable):
     blocks); the selector update; and for a leaf the last copy-back.
     Every op's pages are fixed, so a block is one segment that a run
     accounts once, from its `Summary` (which `witness` reads).
+    An array no op stores into is the image's: its shadow is the image's
+    own list, so its copies, charged like any other, move nothing, and a
+    run neither copies it nor its shadow at start (`interp._Frame`).
     Blocks with the same copies and charge share one copy op, and blocks on
     one code page one selector op.  With the code staged, blocks on one
     level that hold the same micro-op objects (copies of one continuation,
@@ -424,6 +423,13 @@ class MultiplexedExecutable(TreeExecutable):
         objects = ObjectTable(program, source_layout, extra_objects={
             f"__sa/{obj}": slot.words for obj, slot in slots.items()
         })
+        # an array no block stores into equals the image in every run: its
+        # shadow is the image's own list, and its copies move nothing
+        stored = tree.stored
+        image, index = objects.image, objects.index
+        for obj in slots:
+            if obj not in stored and obj in index:
+                image[index[f"__sa/{obj}"]] = image[index[obj]]
         # execute-phase accesses go to the staging slots: one page each
         compiler = _OpCompiler(
             program, objects, tree.alloc,
@@ -440,7 +446,7 @@ class MultiplexedExecutable(TreeExecutable):
             for c in steps:
                 fp = compiler.footprint(cp, (c.src_page, c.dst_page), _KIND_RW)
                 copies.append((fp, c.words, c.kind == "code"))
-                if c.kind == "code":
+                if c.kind == "code" or c.unit not in stored:
                     continue
                 src_i = objects.index[c.unit]
                 dst_i = objects.index[f"__sa/{c.unit}"]

@@ -1,9 +1,10 @@
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from pfo import transform
+from pfo import optimize, transform
 from pfo.corpus import make_table_cases, powm_balanced_source
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, TreeExecutable
@@ -899,6 +900,19 @@ def test_in_place_o4_decline_names_the_witness():
     assert build.notes == ("O4 declined: access to t split across pages",)
 
 
+def test_a_staged_o1_o2_build_plans_twice():
+    # the staged build plans its layout; O1 keeps it, so its plan waits for
+    # a read that never comes, and O2 lays the build out again and plans it
+    program = parse(case_source("aes", 16))
+    for make in (lambda: build_defense(program, ("O1", "O2")),
+                 lambda: opt_page_realign(opt_readonly_elim(build_staged(program)))):
+        with mock.patch.object(optimize, "plan_layout", wraps=plan_layout) as planner:
+            build = make()
+            assert build.run(secret={"k": 3}).trap is None
+            assert build.plan.readonly == {"table1", "table3"}
+        assert planner.call_count == 2
+
+
 def test_readonly_table_fetched_on_first_level_only():
     build = build_defense(parse(AGREEMENT_CASES["readonly_two_levels"]), ("O1",))
     fetched = [lv.level for lv in build.plan.levels
@@ -929,7 +943,7 @@ def test_level_witness_is_exact(source):
     builds = {passes: build_defense(program, passes)
               for passes in ((), ("O5",), ALL_PASSES)}
     plain = builds[()]
-    builds["unstaged"] = replace(plain, _exe=None, plan=plan_layout(
+    builds["unstaged"] = replace(plain, _exe=None, _plan=plan_layout(
         plain.tree, plain.source_layout, stage_code=False))
     for plan, build in builds.items():
         witness = build.executable().witness

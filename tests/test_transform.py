@@ -107,6 +107,10 @@ fn main() {
         with pytest.raises(PlanError, match="level 2: candidate blocks visit different "
                                             "staging pages"):
             planned(src)
+        # planning does not depend on the passes, so the staged build that
+        # every pass starts from raises it
+        with pytest.raises(PlanError, match="visit different staging pages"):
+            build_staged(parse(src))
 
     def test_scheduled_copy_ops(self):
         from pfo.suites import defended_build
@@ -330,6 +334,34 @@ def test_obliviousness_property_random_pairs():
         if base is None:
             base = profile
         assert profile == base
+
+
+def _copied_at_start(exe):
+    return {exe.objects.names[i] for i in exe._frame.written}
+
+
+def test_a_run_copies_only_the_arrays_an_op_stores_into():
+    from pfo.suites import defended_build
+    from test_interp import WRITE_BACK
+
+    # a table no op stores into is the image's, and so is its shadow: its
+    # copies are charged but move nothing, and a run copies the selector
+    # alone, under O1+O2 and plain
+    for exe in (defended_build("aes", 16).executable(),
+                build_defense(parse(case_source("stribog", 16))).executable()):
+        assert _copied_at_start(exe) == {"__sa/__sa_sel"}
+        image, index = exe.objects.image, exe.objects.index
+        run = exe.run(secret={"k": 3})
+        for table in (d.name for d in exe.program.arrays):
+            assert run.store[table] is image[index[table]]
+            if f"__sa/{table}" in index:  # staged when the code reads it
+                assert image[index[f"__sa/{table}"]] is image[index[table]]
+    # a stored array is fetched and copied back, and copied with its
+    # shadow at run start
+    exe = build_defense(parse(WRITE_BACK)).executable()
+    assert _copied_at_start(exe) == {"__sa/__sa_sel", "t", "__sa/t"}
+    assert exe.run(secret={"s": 2}).store["t"] == [1, 2, 99, 4]
+    assert exe.objects.image[exe.objects.index["t"]] == [1, 2, 3, 4]
 
 
 def test_runs_of_one_multiplexed_executable_are_independent():
