@@ -23,14 +23,16 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   pigeonhole rule (`memory.observe_profile` is the trace-replay
   reference).
 * value-only closures: the compiler returns each micro-op as a closure
-  that only computes values, with the charge its step adds; an
-  arithmetic op's closure is the one `lang.arith` makes, so its step is
-  one Python call.  An arithmetic op and the `MovI` that copies its
-  result (how `x = a op b` lowers) are one such closure that writes both
-  registers (`_OpCompiler.compile_run`): the move keeps its charge but
-  has no closure, so the pair's two steps cost one call.  Some ops
-  account for themselves as they run: a
-  split-extent access (its footprint depends on the word index), a
+  that only computes values, with the charge its step adds.  An
+  arithmetic op's closure is the one `lang.arith` generates from the
+  operator table (`lang.BINARY_OPERATORS`, `lang.PREFIX_OPERATORS`), with
+  the operator's expression inline, so its step is one Python call.  An
+  arithmetic op and the `MovI` that copies its result (how `x = a op b`
+  lowers) are one such closure that writes both registers
+  (`_OpCompiler.compile_run`): the move keeps its charge but has no
+  closure, so the pair's two steps cost one call.  Some ops account for
+  themselves as they run: a split-extent access (its footprint depends
+  on the word index), a
   nested return, a call to a function that is not summarised, and an
   `if`, `for` or `while` of whole-function mode, which runs the segments
   of its arms or body.

@@ -15,11 +15,14 @@ the top level of `main`; a marker anywhere else is a parse error.
 
 Scalars follow fixed-width two's-complement semantics (width chosen per
 program, default 64, wrapping on overflow); arrays have static lengths and
-4-byte elements for layout purposes.  `arith` is the one table of these
-operators, one closure body each: the interpreter binds those closures,
-and constants in initializers and loop headers fold with forms derived
-from them at the program's width, so a constant expression has the value
-it would have at run time wherever it is written.  The width
+4-byte elements for layout purposes.  Each operator is one row of one
+table (`BINARY_OPERATORS`, `PREFIX_OPERATORS`): its precedence, its value,
+whether that may wrap and whether it is 0 or 1.  The parser's precedence
+and prefix set, O5's selector and `arith`'s closures all follow from it:
+the interpreter binds those closures, and constants in initializers and
+loop headers fold with forms derived from them at the program's width,
+so a constant expression has the value it would have at run time
+wherever it is written.  The width
 follows from every declaration, so the parser reads every declared width
 before it folds anything.  Expressions, statements and call chains nest at
 most 64 levels deep, counted with every call inlined, and one call of a
@@ -490,7 +493,113 @@ def _int_width(widths) -> int:
     return max([DEFAULT_INT_WIDTH] + [(w + 64) // 64 * 64 for w in widths])
 
 
-# --- arithmetic -------------------------------------------------------------
+# --- operators ------------------------------------------------------------
+
+class Operator(NamedTuple):
+    """One operator of the language, as the parser, the interpreter and
+    the passes read it.
+
+    `value` is Python source over the operands `x` (and `y`): its last line
+    is the value's expression, and any lines before it are statements that
+    run first and leave a value in `v`.  Shift amounts read `width`.
+    """
+
+    level: Optional[int]  # binary precedence, loosest 0; None for a prefix operator
+    value: str
+    wraps: bool = False  # whether the value may leave the width's range
+    truth: bool = False  # `value` is a condition: the operator gives 1 or 0
+
+
+# the language's operators, binary ones loosest first (every level
+# associates left).  `/` truncates toward zero as in C, and `%` is the
+# remainder with the dividend's sign, so it stays in range
+BINARY_OPERATORS = {
+    "&&": Operator(0, "x and y", truth=True),
+    "|": Operator(1, "x | y"),
+    "^": Operator(2, "x ^ y"),
+    "&": Operator(3, "x & y"),
+    "==": Operator(4, "x == y", truth=True),
+    "!=": Operator(4, "x != y", truth=True),
+    "<": Operator(5, "x < y", truth=True),
+    ">": Operator(5, "x > y", truth=True),
+    "<=": Operator(5, "x <= y", truth=True),
+    ">=": Operator(5, "x >= y", truth=True),
+    "<<": Operator(6, "x << y % width", wraps=True),
+    ">>": Operator(6, "x >> y % width"),
+    "+": Operator(7, "x + y", wraps=True),
+    "-": Operator(7, "x - y", wraps=True),
+    "*": Operator(8, "x * y", wraps=True),
+    "/": Operator(8, "v = x // y\n"
+                     "if v < 0 and v * y != x: v += 1\n"  # floor to truncation
+                     "v", wraps=True),
+    "%": Operator(8, "v = x % y\n"
+                     "v - y if v and (x ^ y) < 0 else v"),
+}
+PREFIX_OPERATORS = {
+    "-": Operator(None, "-x", wraps=True),
+    "+": Operator(None, "x"),
+    "~": Operator(None, "~x"),
+    "!": Operator(None, "not x", truth=True),
+}
+# each binary operator's level, for the parser
+_PRECEDENCE = {op: row.level for op, row in BINARY_OPERATORS.items()}
+
+# `v` as a `width`-bit two's complement value
+_WRAP = "v if lo <= v < sign else ((v + sign) & mask) - sign"
+
+
+def _factory_source(op: str, row: Operator, arity: int, into: str) -> list[str]:
+    """One operator's closure factory, `factory(a, b, dst, dst2=None)` or
+    `factory(a, dst, dst2=None)`, as lines of the template.  Its closure
+    reads the operands from their registers in place, or into `x` and `y`
+    when statements come first; wraps a value that may leave the range in
+    `v` (where such statements leave it), as `canon` does; and makes a
+    condition 1 or 0.  It binds as defaults only the registers and the
+    width's constants it reads."""
+    regs = ("regs[a]", "regs[b]")[:arity]
+    *body, value = row.value.split("\n")
+    if body:
+        body.insert(0, f"{', '.join('xy'[:arity])} = {', '.join(regs)}")
+    else:
+        value = re.sub(r"\b[xy]\b", lambda m: regs["xy".index(m[0])], value)
+    if row.wraps:
+        if value != "v":
+            body.append(f"v = {value}")
+        value = _WRAP
+    elif row.truth:
+        value = f"1 if {value} else 0"
+    body = ["regs = st.regs", *body, f"regs[dst2] = regs[dst] = {value}"]
+    params = ["a", "b"][:arity] + ["dst"]
+    bound = [f"{p}={p}" for p in params] + ["dst2=dst if dst2 is None else dst2"]
+    bound += [f"{c}={c}" for c in ("lo", "sign", "mask", "width")
+              if re.search(rf"\b{c}\b", "\n".join(body))]
+    return [f"    def factory({', '.join(params)}, dst2=None):",
+            f"        def run(st, {', '.join(bound)}):",
+            *(f"            {line}" for line in body),
+            "        return run",
+            f"    {into}[{op!r}] = factory"]
+
+
+# `operators(width, lo, sign, mask)` gives `canon` and each operator's
+# factory at one width.  Its source is generated from the table, as
+# `dataclasses` generates `__init__`, so that each closure runs its
+# operator's expression inline: a call to an `operator` function would
+# cost a second Python call per step.  It is compiled once; the width's
+# constants are its arguments, which every closure binds as defaults
+_TEMPLATE = "\n".join([
+    "def operators(width, lo, sign, mask):",
+    "    def canon(v):",
+    f"        return {_WRAP}",
+    "    binops, unops = {}, {}",
+    *(line for op, row in BINARY_OPERATORS.items()
+      for line in _factory_source(op, row, 2, "binops")),
+    *(line for op, row in PREFIX_OPERATORS.items()
+      for line in _factory_source(op, row, 1, "unops")),
+    "    return canon, binops, unops\n"])
+_namespace: dict = {}
+exec(compile(_TEMPLATE, "<pfo.lang.arith>", "exec"), _namespace)
+_operators = _namespace.pop("operators")
+
 
 class Arith(NamedTuple):
     """The language's operators at one width (`arith`)."""
@@ -511,209 +620,42 @@ class _Scratch:
         self.regs = regs
 
 
-def _binary(factory: Callable) -> Callable[[int, int], int]:
-    """A binary operator's closure as a two-argument function."""
-    run = factory(0, 1, 2)
+def _function(factory: Callable, arity: int) -> Callable[..., int]:
+    """An operator's closure as a function of its `arity` operands."""
+    run = factory(*range(arity + 1))
 
-    def apply(x: int, y: int) -> int:
-        st = _Scratch([x, y, 0])
+    def apply(*operands: int) -> int:
+        st = _Scratch([*operands, 0])
         run(st)
-        return st.regs[2]
-    return apply
-
-
-def _unary(factory: Callable) -> Callable[[int], int]:
-    """A unary operator's closure as a one-argument function."""
-    run = factory(0, 1)
-
-    def apply(x: int) -> int:
-        st = _Scratch([x, 0])
-        run(st)
-        return st.regs[1]
+        return st.regs[arity]
     return apply
 
 
 @cache
 def arith(width: int) -> Arith:
-    """The language's arithmetic at `width` bits, made once per width.
+    """The language's arithmetic at `width` bits, made once per width from
+    the generated `operators`.
 
-    Each operator has one closure body: `binops[op](a, b, dst, dst2=None)`
-    and `unops[op](a, dst, dst2=None)` make the closure `run(st)` that
-    computes `st.regs[dst]` from `st.regs[a]` (and `st.regs[b]`) and writes
-    the value to `st.regs[dst2]` as well when one is given.  The
-    interpreter binds that closure for the micro-op, and for an op and
-    the `MovI` that copies its result (how `x = a op b` lowers) one
-    closure with both destinations, so either costs one Python call.
-    Every operator gives a canonical value (`width`-bit two's complement)
-    from canonical operands: `+ - * / <<` and unary `-` keep a value in
-    `[-2^(width-1), 2^(width-1))` as it is and wrap one outside in the one
-    expression `((v + sign) & mask) - sign`, as `canon` does; `/`
-    truncates toward zero as in C, `%` is the remainder with the
-    dividend's sign, `& | ^ ~ >>` and the comparisons need no wrap, and
-    shift amounts reduce modulo the width.  A `/` or `%` by zero raises
-    `ZeroDivisionError` before either register is written.  `binary[op](x, y)` and `unary[op](x)`,
-    which constant folding calls, run the same closures on a scratch
-    register file, as trip derivation runs them.
+    `binops[op](a, b, dst, dst2=None)` and `unops[op](a, dst, dst2=None)`
+    make the closure `run(st)` that computes `st.regs[dst]` from `st.regs[a]`
+    (and `st.regs[b]`) and writes the value to `st.regs[dst2]` as well when
+    one is given.  The interpreter binds that closure for the micro-op, and
+    for an op and the `MovI` that copies its result (how `x = a op b`
+    lowers) one closure with both destinations, so either costs one Python
+    call.  Every operator gives a canonical value (`width`-bit two's
+    complement) from canonical operands: one whose value may leave
+    `[-2^(width-1), 2^(width-1))` keeps a value inside as it is and wraps
+    one outside, as `canon` does.  A `/` or `%` by zero raises
+    `ZeroDivisionError` before either register is written.
+    `binary[op](x, y)` and `unary[op](x)`, which constant folding calls,
+    run the same closures on a scratch register file, as trip derivation
+    runs them.
     """
-    mask = (1 << width) - 1
     sign = 1 << (width - 1)
-    lo = -sign
-
-    def canon(v: int) -> int:
-        return v if lo <= v < sign else ((v + sign) & mask) - sign
-
-    def add(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
-                lo=lo, sign=sign, mask=mask):
-            regs = st.regs
-            v = regs[a] + regs[b]
-            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
-        return run
-
-    def sub(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
-                lo=lo, sign=sign, mask=mask):
-            regs = st.regs
-            v = regs[a] - regs[b]
-            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
-        return run
-
-    def mul(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
-                lo=lo, sign=sign, mask=mask):
-            regs = st.regs
-            v = regs[a] * regs[b]
-            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
-        return run
-
-    def div(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
-                lo=lo, sign=sign, mask=mask):
-            regs = st.regs
-            x, y = regs[a], regs[b]
-            q = x // y
-            if q < 0 and q * y != x:
-                q += 1  # floor to truncation
-            regs[dst2] = regs[dst] = q if lo <= q < sign else ((q + sign) & mask) - sign
-        return run
-
-    def mod(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            x, y = regs[a], regs[b]
-            r = x % y
-            regs[dst2] = regs[dst] = r - y if r and (x ^ y) < 0 else r
-        return run
-
-    def shl(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2,
-                lo=lo, sign=sign, mask=mask, width=width):
-            regs = st.regs
-            v = regs[a] << regs[b] % width
-            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
-        return run
-
-    def shr(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2, width=width):
-            regs = st.regs
-            regs[dst2] = regs[dst] = regs[a] >> regs[b] % width
-        return run
-
-    def and_(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = regs[a] & regs[b]
-        return run
-
-    def or_(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = regs[a] | regs[b]
-        return run
-
-    def xor(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = regs[a] ^ regs[b]
-        return run
-
-    def land(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 1 if regs[a] and regs[b] else 0
-        return run
-
-    def eq(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 1 if regs[a] == regs[b] else 0
-        return run
-
-    def ne(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 1 if regs[a] != regs[b] else 0
-        return run
-
-    def lt(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 1 if regs[a] < regs[b] else 0
-        return run
-
-    def gt(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 1 if regs[a] > regs[b] else 0
-        return run
-
-    def le(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 1 if regs[a] <= regs[b] else 0
-        return run
-
-    def ge(a, b, dst, dst2=None):
-        def run(st, a=a, b=b, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 1 if regs[a] >= regs[b] else 0
-        return run
-
-    def neg(a, dst, dst2=None):
-        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2,
-                lo=lo, sign=sign, mask=mask):
-            regs = st.regs
-            v = -regs[a]
-            regs[dst2] = regs[dst] = v if lo <= v < sign else ((v + sign) & mask) - sign
-        return run
-
-    def pos(a, dst, dst2=None):
-        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = regs[a]
-        return run
-
-    def inv(a, dst, dst2=None):
-        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = ~regs[a]
-        return run
-
-    def not_(a, dst, dst2=None):
-        def run(st, a=a, dst=dst, dst2=dst if dst2 is None else dst2):
-            regs = st.regs
-            regs[dst2] = regs[dst] = 0 if regs[a] else 1
-        return run
-
-    binops = {
-        "+": add, "-": sub, "*": mul, "/": div, "%": mod, "<<": shl, ">>": shr,
-        "&": and_, "|": or_, "^": xor, "&&": land,
-        "==": eq, "!=": ne, "<": lt, ">": gt, "<=": le, ">=": ge,
-    }
-    unops = {"-": neg, "+": pos, "~": inv, "!": not_}
+    canon, binops, unops = _operators(width, -sign, sign, (1 << width) - 1)
     return Arith(canon, binops, unops,
-                 {op: _binary(f) for op, f in binops.items()},
-                 {op: _unary(f) for op, f in unops.items()})
+                 {op: _function(f, 2) for op, f in binops.items()},
+                 {op: _function(f, 1) for op, f in unops.items()})
 
 
 def fold_const(expr: Expr, width: int, filename: str = "<source>") -> Optional[int]:
@@ -747,22 +689,6 @@ def fold_const(expr: Expr, width: int, filename: str = "<source>") -> Optional[i
 
 
 # --- parser ------------------------------------------------------------
-
-_BINARY_LEVELS = [
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", ">", "<=", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
-# each operator's level, loosest first; every level associates left
-_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
-
-
 
 def _counted_trips(op: str, v: int, limit: int, e: int, width: int) -> Optional[int]:
     """How many times the test `i <op> limit` of the header `i = v; ...;
@@ -1206,7 +1132,7 @@ class _Parser:
                     f"unsupported construct: pointer operator {tok.text!r} "
                     "(no address-of or dereference)"
                 )
-            if tok.text not in ("~", "!", "+", "-"):
+            if tok.text not in PREFIX_OPERATORS:
                 break
             prefix.append(self.advance())
         expr = self.parse_postfix()

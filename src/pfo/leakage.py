@@ -189,60 +189,6 @@ def quantify_leakage(runner: Runner, inputs: Iterable[dict[str, int]]) -> Leakag
     return LeakageReport(total, sizes, mi, max_leak)
 
 
-# --- table-lookup narrowing oracle -----------------------------------------
-
-@dataclass(frozen=True)
-class TableSplit:
-    """A lookup table split across a page boundary at `split` entries."""
-
-    entries: int
-    split: int  # entries below this index sit on the low page
-
-    def candidates(self, observed_low: bool) -> frozenset[int]:
-        if self.split <= 0 or self.split >= self.entries:
-            return frozenset(range(self.entries))  # no split, no narrowing
-        if observed_low:
-            return frozenset(range(self.split))
-        return frozenset(range(self.split, self.entries))
-
-
-def narrow_candidates(split: TableSplit, observations: Iterable[tuple[int, bool]],
-                      ) -> frozenset[int]:
-    """Adaptive chosen-plaintext narrowing for one key byte.
-
-    Each observation pairs the chosen plaintext byte with whether the
-    (key XOR plaintext) lookup landed on the low page; candidates are key
-    bytes consistent with every observation.
-    """
-    candidates = set(range(split.entries))
-    for plaintext, low in observations:
-        allowed = split.candidates(low)
-        candidates = {k for k in candidates if (k ^ plaintext) in allowed}
-    return frozenset(candidates)
-
-
-def attack_table(observe: Callable[[int], list[bool]], splits: list[TableSplit],
-                 plaintexts: Iterable[int]) -> list[frozenset[int]]:
-    """Chosen-plaintext attack over per-byte split-table lookups.
-
-    `observe(plaintext)` runs the victim with every key byte XORed against
-    `plaintext` and reports, per lookup, whether the access hit the low
-    page.  Returns the candidate set per byte after all plaintexts.
-    """
-    observations: list[list[tuple[int, bool]]] = [[] for _ in splits]
-    for pt in plaintexts:
-        lows = observe(pt)
-        if len(lows) != len(splits):
-            raise PfoError(
-                f"expected {len(splits)} lookups, observed {len(lows)}"
-            )
-        for i, low in enumerate(lows):
-            observations[i].append((pt, low))
-    return [
-        narrow_candidates(split, obs) for split, obs in zip(splits, observations)
-    ]
-
-
 # --- scalar-multiplication bit recovery -----------------------------------
 
 @dataclass(frozen=True)

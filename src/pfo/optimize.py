@@ -52,6 +52,8 @@ from .exectree import ExecutionTree, balance, build_execution_tree
 from .interp import AstExecutable
 from .labeling import label_sensitivity
 from .lang import (
+    BINARY_OPERATORS,
+    PREFIX_OPERATORS,
     Assign,
     Binary,
     CallExpr,
@@ -226,9 +228,6 @@ def _may_trap(program: Program, nodes, constants: frozenset[str]) -> Optional[st
     return None
 
 
-_BOOL_OPS = {"==", "!=", "<", ">", "<=", ">=", "&&"}
-
-
 def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
     """O5: rewrite region conditionals whose arms assign the same scalars.
 
@@ -245,9 +244,9 @@ def opt_if_convert(program: Program) -> tuple[Program, IfConversionReport]:
     constants = _constant_globals(program)
 
     def selector_index(cond):
-        if isinstance(cond, Binary) and cond.op in _BOOL_OPS:
-            return cond
-        if isinstance(cond, Unary) and cond.op == "!":
+        # a condition that is 0 or 1 indexes the slots as it is
+        if (isinstance(cond, Binary) and BINARY_OPERATORS[cond.op].truth
+                or isinstance(cond, Unary) and PREFIX_OPERATORS[cond.op].truth):
             return cond
         return Binary("!=", cond, Num(0))
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pfo.cli import main
+from pfo.interp import AstExecutable
 from pfo.lang import parse
 from pfo.optimize import build_defense
 from pfo.reports import markdown_table
@@ -364,6 +365,51 @@ class TestAttackAndContract:
         )
         assert code == 0
         assert json.loads(out)["exact"] is True
+
+    def test_attack_table_gives_the_vanilla_profile(self, capsys):
+        code, out, _ = run_cli(
+            ["attack", "--oracle", "table", "--program", str(CORPUS / "aes.pfo"),
+             "--secret", "k=0x1234", "--public", "p=7"],
+            capsys,
+        )
+        assert code == 0
+        program = parse((CORPUS / "aes.pfo").read_text())
+        profile = AstExecutable(program).run(secret={"k": 0x1234}, public={"p": 7}).profile
+        assert json.loads(out) == {"oracle": "table", "profile": list(profile)}
+
+    def test_attack_powm_window_reports_runs(self, capsys):
+        code, out, _ = run_cli(
+            ["attack", "--oracle", "powm", "--program", str(CORPUS / "powm_sw.pfo"),
+             "--secret", "d=0b100111", "--window", "4"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["oracle"], doc["window"]) == ("powm", 4)
+        assert 0 < doc["known_fraction"] <= 1
+        assert doc["runs"] and "exact" not in doc
+
+    @pytest.mark.parametrize("oracle, name", [("eddsa", "k"), ("powm", "d")])
+    def test_attack_that_misses_the_key_exits_1(self, oracle, name, tmp_path, capsys):
+        # the key never reaches a page, so the attack recovers nothing
+        path = tmp_path / "quiet.pfo"
+        path.write_text(f"secret int<8> {name};\noutput int y;\nfn main() {{ y = {name}; }}\n")
+        code, out, _ = run_cli(
+            ["attack", "--oracle", oracle, "--program", str(path), "--secret", f"{name}=5"],
+            capsys,
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["exact"] is False and doc["recovered"] == 0
+
+    def test_missing_program_file_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.pfo")
+        code, out, err = run_cli(
+            ["attack", "--oracle", "eddsa", "--program", missing, "--secret", "k=5"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "No such file" in err and missing in err
 
     def test_contract_honest_and_steal(self, tmp_path, capsys):
         code, out, _ = run_cli(

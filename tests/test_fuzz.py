@@ -5,8 +5,8 @@ Each program calls two or three helpers that read or write the same
 global and table cell from expressions that also read them, so the order
 in which a call's value, its callee's writes and the operands around it
 are taken decides the outputs.  Others trap for some secrets: they
-divide by `s - K` and read `t[s + k]`, in `main` and in a helper, under
-secret branches or not.
+divide by `s - K` and read or write `t[s + k]`, in `main` and in a
+helper, under secret branches or not, with `t` on one page or across two.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -72,18 +72,24 @@ def test_pretty_parses_back(source):
 
 
 _TRAPS = "secret int<2> s;\noutput int y;\nint a;\nint t[4] = {3, 5, 7, 11};"
+# `t` pinned 8 bytes before page 1: its words 0 and 1 sit on page 0 and
+# 2 and 3 on page 1, so each access looks its page up
+_SPLIT_TABLE = "#pragma place data t 1 -8\n"
 
 
 @st.composite
 def trapping_programs(draw) -> str:
     """`main` bodies of 1-3 statements, each `a = c / (s - K)`, `a = c %
-    (s - K)` or `a = t[s + k]`, then `y = y + a`, some under a secret `if`
-    and some in a helper `f(v)` that `main` calls with `s`."""
+    (s - K)`, `a = t[s + k]` or `t[s + k] = a`, then `y = y + a`, some under
+    a secret `if` and some in a helper `f(v)` that `main` calls with `s`;
+    in some programs `t` straddles a page boundary."""
     def statement(var: str) -> str:
-        kind = draw(st.sampled_from(["/", "%", "load"]))
+        kind = draw(st.sampled_from(["/", "%", "load", "store"]))
         k = draw(st.integers(0, 3))
         if kind == "load":
             return f"a = t[{var} + {k}];"
+        if kind == "store":
+            return f"t[{var} + {k}] = a;"
         return f"a = {draw(st.integers(-9, 9))} {kind} ({var} - {k});"
 
     helper = " ".join(statement("v") for _ in range(draw(st.integers(1, 2))))
@@ -94,7 +100,8 @@ def trapping_programs(draw) -> str:
         if draw(st.booleans()):
             stmt = f"if (s == {draw(st.integers(0, 3))}) {{ {stmt} }}"
         body.append(stmt)
-    return _region(f"{_TRAPS}\nfn f(v) {{ {helper} return a; }}", " ".join(body))
+    pins = _SPLIT_TABLE if draw(st.booleans()) else ""
+    return _region(f"{pins}{_TRAPS}\nfn f(v) {{ {helper} return a; }}", " ".join(body))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

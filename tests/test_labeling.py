@@ -127,3 +127,31 @@ class TestLabeling:
         """))
         assert result.functions["h"] == HIGH
         assert result.variables["h/a"] == HIGH
+
+    # `f` is called before the region, outside the code the region reaches,
+    # so only its call site can make it high
+    CALL_BEFORE_REGION = """
+    secret int<4> k;
+    public int p;
+    output int y;
+    fn f(x) {
+      return x + 1;
+    }
+    fn main() {
+      y = f(ARG);
+      #pragma begin_pf_sensitive
+      y = y + k;
+      #pragma end_pf_sensitive
+    }
+    """
+
+    def test_call_passing_high_data_makes_the_callee_high(self):
+        result = label_sensitivity(parse(self.CALL_BEFORE_REGION.replace("ARG", "k")))
+        assert result.functions["f"] == HIGH
+        assert result.variables["f/x"] == HIGH
+
+    def test_call_passing_public_data_leaves_the_callee_low(self):
+        result = label_sensitivity(parse(self.CALL_BEFORE_REGION.replace("ARG", "p")))
+        assert result.functions["f"] == LOW
+        assert result.variables["f/x"] == LOW
+        assert result.variables["p"] == LOW

@@ -14,11 +14,8 @@ from pfo.lang import parse
 from pfo.leakage import (
     ProfileParseError,
     SecretDomain,
-    TableSplit,
     attack_eddsa,
     attack_powm,
-    attack_table,
-    narrow_candidates,
     quantify_leakage,
     verify_pfo,
 )
@@ -212,47 +209,3 @@ class TestAttackPowm:
     def test_malformed_profile(self):
         with pytest.raises(ProfileParseError):
             attack_powm([3, 3], window=1)
-
-
-class TestAttackTable:
-    def test_low_observation_narrows_to_28(self):
-        split = TableSplit(256, 0x1C)
-        # key byte 0x1A, plaintext 0x00: index 0x1A < 0x1C, low page
-        cands = narrow_candidates(split, [(0x00, True)])
-        assert len(cands) == 28
-        assert 0x1A in cands
-
-    def test_high_observation_narrows_to_228(self):
-        split = TableSplit(256, 0x1C)
-        cands = narrow_candidates(split, [(0x00, False)])
-        assert len(cands) == 228
-        assert 0xFF in cands
-
-    def test_no_split_no_narrowing(self):
-        split = TableSplit(256, 0)
-        assert len(narrow_candidates(split, [(0x00, True)])) == 256
-
-    def test_adaptive_chosen_plaintexts_converge(self):
-        # With the 0x1C split the low set {0..27} is closed under XOR by
-        # {0,1,2,3}, so the adaptive limit is that 4-element coset of the
-        # key byte, reached after sweeping all plaintexts.
-        split = TableSplit(256, 0x1C)
-        key = 0x4B
-
-        def observe(pt):
-            return [(key ^ pt) < split.split]
-
-        cands = attack_table(observe, [split], plaintexts=range(256))
-        assert cands[0] == frozenset(key ^ d for d in range(4))
-        assert key in cands[0]
-
-    def test_adaptive_unique_recovery_with_odd_split(self):
-        # a split whose low set has trivial XOR stabilizer pins the byte
-        split = TableSplit(256, 97)
-        key = 0x4B
-
-        def observe(pt):
-            return [(key ^ pt) < split.split]
-
-        cands = attack_table(observe, [split], plaintexts=range(256))
-        assert cands[0] == frozenset({key})
