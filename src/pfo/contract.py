@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
@@ -259,6 +259,10 @@ class SweepReport:
     aborts_consistent: bool
     indistinguishable: bool
     distinguishing: Optional[tuple[int, int, tuple, tuple]] = None  # page, step, s0, s1
+    # whether every secret's swept schedule gives each page the same access
+    # list, so no steal can tell two secrets apart (under fake execution,
+    # which sweeps no access times, always)
+    one_schedule: bool = field(default=True, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,6 +336,7 @@ def _sweep(contract: Contract, secret_list: list[dict],
 
     classes = {contract.total_steps}  # the honest run's
     distinguishing = None
+    one_schedule = True
     for page in page_list:
         if page == contract.reserved_page:
             # an abort at the steal step whatever the secret, so the aborts
@@ -343,6 +348,7 @@ def _sweep(contract: Contract, secret_list: list[dict],
             if accesses not in columns:
                 columns[accesses] = (
                     i, termination_steps(sched, contract, page, step_list, policy))
+        one_schedule &= len(columns) == 1
         (_, first), *rest = columns.values()
         classes.update(first)
         diverge = None  # (step index, secret index)
@@ -370,4 +376,5 @@ def _sweep(contract: Contract, secret_list: list[dict],
         aborts_consistent=True,
         indistinguishable=len(classes) <= 1,
         distinguishing=distinguishing,
+        one_schedule=one_schedule,
     )

@@ -32,25 +32,35 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   (`_OpCompiler.compile_run`): the move keeps its charge but has no
   closure, so the pair's two steps cost one call.  Some ops account for
   themselves as they run: a split-extent access (its footprint depends
-  on the word index), a
-  nested return, a call to a function that is not summarised, and an
-  `if`, `for` or `while` of whole-function mode, which runs the segments
-  of its arms or body.
-* segments: both modes cut their code at the self-accounting ops (tree
-  mode each block; whole-function mode each function body, `if` arm and
-  loop body) and summarise every run of charged ops once, at
-  construction, by running a scratch `Sink` over its charges (`Summary`):
-  the OS keeps exactly the previous step's pages, so all but the first
-  step's faults are fixed.  One loop, `_run`, runs a segment's closures
-  and then adds the whole segment in one `Sink.account`.
-* whole-call summaries: in whole-function mode a function whose body is
-  straight-line code (an optional tail `return`), whose ops are all
-  charged and whose callees are all summarised, is summarised whole.  A
-  call to it is one charged op, its charge a closure (as a staging
-  copy's is): the call's step, then the callee's summary.  Each
-  executable merges at most `NODE_BUDGET` such steps, so summaries never
-  expand a large call tree; past that, a call steps and runs the
-  callee's one segment.
+  on the word index), a nested return, a call that is not merged, and a
+  `for` or `while` of whole-function mode, which walks its body's nodes.
+* nodes: both modes run a graph of `(segments, kids)` nodes with one
+  loop, `_run`: a node's segments in order, then the kid its last op's
+  branch picks (`kids` is `None` where a walk ends).  Tree mode has a
+  node per block.  Whole-function mode ends a node at each `if`'s
+  branch, its kids the else and then arms, and both arms go on to one
+  shared node for what follows the `if`, so nothing is copied; a `for`
+  walks its body's graph `trips` times in one `_run`.
+* segments: a node's ops are cut at the self-accounting ones, and every
+  run of charged ops is summarised once, at construction, by running a
+  scratch `Sink` over its charges (`Summary`): the OS keeps exactly the
+  previous step's pages, so all but the first step's faults are fixed.
+  `_run` calls a segment's closures and then adds the whole segment in
+  one `Sink.account`, which looks the faults from its resident set up
+  in the summary's memo.
+* calls: in whole-function mode a function whose body is straight-line
+  code (an optional tail `return`), whose ops are all charged and whose
+  callees are all merged, is summarised whole, and a call to it is
+  merged into its caller's segment.  A merged call to a leaf callee (no
+  call, no write to a parameter or an argument's slot, no local read
+  before it is written) is compiled in place: the call's step, the
+  callee's ops at its own code pages reading the arguments' slots, and
+  its tail return as a move into the call's destination.  A merged call
+  to another summarised callee is one charged op, its charge a closure
+  (as a staging copy's is): the call's step, then the callee's summary.
+  Each executable merges at most `NODE_BUDGET` such steps, so neither
+  expands a large call tree; past that, a call steps and runs the
+  callee's graph.
 * traps: a trapping closure raises without a step count.  Each
   summarised segment and call it unwinds through records the charges of
   the ops before the trapping one, and the runner that catches it
@@ -364,22 +374,23 @@ class Sink:
                 c(self)
 
     def account(self, s: "Summary") -> None:
-        """A summarised segment's steps, counters and trace, and the
-        pigeonhole rule for its first step; its later faults are fixed."""
+        """A summarised segment's steps, counters and trace, and its faults
+        from this sink's resident set (`Summary.faults_from`)."""
         self.steps += s.steps
-        self.copy_ops += s.copy_ops
-        self.code_copy_ops += s.code_copy_ops
-        self.mux_accesses += s.mux_accesses
+        if s.copies:
+            self.copy_ops += s.copy_ops
+            self.code_copy_ops += s.code_copy_ops
+            self.mux_accesses += s.mux_accesses
         if self.footprints is not None:
             self.footprints += s.footprints
-        first = s.first
-        if first is None:
+        if s.first is None:
             return  # no step: the resident set stays
         if self.pigeonhole:
-            resident = self.resident
-            if resident is not first.need_set:
-                self.faults += [p for p in first.need if p not in resident]
-            self.faults += s.faults
+            faults = s.entry_faults.get(self.resident)
+            if faults is None:
+                faults = s.faults_from(self.resident)
+            if faults:
+                self.faults += faults
         self.resident = s.exit
 
 
@@ -391,11 +402,12 @@ class Summary:
     step's pages, so everything but the first step's faults is the same
     for every run: the steps and counters, the footprints, the faults from
     the second step on and the resident set at exit.  `first` is the
-    first step's footprint (`None` when no op steps).
+    first step's footprint (`None` when no op steps), and `copies` whether
+    any charge is a staging copy (else the copy counters are 0).
     """
 
     __slots__ = ("charges", "steps", "copy_ops", "code_copy_ops", "mux_accesses",
-                 "footprints", "first", "faults", "exit")
+                 "copies", "footprints", "first", "faults", "exit", "entry_faults")
 
     def __init__(self, charges: tuple):
         scratch = Sink(pigeonhole=True, collect=True)
@@ -406,19 +418,30 @@ class Summary:
         self.copy_ops = scratch.copy_ops
         self.code_copy_ops = scratch.code_copy_ops
         self.mux_accesses = scratch.mux_accesses
+        self.copies = bool(self.copy_ops or self.code_copy_ops or self.mux_accesses)
         self.footprints = tuple(fps)
         self.first = fps[0] if fps else None
         # from an empty resident set the first step faults all its pages
         self.faults = tuple(scratch.faults[len(fps[0].need) if fps else 0:])
         self.exit = scratch.resident
+        # every fault of the segment, by the resident set it starts from.
+        # Resident sets are interned page sets, so few keys recur
+        self.entry_faults: dict[frozenset, tuple] = {}
+
+    def faults_from(self, entry: frozenset) -> tuple:
+        """The pages the segment faults on when it starts from resident
+        set `entry` (remembered in `entry_faults`)."""
+        first = self.first
+        faults = self.faults
+        if first is not None and entry is not first.need_set:
+            faults = tuple(p for p in first.need if p not in entry) + faults
+        self.entry_faults[entry] = faults
+        return faults
 
     def ends(self, entry: frozenset) -> tuple:
         """The faults and the resident set the segment leaves when it runs
         from resident set `entry`."""
-        sink = Sink(pigeonhole=True, collect=False)
-        sink.resident = entry
-        sink.account(self)
-        return tuple(sink.faults), sink.resident
+        return self.faults_from(entry), entry if self.first is None else self.exit
 
 
 _KIND_R = (EventKind.DATA_READ,)
@@ -580,7 +603,8 @@ class _OpCompiler:
 
     def compile_run(self, instrs: list[Instr], pages: list[int],
                     fps: Optional[list] = None, starts: Collection[int] = (),
-                    call: Optional[Callable[[CallI, int], tuple]] = None) -> list[tuple]:
+                    call: Optional[Callable[[CallI, int], object]] = None,
+                    remap: Optional[dict[int, int]] = None) -> list:
         """The `(closure, charge)` of each micro-op of straight-line code,
         op i at code page `pages[i]`.  The closure computes the op's values
         and its step is charged `charge`; with charge `None` the closure
@@ -588,7 +612,10 @@ class _OpCompiler:
         An op without a data operand is charged `fps[i]` when one is given
         (a code-only step that also reads a data page), else its code
         page's fetch.  `call(instr, code_page)` compiles a `CallI`
-        (whole-function mode; a tree has its calls inlined).
+        (whole-function mode; a tree has its calls inlined) to its op, or
+        to a list of ops that takes the `CallI`'s one place.  `remap` maps
+        register slots the ops read to the slots they read instead (a
+        callee compiled in place reads each parameter from its argument).
 
         A `BinI` or `UnI` and the `MovI` after it that copies its result
         (how `x = a op b` lowers) are one closure, the operator's, that
@@ -599,6 +626,10 @@ class _OpCompiler:
         body begins (whole-function mode slices its ops by run), so no pair
         is fused across one."""
         slot = self.slot
+        if remap:
+            def slot(op: Operand, base=slot, get=remap.get) -> int:
+                s = base(op)
+                return get(s, s)
         code_steps = self._code_footprints
         ops: list[tuple] = []
         append = ops.append
@@ -631,7 +662,7 @@ class _OpCompiler:
                     run = self.unops[instr.op](slot(instr.a), instr.dst, dst2)
                 append((run, fp))
             elif cls is LoadI or cls is StoreI:
-                append(self._compile_access(instr, cp))
+                append(self._compile_access(instr, cp, slot))
             elif cls is SelI:
                 def run(st: State, c=slot(instr.cond), a=slot(instr.a), b=slot(instr.b),
                         dst=instr.dst):
@@ -674,11 +705,11 @@ class _OpCompiler:
             return st.regs[v]
         return ret
 
-    def _compile_access(self, instr, code_page: int) -> tuple:
+    def _compile_access(self, instr, code_page: int, slot: Callable[[Operand], int]) -> tuple:
         obj = instr.obj
         oi = self._obj_index(obj)
         n = self.objects.lengths[oi]
-        a = self.slot(instr.index)
+        a = slot(instr.index)
         # a static access has one footprint; a split table looks its one up
         # and accounts for itself
         if isinstance(instr, LoadI):
@@ -701,7 +732,7 @@ class _OpCompiler:
                 regs[dst] = st.arrays[oi][i]
             return run, None
         fp, lookup = self._data_footprint(obj, code_page, _KIND_W)
-        src = self.slot(instr.src)
+        src = slot(instr.src)
         self.written.add(oi)
         if lookup is None:
             def run(st: State, a=a, n=n, oi=oi, src=src, obj=obj):
@@ -721,24 +752,26 @@ class _OpCompiler:
         return run, None
 
 
-def _run(st: State, node: tuple) -> None:
-    """The one segment loop: run a node's `(closures, summary, at)`
-    segments (`_segments`) in order, each one's closures and then its
+def _run(st: State, node: tuple, trips: int = 1) -> None:
+    """The one segment loop: walk the node graph from `node`, `trips`
+    times.  A node is `(segments, kids)`: its `(closures, summary, at)`
+    segments (`_segments`) run in order, each one's closures and then its
     summary in one `Sink.account` (a segment of self-accounting ops has
-    none), then go on to the child its branch picked.  A node is
-    `(segments, children)`, its children indexed by `st.branch` or `None`.
-    A trap in a summarised segment records the charges of the ops before
-    the one that trapped (see `_trap_info`)."""
+    none), and then the walk goes on to the kid `st.branch` picks, or ends
+    where `kids` is `None`.  A trap in a summarised segment records the
+    charges of the ops before the one that trapped (see `_trap_info`)."""
     account = st.sink.account
     try:
-        while node is not None:
-            segments, kids = node
-            for values, summary, at in segments:
-                for f in values:
-                    f(st)
-                if summary is not None:
-                    account(summary)
-            node = None if kids is None else kids[st.branch]
+        for _ in repeat(None, trips):
+            walk = node
+            while walk is not None:
+                segments, kids = walk
+                for values, summary, at in segments:
+                    for f in values:
+                        f(st)
+                    if summary is not None:
+                        account(summary)
+                walk = None if kids is None else kids[st.branch]
     except (SimTrap, ZeroDivisionError) as exc:
         # `f` is the closure that trapped; it appears once in `values`.
         # Only a charged op divides, so a `ZeroDivisionError` has a summary
@@ -776,7 +809,7 @@ def _trap_info(sink: Sink, trap: SimTrap) -> TrapInfo:
 
 @dataclass(frozen=True)
 class _Body:
-    """A compiled function: its body as one leaf node for `_run`, its
+    """A compiled function: its body as a node graph for `_run`, its
     parameter and local slots, and the slot its value is read from (a
     constant 0 without a tail `return`).  A summarised function also keeps
     its node's one segment, `(closures, summary, at)`."""
@@ -786,6 +819,22 @@ class _Body:
     locals: tuple[int, ...]
     ret: int
     segment: Optional[tuple] = None
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    """A leaf callee, which a merged call compiles in place: its
+    instructions but a tail `return`, their code pages (the return's
+    included), the run starts, the operand a tail return gives (`None`
+    without one), its parameter slots, the slots it writes, and its steps."""
+
+    instrs: list
+    pages: list
+    starts: frozenset
+    value: Optional[Operand]
+    params: tuple[int, ...]
+    writes: frozenset
+    steps: int
 
 
 def _invoke(st: State, body: _Body) -> int:
@@ -803,27 +852,38 @@ class AstExecutable:
     """Layout-specialized compilation of a whole program.
 
     Each function is compiled once, when `main` or a caller first needs
-    it (`_body`).  A body is cut into segments at its `if`, `for` and
-    `while` statements and at the ops that account for themselves, as a
-    tree block is.  A function whose lowered body is straight-line code
-    with an optional tail `return`, whose every op is statically charged
-    and whose steps, calls expanded, are at most `NODE_BUDGET` is
-    summarised whole.  A call to it is then one op: its closure binds the
+    it (`_body`), to a graph of `(segments, kids)` nodes, the shape a tree
+    walk has (`_node`).  An `if` ends a node whose kids are its else and
+    then arms, and both arms go on to one shared node for what follows
+    the `if`.  A `for` or `while` is one self-accounting op that walks its
+    body's graph (a `for` all its trips in one `_run`).
+
+    A function whose lowered body is straight-line code with an optional
+    tail `return`, whose every op is statically charged and whose steps,
+    calls expanded, are at most `NODE_BUDGET` is summarised whole.  Calls
+    to summarised functions are merged while the executable's budget of
+    `NODE_BUDGET` merged steps lasts, so summaries never expand a large
+    call tree; a merged call spends its step and the callee's.  A merged
+    call to a leaf callee (`_leaf`: straight-line, no call, no write to a
+    parameter or to an argument's slot, no local read before it is
+    written) is compiled in place: the call's step, the callee's ops at
+    its own code pages reading each parameter from its argument's slot,
+    and its tail return as a move into the call's `dst`.  A merged call to
+    any other summarised callee is one op: its closure binds the
     parameters, zeroes the callee's locals and runs the callee's closures,
-    and its charge is a closure that steps the call and then accounts the
-    callee's summary.  Such calls are merged while the executable's budget
-    of `NODE_BUDGET` merged steps lasts, so summaries never expand a large
-    call tree; every other call accounts for its own step and runs the
-    callee's segments.
+    and its charge steps the call and then accounts the callee's summary.
+    Every other call accounts for its own step and runs the callee's graph.
 
     Compiling records `witness`, which O4 reads of an in-place build as it
     reads `MultiplexedExecutable.witness` of a staged one: `None` proves
     one profile for every run that does not trap, by induction over the
     steps, when every compiled `if` has arms of at most one summarised
-    segment each that, accounted from the branch step's pages, end with
-    the same faults and resident set, no `while` is compiled and no array
-    is split across extents.  Else it names the first construct that
-    breaks this; as with the staged witness, no secret may reach it.
+    segment each, going on to the shared node, that, accounted from the
+    branch step's pages, end with the same faults and resident set, no
+    `while` is compiled and no array is split across extents.  Else it
+    names the first construct that breaks this, in the order the
+    constructs are compiled; as with the staged witness, no secret may
+    reach it.
     """
 
     def __init__(self, program: Program, layout: Optional[MemoryLayout] = None,
@@ -837,6 +897,7 @@ class AstExecutable:
         self._compiler = _OpCompiler(program, self.objects, self.lowered.alloc)
         self._summaries: dict[tuple, Summary] = {}
         self._bodies: dict[str, _Body] = {}
+        self._leaves: dict[str, Optional[_Leaf]] = {}
         self._merge_budget = NODE_BUDGET
         self.witness: Optional[str] = None
         self._main = self._body("main")
@@ -859,69 +920,80 @@ class AstExecutable:
         # a `return` that ends the body steps last and leaves its value in
         # `ret`; only nested ones unwind through `_EarlyReturn`
         items = list(fn.body.items)
-        ret, ret_fp, tail = compiler.slot(Const(0)), None, None
+        ret, tail, end = compiler.slot(Const(0)), [], len(instrs)
         if items and isinstance(items[-1], RetNode):
             last = items.pop()
             items.append(last.run)
-            tail = last.ret_index
-            value = instrs[tail].value
+            end = last.ret_index
+            value = instrs[end].value
             ret = compiler.slot(Const(0) if value is None else value)
-            ret_fp = compiler.footprint(pages[tail])
+            tail.append((None, compiler.footprint(pages[end])))
         # in order, so calls spend the merge budget in program order; the
-        # tail return, the body's last instruction, is charged below
-        ops = compiler.compile_run(instrs[:tail], pages, starts=fn.run_starts,
+        # tail return, the body's last instruction, is charged at the end
+        ops = compiler.compile_run(instrs[:end], pages, starts=fn.run_starts,
                                    call=self._call)
-        body = self._seq_ops(items, ops)
-        if ret_fp is not None:
-            body.append((None, ret_fp))
+        pos = None
+        if any(op.__class__ is list for op in ops):
+            ops, pos = _spliced(ops)
+        node = self._node(items, ops, pos, tail, None)
         # control flow and nested returns account for themselves, so only
-        # straight-line code is charged throughout
-        if all(charge is not None for _, charge in body):
-            segment = _segment(tuple(f for f, _ in body), tuple(c for _, c in body),
-                               self._summaries)
+        # straight-line code is one charged segment
+        segments, kids = node
+        if kids is None and len(segments) <= 1 \
+                and all(summary is not None for _, summary, _ in segments):
+            segment = segments[0] if segments else _segment((), (), self._summaries)
             if segment[1].steps <= NODE_BUDGET:
                 return _Body(((segment,), None), fn.params, fn.locals, ret, segment)
-        return _Body(self._leaf(body), fn.params, fn.locals, ret)
+        return _Body(node, fn.params, fn.locals, ret)
 
-    def _leaf(self, ops: list) -> tuple:
-        """A node without children that runs `ops`."""
-        return _segments(ops, self._summaries), None
+    def _node(self, items: list, ops: list, pos: Optional[list], tail: list,
+              kids: Optional[list]) -> tuple:
+        """The graph of a sequence: the first of its nodes, the last of
+        which runs `tail` too and goes on to `kids`.  Instruction `i`'s ops
+        start at `ops[pos[i]]` (at `ops[i]` when `pos` is `None`).  An `if`
+        ends a node, whose kids are the nodes of its arms; both arms go on
+        to one node, the rest of the sequence, which is made after them,
+        so constructs are compiled (and witnessed) in program order.  Each
+        `for` and `while` is one self-accounting op that runs the graph of
+        its body."""
+        def cut(lo: int, hi: int) -> list:
+            return ops[lo:hi] if pos is None else ops[pos[lo]:pos[hi]]
 
-    def _seq_ops(self, items: list, ops: list) -> list:
-        """A sequence's `(closure, charge)` ops: its runs spliced in, each
-        `if`, `for` and `while` one self-accounting op that runs the nodes
-        of its arms or body."""
-        out: list = []
-
-        def leaf(seq_items: list, *tail: list) -> tuple:
-            return self._leaf(self._seq_ops(seq_items, ops) + [op for t in tail for op in t])
-
+        head = link = None
+        run: list = []
         for item in items:
             if isinstance(item, RunNode):
-                out.extend(ops[item.lo:item.hi])
+                run += cut(item.lo, item.hi)
             elif isinstance(item, RetNode):
-                out.extend(ops[item.run.lo:item.ret_index + 1])
+                run += cut(item.run.lo, item.ret_index + 1)
             elif isinstance(item, IfNode):
-                out.extend(ops[item.cond_run.lo:item.branch_index + 1])
-                arms = (leaf(item.else_node.items), leaf(item.then_node.items))
-                if self.witness is None and _arms_differ(arms, out[-1][1].need_set):
+                run += cut(item.cond_run.lo, item.branch_index + 1)
+                # both arms go on to the rest, filled in once it is made
+                rest = [None, None]
+                arms = (self._node(item.else_node.items, ops, pos, [], rest),
+                        self._node(item.then_node.items, ops, pos, [], rest))
+                if self.witness is None and _arms_differ(arms, run[-1][1].need_set, rest):
                     self.witness = f"`if` at line {item.line}: its arms fault differently"
-                def run_if(st: State, arms=arms):
-                    _run(st, arms[st.branch])
-                out.append((run_if, None))
+                node = (_segments(run, self._summaries), arms)
+                if link is None:
+                    head = node
+                else:
+                    link[0] = link[1] = node
+                link, run = rest, []
             elif isinstance(item, ForNode):
-                out.extend(ops[item.init_run.lo:item.init_run.hi])
-                body = leaf(item.body.items, ops[item.step_run.lo:item.step_run.hi])
+                run += cut(item.init_run.lo, item.init_run.hi)
+                body = self._node(item.body.items, ops, pos,
+                                  cut(item.step_run.lo, item.step_run.hi), None)
                 def run_for(st: State, body=body, trips=item.trips):
-                    for _ in range(trips):
-                        _run(st, body)
-                out.append((run_for, None))
+                    _run(st, body, trips)
+                run.append((run_for, None))
             elif isinstance(item, WhileNode):
                 if self.witness is None:
                     self.witness = f"`while` at line {item.line}: its trips may vary"
-                cond = ops[item.cond_run.lo:item.branch_index + 1]
-                first = leaf(item.body.items if item.do_first else [], cond)
-                body = leaf(item.body.items, cond)
+                cond = cut(item.cond_run.lo, item.branch_index + 1)
+                first = self._node(item.body.items if item.do_first else [], ops, pos,
+                                   cond, None)
+                body = self._node(item.body.items, ops, pos, cond, None)
                 def run_while(st: State, first=first, body=body, bound=item.bound,
                               n0=int(item.do_first)):
                     _run(st, first)
@@ -931,22 +1003,78 @@ class AstExecutable:
                             raise SimTrap("loop-bound", f"exceeded bound {bound}")
                         _run(st, body)
                         n += 1
-                out.append((run_while, None))
+                run.append((run_while, None))
             else:
                 raise PfoError(f"cannot compile node {item!r}")
-        return out
+        node = (_segments(run + tail, self._summaries), kids)
+        if link is None:
+            return node
+        link[0] = link[1] = node
+        return head
 
-    def _call(self, instr: CallI, code_page: int) -> tuple:
-        """A call site as one op.  Its parameters are bound to the
-        arguments and the callee's locals start at 0; `dst` gets the
-        callee's value, 0 when it does not return one.  Binding one
-        parameter at a time is a parallel assignment: an argument is the
-        caller's, and a parameter never names a global, so no argument
-        reads a parameter's slot."""
-        callee = self._body(instr.fn)
+    def _leaf(self, name: str) -> Optional[_Leaf]:
+        """Function `name` as a leaf callee, or `None` if it is not one:
+        straight-line code with an optional tail `return`, no call, no
+        access split across extents (so every op is statically charged),
+        no write to a parameter and no read of a local before it is
+        written.  Decided from the lowered code, without compiling it."""
+        if name in self._leaves:
+            return self._leaves[name]
+        self._leaves[name] = None
+        fn = self.lowered.functions[name]
+        items = fn.body.items
+        if any(not isinstance(item, RunNode) for item in items[:-1]) \
+                or items and not isinstance(items[-1], (RunNode, RetNode)):
+            return None
+        instrs = fn.instrs
+        unset, params = set(fn.locals), frozenset(fn.params)
+        writes = set()
+        extents = self.layout.data_extents
+        for instr in instrs:
+            cls = instr.__class__
+            if cls is CallI or (cls is LoadI or cls is StoreI) and len(extents(instr.obj)) > 1:
+                return None
+            if unset and any(op.__class__ is Reg and op.slot in unset for op in _reads(instr)):
+                return None
+            dst = getattr(instr, "dst", None)
+            if dst is not None:
+                if dst in params:
+                    return None
+                writes.add(dst)
+                unset.discard(dst)
+        value = None
+        if items and isinstance(items[-1], RetNode):
+            ret = instrs[-1]
+            value = Const(0) if ret.value is None else ret.value
+            instrs = instrs[:-1]
+        got = self._leaves[name] = _Leaf(
+            instrs, _code_pages(self.layout, name, len(fn.instrs)), fn.run_starts, value,
+            fn.params, frozenset(writes), len(fn.instrs))
+        return got
+
+    def _call(self, instr: CallI, code_page: int):
+        """A call site as one op, or compiled in place as a list of ops.
+        Its parameters are bound to the arguments and the callee's locals
+        start at 0; `dst` gets the callee's value, 0 when it does not
+        return one.  Binding one parameter at a time is a parallel
+        assignment: an argument is the caller's, and a parameter never
+        names a global, so no argument reads a parameter's slot."""
         compiler = self._compiler
         fp = compiler.footprint(code_page)
-        binds = tuple(zip(callee.params, (compiler.slot(a) for a in instr.args)))
+        args = tuple(compiler.slot(a) for a in instr.args)
+        leaf = self._leaf(instr.fn)
+        if leaf is not None and leaf.steps < self._merge_budget \
+                and leaf.writes.isdisjoint(args):
+            self._merge_budget -= 1 + leaf.steps
+            # the call's step, then the callee's ops.  Without a tail
+            # return `dst` keeps 0: it is a temporary only this call writes
+            instrs = leaf.instrs
+            if leaf.value is not None:
+                instrs = instrs + [MovI(instr.dst, leaf.value, instr.fn)]
+            return [(None, fp), *compiler.compile_run(
+                instrs, leaf.pages, starts=leaf.starts, remap=dict(zip(leaf.params, args)))]
+        callee = self._body(instr.fn)
+        binds = tuple(zip(callee.params, args))
         dst, zero, ret = instr.dst, callee.locals, callee.ret
         if callee.segment is not None and callee.segment[1].steps < self._merge_budget:
             closures, summary, at = callee.segment
@@ -999,11 +1127,47 @@ class AstExecutable:
         return frame.result(st, trap)
 
 
-def _arms_differ(arms: tuple, entry: frozenset) -> bool:
-    """Whether an `if`'s arm nodes may fault differently: one is more than
-    one summarised segment, or run from the branch step's pages `entry`
+def _spliced(ops: list) -> tuple[list, list]:
+    """`ops` with each list of ops (a call compiled in place) spliced in,
+    and the position each op of `ops` starts at, then the end."""
+    flat: list = []
+    pos = []
+    for op in ops:
+        pos.append(len(flat))
+        if op.__class__ is list:
+            flat += op
+        else:
+            flat.append(op)
+    pos.append(len(flat))
+    return flat, pos
+
+
+def _reads(instr: Instr) -> tuple:
+    """The operands an instruction of straight-line code without calls
+    reads."""
+    cls = instr.__class__
+    if cls is MovI or cls is UnI:
+        return (instr.a,)
+    if cls is BinI:
+        return (instr.a, instr.b)
+    if cls is SelI:
+        return (instr.cond, instr.a, instr.b)
+    if cls is LoadI:
+        return (instr.index,)
+    if cls is StoreI:
+        return (instr.index, instr.src)
+    if cls is RetI:
+        return () if instr.value is None else (instr.value,)
+    return ()
+
+
+def _arms_differ(arms: tuple, entry: frozenset, rest: list) -> bool:
+    """Whether an `if`'s arm nodes may fault differently: one holds a
+    nested construct (more than one summarised segment, or a kid other
+    than the shared `rest`), or run from the branch step's pages `entry`
     the two end with different faults or resident sets."""
-    if any(len(segs) > 1 or segs and segs[0][1] is None for segs, _ in arms):
+    if any(kids is not rest or len(segs) > 1 or segs and segs[0][1] is None
+           for segs, kids in arms):
         return True
     return len({segs[0][1].ends(entry) if segs else ((), entry) for segs, _ in arms}) > 1
 

@@ -210,31 +210,30 @@ def attack_eddsa(profile: Iterable[int]) -> list[int]:
     come out most significant first.
     """
     p1, p2, p3 = EDDSA_PAGES["main"], EDDSA_PAGES["add"], EDDSA_PAGES["test"]
-    tokens = [p for p in profile if p in (p1, p2, p3)]
-    pos = 0
-    if tokens[:1] == [p1]:
-        pos = 1  # cold-start fault on the loop body's page
-    bits: list[int] = []
+    pages = {p1, p2, p3}
+    tokens = [p for p in profile if p in pages]
     n = len(tokens)
+    pos = 1 if n and tokens[0] == p1 else 0  # cold-start fault on the loop body's page
+    bits: list[int] = []
+    append = bits.append
     while pos < n:
-        if tokens[pos:pos + 4] != [p2, p1, p3, p1]:
+        if not (pos + 3 < n and tokens[pos] == p2 and tokens[pos + 1] == p1
+                and tokens[pos + 2] == p3 and tokens[pos + 3] == p1):
             raise ProfileParseError(
                 f"expected doubling/bit-test pattern [{p2},{p1},{p3},{p1}]", pos
             )
         pos += 4
-        pairs = 0
-        while (
-            pos + 1 < n
-            and tokens[pos] == p2
-            and tokens[pos + 1] == p1
-            and tokens[pos + 2:pos + 3] != [p3]
-        ):
-            pairs += 1
+        start = pos
+        # a (P2 P1) pair is the addition's unless a P3 follows: then it is
+        # the next iteration's doubling
+        while (pos + 1 < n and tokens[pos] == p2 and tokens[pos + 1] == p1
+               and (pos + 2 == n or tokens[pos + 2] != p3)):
             pos += 2
+        pairs = (pos - start) >> 1
         if pairs == 0:
-            bits.append(0)
+            append(0)
         elif pairs == 3:
-            bits.append(1)
+            append(1)
         else:
             raise ProfileParseError(
                 f"unexpected addition alternation length {pairs}", pos
@@ -287,7 +286,8 @@ def attack_powm(profile: Iterable[int], window: int = 1):
     pins down.
     """
     mul_page, sel_page = POWM_PAGES["mul"], POWM_PAGES["sel"]
-    tokens = [p for p in profile if p in (mul_page, sel_page)]
+    pages = {mul_page, sel_page}
+    tokens = [p for p in profile if p in pages]
     precompute_mults = powm_precompute_mults(window)
     if precompute_mults:
         prefix = tokens[:precompute_mults]

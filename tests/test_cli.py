@@ -518,6 +518,15 @@ class TestCorpusSuites:
         samples = {r["case"]: r.get("samples") for r in json.loads(out)["rows"]}
         assert samples["eddsa"] == samples["powm"] == samples["powm_w4"] == 1
 
+    def test_contracts_suite_with_two_samples(self, capsys):
+        # at seed 0 the two aes secrets share one access schedule, so no
+        # steal can separate them: a missing oracle is then no failure
+        code, out, _ = run_cli(["corpus", "contracts", "--sample", "2", "--json"], capsys)
+        assert code == 0
+        rows = {r["case"]: r for r in json.loads(out)["rows"]}
+        assert rows["aes"]["naive_secret_oracle"] is False
+        assert rows["powm"]["naive_secret_oracle"] is True
+
     def test_attacks_suite_markdown(self, capsys):
         code, out, _ = run_cli(
             ["corpus", "attacks", "--sample", "4"], capsys

@@ -330,6 +330,20 @@ class TestIntegerSweep:
         assert reports == tuple(brute_force_sweep(exe, SCRIPTED_CONTRACT, secrets, policy)
                                 for policy in policies)
 
+    @pytest.mark.parametrize("values, naive_one", [
+        ((0, 3), True),    # 3 replays 0's footprints: one schedule
+        ((0, 3, 1), False),
+    ])
+    def test_one_schedule_when_every_secret_shares_it(self, values, naive_one):
+        runs = scripted_runs()
+        runs[3] = [Footprint(fp.code, fp.pages, fp.kinds) for fp in runs[0]]
+        secrets = [{"s": v} for v in values]
+        fake, naive = sweep_policies(ScriptedExe(runs), SCRIPTED_CONTRACT, secrets,
+                                     (FAKE_EXECUTE, NAIVE_TERMINATE))
+        # fake execution sweeps no access times
+        assert (fake.one_schedule, naive.one_schedule) == (True, naive_one)
+        assert naive.distinguishing is None or not naive_one
+
     @pytest.mark.parametrize("policy", [FAKE_EXECUTE, NAIVE_TERMINATE])
     def test_shared_and_equal_traces_match_brute_force(self, policy):
         # secrets 3 and 4 replay secret 0's footprint objects, secret 5 the

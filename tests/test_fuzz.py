@@ -11,7 +11,9 @@ helper, under secret branches or not, with `t` on one page or across two.
 
 from hypothesis import given, settings, strategies as st
 
+from pfo.interp import AstExecutable
 from pfo.lang import parse, pretty
+from pfo.leakage import SecretDomain
 
 from test_optimize import _CALLS, _region, assert_executables_agree
 
@@ -107,4 +109,11 @@ def trapping_programs(draw) -> str:
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(trapping_programs())
 def test_traps_agree_across_executables(source):
-    assert_executables_agree(parse(source))
+    program = parse(source)
+    assert_executables_agree(program)
+    # a traced whole-function run records one footprint per step, up to
+    # and including the trapping op's
+    exe = AstExecutable(program)
+    for secret in SecretDomain.of(program).exhaustive():
+        traced = exe.run(secret=secret, collect_trace=True)
+        assert len(traced.footprints) == traced.steps

@@ -9,8 +9,8 @@ from pfo import interp
 from pfo.corpus import make_table_cases
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import (
-    AstExecutable, FootprintTable, ObjectTable, Sink, State, TreeExecutable, _OpCompiler,
-    _run, _segments,
+    AstExecutable, FootprintTable, ObjectTable, Sink, State, TrapInfo, TreeExecutable,
+    _OpCompiler, _run, _segments,
 )
 from pfo.ir import LoadI, Reg
 from pfo.lang import parse
@@ -734,3 +734,122 @@ def test_summarised_calls_charge_as_each_step_would(source):
         other = tree.run(secret={"s": s})
         assert (plain.outputs, plain.trap and plain.trap.kind) == \
                (other.outputs, other.trap and other.trap.kind)
+
+
+# --- calls to leaf callees, compiled in place ----------------------------------
+
+# `q` is a leaf callee: straight-line, no call, no write to its parameter
+# and no local read before it is written.  Called from an `if` arm inside a
+# `for`, it divides by zero (s = 1 on the third trip, s = 2 on the second,
+# s = 3 on the first) or reads t[4]
+LEAF_TRAP = """
+#pragma page_size 32
+secret int<2> s;
+output int y;
+int t[4] = {3, 5, 7, 11};
+fn q(v) { BODY }
+fn main() {
+  y = 0;
+  for (i = 0; i < 3; i = i + 1) {
+    if (s != 0) {
+      y = y + q(s + i);
+    } else {
+      y = y - 1;
+    }
+  }
+}
+"""
+
+# (trap, steps, profile) by secret: main's code is on page 1, the else
+# arm's on page 2, q's on page 0 and t on page 3
+LEAF_TRAP_EXPECTED = {
+    "c = 12 / (3 - v); return c + v;": {
+        1: (TrapInfo("div-zero", 34), [1, 0, 1, 2, 1, 0, 1, 2, 1, 0]),
+        2: (TrapInfo("div-zero", 21), [1, 0, 1, 2, 1, 0]),
+        3: (TrapInfo("div-zero", 8), [1, 0]),
+    },
+    "return t[v + 1] + v;": {
+        1: (TrapInfo("index-oob", 31, "t[4]"), [1, 0, 3, 1, 2, 1, 0, 3, 1, 2, 1, 0]),
+        2: (TrapInfo("index-oob", 19, "t[4]"), [1, 0, 3, 1, 2, 1, 0]),
+        3: (TrapInfo("index-oob", 7, "t[4]"), [1, 0]),
+    },
+}
+
+
+@pytest.mark.parametrize("body", LEAF_TRAP_EXPECTED, ids=["div-zero", "index-oob"])
+def test_leaf_callee_traps_in_place(body):
+    program = parse(LEAF_TRAP.replace("BODY", body))
+    exe = AstExecutable(program)
+    assert "q" not in exe._bodies  # compiled in place only
+    with mock.patch.object(interp, "NODE_BUDGET", 0):
+        stepped = AstExecutable(program)  # every call steps, then runs q
+    for s in range(4):
+        result = exe.run(secret={"s": s}, collect_trace=True)
+        assert len(result.footprints) == result.steps
+        if s == 0:
+            assert (result.trap, result.steps, result.profile) == (None, 20, [1, 2] * 3)
+        else:
+            trap, profile = LEAF_TRAP_EXPECTED[body][s]
+            assert (result.trap, result.steps, result.profile) == (trap, trap.step, profile)
+        assert result.to_json_dict() == \
+            stepped.run(secret={"s": s}, collect_trace=True).to_json_dict()
+
+
+@pytest.mark.parametrize("source, outputs, callee, in_place", [
+    # `f` writes its parameter: the caller's `x` is unchanged
+    ("fn f(a) { a = a + 1; return a; }\n"
+     "fn main() { x = s; y = f(x); y = y + f(x); z = x; }",
+     lambda s: {"y": 2 * (s + 1), "z": s}, "f", False),
+    # `g` reads `c` before writing it: `c` starts at 0 on every call
+    ("fn g(v) { c = c + v; return c; }\n"
+     "fn main() { y = g(s); y = y + g(s); for (i = 0; i < 2; i = i + 1) { z = z + g(1); } }",
+     lambda s: {"y": 2 * s, "z": 2}, "g", False),
+    # `h` writes the global its argument names: the parameter is the
+    # value `w` had at the call
+    ("int w = 4;\nfn h(a) { w = a + 1; return a; }\n"
+     "fn main() { y = h(w); z = h(w) + w; }",
+     lambda s: {"y": 4, "z": 11}, "h", False),
+    # `k` is a leaf callee: each call reads its parameters from the
+    # arguments' slots
+    ("fn k(a, b) { c = a * 3; return c - b; }\n"
+     "fn main() { y = k(s, 1); z = k(y, s) + k(2, 2); }",
+     lambda s: {"y": 3 * s - 1, "z": 3 * (3 * s - 1) - s + 4}, "k", True),
+], ids=["writes-parameter", "reads-local-first", "writes-argument", "leaf"])
+def test_calls_bind_and_reset_as_each_call_would(source, outputs, callee, in_place):
+    program = parse(f"secret int<2> s;\noutput int y;\noutput int z;\n{source}\n")
+    exe = AstExecutable(program)
+    with mock.patch.object(interp, "NODE_BUDGET", 0):
+        stepped = AstExecutable(program)
+    for s in range(4):
+        result = exe.run(secret={"s": s}, collect_trace=True)
+        assert result.outputs == outputs(s)
+        assert len(result.footprints) == result.steps
+        assert result.to_json_dict() == \
+            stepped.run(secret={"s": s}, collect_trace=True).to_json_dict()
+    # a call compiled in place never compiles its callee's own body
+    assert (callee not in exe._bodies) == in_place
+
+
+# the `if` at line 7 has arms that fault differently, and a `while`
+# follows it at line 12: the witness names the first in program order
+IF_THEN_WHILE = """
+#pragma page_size 64
+secret int<2> s;
+output int y;
+int t[16];
+fn main() {
+  if (s == 1) {
+    y = t[s];
+  } else {
+    y = 2;
+  }
+  while (y > 0) bound 4 {
+    y = y - 1;
+  }
+}
+"""
+
+
+def test_witness_names_the_first_construct_in_program_order():
+    assert AstExecutable(parse(IF_THEN_WHILE)).witness == \
+        "`if` at line 7: its arms fault differently"

@@ -175,6 +175,23 @@ class TestAttackEddsa:
         with pytest.raises(ProfileParseError):
             attack_eddsa([1, 2, 2, 2])
 
+    # offsets count only the decoded pages: the 7s and 9s are dropped first
+    @pytest.mark.parametrize("profile, message, offset", [
+        # the second iteration ends on page 2, not 1
+        ([1, 7, 2, 1, 3, 1, 9, 2, 1, 3, 2, 2, 1, 3, 1],
+         "expected doubling/bit-test pattern [2,1,3,1]", 5),
+        # the profile ends inside an iteration
+        ([1, 2, 1, 3, 1, 2, 1, 3], "expected doubling/bit-test pattern [2,1,3,1]", 5),
+        # an addition shows three (P2 P1) pairs, not two
+        ([1, 2, 1, 3, 1, 2, 1, 7, 2, 1, 2, 1, 3, 1],
+         "unexpected addition alternation length 2", 9),
+    ])
+    def test_malformed_profile_error_is_exact(self, profile, message, offset):
+        with pytest.raises(ProfileParseError) as info:
+            attack_eddsa(profile)
+        assert (info.value.message, info.value.offset) == (message, offset)
+        assert str(info.value) == f"{message} (at profile offset {offset})"
+
 
 class TestAttackPowm:
     def test_d_1001_window_1(self):
@@ -209,3 +226,15 @@ class TestAttackPowm:
     def test_malformed_profile(self):
         with pytest.raises(ProfileParseError):
             attack_powm([3, 3], window=1)
+
+    @pytest.mark.parametrize("profile, window, message", [
+        # window 3 fills its table with 6 multiplies; a fetch comes fourth
+        ([1, 2, 2, 2, 3, 2, 2, 2, 3, 2], 3, "expected 6 power-table multiplies first"),
+        ([2], 2, "expected 2 power-table multiplies first"),
+        ([2, 3, 3, 2], 1, "missing outer multiply"),
+        ([2, 3], 1, "missing final outer multiply"),
+    ])
+    def test_malformed_profile_error_is_exact(self, profile, window, message):
+        with pytest.raises(ProfileParseError) as info:
+            attack_powm(profile, window=window)
+        assert (info.value.message, info.value.offset) == (message, 0)
