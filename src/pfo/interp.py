@@ -959,7 +959,9 @@ class AstExecutable:
         def cut(lo: int, hi: int) -> list:
             return ops[lo:hi] if pos is None else ops[pos[lo]:pos[hi]]
 
-        head = link = None
+        # each node is stored into the kids of the node before it; the
+        # first into `head`
+        head = link = [None, None]
         run: list = []
         for item in items:
             if isinstance(item, RunNode):
@@ -974,11 +976,7 @@ class AstExecutable:
                         self._node(item.then_node.items, ops, pos, [], rest))
                 if self.witness is None and _arms_differ(arms, run[-1][1].need_set, rest):
                     self.witness = f"`if` at line {item.line}: its arms fault differently"
-                node = (_segments(run, self._summaries), arms)
-                if link is None:
-                    head = node
-                else:
-                    link[0] = link[1] = node
+                link[0] = link[1] = (_segments(run, self._summaries), arms)
                 link, run = rest, []
             elif isinstance(item, ForNode):
                 run += cut(item.init_run.lo, item.init_run.hi)
@@ -1006,11 +1004,8 @@ class AstExecutable:
                 run.append((run_while, None))
             else:
                 raise PfoError(f"cannot compile node {item!r}")
-        node = (_segments(run + tail, self._summaries), kids)
-        if link is None:
-            return node
-        link[0] = link[1] = node
-        return head
+        link[0] = link[1] = (_segments(run + tail, self._summaries), kids)
+        return head[0]
 
     def _leaf(self, name: str) -> Optional[_Leaf]:
         """Function `name` as a leaf callee, or `None` if it is not one:
