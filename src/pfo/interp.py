@@ -14,26 +14,30 @@ Two execution modes share one micro-op compiler:
 
 Every micro-op costs one logical step and emits one code fetch plus its
 data operand events; staging copies cost one step per word moved.  The
-interpreter is compiled to closures per (program, layout) because event
-pages are layout-dependent; runs are then cheap and allocation-light:
+interpreter is compiled to Python functions per (program, layout)
+because event pages are layout-dependent; runs are then cheap and
+allocation-light:
 
 * footprints: each micro-op's page events (code page, data pages and
   their kinds, the distinct pages it needs and their set) are fixed at
   compile time in an interned `Footprint`.  `Sink.instr(fp)` is the
   pigeonhole rule (`memory.observe_profile` is the trace-replay
   reference).
-* value-only closures: the compiler returns each micro-op as a closure
-  that only computes values, with the charge its step adds.  An
-  arithmetic op's closure is the one `lang.arith` generates from the
-  operator table (`lang.BINARY_OPERATORS`, `lang.PREFIX_OPERATORS`), with
-  the operator's expression inline, so its step is one Python call.  An
+* inlined ops: the compiler gives each micro-op as a value-only op,
+  which computes values only, with the charge its step adds
+  (`_OpCompiler.compile_run`).  A move, an operator, a select, a branch,
+  a pad write and a static load or store is inlined: a statement
+  template and its operands (slots, array index, length, name).  An
+  operator's statements come from the operator table
+  (`lang.operator_lines`, which `lang.arith`'s functions run too).  An
   arithmetic op and the `MovI` that copies its result (how `x = a op b`
-  lowers) are one such closure that writes both registers
-  (`_OpCompiler.compile_run`): the move keeps its charge but has no
-  closure, so the pair's two steps cost one call.  Some ops account for
-  themselves as they run: a split-extent access (its footprint depends
-  on the word index), a nested return, a call that is not merged, and a
-  `for` or `while` of whole-function mode, which walks its body's nodes.
+  lowers) are one op that writes both registers: the move keeps its
+  charge but has no value op, so the pair's two steps run one statement.
+  A staging copy, a selector update, a merged call and a loop bound's
+  trap stay closures.  Some ops account for themselves as they run: a
+  split-extent access (its footprint depends on the word index), a
+  nested return, a call that is not merged, and a `for` or `while` of
+  whole-function mode, which walks its body's nodes.
 * nodes: both modes run a graph of `(segments, kids)` nodes with one
   loop, `_run`: a node's segments in order, then the kid its last op's
   branch picks (`kids` is `None` where a walk ends).  Tree mode has a
@@ -45,9 +49,19 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   run of charged ops is summarised once, at construction, by running a
   scratch `Sink` over its charges (`Summary`): the OS keeps exactly the
   previous step's pages, so all but the first step's faults are fixed.
-  `_run` calls a segment's closures and then adds the whole segment in
-  one `Sink.account`, which looks the faults from its resident set up
-  in the summary's memo.
+  Each run of charged ops is also one generated Python function per
+  chunk of at most `CHUNK_OPS` ops (`_segment`): its body inlines each
+  op's statements and calls the closures, so a chunk costs one Python
+  call, not one per op.  A function's code is keyed by its shape, the
+  sequence of its ops' templates, and compiled once per process
+  (`_chunk_code`); each segment binds its own operands as the function's
+  defaults.  A compile costs as much as a few hundred runs of the chunk
+  save, so a shape compiles only once it has run `HOT_RUNS` times, in
+  any segment (`_chunk`): until then a chunk runs cold, calling each op's
+  one-op function, generated from the same templates and compiled once
+  per template.  `_run` calls a segment's functions and then adds the
+  whole segment in one `Sink.account`, which looks the faults from its
+  resident set up in the summary's memo.
 * calls: in whole-function mode a function whose body is straight-line
   code (an optional tail `return`), whose ops are all charged and whose
   callees are all merged, is summarised whole, and a call to it is
@@ -61,17 +75,16 @@ pages are layout-dependent; runs are then cheap and allocation-light:
   Each executable merges at most `NODE_BUDGET` such steps, so neither
   expands a large call tree; past that, a call steps and runs the
   callee's graph.
-* traps: a trapping closure raises without a step count.  Each
-  summarised segment and call it unwinds through records the charges of
-  the ops before the trapping one, and the runner that catches it
-  charges those prefixes outermost first, then the trapping op's own
-  step (`_trap_info`).  So a trap's step, profile and trace are those of
-  charging each step as it runs.  A `/` or `%` by zero raises Python's
-  `ZeroDivisionError` from its closure; the segment loop `_run` or the
-  summarised call it escapes first turns it into the `div-zero` trap of
-  the op whose closure raised, counting the division's own step
-  (`_unwound`).  A segment maps each closure's position back to its op's
-  index (`_op_index`), so a fused pair traps as its first op, before
+* traps: a trapping op raises without a step count.  A segment's
+  generated function sets the index of each op that may trap before it
+  runs, and turns a trap into one that records the charges of the ops
+  before it (`_unwound`); a merged call adds its own step before the
+  callee's.  The runner that catches it charges those prefixes
+  outermost first, then the trapping op's own step (`_trap_info`).  So a
+  trap's step, profile and trace are those of charging each step as it
+  runs.  A `/` or `%` by zero raises Python's `ZeroDivisionError` in the
+  function, which makes it the `div-zero` trap of that op, counting the
+  division's own step; a fused pair traps as its first op, before
   either register is written.
 * constant slots: every constant operand reads a register slot above the
   program's own, filled once per run from the register template, so an
@@ -106,7 +119,8 @@ footprints directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
+from types import CodeType, FunctionType
 from typing import Callable, Collection, Hashable, Optional
 
 from .exectree import Block, ExecutionTree
@@ -136,7 +150,15 @@ from .ir import (
     UnI,
     WhileNode,
 )
-from .lang import DeclKind, Program, WORD_SIZE, arith
+from .lang import (
+    BINARY_OPERATORS,
+    PREFIX_OPERATORS,
+    DeclKind,
+    Program,
+    WORD_SIZE,
+    arith,
+    operator_lines,
+)
 from .layouts import build_ast_layout, build_tree_layout
 from .memory import (
     AccessEvent,
@@ -500,7 +522,7 @@ class ObjectTable:
 
 
 class _OpCompiler:
-    """Compiles micro-ops to closures for a fixed layout/page map.
+    """Compiles micro-ops to value-only ops for a fixed layout/page map.
 
     Every page event is fixed here: each micro-op gets an interned
     `Footprint` (a split-extent array access picks one per extent).  The
@@ -518,7 +540,8 @@ class _OpCompiler:
                  strict_pages: Optional[frozenset[int]] = None):
         self.program = program
         self.objects = objects
-        self.canon, self.binops, self.unops = arith(program.int_width)[:3]
+        self.width = program.int_width
+        self.canon = arith(self.width).canon
         self.decl_slots = {
             d.name: alloc.slot(d.name) for d in program.decls if not d.is_array
         }
@@ -605,9 +628,12 @@ class _OpCompiler:
                     fps: Optional[list] = None, starts: Collection[int] = (),
                     call: Optional[Callable[[CallI, int], object]] = None,
                     remap: Optional[dict[int, int]] = None) -> list:
-        """The `(closure, charge)` of each micro-op of straight-line code,
-        op i at code page `pages[i]`.  The closure computes the op's values
-        and its step is charged `charge`; with charge `None` the closure
+        """The `(op, charge)` of each micro-op of straight-line code, op i
+        at code page `pages[i]`.  The op computes the micro-op's values and
+        its step is charged `charge`.  The op is an inlined one, `(template,
+        operands)`, whose statements a summarised segment's generated
+        function runs (`_segment`); a closure it calls; or `None`, an op
+        that only steps.  With charge `None` the op is a closure that
         accounts for itself (a split-extent access, a call or a return).
         An op without a data operand is charged `fps[i]` when one is given
         (a code-only step that also reads a data page), else its code
@@ -618,13 +644,13 @@ class _OpCompiler:
         callee compiled in place reads each parameter from its argument).
 
         A `BinI` or `UnI` and the `MovI` after it that copies its result
-        (how `x = a op b` lowers) are one closure, the operator's, that
-        writes the move's register too: the op carries it and the move
-        `None`, each its own charge, so the pair steps twice and traps as
-        its first op, before either register is written.  Code is entered
-        at its start or at one of `starts`, where a `RunNode` of a function
-        body begins (whole-function mode slices its ops by run), so no pair
-        is fused across one."""
+        (how `x = a op b` lowers) are one op, the operator's, that writes
+        the move's register too: the op carries it and the move `None`,
+        each its own charge, so the pair steps twice and traps as its first
+        op, before either register is written.  Code is entered at its
+        start or at one of `starts`, where a `RunNode` of a function body
+        begins (whole-function mode slices its ops by run), so no pair is
+        fused across one."""
         slot = self.slot
         if remap:
             def slot(op: Operand, base=slot, get=remap.get) -> int:
@@ -647,45 +673,32 @@ class _OpCompiler:
                 continue
             cls = instr.__class__
             if cls is MovI:
-                def run(st: State, a=slot(instr.a), dst=instr.dst):
-                    regs = st.regs
-                    regs[dst] = regs[a]
-                append((run, fp))
+                append((("move", (slot(instr.a), instr.dst)), fp))
             elif cls is BinI or cls is UnI:
                 dst2 = None
                 if (after.__class__ is MovI and after.a.__class__ is Reg
                         and after.a.slot == instr.dst and i not in starts):
                     dst2, moved = after.dst, True
-                if cls is BinI:
-                    run = self.binops[instr.op](slot(instr.a), slot(instr.b), instr.dst, dst2)
-                else:
-                    run = self.unops[instr.op](slot(instr.a), instr.dst, dst2)
-                append((run, fp))
+                srcs = (slot(instr.a), slot(instr.b)) if cls is BinI else (slot(instr.a),)
+                append((_operator_op(instr.op, srcs, instr.dst, dst2, self.width), fp))
             elif cls is LoadI or cls is StoreI:
                 append(self._compile_access(instr, cp, slot))
             elif cls is SelI:
-                def run(st: State, c=slot(instr.cond), a=slot(instr.a), b=slot(instr.b),
-                        dst=instr.dst):
-                    regs = st.regs
-                    regs[dst] = regs[a] if regs[c] else regs[b]
-                append((run, fp))
+                append((("select", (slot(instr.cond), slot(instr.a), slot(instr.b),
+                                    instr.dst)), fp))
             elif cls is BranchI:
-                def run(st: State, c=slot(instr.cond)):
-                    st.branch = 1 if st.regs[c] else 0
-                append((run, fp))
+                append((("branch", (slot(instr.cond),)), fp))
             elif cls is PadI:
                 # the pad object is one word on one page: its access is static
                 oi = self._obj_index(PAD_OBJECT)
                 self.written.add(oi)
-                def run(st: State, oi=oi):
-                    st.arrays[oi][0] = 0
-                append((run, self._data_footprint(PAD_OBJECT, cp, _KIND_W)[0]))
+                append((("pad", (oi,)), self._data_footprint(PAD_OBJECT, cp, _KIND_W)[0]))
             elif cls is OverrunI:
                 def run(st: State, detail=f"exceeded bound {instr.bound}"):
                     raise SimTrap("loop-bound", detail)
                 append((run, fp))
             elif cls is NopI:
-                append((_no_op, fp))
+                append((None, fp))
             elif cls is RetI:
                 def run(st: State, ret=self.compile_return(instr, cp)):
                     raise _EarlyReturn(ret(st))
@@ -710,19 +723,13 @@ class _OpCompiler:
         oi = self._obj_index(obj)
         n = self.objects.lengths[oi]
         a = slot(instr.index)
-        # a static access has one footprint; a split table looks its one up
-        # and accounts for itself
+        # a static access has one footprint and is inlined; a split table
+        # looks its one up and accounts for itself
         if isinstance(instr, LoadI):
             fp, lookup = self._data_footprint(obj, code_page, _KIND_R)
             dst = instr.dst
             if lookup is None:
-                def run(st: State, a=a, n=n, oi=oi, dst=dst, obj=obj):
-                    regs = st.regs
-                    i = regs[a]
-                    if i < 0 or i >= n:
-                        raise SimTrap("index-oob", f"{obj}[{i}]")
-                    regs[dst] = st.arrays[oi][i]
-                return run, fp
+                return ("load", (a, n, oi, obj, dst)), fp
             def run(st: State, lookup=lookup, a=a, n=n, oi=oi, dst=dst, obj=obj):
                 regs = st.regs
                 i = regs[a]
@@ -735,13 +742,7 @@ class _OpCompiler:
         src = slot(instr.src)
         self.written.add(oi)
         if lookup is None:
-            def run(st: State, a=a, n=n, oi=oi, src=src, obj=obj):
-                regs = st.regs
-                i = regs[a]
-                if i < 0 or i >= n:
-                    raise SimTrap("index-oob", f"{obj}[{i}]")
-                st.arrays[oi][i] = regs[src]
-            return run, fp
+            return ("store", (a, n, oi, obj, src)), fp
         def run(st: State, lookup=lookup, a=a, n=n, oi=oi, src=src, obj=obj):
             regs = st.regs
             i = regs[a]
@@ -752,45 +753,40 @@ class _OpCompiler:
         return run, None
 
 
+def _operator_op(op: str, srcs: tuple, dst: int, dst2: Optional[int], width: int) -> tuple:
+    """The inlined op of operator `op` at `width` bits over the registers
+    `srcs` (one for a prefix operator), writing `dst` and, when given,
+    `dst2` too (the move fused with it)."""
+    if dst2 is None:
+        return (op, len(srcs), False, width), (*srcs, dst)
+    return (op, len(srcs), True, width), (*srcs, dst, dst2)
+
+
 def _run(st: State, node: tuple, trips: int = 1) -> None:
     """The one segment loop: walk the node graph from `node`, `trips`
-    times.  A node is `(segments, kids)`: its `(closures, summary, at)`
-    segments (`_segments`) run in order, each one's closures and then its
+    times.  A node is `(segments, kids)`: its `(functions, summary)`
+    segments (`_segments`) run in order, each one's functions and then its
     summary in one `Sink.account` (a segment of self-accounting ops has
     none), and then the walk goes on to the kid `st.branch` picks, or ends
-    where `kids` is `None`.  A trap in a summarised segment records the
-    charges of the ops before the one that trapped (see `_trap_info`)."""
+    where `kids` is `None`."""
     account = st.sink.account
-    try:
-        for _ in repeat(None, trips):
-            walk = node
-            while walk is not None:
-                segments, kids = walk
-                for values, summary, at in segments:
-                    for f in values:
-                        f(st)
-                    if summary is not None:
-                        account(summary)
-                walk = None if kids is None else kids[st.branch]
-    except (SimTrap, ZeroDivisionError) as exc:
-        # `f` is the closure that trapped; it appears once in `values`.
-        # Only a charged op divides, so a `ZeroDivisionError` has a summary
-        if summary is None:
-            raise
-        raise _unwound(exc, summary.charges, _op_index(values, at, f)) from None
-
-
-def _op_index(values: tuple, at: Optional[tuple], f) -> int:
-    """The index among a summarised segment's ops of the op whose closure
-    `f` is, one of its `values` (see `_segments`)."""
-    i = values.index(f)
-    return i if at is None else at[i]
+    for _ in repeat(None, trips):
+        walk = node
+        while walk is not None:
+            segments, kids = walk
+            for functions, summary in segments:
+                for f in functions:
+                    f(st)
+                if summary is not None:
+                    account(summary)
+            walk = None if kids is None else kids[st.branch]
 
 
 def _unwound(exc: Exception, charges: tuple, i: int) -> SimTrap:
     """The trap that op `i` of a summarised run of `charges` raised, with
-    the charges of the ops before it recorded.  A `ZeroDivisionError` (a
-    `/` or `%` by zero) is that op's `div-zero` trap, after its step."""
+    the charges of the ops before it recorded; a segment's generated
+    function raises it (`_chunk_code`).  A `ZeroDivisionError` (a `/` or
+    `%` by zero) is that op's `div-zero` trap, after its step."""
     trap = exc if isinstance(exc, SimTrap) else SimTrap("div-zero", counted=charges[i])
     trap.prefixes.append(charges[:i])
     return trap
@@ -812,7 +808,7 @@ class _Body:
     """A compiled function: its body as a node graph for `_run`, its
     parameter and local slots, and the slot its value is read from (a
     constant 0 without a tail `return`).  A summarised function also keeps
-    its node's one segment, `(closures, summary, at)`."""
+    its node's one segment, `(functions, summary)`."""
 
     node: tuple
     params: tuple[int, ...]
@@ -870,8 +866,9 @@ class AstExecutable:
     its own code pages reading each parameter from its argument's slot,
     and its tail return as a move into the call's `dst`.  A merged call to
     any other summarised callee is one op: its closure binds the
-    parameters, zeroes the callee's locals and runs the callee's closures,
-    and its charge steps the call and then accounts the callee's summary.
+    parameters, zeroes the callee's locals and runs the callee's segment
+    functions, and its charge steps the call and then accounts the
+    callee's summary.
     Every other call accounts for its own step and runs the callee's graph.
 
     Compiling records `witness`, which O4 reads of an in-place build as it
@@ -940,7 +937,7 @@ class AstExecutable:
         # straight-line code is one charged segment
         segments, kids = node
         if kids is None and len(segments) <= 1 \
-                and all(summary is not None for _, summary, _ in segments):
+                and all(summary is not None for _, summary in segments):
             segment = segments[0] if segments else _segment((), (), self._summaries)
             if segment[1].steps <= NODE_BUDGET:
                 return _Body(((segment,), None), fn.params, fn.locals, ret, segment)
@@ -1072,13 +1069,13 @@ class AstExecutable:
         binds = tuple(zip(callee.params, args))
         dst, zero, ret = instr.dst, callee.locals, callee.ret
         if callee.segment is not None and callee.segment[1].steps < self._merge_budget:
-            closures, summary, at = callee.segment
+            functions, summary = callee.segment
             self._merge_budget -= 1 + summary.steps
-            # the call's own step comes before the callee's charges
-            charges = (fp,) + summary.charges
 
-            def call(st: State, binds=binds, zero=zero, body=closures, at=at, dst=dst,
-                     ret=ret):
+            # the callee's functions record the charges before a trap in
+            # its body; the call's own step comes before those
+            def call(st: State, binds=binds, zero=zero, body=functions, dst=dst, ret=ret,
+                     head=(fp,)):
                 regs = st.regs
                 for p, a in binds:
                     regs[p] = regs[a]
@@ -1087,10 +1084,9 @@ class AstExecutable:
                 try:
                     for f in body:
                         f(st)
-                except (SimTrap, ZeroDivisionError) as exc:
-                    # each closure appears once in `body`: each call site
-                    # has its own closure
-                    raise _unwound(exc, charges, _op_index(body, at, f) + 1) from None
+                except SimTrap as trap:
+                    trap.prefixes.append(head)
+                    raise
                 regs[dst] = regs[ret]
 
             def charge(sink: Sink, fp=fp, summary=summary):
@@ -1165,10 +1161,6 @@ def _arms_differ(arms: tuple, entry: frozenset, rest: list) -> bool:
            for segs, kids in arms):
         return True
     return len({segs[0][1].ends(entry) if segs else ((), entry) for segs, _ in arms}) > 1
-
-
-def _no_op(st: State) -> None:
-    pass
 
 
 def _code_pages(layout: MemoryLayout, unit: str, count: int) -> list[int]:
@@ -1284,14 +1276,15 @@ class _Frame:
 class TreeExecutable:
     """Root-to-leaf walker over a (possibly balanced) execution tree.
 
-    Each block compiles to one flat tuple of `(closure, charge)` ops, its
+    Each block compiles to one flat tuple of `(op, charge)` ops, its
     instructions at their own code pages; `transform.MultiplexedExecutable`
     builds the same tuples with the staging schedule compiled in, and
     compiles blocks that would get equal tuples once (`_link`).  A block
     is cut into segments at the ops that account for themselves, and each
-    run of charged ops is summarised once (`Summary`): a run calls a
-    segment's closures, which compute values only, then accounts its
-    summary in one `Sink.account`, and moves to the child its branch picked.
+    run of charged ops is summarised once (`Summary`) and generated as
+    functions (`_segment`): a run calls a segment's functions, which
+    compute values only, then accounts its summary in one `Sink.account`,
+    and moves to the child its branch picked.
     """
 
     def __init__(self, tree: ExecutionTree):
@@ -1306,20 +1299,18 @@ class TreeExecutable:
               objects: ObjectTable, compiler: _OpCompiler,
               block_ops: Callable[[Block], list[tuple]],
               block_key: Optional[Callable[[Block], Hashable]] = None) -> None:
-        """Make runs walk `tree`, running the `(closure, charge)` ops that
+        """Make runs walk `tree`, running the `(op, charge)` ops that
         `block_ops` compiles for each block.
 
         Blocks with equal `block_key`s share one segment tuple, compiled
         once from the first of them, so a key must fix everything
         `block_ops` reads of a block; without a key every block is compiled
-        on its own.  Sharing is between blocks only: within a block each
-        placement of a micro-op is compiled on its own, so the op a trap
-        unwinds from appears once in its segment (`_run`).  Only the cut
-        segments are kept (`segments`, by block id), not the op lists.
+        on its own.  Only the cut segments are kept (`segments`, by block
+        id), not the op lists.
         """
         summaries: dict[tuple, Summary] = {}
         # every key before the first compile, so no key is allocated among
-        # the closures
+        # the compiled ops
         keys = {b.id: b.id if block_key is None else block_key(b) for b in tree.blocks}
         compiled: dict[Hashable, tuple] = {}
         for b in tree.blocks:
@@ -1363,9 +1354,9 @@ _NONE_ID = id(None)
 
 
 def _segments(ops: list[tuple], summaries: dict[tuple, Summary]) -> tuple:
-    """A block's `(closure, charge)` ops cut where self-accounting ones
-    start and stop: `(closures, None, None)` for a run of those, and for a
-    run of charged ones its `_segment`."""
+    """A block's `(op, charge)` ops cut where self-accounting ones start
+    and stop: `(closures, None)` for a run of those, and for a run of
+    charged ones its `_segment`."""
     if not ops:
         return ()
     values, charges = zip(*ops)
@@ -1374,25 +1365,183 @@ def _segments(ops: list[tuple], summaries: dict[tuple, Summary]) -> tuple:
     segments = []
     for self_accounting, run in groupby(ops, key=lambda op: op[1] is None):
         values, charges = zip(*run)
-        segments.append((values, None, None) if self_accounting
+        segments.append((values, None) if self_accounting
                         else _segment(values, charges, summaries))
     return tuple(segments)
 
 
 def _segment(values: tuple, charges: tuple, summaries: dict[tuple, Summary]) -> tuple:
-    """A run of charged ops, their closures `values` and their `charges`,
-    as `(closures, summary, at)`: the closures to call in order, the
-    `Summary` of the charges, and `at`, the op index of each closure, or
-    `None` when every op has one.  An op without a closure (`None`: a move
-    fused with the op before it, see `_OpCompiler.compile_run`, a tail
-    return, or a staging copy that moves nothing) only steps.  Runs with
-    the same charges share one `summaries` entry (charges are interned
-    footprints and shared staging closures)."""
+    """A run of charged ops, their `values` (see `_OpCompiler.compile_run`)
+    and their `charges`, as `(functions, summary)`: the list of functions
+    that run the ops' values, one per chunk of at most `CHUNK_OPS` ops
+    (none for a chunk of ops that only step; see `_chunk`), and the
+    `Summary` of the charges.  Runs with the same charges share one
+    `summaries` entry (charges are interned footprints and shared staging
+    closures)."""
     key = tuple(map(id, charges))
     summary = summaries.get(key)
     if summary is None:
         summary = summaries[key] = Summary(charges)
-    if None not in values:
-        return values, summary, None
-    return tuple(filter(None, values)), summary, tuple(compress(count(), values))
+    functions: list = []
+    for base in range(0, len(values), CHUNK_OPS):
+        chunk = values[base:base + CHUNK_OPS]
+        if any(op is not None for op in chunk):
+            functions.append(_chunk(chunk, summary.charges, base, functions))
+    return functions, summary
 
+
+# --- generated segment functions ------------------------------------------------
+
+# the most ops one generated function runs: a longer segment is cut into
+# several, so that no shape's source, and no compile, grows with a segment
+CHUNK_OPS = 64
+
+# the runs of a chunk shape, in any segment of any executable, before it
+# is compiled.  A compile costs about as much as a few hundred runs of
+# the chunk save (about 1 ms for 64 ops), so code that runs a few times,
+# such as a long straight-line `main` simulated once, compiles nothing
+HOT_RUNS = 256
+
+# chunk shape -> `[runs, code]`, `code` None until the shape is compiled;
+# at most `MAX_SHAPES` of them, the oldest dropped first
+_SHAPES: dict[tuple, list] = {}
+MAX_SHAPES = 4096
+
+# each inlined op's template: its parameters, one letter per operand in
+# the order `_OpCompiler.compile_run` gives them, and its statements, `@`
+# standing for the op's place in its chunk.  An operator's template is
+# made from the operator table (`_template`)
+_TEMPLATES = {
+    "move": ("ad", ("regs[d@] = regs[a@]",)),
+    "select": ("cabd", ("regs[d@] = regs[a@] if regs[c@] else regs[b@]",)),
+    "branch": ("c", ("st.branch = 1 if regs[c@] else 0",)),
+    "load": ("anosd", ("i = regs[a@]",
+                       "if i < 0 or i >= n@:",
+                       "    raise SimTrap('index-oob', f'{s@}[{i}]')",
+                       "regs[d@] = arrays[o@][i]")),
+    "store": ("anosc", ("i = regs[a@]",
+                        "if i < 0 or i >= n@:",
+                        "    raise SimTrap('index-oob', f'{s@}[{i}]')",
+                        "arrays[o@][i] = regs[c@]")),
+    "pad": ("o", ("arrays[o@][0] = 0",)),
+    # a closure the function calls: a staging copy, a selector update, a
+    # merged call or a loop bound's trap
+    "call": ("f", ("f@(st)",)),
+}
+_TRAPS = frozenset(("load", "store", "call"))
+_ARRAYS = frozenset(("load", "store", "pad"))
+
+
+def _template(key) -> tuple[str, tuple, bool]:
+    """An inlined op's parameters, statements and whether it may trap."""
+    if key.__class__ is str:
+        params, lines = _TEMPLATES[key]
+        return params, lines, key in _TRAPS
+    op, arity, fused, width = key
+    row = (BINARY_OPERATORS if arity == 2 else PREFIX_OPERATORS)[op]
+    srcs = "ab"[:arity]
+    lines = operator_lines(row, tuple(f"regs[{p}@]" for p in srcs),
+                           "regs[e@] = regs[d@]" if fused else "regs[d@]", width)
+    return srcs + ("de" if fused else "d"), tuple(lines), row.divides
+
+
+def _chunk_code(shape: tuple) -> CodeType:
+    """The code of the function that runs a chunk of ops of `shape`: each
+    op's template key (`"call"` for a closure, `None` for an op that only
+    steps).  Its parameters are each op's operands, then the segment's
+    `charges` and the chunk's `base`, its first op's index in the segment.
+    It sets `k` to an op's place before each op that may trap, and turns a
+    trap into `_unwound(exc, charges, base + k)`."""
+    params: list[str] = []
+    body: list[str] = []
+    traps = arrays = False
+    for k, key in enumerate(shape):
+        if key is None:
+            continue
+        names, lines, can_trap = _template(key)
+        params += [f"{p}{k}" for p in names]
+        if can_trap:
+            body.append(f"k = {k}")
+            traps = True
+        arrays = arrays or key in _ARRAYS
+        body += [line.replace("@", str(k)) for line in lines]
+    if traps:
+        body = ["try:", *(f"    {line}" for line in body),
+                "except (SimTrap, ZeroDivisionError) as exc:",
+                "    raise _unwound(exc, charges, base + k) from None"]
+    head = ["regs = st.regs", *(["arrays = st.arrays"] if arrays else [])]
+    source = "\n".join([f"def segment(st, {', '.join(params)}, charges, base):",
+                        *(f"    {line}" for line in head + body)])
+    namespace: dict = {}
+    exec(compile(source, "<pfo.interp.segment>", "exec"), namespace)
+    return namespace["segment"].__code__
+
+
+def _shape(shape: tuple) -> list:
+    """The process's entry for a chunk `shape`, `[runs, code]`
+    (`_SHAPES`)."""
+    entry = _SHAPES.get(shape)
+    if entry is None:
+        if len(_SHAPES) >= MAX_SHAPES:
+            del _SHAPES[next(iter(_SHAPES))]
+        entry = _SHAPES[shape] = [0, None]
+    return entry
+
+
+def _hot(shape: tuple, entry: list, defaults: tuple) -> FunctionType:
+    """The generated function of `shape` with `defaults`, its code
+    compiled into the shape's `entry` the first time."""
+    if entry[1] is None:
+        entry[1] = _chunk_code(shape)
+    return FunctionType(entry[1], globals(), "segment", defaults)
+
+
+def _op(key, defaults: tuple) -> FunctionType:
+    """The generated function of the one-op shape of template `key`, with
+    `defaults`: how a cold chunk runs the op."""
+    return _hot((key,), _shape((key,)), defaults)
+
+
+def _chunk(values: tuple, charges: tuple, base: int, functions: list) -> Callable:
+    """The function of a chunk of a segment's op `values`, from op `base`
+    on, to go at the end of the segment's `functions`: the generated
+    function of the chunk's shape, with each op's operands, `charges` and
+    `base` bound as its defaults.  A shape of one op compiles at once.  A
+    chunk of more whose shape is not compiled yet runs cold while the
+    shape has run fewer than `HOT_RUNS` times, in any chunk: it calls each
+    op's one-op function (`_op`), made on its first run.  After that, its
+    next run puts the chunk's own function in its place in `functions`."""
+    shape: list = []
+    defaults: list = []
+    for op in values:
+        if op is None:
+            shape.append(None)
+        elif op.__class__ is tuple:
+            shape.append(op[0])
+            defaults += op[1]
+        else:
+            shape.append("call")
+            defaults.append(op)
+    shape = tuple(shape)
+    defaults += (charges, base)
+    entry = _SHAPES.get(shape) or _shape(shape)
+    if entry[1] is not None:
+        return FunctionType(entry[1], globals(), "segment", tuple(defaults))
+    if entry[0] >= HOT_RUNS or len(shape) - shape.count(None) == 1:
+        return _hot(shape, entry, tuple(defaults))
+    at = len(functions)
+    ops = None
+
+    def cold(st: State) -> None:
+        nonlocal ops
+        if entry[0] >= HOT_RUNS:
+            functions[at] = hot = _hot(shape, entry, tuple(defaults))
+            hot(st)
+            return
+        if ops is None:
+            ops = [_op(key, (*(op[1] if op.__class__ is tuple else (op,)), charges, base + k))
+                   for k, (key, op) in enumerate(zip(shape, values)) if key is not None]
+        for f in ops:
+            f(st)
+        entry[0] += 1
+    return cold

@@ -17,12 +17,13 @@ Scalars follow fixed-width two's-complement semantics (width chosen per
 program, default 64, wrapping on overflow); arrays have static lengths and
 4-byte elements for layout purposes.  Each operator is one row of one
 table (`BINARY_OPERATORS`, `PREFIX_OPERATORS`): its precedence, its value,
-whether that may wrap and whether it is 0 or 1.  The parser's precedence
-and prefix set, O5's selector and `arith`'s closures all follow from it:
-the interpreter binds those closures, and constants in initializers and
-loop headers fold with forms derived from them at the program's width,
-so a constant expression has the value it would have at run time
-wherever it is written.  The width
+whether that may wrap, whether it is 0 or 1 and whether it divides.  The
+parser's precedence and prefix set, O5's selector and every operator
+statement (`operator_lines`) follow from it: the interpreter inlines
+those statements in the functions it generates, and constants in
+initializers and loop headers fold with `arith`'s functions, which run
+the same statements at the program's width, so a constant expression has
+the value it would have at run time wherever it is written.  The width
 follows from every declaration, so the parser reads every declared width
 before it folds anything.  Expressions, statements and call chains nest at
 most 64 levels deep, counted with every call inlined, and one call of a
@@ -508,6 +509,7 @@ class Operator(NamedTuple):
     value: str
     wraps: bool = False  # whether the value may leave the width's range
     truth: bool = False  # `value` is a condition: the operator gives 1 or 0
+    divides: bool = False  # `value` raises `ZeroDivisionError` when `y` is 0
 
 
 # the language's operators, binary ones loosest first (every level
@@ -531,9 +533,9 @@ BINARY_OPERATORS = {
     "*": Operator(8, "x * y", wraps=True),
     "/": Operator(8, "v = x // y\n"
                      "if v < 0 and v * y != x: v += 1\n"  # floor to truncation
-                     "v", wraps=True),
+                     "v", wraps=True, divides=True),
     "%": Operator(8, "v = x % y\n"
-                     "v - y if v and (x ^ y) < 0 else v"),
+                     "v - y if v and (x ^ y) < 0 else v", divides=True),
 }
 PREFIX_OPERATORS = {
     "-": Operator(None, "-x", wraps=True),
@@ -546,56 +548,76 @@ _PRECEDENCE = {op: row.level for op, row in BINARY_OPERATORS.items()}
 
 # `v` as a `width`-bit two's complement value
 _WRAP = "v if lo <= v < sign else ((v + sign) & mask) - sign"
+_WIDTH_NAMES = re.compile(r"\b(lo|sign|mask|width)\b")
 
 
-def _factory_source(op: str, row: Operator, arity: int, into: str) -> list[str]:
-    """One operator's closure factory, `factory(a, b, dst, dst2=None)` or
-    `factory(a, dst, dst2=None)`, as lines of the template.  Its closure
-    reads the operands from their registers in place, or into `x` and `y`
-    when statements come first; wraps a value that may leave the range in
-    `v` (where such statements leave it), as `canon` does; and makes a
-    condition 1 or 0.  It binds as defaults only the registers and the
-    width's constants it reads."""
-    regs = ("regs[a]", "regs[b]")[:arity]
+def _width_constants(width: int) -> dict[str, int]:
+    """The constants `lo`, `sign`, `mask` and `width` that operator
+    statements read at `width` bits."""
+    sign = 1 << (width - 1)
+    return {"lo": -sign, "sign": sign, "mask": (1 << width) - 1, "width": width}
+
+
+def operator_lines(row: Operator, operands: tuple[str, ...], target: str,
+                   width: Optional[int] = None) -> list[str]:
+    """Statements that assign one operator's value to `target` (a chain of
+    assignment targets, `a = b`), from the operand expressions `operands`.
+    They read the operands in place, or as `x` and `y` when statements
+    come first; wrap a value that may leave the range in `v` (where such
+    statements leave it), as `canon` does; and make a condition 1 or 0.  A
+    `/` or `%` by zero raises `ZeroDivisionError` before `target` is
+    assigned.  The width's constants are read by name (`lo`, `sign`,
+    `mask`, `width`), or, with `width` given, written as its hexadecimal
+    literals, which Python writes and reads at any size (a decimal one
+    past 4300 digits it refuses)."""
     *body, value = row.value.split("\n")
-    if body:
-        body.insert(0, f"{', '.join('xy'[:arity])} = {', '.join(regs)}")
-    else:
-        value = re.sub(r"\b[xy]\b", lambda m: regs["xy".index(m[0])], value)
+    names = "xy"[:len(operands)]
+    if not body:
+        value = re.sub(r"\b[xy]\b", lambda m: operands[names.index(m[0])], value)
+    elif operands != tuple(names):
+        body.insert(0, f"{', '.join(names)} = {', '.join(operands)}")
     if row.wraps:
         if value != "v":
             body.append(f"v = {value}")
         value = _WRAP
     elif row.truth:
         value = f"1 if {value} else 0"
-    body = ["regs = st.regs", *body, f"regs[dst2] = regs[dst] = {value}"]
-    params = ["a", "b"][:arity] + ["dst"]
-    bound = [f"{p}={p}" for p in params] + ["dst2=dst if dst2 is None else dst2"]
-    bound += [f"{c}={c}" for c in ("lo", "sign", "mask", "width")
-              if re.search(rf"\b{c}\b", "\n".join(body))]
-    return [f"    def factory({', '.join(params)}, dst2=None):",
-            f"        def run(st, {', '.join(bound)}):",
-            *(f"            {line}" for line in body),
-            "        return run",
-            f"    {into}[{op!r}] = factory"]
+    lines = [*body, f"{target} = {value}"]
+    if width is None:
+        return lines
+    constants = _width_constants(width)
+    return [_WIDTH_NAMES.sub(lambda m: f"({constants[m[0]]:#x})", line) for line in lines]
+
+
+def _function_source(op: str, row: Operator, arity: int, into: str) -> list[str]:
+    """One operator as a function of its operands, `f(x, y)` or `f(x)`,
+    as lines of the template: it runs the operator's `operator_lines`
+    and binds as defaults only the width's constants it reads."""
+    params = "xy"[:arity]
+    body = operator_lines(row, tuple(params), "v")
+    bound = [f"{c}={c}" for c in ("lo", "sign", "mask", "width")
+             if re.search(rf"\b{c}\b", "\n".join(body))]
+    return [f"    def f({', '.join([*params, *bound])}):",
+            *(f"        {line}" for line in body),
+            "        return v",
+            f"    {into}[{op!r}] = f"]
 
 
 # `operators(width, lo, sign, mask)` gives `canon` and each operator's
-# factory at one width.  Its source is generated from the table, as
-# `dataclasses` generates `__init__`, so that each closure runs its
-# operator's expression inline: a call to an `operator` function would
-# cost a second Python call per step.  It is compiled once; the width's
-# constants are its arguments, which every closure binds as defaults
+# function at one width.  Its source is generated from the table, as
+# `dataclasses` generates `__init__`, so that each function runs its
+# operator's statements inline.  It is compiled once; the width's
+# constants are its arguments, which every function binds as defaults
 _TEMPLATE = "\n".join([
     "def operators(width, lo, sign, mask):",
     "    def canon(v):",
     f"        return {_WRAP}",
-    "    binops, unops = {}, {}",
+    "    binary, unary = {}, {}",
     *(line for op, row in BINARY_OPERATORS.items()
-      for line in _factory_source(op, row, 2, "binops")),
+      for line in _function_source(op, row, 2, "binary")),
     *(line for op, row in PREFIX_OPERATORS.items()
-      for line in _factory_source(op, row, 1, "unops")),
-    "    return canon, binops, unops\n"])
+      for line in _function_source(op, row, 1, "unary")),
+    "    return canon, binary, unary\n"])
 _namespace: dict = {}
 exec(compile(_TEMPLATE, "<pfo.lang.arith>", "exec"), _namespace)
 _operators = _namespace.pop("operators")
@@ -605,30 +627,8 @@ class Arith(NamedTuple):
     """The language's operators at one width (`arith`)."""
 
     canon: Callable[[int], int]
-    binops: dict[str, Callable]  # op -> factory(a, b, dst, dst2=None) -> run(st)
-    unops: dict[str, Callable]  # op -> factory(a, dst, dst2=None) -> run(st)
     binary: dict[str, Callable[[int, int], int]]  # op -> (x, y) -> value
     unary: dict[str, Callable[[int], int]]  # op -> x -> value
-
-
-class _Scratch:
-    """A register file, for running operator closures outside a program."""
-
-    __slots__ = ("regs",)
-
-    def __init__(self, regs: list[int]):
-        self.regs = regs
-
-
-def _function(factory: Callable, arity: int) -> Callable[..., int]:
-    """An operator's closure as a function of its `arity` operands."""
-    run = factory(*range(arity + 1))
-
-    def apply(*operands: int) -> int:
-        st = _Scratch([*operands, 0])
-        run(st)
-        return st.regs[arity]
-    return apply
 
 
 @cache
@@ -636,26 +636,17 @@ def arith(width: int) -> Arith:
     """The language's arithmetic at `width` bits, made once per width from
     the generated `operators`.
 
-    `binops[op](a, b, dst, dst2=None)` and `unops[op](a, dst, dst2=None)`
-    make the closure `run(st)` that computes `st.regs[dst]` from `st.regs[a]`
-    (and `st.regs[b]`) and writes the value to `st.regs[dst2]` as well when
-    one is given.  The interpreter binds that closure for the micro-op, and
-    for an op and the `MovI` that copies its result (how `x = a op b`
-    lowers) one closure with both destinations, so either costs one Python
-    call.  Every operator gives a canonical value (`width`-bit two's
-    complement) from canonical operands: one whose value may leave
-    `[-2^(width-1), 2^(width-1))` keeps a value inside as it is and wraps
-    one outside, as `canon` does.  A `/` or `%` by zero raises
-    `ZeroDivisionError` before either register is written.
-    `binary[op](x, y)` and `unary[op](x)`, which constant folding calls,
-    run the same closures on a scratch register file, as trip derivation
-    runs them.
+    `binary[op](x, y)` and `unary[op](x)` give the operator's value, which
+    constant folding and trip derivation read.  Their bodies are the
+    operator's `operator_lines`, the statements the interpreter inlines in
+    a segment's generated function (`interp._chunk_code`), there with the
+    width's constants as literals.  Every operator gives a canonical value
+    (`width`-bit two's complement) from canonical operands: one whose
+    value may leave `[-2^(width-1), 2^(width-1))` keeps a value inside as
+    it is and wraps one outside, as `canon` does.  A `/` or `%` by zero
+    raises `ZeroDivisionError`.
     """
-    sign = 1 << (width - 1)
-    canon, binops, unops = _operators(width, -sign, sign, (1 << width) - 1)
-    return Arith(canon, binops, unops,
-                 {op: _function(f, 2) for op, f in binops.items()},
-                 {op: _function(f, 1) for op, f in unops.items()})
+    return Arith(*_operators(**_width_constants(width)))
 
 
 def fold_const(expr: Expr, width: int, filename: str = "<source>") -> Optional[int]:
@@ -663,7 +654,7 @@ def fold_const(expr: Expr, width: int, filename: str = "<source>") -> Optional[i
     program, or None if it reads anything else.  As in the lowered code,
     every operand is evaluated (a ternary is a select), so a division by
     zero anywhere in it is a `ParseError` at that division."""
-    canon, _, _, binary, unary = arith(width)
+    canon, binary, unary = arith(width)
 
     def fold(e: Expr) -> Optional[int]:
         if isinstance(e, Num):
@@ -1036,8 +1027,7 @@ class _Parser:
         not derivable, nor is a count above `MAX_DERIVED_TRIPS`.  The count
         is a division (`_counted_trips`) unless a step wraps before the
         test fails; then the header is stepped with the program's wrapping
-        arithmetic, its operators' closures on registers `[i, c1, c2,
-        test]`.
+        arithmetic, its operators' functions (`arith`).
         """
         if not (isinstance(cond, Binary) and cond.op in ("<", "<=", ">", ">=", "!=")
                 and isinstance(cond.left, Var) and cond.left.name == var
@@ -1051,17 +1041,14 @@ class _Parser:
                                self.width)
         if trips is not None:
             return None if trips > MAX_DERIVED_TRIPS else trips
-        binops = arith(self.width).binops
-        test, advance = binops[cond.op](0, 1, 3), binops[step.op](0, 2, 0)
-        st = _Scratch([v, limit, delta, 0])
-        regs, trips = st.regs, 0
-        test(st)
-        while regs[3]:
+        binary = arith(self.width).binary
+        test, advance = binary[cond.op], binary[step.op]
+        trips = 0
+        while test(v, limit):
             trips += 1
             if trips > MAX_DERIVED_TRIPS:
                 return None
-            advance(st)
-            test(st)
+            v = advance(v, delta)
         return trips
 
     def _parse_args(self) -> tuple[Expr, ...]:

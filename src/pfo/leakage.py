@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .corpus import EDDSA_PAGES, POWM_PAGES, powm_precompute_mults
 from .lang import DeclKind, Program
@@ -200,7 +201,7 @@ class ProfileParseError(PfoError):
         return f"{self.message} (at profile offset {self.offset})"
 
 
-def attack_eddsa(profile: Iterable[int]) -> list[int]:
+def attack_eddsa(profile: Sequence[int]) -> list[int]:
     """Recover the scalar from a vanilla double-and-add fault profile.
 
     Pages are `corpus.EDDSA_PAGES`.  Per loop iteration the profile
@@ -208,10 +209,28 @@ def attack_eddsa(profile: Iterable[int]) -> list[int]:
     addition routine's `(P2 P1)` page alternation before the next
     iteration's doubling, which is recognized by its following `P3`.  Bits
     come out most significant first.
+
+    The decoded pages, one byte each, are matched against one regular
+    expression (`_EDDSA_PROFILE`) and split at each iteration's
+    `[P2 P1 P3 P1]`: only there does `P3` appear, so each piece is one
+    iteration's addition, empty or not.  A profile that does not match is
+    stepped an iteration at a time (`_eddsa_steps`) to report where.
     """
+    try:
+        raw = bytes(profile)
+    except ValueError:  # a page past 255, which is not a decoded one
+        raw = bytes([p for p in profile if p in _EDDSA_DECODED])
+    tokens = raw.translate(None, _EDDSA_DROPPED)
+    if _EDDSA_PROFILE.fullmatch(tokens) is None:
+        return _eddsa_steps(list(tokens))
+    return [1 if addition else 0 for addition in tokens.split(_EDDSA_ITERATION)[1:]]
+
+
+def _eddsa_steps(tokens: list[int]) -> list[int]:
+    """`attack_eddsa` over the decoded pages `tokens`, one iteration at a
+    time: the bits, or a `ProfileParseError` at the first page that breaks
+    the pattern."""
     p1, p2, p3 = EDDSA_PAGES["main"], EDDSA_PAGES["add"], EDDSA_PAGES["test"]
-    pages = {p1, p2, p3}
-    tokens = [p for p in profile if p in pages]
     n = len(tokens)
     pos = 1 if n and tokens[0] == p1 else 0  # cold-start fault on the loop body's page
     bits: list[int] = []
@@ -239,6 +258,23 @@ def attack_eddsa(profile: Iterable[int]) -> list[int]:
                 f"unexpected addition alternation length {pairs}", pos
             )
     return bits
+
+
+def _eddsa_patterns() -> tuple:
+    """The decoded pages, the bytes `attack_eddsa` drops (every other
+    one), an iteration's `[P2 P1 P3 P1]` and the whole profile's pattern:
+    an optional cold-start `P1`, then iterations, each followed by no
+    addition or by its three `(P2 P1)` pairs."""
+    p1, p2, p3 = EDDSA_PAGES["main"], EDDSA_PAGES["add"], EDDSA_PAGES["test"]
+    decoded = frozenset((p1, p2, p3))
+    iteration = bytes((p2, p1, p3, p1))
+    addition = re.escape(bytes((p2, p1)) * 3)
+    profile = re.compile(re.escape(bytes((p1,))) + b"?(?:"
+                         + re.escape(iteration) + b"(?:" + addition + b")?)*")
+    return decoded, bytes(set(range(256)) - decoded), iteration, profile
+
+
+_EDDSA_DECODED, _EDDSA_DROPPED, _EDDSA_ITERATION, _EDDSA_PROFILE = _eddsa_patterns()
 
 
 # --- windowed-exponentiation recovery ------------------------------------

@@ -538,7 +538,7 @@ class MultiplexedExecutable(TreeExecutable):
         for blocks in self.tree.levels:
             ends = set()
             for b in blocks:
-                ((_, summary, _),) = self.segments[b.id]
+                ((_, summary),) = self.segments[b.id]
                 ends.add(summary.ends(entry))
                 if len(ends) > 1:
                     return (f"level {b.level}, BB{blocks[0].id} and BB{b.id} "

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 from unittest import mock
@@ -5,8 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfo import interp
-from pfo.corpus import make_table_cases
+from pfo import interp, lang
+from pfo.corpus import eddsa_full_source, make_table_cases
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import (
     AstExecutable, FootprintTable, ObjectTable, Sink, State, TrapInfo, TreeExecutable,
@@ -307,6 +308,148 @@ def test_staged_runs_agree_with_whole_function_and_tree_runs(name):
                     (passes, secret)
         assert checked, passes
         assert exe.objects.image == _fresh_image(exe), passes
+
+
+def _straight(n: int) -> str:
+    return "\n".join(f"  y = y + {i % 7 + 1};" for i in range(n))
+
+
+# `main` is one summarised segment of 229 ops, run by four generated
+# functions of at most 64 ops.  For s = 3 the load traps in the second
+# (op 80); for s = 1 the division traps in the third, and for s = 2 the
+# division in `f`, whose merged call is an op of the third too.  `f` calls
+# `g`, so it is no leaf: the call to it is one op
+CHUNKED_TRAPS = f"""#pragma page_size 64
+secret int<2> s;
+output int y;
+int a;
+int t[4] = {{3, 5, 7, 11}};
+fn g(v) {{ return v - 2; }}
+fn f(v) {{ a = 100 / g(v); return a + 1; }}
+fn main() {{
+{_straight(40)}
+  a = t[s + 1];
+{_straight(30)}
+  a = 9 / (s - 1);
+  y = y + f(s);
+{_straight(40)}
+}}
+"""
+_CHUNKED_PROFILE = [2, 3, 4, 5, 6, 7, 17, 8, 9, 10, 11, 1, 0, 1, 11, 12, 13, 14, 15, 16]
+
+
+@pytest.mark.parametrize("hot", [False, True])
+@pytest.mark.parametrize("s, trap, steps, faults, y", [
+    (0, None, 236, 20, 376),
+    (1, TrapInfo("div-zero", 145), 145, 11, 270),
+    (2, TrapInfo("div-zero", 151), 151, 14, 270),
+    (3, TrapInfo("index-oob", 81, "t[4]"), 81, 6, 155),
+])
+def test_traps_across_chunks_step_and_fault_as_each_op_would(s, trap, steps, faults, y, hot):
+    # the trap, steps and profile are those of charging each step as it
+    # runs, as when every op was its own closure, whether the chunks run
+    # cold (each op its one-op function) or as their shapes' compiled
+    # functions; a build that merges no call runs `main` as several
+    # segments and agrees, and the tree, laid out anew and with its calls
+    # inlined, traps alike
+    program = parse(CHUNKED_TRAPS)
+    with mock.patch.dict(interp._SHAPES, clear=True), \
+            mock.patch.object(interp, "HOT_RUNS", 0 if hot else 10 ** 9):
+        exe = AstExecutable(program)
+        ((functions, summary),) = exe._main.node[0]
+        assert (len(functions), len(summary.charges)) == (4, 229)
+        assert {f.__name__ for f in functions} == {"segment" if hot else "cold"}
+        with mock.patch.object(interp, "NODE_BUDGET", 0):
+            unmerged = AstExecutable(program)
+        tree = TreeExecutable(balance(build_execution_tree(program)))
+        for got in (exe.run(secret={"s": s}), unmerged.run(secret={"s": s})):
+            assert (got.trap, got.steps, got.profile, got.outputs["y"]) == \
+                (trap, steps, _CHUNKED_PROFILE[:faults], y)
+        traced = exe.run(secret={"s": s}, collect_trace=True)
+        assert (len(traced.footprints), traced.profile) == (steps, _CHUNKED_PROFILE[:faults])
+        got = tree.run(secret={"s": s})
+        assert (got.trap and got.trap.kind, got.outputs) == (trap and trap.kind, {"y": y})
+
+
+def test_a_chunk_compiles_once_its_shape_is_hot():
+    # a chunk runs cold until its shape has run `HOT_RUNS` times, in any
+    # segment; its next run, and every later build, runs the compiled
+    # function, and the runs agree throughout
+    program = parse(CHUNKED_TRAPS)
+    with mock.patch.dict(interp._SHAPES, clear=True), \
+            mock.patch.object(interp, "HOT_RUNS", 2), \
+            mock.patch.object(interp, "_chunk_code", wraps=interp._chunk_code) as compiles:
+        exe = AstExecutable(program)
+        ((functions, _),) = exe._main.node[0]
+        names = []
+        for _ in range(4):
+            assert exe.run(secret={"s": 0}).outputs == {"y": 376}
+            names.append([f.__name__ for f in functions])
+        assert names == [["cold"] * 4] * 2 + [["segment"] * 4] * 2
+        shapes = [shape for (shape,), _ in compiles.call_args_list if len(shape) > 1]
+        assert len(shapes) == len(set(shapes)) >= 4
+        ((again, _),) = AstExecutable(program)._main.node[0]
+        assert [f.__name__ for f in again] == ["segment"] * 4
+        assert [shape for (shape,), _ in compiles.call_args_list if len(shape) > 1] == shapes
+
+
+@pytest.mark.parametrize("hot", [False, True])
+def test_operators_at_the_largest_width_build_and_run(hot):
+    # the largest declaration makes the widest program; its width's
+    # constants are far past the digits Python writes as a decimal
+    program = parse(f"""public int<{lang.MAX_INT_WIDTH}> w;
+output int y;
+output int z;
+fn main() {{
+  y = (w + 1) * 3 - w / 7 + w % 5;
+  z = -(w << 9) - (w >> 2);
+}}
+""")
+    width = program.int_width
+    sign = 1 << (width - 1)
+
+    def wrap(v):
+        return ((v + sign) & ((1 << width) - 1)) - sign
+
+    w = (1 << lang.MAX_INT_WIDTH) - 12345
+    want = {"y": wrap(wrap(wrap(wrap(w + 1) * 3) - w // 7) + w % 5),
+            "z": wrap(wrap(-wrap(w << 9)) - (w >> 2))}
+    with mock.patch.dict(interp._SHAPES, clear=True), \
+            mock.patch.object(interp, "HOT_RUNS", 0 if hot else 10 ** 9):
+        for exe in (AstExecutable(program),
+                    TreeExecutable(balance(build_execution_tree(program)))):
+            got = exe.run(public={"w": w})
+            assert (got.trap, got.outputs) == (None, want)
+
+
+def test_staged_full_eddsa_compiles_each_shape_once():
+    # the 845 distinct segments of the staged full EdDSA share a few chunk
+    # shapes.  With no shape run before, its first compile compiles none
+    # of them, and its runs compile each hot one once; a second compile
+    # of the build in the process compiles nothing and runs the compiled
+    # functions from the start
+    program, _ = opt_if_convert(parse(eddsa_full_source()))
+    build = build_staged(program)
+
+    def functions(exe):
+        return [f for segments in exe.segments.values()
+                for functions, _ in segments for f in functions]
+
+    with mock.patch.dict(interp._SHAPES, clear=True), \
+            mock.patch.object(interp, "_chunk_code", wraps=interp._chunk_code) as compiles:
+        exe = build.executable()
+        assert all(len(shape) == 1 for (shape,), _ in compiles.call_args_list)
+        for k in range(3):
+            assert exe.run(secret={"k": k}).trap is None
+        shapes = [shape for (shape,), _ in compiles.call_args_list if len(shape) > 1]
+        hot = {f.__code__ for f in functions(exe) if f.__name__ == "segment"}
+        assert len(shapes) == len(set(shapes)) <= len(hot)
+        cold = sum(f.__name__ == "cold" for f in functions(exe))
+        assert cold < len(functions(exe)) / 10
+        calls = compiles.call_count
+        again = dataclasses.replace(build, _exe=None).executable()
+        assert again is not exe and compiles.call_count == calls
+        assert sum(f.__name__ == "cold" for f in functions(again)) == cold
 
 
 INPUTS = """

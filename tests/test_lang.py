@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfo import lang
+from pfo import interp, lang
 from pfo.cli import main
 from pfo.interp import AstExecutable
 from pfo.lang import (
@@ -746,40 +746,63 @@ class _Regs:
         self.regs = regs
 
 
+def _generated(op: str, srcs: tuple, dst: int, dst2, width: int):
+    """The generated function of a segment of operator `op` alone at
+    `width` bits, or, with `dst2`, fused with the move after it, as the
+    interpreter runs it once its shape is compiled."""
+    fp = interp.FootprintTable()(0)
+    ops = [(interp._operator_op(op, srcs, dst, dst2, width), fp)]
+    if dst2 is not None:
+        ops.append((None, fp))
+    with mock.patch.object(interp, "HOT_RUNS", 0):
+        (((run,), _),) = interp._segments(ops, {})
+    assert run.__name__ == "segment"
+    return run
+
+
+def _assert_div_zero(run, st):
+    """`run` traps `div-zero` and writes no register."""
+    regs = st.regs[:]
+    with pytest.raises(interp.SimTrap) as info:
+        run(st)
+    assert (info.value.kind, st.regs) == ("div-zero", regs)
+
+
 @pytest.mark.parametrize("width", [64, 128, 576])
 @pytest.mark.parametrize("op", sorted(_BINARY_REFERENCE))
 def test_binary_operator_matches_reference(width, op):
-    ops = lang.arith(width)
-    st = _Regs([0, 0, 0])
-    # registers in another order than the two-argument form's
-    run, apply = ops.binops[op](2, 0, 1), ops.binary[op]
+    apply = lang.arith(width).binary[op]
+    # registers in another order than the function's operands; the
+    # generated functions write register 1, and the fused one 3 as well
+    plain, fused = (_generated(op, (2, 0), 1, dst2, width) for dst2 in (None, 3))
     for x in _edge_operands(width):
         for y in _edge_operands(width):
-            st.regs = [y, 0, x]
             if op in ("/", "%") and y == 0:
                 with pytest.raises(ZeroDivisionError):
-                    run(st)
-                with pytest.raises(ZeroDivisionError):
                     apply(x, y)
+                for generated in (plain, fused):
+                    _assert_div_zero(generated, _Regs([y, 0, x, 0]))
                 continue
             want = _wrap(_BINARY_REFERENCE[op](x, y, width), width)
-            run(st)
-            assert st.regs == [y, want, x], (x, op, y)
             assert apply(x, y) == want, (x, op, y)
+            for generated, written in ((plain, 0), (fused, want)):
+                st = _Regs([y, 0, x, 0])
+                generated(st)
+                assert st.regs == [y, want, x, written], (x, op, y)
 
 
 @pytest.mark.parametrize("width", [64, 128, 576])
 @pytest.mark.parametrize("op", sorted(_UNARY_REFERENCE))
 def test_unary_operator_matches_reference(width, op):
-    ops = lang.arith(width)
-    st = _Regs([0, 0])
-    run, apply = ops.unops[op](1, 0), ops.unary[op]
+    apply = lang.arith(width).unary[op]
+    plain, fused = (_generated(op, (1,), 0, dst2, width) for dst2 in (None, 2))
     for x in _edge_operands(width):
         want = _wrap(_UNARY_REFERENCE[op](x), width)
-        st.regs = [0, x]
-        run(st)
-        assert st.regs == [want, x], (op, x)
         assert apply(x) == want, (op, x)
+        for generated, written in ((plain, 0), (fused, want)):
+            st = _Regs([0, x, 0])
+            generated(st)
+            assert st.regs == [want, x, written], (op, x)
 
 
 @pytest.mark.parametrize("width", [64, 128, 576])
@@ -812,26 +835,33 @@ _TRUTH_VALUED = {"!", "&&", "==", "!=", "<", ">", "<=", ">="}
 @given(st.sampled_from([1, 8, 64, 576]).flatmap(
     lambda w: st.tuples(st.just(w), _near_limits(w), _near_limits(w))))
 def test_operators_wrap_as_the_reference_does(case):
-    # every operator's closure gives the exact result wrapped the one
-    # reference way, written to one destination or to both, as `canon`
-    # wraps it
+    # every operator's function, and the statements a segment's generated
+    # function runs, give the exact result wrapped the one reference way,
+    # the generated ones written to one destination or to both, as `canon`
+    # wraps it; by zero, the generated `/` and `%` trap and write neither
     width, x, y = case
     sign, mask = 1 << (width - 1), (1 << width) - 1
     ops = lang.arith(width)
-    for unary, table, factories in ((True, _UNARY_REFERENCE, ops.unops),
-                                    (False, _BINARY_REFERENCE, ops.binops)):
+    for unary, table, functions in ((True, _UNARY_REFERENCE, ops.unary),
+                                    (False, _BINARY_REFERENCE, ops.binary)):
         operands = [x] if unary else [x, y]
         n = len(operands)
         for op, reference in table.items():
-            if width == 1 and op in _TRUTH_VALUED or op in ("/", "%") and y == 0:
+            if op in ("/", "%") and y == 0:
+                for dst2 in (None, n + 1):
+                    _assert_div_zero(_generated(op, (0, 1), n, dst2, width),
+                                     _Regs(operands + [0, 0]))
+                continue
+            if width == 1 and op in _TRUTH_VALUED:
                 continue
             exact = reference(x) if unary else reference(x, y, width)
             want = ((exact + sign) & mask) - sign
             assert ops.canon(exact) == want, (width, exact)
-            for dsts, written in (((n,), 0), ((n, n + 1), want)):
+            assert functions[op](*operands) == want, (width, op, x, y)
+            for dst2, written in ((None, 0), (n + 1, want)):
                 regs = _Regs(operands + [0, 0])
-                factories[op](*range(n), *dsts)(regs)
-                assert regs.regs == operands + [want, written], (width, op, x, y, dsts)
+                _generated(op, tuple(range(n)), n, dst2, width)(regs)
+                assert regs.regs == operands + [want, written], (width, op, x, y, dst2)
 
 
 def _stepped_trips(op: str, v: int, limit: int, step_op: str, delta: int, width: int,

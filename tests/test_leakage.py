@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfo.corpus import (
     eddsa_source,
@@ -14,6 +15,7 @@ from pfo.lang import parse
 from pfo.leakage import (
     ProfileParseError,
     SecretDomain,
+    _eddsa_steps,
     attack_eddsa,
     attack_powm,
     quantify_leakage,
@@ -191,6 +193,40 @@ class TestAttackEddsa:
             attack_eddsa(profile)
         assert (info.value.message, info.value.offset) == (message, offset)
         assert str(info.value) == f"{message} (at profile offset {offset})"
+
+
+@st.composite
+def eddsa_profiles(draw) -> list[int]:
+    """Double-and-add profiles of a few bits, with or without the
+    cold-start fault, then with up to three pages replaced or inserted:
+    decoded ones, a dropped one and one past a byte."""
+    profile = [1] if draw(st.booleans()) else []
+    for bit in draw(st.lists(st.booleans(), max_size=6)):
+        profile += [2, 1, 3, 1] + [2, 1] * (3 if bit else 0)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(profile)))
+        page = draw(st.sampled_from([1, 2, 3, 7, 300]))
+        if i < len(profile) and draw(st.booleans()):
+            profile[i] = page
+        else:
+            profile.insert(i, page)
+    return profile
+
+
+def _outcome(decode, profile):
+    try:
+        return decode(profile)
+    except ProfileParseError as e:
+        return e.message, e.offset
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(eddsa_profiles())
+def test_eddsa_decoding_matches_stepping(profile):
+    # the one-expression decoder gives the bits, or the error, that
+    # stepping the decoded pages an iteration at a time gives
+    decoded = [p for p in profile if p in (1, 2, 3)]
+    assert _outcome(attack_eddsa, profile) == _outcome(_eddsa_steps, decoded)
 
 
 class TestAttackPowm:
