@@ -31,7 +31,7 @@ from .contract import (
 from .exectree import balance, build_execution_tree, check_balanced, tree_to_dot, tree_to_json
 from .interp import AstExecutable
 from .labeling import label_sensitivity
-from .lang import ParseError, parse, pretty
+from .lang import MAX_INT_WIDTH, ParseError, parse, pretty
 from .leakage import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     SecretDomain,
@@ -449,12 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the most decimal digits of a value `MAX_INT_WIDTH` bits wide (0.302 is
+# above log10(2)), which reports write and `--secret` and `--public` read
+_INT_DIGITS = MAX_INT_WIDTH * 302 // 1000 + 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    # where Python limits decimal conversions (`sys.set_int_max_str_digits`,
+    # 4300 digits by default), the command may convert as many as its
+    # widest value has
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(max(limit, _INT_DIGITS))
     try:
         return args.fn(args)
     except CliFailure as e:
@@ -472,6 +483,9 @@ def main(argv=None) -> int:
     except Exception as e:  # pragma: no cover - internal errors
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ unrolled loop iterations are chained as separate blocks.  Inlined call
 bodies merge into the enclosing block.  Building places the items that
 `ir.expand_region` has already lowered and lowers nothing itself, so the
 code replicated under each arm gets blocks of its own, but every copy of
-an item holds the same `Instr` objects and temporaries.
+an item holds the same `Instr` objects and temporaries.  So do the blocks
+of an unrolled loop's trips when expansion lowered one trip for all of
+them (every function the loop calls writes each local before reading
+it, `ir.writes_before_reads`); else each trip's blocks hold its own.
 `balance` pads with one shared pad write and one shared no-op, so copies
 padded alike stay the same objects throughout, and a staged executable
 compiles such copies once (`transform.MultiplexedExecutable`).

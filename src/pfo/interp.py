@@ -179,6 +179,17 @@ class TrapInfo:
     detail: str = ""
 
 
+# an integer below this in size is written in decimal: by default Python
+# writes no decimal of more digits (`sys.set_int_max_str_digits`)
+_DECIMAL = 10 ** 4300
+
+
+def _int_text(v: int) -> str:
+    """An input or index as a message writes it: in decimal, or in
+    hexadecimal when it has more than 4300 decimal digits."""
+    return str(v) if -_DECIMAL < v < _DECIMAL else hex(v)
+
+
 class SimTrap(PfoError):
     """A trap, raised without its step: the runner that catches it makes the
     `TrapInfo` (`_trap_info`).  `counted` is the footprint of the step the
@@ -734,7 +745,7 @@ class _OpCompiler:
                 regs = st.regs
                 i = regs[a]
                 if i < 0 or i >= n:
-                    raise SimTrap("index-oob", f"{obj}[{i}]")
+                    raise SimTrap("index-oob", f"{obj}[{_int_text(i)}]")
                 st.sink.instr(lookup(i))
                 regs[dst] = st.arrays[oi][i]
             return run, None
@@ -747,7 +758,7 @@ class _OpCompiler:
             regs = st.regs
             i = regs[a]
             if i < 0 or i >= n:
-                raise SimTrap("index-oob", f"{obj}[{i}]")
+                raise SimTrap("index-oob", f"{obj}[{_int_text(i)}]")
             st.sink.instr(lookup(i))
             st.arrays[oi][i] = regs[src]
         return run, None
@@ -1009,31 +1020,30 @@ class AstExecutable:
         straight-line code with an optional tail `return`, no call, no
         access split across extents (so every op is statically charged),
         no write to a parameter and no read of a local before it is
-        written.  Decided from the lowered code, without compiling it."""
+        written (`ir.writes_before_reads`).  Decided from the lowered code,
+        without compiling it."""
         if name in self._leaves:
             return self._leaves[name]
         self._leaves[name] = None
         fn = self.lowered.functions[name]
         items = fn.body.items
         if any(not isinstance(item, RunNode) for item in items[:-1]) \
-                or items and not isinstance(items[-1], (RunNode, RetNode)):
+                or items and not isinstance(items[-1], (RunNode, RetNode)) \
+                or not fn.writes_first:
             return None
         instrs = fn.instrs
-        unset, params = set(fn.locals), frozenset(fn.params)
+        params = frozenset(fn.params)
         writes = set()
         extents = self.layout.data_extents
         for instr in instrs:
             cls = instr.__class__
             if cls is CallI or (cls is LoadI or cls is StoreI) and len(extents(instr.obj)) > 1:
                 return None
-            if unset and any(op.__class__ is Reg and op.slot in unset for op in _reads(instr)):
-                return None
             dst = getattr(instr, "dst", None)
             if dst is not None:
                 if dst in params:
                     return None
                 writes.add(dst)
-                unset.discard(dst)
         value = None
         if items and isinstance(items[-1], RetNode):
             ret = instrs[-1]
@@ -1133,25 +1143,6 @@ def _spliced(ops: list) -> tuple[list, list]:
     return flat, pos
 
 
-def _reads(instr: Instr) -> tuple:
-    """The operands an instruction of straight-line code without calls
-    reads."""
-    cls = instr.__class__
-    if cls is MovI or cls is UnI:
-        return (instr.a,)
-    if cls is BinI:
-        return (instr.a, instr.b)
-    if cls is SelI:
-        return (instr.cond, instr.a, instr.b)
-    if cls is LoadI:
-        return (instr.index,)
-    if cls is StoreI:
-        return (instr.index, instr.src)
-    if cls is RetI:
-        return () if instr.value is None else (instr.value,)
-    return ()
-
-
 def _arms_differ(arms: tuple, entry: frozenset, rest: list) -> bool:
     """Whether an `if`'s arm nodes may fault differently: one holds a
     nested construct (more than one summarised segment, or a kid other
@@ -1247,7 +1238,7 @@ class _Frame:
             else:
                 v = default
             if end is not None and not 0 <= v < end:
-                raise PfoError(f"{out_of_range}{v}")
+                raise PfoError(f"{out_of_range}{_int_text(v)}")
             regs[slot] = canon(v)
         if len(secret) > self.n_secrets:
             raise PfoError(f"unknown secret inputs: {self._unknown(secret, True)}")
@@ -1417,11 +1408,11 @@ _TEMPLATES = {
     "branch": ("c", ("st.branch = 1 if regs[c@] else 0",)),
     "load": ("anosd", ("i = regs[a@]",
                        "if i < 0 or i >= n@:",
-                       "    raise SimTrap('index-oob', f'{s@}[{i}]')",
+                       "    raise SimTrap('index-oob', f'{s@}[{_int_text(i)}]')",
                        "regs[d@] = arrays[o@][i]")),
     "store": ("anosc", ("i = regs[a@]",
                         "if i < 0 or i >= n@:",
-                        "    raise SimTrap('index-oob', f'{s@}[{i}]')",
+                        "    raise SimTrap('index-oob', f'{s@}[{_int_text(i)}]')",
                         "arrays[o@][i] = regs[c@]")),
     "pad": ("o", ("arrays[o@][0] = 0",)),
     # a closure the function calls: a staging copy, a selector update, a

@@ -26,8 +26,12 @@ callee returns.  So the interpreter copies a global passed bare when a
 later argument makes a call, and tree mode copies a bare global return
 value, each of which a later call could write before it is read.
 Parsing has checked every call and array use, so lowering does not.
-Each inlined call gets fresh locals, which start at 0 as in the
-interpreter.  Unrolled, a `while` is one conditional per trip, each
+Each inlined call gets its own locals, which start at 0 as in the
+interpreter.  An unrolled loop lowers one trip and places those same
+micro-ops for every trip when every function its trips call writes each
+of its locals before reading it (`writes_before_reads`), so no trip can
+see the locals an earlier one left; else each trip is lowered anew, with
+fresh locals.  Unrolled, a `while` is one conditional per trip, each
 nested in the one before, and a last test of its condition whose true
 arm is an `OverrunI`: the tree traps `loop-bound` where the interpreter
 does.  Expansion and tree building stop at `NODE_BUDGET` statements.
@@ -61,6 +65,7 @@ from .lang import (
     While,
     WORD_SIZE,
     children,
+    walk,
     walk_all,
 )
 from .memory import PfoError
@@ -244,7 +249,7 @@ class _FnLowerer:
         self.program = program
         self.alloc = alloc
         self.scope = scope
-        self.scalars = {d.name for d in program.decls if not d.is_array}
+        self.scalars = program.scalars
         self.instrs: list[Instr] = []
         self.origin = origin
         self.consts: dict[int, Const] = {}
@@ -382,6 +387,7 @@ class LoweredFunction:
     body: SeqNode
     locals: tuple[int, ...]  # register slots of the other named locals
     run_starts: frozenset[int]  # where each `RunNode` of `body` starts
+    writes_first: bool  # `writes_before_reads`
 
 
 def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFunction:
@@ -442,7 +448,9 @@ def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFu
     named = itertools.islice(alloc.slots.items(), first, None)
     locals_ = tuple(slot for name, slot in named
                     if name.startswith(scope) and slot not in params)
-    return LoweredFunction(fn.name, params, low.instrs, body, locals_, frozenset(starts))
+    # with no local but its parameters, it reads none before writing it
+    return LoweredFunction(fn.name, params, low.instrs, body, locals_, frozenset(starts),
+                           not locals_ or writes_before_reads(program, fn))
 
 
 @dataclass
@@ -471,6 +479,59 @@ def lower_program(program: Program) -> LoweredProgram:
 
 
 # --- region extraction and tree-mode expansion ------------------------------
+
+def writes_before_reads(program: Program, fn: Function) -> bool:
+    """Whether `fn` writes each of its locals before reading it, on every
+    path, judged from its statements and conservatively: after an `if`
+    only what both arms write counts as written, after a `for` of at
+    least one trip what its body writes, and after a `while` nothing.
+    Such a function never reads the 0 its locals start at on each call,
+    so calls that share its locals compute what calls with fresh ones do.
+    """
+    scalars = program.scalars
+
+    def reads_written(nodes, written) -> bool:
+        for n in walk_all(nodes):
+            if n.__class__ is Var and n.name not in written and n.name not in scalars:
+                return False
+        return True
+
+    def written_after(stmts, written: frozenset) -> Optional[frozenset]:
+        """The locals written once `stmts` have run from `written`, or
+        `None` if they may read one first."""
+        for s in stmts:
+            if isinstance(s, Assign):
+                if not reads_written((s.value, *children(s.target)), written):
+                    return None
+                if isinstance(s.target, Var):
+                    written |= {s.target.name}
+            elif isinstance(s, If):
+                if not reads_written((s.cond,), written):
+                    return None
+                then = written_after(s.then_body, written)
+                other = written_after(s.else_body, written)
+                if then is None or other is None:
+                    return None
+                written = then & other
+            elif isinstance(s, For):
+                # the header's condition is never evaluated: `trips` is
+                # its count
+                if not reads_written((s.init,), written):
+                    return None
+                body = written_after(s.body, written | {s.var})
+                if body is None or not reads_written((s.step,), body):
+                    return None
+                written = body if s.trips else written | {s.var}
+            elif isinstance(s, While):
+                if not reads_written((s.cond,), written) \
+                        or written_after(s.body, written) is None:
+                    return None
+            elif not reads_written(children(s), written):  # a call or a return
+                return None
+        return written
+
+    return written_after(fn.body, frozenset(fn.params)) is not None
+
 
 @dataclass(frozen=True)
 class Region:
@@ -522,12 +583,15 @@ class _Expander(_FnLowerer):
     binds each parameter right after its own argument, then runs the
     callee's statements, and stands for the callee's return value, copied
     into a temporary when it is a bare global.  Every inlined call gets
-    its own scope (`callee@k/`), so its locals are fresh.  The output
-    items are micro-op lists (a statement's or a parameter binding's ops,
-    after those of the expression around a call that precede it),
-    `IfItem`s and `IterMark`s, appended to `items`; `instrs` holds the ops
-    not yet in an item.  Every expanded statement is charged against
-    `NODE_BUDGET`.
+    its own scope (`callee@k/`), so its locals start at 0.  A loop's trip
+    is lowered once and its items are placed again for every later trip
+    (`trips`) when every function the loop calls passes
+    `writes_before_reads` (`replays`); else every trip is lowered anew,
+    with new scopes.  The output items are micro-op lists (a statement's
+    or a parameter binding's ops, after those of the expression around a
+    call that precede it), `IfItem`s and `IterMark`s, appended to
+    `items`; `instrs` holds the ops not yet in an item.  Every expanded
+    statement is charged against `NODE_BUDGET`, however it is placed.
     """
 
     def __init__(self, program: Program):
@@ -538,6 +602,7 @@ class _Expander(_FnLowerer):
         self.site = itertools.count()
         self.loop_stack: list = []
         self.single_exit: set[str] = set()  # callees checked for early returns
+        self.fresh: dict[str, bool] = {}  # callees' `writes_before_reads`
 
     def spend(self, loop_pos=None) -> None:
         self.count += 1
@@ -560,6 +625,38 @@ class _Expander(_FnLowerer):
         self.stmts(stmts)
         inner, self.items = self.items, outer
         return inner
+
+    def replays(self, loop: Stmt) -> bool:
+        """Whether one lowering of a trip of `loop` serves every trip:
+        each function it calls, directly or not, writes every local before
+        reading it, so no trip reads what an earlier one left in the
+        locals they share."""
+        called = {n.name for n in walk(loop) if isinstance(n, (CallExpr, CallStmt))}
+        for name in self.program.reachable(called):
+            if name not in self.fresh:
+                self.fresh[name] = writes_before_reads(self.program,
+                                                       self.program.function(name))
+            if not self.fresh[name]:
+                return False
+        return True
+
+    def trips(self, n: int, lower, replay: bool):
+        """`lower()`'s value for each of `n` trips.  When `replay`, a trip
+        after the first gives the first's value again and is charged what
+        lowering it was, unless that would pass `NODE_BUDGET`: such a trip
+        is lowered anew, so the error names the statement and loop it
+        names when every trip is lowered."""
+        first = spent = None
+        for _ in range(n):
+            if first is not None and self.count + spent <= NODE_BUDGET:
+                self.count += spent
+                yield first
+                continue
+            start = self.count
+            got = lower()
+            if replay:
+                first, spent = got, self.count - start
+            yield got
 
     def test(self, cond: Expr) -> tuple[list, list[Instr]]:
         """The items a condition's calls expand to, and the ops that
@@ -592,37 +689,47 @@ class _Expander(_FnLowerer):
                                          tuple(self.block(s.else_body))))
                 self.spend()
             elif isinstance(s, For):
-                var = self.local(s.var)
-                self.emit(MovI(var, self.operand(s.init), self.origin))
-                self.flush()
-                self.loop_stack.append(s.pos)
-                for trip in range(s.trips):
-                    if trip:
-                        self.items.append(IterMark())
-                    self.stmts(s.body)
-                    self.emit(MovI(var, self.operand(s.step), self.origin))
-                    self.flush()
-                    self.spend(s.pos)
-                self.loop_stack.pop()
+                self.expand_for(s)
             elif isinstance(s, While):
                 self.expand_while(s)
             else:
                 raise LoweringError(f"cannot expand statement {s!r}")
 
+    def expand_for(self, s: For) -> None:
+        """The initialisation, then every trip, each after an `IterMark`
+        but the first.  A trip is the body and the step, lowered as the
+        assignment it is, once for every trip when the loop `replays`."""
+        self.emit(MovI(self.local(s.var), self.operand(s.init), self.origin))
+        self.flush()
+        self.loop_stack.append(s.pos)
+        trip = s.body + (Assign(Var(s.var), s.step),)
+        for k, items in enumerate(self.trips(s.trips, lambda: self.block(trip),
+                                             self.replays(s))):
+            if k:
+                self.items.append(IterMark())
+            self.items += items
+        self.loop_stack.pop()
+
     def expand_while(self, s: While) -> None:
         """A do-while's first body, then one conditional per remaining trip,
         each nested in the one before, and a last test of the condition
-        whose true arm traps, as the interpreter does past the bound."""
+        whose true arm traps, as the interpreter does past the bound.  The
+        test and the body are each lowered once for every trip when the
+        loop `replays`."""
         self.loop_stack.append(s.pos)
-        if s.do_first:
-            self.stmts(s.body)
-        trips = []
-        for _ in range(s.bound - s.do_first):
+        replay = self.replays(s)
+
+        def tested():
             self.spend(s.pos)
-            trips.append((*self.test(s.cond), self.block(s.body)))
-        self.spend(s.pos)
-        rest, ops = self.test(s.cond)
-        rest.append(IfItem(ops, ([OverrunI(s.bound, self.origin)],), ()))
+            return self.test(s.cond)
+
+        tests = self.trips(s.bound - s.do_first + 1, tested, replay)
+        bodies = self.trips(s.bound, lambda: self.block(s.body), replay)
+        if s.do_first:
+            self.items += next(bodies)
+        trips = [(*next(tests), next(bodies)) for _ in range(s.bound - s.do_first)]
+        pre, ops = next(tests)
+        rest = [*pre, IfItem(ops, ([OverrunI(s.bound, self.origin)],), ())]
         for pre, ops, body in reversed(trips):
             rest = pre + [IfItem(ops, tuple(body + rest), ())]
         self.items += rest

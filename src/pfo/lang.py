@@ -483,6 +483,12 @@ class Program:
     def arrays(self) -> tuple[VarDecl, ...]:
         return tuple(d for d in self.decls if d.is_array)
 
+    @cached_property
+    def scalars(self) -> frozenset[str]:
+        """The names of the declared scalars: the globals a function's
+        variables may name."""
+        return frozenset(d.name for d in self.decls if not d.is_array)
+
     @property
     def int_width(self) -> int:
         return _int_width(d.width for d in self.decls if d.width is not None)

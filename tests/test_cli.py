@@ -100,6 +100,28 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["profile"] == []
 
+    # `w` is 2^20000, whose decimal has more than the 4300 digits Python
+    # writes by default: the output prints, and the index traps
+    @pytest.mark.parametrize("body", ["y = w;", "y = t[w];"], ids=["output", "index"])
+    def test_huge_values_print(self, body, tmp_path, capsys):
+        path = tmp_path / "huge.pfo"
+        path.write_text("public int<65536> w;\nint t[4] = {1, 2, 3, 4};\noutput int y;\n"
+                        f"fn main() {{ {body} }}\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        before = limit()
+        code, out, err = run_cli(["simulate", "--program", str(path),
+                                  "--public", "w=0x1" + "0" * 5000], capsys)
+        assert code == 0, err
+        # the command lifts the limit on decimal digits for its run only
+        assert limit() == before
+        doc = json.loads(out, parse_int=str)
+        if body == "y = w;":
+            digits = doc["outputs"]["y"]
+            assert len(digits) == 6021 and int(digits[-8:]) == (1 << 20000) % 10 ** 8
+        else:
+            assert doc["trap"]["kind"] == "index-oob"
+            assert doc["trap"]["detail"] == f"t[{1 << 20000:#x}]"
+
     def test_usage_error_bad_binding(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--program", str(CORPUS / "eddsa.pfo"),

@@ -257,10 +257,13 @@ class TestEddsaFullSize:
         build = build_staged(program, 4096)
         assert len(build.plan.staging.pages()) == EDDSA_FULL_STAGING_PAGES
         assert build.plan.scheduled_copy_ops == 1026
-        # each expanded statement is lowered once, however many arms copy it
+        # each expanded statement is lowered once, however many trips and
+        # arms place it
         placed = [i for b in build.tree.blocks for i in b.instrs
                   if i.origin != PAD_ORIGIN]
-        assert (len({id(i) for i in placed}), len(placed)) == (28206, 56287)
+        assert (len({id(i) for i in placed}), len(placed)) == (2354, 56287)
+        # and every trip of a loop uses the one trip's register slots
+        assert build.tree.alloc.count == 1160
         # blocks holding the same micro-ops on one level compile once
         calls = count_compiles(monkeypatch)
         exe = build.executable()

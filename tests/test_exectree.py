@@ -115,6 +115,35 @@ class TestBuild:
         with pytest.raises(ExpansionBudgetError, match="line"):
             build_execution_tree(parse(src))
 
+    # a replayed trip is charged what lowering it was; the trip that would
+    # pass the budget is lowered anew, so the error names the loop it names
+    # when every trip is lowered: the inner one while the budget runs out
+    # in its trips, else the outer one
+    @pytest.mark.parametrize("n, line", [
+        (10, 7), (90, 5), (100, 7), (107, 5), (1151, 5), (1152, None)])
+    def test_budget_exceeded_in_nested_loops_names_loop(self, monkeypatch, n, line):
+        budget(monkeypatch, n)
+        src = """
+        output int y;
+        fn main() {
+          #pragma begin_pf_sensitive
+          for (i = 0; i < 64; i = i + 1) {
+            y = y + i;
+            for (j = 0; j < 8; j = j + 1) {
+              y = y + j;
+            }
+          }
+          #pragma end_pf_sensitive
+        }
+        """
+        if line is None:  # 64 trips of 18 statements
+            expand_region(parse(src))
+            return
+        with pytest.raises(ExpansionBudgetError) as info:
+            expand_region(parse(src))
+        assert str(info.value) == \
+            f"unrolled region exceeds {n} statements (loop at line {line})"
+
     def test_tree_budget_counts_copied_continuations(self, monkeypatch):
         budget(monkeypatch, 100)
         # each secret branch copies the rest of the loop under both arms:

@@ -422,6 +422,23 @@ fn main() {{
             assert (got.trap, got.outputs) == (None, want)
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["static", "split"])
+@pytest.mark.parametrize("w, detail", [
+    (1 << 20000, f"t[{1 << 20000:#x}]"),
+    (10 ** 4300 - 1, f"t[{10 ** 4300 - 1}]"),
+], ids=["huge", "most-digits"])
+def test_an_index_of_any_size_traps(w, detail, split):
+    # Python writes no integer of more than 4300 decimal digits in decimal,
+    # so a trap writes such an index in hexadecimal, from an access inlined
+    # in a segment and from one into a table split across pages
+    program = parse(("#pragma page_size 32\n#pragma place data t 1 16\n" if split else "")
+                    + "public int<65536> w;\nint t[8];\noutput int y;\n"
+                    "fn main() {\n  y = t[w];\n}\n")
+    for exe in (AstExecutable(program), build_staged(program)):
+        trap = exe.run(public={"w": w}).trap
+        assert (trap.kind, trap.detail) == ("index-oob", detail)
+
+
 def test_staged_full_eddsa_compiles_each_shape_once():
     # the 845 distinct segments of the staged full EdDSA share a few chunk
     # shapes.  With no shape run before, its first compile compiles none
@@ -473,6 +490,7 @@ fn main() {
     ({"s": 1}, {"p": 2, "s": 1}, "unknown public inputs: ['s']"),
     ({"s": 4}, None, "secret 's' must be in [0, 2^2), got 4"),
     ({"s": 1}, {"p": -1}, "public 'p' must be in [0, 2^3), got -1"),
+    ({"s": 1 << 20000}, None, f"secret 's' must be in [0, 2^2), got {1 << 20000:#x}"),
 ])
 def test_run_input_errors(secret, public, error):
     given = (dict(secret), public and dict(public))

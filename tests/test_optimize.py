@@ -8,6 +8,10 @@ from pfo import optimize, transform
 from pfo.corpus import make_table_cases, powm_balanced_source
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, TreeExecutable
+from pfo.ir import (
+    CallI, IfItem, IterMark, OverrunI, Reg, RetNode, RunNode, expand_region,
+    writes_before_reads,
+)
 from pfo.lang import parse, pretty
 from pfo.leakage import SecretDomain, verify_pfo
 from pfo.optimize import (
@@ -26,7 +30,7 @@ from pfo.transform import plan_layout
 
 from test_exectree import ACCESS_SKEW, SHARED_CONTINUATION
 from test_interp import (
-    OOB_AT_SECOND_SITE, TRAP_AFTER_TAIL_RETURN, UNALIGNED_CODE, VALUELESS_CALL,
+    CORPUS, OOB_AT_SECOND_SITE, TRAP_AFTER_TAIL_RETURN, UNALIGNED_CODE, VALUELESS_CALL,
     WRITE_BACK,
 )
 from test_transform import (
@@ -725,6 +729,21 @@ AGREEMENT_CASES = {
                              "y = f(); y = f() + s;"),
     "callee_locals_loop": _region(_S + "\nfn f() { c = c + 1; return c; }",
                                   "y = s; for (i = 0; i < 3; i = i + 1) { y = y + f(); }"),
+    # `c` is written in one arm only, so each trip of the loop is lowered
+    # anew, with fresh locals
+    "callee_arm_loop": _region(
+        _S + "\nfn f(v) { if (v > 1) { c = 5; } c = c + 1; return c; }",
+        "y = s; for (i = 0; i < 3; i = i + 1) { y = y + f(s); }"),
+    # callees that write every local first: each loop is lowered once, and
+    # the `while` runs past its bound for s = 3
+    "leaf_loop": _region(_S + "\nfn f(v) { w = v + 1; return w * 2; }",
+                         "y = s; for (i = 0; i < 4; i = i + 1) { y = y + f(i); }"),
+    "replayed_while": _region(
+        _S + "\nfn f(v) { w = v * 2; return w + 1; }",
+        "y = 0; n = 0; while (n < s + 1) bound 3 { y = y + f(n); n = n + 1; }"),
+    "replayed_do_while": _region(
+        _S + "\nfn f(v) { w = v * 2; return w + 1; }",
+        "y = 0; n = 0; do { y = y + f(n); n = n + 1; } while (n <= s) bound 3;"),
     # every copy of the code after nested secret branches shares one lowering
     "shared_continuation": SHARED_CONTINUATION,
     # a call's value is taken when it returns, and an operand or argument
@@ -877,6 +896,124 @@ def test_div_zero_traps_where_it_divides(case):
         assert [r.trap for r in runs] == \
             [TrapInfo("div-zero", step) for step, _ in DIV_ZERO_TRAPS[case][name]]
         assert tuple((r.steps, r.profile) for r in runs) == DIV_ZERO_TRAPS[case][name]
+
+
+def _trips(source: str) -> list[list]:
+    """The micro-ops of each trip of the one top-level `for` of a region,
+    the code before the loop in the first, from its expanded items."""
+    items, _ = expand_region(parse(source))
+    trips: list[list] = [[]]
+
+    def ops(items):
+        for item in items:
+            if isinstance(item, IfItem):
+                yield from item.ops
+                yield from ops(item.then_items + item.else_items)
+            else:
+                yield from item
+
+    for item in items:
+        if isinstance(item, IterMark):
+            trips.append([])
+        else:
+            trips[-1] += ops((item,))
+    return trips
+
+
+def _fresh(source: str, name: str = "f") -> bool:
+    program = parse(source)
+    return writes_before_reads(program, program.function(name))
+
+
+def test_trips_of_a_loop_that_calls_a_leaf_share_instrs():
+    source = AGREEMENT_CASES["leaf_loop"]
+    assert _fresh(source)
+    first, *rest = _trips(source)
+    assert len(rest) == 3
+    for trip in rest:
+        assert list(map(id, trip)) == list(map(id, first[-len(trip):]))
+    # the tree chains one block per trip, each holding those micro-ops
+    tree = build_execution_tree(parse(source))
+    blocks = [list(map(id, b.instrs)) for b in tree.blocks]
+    assert len(blocks) == 4 and blocks[1] == blocks[2] == blocks[3]
+    assert blocks[0][-len(blocks[1]):] == blocks[1]
+
+
+@pytest.mark.parametrize("case", ["callee_locals_loop", "callee_arm_loop"])
+def test_callee_reading_a_local_first_lowers_each_trip_anew(case):
+    source = AGREEMENT_CASES[case]
+    assert not _fresh(source)
+    trips = [set(map(id, trip)) for trip in _trips(source)]
+    assert len(trips) == 3
+    assert trips[1].isdisjoint(trips[0]) and trips[2].isdisjoint(trips[0] | trips[1])
+    # `c` starts at 0 on every call, as the whole-function run has it
+    program = parse(source)
+    tree = TreeExecutable(balance(build_execution_tree(program)))
+    vanilla = AstExecutable(program)
+    for s in range(4):
+        assert tree.run(secret={"s": s}).outputs == vanilla.run(secret={"s": s}).outputs
+    assert [vanilla.run(secret={"s": s}).outputs["y"] for s in range(4)] == \
+        ([3, 4, 5, 6] if case == "callee_locals_loop" else [3, 4, 20, 21])
+
+
+@pytest.mark.parametrize("case", ["replayed_while", "replayed_do_while"])
+def test_replayed_while_agrees_with_whole_function_and_tree_runs(case):
+    # every trip's test and body, and the last test, are one lowering: the
+    # nested conditionals hold the same micro-ops
+    items, _ = expand_region(parse(AGREEMENT_CASES[case]))
+    tests, bodies = [], []
+    item = items[-1]
+    while isinstance(item, IfItem):
+        tests.append(tuple(map(id, item.ops)))
+        *body, item = item.then_items
+        bodies.append(tuple(id(op) for ops in body for op in ops))
+    assert isinstance(item[0], OverrunI)
+    assert len(tests) == (4 if case == "replayed_while" else 3)
+    assert len(set(tests)) == 1 and len(set(bodies[:-1])) == 1 and bodies[-1] == ()
+    program = parse(AGREEMENT_CASES[case])
+    vanilla = AstExecutable(program)
+    tree = TreeExecutable(balance(build_execution_tree(program)))
+    for s in range(4):
+        want, got = vanilla.run(secret={"s": s}), tree.run(secret={"s": s})
+        assert (got.outputs, got.trap and got.trap.kind) == \
+            (want.outputs, want.trap and want.trap.kind)
+    assert [vanilla.run(secret={"s": s}).trap for s in range(4)][-1].kind == "loop-bound"
+
+
+def _reads_a_local_first(fn) -> bool:
+    """Whether lowered straight-line code reads a named local before any op
+    writes it: the rule leaf callees were once decided by."""
+    unset = set(fn.locals)
+    for instr in fn.instrs:
+        reads = [getattr(instr, f, None) for f in ("a", "b", "cond", "index", "src", "value")]
+        if any(isinstance(op, Reg) and op.slot in unset for op in reads):
+            return True
+        unset.discard(getattr(instr, "dst", None))
+    return False
+
+
+def test_leaf_rule_is_the_lowered_rule():
+    # on every function whose lowered body is straight-line code without a
+    # call, the only ones `_leaf` asks it of, `writes_before_reads` decides
+    # as the walk over lowered code did, and `_leaf` follows the lowering's
+    # record of it
+    sources = [path.read_text() for path in sorted(CORPUS.glob("*.pfo"))]
+    decided = set()
+    for source in sources + list(AGREEMENT_CASES.values()):
+        program = parse(source)
+        exe = AstExecutable(program)
+        for name, fn in program.lowered.functions.items():
+            items = fn.body.items
+            if any(not isinstance(i, RunNode) for i in items[:-1]) \
+                    or items and not isinstance(items[-1], (RunNode, RetNode)) \
+                    or any(isinstance(i, CallI) for i in fn.instrs):
+                continue
+            assert fn.writes_first == writes_before_reads(program, program.function(name))
+            assert fn.writes_first == (not _reads_a_local_first(fn)), (source, name)
+            if not fn.writes_first:
+                assert exe._leaf(name) is None
+            decided.add(fn.writes_first)
+    assert decided == {True, False}
 
 
 def test_while_overrun_traps():
