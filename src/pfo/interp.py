@@ -149,6 +149,7 @@ from .ir import (
     StoreI,
     UnI,
     WhileNode,
+    writes_before_reads,
 )
 from .lang import (
     BINARY_OPERATORS,
@@ -1020,16 +1021,15 @@ class AstExecutable:
         straight-line code with an optional tail `return`, no call, no
         access split across extents (so every op is statically charged),
         no write to a parameter and no read of a local before it is
-        written (`ir.writes_before_reads`).  Decided from the lowered code,
-        without compiling it."""
+        written (`ir.writes_before_reads`).  Decided from the lowered code
+        and the function's statements, without compiling it."""
         if name in self._leaves:
             return self._leaves[name]
         self._leaves[name] = None
         fn = self.lowered.functions[name]
         items = fn.body.items
         if any(not isinstance(item, RunNode) for item in items[:-1]) \
-                or items and not isinstance(items[-1], (RunNode, RetNode)) \
-                or not fn.writes_first:
+                or items and not isinstance(items[-1], (RunNode, RetNode)):
             return None
         instrs = fn.instrs
         params = frozenset(fn.params)
@@ -1044,6 +1044,8 @@ class AstExecutable:
                 if dst in params:
                     return None
                 writes.add(dst)
+        if not writes_before_reads(self.program, name):
+            return None
         value = None
         if items and isinstance(items[-1], RetNode):
             ret = instrs[-1]

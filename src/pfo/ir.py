@@ -31,10 +31,12 @@ interpreter.  An unrolled loop lowers one trip and places those same
 micro-ops for every trip when every function its trips call writes each
 of its locals before reading it (`writes_before_reads`), so no trip can
 see the locals an earlier one left; else each trip is lowered anew, with
-fresh locals.  Unrolled, a `while` is one conditional per trip, each
-nested in the one before, and a last test of its condition whose true
-arm is an `OverrunI`: the tree traps `loop-bound` where the interpreter
-does.  Expansion and tree building stop at `NODE_BUDGET` statements.
+fresh locals.  So is a `while` that a parameterless callee starts with,
+while its caller's ops are still unplaced: they belong to the first trip
+alone.  Unrolled, a `while` is one conditional per trip, each nested in
+the one before, and a last test of its condition whose true arm is an
+`OverrunI`: the tree traps `loop-bound` where the interpreter does.
+Expansion and tree building stop at `NODE_BUDGET` statements.
 """
 
 from __future__ import annotations
@@ -387,7 +389,6 @@ class LoweredFunction:
     body: SeqNode
     locals: tuple[int, ...]  # register slots of the other named locals
     run_starts: frozenset[int]  # where each `RunNode` of `body` starts
-    writes_first: bool  # `writes_before_reads`
 
 
 def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFunction:
@@ -448,9 +449,7 @@ def lower_function(program: Program, fn: Function, alloc: RegAlloc) -> LoweredFu
     named = itertools.islice(alloc.slots.items(), first, None)
     locals_ = tuple(slot for name, slot in named
                     if name.startswith(scope) and slot not in params)
-    # with no local but its parameters, it reads none before writing it
-    return LoweredFunction(fn.name, params, low.instrs, body, locals_, frozenset(starts),
-                           not locals_ or writes_before_reads(program, fn))
+    return LoweredFunction(fn.name, params, low.instrs, body, locals_, frozenset(starts))
 
 
 @dataclass
@@ -480,14 +479,18 @@ def lower_program(program: Program) -> LoweredProgram:
 
 # --- region extraction and tree-mode expansion ------------------------------
 
-def writes_before_reads(program: Program, fn: Function) -> bool:
-    """Whether `fn` writes each of its locals before reading it, on every
-    path, judged from its statements and conservatively: after an `if`
-    only what both arms write counts as written, after a `for` of at
-    least one trip what its body writes, and after a `while` nothing.
-    Such a function never reads the 0 its locals start at on each call,
-    so calls that share its locals compute what calls with fresh ones do.
+def writes_before_reads(program: Program, name: str) -> bool:
+    """Whether function `name` writes each of its locals before reading
+    it, on every path, judged from its statements and conservatively:
+    after an `if` only what both arms write counts as written, after a
+    `for` of at least one trip what its body writes, and after a `while`
+    nothing.  Such a function never reads the 0 its locals start at on
+    each call, so calls that share its locals compute what calls with
+    fresh ones do.  Decided once per program (`Program.writes_first`).
     """
+    memo = program.writes_first
+    if name in memo:
+        return memo[name]
     scalars = program.scalars
 
     def reads_written(nodes, written) -> bool:
@@ -530,7 +533,9 @@ def writes_before_reads(program: Program, fn: Function) -> bool:
                 return None
         return written
 
-    return written_after(fn.body, frozenset(fn.params)) is not None
+    fn = program.function(name)
+    got = memo[name] = written_after(fn.body, frozenset(fn.params)) is not None
+    return got
 
 
 @dataclass(frozen=True)
@@ -586,12 +591,13 @@ class _Expander(_FnLowerer):
     its own scope (`callee@k/`), so its locals start at 0.  A loop's trip
     is lowered once and its items are placed again for every later trip
     (`trips`) when every function the loop calls passes
-    `writes_before_reads` (`replays`); else every trip is lowered anew,
-    with new scopes.  The output items are micro-op lists (a statement's
-    or a parameter binding's ops, after those of the expression around a
-    call that precede it), `IfItem`s and `IterMark`s, appended to
-    `items`; `instrs` holds the ops not yet in an item.  Every expanded
-    statement is charged against `NODE_BUDGET`, however it is placed.
+    `writes_before_reads` (`replays`) and, for a `while`, no op is still
+    pending in `instrs`; else every trip is lowered anew, with new scopes.
+    The output items are micro-op lists (a statement's or a parameter
+    binding's ops, after those of the expression around a call that
+    precede it), `IfItem`s and `IterMark`s, appended to `items`; `instrs`
+    holds the ops not yet in an item.  Every expanded statement is charged
+    against `NODE_BUDGET`, however it is placed.
     """
 
     def __init__(self, program: Program):
@@ -602,7 +608,6 @@ class _Expander(_FnLowerer):
         self.site = itertools.count()
         self.loop_stack: list = []
         self.single_exit: set[str] = set()  # callees checked for early returns
-        self.fresh: dict[str, bool] = {}  # callees' `writes_before_reads`
 
     def spend(self, loop_pos=None) -> None:
         self.count += 1
@@ -632,13 +637,8 @@ class _Expander(_FnLowerer):
         reading it, so no trip reads what an earlier one left in the
         locals they share."""
         called = {n.name for n in walk(loop) if isinstance(n, (CallExpr, CallStmt))}
-        for name in self.program.reachable(called):
-            if name not in self.fresh:
-                self.fresh[name] = writes_before_reads(self.program,
-                                                       self.program.function(name))
-            if not self.fresh[name]:
-                return False
-        return True
+        return all(writes_before_reads(self.program, name)
+                   for name in self.program.reachable(called))
 
     def trips(self, n: int, lower, replay: bool):
         """`lower()`'s value for each of `n` trips.  When `replay`, a trip
@@ -717,7 +717,9 @@ class _Expander(_FnLowerer):
         test and the body are each lowered once for every trip when the
         loop `replays`."""
         self.loop_stack.append(s.pos)
-        replay = self.replays(s)
+        # ops still pending (a parameterless callee's caller's) go to the
+        # first test, or the first body of a do-while, alone
+        replay = not self.instrs and self.replays(s)
 
         def tested():
             self.spend(s.pos)

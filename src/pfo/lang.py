@@ -434,6 +434,12 @@ class Program:
             for f in self.functions}
 
     @cached_property
+    def writes_first(self) -> dict[str, bool]:
+        """Each function's `ir.writes_before_reads`, by name, filled in as
+        it is asked."""
+        return {}
+
+    @cached_property
     def lowered(self):
         """The program lowered to micro-ops (`ir.lower_program`), once."""
         from . import ir

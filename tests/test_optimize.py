@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from pfo import optimize, transform
+from pfo import ir, optimize, transform
 from pfo.corpus import make_table_cases, powm_balanced_source
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, TreeExecutable
@@ -744,6 +744,14 @@ AGREEMENT_CASES = {
     "replayed_do_while": _region(
         _S + "\nfn f(v) { w = v * 2; return w + 1; }",
         "y = 0; n = 0; do { y = y + f(n); n = n + 1; } while (n <= s) bound 3;"),
+    # a parameterless callee's loop starts while `g + 5` is still unplaced:
+    # it is computed once, before the loop writes `g`
+    "pending_while": _region(
+        _S + "\nint g;\nfn f() { while (g < s) bound 3 { g = g + 1; } return 0; }",
+        "y = (g + 5) + f();"),
+    "pending_do_while": _region(
+        _S + "\nint g;\nfn f() { do { g = g + 1; } while (g < s) bound 3; return 0; }",
+        "y = (g + 5) + f();"),
     # every copy of the code after nested secret branches shares one lowering
     "shared_continuation": SHARED_CONTINUATION,
     # a call's value is taken when it returns, and an operand or argument
@@ -922,7 +930,7 @@ def _trips(source: str) -> list[list]:
 
 def _fresh(source: str, name: str = "f") -> bool:
     program = parse(source)
-    return writes_before_reads(program, program.function(name))
+    return writes_before_reads(program, name)
 
 
 def test_trips_of_a_loop_that_calls_a_leaf_share_instrs():
@@ -980,6 +988,22 @@ def test_replayed_while_agrees_with_whole_function_and_tree_runs(case):
     assert [vanilla.run(secret={"s": s}).trap for s in range(4)][-1].kind == "loop-bound"
 
 
+@pytest.mark.parametrize("case", ["pending_while", "pending_do_while"])
+def test_callee_loop_keeps_its_callers_pending_ops_in_its_first_trip(case):
+    # lowered per trip: the tree runs as the one that never replays a trip,
+    # step for step and fault for fault, and computes `g + 5` before `f`
+    program = parse(AGREEMENT_CASES[case])
+    with mock.patch.object(ir._Expander, "replays", return_value=False):
+        anew = build_execution_tree(program)
+    tree = build_execution_tree(program)
+    vanilla = AstExecutable(program)
+    for s in range(4):
+        got, want = (TreeExecutable(t).run(secret={"s": s}) for t in (tree, anew))
+        assert (got.outputs, got.steps, got.profile, got.trap) == \
+            (want.outputs, want.steps, want.profile, want.trap)
+        assert got.outputs == vanilla.run(secret={"s": s}).outputs == {"y": 5}
+
+
 def _reads_a_local_first(fn) -> bool:
     """Whether lowered straight-line code reads a named local before any op
     writes it: the rule leaf callees were once decided by."""
@@ -995,8 +1019,7 @@ def _reads_a_local_first(fn) -> bool:
 def test_leaf_rule_is_the_lowered_rule():
     # on every function whose lowered body is straight-line code without a
     # call, the only ones `_leaf` asks it of, `writes_before_reads` decides
-    # as the walk over lowered code did, and `_leaf` follows the lowering's
-    # record of it
+    # as the walk over lowered code did, and `_leaf` follows it
     sources = [path.read_text() for path in sorted(CORPUS.glob("*.pfo"))]
     decided = set()
     for source in sources + list(AGREEMENT_CASES.values()):
@@ -1008,11 +1031,11 @@ def test_leaf_rule_is_the_lowered_rule():
                     or items and not isinstance(items[-1], (RunNode, RetNode)) \
                     or any(isinstance(i, CallI) for i in fn.instrs):
                 continue
-            assert fn.writes_first == writes_before_reads(program, program.function(name))
-            assert fn.writes_first == (not _reads_a_local_first(fn)), (source, name)
-            if not fn.writes_first:
+            rule = writes_before_reads(program, name)
+            assert rule == (not _reads_a_local_first(fn)), (source, name)
+            if not rule:
                 assert exe._leaf(name) is None
-            decided.add(fn.writes_first)
+            decided.add(rule)
     assert decided == {True, False}
 
 
