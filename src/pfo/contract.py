@@ -110,11 +110,17 @@ def access_schedule(exe, secret=None, public=None) -> AccessSchedule:
     A footprint's `need` lists its distinct pages, code page first, so
     each page gets each step once and pages appear in first-touch order.
     """
+    return _schedule(_infinite_run(exe, secret, public, True).footprints)
+
+
+def _infinite_run(exe, secret, public, traced: bool, what: str = "contracted run"):
+    """A run under the infinite-memory model, the one the contract assumes;
+    a trap is a `ContractError` that names the run as `what`."""
     result = exe.run(secret=secret, public=public,
-                     model=AdversaryModel.infinite_memory(), collect_trace=True)
+                     model=AdversaryModel.infinite_memory(), collect_trace=traced)
     if result.trap is not None:
-        raise ContractError(f"contracted run trapped: {result.trap}")
-    return _schedule(result.footprints)
+        raise ContractError(f"{what} trapped: {result.trap}")
+    return result
 
 
 def _schedule(footprints) -> AccessSchedule:
@@ -157,10 +163,7 @@ def derive_contract(exe, probe_secrets: Iterable[dict]) -> Contract:
     if not probes:
         raise ContractError("need at least one probe secret")
     for secret in probes:
-        result = exe.run(secret=secret, model=AdversaryModel.infinite_memory())
-        if result.trap is not None:
-            raise ContractError(f"probe run trapped: {result.trap}")
-        totals.add(result.steps)
+        totals.add(_infinite_run(exe, secret, None, False, "probe run").steps)
     if len(totals) != 1:
         raise ContractError(
             f"program is not balanced: schedule lengths differ ({sorted(totals)})"
@@ -222,10 +225,7 @@ def _contracted_run(exe, contract: Contract, secret, public, traced: bool,
     """A run under the contract and its schedule.  A traced run's schedule
     is read off its footprints once per list of footprint objects: `memo`
     holds each list it keys on, so no id in a key is reused."""
-    result = exe.run(secret=secret, public=public,
-                     model=AdversaryModel.infinite_memory(), collect_trace=traced)
-    if result.trap is not None:
-        raise ContractError(f"contracted run trapped: {result.trap}")
+    result = _infinite_run(exe, secret, public, traced)
     schedule = AccessSchedule(result.steps, {})
     if traced:
         key = tuple(map(id, result.footprints))

@@ -53,15 +53,11 @@ allocation-light:
   chunk of at most `CHUNK_OPS` ops (`_segment`): its body inlines each
   op's statements and calls the closures, so a chunk costs one Python
   call, not one per op.  A function's code is keyed by its shape, the
-  sequence of its ops' templates, and compiled once per process
-  (`_chunk_code`); each segment binds its own operands as the function's
-  defaults.  A compile costs as much as a few hundred runs of the chunk
-  save, so a shape compiles only once it has run `HOT_RUNS` times, in
-  any segment (`_chunk`): until then a chunk runs cold, calling each op's
-  one-op function, generated from the same templates and compiled once
-  per template.  `_run` calls a segment's functions and then adds the
-  whole segment in one `Sink.account`, which looks the faults from its
-  resident set up in the summary's memo.
+  sequence of its ops' templates, and compiled on the shape's first use
+  in the process (`_chunk_code`); each chunk binds its own operands as
+  the function's defaults (`_chunk`).  `_run` calls a segment's
+  functions and then adds the whole segment in one `Sink.account`, which
+  looks the faults from its resident set up in the summary's memo.
 * calls: in whole-function mode a function whose body is straight-line
   code (an optional tail `return`), whose ops are all charged and whose
   callees are all merged, is summarised whole, and a call to it is
@@ -119,6 +115,7 @@ footprints directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, groupby, islice, repeat
 from types import CodeType, FunctionType
 from typing import Callable, Collection, Hashable, Optional
@@ -1365,12 +1362,12 @@ def _segments(ops: list[tuple], summaries: dict[tuple, Summary]) -> tuple:
 
 def _segment(values: tuple, charges: tuple, summaries: dict[tuple, Summary]) -> tuple:
     """A run of charged ops, their `values` (see `_OpCompiler.compile_run`)
-    and their `charges`, as `(functions, summary)`: the list of functions
-    that run the ops' values, one per chunk of at most `CHUNK_OPS` ops
-    (none for a chunk of ops that only step; see `_chunk`), and the
-    `Summary` of the charges.  Runs with the same charges share one
-    `summaries` entry (charges are interned footprints and shared staging
-    closures)."""
+    and their `charges`, as `(functions, summary)`: the tuple of generated
+    functions that run the ops' values, one per chunk of at most
+    `CHUNK_OPS` ops (none for a chunk of ops that only step; see
+    `_chunk`), and the `Summary` of the charges.  Runs with the same
+    charges share one `summaries` entry (charges are interned footprints
+    and shared staging closures)."""
     key = tuple(map(id, charges))
     summary = summaries.get(key)
     if summary is None:
@@ -1379,8 +1376,8 @@ def _segment(values: tuple, charges: tuple, summaries: dict[tuple, Summary]) -> 
     for base in range(0, len(values), CHUNK_OPS):
         chunk = values[base:base + CHUNK_OPS]
         if any(op is not None for op in chunk):
-            functions.append(_chunk(chunk, summary.charges, base, functions))
-    return functions, summary
+            functions.append(_chunk(chunk, summary.charges, base))
+    return tuple(functions), summary
 
 
 # --- generated segment functions ------------------------------------------------
@@ -1389,15 +1386,8 @@ def _segment(values: tuple, charges: tuple, summaries: dict[tuple, Summary]) -> 
 # several, so that no shape's source, and no compile, grows with a segment
 CHUNK_OPS = 64
 
-# the runs of a chunk shape, in any segment of any executable, before it
-# is compiled.  A compile costs about as much as a few hundred runs of
-# the chunk save (about 1 ms for 64 ops), so code that runs a few times,
-# such as a long straight-line `main` simulated once, compiles nothing
-HOT_RUNS = 256
-
-# chunk shape -> `[runs, code]`, `code` None until the shape is compiled;
-# at most `MAX_SHAPES` of them, the oldest dropped first
-_SHAPES: dict[tuple, list] = {}
+# the most chunk shapes whose code a process keeps (`_chunk_code`), the
+# least recently used dropped first
 MAX_SHAPES = 4096
 
 # each inlined op's template: its parameters, one letter per operand in
@@ -1438,13 +1428,16 @@ def _template(key) -> tuple[str, tuple, bool]:
     return srcs + ("de" if fused else "d"), tuple(lines), row.divides
 
 
+@lru_cache(maxsize=MAX_SHAPES)
 def _chunk_code(shape: tuple) -> CodeType:
     """The code of the function that runs a chunk of ops of `shape`: each
     op's template key (`"call"` for a closure, `None` for an op that only
     steps).  Its parameters are each op's operands, then the segment's
     `charges` and the chunk's `base`, its first op's index in the segment.
     It sets `k` to an op's place before each op that may trap, and turns a
-    trap into `_unwound(exc, charges, base + k)`."""
+    trap into `_unwound(exc, charges, base + k)`.  A shape compiles on its
+    first use in the process (about 1 ms for 64 ops), and every later
+    chunk of it, in any segment of any executable, shares its code."""
     params: list[str] = []
     body: list[str] = []
     traps = arrays = False
@@ -1470,40 +1463,10 @@ def _chunk_code(shape: tuple) -> CodeType:
     return namespace["segment"].__code__
 
 
-def _shape(shape: tuple) -> list:
-    """The process's entry for a chunk `shape`, `[runs, code]`
-    (`_SHAPES`)."""
-    entry = _SHAPES.get(shape)
-    if entry is None:
-        if len(_SHAPES) >= MAX_SHAPES:
-            del _SHAPES[next(iter(_SHAPES))]
-        entry = _SHAPES[shape] = [0, None]
-    return entry
-
-
-def _hot(shape: tuple, entry: list, defaults: tuple) -> FunctionType:
-    """The generated function of `shape` with `defaults`, its code
-    compiled into the shape's `entry` the first time."""
-    if entry[1] is None:
-        entry[1] = _chunk_code(shape)
-    return FunctionType(entry[1], globals(), "segment", defaults)
-
-
-def _op(key, defaults: tuple) -> FunctionType:
-    """The generated function of the one-op shape of template `key`, with
-    `defaults`: how a cold chunk runs the op."""
-    return _hot((key,), _shape((key,)), defaults)
-
-
-def _chunk(values: tuple, charges: tuple, base: int, functions: list) -> Callable:
+def _chunk(values: tuple, charges: tuple, base: int) -> FunctionType:
     """The function of a chunk of a segment's op `values`, from op `base`
-    on, to go at the end of the segment's `functions`: the generated
-    function of the chunk's shape, with each op's operands, `charges` and
-    `base` bound as its defaults.  A shape of one op compiles at once.  A
-    chunk of more whose shape is not compiled yet runs cold while the
-    shape has run fewer than `HOT_RUNS` times, in any chunk: it calls each
-    op's one-op function (`_op`), made on its first run.  After that, its
-    next run puts the chunk's own function in its place in `functions`."""
+    on: the generated function of the chunk's shape (`_chunk_code`), with
+    each op's operands, `charges` and `base` bound as its defaults."""
     shape: list = []
     defaults: list = []
     for op in values:
@@ -1515,26 +1478,5 @@ def _chunk(values: tuple, charges: tuple, base: int, functions: list) -> Callabl
         else:
             shape.append("call")
             defaults.append(op)
-    shape = tuple(shape)
-    defaults += (charges, base)
-    entry = _SHAPES.get(shape) or _shape(shape)
-    if entry[1] is not None:
-        return FunctionType(entry[1], globals(), "segment", tuple(defaults))
-    if entry[0] >= HOT_RUNS or len(shape) - shape.count(None) == 1:
-        return _hot(shape, entry, tuple(defaults))
-    at = len(functions)
-    ops = None
-
-    def cold(st: State) -> None:
-        nonlocal ops
-        if entry[0] >= HOT_RUNS:
-            functions[at] = hot = _hot(shape, entry, tuple(defaults))
-            hot(st)
-            return
-        if ops is None:
-            ops = [_op(key, (*(op[1] if op.__class__ is tuple else (op,)), charges, base + k))
-                   for k, (key, op) in enumerate(zip(shape, values)) if key is not None]
-        for f in ops:
-            f(st)
-        entry[0] += 1
-    return cold
+    return FunctionType(_chunk_code(tuple(shape)), globals(), "segment",
+                        (*defaults, charges, base))

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from .exectree import ExecutionTree
 from .ir import LoweredProgram, PAD_OBJECT
 from .lang import Placement, Program, WORD_SIZE
-from .memory import Extent, MemoryLayout, split_extents
+from .memory import Extent, LayoutError, MemoryLayout, split_extents
 
 ExtentMap = dict[str, tuple[Extent, ...]]
 # a group's key (what a `place` pragma names) and its (unit, bytes) in order
@@ -41,9 +41,10 @@ def place(page_size: int, groups: Sequence[Group],
     from their pragma's page and offset, in order, then every other group,
     in order, from offset 0 of the first page from `page` on where none of
     its bytes overlaps an array in `pinned` (a group that would overlap
-    one starts again on the page after that array).  Returns each unit's
-    extents, pinned groups' first, and the first page past them all and
-    past `page`."""
+    one starts again on the page after that array).  A pinned group that
+    overlaps one raises `LayoutError`, naming its pin and the array.
+    Returns each unit's extents, pinned groups' first, and the first page
+    past them all and past `page`."""
     def pack(units, at: int, offset: int) -> tuple[ExtentMap, int]:
         """`units` from (at, offset) on, and the page after the last."""
         out = {}
@@ -52,16 +53,31 @@ def place(page_size: int, groups: Sequence[Group],
             at, offset = extents[-1].page, extents[-1].offset + extents[-1].length
         return out, at + 1
 
-    taken: dict[int, list[tuple[int, int, int]]] = {}
-    for extents in pinned.values():
+    taken: dict[int, list[tuple[int, int, int, str]]] = {}
+    for array, extents in pinned.items():
         for e in extents:
             taken.setdefault(e.page, []).append(
-                (e.offset, e.offset + e.length, extents[-1].page + 1))
+                (e.offset, e.offset + e.length, extents[-1].page + 1, array))
+
+    def clashes(out: ExtentMap) -> list[tuple[int, str, int]]:
+        """Each overlap of `out` with an array in `pinned`: the page past
+        the array, its name and the page they share."""
+        return [(past, array, e.page) for extents in out.values() for e in extents
+                for lo, hi, past, array in taken.get(e.page, ())
+                if e.offset < hi and lo < e.offset + e.length]
 
     placed: ExtentMap = {}
     for key, units in groups:
         if key in pins:
-            out, after = pack(units, pins[key].page, pins[key].offset)
+            pin = pins[key]
+            out, after = pack(units, pin.page, pin.offset)
+            clash = clashes(out)
+            if clash:
+                _, array, at = clash[0]
+                raise LayoutError(
+                    f"place {pin.kind} {key} {pin.page} {pin.offset}: its "
+                    f"{sum(n for _, n in units)} bytes overlap pinned array "
+                    f"{array} on page {at}")
             placed.update(out)
             page = max(page, after)
     for key, units in groups:
@@ -70,9 +86,7 @@ def place(page_size: int, groups: Sequence[Group],
         at = page
         while at is not None:
             out, page = pack(units, at, 0)
-            at = max((past for extents in out.values() for e in extents
-                      for lo, hi, past in taken.get(e.page, ())
-                      if e.offset < hi and lo < e.offset + e.length), default=None)
+            at = max((past for past, _, _ in clashes(out)), default=None)
         placed.update(out)
     return placed, page
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 from pathlib import Path
 from unittest import mock
@@ -338,63 +339,69 @@ fn main() {{
 _CHUNKED_PROFILE = [2, 3, 4, 5, 6, 7, 17, 8, 9, 10, 11, 1, 0, 1, 11, 12, 13, 14, 15, 16]
 
 
-@pytest.mark.parametrize("hot", [False, True])
-@pytest.mark.parametrize("s, trap, steps, faults, y", [
+_CHUNKED_RUNS = [
     (0, None, 236, 20, 376),
     (1, TrapInfo("div-zero", 145), 145, 11, 270),
     (2, TrapInfo("div-zero", 151), 151, 14, 270),
     (3, TrapInfo("index-oob", 81, "t[4]"), 81, 6, 155),
-])
-def test_traps_across_chunks_step_and_fault_as_each_op_would(s, trap, steps, faults, y, hot):
+]
+
+
+def _segment_functions(segments) -> list:
+    """The functions of every `(functions, summary)` segment in `segments`."""
+    return [f for functions, _ in segments for f in functions]
+
+
+@pytest.mark.parametrize("s, trap, steps, faults, y", _CHUNKED_RUNS)
+def test_traps_across_chunks_step_and_fault_as_each_op_would(s, trap, steps, faults, y):
     # the trap, steps and profile are those of charging each step as it
-    # runs, as when every op was its own closure, whether the chunks run
-    # cold (each op its one-op function) or as their shapes' compiled
-    # functions; a build that merges no call runs `main` as several
-    # segments and agrees, and the tree, laid out anew and with its calls
-    # inlined, traps alike
+    # runs, as when every op was its own closure; a build that merges no
+    # call runs `main` as several segments and agrees, and the tree, laid
+    # out anew and with its calls inlined, traps alike
     program = parse(CHUNKED_TRAPS)
-    with mock.patch.dict(interp._SHAPES, clear=True), \
-            mock.patch.object(interp, "HOT_RUNS", 0 if hot else 10 ** 9):
-        exe = AstExecutable(program)
-        ((functions, summary),) = exe._main.node[0]
-        assert (len(functions), len(summary.charges)) == (4, 229)
-        assert {f.__name__ for f in functions} == {"segment" if hot else "cold"}
-        with mock.patch.object(interp, "NODE_BUDGET", 0):
-            unmerged = AstExecutable(program)
-        tree = TreeExecutable(balance(build_execution_tree(program)))
-        for got in (exe.run(secret={"s": s}), unmerged.run(secret={"s": s})):
-            assert (got.trap, got.steps, got.profile, got.outputs["y"]) == \
-                (trap, steps, _CHUNKED_PROFILE[:faults], y)
-        traced = exe.run(secret={"s": s}, collect_trace=True)
-        assert (len(traced.footprints), traced.profile) == (steps, _CHUNKED_PROFILE[:faults])
-        got = tree.run(secret={"s": s})
-        assert (got.trap and got.trap.kind, got.outputs) == (trap and trap.kind, {"y": y})
+    exe = AstExecutable(program)
+    ((functions, summary),) = exe._main.node[0]
+    assert (len(functions), len(summary.charges)) == (4, 229)
+    assert {f.__name__ for f in functions} == {"segment"}
+    with mock.patch.object(interp, "NODE_BUDGET", 0):
+        unmerged = AstExecutable(program)
+    tree = TreeExecutable(balance(build_execution_tree(program)))
+    for got in (exe.run(secret={"s": s}), unmerged.run(secret={"s": s})):
+        assert (got.trap, got.steps, got.profile, got.outputs["y"]) == \
+            (trap, steps, _CHUNKED_PROFILE[:faults], y)
+    traced = exe.run(secret={"s": s}, collect_trace=True)
+    assert (len(traced.footprints), traced.profile) == (steps, _CHUNKED_PROFILE[:faults])
+    got = tree.run(secret={"s": s})
+    assert (got.trap and got.trap.kind, got.outputs) == (trap and trap.kind, {"y": y})
 
 
-def test_a_chunk_compiles_once_its_shape_is_hot():
-    # a chunk runs cold until its shape has run `HOT_RUNS` times, in any
-    # segment; its next run, and every later build, runs the compiled
-    # function, and the runs agree throughout
+def test_chunks_run_alike_past_the_shape_cache_bound():
+    # `CHUNKED_TRAPS`'s `main` has four chunk shapes; with room for two,
+    # shapes are dropped and compiled again as the build goes, and every
+    # run still steps, faults and traps as each op would.  Every segment
+    # of a tree and of a staged build runs generated functions only
     program = parse(CHUNKED_TRAPS)
-    with mock.patch.dict(interp._SHAPES, clear=True), \
-            mock.patch.object(interp, "HOT_RUNS", 2), \
-            mock.patch.object(interp, "_chunk_code", wraps=interp._chunk_code) as compiles:
+    bounded = functools.lru_cache(maxsize=2)(interp._chunk_code.__wrapped__)
+    with mock.patch.object(interp, "_chunk_code", bounded):
         exe = AstExecutable(program)
         ((functions, _),) = exe._main.node[0]
-        names = []
-        for _ in range(4):
-            assert exe.run(secret={"s": 0}).outputs == {"y": 376}
-            names.append([f.__name__ for f in functions])
-        assert names == [["cold"] * 4] * 2 + [["segment"] * 4] * 2
-        shapes = [shape for (shape,), _ in compiles.call_args_list if len(shape) > 1]
-        assert len(shapes) == len(set(shapes)) >= 4
-        ((again, _),) = AstExecutable(program)._main.node[0]
-        assert [f.__name__ for f in again] == ["segment"] * 4
-        assert [shape for (shape,), _ in compiles.call_args_list if len(shape) > 1] == shapes
+        assert len({f.__code__ for f in functions}) == 4
+        assert bounded.cache_info().currsize == 2
+        for s, trap, steps, faults, y in _CHUNKED_RUNS:
+            got = exe.run(secret={"s": s})
+            assert (got.trap, got.steps, got.profile, got.outputs["y"]) == \
+                (trap, steps, _CHUNKED_PROFILE[:faults], y)
+        assert bounded.cache_info().currsize == 2
+        tree = TreeExecutable(balance(build_execution_tree(program)))
+        staged = build_staged(program, 4096).executable()
+        for built in (tree, staged):
+            names = {f.__name__ for segments in built.segments.values()
+                     for f in _segment_functions(segments)}
+            assert names == {"segment"}, built
+        assert bounded.cache_info().currsize == 2
 
 
-@pytest.mark.parametrize("hot", [False, True])
-def test_operators_at_the_largest_width_build_and_run(hot):
+def test_operators_at_the_largest_width_build_and_run():
     # the largest declaration makes the widest program; its width's
     # constants are far past the digits Python writes as a decimal
     program = parse(f"""public int<{lang.MAX_INT_WIDTH}> w;
@@ -414,12 +421,9 @@ fn main() {{
     w = (1 << lang.MAX_INT_WIDTH) - 12345
     want = {"y": wrap(wrap(wrap(wrap(w + 1) * 3) - w // 7) + w % 5),
             "z": wrap(wrap(-wrap(w << 9)) - (w >> 2))}
-    with mock.patch.dict(interp._SHAPES, clear=True), \
-            mock.patch.object(interp, "HOT_RUNS", 0 if hot else 10 ** 9):
-        for exe in (AstExecutable(program),
-                    TreeExecutable(balance(build_execution_tree(program)))):
-            got = exe.run(public={"w": w})
-            assert (got.trap, got.outputs) == (None, want)
+    for exe in (AstExecutable(program), TreeExecutable(balance(build_execution_tree(program)))):
+        got = exe.run(public={"w": w})
+        assert (got.trap, got.outputs) == (None, want)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["static", "split"])
@@ -440,33 +444,25 @@ def test_an_index_of_any_size_traps(w, detail, split):
 
 
 def test_staged_full_eddsa_compiles_each_shape_once():
-    # the 845 distinct segments of the staged full EdDSA share a few chunk
-    # shapes.  With no shape run before, its first compile compiles none
-    # of them, and its runs compile each hot one once; a second compile
-    # of the build in the process compiles nothing and runs the compiled
-    # functions from the start
+    # the 845 distinct segments of the staged full EdDSA share 13 chunk
+    # shapes.  With no shape compiled before, its first compile compiles
+    # each of them once; a second compile of the build in the process, and
+    # its runs, compile nothing
     program, _ = opt_if_convert(parse(eddsa_full_source()))
     build = build_staged(program)
-
-    def functions(exe):
-        return [f for segments in exe.segments.values()
-                for functions, _ in segments for f in functions]
-
-    with mock.patch.dict(interp._SHAPES, clear=True), \
-            mock.patch.object(interp, "_chunk_code", wraps=interp._chunk_code) as compiles:
+    generate = mock.Mock(wraps=interp._chunk_code.__wrapped__)
+    cached = functools.lru_cache(maxsize=interp.MAX_SHAPES)(generate)
+    with mock.patch.object(interp, "_chunk_code", cached):
         exe = build.executable()
-        assert all(len(shape) == 1 for (shape,), _ in compiles.call_args_list)
+        shapes = [shape for (shape,), _ in generate.call_args_list]
+        assert len(shapes) == len(set(shapes)) == 13
+        again = dataclasses.replace(build, _exe=None).executable()
         for k in range(3):
             assert exe.run(secret={"k": k}).trap is None
-        shapes = [shape for (shape,), _ in compiles.call_args_list if len(shape) > 1]
-        hot = {f.__code__ for f in functions(exe) if f.__name__ == "segment"}
-        assert len(shapes) == len(set(shapes)) <= len(hot)
-        cold = sum(f.__name__ == "cold" for f in functions(exe))
-        assert cold < len(functions(exe)) / 10
-        calls = compiles.call_count
-        again = dataclasses.replace(build, _exe=None).executable()
-        assert again is not exe and compiles.call_count == calls
-        assert sum(f.__name__ == "cold" for f in functions(again)) == cold
+        assert again is not exe and generate.call_count == 13
+        codes = {f.__code__ for segments in again.segments.values()
+                 for f in _segment_functions(segments)}
+        assert len(codes) == 13
 
 
 INPUTS = """

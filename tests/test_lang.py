@@ -749,13 +749,12 @@ class _Regs:
 def _generated(op: str, srcs: tuple, dst: int, dst2, width: int):
     """The generated function of a segment of operator `op` alone at
     `width` bits, or, with `dst2`, fused with the move after it, as the
-    interpreter runs it once its shape is compiled."""
+    interpreter runs it."""
     fp = interp.FootprintTable()(0)
     ops = [(interp._operator_op(op, srcs, dst, dst2, width), fp)]
     if dst2 is not None:
         ops.append((None, fp))
-    with mock.patch.object(interp, "HOT_RUNS", 0):
-        (((run,), _),) = interp._segments(ops, {})
+    (((run,), _),) = interp._segments(ops, {})
     assert run.__name__ == "segment"
     return run
 

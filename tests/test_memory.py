@@ -17,6 +17,7 @@ from pfo.memory import (
     split_extents,
 )
 from pfo.optimize import build_defense
+from pfo.suites import case_source
 
 CF = EventKind.CODE_FETCH
 DR = EventKind.DATA_READ
@@ -238,6 +239,22 @@ class TestPinnedData:
         layout = build_ast_layout(program.lowered, 32)
         assert layout.code_map["main"] == split_extents(32, 0, 0, 16)
         assert layout.data_map["u"] == split_extents(32, 0, 16, 32)
+
+    def test_pinned_code_on_pinned_data_names_the_pin(self):
+        # main's 2 instructions pinned to bytes 0-7 of page 0, where `u` is
+        program = parse("#pragma place code main 0 0\n" + _pinned_u("0 0", "y = s + 1;"))
+        with pytest.raises(LayoutError, match=r"^place code main 0 0: its 8 bytes "
+                           r"overlap pinned array u on page 0$"):
+            build_ast_layout(program.lowered, 32)
+
+    @pytest.mark.parametrize("passes", [(), ("O4",)], ids=["plain", "O4"])
+    def test_pinned_tree_group_on_pinned_data_names_the_pin(self, passes):
+        # powm at 8 bits pins `main` to page 1 and `seed_tab` to page 3, and
+        # main's blocks run on past page 3
+        program = parse(case_source("powm", 8))
+        with pytest.raises(LayoutError, match=r"^place code main 1 0: its 25860 bytes "
+                           r"overlap pinned array seed_tab on page 3$"):
+            build_defense(program, passes)
 
 
 class TestSerialization:
