@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import re
@@ -352,20 +353,42 @@ def _segment_functions(segments) -> list:
     return [f for functions, _ in segments for f in functions]
 
 
+@contextlib.contextmanager
+def _shape_cache():
+    """Run the block with an empty cache of chunk code of its own; yields
+    the mock of the code generator behind it, which counts the compiles."""
+    generate = mock.Mock(wraps=interp._chunk_code.__wrapped__)
+    cached = functools.lru_cache(maxsize=interp.MAX_SHAPES)(generate)
+    with mock.patch.object(interp, "_chunk_code", cached):
+        yield generate
+
+
+@pytest.mark.parametrize("hot", [False, True])
 @pytest.mark.parametrize("s, trap, steps, faults, y", _CHUNKED_RUNS)
-def test_traps_across_chunks_step_and_fault_as_each_op_would(s, trap, steps, faults, y):
+def test_traps_across_chunks_step_and_fault_as_each_op_would(s, trap, steps, faults, y, hot):
     # the trap, steps and profile are those of charging each step as it
-    # runs, as when every op was its own closure; a build that merges no
-    # call runs `main` as several segments and agrees, and the tree, laid
-    # out anew and with its calls inlined, traps alike
+    # runs, as when every op was its own closure, whether the chunk shapes
+    # are new to the process (each compiles as a build meets it) or an
+    # earlier build compiled them all (the builds compile none); a build
+    # that merges no call runs `main` as several segments and agrees, and
+    # the tree, laid out anew and with its calls inlined, traps alike
     program = parse(CHUNKED_TRAPS)
-    exe = AstExecutable(program)
+
+    def builds():
+        with mock.patch.object(interp, "NODE_BUDGET", 0):
+            unmerged = AstExecutable(program)
+        return (AstExecutable(program), unmerged,
+                TreeExecutable(balance(build_execution_tree(program))))
+
+    with _shape_cache() as generate:
+        if hot:
+            builds()
+            generate.reset_mock()
+        exe, unmerged, tree = builds()
+        assert generate.call_count == (0 if hot else 11)
     ((functions, summary),) = exe._main.node[0]
     assert (len(functions), len(summary.charges)) == (4, 229)
     assert {f.__name__ for f in functions} == {"segment"}
-    with mock.patch.object(interp, "NODE_BUDGET", 0):
-        unmerged = AstExecutable(program)
-    tree = TreeExecutable(balance(build_execution_tree(program)))
     for got in (exe.run(secret={"s": s}), unmerged.run(secret={"s": s})):
         assert (got.trap, got.steps, got.profile, got.outputs["y"]) == \
             (trap, steps, _CHUNKED_PROFILE[:faults], y)
@@ -401,9 +424,11 @@ def test_chunks_run_alike_past_the_shape_cache_bound():
         assert bounded.cache_info().currsize == 2
 
 
-def test_operators_at_the_largest_width_build_and_run():
+@pytest.mark.parametrize("hot", [False, True])
+def test_operators_at_the_largest_width_build_and_run(hot):
     # the largest declaration makes the widest program; its width's
-    # constants are far past the digits Python writes as a decimal
+    # constants are far past the digits Python writes as a decimal.  Its
+    # builds compile its chunk shapes, or none when an earlier build did
     program = parse(f"""public int<{lang.MAX_INT_WIDTH}> w;
 output int y;
 output int z;
@@ -421,7 +446,17 @@ fn main() {{
     w = (1 << lang.MAX_INT_WIDTH) - 12345
     want = {"y": wrap(wrap(wrap(wrap(w + 1) * 3) - w // 7) + w % 5),
             "z": wrap(wrap(-wrap(w << 9)) - (w >> 2))}
-    for exe in (AstExecutable(program), TreeExecutable(balance(build_execution_tree(program)))):
+
+    def builds():
+        return AstExecutable(program), TreeExecutable(balance(build_execution_tree(program)))
+
+    with _shape_cache() as generate:
+        if hot:
+            builds()
+            generate.reset_mock()
+        built = builds()
+        assert (generate.call_count == 0) == hot
+    for exe in built:
         got = exe.run(public={"w": w})
         assert (got.trap, got.outputs) == (None, want)
 
@@ -450,9 +485,7 @@ def test_staged_full_eddsa_compiles_each_shape_once():
     # its runs, compile nothing
     program, _ = opt_if_convert(parse(eddsa_full_source()))
     build = build_staged(program)
-    generate = mock.Mock(wraps=interp._chunk_code.__wrapped__)
-    cached = functools.lru_cache(maxsize=interp.MAX_SHAPES)(generate)
-    with mock.patch.object(interp, "_chunk_code", cached):
+    with _shape_cache() as generate:
         exe = build.executable()
         shapes = [shape for (shape,), _ in generate.call_args_list]
         assert len(shapes) == len(set(shapes)) == 13
