@@ -22,10 +22,11 @@ padded alike stay the same objects throughout, and a staged executable
 compiles such copies once (`transform.MultiplexedExecutable`).
 
 A tree indexes itself once, when it is made: one walk from the root fills
-its `blocks` and `levels`, every block's data references (`refs`) and
-the objects the tree writes (`stored`), and every later pass (balance
-check, balancing, planning, compiling) reads those fields.  No block
-changes after that; `balance` pads copies.
+its `blocks` and `levels`, every block's data references (`refs`, derived
+once per distinct micro-op sequence) and the objects the tree writes
+(`stored`), and every later pass (balance check, balancing, planning,
+compiling) reads those fields.  No block changes after that; `balance`
+pads copies, and gives each its padded refs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Optional
 
 from .ir import (
     NODE_BUDGET,
+    PAD_OBJECT,
     ExpansionBudgetError,
     IfItem,
     Instr,
@@ -55,6 +57,7 @@ PAD_ORIGIN = "__pad"
 # padded alike hold the same micro-op objects
 _PAD = PadI(PAD_ORIGIN)
 _NOP = NopI(PAD_ORIGIN)
+_PAD_REF = ((PAD_OBJECT, True),)
 
 
 @dataclass(eq=False)
@@ -66,8 +69,8 @@ class Block:
     branch: Optional[Operand] = None
     origin: str = ""
     # the (object, is_write) pairs of its data accesses, in order: set by
-    # the `ExecutionTree` that holds the block
-    refs: tuple[tuple[str, bool], ...] = ()
+    # the `ExecutionTree` that holds the block, unless `balance` made it
+    refs: Optional[tuple[tuple[str, bool], ...]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -102,7 +105,8 @@ class ExecutionTree:
     `blocks` is every block in id order, so every parent comes before its
     children; `levels` groups them by level, each in id order; `stored` is
     the objects some block writes (its stores and padding writes).  Making
-    the tree also sets each block's `refs`; no block changes afterwards.
+    the tree also sets each block's `refs` that `balance` has not set,
+    once per distinct micro-op sequence; no block changes afterwards.
     """
 
     program: Program
@@ -115,9 +119,18 @@ class ExecutionTree:
     def __post_init__(self):
         blocks: list[Block] = []
         stack = [self.root]
+        # copies of one continuation and trips of a replayed loop hold the
+        # same micro-ops: their refs are derived once, by micro-op ids
+        derived: dict[tuple, tuple] = {}
         while stack:
             b = stack.pop()
-            b.refs = tuple((obj, w) for i in b.instrs for obj, _, w in data_refs(i))
+            if b.refs is None:
+                key = tuple(map(id, b.instrs))
+                refs = derived.get(key)
+                if refs is None:
+                    refs = derived[key] = tuple(
+                        (obj, w) for i in b.instrs for obj, _, w in data_refs(i))
+                b.refs = refs
             blocks.append(b)
             stack.extend(b.children)
         blocks.sort(key=attrgetter("id"))
@@ -237,7 +250,7 @@ def balance(tree: ExecutionTree) -> ExecutionTree:
         return tree
 
     # copy children before parents (ids put every parent first); a copy
-    # keeps its block's refs until the padded tree indexes itself
+    # keeps its block's refs, and gains one per pad write
     copies: dict[int, Block] = {}
     for b in reversed(tree.blocks):
         copies[b.id] = Block(b.id, b.level, list(b.instrs),
@@ -252,7 +265,7 @@ def balance(tree: ExecutionTree) -> ExecutionTree:
             continue
         cur = copies[leaf.id]
         while cur.level < len(levels):
-            pad = Block(next_id, cur.level + 1, [], origin=PAD_ORIGIN)
+            pad = Block(next_id, cur.level + 1, [], origin=PAD_ORIGIN, refs=())
             next_id += 1
             levels[cur.level].append(pad)
             cur.children = [pad]
@@ -265,7 +278,10 @@ def balance(tree: ExecutionTree) -> ExecutionTree:
     for blocks in levels:
         most = max(b.data_accesses for b in blocks)
         for b in blocks:
-            fill(b, _PAD, most - b.data_accesses)
+            pads = most - b.data_accesses
+            fill(b, _PAD, pads)
+            # the pads go in before the branch, which has no refs
+            b.refs += _PAD_REF * pads
         most = max(len(b.instrs) for b in blocks)
         for b in blocks:
             fill(b, _NOP, most - len(b.instrs))

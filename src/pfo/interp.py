@@ -1268,8 +1268,9 @@ class TreeExecutable:
 
     Each block compiles to one flat tuple of `(op, charge)` ops, its
     instructions at their own code pages; `transform.MultiplexedExecutable`
-    builds the same tuples with the staging schedule compiled in, and
-    compiles blocks that would get equal tuples once (`_link`).  A block
+    builds the same tuples with the staging schedule compiled in, compiles
+    each distinct staged body once for all its levels, and cuts blocks that
+    would get equal tuples once (`_link`).  A block
     is cut into segments at the ops that account for themselves, and each
     run of charged ops is summarised once (`Summary`) and generated as
     functions (`_segment`): a run calls a segment's functions, which
@@ -1288,20 +1289,22 @@ class TreeExecutable:
     def _link(self, tree: ExecutionTree, layout: MemoryLayout,
               objects: ObjectTable, compiler: _OpCompiler,
               block_ops: Callable[[Block], list[tuple]],
-              block_key: Optional[Callable[[Block], Hashable]] = None) -> None:
+              keys: Optional[dict[int, Hashable]] = None) -> None:
         """Make runs walk `tree`, running the `(op, charge)` ops that
         `block_ops` compiles for each block.
 
-        Blocks with equal `block_key`s share one segment tuple, compiled
-        once from the first of them, so a key must fix everything
-        `block_ops` reads of a block; without a key every block is compiled
-        on its own.  Only the cut segments are kept (`segments`, by block
-        id), not the op lists.
+        Blocks with equal `keys` (by block id) share one segment tuple, cut
+        once from the ops of the first of them, so a key must fix
+        everything `block_ops` reads of a block; without keys every block
+        is cut on its own.  A segment tuple holds its level's copies and
+        charges, so it is one level's; `block_ops` may still share the
+        compiled instructions of equal bodies across levels
+        (`transform.MultiplexedExecutable`).  Only the cut segments are
+        kept (`segments`, by block id), not the op lists.
         """
         summaries: dict[tuple, Summary] = {}
-        # every key before the first compile, so no key is allocated among
-        # the compiled ops
-        keys = {b.id: b.id if block_key is None else block_key(b) for b in tree.blocks}
+        if keys is None:
+            keys = {b.id: b.id for b in tree.blocks}
         compiled: dict[Hashable, tuple] = {}
         for b in tree.blocks:
             key = keys[b.id]

@@ -96,6 +96,7 @@ _TOKEN_RE = re.compile(
     | (?P<num>[0-9]+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><<|>>|<=|>=|==|!=|&&|\|\||\+\+|--|[-+*/%<>=!~&|^?:;,(){}\[\]])
+    | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -105,8 +106,7 @@ REJECTED_OPS = {"++": "increment", "--": "decrement", "||": "logical-or"}
 RESERVED_PREFIXES = ("__pad", "__sa")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num', 'name', 'kw', 'op', 'pragma', 'eof'
     text: str
     line: int
@@ -114,43 +114,46 @@ class Token:
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
+    """`source` as tokens, ending with an `eof` one, in one scan: every
+    character falls in some group of `_TOKEN_RE`, an unexpected one in
+    `bad`, so the matches tile the source."""
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col, filename)
-        text = m.group()
+    append = tokens.append
+    line, line_start = 1, 0  # the current line and the index it starts at
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
+        if kind == "ws":
+            continue
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
+            line_start = m.end()
+            continue
+        text = m.group()
+        if kind == "comment":
             newlines = text.count("\n")
             if newlines:
                 line += newlines
-                col = len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-        else:
-            tok_kind = kind
-            if kind == "name" and text in KEYWORDS:
-                tok_kind = "kw"
-            elif kind == "name" and text.startswith(RESERVED_PREFIXES):
+                line_start = m.start() + text.rfind("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "name":
+            if text in KEYWORDS:
+                kind = "kw"
+            elif text.startswith(RESERVED_PREFIXES):
                 raise ParseError(f"{text!r}: names starting with "
                                  f"{' or '.join(RESERVED_PREFIXES)} are reserved",
                                  line, col, filename)
-            elif kind == "hex":
-                tok_kind = "num"
-            elif kind == "num":
-                try:
-                    int(text, 0)  # rejects a leading zero, and more digits than it converts
-                except ValueError:
-                    raise ParseError(f"malformed number {text!r}", line, col, filename) from None
-            tokens.append(Token(tok_kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        elif kind == "hex":
+            kind = "num"
+        elif kind == "num":
+            try:
+                int(text, 0)  # rejects a leading zero, and more digits than it converts
+            except ValueError:
+                raise ParseError(f"malformed number {text!r}", line, col, filename) from None
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col, filename)
+        append(Token(kind, text, line, col))
+    append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 

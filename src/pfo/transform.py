@@ -403,12 +403,18 @@ class MultiplexedExecutable(TreeExecutable):
     own list, so its copies, charged like any other, move nothing, and a
     run neither copies it nor its shadow at start (`interp._Frame`).
     Blocks with the same copies and charge share one copy op, and blocks on
-    one code page one selector op.  With the code staged, blocks on one
-    level that hold the same micro-op objects (copies of one continuation,
-    padded alike) and agree on being a leaf share one compiled segment
-    tuple (`TreeExecutable._link`); unstaged, each block runs from its own
-    code pages and is compiled on its own.  An execute-phase access that
-    would leave the staging pages is an internal error, which keeps levels
+    one code page one selector op.  With the code staged, every block runs
+    from the one staging page, so its instructions compile to ops that
+    depend only on its body: its micro-op objects (copies of one
+    continuation, or trips of a replayed loop, padded alike) and whether
+    its level has several blocks, which gives its code-only steps their
+    dummy reads.  Each body compiles once, on whatever levels it sits, and
+    its ops are dropped after its last use; each level wraps them in its own
+    copies, selector and exit into segments of its own, and blocks on one
+    level with one body that agree on being a leaf share those segments
+    (`TreeExecutable._link`).  Unstaged, each block runs from its own code
+    pages and is compiled on its own.  An execute-phase access that would
+    leave the staging pages is an internal error, which keeps levels
     atomic.
     """
 
@@ -484,28 +490,58 @@ class MultiplexedExecutable(TreeExecutable):
         reads = {page: compiler.footprint(plan.staging.sa_code, (page,), _KIND_R)
                  for page in plan.staging.sa_data}
 
+        def staged_body(b: Block, multi: bool) -> list[tuple]:
+            # every op at the staging page; on a level of several blocks each
+            # code-only step also reads its block's next staging data page
+            fps = None
+            if multi:
+                fp = reads[sel_page]  # the selector write ends every block
+                fps = []
+                for instr in reversed(b.instrs):
+                    if instr.__class__ in _DATA_OPS:
+                        fp = reads[compiler.pages[getattr(instr, "obj", PAD_OBJECT)]]
+                    fps.append(fp)
+                fps.reverse()
+            cp = plan.staging.sa_code
+            return compiler.compile_run(b.instrs, [cp] * len(b.instrs), fps)
+
+        keys = None
+        if code_staged:
+            # a body is a block's micro-ops and whether its level has several
+            # blocks, which fixes all `staged_body` reads; a block's key adds
+            # its level (its copies and charge) and whether it is a leaf.
+            # Equal bodies are kept as one tuple, so the keys hold each once
+            keys, seen = {}, {}
+            for b in tree.blocks:
+                body = (len(tree.levels[b.level - 1]) > 1, *map(id, b.instrs))
+                keys[b.id] = (b.level, b.is_leaf, seen.setdefault(body, body))
+            # `_link` compiles each distinct key once; a body's ops are
+            # dropped once its last key has taken them
+            uses: dict[tuple, int] = {}
+            for _, _, body in set(keys.values()):
+                uses[body] = uses.get(body, 0) + 1
+            bodies: dict[tuple, list[tuple]] = {}
+
         def block_ops(b: Block) -> list[tuple]:
-            fps = [None] * len(b.instrs)
             if code_staged:
                 cp = plan.staging.sa_code
-                pages = [cp] * len(b.instrs)
-                if len(tree.levels[b.level - 1]) > 1:
-                    fp = reads[sel_page]  # the selector write ends every block
-                    fps = []
-                    for instr in reversed(b.instrs):
-                        if instr.__class__ in _DATA_OPS:
-                            fp = reads[compiler.pages[getattr(instr, "obj", PAD_OBJECT)]]
-                        fps.append(fp)
-                    fps.reverse()
+                body = keys[b.id][2]
+                ops = bodies.get(body)
+                if ops is None:
+                    ops = bodies[body] = staged_body(b, body[0])
+                uses[body] -= 1
+                if not uses[body]:
+                    del bodies[body]
             else:
                 cp = source_layout.code_extents(b.name())[0].page
-                pages = _code_pages(source_layout, b.name(), len(b.instrs))
+                ops = compiler.compile_run(
+                    b.instrs, _code_pages(source_layout, b.name(), len(b.instrs)))
             group = level_plans[b.level]
             prev = level_plans.get(b.level - 1)
             mux = b.data_accesses
             ops = [once(("enter", id(group), id(prev), cp, mux),
                         lambda: copier(enter(group, prev), cp, mux)),
-                   *compiler.compile_run(b.instrs, pages, fps),
+                   *ops,
                    once(("select", cp), lambda: _selector(
                        compiler.footprint(cp, (sel_page,), _KIND_W), sel_index))]
             if b.is_leaf:
@@ -513,14 +549,7 @@ class MultiplexedExecutable(TreeExecutable):
                     group.copy_back + plan.final_copy_back, cp, 0)))
             return ops
 
-        def staged_key(b: Block) -> tuple:
-            # fixes everything `block_ops` reads when the code is staged: the
-            # level gives `group` and `prev`, the micro-ops `mux`, and every
-            # block runs from the one staging page
-            return (b.level, b.is_leaf, *map(id, b.instrs))
-
-        self._link(tree, source_layout, objects, compiler, block_ops,
-                   staged_key if code_staged else None)
+        self._link(tree, source_layout, objects, compiler, block_ops, keys)
 
     @cached_property
     def witness(self) -> str | None:

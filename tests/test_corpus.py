@@ -264,10 +264,10 @@ class TestEddsaFullSize:
         assert (len({id(i) for i in placed}), len(placed)) == (2354, 56287)
         # and every trip of a loop uses the one trip's register slots
         assert build.tree.alloc.count == 1160
-        # blocks holding the same micro-ops on one level compile once
+        # blocks holding the same micro-ops compile once, on any level
         calls = count_compiles(monkeypatch)
         exe = build.executable()
-        assert len(calls) == 28216
+        assert len(calls) == 3736
         assert (len(set(map(id, exe.segments.values()))), len(exe.segments)) == \
             (845, 1674)
         r1 = build.run(secret={"k": 3})

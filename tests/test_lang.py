@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import time
 import tracemalloc
 import typing
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -927,3 +929,63 @@ def test_max_derived_trips_is_the_cap(header, trips):
     else:
         assert parse(source).function("main").body[0].trips == trips
     assert time.perf_counter() - start < 0.1
+
+
+# each token stream's digest (the first 16 hex digits of the SHA-256 of its
+# `(kind, text, line, col)` list as JSON) and length
+TOKEN_STREAMS = {
+    "aes": ("2696c178dcef40d7", 1298),
+    "cast_gcrypt": ("b3124e3c2e6c74f7", 777),
+    "cast_openssl": ("14bebb196679c06c", 777),
+    "eddsa": ("16a26acbfcb9d037", 174),
+    "foo": ("323028dd14ca3ac8", 159),
+    "powm": ("5f908fcdcb0fa929", 607),
+    "powm_sw": ("02e83a20fa203e69", 301),
+    "seed_gcrypt": ("25ad244604bb22c2", 777),
+    "seed_openssl": ("b01bcdb1d5fa6275", 777),
+    "stribog": ("c06affac26b43bae", 2340),
+    "tiger": ("fe2a3bee1fad4d88", 1298),
+    "whirlpool": ("333320c71b5ed850", 2340),
+    "eddsa_full": ("ade3b76220731b6e", 10425),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOKEN_STREAMS))
+def test_token_stream_is_pinned(name):
+    from pfo.corpus import eddsa_full_source
+
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    source = (eddsa_full_source() if name == "eddsa_full"
+              else (corpus / f"{name}.pfo").read_text())
+    stream = [(t.kind, t.text, t.line, t.col) for t in lang.tokenize(source)]
+    digest = hashlib.sha256(json.dumps(stream).encode()).hexdigest()[:16]
+    assert (digest, len(stream)) == TOKEN_STREAMS[name]
+
+
+@pytest.mark.parametrize("source, message", [
+    ("int x; @", "1:8: unexpected character '@'"),
+    ("int x;\n  /* a\n b */ $", "3:7: unexpected character '$'"),
+    ("x = 007;", "1:5: malformed number '007'"),
+    ("int __sa_x;", "1:5: '__sa_x': names starting with __pad or __sa are reserved"),
+    ("a\r\nb #", "2:3: unexpected character '#'"),
+    ("#pragma x\n#prag", "2:1: unexpected character '#'"),
+    ("\tx\t= \u00e9;", "1:6: unexpected character '\u00e9'"),
+    ("y = 1;  \n\n  \t`", "3:4: unexpected character '`'"),
+])
+def test_token_errors_name_their_place(source, message):
+    with pytest.raises(ParseError) as info:
+        lang.tokenize(source)
+    assert str(info.value) == f"<source>:{message}"
+    assert f"{info.value.line}:{info.value.col}:" == message.split(" ")[0]
+
+
+@pytest.mark.parametrize("source, tokens", [
+    # an unterminated comment is an operator pair
+    ("/* open", [("op", "/", 1, 1), ("op", "*", 1, 2), ("name", "open", 1, 4),
+                 ("eof", "", 1, 8)]),
+    ("a // c\n  b /* 1\n2 */ c  ", [("name", "a", 1, 1), ("name", "b", 2, 3),
+                                    ("name", "c", 3, 6), ("eof", "", 3, 9)]),
+    ("", [("eof", "", 1, 1)]),
+])
+def test_tokens_and_end_positions(source, tokens):
+    assert [(t.kind, t.text, t.line, t.col) for t in lang.tokenize(source)] == tokens

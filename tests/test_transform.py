@@ -5,7 +5,7 @@ import pytest
 
 from pfo.cli import main
 from pfo.exectree import balance, build_execution_tree
-from pfo.interp import AstExecutable, TrapInfo, _OpCompiler
+from pfo.interp import AstExecutable, TrapInfo, TreeExecutable, _OpCompiler
 from pfo.lang import parse
 from pfo.layouts import build_tree_layout
 from pfo.optimize import ALL_PASSES, build_defense, build_staged
@@ -510,6 +510,85 @@ def test_copies_of_a_continuation_share_compiled_segments(
     result = exe.run(secret={"s": s})
     assert result.trap == TrapInfo("div-zero", step)
     assert (result.steps, result.profile) == (step, profile)
+
+
+# every trip of the replayed loop places the same test block and the same
+# two arms, one trip per pair of levels: one body on two or three levels
+TRIPS_WITH_SECRET_ARMS = """
+secret int<3> s;
+int t[4] = {1, 2, 3, 4};
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  for (i = 0; i < 3; i = i + 1) {
+    if (((s >> i) & 1) == 1) { y = y + 12 / ((s >> i) - 1); } else { y = y ^ t[i & 3]; }
+  }
+  #pragma end_pf_sensitive
+}
+"""
+
+
+def test_one_body_on_several_levels_compiles_once(monkeypatch):
+    build = build_staged(parse(TRIPS_WITH_SECRET_ARMS))
+    tree = build.tree
+    calls = count_compiles(monkeypatch)
+    exe = MultiplexedExecutable(tree, build.source_layout, build.plan)
+    bodies = {tuple(map(id, b.instrs)): len(b.instrs) for b in tree.blocks}
+    then_arm = tuple(map(id, tree.blocks[1].instrs))
+    assert {b.level for b in tree.blocks if tuple(map(id, b.instrs)) == then_arm} \
+        == {2, 4, 6}
+    assert (len(calls), sum(bodies.values()), len(bodies)) == (25, 25, 4)
+    assert sum(len(b.instrs) for b in tree.blocks) == 141
+    # each level still has segments of its own: its copies and charge
+    assert len(set(map(id, exe.segments.values()))) == 9
+    # s = 4 traps in the third trip's then arm, on level 6, as it did when
+    # each level compiled its own copy of the arm
+    result = exe.run(secret={"s": 4})
+    assert (result.steps, result.profile, result.trap) == (
+        190, [3, 0, 4, 0, 1, 4, 0, 4, 0, 1, 4, 0, 4, 0, 1, 4],
+        TrapInfo("div-zero", 190))
+    reference = TreeExecutable(tree)
+    for secret in range(8):
+        got, want = exe.run(secret={"s": secret}), reference.run(secret={"s": secret})
+        assert got.outputs == want.outputs
+        assert (got.trap and got.trap.kind) == (want.trap and want.trap.kind)
+
+
+# the do-while's first body and test are the objects of every later trip:
+# block 1 holds them alone on level 1, and blocks 2 and 3 beside the loop's
+# exit on levels 2 and 3
+FIRST_TRIP_ALONE = """
+secret int<2> s;
+int t[4] = {1, 2, 3, 4};
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  do { y = y + t[s]; y = y + 1; t[1] = y; } while (y < 4 * s) bound 3;
+  #pragma end_pf_sensitive
+}
+"""
+
+
+def test_a_body_alone_on_its_level_compiles_apart(monkeypatch):
+    # only a level of several blocks gives its code-only steps dummy reads,
+    # so the body alone on level 1 cannot share the others' compiled ops:
+    # without its dummy reads, where block 2's two data accesses fall would
+    # show beside the exit's pad writes (3 classes)
+    build = build_staged(parse(FIRST_TRIP_ALONE))
+    tree = build.tree
+    one, two, three = tree.blocks[:3]
+    assert [b.level for b in (one, two, three)] == [1, 2, 3]
+    assert list(map(id, one.instrs)) == list(map(id, two.instrs)) \
+        == list(map(id, three.instrs))
+    assert [len(lv) for lv in tree.levels] == [1, 2, 3, 4]
+    calls = count_compiles(monkeypatch)
+    exe = MultiplexedExecutable(tree, build.source_layout, build.plan)
+    runs = [exe.run(secret={"s": s}) for s in range(4)]
+    assert exe.witness is None
+    assert len({tuple(r.profile) for r in runs}) == 1
+    assert [r.outputs["y"] for r in runs] == [2, 7, 8, 15]
+    assert sum(c is one.instrs[0] for c in calls) == 2
+    assert len(calls) == 29
 
 
 def test_in_place_code_shares_nothing(monkeypatch):
