@@ -20,8 +20,9 @@ allocation-light:
 
 * footprints: each micro-op's page events (code page, data pages and
   their kinds, the distinct pages it needs and their set) are fixed at
-  compile time in an interned `Footprint`.  `Sink.instr(fp)` is the
-  pigeonhole rule (`memory.observe_profile` is the trace-replay
+  compile time in an interned `Footprint`, an instruction's or an array
+  word's page by the one rule of `layouts.word_runs`.  `Sink.instr(fp)`
+  is the pigeonhole rule (`memory.observe_profile` is the trace-replay
   reference).
 * inlined ops: the compiler gives each micro-op as a value-only op,
   which computes values only, with the charge its step adds
@@ -74,14 +75,14 @@ allocation-light:
 * traps: a trapping op raises without a step count.  A segment's
   generated function sets the index of each op that may trap before it
   runs, and turns a trap into one that records the charges of the ops
-  before it (`_unwound`); a merged call adds its own step before the
-  callee's.  The runner that catches it charges those prefixes
-  outermost first, then the trapping op's own step (`_trap_info`).  So a
-  trap's step, profile and trace are those of charging each step as it
-  runs.  A `/` or `%` by zero raises Python's `ZeroDivisionError` in the
-  function, which makes it the `div-zero` trap of that op, counting the
-  division's own step; a fused pair traps as its first op, before
-  either register is written.
+  before it, and of a division its own (`_unwound`); a merged call adds
+  its own step before the callee's.  The runner that catches it charges
+  those prefixes outermost first (`_trap_info`).  So a trap's step,
+  profile and trace are those of charging each step as it runs.  A `/`
+  or `%` by zero raises Python's `ZeroDivisionError` in the function,
+  which makes it the `div-zero` trap of that op, counting the division's
+  own step; a fused pair traps as its first op, before either register
+  is written.
 * constant slots: every constant operand reads a register slot above the
   program's own, filled once per run from the register template, so an
   operand is always `regs[slot]`.
@@ -153,11 +154,10 @@ from .lang import (
     PREFIX_OPERATORS,
     DeclKind,
     Program,
-    WORD_SIZE,
     arith,
     operator_lines,
 )
-from .layouts import build_ast_layout, build_tree_layout
+from .layouts import build_ast_layout, build_tree_layout, word_runs
 from .memory import (
     AccessEvent,
     AdversaryModel,
@@ -190,17 +190,13 @@ def _int_text(v: int) -> str:
 
 class SimTrap(PfoError):
     """A trap, raised without its step: the runner that catches it makes the
-    `TrapInfo` (`_trap_info`).  `counted` is the footprint of the step the
-    trapping op took first (a division steps, then traps; an out-of-bounds
-    access traps unstepped).  `prefixes` gathers, innermost first, the
+    `TrapInfo` (`_trap_info`).  `prefixes` gathers, innermost first, the
     charges that each summarised segment or call it unwinds through had
     not yet made."""
 
-    def __init__(self, kind: str, detail: str = "",
-                 counted: Optional["Footprint"] = None):
+    def __init__(self, kind: str, detail: str = ""):
         self.kind = kind
         self.detail = detail
-        self.counted = counted
         self.prefixes: list[tuple] = []
         super().__init__(f"trap {kind}: {detail}")
 
@@ -599,37 +595,25 @@ class _OpCompiler:
         return got
 
     def _new_data_footprint(self, obj: str, cp: int, kinds: tuple):
-        # an object's page per extent, and for a split one the extent of
-        # every word (words past the extents take the last one)
-        ext_of = None
+        # the object's word runs (`layouts.word_runs`), or all its words on
+        # the one page it is pinned to
         if obj in self.pages:
-            pages = (self.pages[obj],)
+            runs = ((self.pages[obj], 0, self.objects.lengths[self._obj_index(obj)]),)
         else:
-            extents = self.objects.layout.data_extents(obj)
-            pages = tuple(e.page for e in extents)
-            if len(extents) > 1:
-                ext_of = [k for k, e in enumerate(extents)
-                          for _ in range(e.length // WORD_SIZE)]
-                length = self.objects.lengths[self.objects.index[obj]]
-                ext_of.extend([len(extents) - 1] * (length - len(ext_of)))
+            runs = word_runs(self.objects.layout.data_extents(obj))
         allowed = self.strict_pages
-        fps = tuple(
-            None if allowed is not None and p not in allowed
-            else self.footprint(cp, (p,), kinds)
-            for p in pages
-        )
-        if ext_of is None and fps[0] is not None:
-            return fps[0], None
-        if ext_of is not None:
+        fps = [None if allowed is not None and page not in allowed
+               else self.footprint(cp, (page,), kinds) for page, _, _ in runs]
+        if len(runs) > 1:
             self.split.setdefault(obj)
+        elif fps[0] is not None:
+            return fps[0], None
+        words = [(page, fp) for (page, _, n), fp in zip(runs, fps) for _ in range(n)]
 
         def lookup(i: int) -> Footprint:
-            k = 0 if ext_of is None else ext_of[i]
-            fp = fps[k]
+            page, fp = words[i]
             if fp is None:
-                raise PfoError(
-                    f"execute-phase access escaped staging pages (page {pages[k]})"
-                )
+                raise PfoError(f"execute-phase access escaped staging pages (page {page})")
             return fp
         return None, lookup
 
@@ -795,20 +779,19 @@ def _unwound(exc: Exception, charges: tuple, i: int) -> SimTrap:
     """The trap that op `i` of a summarised run of `charges` raised, with
     the charges of the ops before it recorded; a segment's generated
     function raises it (`_chunk_code`).  A `ZeroDivisionError` (a `/` or
-    `%` by zero) is that op's `div-zero` trap, after its step."""
-    trap = exc if isinstance(exc, SimTrap) else SimTrap("div-zero", counted=charges[i])
-    trap.prefixes.append(charges[:i])
+    `%` by zero) is that op's `div-zero` trap, after its step, so its
+    charge is recorded too; any other trap is raised unstepped."""
+    stepped = not isinstance(exc, SimTrap)
+    trap = SimTrap("div-zero") if stepped else exc
+    trap.prefixes.append(charges[:i + stepped])
     return trap
 
 
 def _trap_info(sink: Sink, trap: SimTrap) -> TrapInfo:
-    """The trap's step, with `sink` brought up to it: the charges of the
-    ops before the trapping one in every enclosing summarised segment and
-    call, outermost first, then the step the trapping op took."""
+    """The trap's step, with `sink` brought up to it: the charges that
+    every enclosing summarised segment and call recorded, outermost first."""
     for prefix in reversed(trap.prefixes):
         sink.charge(prefix)
-    if trap.counted is not None:
-        sink.instr(trap.counted)
     return TrapInfo(trap.kind, sink.steps, trap.detail)
 
 
@@ -1031,10 +1014,10 @@ class AstExecutable:
         instrs = fn.instrs
         params = frozenset(fn.params)
         writes = set()
-        extents = self.layout.data_extents
         for instr in instrs:
             cls = instr.__class__
-            if cls is CallI or (cls is LoadI or cls is StoreI) and len(extents(instr.obj)) > 1:
+            if cls is CallI or (cls is LoadI or cls is StoreI) \
+                    and len(word_runs(self.layout.data_extents(instr.obj))) > 1:
                 return None
             dst = getattr(instr, "dst", None)
             if dst is not None:
@@ -1154,16 +1137,10 @@ def _arms_differ(arms: tuple, entry: frozenset, rest: list) -> bool:
 
 
 def _code_pages(layout: MemoryLayout, unit: str, count: int) -> list[int]:
-    """The code page of each of a unit's `count` one-word instructions: the
-    page holding its first byte (past the unit's extents, the last one)."""
-    pages: list[int] = []
-    end = 0
-    for ext in layout.code_extents(unit) if count else ():
-        end += ext.length
-        while len(pages) < count and len(pages) * WORD_SIZE < end:
-            pages.append(ext.page)
-    pages.extend(pages[-1:] * (count - len(pages)))
-    return pages
+    """The code page of each of a unit's `count` one-word instructions, by
+    `layouts.word_runs` (none for an empty unit, which may be unmapped)."""
+    return [page for page, _, words in word_runs(layout.code_extents(unit) if count else ())
+            for _ in range(words)]
 
 
 class _Frame:

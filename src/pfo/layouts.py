@@ -11,6 +11,12 @@ unpinned ones from the first page past the code no pinned array touches;
 `first_page_past_pins` is the first page past every pinned array, where a
 pass that pins code of its own (O3B's caller pages, in-place O4) starts.
 
+Word i of a unit (its i-th instruction or array element) is on the page of
+its first byte, 4i, even when it crosses into the next page.  `word_runs`
+is that one rule, for every reader of a word's page: the interpreter's
+code and data pages and `transform.plan_layout`'s copies; `memory.page_of`
+is its byte form.
+
 The two layouts differ only in their code groups and their order:
 
 * `build_ast_layout` (whole-function runs): one group per function that
@@ -89,6 +95,20 @@ def place(page_size: int, groups: Sequence[Group],
             at = max((past for past, _, _ in clashes(out)), default=None)
         placed.update(out)
     return placed, page
+
+
+def word_runs(extents: Iterable[Extent]) -> list[tuple[int, int, int]]:
+    """A unit's words by page, in order: one `(page, first word, words)`
+    run for each of `extents` that holds the first byte of some word."""
+    runs = []
+    first = end = 0
+    for ext in extents:
+        end += ext.length
+        past = (end + WORD_SIZE - 1) // WORD_SIZE  # words starting before `end`
+        if past > first:
+            runs.append((ext.page, first, past - first))
+            first = past
+    return runs
 
 
 def _pins(program: Program, kind: str) -> dict[str, Placement]:

@@ -144,7 +144,8 @@ class MemoryLayout:
 
 
 def page_of(layout: MemoryLayout, object_id: str, byte_index: int) -> int:
-    """Page containing byte `byte_index` of a mapped data object."""
+    """Page containing byte `byte_index` of a mapped data object: the byte
+    form of `layouts.word_runs`, so word i is on `page_of(..., 4 * i)`."""
     extents = layout.data_extents(object_id)
     if byte_index < 0:
         raise LayoutError(f"negative byte index {byte_index}")

@@ -52,7 +52,7 @@ from .interp import (
     _OpCompiler,
 )
 from .lang import WORD_SIZE
-from .layouts import next_free_page
+from .layouts import next_free_page, word_runs
 from .memory import MemoryLayout, PfoError
 
 SELECTOR = "__sa_sel"
@@ -243,12 +243,12 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
 
     slots[SELECTOR] = alloc_slot(SELECTOR, 1)
     slots[PAD_OBJECT] = alloc_slot(PAD_OBJECT, 1)
+    # each object's word runs, which its copies move (`layouts.word_runs`)
+    runs: dict[str, list[tuple[int, int, int]]] = {}
     for obj in objects_in_order:
-        if obj in slots:
-            continue
-        extents = source_layout.data_extents(obj)
-        words = sum(e.length for e in extents) // WORD_SIZE
-        slots[obj] = alloc_slot(obj, words)
+        if obj not in slots:
+            runs[obj] = word_runs(source_layout.data_extents(obj))
+            slots[obj] = alloc_slot(obj, sum(words for _, _, words in runs[obj]))
 
     staging = StagingArea(sa_code, tuple(sa_data_pages), slots)
 
@@ -267,17 +267,11 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
             )
 
     def copy_steps(obj: str, kind: str) -> list[CopyStep]:
-        """`obj`'s extents into its slot ('data') or back out ('back')."""
-        slot = slots[obj]
-        steps = []
-        word_off = 0
-        for ext in source_layout.data_extents(obj):
-            words = ext.length // WORD_SIZE
-            src, dst = (ext.page, slot.page) if kind == "data" else (slot.page, ext.page)
-            steps.append(CopyStep(kind, obj, src, dst, words,
-                                  src_word=word_off, dst_word=word_off))
-            word_off += words
-        return steps
+        """`obj`'s word runs into its slot ('data') or back out ('back')."""
+        slot = slots[obj].page
+        return [CopyStep(kind, obj, page, slot, words, first, first) if kind == "data"
+                else CopyStep(kind, obj, slot, page, words, first, first)
+                for page, first, words in runs[obj]]
 
     # gamma + the schedule, one group of consecutive levels at a time
     gamma: dict[int, tuple[int, int]] = {}
@@ -308,10 +302,8 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
             offset += size
             gamma[b.id] = (covers[0], run_at)
             fetch.extend(
-                CopyStep("code", b.name(), ext.page, sa_code,
-                         ext.length // WORD_SIZE, dst_offset=dst)
-                for ext in source_layout.code_extents(b.name())
-            )
+                CopyStep("code", b.name(), page, sa_code, words, dst_offset=dst)
+                for page, _, words in word_runs(source_layout.code_extents(b.name())))
         base += code_bytes
 
         level_objs: dict[str, None] = {}

@@ -6,7 +6,8 @@ global and table cell from expressions that also read them, so the order
 in which a call's value, its callee's writes and the operands around it
 are taken decides the outputs.  Others trap for some secrets: they
 divide by `s - K` and read or write `t[s + k]`, in `main` and in a
-helper, under secret branches or not, with `t` on one page or across two.
+helper, under secret branches or not, with `t` on one page or across two,
+word-aligned or with one word across the boundary.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -74,9 +75,11 @@ def test_pretty_parses_back(source):
 
 
 _TRAPS = "secret int<2> s;\noutput int y;\nint a;\nint t[4] = {3, 5, 7, 11};"
-# `t` pinned 8 bytes before page 1: its words 0 and 1 sit on page 0 and
-# 2 and 3 on page 1, so each access looks its page up
-_SPLIT_TABLE = "#pragma place data t 1 -8\n"
+# `t` pinned 8 bytes before the end of page 1: its words 0 and 1 sit on
+# page 1 and 2 and 3 on page 2, so each access looks its page up.  Pinned
+# 6 bytes before it, word 1 straddles the boundary and is on page 1, the
+# page of its first byte, and every copy of `t` must still move all four
+_SPLIT_TABLES = ("#pragma place data t 1 -8\n", "#pragma place data t 1 -6\n")
 
 
 @st.composite
@@ -84,7 +87,8 @@ def trapping_programs(draw) -> str:
     """`main` bodies of 1-3 statements, each `a = c / (s - K)`, `a = c %
     (s - K)`, `a = t[s + k]` or `t[s + k] = a`, then `y = y + a`, some under
     a secret `if` and some in a helper `f(v)` that `main` calls with `s`;
-    in some programs `t` straddles a page boundary."""
+    in some programs `t` straddles a page boundary, in some with a word
+    across it."""
     def statement(var: str) -> str:
         kind = draw(st.sampled_from(["/", "%", "load", "store"]))
         k = draw(st.integers(0, 3))
@@ -102,7 +106,7 @@ def trapping_programs(draw) -> str:
         if draw(st.booleans()):
             stmt = f"if (s == {draw(st.integers(0, 3))}) {{ {stmt} }}"
         body.append(stmt)
-    pins = _SPLIT_TABLE if draw(st.booleans()) else ""
+    pins = draw(st.sampled_from(("",) + _SPLIT_TABLES))
     return _region(f"{pins}{_TRAPS}\nfn f(v) {{ {helper} return a; }}", " ".join(body))
 
 

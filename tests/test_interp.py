@@ -19,7 +19,9 @@ from pfo.ir import LoadI, Reg
 from pfo.lang import parse
 from pfo.layouts import build_ast_layout
 from pfo.leakage import SecretDomain
-from pfo.memory import AdversaryModel, EventKind, PageModelError, PfoError, observe_profile
+from pfo.memory import (
+    AdversaryModel, EventKind, PageModelError, PfoError, observe_profile, page_of,
+)
 from pfo.optimize import (
     ALL_PASSES, build_defense, build_staged, opt_if_convert, opt_page_realign, opt_readonly_elim,
 )
@@ -821,6 +823,34 @@ def test_instruction_page_is_the_page_of_its_first_byte(make):
     result = make(parse(UNALIGNED_CODE)).run(secret={"k": 1})
     assert result.outputs == {"y": 16}
     assert result.profile == [1, 2]
+
+
+# `t` starts 6 bytes before the end of page 1: its word 1 starts at byte
+# 62, so it is on page 1 with word 0, and words 2 and 3 are on page 2
+UNALIGNED_TABLE = """
+#pragma page_size 64
+#pragma place data t 1 -6
+secret int<2> s;
+int t[4] = {1, 2, 3, 4};
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  y = t[s];
+  #pragma end_pf_sensitive
+}
+"""
+
+
+@pytest.mark.parametrize("make", [
+    AstExecutable,
+    lambda program: TreeExecutable(balance(build_execution_tree(program))),
+], ids=["ast", "tree"])
+def test_array_word_is_on_the_page_of_its_first_byte(make):
+    exe = make(parse(UNALIGNED_TABLE))
+    assert page_of(exe.layout, "t", 4) == 1
+    runs = [exe.run(secret={"s": s}) for s in range(4)]
+    assert [r.outputs["y"] for r in runs] == [1, 2, 3, 4]
+    assert [r.profile for r in runs] == [[0, 1], [0, 1], [0, 2], [0, 2]]
 
 
 def test_footprint_over_page_limit_rejected_when_interned():

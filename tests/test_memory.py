@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, Footprint, FootprintTable, Sink, Summary, TreeExecutable
 from pfo.lang import parse
-from pfo.layouts import build_ast_layout, build_tree_layout
+from pfo.layouts import build_ast_layout, build_tree_layout, word_runs
 from pfo.memory import (
     AccessEvent,
     AdversaryModel,
@@ -160,6 +160,19 @@ class TestPageOf:
         layout = word_table_layout(64, {"t": (0, 0, 32)})
         with pytest.raises(LayoutError):
             page_of(layout, "t", 32)
+
+    @given(st.integers(4, 12), st.integers(0, 3), st.integers(1, 1200), st.data())
+    def test_word_runs_put_each_word_on_the_page_of_its_first_byte(
+            self, log_size, page, words, data):
+        # a pin at any offset, word-aligned or not
+        page_size = 1 << log_size
+        offset = data.draw(st.integers(-page_size, page_size - 1))
+        layout = word_table_layout(page_size, {"t": (page, offset, 4 * words)})
+        runs = word_runs(layout.data_extents("t"))
+        assert all(n > 0 for _, _, n in runs)
+        assert [first + k for _, first, n in runs for k in range(n)] == list(range(words))
+        assert [p for p, _, n in runs for _ in range(n)] == \
+            [page_of(layout, "t", 4 * i) for i in range(words)]
 
 
 class TestLayoutValidation:

@@ -8,6 +8,7 @@ from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, TreeExecutable, _OpCompiler
 from pfo.lang import parse
 from pfo.layouts import build_tree_layout
+from pfo.memory import Extent
 from pfo.optimize import ALL_PASSES, build_defense, build_staged
 from pfo.suites import case_source
 from pfo.transform import (
@@ -18,6 +19,7 @@ from pfo.transform import (
 )
 
 from test_exectree import SHARED_CONTINUATION
+from test_interp import UNALIGNED_TABLE
 from test_lang import FOO_SOURCE
 
 # 8-entry table split 4 entries / 4 entries across pages 1 and 2.
@@ -672,3 +674,45 @@ def test_data_placement_verifies_transformed(tmp_path, capsys):
     source.write_text(DATA_PLACEMENT)
     assert main(["verify", "--program", str(source), "--transformed"]) == 0
     assert json.loads(capsys.readouterr().out)["classes"] == 1
+
+
+# `t` (the store makes its copies move words), and `main`'s first block
+# below, start 6 bytes before the end of page 1: word 1 starts at byte 62,
+# so it is on page 1, and the staging copies move it from there
+UNALIGNED_STORE = UNALIGNED_TABLE.replace("y = t[s];", "t[0] = 9; y = t[s];")
+
+UNALIGNED_BLOCK = """
+#pragma page_size 64
+#pragma place code main 1 -6
+secret int<1> s;
+int t[4] = {1, 2, 3, 4};
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  y = t[0] + t[1];
+  if (s == 1) { y = y + 1; } else { y = y + 2; }
+  #pragma end_pf_sensitive
+}
+"""
+
+
+def test_data_copies_move_a_word_across_a_page_boundary():
+    program = parse(UNALIGNED_STORE)
+    build = build_defense(program)
+    assert build.source_layout.data_map["t"] == (Extent(1, 58, 6), Extent(2, 0, 10))
+    assert [(c.src_page, c.src_word, c.words) for lp in build.plan.levels
+            for c in lp.fetch if c.unit == "t"] == [(1, 0, 2), (2, 2, 2)]
+    vanilla = AstExecutable(program)
+    for s in range(4):
+        assert build.run(secret={"s": s}).outputs == \
+            vanilla.run(secret={"s": s}).outputs == {"y": [9, 2, 3, 4][s]}
+
+
+def test_code_fetch_moves_every_instruction_of_a_straddling_block():
+    build = build_defense(parse(UNALIGNED_BLOCK))
+    assert build.source_layout.code_map["BB1"] == (Extent(1, 58, 6), Extent(2, 0, 18))
+    assert [(c.unit, c.src_page, c.words) for c in build.plan.levels[0].fetch
+            if c.kind == "code"] == [("BB1", 1, 2), ("BB1", 2, 4)]
+    for s in range(2):
+        run = build.run(secret={"s": s})
+        assert (run.outputs["y"], run.steps, run.mux_accesses) == (5 - s, 28, 22)
