@@ -30,10 +30,8 @@ allocation-light:
   a pad write and a static load or store is inlined: a statement
   template and its operands (slots, array index, length, name).  An
   operator's statements come from the operator table
-  (`lang.operator_lines`, which `lang.arith`'s functions run too).  An
-  arithmetic op and the `MovI` that copies its result (how `x = a op b`
-  lowers) are one op that writes both registers: the move keeps its
-  charge but has no value op, so the pair's two steps run one statement.
+  (`lang.operator_lines`, which `lang.arith`'s functions run too).  Each
+  micro-op is its own op, so `x = a op b` is an operator op and a move.
   A staging copy, a selector update, a merged call and a loop bound's
   trap stay closures.  Some ops account for themselves as they run: a
   split-extent access (its footprint depends on the word index), a
@@ -59,6 +57,8 @@ allocation-light:
   the function's defaults (`_chunk`).  `_run` calls a segment's
   functions and then adds the whole segment in one `Sink.account`, which
   looks the faults from its resident set up in the summary's memo.
+  Tree blocks whose ops are the same objects, in order, share one
+  segment tuple (`TreeExecutable._link`).
 * calls: in whole-function mode a function whose body is straight-line
   code (an optional tail `return`), whose ops are all charged and whose
   callees are all merged, is summarised whole, and a call to it is
@@ -81,8 +81,7 @@ allocation-light:
   profile and trace are those of charging each step as it runs.  A `/`
   or `%` by zero raises Python's `ZeroDivisionError` in the function,
   which makes it the `div-zero` trap of that op, counting the division's
-  own step; a fused pair traps as its first op, before either register
-  is written.
+  own step, before its register is written.
 * constant slots: every constant operand reads a register slot above the
   program's own, filled once per run from the register template, so an
   operand is always `regs[slot]`.
@@ -117,9 +116,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, groupby, islice, repeat
+from itertools import groupby, repeat
 from types import CodeType, FunctionType
-from typing import Callable, Collection, Hashable, Optional
+from typing import Callable, Optional
 
 from .exectree import Block, ExecutionTree
 from .ir import (
@@ -618,7 +617,7 @@ class _OpCompiler:
         return None, lookup
 
     def compile_run(self, instrs: list[Instr], pages: list[int],
-                    fps: Optional[list] = None, starts: Collection[int] = (),
+                    fps: Optional[list] = None,
                     call: Optional[Callable[[CallI, int], object]] = None,
                     remap: Optional[dict[int, int]] = None) -> list:
         """The `(op, charge)` of each micro-op of straight-line code, op i
@@ -635,15 +634,8 @@ class _OpCompiler:
         to a list of ops that takes the `CallI`'s one place.  `remap` maps
         register slots the ops read to the slots they read instead (a
         callee compiled in place reads each parameter from its argument).
-
-        A `BinI` or `UnI` and the `MovI` after it that copies its result
-        (how `x = a op b` lowers) are one op, the operator's, that writes
-        the move's register too: the op carries it and the move `None`,
-        each its own charge, so the pair steps twice and traps as its first
-        op, before either register is written.  Code is entered at its
-        start or at one of `starts`, where a `RunNode` of a function body
-        begins (whole-function mode slices its ops by run), so no pair is
-        fused across one."""
+        Every micro-op is compiled to its own op: a `MovI` after an
+        operator is a move like any other."""
         slot = self.slot
         if remap:
             def slot(op: Operand, base=slot, get=remap.get) -> int:
@@ -652,28 +644,20 @@ class _OpCompiler:
         code_steps = self._code_footprints
         ops: list[tuple] = []
         append = ops.append
-        moved = False  # whether the op before wrote this move's register
         # exact classes, the commonest first: moves are about half of a
-        # large program's micro-ops.  `i` is the index of `after`
-        for i, (instr, after, cp, fp) in enumerate(zip(
-                instrs, chain(islice(instrs, 1, None), (None,)), pages,
-                fps or repeat(None)), 1):
+        # large program's micro-ops.  An operator's template key is its
+        # symbol, arity and width (`_template`)
+        for instr, cp, fp in zip(instrs, pages, fps or repeat(None)):
             if fp is None:
                 fp = code_steps.get(cp) or code_steps.setdefault(cp, self.footprint(cp))
-            if moved:
-                append((None, fp))
-                moved = False
-                continue
             cls = instr.__class__
             if cls is MovI:
                 append((("move", (slot(instr.a), instr.dst)), fp))
-            elif cls is BinI or cls is UnI:
-                dst2 = None
-                if (after.__class__ is MovI and after.a.__class__ is Reg
-                        and after.a.slot == instr.dst and i not in starts):
-                    dst2, moved = after.dst, True
-                srcs = (slot(instr.a), slot(instr.b)) if cls is BinI else (slot(instr.a),)
-                append((_operator_op(instr.op, srcs, instr.dst, dst2, self.width), fp))
+            elif cls is BinI:
+                append((((instr.op, 2, self.width),
+                         (slot(instr.a), slot(instr.b), instr.dst)), fp))
+            elif cls is UnI:
+                append((((instr.op, 1, self.width), (slot(instr.a), instr.dst)), fp))
             elif cls is LoadI or cls is StoreI:
                 append(self._compile_access(instr, cp, slot))
             elif cls is SelI:
@@ -746,15 +730,6 @@ class _OpCompiler:
         return run, None
 
 
-def _operator_op(op: str, srcs: tuple, dst: int, dst2: Optional[int], width: int) -> tuple:
-    """The inlined op of operator `op` at `width` bits over the registers
-    `srcs` (one for a prefix operator), writing `dst` and, when given,
-    `dst2` too (the move fused with it)."""
-    if dst2 is None:
-        return (op, len(srcs), False, width), (*srcs, dst)
-    return (op, len(srcs), True, width), (*srcs, dst, dst2)
-
-
 def _run(st: State, node: tuple, trips: int = 1) -> None:
     """The one segment loop: walk the node graph from `node`, `trips`
     times.  A node is `(segments, kids)`: its `(functions, summary)`
@@ -813,12 +788,11 @@ class _Body:
 class _Leaf:
     """A leaf callee, which a merged call compiles in place: its
     instructions but a tail `return`, their code pages (the return's
-    included), the run starts, the operand a tail return gives (`None`
-    without one), its parameter slots, the slots it writes, and its steps."""
+    included), the operand a tail return gives (`None` without one), its
+    parameter slots, the slots it writes, and its steps."""
 
     instrs: list
     pages: list
-    starts: frozenset
     value: Optional[Operand]
     params: tuple[int, ...]
     writes: frozenset
@@ -919,8 +893,7 @@ class AstExecutable:
             tail.append((None, compiler.footprint(pages[end])))
         # in order, so calls spend the merge budget in program order; the
         # tail return, the body's last instruction, is charged at the end
-        ops = compiler.compile_run(instrs[:end], pages, starts=fn.run_starts,
-                                   call=self._call)
+        ops = compiler.compile_run(instrs[:end], pages, call=self._call)
         pos = None
         if any(op.__class__ is list for op in ops):
             ops, pos = _spliced(ops)
@@ -1032,7 +1005,7 @@ class AstExecutable:
             value = Const(0) if ret.value is None else ret.value
             instrs = instrs[:-1]
         got = self._leaves[name] = _Leaf(
-            instrs, _code_pages(self.layout, name, len(fn.instrs)), fn.run_starts, value,
+            instrs, _code_pages(self.layout, name, len(fn.instrs)), value,
             fn.params, frozenset(writes), len(fn.instrs))
         return got
 
@@ -1056,7 +1029,7 @@ class AstExecutable:
             if leaf.value is not None:
                 instrs = instrs + [MovI(instr.dst, leaf.value, instr.fn)]
             return [(None, fp), *compiler.compile_run(
-                instrs, leaf.pages, starts=leaf.starts, remap=dict(zip(leaf.params, args)))]
+                instrs, leaf.pages, remap=dict(zip(leaf.params, args)))]
         callee = self._body(instr.fn)
         binds = tuple(zip(callee.params, args))
         dst, zero, ret = instr.dst, callee.locals, callee.ret
@@ -1245,10 +1218,10 @@ class TreeExecutable:
 
     Each block compiles to one flat tuple of `(op, charge)` ops, its
     instructions at their own code pages; `transform.MultiplexedExecutable`
-    builds the same tuples with the staging schedule compiled in, compiles
-    each distinct staged body once for all its levels, and cuts blocks that
-    would get equal tuples once (`_link`).  A block
-    is cut into segments at the ops that account for themselves, and each
+    builds the same tuples with the staging schedule compiled in, and
+    compiles each distinct staged body once for all its levels.  Blocks
+    whose ops are the same objects share one segment tuple (`_link`).  A
+    block is cut into segments at the ops that account for themselves, and each
     run of charged ops is summarised once (`Summary`) and generated as
     functions (`_segment`): a run calls a segment's functions, which
     compute values only, then accounts its summary in one `Sink.account`,
@@ -1265,29 +1238,25 @@ class TreeExecutable:
 
     def _link(self, tree: ExecutionTree, layout: MemoryLayout,
               objects: ObjectTable, compiler: _OpCompiler,
-              block_ops: Callable[[Block], list[tuple]],
-              keys: Optional[dict[int, Hashable]] = None) -> None:
+              block_ops: Callable[[Block], list[tuple]]) -> None:
         """Make runs walk `tree`, running the `(op, charge)` ops that
         `block_ops` compiles for each block.
 
-        Blocks with equal `keys` (by block id) share one segment tuple, cut
-        once from the ops of the first of them, so a key must fix
-        everything `block_ops` reads of a block; without keys every block
-        is cut on its own.  A segment tuple holds its level's copies and
-        charges, so it is one level's; `block_ops` may still share the
-        compiled instructions of equal bodies across levels
-        (`transform.MultiplexedExecutable`).  Only the cut segments are
-        kept (`segments`, by block id), not the op lists.
+        Blocks whose ops are the same objects, in order, share one segment
+        tuple, cut once from the ops of the first of them: a block is keyed
+        by the ids of its ops, and the first op list of each key is kept
+        until every block is keyed, so no id in a key is reused.  Only the
+        cut segments are kept after that (`segments`, by block id).
         """
         summaries: dict[tuple, Summary] = {}
-        if keys is None:
-            keys = {b.id: b.id for b in tree.blocks}
-        compiled: dict[Hashable, tuple] = {}
+        compiled: dict[tuple, tuple] = {}  # a key's first ops and segments
+        self.segments = {}
         for b in tree.blocks:
-            key = keys[b.id]
+            ops = block_ops(b)
+            key = tuple(map(id, ops))
             if key not in compiled:
-                compiled[key] = _segments(block_ops(b), summaries)
-        self.segments = {bid: compiled[key] for bid, key in keys.items()}
+                compiled[key] = ops, _segments(ops, summaries)
+            self.segments[b.id] = compiled[key][1]
         self.tree = tree
         self.program = tree.program
         self.layout = layout
@@ -1400,12 +1369,11 @@ def _template(key) -> tuple[str, tuple, bool]:
     if key.__class__ is str:
         params, lines = _TEMPLATES[key]
         return params, lines, key in _TRAPS
-    op, arity, fused, width = key
+    op, arity, width = key
     row = (BINARY_OPERATORS if arity == 2 else PREFIX_OPERATORS)[op]
     srcs = "ab"[:arity]
-    lines = operator_lines(row, tuple(f"regs[{p}@]" for p in srcs),
-                           "regs[e@] = regs[d@]" if fused else "regs[d@]", width)
-    return srcs + ("de" if fused else "d"), tuple(lines), row.divides
+    lines = operator_lines(row, tuple(f"regs[{p}@]" for p in srcs), "regs[d@]", width)
+    return srcs + "d", tuple(lines), row.divides
 
 
 @lru_cache(maxsize=MAX_SHAPES)

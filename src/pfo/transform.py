@@ -301,9 +301,11 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
             dst, run_at = (offset, offset) if mode == "basic" else (base, real_off)
             offset += size
             gamma[b.id] = (covers[0], run_at)
+            # each run of the block's words lands where its first word goes
             fetch.extend(
-                CopyStep("code", b.name(), page, sa_code, words, dst_offset=dst)
-                for page, _, words in word_runs(source_layout.code_extents(b.name())))
+                CopyStep("code", b.name(), page, sa_code, words,
+                         dst_offset=dst + WORD_SIZE * first)
+                for page, first, words in word_runs(source_layout.code_extents(b.name())))
         base += code_bytes
 
         level_objs: dict[str, None] = {}
@@ -400,10 +402,9 @@ class MultiplexedExecutable(TreeExecutable):
     depend only on its body: its micro-op objects (copies of one
     continuation, or trips of a replayed loop, padded alike) and whether
     its level has several blocks, which gives its code-only steps their
-    dummy reads.  Each body compiles once, on whatever levels it sits, and
-    its ops are dropped after its last use; each level wraps them in its own
-    copies, selector and exit into segments of its own, and blocks on one
-    level with one body that agree on being a leaf share those segments
+    dummy reads.  Each body compiles once, on whatever levels it sits
+    (`bodies`), and blocks whose copies, body, selector and exit are the
+    same ops share one segment tuple, on one level or several
     (`TreeExecutable._link`).  Unstaged, each block runs from its own code
     pages and is compiled on its own.  An execute-phase access that would
     leave the staging pages is an internal error, which keeps levels
@@ -497,33 +498,19 @@ class MultiplexedExecutable(TreeExecutable):
             cp = plan.staging.sa_code
             return compiler.compile_run(b.instrs, [cp] * len(b.instrs), fps)
 
-        keys = None
-        if code_staged:
-            # a body is a block's micro-ops and whether its level has several
-            # blocks, which fixes all `staged_body` reads; a block's key adds
-            # its level (its copies and charge) and whether it is a leaf.
-            # Equal bodies are kept as one tuple, so the keys hold each once
-            keys, seen = {}, {}
-            for b in tree.blocks:
-                body = (len(tree.levels[b.level - 1]) > 1, *map(id, b.instrs))
-                keys[b.id] = (b.level, b.is_leaf, seen.setdefault(body, body))
-            # `_link` compiles each distinct key once; a body's ops are
-            # dropped once its last key has taken them
-            uses: dict[tuple, int] = {}
-            for _, _, body in set(keys.values()):
-                uses[body] = uses.get(body, 0) + 1
-            bodies: dict[tuple, list[tuple]] = {}
+        # a staged body's ops, by whether its level has several blocks and
+        # its micro-ops, which fix all `staged_body` reads (the tree holds
+        # the micro-ops, so no id in a key is reused)
+        bodies: dict[tuple, list[tuple]] = {}
 
         def block_ops(b: Block) -> list[tuple]:
             if code_staged:
                 cp = plan.staging.sa_code
-                body = keys[b.id][2]
-                ops = bodies.get(body)
+                multi = len(tree.levels[b.level - 1]) > 1
+                key = (multi, *map(id, b.instrs))
+                ops = bodies.get(key)
                 if ops is None:
-                    ops = bodies[body] = staged_body(b, body[0])
-                uses[body] -= 1
-                if not uses[body]:
-                    del bodies[body]
+                    ops = bodies[key] = staged_body(b, multi)
             else:
                 cp = source_layout.code_extents(b.name())[0].page
                 ops = compiler.compile_run(
@@ -541,7 +528,7 @@ class MultiplexedExecutable(TreeExecutable):
                     group.copy_back + plan.final_copy_back, cp, 0)))
             return ops
 
-        self._link(tree, source_layout, objects, compiler, block_ops, keys)
+        self._link(tree, source_layout, objects, compiler, block_ops)
 
     @cached_property
     def witness(self) -> str | None:

@@ -264,12 +264,13 @@ class TestEddsaFullSize:
         assert (len({id(i) for i in placed}), len(placed)) == (2354, 56287)
         # and every trip of a loop uses the one trip's register slots
         assert build.tree.alloc.count == 1160
-        # blocks holding the same micro-ops compile once, on any level
+        # blocks holding the same micro-ops compile once, on any level, and
+        # blocks with the same copies, body and exit share their segments
         calls = count_compiles(monkeypatch)
         exe = build.executable()
         assert len(calls) == 3736
         assert (len(set(map(id, exe.segments.values()))), len(exe.segments)) == \
-            (845, 1674)
+            (432, 1674)
         r1 = build.run(secret={"k": 3})
         r2 = build.run(secret={"k": (1 << 511) | 1})
         assert r1.mux_accesses == r2.mux_accesses == EDDSA_FULL_MUX_ACCESSES

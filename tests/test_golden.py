@@ -231,9 +231,10 @@ def gamma_cases():
 @pytest.mark.parametrize("source, pipelines", gamma_cases())
 def test_gamma_agrees_with_the_fetches(source, pipelines):
     # every block whose code a level plan fetches runs on that plan's
-    # level, from where its copy lands (basic) or from past the largest
-    # block of its level, after the code its group fetched for the levels
-    # before (compacted)
+    # level, from where its first copy lands (basic) or from past the
+    # largest block of its level, after the code its group fetched for the
+    # levels before (compacted); a block's later copies (its code straddles
+    # a source page) land right after the one before
     program = parse(source)
     for passes in pipelines:
         try:
@@ -249,14 +250,18 @@ def test_gamma_agrees_with_the_fetches(source, pipelines):
             for c in code:
                 base.setdefault(blocks[c.unit].level, fetched)
                 fetched += c.words * WORD_SIZE
+            ends: dict[str, int] = {}
             for c in code:
                 b = blocks[c.unit]
-                if plan.mode == "basic":
-                    offset = c.dst_offset
+                if c.unit in ends:
+                    assert c.dst_offset == ends[c.unit], (passes, b.name())
+                elif plan.mode == "basic":
+                    assert plan.gamma[b.id] == (lp.level, c.dst_offset), (passes, b.name())
                 else:
                     offset = base[b.level] + max(
                         x.slot_size for x in tree.levels[b.level - 1])
-                assert plan.gamma[b.id] == (lp.level, offset), (passes, b.name())
+                    assert plan.gamma[b.id] == (lp.level, offset), (passes, b.name())
+                ends[c.unit] = c.dst_offset + c.words * WORD_SIZE
 
 
 def laid_out_cases():

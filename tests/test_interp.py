@@ -481,7 +481,7 @@ def test_an_index_of_any_size_traps(w, detail, split):
 
 
 def test_staged_full_eddsa_compiles_each_shape_once():
-    # the 845 distinct segments of the staged full EdDSA share 13 chunk
+    # the 432 distinct segments of the staged full EdDSA share 13 chunk
     # shapes.  With no shape compiled before, its first compile compiles
     # each of them once; a second compile of the build in the process, and
     # its runs, compile nothing

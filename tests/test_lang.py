@@ -748,14 +748,12 @@ class _Regs:
         self.regs = regs
 
 
-def _generated(op: str, srcs: tuple, dst: int, dst2, width: int):
+def _generated(op: str, srcs: tuple, dst: int, width: int):
     """The generated function of a segment of operator `op` alone at
-    `width` bits, or, with `dst2`, fused with the move after it, as the
-    interpreter runs it."""
+    `width` bits over the registers `srcs`, writing `dst`, as the
+    interpreter runs it: the op as `_OpCompiler.compile_run` makes it."""
     fp = interp.FootprintTable()(0)
-    ops = [(interp._operator_op(op, srcs, dst, dst2, width), fp)]
-    if dst2 is not None:
-        ops.append((None, fp))
+    ops = [(((op, len(srcs), width), (*srcs, dst)), fp)]
     (((run,), _),) = interp._segments(ops, {})
     assert run.__name__ == "segment"
     return run
@@ -774,36 +772,33 @@ def _assert_div_zero(run, st):
 def test_binary_operator_matches_reference(width, op):
     apply = lang.arith(width).binary[op]
     # registers in another order than the function's operands; the
-    # generated functions write register 1, and the fused one 3 as well
-    plain, fused = (_generated(op, (2, 0), 1, dst2, width) for dst2 in (None, 3))
+    # generated function writes register 1 and no other
+    generated = _generated(op, (2, 0), 1, width)
     for x in _edge_operands(width):
         for y in _edge_operands(width):
             if op in ("/", "%") and y == 0:
                 with pytest.raises(ZeroDivisionError):
                     apply(x, y)
-                for generated in (plain, fused):
-                    _assert_div_zero(generated, _Regs([y, 0, x, 0]))
+                _assert_div_zero(generated, _Regs([y, 0, x, 0]))
                 continue
             want = _wrap(_BINARY_REFERENCE[op](x, y, width), width)
             assert apply(x, y) == want, (x, op, y)
-            for generated, written in ((plain, 0), (fused, want)):
-                st = _Regs([y, 0, x, 0])
-                generated(st)
-                assert st.regs == [y, want, x, written], (x, op, y)
+            st = _Regs([y, 0, x, 0])
+            generated(st)
+            assert st.regs == [y, want, x, 0], (x, op, y)
 
 
 @pytest.mark.parametrize("width", [64, 128, 576])
 @pytest.mark.parametrize("op", sorted(_UNARY_REFERENCE))
 def test_unary_operator_matches_reference(width, op):
     apply = lang.arith(width).unary[op]
-    plain, fused = (_generated(op, (1,), 0, dst2, width) for dst2 in (None, 2))
+    generated = _generated(op, (1,), 0, width)
     for x in _edge_operands(width):
         want = _wrap(_UNARY_REFERENCE[op](x), width)
         assert apply(x) == want, (op, x)
-        for generated, written in ((plain, 0), (fused, want)):
-            st = _Regs([0, x, 0])
-            generated(st)
-            assert st.regs == [want, x, written], (op, x)
+        st = _Regs([0, x, 0])
+        generated(st)
+        assert st.regs == [want, x, 0], (op, x)
 
 
 @pytest.mark.parametrize("width", [64, 128, 576])
@@ -838,8 +833,8 @@ _TRUTH_VALUED = {"!", "&&", "==", "!=", "<", ">", "<=", ">="}
 def test_operators_wrap_as_the_reference_does(case):
     # every operator's function, and the statements a segment's generated
     # function runs, give the exact result wrapped the one reference way,
-    # the generated ones written to one destination or to both, as `canon`
-    # wraps it; by zero, the generated `/` and `%` trap and write neither
+    # as `canon` wraps it, the generated one written to its destination
+    # alone; by zero, the generated `/` and `%` trap and write nothing
     width, x, y = case
     sign, mask = 1 << (width - 1), (1 << width) - 1
     ops = lang.arith(width)
@@ -849,9 +844,8 @@ def test_operators_wrap_as_the_reference_does(case):
         n = len(operands)
         for op, reference in table.items():
             if op in ("/", "%") and y == 0:
-                for dst2 in (None, n + 1):
-                    _assert_div_zero(_generated(op, (0, 1), n, dst2, width),
-                                     _Regs(operands + [0, 0]))
+                _assert_div_zero(_generated(op, (0, 1), n, width),
+                                 _Regs(operands + [0, 0]))
                 continue
             if width == 1 and op in _TRUTH_VALUED:
                 continue
@@ -859,10 +853,9 @@ def test_operators_wrap_as_the_reference_does(case):
             want = ((exact + sign) & mask) - sign
             assert ops.canon(exact) == want, (width, exact)
             assert functions[op](*operands) == want, (width, op, x, y)
-            for dst2, written in ((None, 0), (n + 1, want)):
-                regs = _Regs(operands + [0, 0])
-                _generated(op, tuple(range(n)), n, dst2, width)(regs)
-                assert regs.regs == operands + [want, written], (width, op, x, y, dst2)
+            regs = _Regs(operands + [0, 0])
+            _generated(op, tuple(range(n)), n, width)(regs)
+            assert regs.regs == operands + [want, 0], (width, op, x, y)
 
 
 def _stepped_trips(op: str, v: int, limit: int, step_op: str, delta: int, width: int,

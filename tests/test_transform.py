@@ -6,7 +6,7 @@ import pytest
 from pfo.cli import main
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, TreeExecutable, _OpCompiler
-from pfo.lang import parse
+from pfo.lang import WORD_SIZE, parse
 from pfo.layouts import build_tree_layout
 from pfo.memory import Extent
 from pfo.optimize import ALL_PASSES, build_defense, build_staged
@@ -182,7 +182,14 @@ class TestSmartCopy:
             for b in blocks:
                 assert plan.gamma[b.id] == (b.level, biggest)
         code_steps = [c for lp in plan.levels for c in lp.fetch if c.kind == "code"]
-        assert code_steps and all(c.dst_offset == 0 for c in code_steps)
+        assert code_steps
+        # every block's copies overwrite the dummy slot from offset 0, each
+        # copy (one per source page the block is on) after the one before
+        ends: dict[str, int] = {}
+        for c in code_steps:
+            assert c.dst_offset == ends.get(c.unit, 0), c
+            ends[c.unit] = c.dst_offset + c.words * WORD_SIZE
+        assert len(code_steps) > len(ends)
 
     def test_compacted_block_too_large_for_dummy_slot(self):
         # two 40-byte arms: the largest block is more than half the page
@@ -556,6 +563,41 @@ def test_one_body_on_several_levels_compiles_once(monkeypatch):
         assert (got.trap and got.trap.kind) == (want.trap and want.trap.kind)
 
 
+# the loop's trips are chained blocks under both arms of the `if`, one
+# trip per level from level 3 on; every block is on code page 0, so levels
+# 3 and 4 fetch the same words from the same pages, and enter alike
+TRIPS_AFTER_AN_IF = """
+secret int<1> s;
+int t[4] = {1, 2, 3, 4};
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  if (s == 1) { y = 1; } else { y = 2; }
+  for (i = 0; i < 4; i = i + 1) { y = y + t[i]; }
+  #pragma end_pf_sensitive
+}
+"""
+
+
+def test_blocks_with_the_same_ops_share_segments_across_levels():
+    build = build_staged(parse(TRIPS_AFTER_AN_IF))
+    tree = build.tree
+    exe = build.executable()
+    level = {b.id: b.level for b in tree.blocks}
+    # blocks 3 and 4 (the second and third trips under the then arm) and
+    # their copies 7 and 8 under the else arm run the same ops: one segment
+    # tuple on two levels.  The leaves' copy-back sets level 5 apart
+    assert [[(bid, level[bid]) for bid in group] for group in shared_groups(exe)] \
+        == [[(3, 3), (4, 4), (7, 3), (8, 4)], [(5, 5), (9, 5)]]
+    # a plain tree executable compiles every block on its own
+    reference = TreeExecutable(tree)
+    assert shared_groups(reference) == []
+    runs = [exe.run(secret={"s": s}) for s in (0, 1)]
+    assert [r.outputs for r in runs] == \
+        [reference.run(secret={"s": s}).outputs for s in (0, 1)] == [{"y": 12}, {"y": 11}]
+    assert exe.witness is None and runs[0].profile == runs[1].profile
+
+
 # the do-while's first body and test are the objects of every later trip:
 # block 1 holds them alone on level 1, and blocks 2 and 3 beside the loop's
 # exit on levels 2 and 3
@@ -711,8 +753,9 @@ def test_data_copies_move_a_word_across_a_page_boundary():
 def test_code_fetch_moves_every_instruction_of_a_straddling_block():
     build = build_defense(parse(UNALIGNED_BLOCK))
     assert build.source_layout.code_map["BB1"] == (Extent(1, 58, 6), Extent(2, 0, 18))
-    assert [(c.unit, c.src_page, c.words) for c in build.plan.levels[0].fetch
-            if c.kind == "code"] == [("BB1", 1, 2), ("BB1", 2, 4)]
+    # the block's second run of words lands after its first, not on it
+    assert [(c.unit, c.src_page, c.words, c.dst_offset) for c in build.plan.levels[0].fetch
+            if c.kind == "code"] == [("BB1", 1, 2, 0), ("BB1", 2, 4, 2 * WORD_SIZE)]
     for s in range(2):
         run = build.run(secret={"s": s})
         assert (run.outputs["y"], run.steps, run.mux_accesses) == (5 - s, 28, 22)
