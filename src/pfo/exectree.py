@@ -22,11 +22,15 @@ padded alike stay the same objects throughout, and a staged executable
 compiles such copies once (`transform.MultiplexedExecutable`).
 
 A tree indexes itself once, when it is made: one walk from the root fills
-its `blocks` and `levels`, every block's data references (`refs`, derived
-once per distinct micro-op sequence) and the objects the tree writes
-(`stored`), and every later pass (balance check, balancing, planning,
-compiling) reads those fields.  No block changes after that; `balance`
-pads copies, and gives each its padded refs.
+its `blocks` and `levels`, interns the blocks' micro-op lists (blocks
+whose micro-ops are the same objects in order hold one list, and one
+tuple of data references, `refs`) and collects the objects the tree
+writes (`stored`).  Every later pass (balance check, balancing, planning,
+compiling) reads those fields, and a staged executable keys a block's
+body on its list's identity.  No block and no list changes after that:
+blocks share lists, so a change to one would change every block that
+holds it.  `balance` pads copies into new lists, interned as it makes
+them.
 """
 
 from __future__ import annotations
@@ -105,8 +109,10 @@ class ExecutionTree:
     `blocks` is every block in id order, so every parent comes before its
     children; `levels` groups them by level, each in id order; `stored` is
     the objects some block writes (its stores and padding writes).  Making
-    the tree also sets each block's `refs` that `balance` has not set,
-    once per distinct micro-op sequence; no block changes afterwards.
+    the tree also interns the lists of the blocks `balance` has not made:
+    blocks whose micro-ops are the same objects in order then hold one
+    list and one `refs`.  Neither blocks nor lists change afterwards; a
+    change to a shared list would change every block that holds it.
     """
 
     program: Program
@@ -120,17 +126,17 @@ class ExecutionTree:
         blocks: list[Block] = []
         stack = [self.root]
         # copies of one continuation and trips of a replayed loop hold the
-        # same micro-ops: their refs are derived once, by micro-op ids
-        derived: dict[tuple, tuple] = {}
+        # same micro-ops: keyed by their ids, they get one list and one refs
+        interned: dict[tuple, tuple] = {}
         while stack:
             b = stack.pop()
             if b.refs is None:
                 key = tuple(map(id, b.instrs))
-                refs = derived.get(key)
-                if refs is None:
-                    refs = derived[key] = tuple(
+                got = interned.get(key)
+                if got is None:
+                    got = interned[key] = b.instrs, tuple(
                         (obj, w) for i in b.instrs for obj, _, w in data_refs(i))
-                b.refs = refs
+                b.instrs, b.refs = got
             blocks.append(b)
             stack.extend(b.children)
         blocks.sort(key=attrgetter("id"))
@@ -243,17 +249,19 @@ def balance(tree: ExecutionTree) -> ExecutionTree:
     to the maximum instruction count with no-ops, each one object (`_PAD`,
     `_NOP`) however often it is placed, so blocks that held the same
     micro-ops and are padded alike still do.  Padding instructions keep the
-    terminator (branch) last.  Already-balanced trees come back unchanged,
-    and `tree` itself never changes.
+    terminator (branch) last.  A padded list is made once per source list,
+    pad writes and no-ops (every empty list is one source), so blocks that
+    held one list and are padded alike hold one.  Already-balanced trees
+    come back unchanged, and `tree` itself never changes.
     """
     if check_balanced(tree).balanced:
         return tree
 
     # copy children before parents (ids put every parent first); a copy
-    # keeps its block's refs, and gains one per pad write
+    # holds its block's list and refs until it is padded
     copies: dict[int, Block] = {}
     for b in reversed(tree.blocks):
-        copies[b.id] = Block(b.id, b.level, list(b.instrs),
+        copies[b.id] = Block(b.id, b.level, b.instrs,
                              [copies[c.id] for c in b.children], b.branch,
                              b.origin, b.refs)
     levels = [[copies[b.id] for b in lv] for lv in tree.levels]
@@ -271,20 +279,22 @@ def balance(tree: ExecutionTree) -> ExecutionTree:
             cur.children = [pad]
             cur = pad
 
-    def fill(b: Block, instr: Instr, count: int) -> None:
-        at = len(b.instrs) - (b.branch is not None)  # the branch stays last
-        b.instrs[at:at] = [instr] * count
-
+    padded: dict[tuple, tuple] = {}  # a padded list and its refs, by key
     for blocks in levels:
-        most = max(b.data_accesses for b in blocks)
+        data = max(b.data_accesses for b in blocks)
+        code = max(len(b.instrs) + data - b.data_accesses for b in blocks)
         for b in blocks:
-            pads = most - b.data_accesses
-            fill(b, _PAD, pads)
-            # the pads go in before the branch, which has no refs
-            b.refs += _PAD_REF * pads
-        most = max(len(b.instrs) for b in blocks)
-        for b in blocks:
-            fill(b, _NOP, most - len(b.instrs))
+            pads = data - b.data_accesses
+            nops = code - len(b.instrs) - pads
+            key = (id(b.instrs) if b.instrs else None, pads, nops)  # pad chains: []
+            got = padded.get(key)
+            if got is None:
+                at = len(b.instrs) - (b.branch is not None)  # the branch stays last
+                # the pads go in before the branch, which has no refs
+                got = padded[key] = (
+                    b.instrs[:at] + [_PAD] * pads + [_NOP] * nops + b.instrs[at:],
+                    b.refs + _PAD_REF * pads)
+            b.instrs, b.refs = got
 
     new_tree = ExecutionTree(tree.program, copies[tree.root.id], tree.alloc)
     report = check_balanced(new_tree)

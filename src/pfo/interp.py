@@ -57,8 +57,8 @@ allocation-light:
   the function's defaults (`_chunk`).  `_run` calls a segment's
   functions and then adds the whole segment in one `Sink.account`, which
   looks the faults from its resident set up in the summary's memo.
-  Tree blocks whose ops are the same objects, in order, share one
-  segment tuple (`TreeExecutable._link`).
+  Tree blocks given one op list share one segment tuple
+  (`TreeExecutable._link`).
 * calls: in whole-function mode a function whose body is straight-line
   code (an optional tail `return`), whose ops are all charged and whose
   callees are all merged, is summarised whole, and a call to it is
@@ -1216,16 +1216,15 @@ class _Frame:
 class TreeExecutable:
     """Root-to-leaf walker over a (possibly balanced) execution tree.
 
-    Each block compiles to one flat tuple of `(op, charge)` ops, its
+    Each block compiles to one flat list of `(op, charge)` ops, its
     instructions at their own code pages; `transform.MultiplexedExecutable`
-    builds the same tuples with the staging schedule compiled in, and
-    compiles each distinct staged body once for all its levels.  Blocks
-    whose ops are the same objects share one segment tuple (`_link`).  A
-    block is cut into segments at the ops that account for themselves, and each
-    run of charged ops is summarised once (`Summary`) and generated as
-    functions (`_segment`): a run calls a segment's functions, which
-    compute values only, then accounts its summary in one `Sink.account`,
-    and moves to the child its branch picked.
+    builds the same lists with the staging schedule compiled in, and makes
+    one list per distinct staged block.  Blocks given one op list share one
+    segment tuple (`_link`).  A block is cut into segments at the ops that
+    account for themselves, and each run of charged ops is summarised once
+    (`Summary`) and generated as functions (`_segment`): a run calls a
+    segment's functions, which compute values only, then accounts its
+    summary in one `Sink.account`, and moves to the child its branch picked.
     """
 
     def __init__(self, tree: ExecutionTree):
@@ -1242,21 +1241,21 @@ class TreeExecutable:
         """Make runs walk `tree`, running the `(op, charge)` ops that
         `block_ops` compiles for each block.
 
-        Blocks whose ops are the same objects, in order, share one segment
-        tuple, cut once from the ops of the first of them: a block is keyed
-        by the ids of its ops, and the first op list of each key is kept
-        until every block is keyed, so no id in a key is reused.  Only the
-        cut segments are kept after that (`segments`, by block id).
+        Blocks for which `block_ops` returns one list object share one
+        segment tuple, cut once from that list: a block is keyed by the
+        list's id, and each list is kept until every block is keyed, so no
+        id is reused.  Only the cut segments are kept after that
+        (`segments`, by block id).
         """
         summaries: dict[tuple, Summary] = {}
-        compiled: dict[tuple, tuple] = {}  # a key's first ops and segments
+        compiled: dict[int, tuple] = {}  # by a list's id: the list, its segments
         self.segments = {}
         for b in tree.blocks:
             ops = block_ops(b)
-            key = tuple(map(id, ops))
-            if key not in compiled:
-                compiled[key] = ops, _segments(ops, summaries)
-            self.segments[b.id] = compiled[key][1]
+            got = compiled.get(id(ops))
+            if got is None:
+                got = compiled[id(ops)] = ops, _segments(ops, summaries)
+            self.segments[b.id] = got[1]
         self.tree = tree
         self.program = tree.program
         self.layout = layout

@@ -281,7 +281,10 @@ def plan_layout(tree: ExecutionTree, source_layout: MemoryLayout,
     for lv_index, blocks in enumerate(levels):
         level = lv_index + 1
         sizes = level_sizes[lv_index]
-        code_bytes = sum(sizes) if stage_code else 0
+        # the page a level takes: its blocks side by side (basic), or the
+        # dummy slot and the run slot, each as large as its largest block
+        code_bytes = 0 if not stage_code else \
+            sum(sizes) if mode == "basic" else 2 * max(sizes)
         if not (merge_levels and groups) or code_bytes > room:
             groups.append(([], [], []))
             room, base, fetched, backed = page_size, 0, set(), set()
@@ -399,14 +402,17 @@ class MultiplexedExecutable(TreeExecutable):
     Blocks with the same copies and charge share one copy op, and blocks on
     one code page one selector op.  With the code staged, every block runs
     from the one staging page, so its instructions compile to ops that
-    depend only on its body: its micro-op objects (copies of one
-    continuation, or trips of a replayed loop, padded alike) and whether
-    its level has several blocks, which gives its code-only steps their
-    dummy reads.  Each body compiles once, on whatever levels it sits
-    (`bodies`), and blocks whose copies, body, selector and exit are the
-    same ops share one segment tuple, on one level or several
-    (`TreeExecutable._link`).  Unstaged, each block runs from its own code
-    pages and is compiled on its own.  An execute-phase access that would
+    depend only on its body: its micro-op list, which the tree interns, so
+    copies of one continuation and trips of a replayed loop, padded alike,
+    hold one (`ExecutionTree`), and whether its level has several blocks,
+    which gives its code-only steps their dummy reads.  A body is keyed on
+    those two, the list by its identity, and compiles once, on whatever
+    levels it sits.  A block's op list is made once per distinct enter op,
+    body and exit op (none for an inner block; every block has the one
+    selector op), and blocks with those parts share it and so one segment
+    tuple, on one level or several (`TreeExecutable._link`).  Unstaged,
+    each block runs from its own code pages and gets an op list of its
+    own.  An execute-phase access that would
     leave the staging pages is an internal error, which keeps levels
     atomic.
     """
@@ -460,9 +466,9 @@ class MultiplexedExecutable(TreeExecutable):
                    moves, mux)
             return once(key, lambda: _copier(copies, moves, mux))
 
-        shared: dict[tuple, tuple] = {}
+        shared: dict[tuple, tuple | list] = {}  # ops, bodies and op lists
 
-        def once(key: tuple, make: Callable[[], tuple]) -> tuple:
+        def once(key: tuple, make: Callable[[], tuple | list]) -> tuple | list:
             got = shared.get(key)
             if got is None:
                 got = shared[key] = make()
@@ -498,35 +504,35 @@ class MultiplexedExecutable(TreeExecutable):
             cp = plan.staging.sa_code
             return compiler.compile_run(b.instrs, [cp] * len(b.instrs), fps)
 
-        # a staged body's ops, by whether its level has several blocks and
-        # its micro-ops, which fix all `staged_body` reads (the tree holds
-        # the micro-ops, so no id in a key is reused)
-        bodies: dict[tuple, list[tuple]] = {}
-
         def block_ops(b: Block) -> list[tuple]:
             if code_staged:
                 cp = plan.staging.sa_code
                 multi = len(tree.levels[b.level - 1]) > 1
-                key = (multi, *map(id, b.instrs))
-                ops = bodies.get(key)
-                if ops is None:
-                    ops = bodies[key] = staged_body(b, multi)
+                # the tree holds one list per micro-op sequence while this
+                # executable lives, so no id in a key is reused
+                body = once(("body", multi, id(b.instrs)),
+                            lambda: staged_body(b, multi))
             else:
                 cp = source_layout.code_extents(b.name())[0].page
-                ops = compiler.compile_run(
+                body = compiler.compile_run(
                     b.instrs, _code_pages(source_layout, b.name(), len(b.instrs)))
             group = level_plans[b.level]
             prev = level_plans.get(b.level - 1)
             mux = b.data_accesses
-            ops = [once(("enter", id(group), id(prev), cp, mux),
-                        lambda: copier(enter(group, prev), cp, mux)),
-                   *ops,
-                   once(("select", cp), lambda: _selector(
-                       compiler.footprint(cp, (sel_page,), _KIND_W), sel_index))]
-            if b.is_leaf:
-                ops.append(once(("exit", id(group), cp), lambda: copier(
-                    group.copy_back + plan.final_copy_back, cp, 0)))
-            return ops
+            entry = once(("enter", id(group), id(prev), cp, mux),
+                         lambda: copier(enter(group, prev), cp, mux))
+            exit_ = once(("exit", id(group), cp), lambda: copier(
+                group.copy_back + plan.final_copy_back, cp, 0)) if b.is_leaf else None
+
+            def ops() -> list[tuple]:
+                return [entry, *body,
+                        once(("select", cp), lambda: _selector(
+                            compiler.footprint(cp, (sel_page,), _KIND_W), sel_index)),
+                        *((exit_,) if exit_ else ())]
+            # staged, every block has the one selector, so blocks with one
+            # entry, body and exit have one op list; unstaged, none share
+            return once(("block", id(entry), id(body), id(exit_)), ops) \
+                if code_staged else ops()
 
         self._link(tree, source_layout, objects, compiler, block_ops)
 

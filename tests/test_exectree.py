@@ -42,6 +42,21 @@ fn main() {
 """
 
 
+# the do-while's first body and test are the objects of every later trip:
+# block 1 holds them alone on level 1, and blocks 2 and 3 beside the loop's
+# exit on levels 2 and 3
+FIRST_TRIP_ALONE = """
+secret int<2> s;
+int t[4] = {1, 2, 3, 4};
+output int y;
+fn main() {
+  #pragma begin_pf_sensitive
+  do { y = y + t[s]; y = y + 1; t[1] = y; } while (y < 4 * s) bound 3;
+  #pragma end_pf_sensitive
+}
+"""
+
+
 def budget(monkeypatch, n):
     """Cap expansion and tree building at `n` statements."""
     monkeypatch.setattr(ir, "NODE_BUDGET", n)
@@ -301,6 +316,31 @@ class TestBalance:
         for level in tree.levels:
             assert len({(b.code_accesses, b.data_accesses) for b in level}) == 1
 
+
+    @pytest.mark.parametrize("source", [
+        FOO_SOURCE, SHARED_CONTINUATION, FIRST_TRIP_ALONE, ACCESS_SKEW,
+    ], ids=["foo", "shared-continuation", "first-trip-alone", "access-skew"])
+    def test_blocks_with_the_same_micro_ops_hold_one_list(self, source):
+        # a tree interns its blocks' micro-op lists when it indexes itself,
+        # and `balance` its padded copies: one list per sequence of objects
+        tree = build_execution_tree(parse(source))
+        for t in (tree, balance(tree)):
+            lists: dict[tuple, list] = {}
+            for b in t.blocks:
+                assert lists.setdefault(tuple(map(id, b.instrs)), b.instrs) is b.instrs
+            assert len({id(b.instrs) for b in t.blocks}) == len(lists)
+
+    def test_padded_copies_and_pad_chains_share_lists(self):
+        # balanced, the loop's three trips (BB1-BB3) are padded alike; so
+        # are its exits on levels 2 and 3 (BB6, BB7) and the pad chain BB8
+        # under BB7, all three empty before
+        tree = balance(build_execution_tree(parse(FIRST_TRIP_ALONE)))
+        b = {x.id: x for x in tree.blocks}
+        assert b[8].origin == "__pad"
+        assert b[1].instrs is b[2].instrs is b[3].instrs
+        assert b[6].instrs is b[7].instrs is b[8].instrs
+        assert b[3].instrs is not b[6].instrs
+        assert len(b[1].instrs) == len(b[6].instrs) == 9
 
 class TestInspection:
     def test_json_roundtrips_and_counts(self):

@@ -231,10 +231,13 @@ def gamma_cases():
 @pytest.mark.parametrize("source, pipelines", gamma_cases())
 def test_gamma_agrees_with_the_fetches(source, pipelines):
     # every block whose code a level plan fetches runs on that plan's
-    # level, from where its first copy lands (basic) or from past the
-    # largest block of its level, after the code its group fetched for the
-    # levels before (compacted); a block's later copies (its code straddles
-    # a source page) land right after the one before
+    # level, from where its first copy lands (basic) or from past its
+    # level's dummy slot (compacted).  A compacted level takes its dummy
+    # slot and its run slot, each as large as its largest block, so its
+    # base is what the levels its group covers before it take.  A block's
+    # later copies (its code straddles a source page) land right after the
+    # one before, and no copy lands on the run slot of an earlier level's
+    # block in the same fetch
     program = parse(source)
     for passes in pipelines:
         try:
@@ -244,24 +247,30 @@ def test_gamma_agrees_with_the_fetches(source, pipelines):
         tree, plan = build.tree, build.plan
         blocks = {b.name(): b for b in tree.blocks}
         for lp in plan.levels:
-            code = [c for c in lp.fetch if c.kind == "code"]
             base: dict[int, int] = {}
-            fetched = 0
-            for c in code:
-                base.setdefault(blocks[c.unit].level, fetched)
-                fetched += c.words * WORD_SIZE
+            taken = 0
+            for level in lp.covers:
+                base[level] = taken
+                taken += 2 * max(x.slot_size for x in tree.levels[level - 1])
             ends: dict[str, int] = {}
-            for c in code:
+            runs: list[tuple[int, int, int]] = []  # (level, first, end) bytes
+            for c in lp.fetch:
+                if c.kind != "code":
+                    continue
                 b = blocks[c.unit]
                 if c.unit in ends:
                     assert c.dst_offset == ends[c.unit], (passes, b.name())
-                elif plan.mode == "basic":
-                    assert plan.gamma[b.id] == (lp.level, c.dst_offset), (passes, b.name())
                 else:
-                    offset = base[b.level] + max(
-                        x.slot_size for x in tree.levels[b.level - 1])
+                    if plan.mode == "basic":
+                        offset = c.dst_offset
+                    else:
+                        offset = base[b.level] + max(
+                            x.slot_size for x in tree.levels[b.level - 1])
                     assert plan.gamma[b.id] == (lp.level, offset), (passes, b.name())
-                ends[c.unit] = c.dst_offset + c.words * WORD_SIZE
+                    runs.append((b.level, offset, offset + b.code_size))
+                end = ends[c.unit] = c.dst_offset + c.words * WORD_SIZE
+                assert not any(level < b.level and first < end and c.dst_offset < stop
+                               for level, first, stop in runs), (passes, b.name())
 
 
 def laid_out_cases():

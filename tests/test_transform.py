@@ -3,13 +3,15 @@ import json
 
 import pytest
 
+from pfo import interp
 from pfo.cli import main
+from pfo.corpus import eddsa_full_source
 from pfo.exectree import balance, build_execution_tree
 from pfo.interp import AstExecutable, TrapInfo, TreeExecutable, _OpCompiler
 from pfo.lang import WORD_SIZE, parse
 from pfo.layouts import build_tree_layout
 from pfo.memory import Extent
-from pfo.optimize import ALL_PASSES, build_defense, build_staged
+from pfo.optimize import ALL_PASSES, build_defense, build_staged, opt_if_convert
 from pfo.suites import case_source
 from pfo.transform import (
     MultiplexedExecutable,
@@ -18,7 +20,7 @@ from pfo.transform import (
     select_mode,
 )
 
-from test_exectree import SHARED_CONTINUATION
+from test_exectree import FIRST_TRIP_ALONE, SHARED_CONTINUATION
 from test_interp import UNALIGNED_TABLE
 from test_lang import FOO_SOURCE
 
@@ -148,7 +150,8 @@ fn main() {
 
 
 # a two-way level ahead of the three-way branch: the plan is compacted, and
-# under O3A the first two levels share one fetch, level 2 after level 1's code
+# under O3A the first two levels share one fetch, level 2 after level 1's
+# dummy and run slots
 MERGED_BEFORE_THREE_WAY = THREE_WAY.replace(
     "  if (s == 0) {",
     "  if (s == 3) { a = a + 1; } else { a = a + 2; }\n  if (s == 0) {", 1)
@@ -598,21 +601,6 @@ def test_blocks_with_the_same_ops_share_segments_across_levels():
     assert exe.witness is None and runs[0].profile == runs[1].profile
 
 
-# the do-while's first body and test are the objects of every later trip:
-# block 1 holds them alone on level 1, and blocks 2 and 3 beside the loop's
-# exit on levels 2 and 3
-FIRST_TRIP_ALONE = """
-secret int<2> s;
-int t[4] = {1, 2, 3, 4};
-output int y;
-fn main() {
-  #pragma begin_pf_sensitive
-  do { y = y + t[s]; y = y + 1; t[1] = y; } while (y < 4 * s) bound 3;
-  #pragma end_pf_sensitive
-}
-"""
-
-
 def test_a_body_alone_on_its_level_compiles_apart(monkeypatch):
     # only a level of several blocks gives its code-only steps dummy reads,
     # so the body alone on level 1 cannot share the others' compiled ops:
@@ -633,6 +621,64 @@ def test_a_body_alone_on_its_level_compiles_apart(monkeypatch):
     assert [r.outputs["y"] for r in runs] == [2, 7, 8, 15]
     assert sum(c is one.instrs[0] for c in calls) == 2
     assert len(calls) == 29
+
+
+def block_op_lists(monkeypatch) -> dict:
+    """A dict that gains, by block id, the op list each `TreeExecutable`
+    built from now on links for the block (`_link`'s `block_ops`)."""
+    lists = {}
+    link = TreeExecutable._link
+
+    def recording(self, tree, layout, objects, compiler, block_ops):
+        def ops(b):
+            lists[b.id] = got = block_ops(b)
+            return got
+        return link(self, tree, layout, objects, compiler, ops)
+    monkeypatch.setattr(TreeExecutable, "_link", recording)
+    return lists
+
+
+def test_one_body_with_other_copies_or_exits_is_another_op_list(monkeypatch):
+    # a block's op list is its level's enter copies, its compiled body, the
+    # selector and, for a leaf, the exit copies: blocks share a list only
+    # when all of those are the same ops
+    lists = block_op_lists(monkeypatch)
+    build = build_staged(parse(FIRST_TRIP_ALONE))
+    build.executable()
+    b = {x.id: x for x in build.tree.blocks}
+    # BB2 and BB3 (levels 2 and 3) hold one body but enter their levels apart
+    assert b[2].instrs is b[3].instrs
+    assert lists[2] is not lists[3] and lists[2][0] is not lists[3][0]
+    assert all(x is y for x, y in zip(lists[2][1:], lists[3][1:]))
+    # BB6 and BB8 on level 3 share one list; BB7, their body on level 2, not
+    assert b[6].instrs is b[7].instrs is b[8].instrs
+    assert lists[6] is lists[8] and lists[7] is not lists[6]
+    # BB4 and BB5 of TRIPS_AFTER_AN_IF enter alike, but BB5 is a leaf
+    build = build_staged(parse(TRIPS_AFTER_AN_IF))
+    build.executable()
+    four, five = build.tree.blocks[3:5]
+    assert four.instrs is five.instrs and (four.is_leaf, five.is_leaf) == (False, True)
+    assert lists[4][0] is lists[5][0] and lists[4] is not lists[5]
+    assert all(x is y for x, y in zip(lists[4], lists[5][:-1]))
+    assert len(lists[5]) == len(lists[4]) + 1
+
+
+def test_staged_full_eddsa_cuts_each_distinct_op_list_once(monkeypatch):
+    # 1674 blocks on 844 levels hold 432 distinct op lists, and each is cut
+    # into segments once
+    program, _ = opt_if_convert(parse(eddsa_full_source()))
+    build = build_staged(program)
+    cut = []
+    segments = interp._segments
+
+    def counting(ops, summaries):
+        cut.append(ops)
+        return segments(ops, summaries)
+    monkeypatch.setattr(interp, "_segments", counting)
+    calls = count_compiles(monkeypatch)
+    exe = build.executable()
+    assert (len(cut), len(exe.segments)) == (432, 1674)
+    assert len(calls) == 3736
 
 
 def test_in_place_code_shares_nothing(monkeypatch):
